@@ -25,19 +25,17 @@ updates, so baseline variants share every other code path.
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import envs, nn, returns, world_model
+from . import container, envs, nn, returns, world_model
 from .expectile import ExpectileParam, expectile_weight
 from .rng import stream
 
 __all__ = [
     "AgentError",
+    "AgentFormatError",
     "DivergenceError",
     "AgentConfig",
     "MlpPolicy",
@@ -50,7 +48,6 @@ __all__ = [
     "critic_loss_ema",
     "critic_loss_total",
     "policy_loss_surrogate",
-    "mobile_lcb_target",
     "awr_policy_loss",
     "pretrain_bc",
     "pretrain_fqe",
@@ -68,6 +65,10 @@ POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr")
 
 class AgentError(RuntimeError):
     pass
+
+
+class AgentFormatError(AgentError, container.ContainerError):
+    """Corrupt, truncated or incompatible agent checkpoint."""
 
 
 class DivergenceError(AgentError):
@@ -133,21 +134,6 @@ class AgentConfig:
             raise ValueError(f"critic_target must be one of {CRITIC_TARGET_MODES}")
         if self.policy_update not in POLICY_UPDATE_MODES:
             raise ValueError(f"policy_update must be one of {POLICY_UPDATE_MODES}")
-
-    def to_dict(self) -> dict:
-        d = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            d[name] = list(value) if isinstance(value, tuple) else value
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentConfig":
-        d = dict(d)
-        for name in ("hidden_actor", "hidden_critic"):
-            if name in d:
-                d[name] = tuple(d[name])
-        return cls(**d)
 
     def desk_scale(self) -> "AgentConfig":
         """Laptop-budget preset: smaller nets, batches, expansion cadence."""
@@ -253,6 +239,7 @@ class AgentState:
     adam_critic: nn.AdamState
     buffer: ModelStateBuffer
     step: int = 0
+    extra: dict = field(default_factory=dict)  # the checkpoint header's free-form summary
 
     @property
     def policy(self) -> MlpPolicy:
@@ -454,19 +441,6 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
     targets = np.zeros((B, H))
     targets[flat_idx[:, 0], flat_idx[:, 1]] = lcb
     return targets, valid
-
-
-def mobile_lcb_target(rewards, next_q, gamma: float, c: float) -> float:
-    """LCB one-step target from per-member (reward, bootstrap) samples.
-
-    rewards, next_q: aligned 1-D arrays, one entry per ensemble member.
-    """
-    rewards = np.asarray(rewards, dtype=np.float64).reshape(-1)
-    next_q = np.asarray(next_q, dtype=np.float64).reshape(-1)
-    if rewards.size < 2 or next_q.size != rewards.size:
-        raise AgentError("need at least 2 aligned ensemble samples")
-    values = rewards + gamma * next_q
-    return float(values.mean() - c * next_q.std())
 
 
 # ---------------------------------------------------------------------------
@@ -940,62 +914,45 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
 # checkpointing
 
 _AGENT_MAGIC = b"LEQA"
+_AGENT_VERSION = 1
 
 
 def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | None = None) -> None:
-    arrays = [
-        ("policy_params", state.policy_params),
-        ("critic_params", state.critic_params),
-        ("ema_shadow", state.critic_ema.shadow),
-        ("adam_actor_m", state.adam_actor.m),
-        ("adam_actor_v", state.adam_actor.v),
-        ("adam_critic_m", state.adam_critic.m),
-        ("adam_critic_v", state.adam_critic.v),
-        ("buffer_data", state.buffer.data.reshape(-1)),
-    ]
-    layout = []
-    offset = 0
-    for name, arr in arrays:
-        layout.append([name, offset, int(arr.size)])
-        offset += int(arr.size)
     header = {
         "format": "leq-lab-agent",
-        "version": 1,
-        "config": state.config.to_dict(),
+        "version": _AGENT_VERSION,
+        "config": asdict(state.config),
         "env": state.env_spec.name,
-        "policy_spec": state.policy_spec.to_dict(),
-        "critic_spec": state.critic_spec.to_dict(),
+        "policy_spec": asdict(state.policy_spec),
+        "critic_spec": asdict(state.critic_spec),
         "step": state.step,
         "adam_actor_t": state.adam_actor.step,
         "adam_critic_t": state.adam_critic.step,
         "buffer_size": state.buffer.size,
         "buffer_cursor": state.buffer.cursor,
         "buffer_capacity": state.buffer.capacity,
-        "layout": layout,
         "seed": seed,
         "extra": extra or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = np.concatenate([arr.reshape(-1) for _, arr in arrays]).astype("<f8").tobytes()
-    payload = _AGENT_MAGIC + struct.pack("<I", len(blob)) + blob + body
-    payload += struct.pack("<I", zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    arrays = {
+        "policy_params": state.policy_params,
+        "critic_params": state.critic_params,
+        "ema_shadow": state.critic_ema.shadow,
+        "adam_actor_m": state.adam_actor.m,
+        "adam_actor_v": state.adam_actor.v,
+        "adam_critic_m": state.adam_critic.m,
+        "adam_critic_v": state.adam_critic.v,
+        "buffer_data": state.buffer.data,
+    }
+    container.write(path, _AGENT_MAGIC, header, arrays)
 
 
 def load_agent(path) -> AgentState:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < 8 or payload[:4] != _AGENT_MAGIC:
-        raise AgentError("not an agent checkpoint")
-    body, (crc,) = payload[:-4], struct.unpack("<I", payload[-4:])
-    if zlib.crc32(body) != crc:
-        raise AgentError("agent checkpoint failed checksum")
-    (hlen,) = struct.unpack("<I", body[4:8])
-    header = json.loads(body[8 : 8 + hlen].decode("utf-8"))
-    flat = np.frombuffer(body[8 + hlen :], dtype="<f8")
-    views = {name: flat[off : off + size].copy() for name, off, size in header["layout"]}
-    config = AgentConfig.from_dict(header["config"])
+    try:
+        header, views = container.read(path, _AGENT_MAGIC, "leq-lab-agent", _AGENT_VERSION)
+    except container.ContainerError as err:
+        raise AgentFormatError(f"agent checkpoint {err}") from err
+    config = container.from_dict(AgentConfig, header["config"])
     env_spec = envs.make_env_spec(header["env"])
     ema = nn.EmaTracker(shadow=views["ema_shadow"], decay=config.ema_decay)
     adam_a = nn.AdamState(
@@ -1018,8 +975,8 @@ def load_agent(path) -> AgentState:
     return AgentState(
         config=config,
         env_spec=env_spec,
-        policy_spec=nn.MlpSpec.from_dict(header["policy_spec"]),
-        critic_spec=nn.MlpSpec.from_dict(header["critic_spec"]),
+        policy_spec=container.from_dict(nn.MlpSpec, header["policy_spec"]),
+        critic_spec=container.from_dict(nn.MlpSpec, header["critic_spec"]),
         policy_params=views["policy_params"],
         critic_params=views["critic_params"],
         critic_ema=ema,
@@ -1027,4 +984,5 @@ def load_agent(path) -> AgentState:
         adam_critic=adam_c,
         buffer=buffer,
         step=header["step"],
+        extra=header["extra"],
     )

@@ -6,7 +6,9 @@ expansion round, per eval episode), so an interrupted run resumed from its
 checkpoint replays exactly the trace an uninterrupted run would have
 produced.  Timestamps appear only in report metadata, never in CSVs.
 
-Exit codes: 0 success, 1 assertion or divergence failure, 2 usage error.
+Exit codes: 0 success; 1 a divergence (with divergence.json written) or a
+failed theory check; 2 bad input: a usage or config error, or a missing,
+corrupt, truncated or incompatible dataset, checkpoint or ensemble file.
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import agent as agent_mod
-from . import datasets, envs, nn, theory, world_model
+from . import container, datasets, envs, nn, theory, world_model
 from .config import (
     ConfigError,
     RunConfig,
     load_matrix_config,
     load_run_config,
+    parse_run_config,
 )
 from .expectile import InputValidationError, ScalarDistribution, expectile_of
 from .rng import stream
@@ -108,7 +112,10 @@ def cmd_gen_data(args) -> int:
 def _prepare_ensemble(cfg: RunConfig, dataset, out_dir: str, resume: bool):
     path = os.path.join(out_dir, _ENSEMBLE)
     if resume and os.path.exists(path):
-        return world_model.load_ensemble(path)
+        ensemble = world_model.load_ensemble(path)
+        if ensemble.config != cfg.world_model:
+            raise ConfigError(f"{path} was trained with a different world-model config")
+        return ensemble
     ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
     world_model.save_ensemble(path, ensemble)
     return ensemble
@@ -180,13 +187,6 @@ def _truncate_rows(path, step: int, interval: int) -> tuple[list[dict], list[str
     return kept, columns
 
 
-def _save_checkpoint(out_dir: str, state, seed: int, extra: dict) -> None:
-    path = os.path.join(out_dir, _CHECKPOINT)
-    tmp = path + ".tmp"
-    agent_mod.save_agent(tmp, state, seed=seed, extra=extra)
-    os.replace(tmp, path)
-
-
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
@@ -195,8 +195,9 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
+    effective = {k: v for k, v in asdict(cfg).items() if v is not None}
     with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg.effective_dict(), fh, indent=2, sort_keys=True)
+        json.dump(effective, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     env_spec = envs.make_env_spec(cfg.env)
@@ -217,21 +218,19 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume)
 
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
-    pretrain_info: dict = {}
     if resume and os.path.exists(ckpt_path):
         state = agent_mod.load_agent(ckpt_path)
         # n_iter may grow between sessions; everything else must match or
         # the resumed trace would silently diverge from a fresh run
-        saved = {k: v for k, v in state.config.to_dict().items() if k != "n_iter"}
-        asked = {k: v for k, v in cfg.agent.to_dict().items() if k != "n_iter"}
-        if saved != asked:
+        if replace(state.config, n_iter=cfg.agent.n_iter) != cfg.agent:
             raise ConfigError("checkpoint was written by a different agent config")
         state.config = cfg.agent
+        pretrain_info = state.extra.get("pretrain", {})
     else:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
         pretrain_info = _pretrain_agent(cfg, state, dataset)
         state.buffer.insert(arrays[0])
-        _save_checkpoint(out_dir, state, cfg.seed, {"pretrain": pretrain_info})
+        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
 
     term_fn = envs.termination_fn(env_spec)
     config = state.config
@@ -293,13 +292,13 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                 # be ahead of the logs, or resume would leave a gap
                 _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
                 _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
-                _save_checkpoint(out_dir, state, cfg.seed, {"pretrain": pretrain_info})
+                agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     except agent_mod.DivergenceError as err:
         snapshot = {
             "error": str(err),
-            "details": getattr(err, "details", {}),
+            "details": err.snapshot,
             "step": state.step,
-            "config": cfg.effective_dict(),
+            "config": effective,
         }
         with open(os.path.join(out_dir, "divergence.json"), "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
@@ -307,7 +306,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
 
-    _save_checkpoint(out_dir, state, cfg.seed, {"pretrain": pretrain_info})
+    agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
     _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
 
@@ -368,7 +367,9 @@ def cmd_pretrain(args) -> int:
     state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
     info = _pretrain_agent(cfg, state, dataset)
     state.buffer.insert(dataset.flat_arrays()[0])
-    _save_checkpoint(out_dir, state, cfg.seed, {"pretrain": info})
+    agent_mod.save_agent(
+        os.path.join(out_dir, _CHECKPOINT), state, cfg.seed, {"pretrain": info}
+    )
     for key, value in info.items():
         print(f"{key}: {value:.6f}")
     print(f"checkpoint: {os.path.join(out_dir, _CHECKPOINT)}")
@@ -408,7 +409,7 @@ def cmd_ablate(args) -> int:
         raw.pop("out_dir", None)
         successes, returns, failures = [], [], []
         for seed in matrix["seeds"]:
-            cell_cfg = RunConfig.from_dict({**raw, "seed": int(seed)})
+            cell_cfg = parse_run_config({**raw, "seed": int(seed)})
             cell_dir = os.path.join(out_dir, name, f"seed{seed}")
             try:
                 report = run_training(cell_cfg, cell_dir)
@@ -417,7 +418,7 @@ def cmd_ablate(args) -> int:
                 continue
             successes.append(report["final_eval"]["success_rate"])
             returns.append(report["final_eval"]["mean_return"])
-        agent_cfg = RunConfig.from_dict({**raw, "seed": 0}).agent
+        agent_cfg = parse_run_config({**raw, "seed": 0}).agent
         row = {
             "cell": name,
             "conservatism": agent_cfg.conservatism,
@@ -596,6 +597,7 @@ _USAGE_ERRORS = (
     envs.EnvError,
     InputValidationError,
     FileNotFoundError,
+    container.ContainerError,
 )
 
 

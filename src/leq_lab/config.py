@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import jsonschema
 
 from .agent import AgentConfig
+from .container import from_dict
 from .datasets import NORMALIZATION_MODES
 from .world_model import WorldModelConfig
 
@@ -25,6 +26,7 @@ __all__ = [
     "RunConfig",
     "RUN_SCHEMA",
     "MATRIX_SCHEMA",
+    "parse_run_config",
     "load_run_config",
     "load_matrix_config",
 ]
@@ -41,6 +43,16 @@ _SCALAR_SCHEMAS = {
 
 class ConfigError(ValueError):
     """A run or matrix config violates the schema or its invariants."""
+
+
+# jsonschema counts 10.0 as an integer, but configs are decoded as written,
+# so an integer field must hold a JSON integer
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
 
 
 def _fields_schema(cls) -> dict:
@@ -125,7 +137,7 @@ MATRIX_SCHEMA = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run settings; build with ``from_dict``."""
+    """Fully resolved run settings; build with `parse_run_config`."""
 
     seed: int
     env: str
@@ -141,65 +153,29 @@ class RunConfig:
     log_interval: int = 100
     checkpoint_interval: int = 5000
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        try:
-            jsonschema.validate(raw, RUN_SCHEMA)
-        except jsonschema.ValidationError as err:
-            raise ConfigError(f"run config: {err.message}") from err
-        agent = AgentConfig()
-        if raw.get("desk_scale", False):
-            agent = agent.desk_scale()
-        try:
-            agent = dataclasses.replace(agent, **_tupled(raw.get("agent", {})))
-            wm = dataclasses.replace(
-                WorldModelConfig(), **_tupled(raw.get("world_model", {}))
-            )
-        except (ValueError, TypeError) as err:
-            raise ConfigError(str(err)) from err
-        return cls(
-            seed=int(raw["seed"]),
-            env=raw["env"],
-            dataset=raw["dataset"],
-            agent=agent,
-            world_model=wm,
-            out_dir=raw.get("out_dir"),
-            desk_scale=bool(raw.get("desk_scale", False)),
-            reward_normalization=raw.get("reward_normalization", "none"),
-            stages=tuple(raw.get("stages", PRETRAIN_STAGES)),
-            eval_interval=int(raw.get("eval_interval", 5000)),
-            eval_episodes=int(raw.get("eval_episodes", 50)),
-            log_interval=int(raw.get("log_interval", 100)),
-            checkpoint_interval=int(raw.get("checkpoint_interval", 5000)),
+
+def parse_run_config(raw: dict) -> RunConfig:
+    """Validate a raw run config and resolve every field.
+
+    ``dataclasses.asdict`` of the result, with a ``None`` out_dir dropped,
+    is the effective config: it re-parses to an equal RunConfig.
+    """
+    try:
+        _Validator(RUN_SCHEMA).validate(raw)
+    except jsonschema.ValidationError as err:
+        raise ConfigError(f"run config: {err.message}") from err
+    agent = AgentConfig().desk_scale() if raw.get("desk_scale", False) else AgentConfig()
+    try:
+        return from_dict(
+            RunConfig,
+            {
+                **raw,
+                "agent": from_dict(AgentConfig, {**asdict(agent), **raw.get("agent", {})}),
+                "world_model": from_dict(WorldModelConfig, raw.get("world_model", {})),
+            },
         )
-
-    def effective_dict(self) -> dict:
-        """Every field resolved; re-parses to an equivalent RunConfig."""
-        d = {
-            "seed": self.seed,
-            "env": self.env,
-            "dataset": self.dataset,
-            "desk_scale": self.desk_scale,
-            "reward_normalization": self.reward_normalization,
-            "agent": self.agent.to_dict(),
-            "world_model": self.world_model.to_dict(),
-            "stages": list(self.stages),
-            "eval_interval": self.eval_interval,
-            "eval_episodes": self.eval_episodes,
-            "log_interval": self.log_interval,
-            "checkpoint_interval": self.checkpoint_interval,
-        }
-        if self.out_dir is not None:
-            d["out_dir"] = self.out_dir
-        return d
-
-
-def _tupled(overrides: dict) -> dict:
-    out = dict(overrides)
-    for key, value in out.items():
-        if isinstance(value, list):
-            out[key] = tuple(value)
-    return out
+    except (ValueError, TypeError) as err:
+        raise ConfigError(str(err)) from err
 
 
 def load_run_config(path) -> RunConfig:
@@ -212,7 +188,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: run config must be a JSON object")
-    return RunConfig.from_dict(raw)
+    return parse_run_config(raw)
 
 
 def load_matrix_config(path) -> dict:
@@ -225,8 +201,8 @@ def load_matrix_config(path) -> dict:
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     try:
-        jsonschema.validate(raw, MATRIX_SCHEMA)
+        _Validator(MATRIX_SCHEMA).validate(raw)
     except jsonschema.ValidationError as err:
         raise ConfigError(f"matrix config: {err.message}") from err
-    RunConfig.from_dict(raw["base"])  # surface base-config value errors early
+    parse_run_config(raw["base"])  # surface base-config value errors early
     return raw

@@ -5,21 +5,19 @@ next-states need no duplication); transitions are derived views. A
 trajectory either ends at a terminal state (`ends_terminal`) or at the
 horizon cap, in which case bootstrapping past its last state is allowed.
 
-File format ("LEQD"): magic, u32 version, u32-length-prefixed JSON
-metadata, per-trajectory blocks (u32 step count, u8 terminal flag, then
-little-endian float64 states/actions/rewards), and a trailing CRC32 over
-everything before it.
+File format ("LEQD", version 2): the `container` layout. The header holds
+the dims, normalization, metadata, and each trajectory's step count and
+terminal flag; the arrays are every trajectory's states (n + 1 rows each),
+then actions, then rewards, concatenated in trajectory order.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import container
 from .envs import EnvSpec, env_step, expert_action, is_success, reset_state
 from .rng import stream
 
@@ -38,7 +36,7 @@ __all__ = [
 ]
 
 _MAGIC = b"LEQD"
-_VERSION = 1
+_VERSION = 2
 COLLECTORS = ("random", "medium", "expert", "mixed")
 NORMALIZATION_MODES = ("none", "minmax_return", "sparse_shift")
 _MEDIUM_NOISE = 0.5
@@ -48,7 +46,7 @@ class DatasetError(ValueError):
     """Invalid dataset contents or arguments."""
 
 
-class DatasetFormatError(DatasetError):
+class DatasetFormatError(DatasetError, container.ContainerError):
     """Corrupt, truncated or incompatible dataset file."""
 
 
@@ -254,72 +252,53 @@ def normalize_rewards(dataset: OfflineDataset, mode: str) -> OfflineDataset:
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
-    meta = {
+    trajs = dataset.trajectories
+    header = {
+        "format": "leq-lab-dataset",
+        "version": _VERSION,
         "obs_dim": dataset.obs_dim,
         "act_dim": dataset.act_dim,
         "reward_normalization": dataset.reward_normalization,
-        "n_trajectories": len(dataset.trajectories),
         "metadata": dataset.metadata,
+        "lengths": [len(t) for t in trajs],
+        "terminals": [t.ends_terminal for t in trajs],
     }
-    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [_MAGIC, struct.pack("<I", _VERSION), struct.pack("<I", len(meta_blob)), meta_blob]
-    for traj in dataset.trajectories:
-        parts.append(struct.pack("<IB", len(traj), int(traj.ends_terminal)))
-        for arr in (traj.states, traj.actions, traj.rewards):
-            parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    arrays = {
+        name: np.concatenate([np.zeros(0), *(getattr(t, name).ravel() for t in trajs)])
+        for name in ("states", "actions", "rewards")
+    }
+    container.write(path, _MAGIC, header, arrays)
 
 
 def load_dataset(path) -> OfflineDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise DatasetFormatError(f"{path}: not a dataset file (bad magic)")
-    body, footer = blob[:-4], blob[-4:]
-    if struct.unpack("<I", footer)[0] != (zlib.crc32(body) & 0xFFFFFFFF):
-        raise DatasetFormatError(f"{path}: checksum failure")
-    offset = 4
-    (version,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    if version != _VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", body, offset)
-    offset += 4
-    meta = json.loads(body[offset : offset + meta_len].decode("utf-8"))
-    offset += meta_len
-    obs_dim, act_dim = int(meta["obs_dim"]), int(meta["act_dim"])
-    trajectories = []
     try:
-        for _ in range(int(meta["n_trajectories"])):
-            n, terminal = struct.unpack_from("<IB", body, offset)
-            offset += 5
-            sizes = ((n + 1) * obs_dim, n * act_dim, n)
-            arrays = []
-            for size, shape in zip(
-                sizes, ((n + 1, obs_dim), (n, act_dim), (n,))
-            ):
-                arr = np.frombuffer(body, dtype="<f8", count=size, offset=offset)
-                arrays.append(arr.astype(np.float64).reshape(shape))
-                offset += size * 8
-            trajectories.append(
-                Trajectory(
-                    states=arrays[0],
-                    actions=arrays[1],
-                    rewards=arrays[2],
-                    ends_terminal=bool(terminal),
-                )
+        header, arrays = container.read(path, _MAGIC, "leq-lab-dataset", _VERSION)
+    except container.ContainerError as err:
+        raise DatasetFormatError(f"dataset {err}") from err
+    obs_dim, act_dim, lengths = header["obs_dim"], header["act_dim"], header["lengths"]
+    rows = sum(lengths)
+    sizes = {"states": (rows + len(lengths)) * obs_dim, "actions": rows * act_dim, "rewards": rows}
+    for name, size in sizes.items():
+        if arrays[name].size != size:
+            problem = "truncated" if arrays[name].size < size else "trailing bytes in"
+            raise DatasetFormatError(f"dataset {path}: {problem} {name}")
+    states = arrays["states"].reshape(-1, obs_dim)
+    actions = arrays["actions"].reshape(-1, act_dim)
+    trajectories, s, t = [], 0, 0
+    for n, terminal in zip(lengths, header["terminals"]):
+        trajectories.append(
+            Trajectory(
+                states=states[s : s + n + 1],
+                actions=actions[t : t + n],
+                rewards=arrays["rewards"][t : t + n],
+                ends_terminal=bool(terminal),
             )
-    except (struct.error, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: truncated file") from exc
-    if offset != len(body):
-        raise DatasetFormatError(f"{path}: trailing bytes after trajectories")
+        )
+        s, t = s + n + 1, t + n
     return OfflineDataset(
         trajectories=tuple(trajectories),
         obs_dim=obs_dim,
         act_dim=act_dim,
-        reward_normalization=meta["reward_normalization"],
-        metadata=meta["metadata"],
+        reward_normalization=header["reward_normalization"],
+        metadata=header["metadata"],
     )

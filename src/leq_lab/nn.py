@@ -17,16 +17,13 @@ give bit-identical outputs.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MlpSpec",
-    "ParamBundle",
     "AdamState",
     "EmaTracker",
     "symlog",
@@ -43,8 +40,6 @@ __all__ = [
     "adam_step",
     "init_ema",
     "ema_update",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 _ACTIVATIONS = ("relu", "tanh", "elu")
@@ -68,42 +63,6 @@ class MlpSpec:
             raise ValueError("need at least one hidden layer")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dims": list(self.hidden_dims),
-            "output_dim": self.output_dim,
-            "use_layernorm": self.use_layernorm,
-            "use_symlog_input": self.use_symlog_input,
-            "activation": self.activation,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_dims=tuple(d["hidden_dims"]),
-            output_dim=int(d["output_dim"]),
-            use_layernorm=bool(d["use_layernorm"]),
-            use_symlog_input=bool(d["use_symlog_input"]),
-            activation=str(d["activation"]),
-        )
-
-
-@dataclass
-class ParamBundle:
-    """Flat parameter vector plus the (name, start, shape) slice layout."""
-
-    flat: np.ndarray
-    layout: tuple[tuple[str, int, tuple[int, ...]], ...]
-
-    def view(self, name: str) -> np.ndarray:
-        for entry_name, start, shape in self.layout:
-            if entry_name == name:
-                size = int(np.prod(shape))
-                return self.flat[start : start + size].reshape(shape)
-        raise KeyError(name)
 
 
 def symlog(x):
@@ -331,31 +290,3 @@ def ema_update(tracker: EmaTracker, params: np.ndarray) -> EmaTracker:
     tracker.shadow += (1.0 - tracker.decay) * params
     return tracker
 
-
-def save_checkpoint(path, spec: MlpSpec, params: np.ndarray, seed=None, meta=None) -> None:
-    """JSON header line + little-endian float64 parameter block."""
-    header = {
-        "format": "leq-lab-params",
-        "version": 1,
-        "spec": spec.to_dict(),
-        "layout": [[name, start, list(shape)] for name, start, shape in param_layout(spec)],
-        "n_params": int(params.size),
-        "seed": seed,
-        "meta": meta or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    blob += np.ascontiguousarray(params, dtype="<f8").tobytes()
-    Path(path).write_bytes(blob)
-
-
-def load_checkpoint(path):
-    """Returns (spec, params, header)."""
-    blob = Path(path).read_bytes()
-    nl = blob.index(b"\n")
-    header = json.loads(blob[:nl].decode("utf-8"))
-    if header.get("format") != "leq-lab-params" or header.get("version") != 1:
-        raise ValueError(f"unrecognized checkpoint header in {path}")
-    params = np.frombuffer(blob[nl + 1 :], dtype="<f8").astype(np.float64)
-    if params.size != header["n_params"]:
-        raise ValueError(f"checkpoint {path} truncated: {params.size} != {header['n_params']}")
-    return MlpSpec.from_dict(header["spec"]), params, header

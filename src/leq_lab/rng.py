@@ -10,11 +10,10 @@ draws of another component.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
-__all__ = ["stream", "worker_count"]
+__all__ = ["stream"]
 
 
 def _name_key(name: str) -> int:
@@ -29,12 +28,3 @@ def stream(seed: int, name: str, index: int | None = None) -> np.random.Generato
         entropy.append(int(index))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
-
-def worker_count() -> int:
-    """Worker cap from LEQ_LAB_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("LEQ_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, os.cpu_count() or 1))

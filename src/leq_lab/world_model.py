@@ -14,26 +14,21 @@ pushes cotangents on (next_state, reward) back to (state, action).
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import nn
+from . import container, nn
 from .rng import stream
 
 __all__ = [
     "WorldModelError",
+    "WorldModelFormatError",
     "WorldModelConfig",
-    "DynamicsNet",
     "EnsembleWorldModel",
     "ImaginedRollouts",
-    "nll_loss",
     "train_ensemble",
-    "sample_step",
     "step_with_tape",
     "step_backward",
     "imagine_rollout",
@@ -49,6 +44,10 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 class WorldModelError(RuntimeError):
     pass
+
+
+class WorldModelFormatError(WorldModelError, container.ContainerError):
+    """Corrupt, truncated or incompatible ensemble file."""
 
 
 @dataclass(frozen=True)
@@ -70,26 +69,6 @@ class WorldModelConfig:
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_members": self.n_members,
-            "n_elites": self.n_elites,
-            "hidden_dims": list(self.hidden_dims),
-            "activation": self.activation,
-            "train_steps": self.train_steps,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "val_fraction": self.val_fraction,
-            "val_interval": self.val_interval,
-            "max_val_rows": self.max_val_rows,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldModelConfig":
-        d = dict(d)
-        d["hidden_dims"] = tuple(d["hidden_dims"])
-        return cls(**d)
-
 
 def member_spec(obs_dim: int, act_dim: int, config: WorldModelConfig) -> nn.MlpSpec:
     return nn.MlpSpec(
@@ -100,14 +79,6 @@ def member_spec(obs_dim: int, act_dim: int, config: WorldModelConfig) -> nn.MlpS
         use_symlog_input=False,
         activation=config.activation,
     )
-
-
-@dataclass(frozen=True)
-class DynamicsNet:
-    spec: nn.MlpSpec
-    params: np.ndarray
-    log_std_min: float = LOG_STD_MIN
-    log_std_max: float = LOG_STD_MAX
 
 
 def _split_heads(out: np.ndarray, head_dim: int):
@@ -124,32 +95,6 @@ def _nll_from_heads(mu, log_std, targets):
     res = targets - mu
     per_row = 0.5 * res * res * inv_var + log_std + _HALF_LOG_2PI
     return float(per_row.sum(axis=-1).mean())
-
-
-def nll_loss(net: DynamicsNet, states, actions, next_states, rewards) -> float:
-    """Mean diagonal-Gaussian NLL of (next - state, reward) targets."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-    rewards = np.asarray(rewards, dtype=np.float64).reshape(-1, 1)
-    targets = np.concatenate([next_states - states, rewards], axis=1)
-    out = nn.forward(net.spec, net.params, np.concatenate([states, actions], axis=1))
-    mu, log_std, _ = _split_heads(out, targets.shape[1])
-    loss = _nll_from_heads(mu, log_std, targets)
-    if not np.isfinite(loss):
-        raise WorldModelError("dynamics NLL diverged (non-finite loss)")
-    return loss
-
-
-def nll_grad(net: DynamicsNet, states, actions, next_states, rewards):
-    """(loss, flat parameter gradient) for the mean NLL."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    next_states = np.atleast_2d(np.asarray(next_states, dtype=np.float64))
-    rewards = np.asarray(rewards, dtype=np.float64).reshape(-1, 1)
-    targets = np.concatenate([next_states - states, rewards], axis=1)
-    x = np.concatenate([states, actions], axis=1)
-    return _nll_grad_on(net.spec, net.params, x, targets, targets.shape[1])
 
 
 def _nll_grad_on(spec, params, x, t, head_dim):
@@ -205,9 +150,6 @@ class EnsembleWorldModel:
                 f"expected {self.config.n_elites} elites, got {len(self.elite_idx)}"
             )
         self.member_params.flags.writeable = False
-
-    def member(self, idx: int) -> DynamicsNet:
-        return DynamicsNet(spec=self.spec, params=self.member_params[idx])
 
     @cached_property
     def _layer_stacks(self):
@@ -300,11 +242,6 @@ class StepCache:
     groups: list  # per distinct member: (member id, row index array)
 
 
-def _elu(z: np.ndarray) -> np.ndarray:
-    # expm1 sees only the clamped-to-zero half, skipping its slow large-x path
-    return np.expm1(np.minimum(z, 0.0)) + np.maximum(z, 0.0)
-
-
 def _member_groups(member: np.ndarray) -> list:
     """Rows grouped by member id so each group runs as one dense matmul."""
     order = np.argsort(member, kind="stable")
@@ -319,6 +256,7 @@ def _member_groups(member: np.ndarray) -> list:
 def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.ndarray):
     """Forward each row through its own member; returns (out, pre, groups)."""
     stacks = ensemble._layer_stacks
+    activation = ensemble.spec.activation
     groups = _member_groups(member)
     B = x.shape[0]
     pre = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
@@ -328,7 +266,7 @@ def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.nd
         for i, (w, b) in enumerate(stacks[:-1]):
             z = a @ w[m] + b[m]
             pre[i][rows] = z
-            a = _elu(z)
+            a = nn._activate(z, activation)
         w, b = stacks[-1]
         out[rows] = a @ w[m] + b[m]
     return out, pre, groups
@@ -370,41 +308,18 @@ def step_backward(ensemble: EnsembleWorldModel, cache: StepCache, g_next, g_rewa
     g_log_std = g_sample * cache.eps * cache.sigma * cache.interior
     g_out = np.concatenate([g_mu, g_log_std], axis=1)
     stacks = ensemble._layer_stacks
+    activation = ensemble.spec.activation
     g_in = np.empty_like(cache.x)
     for m, rows in cache.groups:
         g = g_out[rows] @ stacks[-1][0][m].T
         for layer in range(len(cache.pre) - 1, -1, -1):
             z = cache.pre[layer][rows]
-            g = (g * np.where(z > 0.0, 1.0, _elu(z) + 1.0)) @ stacks[layer][0][m].T
+            act_grad = nn._activate_grad(z, nn._activate(z, activation), activation)
+            g = (g * act_grad) @ stacks[layer][0][m].T
         g_in[rows] = g
     g_state = g_in[:, : ensemble.obs_dim] + g_next
     g_action = g_in[:, ensemble.obs_dim :]
     return g_state, g_action
-
-
-def sample_step(ensemble: EnsembleWorldModel, state, action, rng, differentiable: bool = False):
-    """One stochastic step: uniform elite choice + reparameterized noise.
-
-    Accepts a single (S,) state or a (B, S) batch; returns matching shapes.
-    With differentiable=True a fourth element (eps, cache) is appended so the
-    step can be replayed and back-propagated.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    single = state.ndim == 1
-    states = np.atleast_2d(state)
-    actions = np.atleast_2d(np.asarray(action, dtype=np.float64))
-    batch = states.shape[0]
-    elite_arr = np.asarray(ensemble.elite_idx, dtype=np.intp)
-    member = elite_arr[rng.integers(0, elite_arr.size, size=batch)]
-    eps = rng.standard_normal((batch, ensemble.obs_dim + 1))
-    next_states, rewards, cache = step_with_tape(ensemble, states, actions, member, eps)
-    if single:
-        result = (next_states[0], float(rewards[0]), int(member[0]))
-    else:
-        result = (next_states, rewards, member)
-    if differentiable:
-        return result + ((eps if not single else eps[0], cache),)
-    return result
 
 
 @dataclass
@@ -537,49 +452,37 @@ def replay_rollout(
 
 
 _ENSEMBLE_MAGIC = b"LEQE"
+_ENSEMBLE_VERSION = 2
 
 
 def save_ensemble(path, ensemble: EnsembleWorldModel) -> None:
     header = {
         "format": "leq-lab-ensemble",
-        "version": 1,
+        "version": _ENSEMBLE_VERSION,
         "obs_dim": ensemble.obs_dim,
         "act_dim": ensemble.act_dim,
-        "spec": ensemble.spec.to_dict(),
-        "config": ensemble.config.to_dict(),
-        "val_nll": [float(v) for v in ensemble.val_nll],
+        "config": asdict(ensemble.config),
         "elite_idx": list(ensemble.elite_idx),
-        "n_members": int(ensemble.member_params.shape[0]),
-        "n_params": int(ensemble.member_params.shape[1]),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = ensemble.member_params.astype("<f8").tobytes()
-    payload = _ENSEMBLE_MAGIC + struct.pack("<I", len(blob)) + blob + body
-    payload += struct.pack("<I", zlib.crc32(payload))
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    arrays = {"member_params": ensemble.member_params, "val_nll": ensemble.val_nll}
+    container.write(path, _ENSEMBLE_MAGIC, header, arrays)
 
 
 def load_ensemble(path) -> EnsembleWorldModel:
-    with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < 8 or payload[:4] != _ENSEMBLE_MAGIC:
-        raise WorldModelError("not an ensemble checkpoint")
-    body, (crc,) = payload[:-4], struct.unpack("<I", payload[-4:])
-    if zlib.crc32(body) != crc:
-        raise WorldModelError("ensemble checkpoint failed checksum")
-    (hlen,) = struct.unpack("<I", body[4:8])
-    header = json.loads(body[8 : 8 + hlen].decode("utf-8"))
-    if header.get("version") != 1:
-        raise WorldModelError(f"unsupported ensemble version {header.get('version')}")
-    raw = np.frombuffer(body[8 + hlen :], dtype="<f8")
-    params = raw.reshape(header["n_members"], header["n_params"]).copy()
+    try:
+        header, arrays = container.read(
+            path, _ENSEMBLE_MAGIC, "leq-lab-ensemble", _ENSEMBLE_VERSION
+        )
+    except container.ContainerError as err:
+        raise WorldModelFormatError(f"ensemble checkpoint {err}") from err
+    config = container.from_dict(WorldModelConfig, header["config"])
+    spec = member_spec(header["obs_dim"], header["act_dim"], config)
     return EnsembleWorldModel(
         obs_dim=header["obs_dim"],
         act_dim=header["act_dim"],
-        spec=nn.MlpSpec.from_dict(header["spec"]),
-        member_params=params,
-        val_nll=np.asarray(header["val_nll"], dtype=np.float64),
+        spec=spec,
+        member_params=arrays["member_params"].reshape(arrays["val_nll"].size, nn.n_params(spec)),
+        val_nll=arrays["val_nll"],
         elite_idx=tuple(header["elite_idx"]),
-        config=WorldModelConfig.from_dict(header["config"]),
+        config=config,
     )

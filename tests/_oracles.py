@@ -7,6 +7,10 @@ obvious on purpose.
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 
 
@@ -108,3 +112,30 @@ def ring_trajectory_arrays(n_cycles: int):
     actions = np.zeros((n, 1))
     rewards = np.array([RING_REWARDS[s] for s in order[:-1]], dtype=np.float64)
     return states, actions, rewards
+
+
+# --- the container file layout, written out by hand ---
+
+
+def container_bytes(magic: bytes, header: dict, body: bytes) -> bytes:
+    """magic, u32 header length, sorted-key JSON header, body, CRC32."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = magic + struct.pack("<I", len(blob)) + blob + body
+    return payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def container_parts(blob: bytes) -> tuple[bytes, dict, bytes]:
+    """(magic, header, body) of a container file; the CRC is not checked."""
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    return blob[:4], json.loads(blob[8 : 8 + hlen]), blob[8 + hlen : -4]
+
+
+def container_file(magic: bytes, header: dict, arrays: dict) -> bytes:
+    """A whole file holding `arrays` as little-endian float64 with its layout."""
+    layout, offset, body = [], 0, b""
+    for name, arr in arrays.items():
+        flat = np.asarray(arr, dtype="<f8").reshape(-1)
+        layout.append([name, offset, flat.size])
+        offset += flat.size
+        body += flat.tobytes()
+    return container_bytes(magic, {**header, "layout": layout}, body)

@@ -1,0 +1,103 @@
+"""The training pipeline's promises: exact resume, config checks, divergence snapshots."""
+
+import json
+
+import numpy as np
+import pytest
+
+from leq_lab import agent, cli, datasets, envs
+from leq_lab.config import ConfigError, load_run_config, parse_run_config
+
+
+def _run_config(tmp_path, env="point_maze_u", agent_overrides=None, **overrides) -> dict:
+    dataset = tmp_path / f"{env}.leqd"
+    if not dataset.exists():
+        spec = envs.make_env_spec(env)
+        datasets.save_dataset(datasets.collect_dataset(spec, "mixed", 4, seed=0), dataset)
+    return {
+        "seed": 0,
+        "env": env,
+        "dataset": str(dataset),
+        "desk_scale": True,
+        "agent": {
+            "n_iter": 20,
+            "bc_steps": 3,
+            "fqe_steps": 3,
+            "t_expand": 5,
+            "n_expand": 50,
+            "hidden_actor": [8, 8],
+            "hidden_critic": [8, 8],
+            "batch_env": 16,
+            "batch_model": 8,
+            "horizon": 3,
+            **(agent_overrides or {}),
+        },
+        "world_model": {"train_steps": 3, "n_members": 3, "n_elites": 2, "hidden_dims": [8]},
+        "eval_interval": 5,
+        "eval_episodes": 1,
+        "log_interval": 5,
+        "checkpoint_interval": 5,
+        **overrides,
+    }
+
+
+def test_resumed_run_matches_an_uninterrupted_one(tmp_path):
+    raw = _run_config(tmp_path)
+    whole = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"))
+    halves = tmp_path / "halves"
+    short = {**raw, "agent": {**raw["agent"], "n_iter": 10}}
+    cli.run_training(parse_run_config(short), str(halves))
+    resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
+        assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+    assert resumed["pretrain"] == whole["pretrain"] and set(whole["pretrain"]) == {
+        "bc_mse",
+        "fqe_loss",
+    }
+
+
+def test_effective_config_reparses_to_the_run_config(tmp_path):
+    raw = _run_config(tmp_path, out_dir=str(tmp_path / "out"))
+    cfg = parse_run_config(raw)
+    cli.run_training(cfg, cfg.out_dir)
+    assert load_run_config(tmp_path / "out" / "effective_config.json") == cfg
+
+
+def test_resume_rejects_an_ensemble_of_another_world_model_config(tmp_path):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    changed = {**raw, "world_model": {**raw["world_model"], "lr": 5e-4}}
+    with pytest.raises(ConfigError, match="world-model config"):
+        cli.run_training(parse_run_config(changed), str(tmp_path / "run"), resume=True)
+
+
+def test_divergence_exits_1_and_snapshots_the_critic_loss(tmp_path, monkeypatch):
+    def nan_fqe(dataset, policy, spec, params, *args, **kwargs):
+        return np.full_like(params, np.nan), 0.0
+
+    monkeypatch.setattr(agent, "pretrain_fqe", nan_fqe)
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert snapshot["error"] == "critic loss diverged"
+    assert {"loss_env", "loss_ema", "loss_critic"} <= set(snapshot["details"])
+    assert np.isnan(snapshot["details"]["loss_critic"])
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"eval_episodes": 10.0},
+        {"agent": {"n_iter": 20.0}},
+        {"agent": {"tau": 1.5}},
+        {"agent": {"hiden_actor": [8]}},
+        {"world_model": {"n_elites": 9}},
+    ],
+)
+def test_bad_run_config_is_rejected(change, tmp_path):
+    with pytest.raises(ConfigError):
+        parse_run_config({"seed": 0, "env": "dense_chain", "dataset": "d.leqd", **change})

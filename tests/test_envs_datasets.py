@@ -17,6 +17,8 @@ from leq_lab.datasets import (
 from leq_lab.envs import EnvError, env_step, make_env_spec, reset_state
 from leq_lab.rng import stream
 
+from . import _oracles
+
 
 def maze():
     return make_env_spec("point_maze_u")
@@ -422,17 +424,14 @@ class TestPersistence:
         return body + _struct.pack("<I", _zlib.crc32(body) & 0xFFFFFFFF)
 
     def test_truncated_file(self, tmp_path):
-        import json as _json
-        import struct as _struct
-
-        # metadata promises a trajectory the body does not contain
-        meta = _json.dumps({
-            "obs_dim": 2, "act_dim": 1, "reward_normalization": "none",
-            "n_trajectories": 1, "metadata": {},
-        }).encode()
-        body = b"LEQD" + _struct.pack("<I", 1) + _struct.pack("<I", len(meta)) + meta
+        # the header promises a trajectory the arrays do not contain
+        header = {
+            "format": "leq-lab-dataset", "version": 2, "obs_dim": 2, "act_dim": 1,
+            "reward_normalization": "none", "metadata": {}, "lengths": [1], "terminals": [False],
+        }
+        empty = {"states": [], "actions": [], "rewards": []}
         path = tmp_path / "trunc.leqd"
-        path.write_bytes(self._reseal(body))
+        path.write_bytes(_oracles.container_file(b"LEQD", header, empty))
         with pytest.raises(DatasetFormatError, match="truncated"):
             load_dataset(path)
 
@@ -449,11 +448,8 @@ class TestPersistence:
         ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
         path = tmp_path / "d.leqd"
         save_dataset(ds, path)
-        blob = path.read_bytes()
-        import struct as _struct
-
-        body = blob[:4] + _struct.pack("<I", 99) + blob[8:-4]
-        path.write_bytes(self._reseal(body))
+        magic, header, body = _oracles.container_parts(path.read_bytes())
+        path.write_bytes(_oracles.container_bytes(magic, {**header, "version": 99}, body))
         with pytest.raises(DatasetFormatError, match="unsupported version"):
             load_dataset(path)
 

@@ -52,16 +52,6 @@ class TestLayoutAndInit:
         rng = np.random.default_rng(0)
         assert nn.init_params(spec, rng).size == total
 
-    def test_views_and_bundle_agree(self):
-        spec = make_spec()
-        params = nn.init_params(spec, np.random.default_rng(1))
-        views = nn.param_views(spec, params)
-        bundle = nn.ParamBundle(flat=params, layout=nn.param_layout(spec))
-        for name in views:
-            np.testing.assert_array_equal(views[name], bundle.view(name))
-        with pytest.raises(KeyError):
-            bundle.view("nope")
-
     def test_init_biases_zero_ln_identity(self):
         spec = make_spec(use_layernorm=True)
         views = nn.param_views(spec, nn.init_params(spec, np.random.default_rng(2)))
@@ -276,30 +266,3 @@ class TestEma:
         with pytest.raises(ValueError):
             nn.init_ema(np.zeros(1), 0.0)
 
-
-class TestCheckpoints:
-    def test_round_trip(self, tmp_path):
-        spec = make_spec("tanh", use_layernorm=True, use_symlog_input=True)
-        params = nn.init_params(spec, np.random.default_rng(12))
-        path = tmp_path / "net.ckpt"
-        nn.save_checkpoint(path, spec, params, seed=12, meta={"role": "critic"})
-        spec2, params2, header = nn.load_checkpoint(path)
-        assert spec2 == spec
-        np.testing.assert_array_equal(params2, params)
-        assert header["seed"] == 12
-        assert header["meta"] == {"role": "critic"}
-
-    def test_truncated_rejected(self, tmp_path):
-        spec = make_spec()
-        params = nn.init_params(spec, np.random.default_rng(13))
-        path = tmp_path / "net.ckpt"
-        nn.save_checkpoint(path, spec, params)
-        path.write_bytes(path.read_bytes()[:-16])
-        with pytest.raises(ValueError):
-            nn.load_checkpoint(path)
-
-    def test_foreign_header_rejected(self, tmp_path):
-        path = tmp_path / "net.ckpt"
-        path.write_bytes(b'{"format": "something-else"}\n')
-        with pytest.raises(ValueError):
-            nn.load_checkpoint(path)
