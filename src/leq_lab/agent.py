@@ -214,11 +214,16 @@ class ModelStateBuffer:
         return self.data.shape[0]
 
     def insert(self, states: np.ndarray) -> None:
+        """Write rows at the cursor, wrapping; past capacity the last rows win."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        for row in states:  # wraps at most once per row; capacity >> batch
-            self.data[self.cursor] = row
-            self.cursor = (self.cursor + 1) % self.capacity
-            self.size = min(self.size + 1, self.capacity)
+        n, cap = states.shape[0], self.capacity
+        kept = states[max(0, n - cap) :]
+        start = (self.cursor + n - kept.shape[0]) % cap
+        head = min(kept.shape[0], cap - start)
+        self.data[start : start + head] = kept[:head]
+        self.data[: kept.shape[0] - head] = kept[head:]
+        self.cursor = (self.cursor + n) % cap
+        self.size = min(self.size + n, cap)
 
     def sample(self, n: int, rng) -> np.ndarray:
         if self.size == 0:
@@ -308,7 +313,6 @@ class _CriticEval:
     q: np.ndarray  # (K*B,)
     cache: tuple
     boot_q: np.ndarray  # (B, H+1), terminal apex zeroed
-    boot_actions: np.ndarray  # (B, H+1, A)
 
 
 def _policy_eval(plan, rollouts) -> _PolicyEval:
@@ -318,19 +322,17 @@ def _policy_eval(plan, rollouts) -> _PolicyEval:
     return _PolicyEval(flat, np.tanh(pre), cache)
 
 
-def _critic_eval(plan, rollouts, pol: _PolicyEval, critic_params=None) -> _CriticEval:
+def _critic_eval(plan, rollouts, pol: _PolicyEval) -> _CriticEval:
     B, Hp1, S = rollouts.states.shape
-    params = plan.critic_params if critic_params is None else critic_params
     q, cache = nn.forward_cached(
-        plan.critic_spec, params, np.concatenate([pol.flat_states, pol.acts], axis=1)
+        plan.critic_spec, plan.critic_params, np.concatenate([pol.flat_states, pol.acts], axis=1)
     )
     q = q[:, 0]
     boot_q = np.ascontiguousarray(q.reshape(Hp1, B).T)
     rows = np.arange(B)
     apex = rollouts.t_eff
     boot_q[rows, apex] = np.where(rollouts.terminal, 0.0, boot_q[rows, apex])
-    boot_actions = pol.acts.reshape(Hp1, B, -1).transpose(1, 0, 2)
-    return _CriticEval(q, cache, boot_q, boot_actions)
+    return _CriticEval(q, cache, boot_q)
 
 
 def _slice_cache(cache, lo: int, hi: int):
@@ -339,25 +341,13 @@ def _slice_cache(cache, lo: int, hi: int):
     sub = [
         (
             a[lo:hi],
-            z[lo:hi],
             None if norm is None else norm[lo:hi],
             None if inv_std is None else inv_std[lo:hi],
             out[lo:hi],
         )
-        for a, z, norm, inv_std, out in layers
+        for a, norm, inv_std, out in layers
     ]
     return raw_in[lo:hi], x0[lo:hi], sub, last[lo:hi], squeeze
-
-
-def _rollout_bootstraps(plan, rollouts, critic_params):
-    """Critic values q[b, k] = Q(s_k, pi(s_k)) over all rollout states.
-
-    Returns (q (B, H+1), actions (B, H+1, A)); the terminal apex is zeroed
-    where the rollout ended in a terminal state.
-    """
-    pol = _policy_eval(plan, rollouts)
-    ce = _critic_eval(plan, rollouts, pol, critic_params)
-    return ce.boot_q, ce.boot_actions
 
 
 @dataclass
@@ -374,7 +364,7 @@ def _plan_of(state: AgentState) -> _Plan:
     return _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
 
 
-def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q=None):
+def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
     """Per-(rollout, t) critic regression targets and the valid mask.
 
     critic_target picks the target family: normalized lambda-mixture,
@@ -382,8 +372,6 @@ def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q=None):
     "mobile_lcb" instead builds one-step ensemble targets penalized by c
     times the population std of the bootstrapped values.
     """
-    if boot_q is None:
-        boot_q, _ = _rollout_bootstraps(plan, rollouts, plan.critic_params)
     if config.conservatism == "mobile_lcb":
         return _mobile_targets(plan, config, ensemble, rollouts, boot_q)
     lam = {"lambda": config.lam, "one_step": 0.0}.get(config.critic_target)
@@ -638,7 +626,8 @@ def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol=Non
     """Expectile-weighted lambda-return ascent with frozen weights.
 
     w_t = |tau - 1(Q(s_t, a_t) > Qlam_t)| uses the rollout actions a_t; the
-    indicator and weight are constants for the gradient.
+    indicator and weight are constants for the gradient. The rollout ran
+    noise-free, so a_t = pi(s_t) and Q(s_t, a_t) is the bootstrap at t.
     """
     B, H = rollouts.rewards.shape
     valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
@@ -648,21 +637,14 @@ def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol=Non
     qlam, _ = returns.lambda_return_batch(
         rollouts.rewards, ce.boot_q, rollouts.t_eff, config.lam, config.gamma
     )
-    flat_idx = np.argwhere(valid)
-    q_taken = np.zeros((B, H))
-    if flat_idx.size:
-        s = rollouts.states[flat_idx[:, 0], flat_idx[:, 1]]
-        a = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
-        q_taken[flat_idx[:, 0], flat_idx[:, 1]] = MlpCritic(plan.critic_spec, plan.critic_params)(
-            s, a
-        )
+    q_taken = np.where(valid, ce.boot_q[:, :H], 0.0)
     weights = np.where(valid, expectile_weight(q_taken - qlam, config.tau), 0.0)
     loss, grad, info = _policy_pathwise(
         plan, config, ensemble, rollouts, weights, pol=pol, ce=ce, qlam=qlam
     )
     if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise DivergenceError("policy gradient diverged", {"loss": loss})
-    info["weight_mean"] = float(weights[valid].mean()) if flat_idx.size else 0.0
+    info["weight_mean"] = float(weights[valid].mean()) if valid.any() else 0.0
     info["weights"] = weights
     return loss, grad, info
 
@@ -680,7 +662,7 @@ def _policy_q_value(plan, states):
     return loss, grad, {}
 
 
-def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True):
+def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True, pol=None):
     """Advantage-weighted regression toward rollout actions.
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
@@ -691,7 +673,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True)
     flat_idx = np.argwhere(valid)
     if flat_idx.size == 0:
         return (0.0, np.zeros_like(plan.policy_params), {}) if with_grad else 0.0
-    boot_q, _ = _rollout_bootstraps(plan, rollouts, plan.critic_params)
+    if pol is None:
+        pol = _policy_eval(plan, rollouts)
+    boot_q = _critic_eval(plan, rollouts, pol).boot_q
     qlam, _ = returns.lambda_return_batch(
         rollouts.rewards, boot_q, rollouts.t_eff, config.lam, config.gamma
     )
@@ -836,8 +820,7 @@ def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.nd
 
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states can serve both loss phases
-    wants_pol = config.beta > 0.0 or config.policy_update == "lambda_expectile"
-    pol = _policy_eval(plan, rollouts) if needs_rollout and wants_pol else None
+    pol = _policy_eval(plan, rollouts) if needs_rollout else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol=pol
@@ -859,7 +842,7 @@ def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.nd
     if config.policy_update == "lambda_expectile":
         p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol=pol)
     elif config.policy_update == "awr":
-        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts)
+        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol=pol)
     else:
         p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
     if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):

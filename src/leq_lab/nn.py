@@ -10,6 +10,13 @@ backward() returns gradients with respect to BOTH parameters and inputs;
 input gradients are what lets imagination rollouts backpropagate through
 critics, world-model members and the policy.
 
+forward_cached() keeps, per hidden layer, (a_in, norm, inv_std, out): the
+layer input, the layer-norm output and its row-wise 1/std (None without
+layer norm) and the activation output. Activation derivatives are taken
+from the outputs alone (relu: out > 0, tanh: 1 - out^2, elu: min(out, 0)
++ 1), which equal the pre-activation forms bit for bit, so the
+pre-activation is never stored or recomputed.
+
 Everything is float64 and allocation-explicit: identical params and inputs
 give bit-identical outputs.
 """
@@ -135,12 +142,14 @@ def _activate(h: np.ndarray, kind: str) -> np.ndarray:
     return np.expm1(np.minimum(h, 0.0)) + np.maximum(h, 0.0)
 
 
-def _activate_grad(h: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the activation, given only its output a."""
     if kind == "relu":
-        return (h > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if kind == "tanh":
         return 1.0 - a * a
-    return np.where(h > 0.0, 1.0, a + 1.0)
+    # elu: a > 0 exactly where the input was, and below it a + 1 = exp(h)
+    return np.minimum(a, 0.0) + 1.0
 
 
 def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
@@ -169,7 +178,7 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
             norm = inv_std = None
             z = h
         out = _activate(z, spec.activation)
-        layers.append((a, z, norm, inv_std, out))
+        layers.append((a, norm, inv_std, out))
         a = out
     y = a @ views["w_out"] + views["b_out"]
     cache = (raw_in, x, layers, a, squeeze)
@@ -202,8 +211,8 @@ def backward_cached(
     ga = gy @ views["w_out"].T
 
     for i in reversed(range(len(spec.hidden_dims))):
-        a_in, z, norm, inv_std, out = layers[i]
-        gz = ga * _activate_grad(z, out, spec.activation)
+        a_in, norm, inv_std, out = layers[i]
+        gz = ga * _activate_grad(out, spec.activation)
         if spec.use_layernorm:
             scale = views[f"ln_scale{i}"]
             grads[f"ln_scale{i}"][...] = (gz * norm).sum(axis=0)

@@ -117,19 +117,20 @@ def lambda_return_batch(
     Returns (qlam (B, H), valid (B, H)) with qlam zero outside valid.
     """
     B, H = rewards.shape
-    idx = np.arange(1, H + 1)
+    starts = np.arange(H)
     acc = np.zeros((B, H))
     wsum = np.zeros((B, H))
-    for t in range(H):
-        m_max = H - t
-        running = np.zeros(B)
-        for i in range(1, m_max + 1):
-            running = running + gamma ** (i - 1) * rewards[:, t + i - 1]
-            g_i = running + gamma**i * boot_q[:, t + i]
-            ok = (t + i) <= t_eff
-            w = lam ** (i - 1)
-            acc[:, t] += np.where(ok, w * g_i, 0.0)
-            wsum[:, t] += np.where(ok, w, 0.0)
+    running = np.zeros((B, H))
+    # one pass per mixture index i over every start t < H - i + 1 at once;
+    # i ascends, so each (row, t) accumulates in the order of a loop over i
+    for i in range(1, H + 1):
+        n = H - i + 1
+        running[:, :n] += gamma ** (i - 1) * rewards[:, i - 1 :]
+        g_i = running[:, :n] + gamma**i * boot_q[:, i:]
+        ok = (starts[:n] + i)[None, :] <= t_eff[:, None]
+        w = lam ** (i - 1)
+        acc[:, :n] += np.where(ok, w * g_i, 0.0)
+        wsum[:, :n] += np.where(ok, w, 0.0)
     valid = np.arange(H)[None, :] < t_eff[:, None]
     qlam = np.where(valid, acc / np.where(wsum > 0.0, wsum, 1.0), 0.0)
     return qlam, valid
@@ -152,22 +153,28 @@ def policy_grad_coefficients(
     B, H = weights.shape
     c_r = np.zeros((B, H))
     c_q = np.zeros((B, H + 1))
-    for t in range(H):
-        row_ok = t_eff > t
-        if not row_ok.any():
-            continue
-        m_max = H - t
-        # normalized mixture weights w_i = lam^{i-1} / wsum, truncated per row
-        i_vals = np.arange(1, m_max + 1)
-        avail = (t + i_vals)[None, :] <= t_eff[:, None]  # (B, m_max)
-        raw = lam ** (i_vals - 1.0)
-        wsum = (raw[None, :] * avail).sum(axis=1)
+    # starts at or past every row's t_eff contribute nothing
+    n_t = min(H, int(np.max(t_eff, initial=0)))
+    i_vals = np.arange(1, H + 1)
+    raw = lam ** (i_vals - 1.0)
+    # normalized mixture weights w_i = lam^{i-1} / wsum, truncated per row;
+    # each wsum is summed over exactly H - t terms, as numpy's pairwise sum
+    # groups them by length
+    scale = np.zeros((B, n_t))
+    for t in range(n_t):
+        avail = (t + i_vals[: H - t])[None, :] <= t_eff[:, None]  # (B, H - t)
+        wsum = (raw[None, : H - t] * avail).sum(axis=1)
         wsum = np.where(wsum > 0.0, wsum, 1.0)
-        scale = np.where(row_ok, weights[:, t], 0.0) / wsum
-        suffix = np.zeros(B)
-        for i in range(m_max, 0, -1):
-            w_i = np.where(avail[:, i - 1], raw[i - 1] * scale, 0.0)
-            c_q[:, t + i] += w_i * gamma**i * bootstrap_ok[:, t + i]
-            suffix += w_i
-            c_r[:, t + i - 1] += gamma ** (i - 1) * suffix
+        scale[:, t] = np.where(t_eff > t, weights[:, t], 0.0) / wsum
+    # one pass per i over every start t at once; i descends, so both each
+    # start's suffix sum and each c_r/c_q entry add in the order of a loop
+    # over t ascending with i descending inside it
+    suffix = np.zeros((B, n_t))
+    for i in range(H, 0, -1):
+        n = min(H - i + 1, n_t)
+        avail = (np.arange(n) + i)[None, :] <= t_eff[:, None]
+        w_i = np.where(avail, raw[i - 1] * scale[:, :n], 0.0)
+        c_q[:, i : i + n] += w_i * gamma**i * bootstrap_ok[:, i : i + n]
+        suffix[:, :n] += w_i
+        c_r[:, i - 1 : i - 1 + n] += gamma ** (i - 1) * suffix[:, :n]
     return c_r, c_q

@@ -234,7 +234,7 @@ class StepCache:
     """Everything needed to push cotangents back through one sampled step."""
 
     x: np.ndarray  # (B, S+A) concatenated inputs
-    pre: list  # per hidden layer: pre-activation (B, width)
+    post: list  # per hidden layer: activation output (B, width)
     member: np.ndarray  # (B,) absolute member indices
     sigma: np.ndarray  # (B, S+1)
     eps: np.ndarray  # (B, S+1)
@@ -254,22 +254,21 @@ def _member_groups(member: np.ndarray) -> list:
 
 
 def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.ndarray):
-    """Forward each row through its own member; returns (out, pre, groups)."""
+    """Forward each row through its own member; returns (out, post, groups)."""
     stacks = ensemble._layer_stacks
     activation = ensemble.spec.activation
     groups = _member_groups(member)
     B = x.shape[0]
-    pre = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
+    post = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
     out = np.empty((B, stacks[-1][0].shape[2]))
     for m, rows in groups:
         a = x[rows]
         for i, (w, b) in enumerate(stacks[:-1]):
-            z = a @ w[m] + b[m]
-            pre[i][rows] = z
-            a = nn._activate(z, activation)
+            a = nn._activate(a @ w[m] + b[m], activation)
+            post[i][rows] = a
         w, b = stacks[-1]
         out[rows] = a @ w[m] + b[m]
-    return out, pre, groups
+    return out, post, groups
 
 
 def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
@@ -282,7 +281,7 @@ def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
     member = np.asarray(member, dtype=np.intp).reshape(-1)
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     x = np.concatenate([states, actions], axis=1)
-    out, pre, groups = _gathered_forward(ensemble, member, x)
+    out, post, groups = _gathered_forward(ensemble, member, x)
     head_dim = ensemble.obs_dim + 1
     mu, log_std, interior = _split_heads(out, head_dim)
     sigma = np.exp(log_std)
@@ -290,7 +289,7 @@ def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
     next_states = states + sample[:, : ensemble.obs_dim]
     rewards = sample[:, ensemble.obs_dim]
     cache = StepCache(
-        x=x, pre=pre, member=member, sigma=sigma, eps=eps, interior=interior, groups=groups
+        x=x, post=post, member=member, sigma=sigma, eps=eps, interior=interior, groups=groups
     )
     return next_states, rewards, cache
 
@@ -312,9 +311,8 @@ def step_backward(ensemble: EnsembleWorldModel, cache: StepCache, g_next, g_rewa
     g_in = np.empty_like(cache.x)
     for m, rows in cache.groups:
         g = g_out[rows] @ stacks[-1][0][m].T
-        for layer in range(len(cache.pre) - 1, -1, -1):
-            z = cache.pre[layer][rows]
-            act_grad = nn._activate_grad(z, nn._activate(z, activation), activation)
+        for layer in range(len(cache.post) - 1, -1, -1):
+            act_grad = nn._activate_grad(cache.post[layer][rows], activation)
             g = (g * act_grad) @ stacks[layer][0][m].T
         g_in[rows] = g
     g_state = g_in[:, : ensemble.obs_dim] + g_next

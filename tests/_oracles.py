@@ -63,6 +63,66 @@ def brute_force_lambda_returns(rewards, boot_q, t_eff, lam: float, gamma: float)
     return out
 
 
+def loop_lambda_return_batch(rewards, boot_q, t_eff, lam: float, gamma: float):
+    """`returns.lambda_return_batch` as one loop over every (t, i) pair.
+
+    The library's form makes one pass per i; this is the arithmetic it
+    must reproduce bit for bit, in the same order.
+    """
+    B, H = rewards.shape
+    acc = np.zeros((B, H))
+    wsum = np.zeros((B, H))
+    for t in range(H):
+        m_max = H - t
+        running = np.zeros(B)
+        for i in range(1, m_max + 1):
+            running = running + gamma ** (i - 1) * rewards[:, t + i - 1]
+            g_i = running + gamma**i * boot_q[:, t + i]
+            ok = (t + i) <= t_eff
+            w = lam ** (i - 1)
+            acc[:, t] += np.where(ok, w * g_i, 0.0)
+            wsum[:, t] += np.where(ok, w, 0.0)
+    valid = np.arange(H)[None, :] < t_eff[:, None]
+    qlam = np.where(valid, acc / np.where(wsum > 0.0, wsum, 1.0), 0.0)
+    return qlam, valid
+
+
+def loop_policy_grad_coefficients(weights, t_eff, bootstrap_ok, lam: float, gamma: float):
+    """`returns.policy_grad_coefficients` as one loop over every (t, i) pair."""
+    B, H = weights.shape
+    c_r = np.zeros((B, H))
+    c_q = np.zeros((B, H + 1))
+    for t in range(H):
+        row_ok = t_eff > t
+        if not row_ok.any():
+            continue
+        m_max = H - t
+        i_vals = np.arange(1, m_max + 1)
+        avail = (t + i_vals)[None, :] <= t_eff[:, None]
+        raw = lam ** (i_vals - 1.0)
+        wsum = (raw[None, :] * avail).sum(axis=1)
+        wsum = np.where(wsum > 0.0, wsum, 1.0)
+        scale = np.where(row_ok, weights[:, t], 0.0) / wsum
+        suffix = np.zeros(B)
+        for i in range(m_max, 0, -1):
+            w_i = np.where(avail[:, i - 1], raw[i - 1] * scale, 0.0)
+            c_q[:, t + i] += w_i * gamma**i * bootstrap_ok[:, t + i]
+            suffix += w_i
+            c_r[:, t + i - 1] += gamma ** (i - 1) * suffix
+    return c_r, c_q
+
+
+def loop_buffer_insert(data, size: int, cursor: int, states):
+    """Ring-buffer insert one row at a time; returns (data, size, cursor)."""
+    data = np.array(data, dtype=np.float64, copy=True)
+    capacity = data.shape[0]
+    for row in np.atleast_2d(np.asarray(states, dtype=np.float64)):
+        data[cursor] = row
+        cursor = (cursor + 1) % capacity
+        size = min(size + 1, capacity)
+    return data, size, cursor
+
+
 def central_diff(fn, params, i: int, h: float) -> float:
     p = np.array(params, dtype=np.float64, copy=True)
     p[i] += h

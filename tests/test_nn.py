@@ -123,11 +123,34 @@ class TestForward:
         params = nn.init_params(spec, np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(32, 3)) * 2.0
         _, cache = nn.forward_cached(spec, params, x)
-        _, _, norm, _, _ = cache[2][0]
+        _, norm, _, _ = cache[2][0]
         mu = norm.mean(axis=1)
         sd = norm.std(axis=1)
         assert np.abs(mu).max() <= 1e-6
         assert np.abs(sd - 1.0).max() <= 1e-5
+
+
+class TestActivationGrad:
+    """Derivatives taken from the activation output alone."""
+
+    @staticmethod
+    def from_input(h, a, kind):
+        # the pre-activation forms the output-only ones replace
+        if kind == "relu":
+            return (h > 0.0).astype(np.float64)
+        if kind == "tanh":
+            return 1.0 - a * a
+        return np.where(h > 0.0, 1.0, a + 1.0)
+
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "elu"])
+    def test_equal_to_input_form_bit_for_bit(self, kind):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 50.0, -50.0, np.nan, np.inf, -np.inf]
+        h = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 3.0, 2000)])
+        a = nn._activate(h, kind)
+        got = nn._activate_grad(a, kind)
+        want = self.from_input(h, a, kind)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestBackward:

@@ -4,6 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from leq_lab.returns import (
     lambda_return_batch,
@@ -217,3 +220,57 @@ class TestPolicyGradCoefficients:
         )
         assert not c_r.any()
         assert not c_q.any()
+
+
+def _values():
+    """Finite floats, with both signed zeros drawn often."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(-50.0, 50.0, allow_subnormal=False)
+    )
+
+
+@st.composite
+def padded_batches(draw):
+    """(rewards, boot_q, t_eff, weights, bootstrap_ok, lam, gamma) at B <= 8, H <= 12."""
+    B = draw(st.integers(1, 8))
+    H = draw(st.integers(1, 12))
+    rewards = draw(hnp.arrays(np.float64, (B, H), elements=_values()))
+    boot_q = draw(hnp.arrays(np.float64, (B, H + 1), elements=_values()))
+    t_eff = draw(hnp.arrays(np.intp, B, elements=st.integers(0, H)))
+    weights = draw(hnp.arrays(np.float64, (B, H), elements=_values()))
+    bootstrap_ok = draw(hnp.arrays(np.float64, (B, H + 1), elements=st.sampled_from([0.0, 1.0])))
+    # at 0.99 a wsum padded with zeros rounds differently (pairwise grouping)
+    lam = draw(st.sampled_from([0.0, 0.5, 0.95, 0.99]))
+    gamma = draw(st.sampled_from([0.9, 0.997, 1.0]))
+    return rewards, boot_q, t_eff, weights, bootstrap_ok, lam, gamma
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBitExactAgainstLoops:
+    """The one-pass-per-i forms add in the loop's order, so every bit agrees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_batches())
+    def test_lambda_return_batch(self, batch):
+        rewards, boot_q, t_eff, _, _, lam, gamma = batch
+        qlam, valid = lambda_return_batch(rewards, boot_q, t_eff, lam, gamma)
+        want_qlam, want_valid = _oracles.loop_lambda_return_batch(
+            rewards, boot_q, t_eff, lam, gamma
+        )
+        assert_same_bits(qlam, want_qlam)
+        np.testing.assert_array_equal(valid, want_valid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_batches())
+    def test_policy_grad_coefficients(self, batch):
+        _, _, t_eff, weights, bootstrap_ok, lam, gamma = batch
+        c_r, c_q = policy_grad_coefficients(weights, t_eff, bootstrap_ok, lam, gamma)
+        want_r, want_q = _oracles.loop_policy_grad_coefficients(
+            weights, t_eff, bootstrap_ok, lam, gamma
+        )
+        assert_same_bits(c_r, want_r)
+        assert_same_bits(c_q, want_q)
