@@ -32,7 +32,7 @@ from .expectile import (
     expectile_weight,
     filtered_mean_estimate,
 )
-from .returns import lambda_return_batch, lambda_returns, n_step_return
+from .returns import lambda_return_batch
 from .rng import stream
 from .theory import (
     ScanConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "filtered_mean_estimate",
     "imagine_rollout",
     "lambda_return_batch",
-    "lambda_returns",
     "lemma1_check",
     "lemma2_check",
     "load_agent",
@@ -97,7 +96,6 @@ __all__ = [
     "load_run_config",
     "make_env_spec",
     "monte_carlo_theorem_suite",
-    "n_step_return",
     "pretrain_bc",
     "pretrain_fqe",
     "save_agent",

@@ -290,7 +290,7 @@ def _critic_forward(spec, params, states, actions):
 
 def _policy_forward(spec, params, states):
     pre, cache = nn.forward_cached(spec, params, np.atleast_2d(states))
-    return np.tanh(pre), cache, pre
+    return np.tanh(pre), cache
 
 
 @dataclass
@@ -360,10 +360,6 @@ class _Plan:
     critic_params: np.ndarray
 
 
-def _plan_of(state: AgentState) -> _Plan:
-    return _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
-
-
 def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
     """Per-(rollout, t) critic regression targets and the valid mask.
 
@@ -373,33 +369,14 @@ def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
     times the population std of the bootstrapped values.
     """
     if config.conservatism == "mobile_lcb":
-        return _mobile_targets(plan, config, ensemble, rollouts, boot_q)
-    lam = {"lambda": config.lam, "one_step": 0.0}.get(config.critic_target)
-    if lam is not None:
-        qlam, valid = returns.lambda_return_batch(
-            rollouts.rewards, boot_q, rollouts.t_eff, lam, config.gamma
-        )
-        return qlam, valid
-    # h_step: single n-step return over the whole remaining rollout
-    B, H = rollouts.rewards.shape
-    targets = np.zeros((B, H))
-    valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
-    for t in range(H):
-        rows = rollouts.t_eff > t
-        if not rows.any():
-            continue
-        m = rollouts.t_eff - t
-        acc = np.zeros(B)
-        for i in range(1, H - t + 1):
-            acc = acc + config.gamma ** (i - 1) * rollouts.rewards[:, t + i - 1] * (
-                (t + i) <= rollouts.t_eff
-            )
-        apex_q = boot_q[np.arange(B), rollouts.t_eff]
-        targets[:, t] = np.where(rows, acc + config.gamma**m * apex_q, 0.0)
-    return targets, valid
+        return _mobile_targets(plan, config, ensemble, rollouts)
+    if config.critic_target == "h_step":
+        return returns.full_return_batch(rollouts.rewards, boot_q, rollouts.t_eff, config.gamma)
+    lam = config.lam if config.critic_target == "lambda" else 0.0
+    return returns.lambda_return_batch(rollouts.rewards, boot_q, rollouts.t_eff, lam, config.gamma)
 
 
-def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
+def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts):
     """One-step targets r + gamma*Q(s', pi(s')) averaged over all elites,
     penalized by c times their population std (LCB-style baseline)."""
     B, H = rollouts.rewards.shape
@@ -435,18 +412,31 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
 # critic losses
 
 
-def critic_loss_model(
-    plan, config: AgentConfig, ensemble, rollouts, with_grad: bool = False, pol=None
-):
-    """Asymmetric squared error of Q(s_t, pi(s_t)) against rollout targets."""
-    if pol is None:
-        pol = _policy_eval(plan, rollouts)
+def _bellman_target(plan, config: AgentConfig, batch: dict) -> np.ndarray:
+    """r + gamma * (1 - done) * Q(s', pi(s')) on real transitions, as a constant."""
+    next_acts = np.tanh(nn.forward(plan.policy_spec, plan.policy_params, batch["next_states"]))
+    next_q = nn.forward(
+        plan.critic_spec,
+        plan.critic_params,
+        np.concatenate([batch["next_states"], next_acts], axis=1),
+    )[:, 0]
+    return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
+
+
+def _shadow_q(plan, shadow_params, batch: dict) -> np.ndarray:
+    """The EMA shadow critic's Q on real (s, a)."""
+    x = np.concatenate([batch["states"], batch["actions"]], axis=1)
+    return nn.forward(plan.critic_spec, shadow_params, x)[:, 0]
+
+
+def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval):
+    """Asymmetric squared error of Q(s_t, pi(s_t)) against rollout targets,
+    with its gradient."""
     ce = _critic_eval(plan, rollouts, pol)
     targets, valid = _model_targets(plan, config, ensemble, rollouts, boot_q=ce.boot_q)
     n_valid = int(valid.sum())
     if n_valid == 0:
-        zero = np.zeros_like(plan.critic_params) if with_grad else None
-        return (0.0, zero) if with_grad else 0.0
+        return 0.0, np.zeros_like(plan.critic_params)
     tau = 0.5 if config.conservatism != "lower_expectile" else config.tau
     B = valid.shape[0]
     flat_idx = np.argwhere(valid)
@@ -454,71 +444,45 @@ def critic_loss_model(
     diff = ce.q[rows] - targets[flat_idx[:, 0], flat_idx[:, 1]]
     w = expectile_weight(diff, tau)
     loss = float((w * diff * diff).mean())
-    if not with_grad:
-        return loss
     cot = np.zeros((ce.q.size, 1))
     cot[rows, 0] = 2.0 * w * diff / n_valid
     grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, ce.cache, cot)
     return loss, grad
 
 
-def critic_loss_env(plan, config: AgentConfig, batch: dict, with_grad: bool = False):
+def critic_loss_env(plan, config: AgentConfig, batch: dict):
     """One-step Bellman regression on real transitions, target frozen."""
-    next_acts = np.tanh(nn.forward(plan.policy_spec, plan.policy_params, batch["next_states"]))
-    next_q = nn.forward(
-        plan.critic_spec,
-        plan.critic_params,
-        np.concatenate([batch["next_states"], next_acts], axis=1),
-    )[:, 0]
-    target = batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
+    target = _bellman_target(plan, config, batch)
     q, cache = _critic_forward(plan.critic_spec, plan.critic_params, batch["states"], batch["actions"])
     diff = q - target
     loss = float(0.5 * (diff * diff).mean())
-    if not with_grad:
-        return loss
     cot = (diff / diff.size)[:, None]
     grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, cache, cot)
     return loss, grad
 
 
-def critic_loss_ema(plan, shadow_params, batch: dict, with_grad: bool = False):
+def critic_loss_ema(plan, shadow_params, batch: dict):
     """Squared drift of the critic from its EMA shadow on real (s, a)."""
-    q_shadow = nn.forward(
-        plan.critic_spec,
-        shadow_params,
-        np.concatenate([batch["states"], batch["actions"]], axis=1),
-    )[:, 0]
+    q_shadow = _shadow_q(plan, shadow_params, batch)
     q, cache = _critic_forward(plan.critic_spec, plan.critic_params, batch["states"], batch["actions"])
     diff = q - q_shadow
     loss = float((diff * diff).mean())
-    if not with_grad:
-        return loss
     cot = (2.0 * diff / diff.size)[:, None]
     grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, cache, cot)
     return loss, grad
 
 
 def critic_loss_total(
-    plan, config: AgentConfig, ensemble, rollouts, env_batch, shadow_params, pol=None
+    plan, config: AgentConfig, ensemble, rollouts, env_batch, shadow_params, pol: _PolicyEval
 ):
     """beta * L_model + (1 - beta) * L_env + omega * L_ema, with gradient.
 
     The env and EMA terms share one critic forward over the real (s, a)
     batch; their cotangents are pre-mixed so a single backward covers both.
     """
-    l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, with_grad=True, pol=pol)
-    next_acts = np.tanh(nn.forward(plan.policy_spec, plan.policy_params, env_batch["next_states"]))
-    next_q = nn.forward(
-        plan.critic_spec,
-        plan.critic_params,
-        np.concatenate([env_batch["next_states"], next_acts], axis=1),
-    )[:, 0]
-    target = env_batch["rewards"] + config.gamma * (1.0 - env_batch["terminals"]) * next_q
-    q_shadow = nn.forward(
-        plan.critic_spec,
-        shadow_params,
-        np.concatenate([env_batch["states"], env_batch["actions"]], axis=1),
-    )[:, 0]
+    l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, pol)
+    target = _bellman_target(plan, config, env_batch)
+    q_shadow = _shadow_q(plan, shadow_params, env_batch)
     q, cache = _critic_forward(
         plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
     )
@@ -539,11 +503,12 @@ def critic_loss_total(
 
 
 def _policy_pathwise(
-    plan, config: AgentConfig, ensemble, rollouts, weights, pol=None, ce=None, qlam=None
+    plan, config: AgentConfig, ensemble, rollouts, weights, pol: _PolicyEval, ce: _CriticEval, qlam
 ):
     """Loss -mean(w_t * Qlam_t) and its pathwise gradient w.r.t. policy params.
 
-    `weights` (B, H) are constants. The lambda-return is differentiated as
+    `weights` (B, H) are constants, and `qlam` the lambda-returns of `ce`'s
+    bootstraps. The lambda-return is differentiated as
     an explicit function of rollout rewards and bootstraps; cotangents then
     flow backward through critic inputs, frozen model steps (skip included)
     and the tanh policy at every visited state.
@@ -560,14 +525,6 @@ def _policy_pathwise(
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0, np.zeros_like(plan.policy_params), {"qlam_mean": 0.0}
-    if pol is None:
-        pol = _policy_eval(plan, rollouts)
-    if ce is None:
-        ce = _critic_eval(plan, rollouts, pol)
-    if qlam is None:
-        qlam, _ = returns.lambda_return_batch(
-            rollouts.rewards, ce.boot_q, rollouts.t_eff, config.lam, config.gamma
-        )
     loss = -float((weights * qlam).sum() / n_valid)
 
     rows = np.arange(B)
@@ -622,7 +579,7 @@ def _policy_pathwise(
     return loss, theta_grad, info
 
 
-def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol=None):
+def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval):
     """Expectile-weighted lambda-return ascent with frozen weights.
 
     w_t = |tau - 1(Q(s_t, a_t) > Qlam_t)| uses the rollout actions a_t; the
@@ -631,19 +588,13 @@ def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol=Non
     """
     B, H = rollouts.rewards.shape
     valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
-    if pol is None:
-        pol = _policy_eval(plan, rollouts)
     ce = _critic_eval(plan, rollouts, pol)
     qlam, _ = returns.lambda_return_batch(
         rollouts.rewards, ce.boot_q, rollouts.t_eff, config.lam, config.gamma
     )
     q_taken = np.where(valid, ce.boot_q[:, :H], 0.0)
     weights = np.where(valid, expectile_weight(q_taken - qlam, config.tau), 0.0)
-    loss, grad, info = _policy_pathwise(
-        plan, config, ensemble, rollouts, weights, pol=pol, ce=ce, qlam=qlam
-    )
-    if not (np.isfinite(loss) and np.isfinite(grad).all()):
-        raise DivergenceError("policy gradient diverged", {"loss": loss})
+    loss, grad, info = _policy_pathwise(plan, config, ensemble, rollouts, weights, pol, ce, qlam)
     info["weight_mean"] = float(weights[valid].mean()) if valid.any() else 0.0
     info["weights"] = weights
     return loss, grad, info
@@ -651,7 +602,7 @@ def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol=Non
 
 def _policy_q_value(plan, states):
     """DDPG-style loss -mean Q(s, pi(s)) on a batch of states."""
-    acts, p_cache, pre = _policy_forward(plan.policy_spec, plan.policy_params, states)
+    acts, p_cache = _policy_forward(plan.policy_spec, plan.policy_params, states)
     q, c_cache = _critic_forward(plan.critic_spec, plan.critic_params, states, acts)
     loss = -float(q.mean())
     cot = np.full((q.size, 1), -1.0 / q.size)
@@ -662,7 +613,7 @@ def _policy_q_value(plan, states):
     return loss, grad, {}
 
 
-def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True, pol=None):
+def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     """Advantage-weighted regression toward rollout actions.
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
@@ -672,9 +623,7 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True,
     valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
     flat_idx = np.argwhere(valid)
     if flat_idx.size == 0:
-        return (0.0, np.zeros_like(plan.policy_params), {}) if with_grad else 0.0
-    if pol is None:
-        pol = _policy_eval(plan, rollouts)
+        return 0.0, np.zeros_like(plan.policy_params), {}
     boot_q = _critic_eval(plan, rollouts, pol).boot_q
     qlam, _ = returns.lambda_return_batch(
         rollouts.rewards, boot_q, rollouts.t_eff, config.lam, config.gamma
@@ -684,11 +633,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, with_grad: bool = True,
     q_pol = boot_q[flat_idx[:, 0], flat_idx[:, 1]]
     adv = qlam[flat_idx[:, 0], flat_idx[:, 1]] - q_pol
     w = np.minimum(np.exp(adv / config.awr_alpha), 20.0)
-    acts, cache, pre = _policy_forward(plan.policy_spec, plan.policy_params, s)
+    acts, cache = _policy_forward(plan.policy_spec, plan.policy_params, s)
     res = acts - a_taken
     loss = float((w * (res * res).sum(axis=1)).mean())
-    if not with_grad:
-        return loss
     g_act = 2.0 * w[:, None] * res / w.size
     g_pre = g_act * (1.0 - acts * acts)
     grad, _ = nn.backward_cached(plan.policy_spec, plan.policy_params, cache, g_pre)
@@ -707,7 +654,7 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
     mse = float("nan")
     for _ in range(steps):
         idx = rng.integers(0, states.shape[0], size=min(batch, states.shape[0]))
-        acts, cache, pre = _policy_forward(spec, params, states[idx])
+        acts, cache = _policy_forward(spec, params, states[idx])
         res = acts - actions[idx]
         mse = float((res * res).sum(axis=1).mean())
         g_act = 2.0 * res / res.shape[0]
@@ -779,17 +726,12 @@ def expand_dataset(
         ro = world_model.imagine_rollout(
             ensemble, policy, starts, config.rollout_r, termination, config.sigma_exp, rng
         )
-        before = inserted
-        for b in range(n_roll):
-            n_valid = int(ro.t_eff[b])
-            if n_valid == 0:
-                continue
-            take = min(n_valid, config.n_expand - inserted)
-            buffer.insert(ro.states[b, :take])
-            inserted += take
-            if inserted >= config.n_expand:
-                break
-        if inserted == before:
+        # pre-step states of every valid transition, rows b-major
+        stood = np.arange(config.rollout_r)[None, :] < ro.t_eff[:, None]
+        new = ro.states[:, :-1][stood][: config.n_expand - inserted]
+        buffer.insert(new)
+        inserted += new.shape[0]
+        if new.shape[0] == 0:
             stalls += 1
             if stalls >= 100:
                 raise AgentError("expansion stalled: every sampled start state is terminal")
@@ -801,7 +743,7 @@ def expand_dataset(
 def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.ndarray, rng) -> dict:
     """One critic step, one EMA update, one actor step; returns metrics."""
     config = state.config
-    plan = _plan_of(state)
+    plan = _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
     term_fn = envs.termination_fn(state.env_spec)
     needs_rollout = config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
     rollouts = None
@@ -823,11 +765,11 @@ def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.nd
     pol = _policy_eval(plan, rollouts) if needs_rollout else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
-            plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol=pol
+            plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol
         )
     else:
-        l_env, g_env = critic_loss_env(plan, config, env_batch, with_grad=True)
-        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema.shadow, env_batch, with_grad=True)
+        l_env, g_env = critic_loss_env(plan, config, env_batch)
+        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema.shadow, env_batch)
         total = l_env + config.omega_ema * l_ema
         c_grad = g_env + config.omega_ema * g_ema
         parts = {"loss_model": 0.0, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
@@ -838,11 +780,11 @@ def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.nd
     )
     state.critic_ema = nn.ema_update(state.critic_ema, state.critic_params)
 
-    plan = _plan_of(state)  # critic updated; actor sees the new values
+    # adam_step updated critic_params in place, so the actor sees the new values
     if config.policy_update == "lambda_expectile":
-        p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol=pol)
+        p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
     elif config.policy_update == "awr":
-        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol=pol)
+        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
     else:
         p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
     if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
@@ -874,8 +816,6 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
     for ep in range(n_episodes):
         rng = stream(seed, "eval.episode", ep)
         s = envs.reset_state(env_spec, rng)
-        if hasattr(policy, "reset"):
-            policy.reset()
         ep_ret, done = 0.0, False
         for t in range(env_spec.horizon):
             a = np.asarray(policy(s), dtype=np.float64).reshape(-1)

@@ -6,9 +6,11 @@ sign(x) * ln(1 + |x|), before the first layer. Parameters live in one flat
 float64 vector; the layout maps named tensors to slices so checkpoints and
 optimizer state stay trivially serializable.
 
-backward() returns gradients with respect to BOTH parameters and inputs;
-input gradients are what lets imagination rollouts backpropagate through
-critics, world-model members and the policy.
+backward_cached() sweeps a forward_cached() cache and returns gradients
+with respect to BOTH parameters and inputs; input gradients are what lets
+imagination rollouts backpropagate through critics, world-model members
+and the policy. Keeping the forward and backward apart lets one stacked
+forward serve several backward passes.
 
 forward_cached() keeps, per hidden layer, (a_in, norm, inv_std, out): the
 layer input, the layer-norm output and its row-wise 1/std (None without
@@ -41,7 +43,6 @@ __all__ = [
     "param_views",
     "forward",
     "forward_cached",
-    "backward",
     "backward_cached",
     "init_adam",
     "adam_step",
@@ -235,14 +236,6 @@ def backward_cached(
     if squeeze:
         ga = ga[0]
     return grad_flat, ga
-
-
-def backward(
-    spec: MlpSpec, params: np.ndarray, x: np.ndarray, output_cotangent: np.ndarray
-):
-    """Convenience wrapper: forward for caches, then backward_cached."""
-    _, cache = forward_cached(spec, params, x)
-    return backward_cached(spec, params, cache, output_cotangent)
 
 
 @dataclass

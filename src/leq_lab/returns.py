@@ -11,96 +11,28 @@ returns with weights proportional to lambda^(i-1), normalized by their
 actual sum so the mixture weights add to exactly 1 for every t (including
 t = T - 1, where the mixture degenerates to G_{t:t+1}).
 
-The *_batch functions operate on padded arrays (B, H): rows may have
-different effective lengths `t_eff`, and entries past a row's length are
-ignored. `policy_grad_coefficients` returns the partial derivatives of the
+The full return G_{t:T} is the single n-step return over everything left
+of the rollout, the H-step target of the critic ablation.
+
+Every function operates on padded arrays (B, H): rows may have different
+effective lengths `t_eff`, and entries past a row's length are ignored.
+`policy_grad_coefficients` returns the partial derivatives of the
 weighted lambda-return sum with respect to every reward and bootstrap,
 which is what the pathwise policy update backpropagates through rollouts.
+Each makes one vectorized pass per mixture index i over every start t at
+once. Every entry still accumulates in the order a loop over (t, i) pairs
+adds it, so results equal that loop form bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "LambdaReturnTable",
-    "n_step_return",
-    "lambda_returns",
     "lambda_return_batch",
+    "full_return_batch",
     "policy_grad_coefficients",
 ]
-
-
-def _traj_fields(traj):
-    states = np.asarray(traj.states, dtype=np.float64)
-    rewards = np.asarray(traj.rewards, dtype=np.float64)
-    if hasattr(traj, "terminal"):
-        terminal = bool(traj.terminal)
-    else:
-        terminal = bool(traj.ends_terminal)
-    if states.shape[0] != rewards.shape[0] + 1:
-        raise ValueError("need one more state than rewards")
-    return states, rewards, terminal
-
-
-@dataclass(frozen=True)
-class LambdaReturnTable:
-    """Per-timestep n-step returns and their normalized lambda-mixtures."""
-
-    n_step: tuple[np.ndarray, ...]  # n_step[t][i-1] = G_{t:t+i}, 1 <= i <= T-t
-    mixture_weights: tuple[np.ndarray, ...]  # same ragged shape, each sums to 1
-    qlam: np.ndarray  # (T,)
-    terminal: bool
-
-
-def _bootstraps(states, terminal, critic, policy):
-    actions = policy(states)
-    q = np.asarray(critic(states, actions), dtype=np.float64).reshape(-1)
-    if terminal:
-        q[-1] = 0.0
-    return q
-
-
-def n_step_return(traj, t: int, n: int, critic, policy, gamma: float) -> float:
-    """G_{t:t+n} with the bootstrap zeroed on a terminal rollout end."""
-    states, rewards, terminal = _traj_fields(traj)
-    horizon = rewards.shape[0]
-    if n < 1 or t < 0 or t + n > horizon:
-        raise IndexError(f"n-step window [{t}, {t + n}] outside rollout of length {horizon}")
-    discounts = gamma ** np.arange(n)
-    value = float(discounts @ rewards[t : t + n])
-    if not (terminal and t + n == horizon):
-        sa = states[t + n]
-        q = float(np.asarray(critic(sa[None, :], policy(sa[None, :]))).reshape(()))
-        value += gamma**n * q
-    return value
-
-
-def lambda_returns(traj, critic, policy, lam: float, gamma: float) -> LambdaReturnTable:
-    """Full table for one rollout; bootstraps use a_k = policy(s_k)."""
-    if not (0.0 <= lam < 1.0):
-        raise ValueError(f"lambda must lie in [0, 1), got {lam}")
-    states, rewards, terminal = _traj_fields(traj)
-    horizon = rewards.shape[0]
-    q = _bootstraps(states, terminal, critic, policy)
-    n_step, weights, qlam = [], [], np.zeros(horizon)
-    for t in range(horizon):
-        m = horizon - t
-        g = np.zeros(m)
-        running = 0.0
-        for i in range(1, m + 1):
-            running += gamma ** (i - 1) * rewards[t + i - 1]
-            g[i - 1] = running + gamma**i * q[t + i]
-        raw = lam ** np.arange(m)
-        w = raw / raw.sum()
-        n_step.append(g)
-        weights.append(w)
-        qlam[t] = float(w @ g)
-    return LambdaReturnTable(
-        n_step=tuple(n_step), mixture_weights=tuple(weights), qlam=qlam, terminal=terminal
-    )
 
 
 def lambda_return_batch(
@@ -134,6 +66,25 @@ def lambda_return_batch(
     valid = np.arange(H)[None, :] < t_eff[:, None]
     qlam = np.where(valid, acc / np.where(wsum > 0.0, wsum, 1.0), 0.0)
     return qlam, valid
+
+
+def full_return_batch(rewards: np.ndarray, boot_q: np.ndarray, t_eff: np.ndarray, gamma: float):
+    """G_{t:T} = sum_{j<T-t} gamma^j r_{t+j} + gamma^(T-t) q_T per valid (b, t).
+
+    Same arguments as lambda_return_batch, without lambda. Returns
+    (targets (B, H), valid (B, H)) with targets zero outside valid.
+    """
+    B, H = rewards.shape
+    starts = np.arange(H)
+    acc = np.zeros((B, H))
+    for i in range(1, H + 1):
+        n = H - i + 1
+        ok = (starts[:n] + i)[None, :] <= t_eff[:, None]
+        acc[:, :n] += gamma ** (i - 1) * rewards[:, i - 1 :] * ok
+    valid = starts[None, :] < t_eff[:, None]
+    apex_q = boot_q[np.arange(B), t_eff][:, None]
+    targets = np.where(valid, acc + gamma ** (t_eff[:, None] - starts[None, :]) * apex_q, 0.0)
+    return targets, valid
 
 
 def policy_grad_coefficients(

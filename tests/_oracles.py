@@ -8,10 +8,13 @@ obvious on purpose.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
 import numpy as np
+
+from leq_lab import agent, nn, world_model
 
 
 def grid_minimize_expectile(samples, weights, tau: float, fine_step: float = 1e-5) -> float:
@@ -112,6 +115,25 @@ def loop_policy_grad_coefficients(weights, t_eff, bootstrap_ok, lam: float, gamm
     return c_r, c_q
 
 
+def loop_full_return_batch(rewards, boot_q, t_eff, gamma: float):
+    """`returns.full_return_batch` as one loop over every start t, the
+    H-step critic target as `agent._model_targets` once computed it."""
+    B, H = rewards.shape
+    targets = np.zeros((B, H))
+    valid = np.arange(H)[None, :] < t_eff[:, None]
+    for t in range(H):
+        rows = t_eff > t
+        if not rows.any():
+            continue
+        m = t_eff - t
+        acc = np.zeros(B)
+        for i in range(1, H - t + 1):
+            acc = acc + gamma ** (i - 1) * rewards[:, t + i - 1] * ((t + i) <= t_eff)
+        apex_q = boot_q[np.arange(B), t_eff]
+        targets[:, t] = np.where(rows, acc + gamma**m * apex_q, 0.0)
+    return targets, valid
+
+
 def loop_buffer_insert(data, size: int, cursor: int, states):
     """Ring-buffer insert one row at a time; returns (data, size, cursor)."""
     data = np.array(data, dtype=np.float64, copy=True)
@@ -121,6 +143,62 @@ def loop_buffer_insert(data, size: int, cursor: int, states):
         cursor = (cursor + 1) % capacity
         size = min(size + 1, capacity)
     return data, size, cursor
+
+
+def loop_expand_dataset(buffer, ensemble, policy, config, env_states, termination, rng) -> int:
+    """`agent.expand_dataset` inserting one rollout row at a time."""
+    inserted = 0
+    stalls = 0
+    while inserted < config.n_expand:
+        want = config.n_expand - inserted
+        n_roll = max(1, min(512, -(-want // config.rollout_r)))
+        starts = env_states[rng.integers(0, env_states.shape[0], size=n_roll)]
+        ro = world_model.imagine_rollout(
+            ensemble, policy, starts, config.rollout_r, termination, config.sigma_exp, rng
+        )
+        before = inserted
+        for b in range(n_roll):
+            n_valid = int(ro.t_eff[b])
+            if n_valid == 0:
+                continue
+            take = min(n_valid, config.n_expand - inserted)
+            buffer.insert(ro.states[b, :take])
+            inserted += take
+            if inserted >= config.n_expand:
+                break
+        if inserted == before:
+            stalls += 1
+            if stalls >= 100:
+                raise agent.AgentError("expansion stalled: every sampled start state is terminal")
+        else:
+            stalls = 0
+    return inserted
+
+
+def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c: float):
+    """MOBILE-style one-step LCB targets, one valid (b, t) and one elite at a time.
+
+    For each elite m: s' = s + mu_m(s, a)[:S], r_m = mu_m(s, a)[S], and
+    y_m = r_m + gamma * Q(s', pi(s')). The target is mean_m y_m minus lcb_c
+    times the population std of Q(s', pi(s')) over the elites.
+    """
+    B, H = rollouts.rewards.shape
+    S = ensemble.obs_dim
+    targets = np.zeros((B, H))
+    for b in range(B):
+        for t in range(int(rollouts.t_eff[b])):
+            s, a = rollouts.states[b, t], rollouts.actions[b, t]
+            ys, qs = [], []
+            for m in ensemble.elite_idx:
+                out = nn.forward(ensemble.spec, ensemble.member_params[m], np.concatenate([s, a]))
+                nxt = s + out[:S]
+                q = critic(nxt, policy(nxt))
+                ys.append(out[S] + gamma * q)
+                qs.append(q)
+            mean_q = sum(qs) / len(qs)
+            std_q = math.sqrt(sum((q - mean_q) ** 2 for q in qs) / len(qs))
+            targets[b, t] = sum(ys) / len(ys) - lcb_c * std_q
+    return targets
 
 
 def central_diff(fn, params, i: int, h: float) -> float:

@@ -1,4 +1,5 @@
-"""Agent losses on imagined rollouts, and the imagination-start ring buffer."""
+"""Agent losses and their gradients, dataset expansion, the train step and the
+imagination-start ring buffer."""
 
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leq_lab import agent, nn, returns
+from leq_lab import agent, envs, nn, returns
 from leq_lab import world_model as wm
 from leq_lab.expectile import expectile_weight
 
@@ -51,12 +52,33 @@ def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
     return starts, ro
 
 
+def env_batch(seed: int, n: int = 10, obs: int = OBS, act: int = ACT) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        "states": rng.normal(size=(n, obs)),
+        "actions": rng.uniform(-1.0, 1.0, size=(n, act)),
+        "rewards": rng.normal(size=n),
+        "next_states": rng.normal(size=(n, obs)),
+        "terminals": (rng.random(n) < 0.3).astype(np.float64),
+    }
+
+
+def bellman_target(plan, config, batch):
+    """r + gamma * (1 - done) * Q(s', pi(s')), one network call at a time."""
+    policy = agent.MlpPolicy(plan.policy_spec, plan.policy_params)
+    critic = agent.MlpCritic(plan.critic_spec, plan.critic_params)
+    next_q = critic(batch["next_states"], policy(batch["next_states"]))
+    return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
+
+
 def test_surrogate_gradient_matches_central_differences():
     plan = make_plan()
     config = agent.AgentConfig(horizon=HORIZON)
     ensemble = tiny_ensemble()
     starts, ro = rollout(plan, never_terminal)
-    _, grad, info = agent.policy_loss_surrogate(plan, config, ensemble, ro)
+    _, grad, info = agent.policy_loss_surrogate(
+        plan, config, ensemble, ro, agent._policy_eval(plan, ro)
+    )
     weights = info["weights"]
     n_valid = int((ro.t_eff[:, None] > np.arange(HORIZON)[None, :]).sum())
 
@@ -86,13 +108,16 @@ def test_surrogate_weights_come_from_the_rollout_actions():
     config = agent.AgentConfig(horizon=HORIZON)
     _, ro = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1  # the terminal path runs
-    _, _, info = agent.policy_loss_surrogate(plan, config, tiny_ensemble(), ro)
+    pol = agent._policy_eval(plan, ro)
+    _, _, info = agent.policy_loss_surrogate(plan, config, tiny_ensemble(), ro, pol)
 
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
     q_explicit = agent.MlpCritic(plan.critic_spec, plan.critic_params)(
         ro.states[:, :HORIZON][valid], ro.actions[valid]
     )
-    ce = agent._critic_eval(plan, ro, agent._policy_eval(plan, ro))
+    ce = agent._critic_eval(plan, ro, pol)
+    ended = np.flatnonzero(ro.terminal)
+    assert not ce.boot_q[ended, ro.t_eff[ended]].any()  # no bootstrap past a terminal end
     # the stacked forward may differ from a forward over the valid rows alone
     # in the last bit, so only the weights are compared exactly
     np.testing.assert_allclose(ce.boot_q[:, :HORIZON][valid], q_explicit, rtol=0, atol=1e-12)
@@ -104,17 +129,170 @@ def test_surrogate_weights_come_from_the_rollout_actions():
     np.testing.assert_array_equal(info["weights"], want)
 
 
-def test_awr_reuses_the_stacked_policy_forward_bit_for_bit():
+def test_awr_gradient_matches_central_differences():
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
     _, ro = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
-    loss, grad, info = agent.awr_policy_loss(plan, config, ro)
-    loss_pol, grad_pol, info_pol = agent.awr_policy_loss(
-        plan, config, ro, pol=agent._policy_eval(plan, ro)
+    assert ro.terminal.any()
+    pol = agent._policy_eval(plan, ro)
+    loss, grad, info = agent.awr_policy_loss(plan, config, ro, pol)
+
+    # the advantage weights, frozen at the current critic and policy
+    valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
+    boot_q = agent._critic_eval(plan, ro, pol).boot_q
+    qlam, _ = returns.lambda_return_batch(ro.rewards, boot_q, ro.t_eff, config.lam, config.gamma)
+    w = np.minimum(np.exp((qlam[valid] - boot_q[:, :HORIZON][valid]) / config.awr_alpha), 20.0)
+    assert info["awr_weight_mean"] == pytest.approx(float(w.mean()), rel=1e-12)
+    states, taken = ro.states[:, :HORIZON][valid], ro.actions[valid]
+
+    def loss_at(theta):
+        res = agent.MlpPolicy(plan.policy_spec, theta)(states) - taken
+        return float((w * (res * res).sum(axis=1)).mean())
+
+    assert loss_at(plan.policy_params) == pytest.approx(loss, rel=1e-12)
+    rng = np.random.default_rng(12)
+    assert _oracles.worst_fd_rel_error(loss_at, grad, plan.policy_params, rng, n_coords=40) < 1e-5
+
+
+@pytest.mark.parametrize("conservatism", ["lower_expectile", "mobile_lcb"])
+def test_critic_loss_total_gradient_matches_central_differences(conservatism):
+    plan = make_plan(6)
+    config = agent.AgentConfig(horizon=HORIZON, conservatism=conservatism, lcb_c=0.7)
+    ensemble = tiny_ensemble()
+    _, ro = rollout(plan, far_is_terminal, seed=13)
+    batch = env_batch(14)
+    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(15))
+    pol = agent._policy_eval(plan, ro)
+    total, grad, parts = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
+
+    # every regression target frozen at the current params
+    ce = agent._critic_eval(plan, ro, pol)
+    targets, valid = agent._model_targets(plan, config, ensemble, ro, ce.boot_q)
+    y_model = targets[valid]
+    y_env = bellman_target(plan, config, batch)
+    y_ema = agent.MlpCritic(plan.critic_spec, shadow)(batch["states"], batch["actions"])
+    model_states = ro.states[:, :HORIZON][valid]
+    model_acts = agent.MlpPolicy(plan.policy_spec, plan.policy_params)(model_states)
+    tau = config.tau if conservatism == "lower_expectile" else 0.5
+
+    def loss_at(theta):
+        critic = agent.MlpCritic(plan.critic_spec, theta)
+        d_model = critic(model_states, model_acts) - y_model
+        w = np.where(d_model > 0.0, 1.0 - tau, tau)
+        q_env = critic(batch["states"], batch["actions"])
+        l_model = float((w * d_model * d_model).mean())
+        l_env = 0.5 * float(((q_env - y_env) ** 2).mean())
+        l_ema = float(((q_env - y_ema) ** 2).mean())
+        return config.beta * l_model + (1.0 - config.beta) * l_env + config.omega_ema * l_ema
+
+    assert valid.sum() > 0 and parts["loss_model"] > 0.0
+    assert loss_at(plan.critic_params) == pytest.approx(total, rel=1e-10)
+    rng = np.random.default_rng(16)
+    assert _oracles.worst_fd_rel_error(loss_at, grad, plan.critic_params, rng, n_coords=40) < 1e-5
+
+
+def test_env_and_ema_critic_gradients_match_central_differences():
+    plan = make_plan(7)
+    config = agent.AgentConfig()
+    batch = env_batch(17)
+    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(18))
+    y_env = bellman_target(plan, config, batch)
+    y_ema = agent.MlpCritic(plan.critic_spec, shadow)(batch["states"], batch["actions"])
+
+    def env_at(theta):
+        q = agent.MlpCritic(plan.critic_spec, theta)(batch["states"], batch["actions"])
+        return 0.5 * float(((q - y_env) ** 2).mean())
+
+    def ema_at(theta):
+        q = agent.MlpCritic(plan.critic_spec, theta)(batch["states"], batch["actions"])
+        return float(((q - y_ema) ** 2).mean())
+
+    rng = np.random.default_rng(19)
+    theta = plan.critic_params
+    for (loss, grad), loss_at in (
+        (agent.critic_loss_env(plan, config, batch), env_at),
+        (agent.critic_loss_ema(plan, shadow, batch), ema_at),
+    ):
+        assert loss_at(theta) == pytest.approx(loss, rel=1e-12)
+        assert _oracles.worst_fd_rel_error(loss_at, grad, theta, rng, n_coords=40) < 1e-5
+
+
+def test_mobile_targets_match_a_per_elite_loop():
+    plan = make_plan(9)
+    config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)
+    ensemble = tiny_ensemble()
+    _, ro = rollout(plan, far_is_terminal, seed=8)
+    assert ro.terminal.any() and ro.t_eff.max() > 1
+    targets, valid = agent._model_targets(plan, config, ensemble, ro, boot_q=None)
+    want = _oracles.loop_mobile_targets(
+        ensemble,
+        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
+        agent.MlpCritic(plan.critic_spec, plan.critic_params),
+        ro,
+        config.gamma,
+        config.lcb_c,
     )
-    assert loss == loss_pol
-    np.testing.assert_array_equal(grad, grad_pol)
-    assert info == info_pol
+    np.testing.assert_array_equal(valid, np.arange(HORIZON)[None, :] < ro.t_eff[:, None])
+    # the library's stacked forwards may differ from one-row ones in the last bits
+    np.testing.assert_allclose(targets, want, rtol=1e-12, atol=1e-12)
+    assert not targets[~valid].any()
+
+
+@pytest.mark.parametrize("capacity", [16, 200])
+def test_expand_dataset_matches_the_row_by_row_loop(capacity, monkeypatch):
+    plan = make_plan(10)
+    config = agent.AgentConfig(n_expand=41, rollout_r=4, sigma_exp=0.5)
+    policy = agent.MlpPolicy(plan.policy_spec, plan.policy_params)
+    # about a third of the start states lie in the terminal set already
+    env_states = 3.0 * np.random.default_rng(22).normal(size=(40, OBS))
+    imagine_rollout, seen = wm.imagine_rollout, []
+
+    def recording_rollout(*args, **kwargs):
+        ro = imagine_rollout(*args, **kwargs)
+        seen.append(ro.t_eff.copy())
+        return ro
+
+    monkeypatch.setattr(wm, "imagine_rollout", recording_rollout)
+    args = (tiny_ensemble(), policy, config, env_states, far_is_terminal)
+    buf = agent.ModelStateBuffer.create(capacity, OBS)
+    n = agent.expand_dataset(buf, *args, np.random.default_rng(21))
+    monkeypatch.undo()
+    want = agent.ModelStateBuffer.create(capacity, OBS)
+    n_want = _oracles.loop_expand_dataset(want, *args, np.random.default_rng(21))
+    assert n == n_want == config.n_expand
+    np.testing.assert_array_equal(buf.data, want.data)
+    assert (buf.size, buf.cursor) == (want.size, want.cursor)
+
+    # the cases the single insert must get right did occur
+    assert any((t_eff == 0).any() for t_eff in seen)
+    left, cut = config.n_expand, False
+    for t_eff in seen:
+        total = np.cumsum(t_eff)
+        if total[-1] >= left:
+            cut = total[np.searchsorted(total, left)] > left  # filled partway through a row
+        left -= min(left, int(total[-1]))
+    assert cut
+
+
+def test_actor_sees_the_updated_critic(monkeypatch):
+    spec = envs.make_env_spec("dense_chain")
+    config = agent.AgentConfig(
+        beta=0.0, policy_update="q_value", hidden_actor=(8,), hidden_critic=(8,), n_expand=10
+    )
+    state = agent.build_agent(config, spec, seed=0)
+    batch = env_batch(22, obs=spec.obs_dim, act=spec.act_dim)
+    before = state.critic_params.copy()
+    seen = {}
+    q_value = agent._policy_q_value
+
+    def spy(plan, states):
+        seen["critic"] = plan.critic_params.copy()
+        return q_value(plan, states)
+
+    monkeypatch.setattr(agent, "_policy_q_value", spy)
+    agent.train_step(state, None, batch, None, np.random.default_rng(23))
+    assert not np.array_equal(seen["critic"], before)
+    np.testing.assert_array_equal(seen["critic"], state.critic_params)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from leq_lab import agent, cli, datasets, envs
+from leq_lab import agent, cli, datasets, envs, returns
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -86,6 +86,22 @@ def test_divergence_exits_1_and_snapshots_the_critic_loss(tmp_path, monkeypatch)
     assert snapshot["error"] == "critic loss diverged"
     assert {"loss_env", "loss_ema", "loss_critic"} <= set(snapshot["details"])
     assert np.isnan(snapshot["details"]["loss_critic"])
+
+
+def test_actor_divergence_snapshot_carries_the_step(tmp_path, monkeypatch):
+    coefficients = returns.policy_grad_coefficients
+
+    def nan_rewards(*args, **kwargs):
+        c_r, c_q = coefficients(*args, **kwargs)
+        return np.full_like(c_r, np.nan), c_q
+
+    monkeypatch.setattr(returns, "policy_grad_coefficients", nan_rewards)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path)))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert snapshot["error"] == "policy loss diverged"
+    assert snapshot["details"]["step"] == snapshot["step"] == 0
 
 
 @pytest.mark.parametrize(

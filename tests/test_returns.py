@@ -1,44 +1,27 @@
 """n-step returns, lambda-mixtures and their reward/bootstrap partials."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from leq_lab.returns import (
-    lambda_return_batch,
-    lambda_returns,
-    n_step_return,
-    policy_grad_coefficients,
-)
+from leq_lab.agent import AgentConfig
+from leq_lab.returns import full_return_batch, lambda_return_batch, policy_grad_coefficients
 
 from . import _oracles
 
 
-def make_traj(rewards, terminal, obs_dim=1):
-    rewards = np.asarray(rewards, dtype=np.float64)
-    n = rewards.shape[0]
-    states = np.arange((n + 1) * obs_dim, dtype=np.float64).reshape(n + 1, obs_dim)
-    return SimpleNamespace(states=states, rewards=rewards, terminal=terminal)
+def one_row(rewards, boot_q):
+    """One padded row holding every transition: (rewards, boot_q, t_eff)."""
+    rewards = np.asarray(rewards, dtype=np.float64)[None, :]
+    return rewards, np.asarray(boot_q, dtype=np.float64)[None, :], np.array([rewards.shape[1]])
 
 
-def table_critic(values):
-    """Critic that looks values up by the first state coordinate."""
-    values = dict(values)
-
-    def critic(states, actions):
-        states = np.atleast_2d(states)
-        return np.array([values[float(s[0])] for s in states])
-
-    return critic
-
-
-def zero_policy(states):
-    states = np.atleast_2d(states)
-    return np.zeros((states.shape[0], 1))
+def n_step(rewards, boot_q, t, n, gamma):
+    """G_{t:t+n} of one row, term by term from the definition."""
+    value = sum(gamma**j * rewards[t + j] for j in range(n))
+    return value + gamma**n * boot_q[t + n]
 
 
 def random_batch(rng, B, H):
@@ -53,82 +36,87 @@ def random_batch(rng, B, H):
 
 
 class TestNStepReturn:
+    """Hand-computed n-step returns: the one-step and full-return targets."""
+
     def test_one_step_direct(self):
-        traj = make_traj([2.0], terminal=False)
-        critic = table_critic({0.0: 99.0, 1.0: 10.0})
-        got = n_step_return(traj, 0, 1, critic, zero_policy, gamma=0.997)
-        assert got == pytest.approx(2.0 + 0.997 * 10.0, abs=1e-12)
+        rewards, boot_q, t_eff = one_row([2.0], [99.0, 10.0])
+        full, _ = full_return_batch(rewards, boot_q, t_eff, gamma=0.997)
+        one, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=0.0, gamma=0.997)
+        assert full[0, 0] == pytest.approx(2.0 + 0.997 * 10.0, abs=1e-12)
+        assert one[0, 0] == full[0, 0]
 
     def test_terminal_drops_bootstrap(self):
-        traj = make_traj([3.5], terminal=True)
-        critic = table_critic({0.0: 50.0, 1.0: 50.0})
-        assert n_step_return(traj, 0, 1, critic, zero_policy, gamma=0.9) == 3.5
+        # the caller zeroes the bootstrap at a terminal end
+        rewards, boot_q, t_eff = one_row([3.5], [50.0, 0.0])
+        full, _ = full_return_batch(rewards, boot_q, t_eff, gamma=0.9)
+        assert full[0, 0] == 3.5
 
     def test_three_step_unit_gamma(self):
-        traj = make_traj([1.0, 1.0, 1.0], terminal=False)
-        critic = table_critic({float(k): 0.0 for k in range(4)})
-        assert n_step_return(traj, 0, 3, critic, zero_policy, gamma=1.0) == 3.0
+        rewards, boot_q, t_eff = one_row([1.0, 1.0, 1.0], np.zeros(4))
+        full, _ = full_return_batch(rewards, boot_q, t_eff, gamma=1.0)
+        assert full[0].tolist() == [3.0, 2.0, 1.0]
 
     def test_window_bounds_checked(self):
-        traj = make_traj([1.0, 1.0], terminal=False)
-        critic = table_critic({float(k): 0.0 for k in range(3)})
-        with pytest.raises(IndexError):
-            n_step_return(traj, 1, 2, critic, zero_policy, gamma=0.9)
-        with pytest.raises(IndexError):
-            n_step_return(traj, 0, 0, critic, zero_policy, gamma=0.9)
+        # nothing at or past a row's t_eff is read, and nothing there is written
+        rewards = np.array([[1.0, 7.0], [1.0, 7.0]])
+        boot_q = np.array([[0.0, 2.0, 5.0], [0.0, 2.0, -9.0]])
+        t_eff = np.array([1, 0])
+        for fn in (
+            lambda r, q: full_return_batch(r, q, t_eff, 0.9),
+            lambda r, q: lambda_return_batch(r, q, t_eff, 0.95, 0.9),
+        ):
+            got, valid = fn(rewards, boot_q)
+            assert valid.tolist() == [[True, False], [False, False]]
+            assert got.tolist() == [[1.0 + 0.9 * 2.0, 0.0], [0.0, 0.0]]
+            moved, _ = fn(rewards + [0.0, 3.0], boot_q + [0.0, 0.0, 4.0])
+            np.testing.assert_array_equal(moved, got)
 
 
 class TestLambdaTable:
+    """Hand-computed lambda-mixtures of lambda_return_batch."""
+
     def test_three_step_reference_value(self):
         # G = (1, 2, 3), weights prop. to (1, 0.95, 0.9025)
-        traj = make_traj([1.0, 1.0, 1.0], terminal=True)
-        critic = table_critic({float(k): 0.0 for k in range(4)})
-        table = lambda_returns(traj, critic, zero_policy, lam=0.95, gamma=1.0)
-        assert table.qlam[0] == pytest.approx(5.6075 / 2.8525, abs=1e-12)
+        rewards, boot_q, t_eff = one_row([1.0, 1.0, 1.0], np.zeros(4))
+        qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=0.95, gamma=1.0)
+        assert qlam[0, 0] == pytest.approx(5.6075 / 2.8525, abs=1e-12)
 
     def test_weights_sum_to_one(self):
+        # every n-step return equals c, so the mixture is c when the
+        # normalized weights sum to one
         rng = np.random.default_rng(5)
         for lam in (0.0, 0.3, 0.95, 0.999):
-            traj = make_traj(rng.normal(size=7), terminal=False)
-            critic = table_critic({float(k): rng.normal() for k in range(8)})
-            table = lambda_returns(traj, critic, zero_policy, lam=lam, gamma=0.99)
-            for t, w in enumerate(table.mixture_weights):
-                assert w.shape == (7 - t,)
-                assert np.all(w >= 0.0)
-                assert w.sum() == pytest.approx(1.0, abs=1e-10)
+            c = rng.normal()
+            rewards, boot_q, t_eff = one_row(np.zeros(7), np.full(8, c))
+            qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=lam, gamma=1.0)
+            np.testing.assert_allclose(qlam[0], c, rtol=1e-12, atol=0)
 
     def test_lambda_zero_gives_one_step(self):
         rng = np.random.default_rng(6)
-        traj = make_traj(rng.normal(size=5), terminal=False)
-        critic = table_critic({float(k): rng.normal() for k in range(6)})
-        table = lambda_returns(traj, critic, zero_policy, lam=0.0, gamma=0.95)
+        rewards, boot_q, t_eff = one_row(rng.normal(size=5), rng.normal(size=6))
+        qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=0.0, gamma=0.95)
         for t in range(5):
-            want = n_step_return(traj, t, 1, critic, zero_policy, gamma=0.95)
-            assert table.qlam[t] == pytest.approx(want, abs=0)
+            assert qlam[0, t] == rewards[0, t] + 0.95 * boot_q[0, t + 1]
 
     def test_last_step_degenerates(self):
         rng = np.random.default_rng(7)
-        traj = make_traj(rng.normal(size=4), terminal=False)
-        critic = table_critic({float(k): rng.normal() for k in range(5)})
-        table = lambda_returns(traj, critic, zero_policy, lam=0.95, gamma=0.9)
-        want = n_step_return(traj, 3, 1, critic, zero_policy, gamma=0.9)
-        assert table.mixture_weights[3].tolist() == [1.0]
-        assert table.qlam[3] == pytest.approx(want, abs=0)
+        rewards, boot_q, t_eff = one_row(rng.normal(size=4), rng.normal(size=5))
+        qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=0.95, gamma=0.9)
+        assert qlam[0, 3] == rewards[0, 3] + 0.9 * boot_q[0, 4]
 
     def test_qlam_is_convex_combination(self):
         rng = np.random.default_rng(8)
-        traj = make_traj(rng.normal(size=6), terminal=True)
-        critic = table_critic({float(k): rng.normal() for k in range(7)})
-        table = lambda_returns(traj, critic, zero_policy, lam=0.8, gamma=0.99)
+        boot = rng.normal(size=7)
+        boot[6] = 0.0  # terminal end
+        rewards, boot_q, t_eff = one_row(rng.normal(size=6), boot)
+        qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam=0.8, gamma=0.99)
         for t in range(6):
-            g = table.n_step[t]
-            assert g.min() - 1e-12 <= table.qlam[t] <= g.max() + 1e-12
+            g = [n_step(rewards[0], boot_q[0], t, i, 0.99) for i in range(1, 7 - t)]
+            assert min(g) - 1e-12 <= qlam[0, t] <= max(g) + 1e-12
 
     def test_lambda_one_rejected(self):
-        traj = make_traj([1.0], terminal=False)
-        critic = table_critic({0.0: 0.0, 1.0: 0.0})
-        with pytest.raises(ValueError):
-            lambda_returns(traj, critic, zero_policy, lam=1.0, gamma=0.9)
+        with pytest.raises(ValueError, match="lambda"):
+            AgentConfig(lam=1.0)
 
 
 class TestBatchAgainstBruteForce:
@@ -158,18 +146,31 @@ class TestBatchAgainstBruteForce:
         np.testing.assert_allclose(qlam_full[0, :3], qlam_cut[0], atol=1e-12, rtol=0)
 
     def test_batch_matches_scalar_table(self):
+        # a terminal row against its table of n-step returns and weights
         rng = np.random.default_rng(11)
-        H = 6
-        traj = make_traj(rng.normal(size=H), terminal=True)
-        values = {float(k): rng.normal() for k in range(H + 1)}
-        critic = table_critic(values)
-        table = lambda_returns(traj, critic, zero_policy, lam=0.9, gamma=0.97)
-        boot = np.array([[values[float(k)] for k in range(H + 1)]])
-        boot[0, H] = 0.0  # terminal end
-        qlam, _ = lambda_return_batch(
-            traj.rewards[None, :], boot, np.array([H]), 0.9, 0.97
-        )
-        np.testing.assert_allclose(qlam[0], table.qlam, atol=1e-10, rtol=0)
+        H, lam, gamma = 6, 0.9, 0.97
+        boot = rng.normal(size=H + 1)
+        boot[H] = 0.0  # terminal end
+        rewards, boot_q, t_eff = one_row(rng.normal(size=H), boot)
+        qlam, _ = lambda_return_batch(rewards, boot_q, t_eff, lam, gamma)
+        for t in range(H):
+            g = np.array([n_step(rewards[0], boot_q[0], t, i, gamma) for i in range(1, H - t + 1)])
+            w = lam ** np.arange(H - t)
+            assert qlam[0, t] == pytest.approx(float(w @ g / w.sum()), abs=1e-10)
+
+    def test_full_return_random_rollouts(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            B, H = int(rng.integers(1, 6)), int(rng.integers(1, 11))
+            gamma = float(rng.choice([0.9, 0.997, 1.0]))
+            rewards, boot_q, t_eff = random_batch(rng, B, H)
+            full, valid = full_return_batch(rewards, boot_q, t_eff, gamma)
+            np.testing.assert_array_equal(valid, np.arange(H)[None, :] < t_eff[:, None])
+            assert np.all(full[~valid] == 0.0)
+            for b in range(B):
+                for t in range(int(t_eff[b])):
+                    want = n_step(rewards[b], boot_q[b], t, int(t_eff[b]) - t, gamma)
+                    assert full[b, t] == pytest.approx(want, abs=1e-10)
 
 
 class TestPolicyGradCoefficients:
@@ -262,6 +263,15 @@ class TestBitExactAgainstLoops:
             rewards, boot_q, t_eff, lam, gamma
         )
         assert_same_bits(qlam, want_qlam)
+        np.testing.assert_array_equal(valid, want_valid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(padded_batches())
+    def test_full_return_batch(self, batch):
+        rewards, boot_q, t_eff, _, _, _, gamma = batch
+        full, valid = full_return_batch(rewards, boot_q, t_eff, gamma)
+        want_full, want_valid = _oracles.loop_full_return_batch(rewards, boot_q, t_eff, gamma)
+        assert_same_bits(full, want_full)
         np.testing.assert_array_equal(valid, want_valid)
 
     @settings(max_examples=300, deadline=None)
