@@ -740,8 +740,13 @@ def expand_dataset(
     return inserted
 
 
-def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.ndarray, rng) -> dict:
-    """One critic step, one EMA update, one actor step; returns metrics."""
+def train_step(
+    state: AgentState, ensemble, env_batch: dict, start_states: np.ndarray, rng, logged: bool = True
+) -> dict:
+    """One critic step, one EMA update, one actor step; returns metrics.
+
+    `mean_q` needs one more critic forward, so only a `logged` step has it.
+    """
     config = state.config
     plan = _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
     term_fn = envs.termination_fn(state.env_spec)
@@ -794,16 +799,11 @@ def train_step(state: AgentState, ensemble, env_batch: dict, start_states: np.nd
     )
     state.step += 1
 
-    q_env = state.critic(env_batch["states"], env_batch["actions"])
+    metrics = {"step": state.step, "loss_policy": p_loss}
+    if logged:
+        metrics["mean_q"] = float(np.mean(state.critic(env_batch["states"], env_batch["actions"])))
     scalars = {k: v for k, v in p_info.items() if isinstance(v, (int, float))}
-    metrics = {
-        "step": state.step,
-        "loss_policy": p_loss,
-        "mean_q": float(np.mean(q_env)),
-        **parts,
-        **scalars,
-    }
-    return metrics
+    return {**metrics, **parts, **scalars}
 
 
 def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) -> dict:

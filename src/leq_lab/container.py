@@ -34,24 +34,22 @@ class ContainerError(ValueError):
 
 def write(path, magic: bytes, header: dict, arrays: dict) -> None:
     """Write `header` plus the named arrays (flattened) atomically to `path`."""
-    flat = [np.ravel(a) for a in arrays.values()]
+    flat = [np.ravel(np.asarray(a, dtype="<f8")) for a in arrays.values()]
     layout, offset = [], 0
     for name, arr in zip(arrays, flat):
         layout.append([name, offset, arr.size])
         offset += arr.size
     blob = json.dumps({**header, "layout": layout}, sort_keys=True).encode("utf-8")
     head = magic + struct.pack("<I", len(blob)) + blob
-    # One joined copy of the body, freed on return. Under glibc, freeing a
-    # block this large raises malloc's mmap and trim thresholds, so the train
-    # loop's per-step arrays stop growing and trimming the heap; writing the
-    # arrays one by one instead made model-free steps about 30% slower.
-    body = np.concatenate(flat, dtype="<f8")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(head)
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(body, zlib.crc32(head))))
+            crc = zlib.crc32(head)
+            for arr in flat:
+                fh.write(arr)
+                crc = zlib.crc32(arr, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -19,8 +19,19 @@ from the outputs alone (relu: out > 0, tanh: 1 - out^2, elu: min(out, 0)
 + 1), which equal the pre-activation forms bit for bit, so the
 pre-activation is never stored or recomputed.
 
-Everything is float64 and allocation-explicit: identical params and inputs
-give bit-identical outputs.
+The kernels work in place: a hidden layer holds at most three full-size
+arrays in either direction. Forward, h = a @ W + b is centred and scaled
+into the cached norm, one scratch array takes the squares and then the
+affine output, and the activation consumes it. Backward, the activation
+derivative takes the cotangent and then the layer-norm backward in place,
+with one scratch array, and the weight gradients go straight into the flat
+gradient. Every in-place step keeps the operand order of the plain
+expression, so the bits (NaN signs included) are those of the allocating
+form. The kernels never write into their inputs, cotangents or caches:
+one cache can serve several backward passes.
+
+Everything is float64: identical params and inputs give bit-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -134,23 +145,29 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
-def _activate(h: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Activation of z, which it consumes: z may be overwritten or returned."""
     if kind == "relu":
-        return np.maximum(h, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "tanh":
-        return np.tanh(h)
+        return np.tanh(z, out=z)
     # elu; expm1 sees only the clamped-to-zero half, skipping its slow path
-    return np.expm1(np.minimum(h, 0.0)) + np.maximum(h, 0.0)
+    out = np.maximum(z, 0.0)
+    np.minimum(z, 0.0, out=z)
+    return np.add(np.expm1(z, out=z), out, out=out)
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the activation, given only its output a."""
+    """Derivative of the activation, given only its output a; a fresh array."""
     if kind == "relu":
         return (a > 0.0).astype(np.float64)
     if kind == "tanh":
-        return 1.0 - a * a
+        g = a * a
+        return np.subtract(1.0, g, out=g)
     # elu: a > 0 exactly where the input was, and below it a + 1 = exp(h)
-    return np.minimum(a, 0.0) + 1.0
+    g = np.minimum(a, 0.0)
+    g += 1.0
+    return g
 
 
 def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
@@ -168,13 +185,17 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
     layers = []
     a = x
     for i in range(len(spec.hidden_dims)):
-        h = a @ views[f"w{i}"] + views[f"b{i}"]
+        h = a @ views[f"w{i}"]
+        h += views[f"b{i}"]
         if spec.use_layernorm:
-            mean = h.mean(axis=1, keepdims=True)
-            centered = h - mean
-            inv_std = 1.0 / np.sqrt(np.mean(centered * centered, axis=1, keepdims=True) + _LN_EPS)
-            norm = centered * inv_std
-            z = norm * views[f"ln_scale{i}"] + views[f"ln_shift{i}"]
+            # h becomes the cached norm; z is one scratch array (squares first)
+            h -= h.mean(axis=1, keepdims=True)
+            z = np.multiply(h, h)
+            inv_std = 1.0 / np.sqrt(z.mean(axis=1, keepdims=True) + _LN_EPS)
+            h *= inv_std
+            norm = h
+            np.multiply(norm, views[f"ln_scale{i}"], out=z)
+            z += views[f"ln_shift{i}"]
         else:
             norm = inv_std = None
             z = h
@@ -207,32 +228,34 @@ def backward_cached(
     grad_flat = np.zeros_like(params)
     grads = param_views(spec, grad_flat)
 
-    grads["w_out"][...] = last.T @ gy
+    np.matmul(last.T, gy, out=grads["w_out"])
     grads["b_out"][...] = gy.sum(axis=0)
     ga = gy @ views["w_out"].T
 
     for i in reversed(range(len(spec.hidden_dims))):
         a_in, norm, inv_std, out = layers[i]
-        gz = ga * _activate_grad(out, spec.activation)
+        gz = _activate_grad(out, spec.activation)
+        np.multiply(ga, gz, out=gz)
         if spec.use_layernorm:
-            scale = views[f"ln_scale{i}"]
-            grads[f"ln_scale{i}"][...] = (gz * norm).sum(axis=0)
+            # gz turns into gn and then gh in place, with one scratch array
+            scratch = np.multiply(gz, norm)
+            grads[f"ln_scale{i}"][...] = scratch.sum(axis=0)
             grads[f"ln_shift{i}"][...] = gz.sum(axis=0)
-            gn = gz * scale
-            # d/dh of (h - mean) * inv_std with row statistics.
-            gh = inv_std * (
-                gn
-                - gn.mean(axis=1, keepdims=True)
-                - norm * (gn * norm).mean(axis=1, keepdims=True)
-            )
-        else:
-            gh = gz
-        grads[f"w{i}"][...] = a_in.T @ gh
-        grads[f"b{i}"][...] = gh.sum(axis=0)
-        ga = gh @ views[f"w{i}"].T
+            gz *= views[f"ln_scale{i}"]
+            # d/dh of (h - mean) * inv_std with row statistics:
+            # gh = inv_std * (gn - mean(gn) - norm * mean(gn * norm))
+            gn_mean = gz.mean(axis=1, keepdims=True)
+            np.multiply(gz, norm, out=scratch)
+            gn_norm_mean = scratch.mean(axis=1, keepdims=True)
+            gz -= gn_mean
+            gz -= np.multiply(norm, gn_norm_mean, out=scratch)
+            np.multiply(inv_std, gz, out=gz)
+        np.matmul(a_in.T, gz, out=grads[f"w{i}"])
+        grads[f"b{i}"][...] = gz.sum(axis=0)
+        ga = gz @ views[f"w{i}"].T
 
     if spec.use_symlog_input:
-        ga = ga * symlog_grad(raw_in)
+        ga *= symlog_grad(raw_in)
     if squeeze:
         ga = ga[0]
     return grad_flat, ga

@@ -277,3 +277,92 @@ def container_file(magic: bytes, header: dict, arrays: dict) -> bytes:
         offset += flat.size
         body += flat.tobytes()
     return container_bytes(magic, {**header, "layout": layout}, body)
+
+
+def alloc_activate(h, kind: str):
+    """`nn._activate` as it was before it consumed its argument."""
+    if kind == "relu":
+        return np.maximum(h, 0.0)
+    if kind == "tanh":
+        return np.tanh(h)
+    return np.expm1(np.minimum(h, 0.0)) + np.maximum(h, 0.0)
+
+
+def alloc_activate_grad(a, kind: str):
+    """`nn._activate_grad` with every intermediate a fresh array."""
+    if kind == "relu":
+        return (a > 0.0).astype(np.float64)
+    if kind == "tanh":
+        return 1.0 - a * a
+    return np.minimum(a, 0.0) + 1.0
+
+
+def alloc_forward_cached(spec, params, x):
+    """`nn.forward_cached` as it was before its in-place kernels."""
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    views = nn.param_views(spec, params)
+    raw_in = x
+    if spec.use_symlog_input:
+        x = nn.symlog(x)
+    layers = []
+    a = x
+    for i in range(len(spec.hidden_dims)):
+        h = a @ views[f"w{i}"] + views[f"b{i}"]
+        if spec.use_layernorm:
+            mean = h.mean(axis=1, keepdims=True)
+            centered = h - mean
+            inv_std = 1.0 / np.sqrt(np.mean(centered * centered, axis=1, keepdims=True) + nn._LN_EPS)
+            norm = centered * inv_std
+            z = norm * views[f"ln_scale{i}"] + views[f"ln_shift{i}"]
+        else:
+            norm = inv_std = None
+            z = h
+        out = alloc_activate(z, spec.activation)
+        layers.append((a, norm, inv_std, out))
+        a = out
+    y = a @ views["w_out"] + views["b_out"]
+    cache = (raw_in, x, layers, a, squeeze)
+    return (y[0] if squeeze else y), cache
+
+
+def alloc_backward_cached(spec, params, cache, output_cotangent):
+    """`nn.backward_cached` as it was before its in-place kernels."""
+    raw_in, x0, layers, last, squeeze = cache
+    gy = np.asarray(output_cotangent, dtype=np.float64)
+    if squeeze:
+        gy = gy[None, :]
+    views = nn.param_views(spec, params)
+    grad_flat = np.zeros_like(params)
+    grads = nn.param_views(spec, grad_flat)
+
+    grads["w_out"][...] = last.T @ gy
+    grads["b_out"][...] = gy.sum(axis=0)
+    ga = gy @ views["w_out"].T
+
+    for i in reversed(range(len(spec.hidden_dims))):
+        a_in, norm, inv_std, out = layers[i]
+        gz = ga * alloc_activate_grad(out, spec.activation)
+        if spec.use_layernorm:
+            scale = views[f"ln_scale{i}"]
+            grads[f"ln_scale{i}"][...] = (gz * norm).sum(axis=0)
+            grads[f"ln_shift{i}"][...] = gz.sum(axis=0)
+            gn = gz * scale
+            gh = inv_std * (
+                gn
+                - gn.mean(axis=1, keepdims=True)
+                - norm * (gn * norm).mean(axis=1, keepdims=True)
+            )
+        else:
+            gh = gz
+        grads[f"w{i}"][...] = a_in.T @ gh
+        grads[f"b{i}"][...] = gh.sum(axis=0)
+        ga = gh @ views[f"w{i}"].T
+
+    if spec.use_symlog_input:
+        ga = ga * nn.symlog_grad(raw_in)
+    if squeeze:
+        ga = ga[0]
+    return grad_flat, ga

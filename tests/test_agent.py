@@ -295,6 +295,21 @@ def test_actor_sees_the_updated_critic(monkeypatch):
     np.testing.assert_array_equal(seen["critic"], state.critic_params)
 
 
+def test_unlogged_step_skips_only_mean_q():
+    spec = envs.make_env_spec("dense_chain")
+    config = agent.AgentConfig(
+        beta=0.0, policy_update="q_value", hidden_actor=(8,), hidden_critic=(8,), n_expand=10
+    )
+    batch = env_batch(22, obs=spec.obs_dim, act=spec.act_dim)
+    states = [agent.build_agent(config, spec, seed=0) for _ in range(2)]
+    logged = agent.train_step(states[0], None, batch, None, np.random.default_rng(23))
+    quiet = agent.train_step(states[1], None, batch, None, np.random.default_rng(23), logged=False)
+    assert logged["mean_q"] == float(np.mean(states[0].critic(batch["states"], batch["actions"])))
+    assert {k: v for k, v in logged.items() if k != "mean_q"} == quiet
+    np.testing.assert_array_equal(states[0].critic_params, states[1].critic_params)
+    np.testing.assert_array_equal(states[0].policy_params, states[1].policy_params)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.integers(1, 12),

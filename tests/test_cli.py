@@ -1,5 +1,7 @@
-"""The training pipeline's promises: exact resume, config checks, divergence snapshots."""
+"""The training pipeline's promises: exact resume, config checks, divergence snapshots,
+and the same files with or without glibc's mallopt."""
 
+import ctypes
 import json
 
 import numpy as np
@@ -102,6 +104,49 @@ def test_actor_divergence_snapshot_carries_the_step(tmp_path, monkeypatch):
     snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
     assert snapshot["error"] == "policy loss diverged"
     assert snapshot["details"]["step"] == snapshot["step"] == 0
+
+
+class _RecordingMallopt:
+    """A foreign mallopt that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_heap_policy_sets_the_glibc_thresholds(monkeypatch):
+    libc = type("Libc", (), {"mallopt": _RecordingMallopt()})()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: libc)
+    cli._set_heap_policy()
+    # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 in glibc's malloc.h
+    assert libc.mallopt.calls == [(-1, 64 << 20), (-3, 32 << 20)]
+    assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+
+
+def _no_c_library(name, *args, **kwargs):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name, *args, **kwargs: object()], ids=["fails", "lacks-mallopt"]
+)
+def test_training_without_mallopt_writes_the_same_files(cdll, tmp_path, monkeypatch):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10})
+    cli.run_training(parse_run_config(raw), str(tmp_path / "with"))
+    loads = []
+
+    def recording(name, *args, **kwargs):
+        loads.append(name)
+        return cdll(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", recording)
+    cli.run_training(parse_run_config(raw), str(tmp_path / "without"))
+    assert loads
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
+        assert (tmp_path / "without" / name).read_bytes() == (tmp_path / "with" / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leq_lab import nn
 
@@ -146,7 +148,7 @@ class TestActivationGrad:
     def test_equal_to_input_form_bit_for_bit(self, kind):
         edges = [0.0, -0.0, 1e-300, -1e-300, 50.0, -50.0, np.nan, np.inf, -np.inf]
         h = np.concatenate([edges, np.random.default_rng(3).normal(0.0, 3.0, 2000)])
-        a = nn._activate(h, kind)
+        a = nn._activate(h.copy(), kind)  # _activate consumes its argument
         got = nn._activate_grad(a, kind)
         want = self.from_input(h, a, kind)
         np.testing.assert_array_equal(got, want)
@@ -213,6 +215,72 @@ class TestBackward:
 
             worst = _oracles.worst_fd_rel_error(obj, gx, x, rng, n_coords=3)
             assert worst < 1e-3
+
+_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324]
+
+
+@st.composite
+def mlp_cases(draw):
+    """A spec, params, an input (1-D or an odd number of rows up to 703) and
+    an output cotangent, with a few special values planted in both."""
+    spec = nn.MlpSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))),
+        output_dim=draw(st.integers(1, 4)),
+        use_layernorm=draw(st.booleans()),
+        use_symlog_input=draw(st.booleans()),
+        activation=draw(st.sampled_from(["relu", "tanh", "elu"])),
+    )
+    rows = draw(st.one_of(st.none(), st.integers(0, 351).map(lambda k: 2 * k + 1)))
+    lead = () if rows is None else (rows,)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.normal(0.0, 1.0, nn.n_params(spec))
+    x = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), lead + (spec.input_dim,))
+    cot = rng.normal(0.0, 1.0, lead + (spec.output_dim,))
+    for arr in (x, cot):
+        flat = arr.reshape(-1)
+        for _ in range(draw(st.integers(0, 3))):
+            flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from(_SPECIALS))
+    return spec, params, x, cot
+
+
+def _cache_arrays(cache):
+    raw_in, x0, layers, last, _ = cache
+    return [raw_in, x0, last] + [arr for layer in layers for arr in layer if arr is not None]
+
+
+def _assert_bits(got, want):
+    # values with NaNs at the same places, then the sign of every zero
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against their allocating forms in _oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mlp_cases())
+    def test_bit_identical_and_never_write_their_inputs(self, case):
+        spec, params, x, cot = case
+        before = [params.tobytes(), x.tobytes()]
+        y, cache = nn.forward_cached(spec, params, x)
+        assert [params.tobytes(), x.tobytes()] == before
+        y_ref, cache_ref = _oracles.alloc_forward_cached(spec, params, x)
+        _assert_bits(y, y_ref)
+        assert cache[-1] == cache_ref[-1]
+        got_arrays, want_arrays = _cache_arrays(cache), _cache_arrays(cache_ref)
+        assert len(got_arrays) == len(want_arrays)
+        for got, want in zip(got_arrays, want_arrays):
+            _assert_bits(got, want)
+
+        frozen = [arr.tobytes() for arr in got_arrays] + [params.tobytes(), cot.tobytes()]
+        want = _oracles.alloc_backward_cached(spec, params, cache_ref, cot)
+        for _ in range(2):  # a second sweep over the same cache, as the pathwise actor runs
+            got = nn.backward_cached(spec, params, cache, cot)
+            assert [arr.tobytes() for arr in got_arrays] + [params.tobytes(), cot.tobytes()] == frozen
+            _assert_bits(got[0], want[0])
+            _assert_bits(got[1], want[1])
+
 
 class TestAdam:
     def test_zero_grad_is_identity(self):
