@@ -807,25 +807,43 @@ def train_step(
 
 
 def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) -> dict:
-    """Deterministic rollouts in the true environment."""
+    """Deterministic rollouts in the true environment, every episode in lockstep.
+
+    `policy` maps (B, S) states to (B, A) actions. Episode `ep` starts from
+    its own `stream(seed, "eval.episode", ep)` reset and runs until it
+    terminates or reaches the horizon; at each step, the live episodes
+    share one policy call and one batched `envs.env_step`. Returns add per
+    episode in step order and the episode totals add in episode order, so
+    the scores equal stepping each episode alone with the same actions. A
+    forward over B rows may round differently in the last bit from a
+    single-row one.
+    """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    total_return = 0.0
-    successes = 0
+    states = np.array(
+        [envs.reset_state(env_spec, stream(seed, "eval.episode", ep)) for ep in range(n_episodes)]
+    )
+    ep_returns = np.zeros(n_episodes)
+    done = np.zeros(n_episodes, dtype=bool)
+    live = np.arange(n_episodes)
     lengths = 0
-    for ep in range(n_episodes):
-        rng = stream(seed, "eval.episode", ep)
-        s = envs.reset_state(env_spec, rng)
-        ep_ret, done = 0.0, False
-        for t in range(env_spec.horizon):
-            a = np.asarray(policy(s), dtype=np.float64).reshape(-1)
-            s, r, done = envs.env_step(env_spec, s, a)
-            ep_ret += r
-            lengths += 1
-            if done:
-                break
-        total_return += ep_ret
-        successes += int(envs.is_success(env_spec, s, done))
+    for _ in range(env_spec.horizon):
+        live_states = states[live]
+        actions = np.asarray(policy(live_states), dtype=np.float64).reshape(live.size, -1)
+        next_states, rewards, live_done = envs.env_step(env_spec, live_states, actions)
+        states[live] = next_states
+        ep_returns[live] += rewards
+        done[live] = live_done
+        lengths += live.size
+        live = live[~live_done]
+        if live.size == 0:
+            break
+    total_return = 0.0
+    for ep_return in ep_returns.tolist():
+        total_return += ep_return
+    successes = sum(
+        int(envs.is_success(env_spec, states[ep], bool(done[ep]))) for ep in range(n_episodes)
+    )
     return {
         "mean_return": total_return / n_episodes,
         "success_rate": successes / n_episodes,

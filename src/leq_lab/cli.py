@@ -14,6 +14,7 @@ corrupt, truncated or incompatible dataset, checkpoint or ensemble file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import csv
 import json
@@ -63,9 +64,13 @@ def _build_id() -> str:
 
 
 def _fmt(value) -> str:
-    """Full-precision decimal for CSV cells."""
+    """Full-precision decimal for CSV cells.
+
+    NumPy float scalars are floats too, but their repr names the type
+    (`np.float64(0.1)`), so every float is written as a Python float.
+    """
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
@@ -218,13 +223,39 @@ def _set_heap_policy() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
+class _PhaseClock:
+    """Wall seconds this process spent in each pipeline phase.
+
+    It reads the clock and nothing else, so a timed run draws from no RNG
+    stream and writes the same numbers as an untimed one.
+    """
+
+    PHASES = ("world_model", "pretrain", "expand", "train_step", "eval", "checkpoint")
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(self.PHASES, 0.0)
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] += time.perf_counter() - t0
+
+
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
+
+    The report's `timing_s` holds the wall seconds of each phase in this
+    process (a resumed run counts only its own), and `eval_env_steps` the
+    true-environment steps its evaluations took.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
     """
     _set_heap_policy()
+    clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
     effective = {k: v for k, v in asdict(cfg).items() if v is not None}
@@ -247,7 +278,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                 "this agent configuration imagines rollouts; the world_model "
                 "stage cannot be skipped"
             )
-        ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume)
+        with clock.phase("world_model"):
+            ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume)
 
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
     if resume and os.path.exists(ckpt_path):
@@ -260,9 +292,11 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         pretrain_info = state.extra.get("pretrain", {})
     else:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-        pretrain_info = _pretrain_agent(cfg, state, dataset)
+        with clock.phase("pretrain"):
+            pretrain_info = _pretrain_agent(cfg, state, dataset)
         state.buffer.insert(arrays[0])
-        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
+        with clock.phase("checkpoint"):
+            agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
 
     term_fn = envs.termination_fn(env_spec)
     config = state.config
@@ -281,10 +315,15 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         metrics_rows, metrics_cols = [], []
         eval_rows, eval_cols = [], []
 
+    eval_env_steps = 0
+
     def run_eval(step: int) -> dict:
-        scores = agent_mod.evaluate_policy(
-            state.policy, env_spec, cfg.eval_episodes, cfg.seed
-        )
+        nonlocal eval_env_steps
+        with clock.phase("eval"):
+            scores = agent_mod.evaluate_policy(
+                state.policy, env_spec, cfg.eval_episodes, cfg.seed
+            )
+        eval_env_steps += round(scores["mean_length"] * cfg.eval_episodes)
         return {"step": step, **scores}
 
     if not eval_rows:
@@ -299,21 +338,23 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                 and ensemble is not None
                 and i % config.t_expand == 0
             ):
-                agent_mod.expand_dataset(
-                    state.buffer,
-                    ensemble,
-                    state.policy,
-                    config,
-                    arrays[0],
-                    term_fn,
-                    stream(cfg.seed, "train.expand", i // config.t_expand),
-                )
+                with clock.phase("expand"):
+                    agent_mod.expand_dataset(
+                        state.buffer,
+                        ensemble,
+                        state.policy,
+                        config,
+                        arrays[0],
+                        term_fn,
+                        stream(cfg.seed, "train.expand", i // config.t_expand),
+                    )
             rng = stream(cfg.seed, "train.step", i)
             idx = rng.integers(0, n_rows, size=min(config.batch_env, n_rows))
             batch = _env_batch(arrays, idx)
             starts = state.buffer.sample(config.batch_model, rng)
             logged = (i + 1) % cfg.log_interval == 0 or i + 1 == config.n_iter
-            metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged)
+            with clock.phase("train_step"):
+                metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged)
             if logged:
                 if not metrics_cols:
                     metrics_cols = list(metrics.keys())
@@ -323,9 +364,10 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
             if state.step % cfg.checkpoint_interval == 0 or state.step == config.n_iter:
                 # CSVs go first: after a hard kill the checkpoint must never
                 # be ahead of the logs, or resume would leave a gap
-                _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
-                _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
-                agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
+                with clock.phase("checkpoint"):
+                    _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
+                    _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
+                    agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     except agent_mod.DivergenceError as err:
         snapshot = {
             "error": str(err),
@@ -339,9 +381,10 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
 
-    agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
-    _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
-    _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
+    with clock.phase("checkpoint"):
+        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
+        _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
+        _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
 
     best = max(eval_rows, key=lambda r: (float(r["success_rate"]), float(r["mean_return"])))
     final = eval_rows[-1]
@@ -354,6 +397,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "final_eval": {k: float(v) if k != "step" else int(v) for k, v in final.items()},
         "best_eval": {k: float(v) if k != "step" else int(v) for k, v in best.items()},
         "elapsed_s": round(time.monotonic() - t_start, 3),
+        "timing_s": {phase: round(sec, 3) for phase, sec in clock.seconds.items()},
+        "eval_env_steps": eval_env_steps,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if ensemble is not None:

@@ -1,9 +1,10 @@
 """Offline experience containers, scripted collectors and persistence.
 
 Trajectories store contiguous arrays (states has one extra row so
-next-states need no duplication); transitions are derived views. A
-trajectory either ends at a terminal state (`ends_terminal`) or at the
-horizon cap, in which case bootstrapping past its last state is allowed.
+next-states need no duplication); `OfflineDataset.flat_arrays` stacks the
+transitions. A trajectory either ends at a terminal state
+(`ends_terminal`) or at the horizon cap, in which case bootstrapping past
+its last state is allowed.
 
 File format ("LEQD", version 2): the `container` layout. The header holds
 the dims, normalization, metadata, and each trajectory's step count and
@@ -22,7 +23,6 @@ from .envs import EnvSpec, env_step, expert_action, is_success, reset_state
 from .rng import stream
 
 __all__ = [
-    "Transition",
     "Trajectory",
     "OfflineDataset",
     "DatasetError",
@@ -48,15 +48,6 @@ class DatasetError(ValueError):
 
 class DatasetFormatError(DatasetError, container.ContainerError):
     """Corrupt, truncated or incompatible dataset file."""
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -89,17 +80,6 @@ class Trajectory:
     @property
     def ret(self) -> float:
         return float(self.rewards.sum())
-
-    def transitions(self):
-        n = len(self)
-        for i in range(n):
-            yield Transition(
-                state=self.states[i],
-                action=self.actions[i],
-                reward=float(self.rewards[i]),
-                next_state=self.states[i + 1],
-                terminal=self.ends_terminal and i == n - 1,
-            )
 
 
 @dataclass(frozen=True)
@@ -170,33 +150,45 @@ def collect_dataset(
     if n_trajectories < 1:
         raise DatasetError("n_trajectories must be >= 1")
     horizon = spec.horizon if horizon is None else int(horizon)
-    trajectories = []
-    for i in range(n_trajectories):
-        traj_rng = stream(seed, f"collect.{spec.name}.{collector}", i)
-        mode = collector if collector != "mixed" else ("medium" if i % 2 == 0 else "random")
-        state = reset_state(spec, traj_rng)
-        states, actions, rewards = [state], [], []
-        wp_idx = 0
-        ends_terminal = False
-        for _ in range(horizon):
-            action, wp_idx = _collector_action(
-                mode, spec, state, wp_idx, traj_rng, noisy=(mode == "medium")
+    rngs = [stream(seed, f"collect.{spec.name}.{collector}", i) for i in range(n_trajectories)]
+    modes = [
+        collector if collector != "mixed" else ("medium" if i % 2 == 0 else "random")
+        for i in range(n_trajectories)
+    ]
+    states = [[reset_state(spec, rng)] for rng in rngs]
+    actions = [[] for _ in range(n_trajectories)]
+    rewards = [[] for _ in range(n_trajectories)]
+    wp_idx = [0] * n_trajectories
+    ends_terminal = [False] * n_trajectories
+    # every live trajectory steps at once; each keeps its own RNG stream,
+    # so its draws and bytes are those of stepping it alone
+    live = list(range(n_trajectories))
+    live_states = np.array([traj[0] for traj in states])
+    for _ in range(horizon):
+        if not live:
+            break
+        live_actions = np.empty((len(live), spec.act_dim))
+        for row, i in enumerate(live):
+            live_actions[row], wp_idx[i] = _collector_action(
+                modes[i], spec, live_states[row], wp_idx[i], rngs[i], noisy=(modes[i] == "medium")
             )
-            state, reward, done = env_step(spec, state, action)
-            states.append(state)
-            actions.append(np.asarray(action, dtype=np.float64))
-            rewards.append(reward)
-            if done:
-                ends_terminal = True
-                break
-        trajectories.append(
-            Trajectory(
-                states=np.asarray(states, dtype=np.float64),
-                actions=np.asarray(actions, dtype=np.float64),
-                rewards=np.asarray(rewards, dtype=np.float64),
-                ends_terminal=ends_terminal,
-            )
+        next_states, step_rewards, done = env_step(spec, live_states, live_actions)
+        for row, i in enumerate(live):
+            states[i].append(next_states[row])
+            actions[i].append(live_actions[row])
+            rewards[i].append(step_rewards[row])
+            ends_terminal[i] = bool(done[row])
+        live = [i for row, i in enumerate(live) if not done[row]]
+        live_states = next_states[~done]
+    trajectories = [
+        Trajectory(
+            states=np.asarray(states[i], dtype=np.float64),
+            actions=np.asarray(actions[i], dtype=np.float64),
+            rewards=np.asarray(rewards[i], dtype=np.float64),
+            ends_terminal=ends_terminal[i],
         )
+        for i in range(n_trajectories)
+    ]
     n_success = sum(
         is_success(spec, t.states[-1], t.ends_terminal) for t in trajectories
     )

@@ -15,10 +15,17 @@ Two families:
 
 Collision handling moves one axis at a time and clips motion just short of
 any crossed wall, so agents slide along walls rather than sticking to them.
+
+`env_step` and `termination_fn` are shape-polymorphic: a (B, S) batch of
+states steps every row at once, each exactly as it would step alone, and a
+single (S,) state gives Python scalars for its reward and terminal flag.
+Evaluation and data collection step all their live episodes in lockstep
+through one batched call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -169,59 +176,97 @@ def make_env_spec(name: str) -> EnvSpec:
     raise EnvError(f"unknown environment {name!r}; expected one of {ENV_NAMES}")
 
 
-def _move_axis(pos: np.ndarray, axis: int, delta: float, walls) -> float:
-    """New coordinate along `axis` after clipping against crossed walls."""
-    start = pos[axis]
+@functools.lru_cache(maxsize=None)
+def _crossable_walls(walls: tuple, axis: int) -> np.ndarray:
+    """Read-only (4, W) rows w - m, w + m, lo - m and hi + m of the W walls
+    a move along `axis` can cross, in layout order: each wall line w, the
+    wall's extent [lo, hi] on the other axis, and the margin m."""
+    lines = [
+        (
+            a[axis] - _WALL_MARGIN,
+            a[axis] + _WALL_MARGIN,
+            min(a[1 - axis], b[1 - axis]) - _WALL_MARGIN,
+            max(a[1 - axis], b[1 - axis]) + _WALL_MARGIN,
+        )
+        for (a, b) in walls
+        if a[axis] == b[axis]  # a wall along the motion axis cannot be crossed sideways
+    ]
+    table = np.array(lines, dtype=np.float64).reshape(-1, 4).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+def _move_axis(pos: np.ndarray, axis: int, delta: np.ndarray, walls) -> np.ndarray:
+    """New coordinates along `axis` for every row of `pos` after clipping
+    against crossed walls.
+
+    A wall clips a row that lies beside it, starts on the near side of its
+    line and would end at or past it. The walls clip one at a time in
+    layout order, each testing the target the earlier ones left. Clipping
+    only moves a target back toward its start, so a wall the unclipped
+    target does not reach is never reached, and the loop visits only the
+    walls some row reaches. A row that does not move keeps its coordinate
+    exactly.
+    """
+    w_lo, w_hi, o_lo, o_hi = _crossable_walls(walls, axis)
+    start = pos[:, axis]
     target = start + delta
-    if delta == 0.0:
-        return start
-    other = 1 - axis
-    for (a, b) in walls:
-        if a[axis] != b[axis]:
-            continue  # wall runs along the motion axis; cannot be crossed sideways
-        w = a[axis]
-        lo_o, hi_o = min(a[other], b[other]), max(a[other], b[other])
-        if not (lo_o - _WALL_MARGIN <= pos[other] <= hi_o + _WALL_MARGIN):
-            continue
-        if delta > 0.0 and start <= w + _WALL_MARGIN <= target + _WALL_MARGIN:
-            target = min(target, w - _WALL_MARGIN)
-        elif delta < 0.0 and target - _WALL_MARGIN <= w - _WALL_MARGIN <= start:
-            target = max(target, w + _WALL_MARGIN)
-    return target
+    other, s_col, t_col = pos[:, 1 - axis, None], start[:, None], target[:, None]
+    beside = (o_lo <= other) & (other <= o_hi)
+    up = beside & (s_col <= w_hi) & (w_hi <= t_col + _WALL_MARGIN) & (delta > 0.0)[:, None]
+    down = beside & (t_col - _WALL_MARGIN <= w_lo) & (w_lo <= s_col) & (delta < 0.0)[:, None]
+    for j in np.flatnonzero((up | down).any(axis=0)):
+        hit_up = up[:, j] & (w_hi[j] <= target + _WALL_MARGIN)
+        hit_down = down[:, j] & (target - _WALL_MARGIN <= w_lo[j])
+        np.minimum(target, w_lo[j], out=target, where=hit_up)
+        np.maximum(target, w_hi[j], out=target, where=hit_down)
+    return np.where(delta == 0.0, start, target)
 
 
-def _maze_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
-    pos = state.copy()
-    delta = spec.step_size * action
-    pos[0] = _move_axis(pos, 0, float(delta[0]), spec.walls)
-    pos[1] = _move_axis(pos, 1, float(delta[1]), spec.walls)
-    (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
-    pos[0] = min(max(pos[0], lo_x + _WALL_MARGIN), hi_x - _WALL_MARGIN)
-    pos[1] = min(max(pos[1], lo_y + _WALL_MARGIN), hi_y - _WALL_MARGIN)
+def _maze_step(spec: EnvSpec, states: np.ndarray, actions: np.ndarray):
+    pos = states.copy()
+    delta = spec.step_size * actions
+    pos[:, 0] = _move_axis(pos, 0, delta[:, 0], spec.walls)
+    pos[:, 1] = _move_axis(pos, 1, delta[:, 1], spec.walls)
+    lo, hi = spec.bounds
+    np.maximum(pos, (lo[0] + _WALL_MARGIN, lo[1] + _WALL_MARGIN), out=pos)
+    np.minimum(pos, (hi[0] - _WALL_MARGIN, hi[1] - _WALL_MARGIN), out=pos)
     done = _maze_done(spec, pos)
-    reward = 0.0 if done else -1.0
-    return pos, reward, done
+    return pos, np.where(done, 0.0, -1.0), done
 
 
-def _chain_step(spec: EnvSpec, state: np.ndarray, action: np.ndarray):
-    v = float(np.clip(state[1] + 0.1 * action[0], -1.0, 1.0))
-    x = float(state[0] + 0.1 * v)
-    next_state = np.array([x, v], dtype=np.float64)
-    done = abs(x) > spec.chain_length
-    return next_state, v, done
+def _chain_step(spec: EnvSpec, states: np.ndarray, actions: np.ndarray):
+    v = np.clip(states[:, 1] + 0.1 * actions[:, 0], -1.0, 1.0)
+    x = states[:, 0] + 0.1 * v
+    return np.stack([x, v], axis=1), v, np.abs(x) > spec.chain_length
 
 
 def env_step(spec: EnvSpec, state, action):
-    """One ground-truth transition: (next_state, reward, terminal)."""
+    """Ground-truth transitions, shape-polymorphic like `termination_fn`.
+
+    A (B, S) state with a (B, A) action gives (B, S) next states, (B,)
+    rewards and (B,) terminal flags, each row stepped on its own. A (S,)
+    state with a (A,) action gives (next_state, float reward, bool
+    terminal). Actions are clipped to [-1, 1]; a non-finite state or a
+    shape that does not match the spec raises EnvError.
+    """
     state = np.asarray(state, dtype=np.float64)
     if not np.all(np.isfinite(state)):
         raise EnvError(f"non-finite state {state!r}")
     action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    if state.shape != (spec.obs_dim,) or action.shape != (spec.act_dim,):
+    if (
+        state.ndim not in (1, 2)
+        or action.ndim != state.ndim
+        or state.shape[-1] != spec.obs_dim
+        or action.shape[:-1] != state.shape[:-1]
+        or action.shape[-1] != spec.act_dim
+    ):
         raise EnvError("state/action dimension mismatch")
-    if spec.env_id == "point_maze":
-        return _maze_step(spec, state, action)
-    return _chain_step(spec, state, action)
+    step = _maze_step if spec.env_id == "point_maze" else _chain_step
+    next_states, rewards, done = step(spec, np.atleast_2d(state), np.atleast_2d(action))
+    if state.ndim == 1:
+        return next_states[0], float(rewards[0]), bool(done[0])
+    return next_states, rewards, done
 
 
 def reset_state(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
@@ -231,9 +276,10 @@ def reset_state(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
     return np.array([rng.uniform(-0.1, 0.1), 0.0], dtype=np.float64)
 
 
-def _maze_done(spec: EnvSpec, pos: np.ndarray) -> bool:
+def _maze_done(spec: EnvSpec, pos: np.ndarray):
+    """Goal-disc test on the last axis: bool for (2,), (B,) bools for (B, 2)."""
     gx, gy = spec.goal
-    return (pos[0] - gx) ** 2 + (pos[1] - gy) ** 2 <= spec.goal_radius**2
+    return (pos[..., 0] - gx) ** 2 + (pos[..., 1] - gy) ** 2 <= spec.goal_radius**2
 
 
 def terminated(spec: EnvSpec, state) -> bool:
@@ -247,9 +293,7 @@ def terminated_batch(spec: EnvSpec, states: np.ndarray) -> np.ndarray:
     """Vectorized termination test over rows of `states`."""
     states = np.asarray(states, dtype=np.float64)
     if spec.env_id == "point_maze":
-        gx, gy = spec.goal
-        d2 = (states[:, 0] - gx) ** 2 + (states[:, 1] - gy) ** 2
-        return d2 <= spec.goal_radius**2
+        return _maze_done(spec, states)
     return np.abs(states[:, 0]) > spec.chain_length
 
 

@@ -14,7 +14,8 @@ import zlib
 
 import numpy as np
 
-from leq_lab import agent, nn, world_model
+from leq_lab import agent, datasets, envs, nn, world_model
+from leq_lab.rng import stream
 
 
 def grid_minimize_expectile(samples, weights, tau: float, fine_step: float = 1e-5) -> float:
@@ -366,3 +367,127 @@ def alloc_backward_cached(spec, params, cache, output_cotangent):
     if squeeze:
         ga = ga[0]
     return grad_flat, ga
+
+
+def scalar_move_axis(pos: np.ndarray, axis: int, delta: float, walls) -> float:
+    """`envs._move_axis` for one (2,) position, wall by wall."""
+    start = pos[axis]
+    target = start + delta
+    if delta == 0.0:
+        return start
+    other = 1 - axis
+    margin = envs._WALL_MARGIN
+    for (a, b) in walls:
+        if a[axis] != b[axis]:
+            continue
+        w = a[axis]
+        lo_o, hi_o = min(a[other], b[other]), max(a[other], b[other])
+        if not (lo_o - margin <= pos[other] <= hi_o + margin):
+            continue
+        if delta > 0.0 and start <= w + margin <= target + margin:
+            target = min(target, w - margin)
+        elif delta < 0.0 and target - margin <= w - margin <= start:
+            target = max(target, w + margin)
+    return target
+
+
+def scalar_maze_step(spec, state: np.ndarray, action: np.ndarray):
+    pos = state.copy()
+    delta = spec.step_size * action
+    pos[0] = scalar_move_axis(pos, 0, float(delta[0]), spec.walls)
+    pos[1] = scalar_move_axis(pos, 1, float(delta[1]), spec.walls)
+    margin = envs._WALL_MARGIN
+    (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
+    pos[0] = min(max(pos[0], lo_x + margin), hi_x - margin)
+    pos[1] = min(max(pos[1], lo_y + margin), hi_y - margin)
+    gx, gy = spec.goal
+    done = bool((pos[0] - gx) ** 2 + (pos[1] - gy) ** 2 <= spec.goal_radius**2)
+    return pos, 0.0 if done else -1.0, done
+
+
+def scalar_chain_step(spec, state: np.ndarray, action: np.ndarray):
+    v = float(np.clip(state[1] + 0.1 * action[0], -1.0, 1.0))
+    x = float(state[0] + 0.1 * v)
+    return np.array([x, v], dtype=np.float64), v, abs(x) > spec.chain_length
+
+
+def scalar_env_step(spec, state, action):
+    """One (S,) transition the way `envs.env_step` took it before it was batched."""
+    state = np.asarray(state, dtype=np.float64)
+    if not np.all(np.isfinite(state)):
+        raise envs.EnvError(f"non-finite state {state!r}")
+    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    if state.shape != (spec.obs_dim,) or action.shape != (spec.act_dim,):
+        raise envs.EnvError("state/action dimension mismatch")
+    if spec.env_id == "point_maze":
+        return scalar_maze_step(spec, state, action)
+    return scalar_chain_step(spec, state, action)
+
+
+def loop_evaluate_policy(policy, env_spec, n_episodes: int, seed: int) -> dict:
+    """`agent.evaluate_policy` one episode at a time, one row per policy call."""
+    total_return = 0.0
+    successes = 0
+    lengths = 0
+    for ep in range(n_episodes):
+        s = envs.reset_state(env_spec, stream(seed, "eval.episode", ep))
+        ep_ret, done = 0.0, False
+        for _ in range(env_spec.horizon):
+            a = np.asarray(policy(s), dtype=np.float64).reshape(-1)
+            s, r, done = scalar_env_step(env_spec, s, a)
+            ep_ret += r
+            lengths += 1
+            if done:
+                break
+        total_return += ep_ret
+        successes += int(envs.is_success(env_spec, s, done))
+    return {
+        "mean_return": total_return / n_episodes,
+        "success_rate": successes / n_episodes,
+        "mean_length": lengths / n_episodes,
+    }
+
+
+def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, horizon=None):
+    """`datasets.collect_dataset` one trajectory at a time."""
+    horizon = spec.horizon if horizon is None else int(horizon)
+    trajectories = []
+    for i in range(n_trajectories):
+        traj_rng = stream(seed, f"collect.{spec.name}.{collector}", i)
+        mode = collector if collector != "mixed" else ("medium" if i % 2 == 0 else "random")
+        state = envs.reset_state(spec, traj_rng)
+        states, actions, rewards = [state], [], []
+        wp_idx = 0
+        ends_terminal = False
+        for _ in range(horizon):
+            action, wp_idx = datasets._collector_action(
+                mode, spec, state, wp_idx, traj_rng, noisy=(mode == "medium")
+            )
+            state, reward, done = scalar_env_step(spec, state, action)
+            states.append(state)
+            actions.append(np.asarray(action, dtype=np.float64))
+            rewards.append(reward)
+            if done:
+                ends_terminal = True
+                break
+        trajectories.append(
+            datasets.Trajectory(
+                states=np.asarray(states, dtype=np.float64),
+                actions=np.asarray(actions, dtype=np.float64),
+                rewards=np.asarray(rewards, dtype=np.float64),
+                ends_terminal=ends_terminal,
+            )
+        )
+    n_success = sum(envs.is_success(spec, t.states[-1], t.ends_terminal) for t in trajectories)
+    return datasets.OfflineDataset(
+        trajectories=tuple(trajectories),
+        obs_dim=spec.obs_dim,
+        act_dim=spec.act_dim,
+        metadata={
+            "env": spec.name,
+            "collector": collector,
+            "seed": int(seed),
+            "n_trajectories": n_trajectories,
+            "success_rate": n_success / n_trajectories,
+        },
+    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leq_lab import agent, envs, nn, returns
+from leq_lab import agent, datasets, envs, nn, returns
 from leq_lab import world_model as wm
 from leq_lab.expectile import expectile_weight
 
@@ -331,3 +331,25 @@ def test_buffer_insert_matches_row_by_row_loop(capacity, sizes):
 def test_buffer_sample_needs_rows():
     with pytest.raises(agent.AgentError):
         agent.ModelStateBuffer.create(4, 2).sample(1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bc_steps", [0, 40, 80])
+@pytest.mark.parametrize("env", envs.ENV_NAMES)
+def test_lockstep_evaluation_matches_one_episode_at_a_time(env, bc_steps):
+    # BC at these step counts mixes early successes with full-horizon failures
+    spec = envs.make_env_spec(env)
+    data = datasets.collect_dataset(spec, "medium", 10, seed=0)
+    state = agent.build_agent(agent.AgentConfig(hidden_actor=(32, 32)), spec, 0)
+    params, _ = agent.pretrain_bc(data, state.policy_spec, state.policy_params, bc_steps, 0, 3e-3)
+    policy = agent.MlpPolicy(state.policy_spec, params)
+    lockstep = agent.evaluate_policy(policy, spec, 12, seed=1)
+    alone = _oracles.loop_evaluate_policy(policy, spec, 12, seed=1)
+    if spec.env_id == "point_maze":
+        assert lockstep == alone
+    else:
+        # the chain's reward is the velocity, so a last-bit difference between a
+        # 12-row and a 1-row policy forward reaches the return
+        assert lockstep["mean_return"] == pytest.approx(alone["mean_return"], rel=1e-12, abs=0)
+        assert lockstep["success_rate"] == alone["success_rate"]
+        assert lockstep["mean_length"] == alone["mean_length"]
+    assert all(type(v) is float for v in lockstep.values())

@@ -1,8 +1,11 @@
 """The training pipeline's promises: exact resume, config checks, divergence snapshots,
-and the same files with or without glibc's mallopt."""
+the same files with or without glibc's mallopt or the phase timers, and ablation tables."""
 
+import contextlib
+import csv
 import ctypes
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,3 +165,50 @@ def test_training_without_mallopt_writes_the_same_files(cdll, tmp_path, monkeypa
 def test_bad_run_config_is_rejected(change, tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config({"seed": 0, "env": "dense_chain", "dataset": "d.leqd", **change})
+
+
+def test_fmt_writes_numpy_floats_as_plain_decimals():
+    assert cli._fmt(np.float64(0.1)) == "0.1"
+    assert cli._fmt(np.float64(-104.8)) == "-104.8"
+    assert cli._fmt(0.1) == "0.1" and cli._fmt(7) == "7" and cli._fmt("ok") == "ok"
+
+
+def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10}, eval_episodes=3)
+    report = cli.run_training(parse_run_config(raw), str(tmp_path / "timed"))
+    monkeypatch.setattr(cli._PhaseClock, "phase", lambda self, name: contextlib.nullcontext())
+    untimed = cli.run_training(parse_run_config(raw), str(tmp_path / "untimed"))
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
+        assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "untimed" / name).read_bytes()
+    timing = report["timing_s"]
+    assert set(timing) == set(cli._PhaseClock.PHASES)
+    assert all(seconds >= 0.0 for seconds in timing.values()) and timing["train_step"] > 0.0
+    assert sum(timing.values()) <= report["elapsed_s"] + 0.01
+    assert set(untimed["timing_s"].values()) == {0.0}
+    with open(tmp_path / "timed" / "eval.csv", encoding="utf-8", newline="") as fh:
+        lengths = [float(row["mean_length"]) for row in csv.DictReader(fh)]
+    assert len(lengths) == 3
+    assert report["eval_env_steps"] == untimed["eval_env_steps"] == round(sum(lengths) * 3)
+
+
+def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):
+    base = _run_config(
+        tmp_path, agent_overrides={"n_iter": 4}, eval_interval=4, log_interval=2,
+        checkpoint_interval=4,
+    )
+    matrix = {"base": base, "cells": [{"name": "tau_low", "agent": {"tau": 0.1}}], "seeds": [0, 1]}
+    config = tmp_path / "matrix.json"
+    config.write_text(json.dumps(matrix))
+    out = tmp_path / "ablate"
+    assert cli.main(["ablate", str(config), "--out-dir", str(out)]) == 0
+    with open(out / "ablation.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row["cell"], row["status"], row["tau"]) == ("tau_low", "ok", "0.1")
+    assert row["n_seeds"] == row["n_completed"] == "2"
+    for key in ("mean_success", "std_success", "mean_return", "std_return"):
+        assert math.isfinite(float(row[key])), key
+    for seed in (0, 1):
+        report = json.loads((out / "tau_low" / f"seed{seed}" / "report.json").read_text())
+        assert report["seed"] == seed and report["steps"] == 4

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leq_lab import datasets, envs
 from leq_lab.datasets import (
@@ -113,6 +115,97 @@ class TestEnvStep:
             env_step(spec, np.zeros(3), np.zeros(2))
         with pytest.raises(EnvError, match="dimension"):
             env_step(spec, np.zeros(2), np.zeros(1))
+        with pytest.raises(EnvError, match="non-finite"):
+            env_step(spec, np.array([[1.0, 1.0], [np.inf, 1.0]]), np.zeros((2, 2)))
+        for states, actions in (
+            (np.zeros((3, 2)), np.zeros((2, 2))),
+            (np.zeros((3, 2)), np.zeros((3, 1))),
+            (np.zeros((3, 3)), np.zeros((3, 2))),
+            (np.zeros(2), np.zeros((1, 2))),
+            (np.zeros((1, 2)), np.zeros(2)),
+            (np.zeros((1, 1, 2)), np.zeros((1, 1, 2))),
+        ):
+            with pytest.raises(EnvError, match="dimension"):
+                env_step(spec, states, actions)
+
+
+def _edge_coordinates(spec) -> list[float]:
+    """Coordinates where a maze step decides something: each wall line and
+    wall end, each exactly and one margin to either side, plus the bounds."""
+    m = envs._WALL_MARGIN
+    values = {0.0, -0.0}
+    for (a, b) in spec.walls:
+        for c in (*a, *b):
+            values.update((c, c - m, c + m))
+    for c in (*spec.bounds[0], *spec.bounds[1]):
+        values.update((c + m, c - m))
+    return sorted(values)
+
+
+@st.composite
+def env_batches(draw):
+    """(spec, states, actions, poisoned): rows on wall lines and ends, zero
+    and past-unit action components, B from 1; poisoned puts one NaN in."""
+    spec = make_env_spec(draw(st.sampled_from(envs.ENV_NAMES)))
+    B = draw(st.integers(1, 12))
+    if spec.env_id == "point_maze":
+        (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
+        edges = _edge_coordinates(spec)
+        coord = st.one_of(
+            st.sampled_from(edges), st.floats(min(lo_x, lo_y) - 0.5, max(hi_x, hi_y) + 0.5)
+        )
+        states = [[draw(coord), draw(coord)] for _ in range(B)]
+    else:
+        x = st.one_of(st.sampled_from([0.0, -0.0, 4.95, -4.95, 5.0, -5.0]), st.floats(-6, 6))
+        v = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.95]), st.floats(-1.5, 1.5))
+        states = [[draw(x), draw(v)] for _ in range(B)]
+    component = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5, -3.0, 1e-300]), st.floats(-2.0, 2.0)
+    )
+    actions = [[draw(component) for _ in range(spec.act_dim)] for _ in range(B)]
+    states, actions = np.array(states, dtype=np.float64), np.array(actions, dtype=np.float64)
+    poisoned = draw(st.integers(0, 9)) == 0
+    if poisoned:
+        states[draw(st.integers(0, B - 1)), draw(st.integers(0, 1))] = np.nan
+    return spec, states, actions, poisoned
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestBatchedStepAgainstScalarOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(env_batches())
+    def test_batched_step_equals_the_per_row_oracle(self, case):
+        spec, states, actions, poisoned = case
+        if poisoned:
+            with pytest.raises(EnvError, match="non-finite"):
+                env_step(spec, states, actions)
+            return
+        next_states, rewards, done = env_step(spec, states, actions)
+        B = states.shape[0]
+        assert next_states.shape == (B, spec.obs_dim)
+        assert rewards.shape == done.shape == (B,) and done.dtype == bool
+        for row in range(B):
+            want_s, want_r, want_done = _oracles.scalar_env_step(spec, states[row], actions[row])
+            assert _same_bits(next_states[row], want_s)
+            assert _same_bits(rewards[row], np.float64(want_r))
+            assert done[row] == want_done
+            one_s, one_r, one_done = env_step(spec, states[row], actions[row])
+            assert one_s.shape == (spec.obs_dim,) and _same_bits(one_s, want_s)
+            assert type(one_r) is float and _same_bits(np.float64(one_r), np.float64(want_r))
+            assert type(one_done) is bool and one_done == want_done
+
+    def test_moving_onto_a_wall_line_from_a_margin_away(self):
+        # a start exactly one margin below the dividing wall y = 2 cannot cross it
+        spec = maze()
+        m = envs._WALL_MARGIN
+        states = np.array([[1.0, 2.0 - m], [1.0, 2.0 + m], [3.0, 2.0 - m]])
+        actions = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
+        next_states, _, _ = env_step(spec, states, actions)
+        assert next_states[0, 1] == 2.0 - m and next_states[1, 1] == 2.0 + m
+        assert next_states[2, 1] == 2.0 - m + spec.step_size  # past the wall's end
 
 
 class TestTermination:
@@ -240,6 +333,15 @@ class TestCollect:
         ds = collect_dataset(maze(), "random", 4, seed=0, horizon=5)
         assert all(len(t) <= 5 for t in ds.trajectories)
 
+    @pytest.mark.parametrize("collector", datasets.COLLECTORS)
+    @pytest.mark.parametrize("env", envs.ENV_NAMES)
+    def test_lockstep_bytes_equal_one_trajectory_at_a_time(self, env, collector, tmp_path):
+        spec = make_env_spec(env)
+        lockstep, alone = tmp_path / "lockstep.leqd", tmp_path / "alone.leqd"
+        save_dataset(collect_dataset(spec, collector, 9, seed=4), lockstep)
+        save_dataset(_oracles.loop_collect_dataset(spec, collector, 9, seed=4), alone)
+        assert lockstep.read_bytes() == alone.read_bytes()
+
     def test_bad_arguments(self):
         with pytest.raises(DatasetError, match="unknown collector"):
             collect_dataset(maze(), "adversarial", 1, seed=0)
@@ -290,10 +392,11 @@ class TestTrajectoryValidation:
     def test_return_and_transitions(self):
         t = make_traj([1.0, 2.0, 4.0], terminal=True)
         assert t.ret == 7.0 and len(t) == 3
-        trans = list(t.transitions())
-        assert [tr.terminal for tr in trans] == [False, False, True]
-        assert np.array_equal(trans[1].next_state, t.states[2])
-        assert trans[2].reward == 4.0
+        ds = OfflineDataset(trajectories=(t,), obs_dim=2, act_dim=1)
+        _, _, rewards, next_states, terminals = ds.flat_arrays()
+        assert terminals.tolist() == [False, False, True]
+        assert np.array_equal(next_states[1], t.states[2])
+        assert rewards[2] == 4.0
 
 
 class TestOfflineDataset:
