@@ -254,10 +254,6 @@ class AgentState:
     def critic(self) -> MlpCritic:
         return MlpCritic(self.critic_spec, self.critic_params)
 
-    @property
-    def critic_shadow(self) -> MlpCritic:
-        return MlpCritic(self.critic_spec, self.critic_ema.shadow)
-
 
 def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> AgentState:
     p_spec = policy_spec_for(env_spec.obs_dim, env_spec.act_dim, config.hidden_actor)
@@ -541,7 +537,7 @@ def _policy_pathwise(
 
     # all critic input gradients at once: cotangent c_q[b, k] on row k*B + b
     _, g_in = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, ce.cache, c_q.T.reshape(-1, 1)
+        plan.critic_spec, plan.critic_params, ce.cache, c_q.T.reshape(-1, 1), input_only=True
     )
     g_s_crit = g_in[:, :S].reshape(H + 1, B, S)
     # ... and their action components through tanh(policy), also at once
@@ -606,7 +602,9 @@ def _policy_q_value(plan, states):
     q, c_cache = _critic_forward(plan.critic_spec, plan.critic_params, states, acts)
     loss = -float(q.mean())
     cot = np.full((q.size, 1), -1.0 / q.size)
-    _, g_in = nn.backward_cached(plan.critic_spec, plan.critic_params, c_cache, cot)
+    _, g_in = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, c_cache, cot, input_only=True
+    )
     g_action = g_in[:, states.shape[1] :]
     g_pre = g_action * (1.0 - acts * acts)
     grad, _ = nn.backward_cached(plan.policy_spec, plan.policy_params, p_cache, g_pre)

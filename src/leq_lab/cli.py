@@ -82,10 +82,6 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(col, "")) for col in columns])
 
 
-def _append_csv(fh, row: dict, columns: list[str]) -> None:
-    csv.writer(fh).writerow([_fmt(row.get(col, "")) for col in columns])
-
-
 def _read_csv(path) -> tuple[list[dict], list[str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)

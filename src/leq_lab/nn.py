@@ -10,7 +10,10 @@ backward_cached() sweeps a forward_cached() cache and returns gradients
 with respect to BOTH parameters and inputs; input gradients are what lets
 imagination rollouts backpropagate through critics, world-model members
 and the policy. Keeping the forward and backward apart lets one stacked
-forward serve several backward passes.
+forward serve several backward passes. A caller that needs only the input
+gradient (the pathwise actor's critic sweeps) passes input_only=True,
+which skips the parameter gradient's matmuls and sums and leaves the input
+gradient's bits as they are.
 
 forward_cached() keeps, per hidden layer, (a_in, norm, inv_std, out): the
 layer input, the layer-norm output and its row-wise 1/std (None without
@@ -19,16 +22,21 @@ from the outputs alone (relu: out > 0, tanh: 1 - out^2, elu: min(out, 0)
 + 1), which equal the pre-activation forms bit for bit, so the
 pre-activation is never stored or recomputed.
 
-The kernels work in place: a hidden layer holds at most three full-size
-arrays in either direction. Forward, h = a @ W + b is centred and scaled
-into the cached norm, one scratch array takes the squares and then the
-affine output, and the activation consumes it. Backward, the activation
-derivative takes the cotangent and then the layer-norm backward in place,
-with one scratch array, and the weight gradients go straight into the flat
-gradient. Every in-place step keeps the operand order of the plain
-expression, so the bits (NaN signs included) are those of the allocating
-form. The kernels never write into their inputs, cotangents or caches:
-one cache can serve several backward passes.
+The kernels work in place, and a hidden layer still holds at most three
+full-size arrays in either direction, input_only sweeps included. Forward,
+h = a @ W + b is centred and scaled into the cached norm, one scratch array
+takes the squares and then the affine output, and the activation consumes
+it. ELU takes three passes, max(z, expm1(min(z, 0))), and its one
+temporary is the third array. Layer-norm row means are
+np.add.reduce(..., axis=1) / width: the bits of .mean(axis=1) without its
+call overhead. Backward, the activation derivative takes the cotangent and
+then the layer-norm backward in place, with one scratch array, and the
+weight gradients go straight into the flat gradient. Every in-place step
+keeps the operand order of the plain expression, so the bits (NaN signs
+included) are those of the allocating form; the one exception is that ELU
+passes a signaling NaN through unquieted. The kernels never write into
+their inputs, cotangents or caches: one cache can serve several backward
+passes.
 
 Everything is float64: identical params and inputs give bit-identical
 outputs.
@@ -146,15 +154,20 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """Activation of z, which it consumes: z may be overwritten or returned."""
+    """Activation of z, which it consumes: z may be overwritten or returned.
+
+    ELU returns a NaN input as it came, so a signaling NaN passes through
+    without being quieted, unlike the four-pass expm1(min(z, 0)) + max(z, 0);
+    no arithmetic produces a signaling NaN, and every other bit is the same.
+    """
     if kind == "relu":
         return np.maximum(z, 0.0, out=z)
     if kind == "tanh":
         return np.tanh(z, out=z)
-    # elu; expm1 sees only the clamped-to-zero half, skipping its slow path
-    out = np.maximum(z, 0.0)
-    np.minimum(z, 0.0, out=z)
-    return np.add(np.expm1(z, out=z), out, out=out)
+    # elu as max(z, expm1(min(z, 0))): expm1 sees only the clamped-to-zero
+    # half, skipping its slow path, and the max picks z wherever z > 0
+    neg = np.minimum(z, 0.0)
+    return np.maximum(z, np.expm1(neg, out=neg), out=z)
 
 
 def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
@@ -168,6 +181,13 @@ def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
     g = np.minimum(a, 0.0)
     g += 1.0
     return g
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True), bit for bit, without mean's call overhead."""
+    m = np.add.reduce(a, axis=1, keepdims=True)
+    m /= a.shape[1]
+    return m
 
 
 def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
@@ -189,9 +209,9 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
         h += views[f"b{i}"]
         if spec.use_layernorm:
             # h becomes the cached norm; z is one scratch array (squares first)
-            h -= h.mean(axis=1, keepdims=True)
+            h -= _row_mean(h)
             z = np.multiply(h, h)
-            inv_std = 1.0 / np.sqrt(z.mean(axis=1, keepdims=True) + _LN_EPS)
+            inv_std = 1.0 / np.sqrt(_row_mean(z) + _LN_EPS)
             h *= inv_std
             norm = h
             np.multiply(norm, views[f"ln_scale{i}"], out=z)
@@ -213,23 +233,31 @@ def forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def backward_cached(
-    spec: MlpSpec, params: np.ndarray, cache, output_cotangent: np.ndarray
+    spec: MlpSpec,
+    params: np.ndarray,
+    cache,
+    output_cotangent: np.ndarray,
+    *,
+    input_only: bool = False,
 ):
     """Reverse-mode sweep over a cached forward.
 
     Returns (param_grad, input_grad): gradients of <output, cotangent>
-    with respect to the flat parameter vector and the raw input.
+    with respect to the flat parameter vector and the raw input. With
+    input_only the parameter gradient is skipped and returned as None; the
+    input gradient has the same bits either way.
     """
     raw_in, x0, layers, last, squeeze = cache
     gy = np.asarray(output_cotangent, dtype=np.float64)
     if squeeze:
         gy = gy[None, :]
     views = param_views(spec, params)
-    grad_flat = np.zeros_like(params)
-    grads = param_views(spec, grad_flat)
-
-    np.matmul(last.T, gy, out=grads["w_out"])
-    grads["b_out"][...] = gy.sum(axis=0)
+    grad_flat = None
+    if not input_only:
+        grad_flat = np.zeros_like(params)
+        grads = param_views(spec, grad_flat)
+        np.matmul(last.T, gy, out=grads["w_out"])
+        grads["b_out"][...] = gy.sum(axis=0)
     ga = gy @ views["w_out"].T
 
     for i in reversed(range(len(spec.hidden_dims))):
@@ -238,20 +266,24 @@ def backward_cached(
         np.multiply(ga, gz, out=gz)
         if spec.use_layernorm:
             # gz turns into gn and then gh in place, with one scratch array
-            scratch = np.multiply(gz, norm)
-            grads[f"ln_scale{i}"][...] = scratch.sum(axis=0)
-            grads[f"ln_shift{i}"][...] = gz.sum(axis=0)
+            if input_only:
+                scratch = np.empty_like(gz)
+            else:
+                scratch = np.multiply(gz, norm)
+                grads[f"ln_scale{i}"][...] = scratch.sum(axis=0)
+                grads[f"ln_shift{i}"][...] = gz.sum(axis=0)
             gz *= views[f"ln_scale{i}"]
             # d/dh of (h - mean) * inv_std with row statistics:
             # gh = inv_std * (gn - mean(gn) - norm * mean(gn * norm))
-            gn_mean = gz.mean(axis=1, keepdims=True)
+            gn_mean = _row_mean(gz)
             np.multiply(gz, norm, out=scratch)
-            gn_norm_mean = scratch.mean(axis=1, keepdims=True)
+            gn_norm_mean = _row_mean(scratch)
             gz -= gn_mean
             gz -= np.multiply(norm, gn_norm_mean, out=scratch)
             np.multiply(inv_std, gz, out=gz)
-        np.matmul(a_in.T, gz, out=grads[f"w{i}"])
-        grads[f"b{i}"][...] = gz.sum(axis=0)
+        if not input_only:
+            np.matmul(a_in.T, gz, out=grads[f"w{i}"])
+            grads[f"b{i}"][...] = gz.sum(axis=0)
         ga = gz @ views[f"w{i}"].T
 
     if spec.use_symlog_input:

@@ -10,6 +10,15 @@ noise, recording both so a rollout can be replayed bit-identically and
 differentiated: with the (member, eps) tape frozen, sampled outputs are a
 deterministic smooth function of states and actions, and `step_backward`
 pushes cotangents on (next_state, reward) back to (state, action).
+
+A step runs in member-sorted, layer-major order: the rows are sorted by
+member once, each layer runs one matmul per member into that member's
+contiguous slice of one (B, width) array, and the per-row bias and the
+activation (or, going backward, its derivative) then go over the whole
+layer at once. Outputs are scattered back to row order once at the end.
+Each member's rows meet the same matmuls as they would alone, so the bits
+are those of one forward per member. A `StepCache` keeps the hidden
+activations in sorted order, with the permutation and the group bounds.
 """
 
 from __future__ import annotations
@@ -231,44 +240,57 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
 
 @dataclass
 class StepCache:
-    """Everything needed to push cotangents back through one sampled step."""
+    """Everything needed to push cotangents back through one sampled step.
 
-    x: np.ndarray  # (B, S+A) concatenated inputs
-    post: list  # per hidden layer: activation output (B, width)
-    member: np.ndarray  # (B,) absolute member indices
+    The hidden activations are kept in member-sorted order: sorted row i is
+    row order[i], and the sorted rows lo:hi of each (member, lo, hi) in
+    `groups` went through that member. The head arrays are in row order.
+    """
+
+    post: list  # per hidden layer: activation output (B, width), member-sorted
+    order: np.ndarray  # (B,) the row behind each sorted row
+    groups: list  # per distinct member, ascending: (member id, lo, hi)
     sigma: np.ndarray  # (B, S+1)
     eps: np.ndarray  # (B, S+1)
     interior: np.ndarray  # (B, S+1) log-std clamp interior mask
-    groups: list  # per distinct member: (member id, row index array)
 
 
-def _member_groups(member: np.ndarray) -> list:
-    """Rows grouped by member id so each group runs as one dense matmul."""
-    order = np.argsort(member, kind="stable")
-    ids = member[order]
-    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
-    return [
-        (int(member[chunk[0]]), chunk)
-        for chunk in np.split(order, cuts)
-    ]
+def _grouped_matmul(a: np.ndarray, w: np.ndarray, groups: list) -> np.ndarray:
+    """Member-sorted rows times their member's matrix, into one array: rows
+    lo:hi of the result are a[lo:hi] @ w[m] for each (m, lo, hi) in groups."""
+    out = np.empty((a.shape[0], w.shape[2]))
+    for m, lo, hi in groups:
+        np.matmul(a[lo:hi], w[m], out=out[lo:hi])
+    return out
 
 
 def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.ndarray):
-    """Forward each row through its own member; returns (out, post, groups)."""
+    """Forward each row through its own member; returns (out, post, order, groups).
+
+    Rows are sorted by member once. Each layer runs one matmul per member
+    into that member's contiguous slice of a (B, width) array, then adds the
+    per-row bias and applies the activation over the whole layer. `out` is
+    scattered back to row order once at the end; `post` stays sorted.
+    """
     stacks = ensemble._layer_stacks
     activation = ensemble.spec.activation
-    groups = _member_groups(member)
-    B = x.shape[0]
-    post = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
-    out = np.empty((B, stacks[-1][0].shape[2]))
-    for m, rows in groups:
-        a = x[rows]
-        for i, (w, b) in enumerate(stacks[:-1]):
-            a = nn._activate(a @ w[m] + b[m], activation)
-            post[i][rows] = a
-        w, b = stacks[-1]
-        out[rows] = a @ w[m] + b[m]
-    return out, post, groups
+    order = np.argsort(member, kind="stable")
+    ids = member[order]
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+    groups = [(int(ids[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    a = x[order]
+    post = []
+    for w, b in stacks[:-1]:
+        h = _grouped_matmul(a, w, groups)
+        h += b[ids]
+        a = nn._activate(h, activation)
+        post.append(a)
+    w, b = stacks[-1]
+    h = _grouped_matmul(a, w, groups)
+    h += b[ids]
+    out = np.empty_like(h)
+    out[order] = h
+    return out, post, order, groups
 
 
 def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
@@ -281,7 +303,7 @@ def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
     member = np.asarray(member, dtype=np.intp).reshape(-1)
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     x = np.concatenate([states, actions], axis=1)
-    out, post, groups = _gathered_forward(ensemble, member, x)
+    out, post, order, groups = _gathered_forward(ensemble, member, x)
     head_dim = ensemble.obs_dim + 1
     mu, log_std, interior = _split_heads(out, head_dim)
     sigma = np.exp(log_std)
@@ -289,7 +311,7 @@ def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
     next_states = states + sample[:, : ensemble.obs_dim]
     rewards = sample[:, ensemble.obs_dim]
     cache = StepCache(
-        x=x, post=post, member=member, sigma=sigma, eps=eps, interior=interior, groups=groups
+        post=post, order=order, groups=groups, sigma=sigma, eps=eps, interior=interior
     )
     return next_states, rewards, cache
 
@@ -298,23 +320,26 @@ def step_backward(ensemble: EnsembleWorldModel, cache: StepCache, g_next, g_rewa
     """Cotangents on (next_state, reward) -> cotangents on (state, action).
 
     The skip connection next = state + delta is included: the returned state
-    gradient already contains the identity term from g_next.
+    gradient already contains the identity term from g_next. The sweep runs
+    in the forward's member-sorted order, one matmul per member and layer,
+    with each activation derivative applied once over the whole layer.
     """
     g_next = np.atleast_2d(np.asarray(g_next, dtype=np.float64))
     g_reward = np.asarray(g_reward, dtype=np.float64).reshape(-1)
     g_sample = np.concatenate([g_next, g_reward[:, None]], axis=1)
     g_mu = g_sample
     g_log_std = g_sample * cache.eps * cache.sigma * cache.interior
-    g_out = np.concatenate([g_mu, g_log_std], axis=1)
+    g = np.concatenate([g_mu, g_log_std], axis=1)[cache.order]
     stacks = ensemble._layer_stacks
     activation = ensemble.spec.activation
-    g_in = np.empty_like(cache.x)
-    for m, rows in cache.groups:
-        g = g_out[rows] @ stacks[-1][0][m].T
-        for layer in range(len(cache.post) - 1, -1, -1):
-            act_grad = nn._activate_grad(cache.post[layer][rows], activation)
-            g = (g * act_grad) @ stacks[layer][0][m].T
-        g_in[rows] = g
+    # w.swapaxes(1, 2)[m] is the same transposed view as w[m].T
+    g = _grouped_matmul(g, stacks[-1][0].swapaxes(1, 2), cache.groups)
+    for layer in reversed(range(len(cache.post))):
+        gz = nn._activate_grad(cache.post[layer], activation)
+        np.multiply(g, gz, out=gz)
+        g = _grouped_matmul(gz, stacks[layer][0].swapaxes(1, 2), cache.groups)
+    g_in = np.empty_like(g)
+    g_in[cache.order] = g
     g_state = g_in[:, : ensemble.obs_dim] + g_next
     g_action = g_in[:, ensemble.obs_dim :]
     return g_state, g_action

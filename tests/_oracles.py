@@ -280,8 +280,18 @@ def container_file(magic: bytes, header: dict, arrays: dict) -> bytes:
     return container_bytes(magic, {**header, "layout": layout}, body)
 
 
+SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324]
+
+
+def assert_bits(got, want):
+    """Equal values with NaNs at the same places, then the sign of every zero."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def alloc_activate(h, kind: str):
-    """`nn._activate` as it was before it consumed its argument."""
+    """`nn._activate` as it was before it consumed its argument; its ELU is
+    the four-pass expm1(min(h, 0)) + max(h, 0)."""
     if kind == "relu":
         return np.maximum(h, 0.0)
     if kind == "tanh":
@@ -367,6 +377,73 @@ def alloc_backward_cached(spec, params, cache, output_cotangent):
     if squeeze:
         ga = ga[0]
     return grad_flat, ga
+
+
+def member_groups(member: np.ndarray) -> list:
+    """Rows grouped by member id, as (member id, row index array)."""
+    order = np.argsort(member, kind="stable")
+    ids = member[order]
+    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    return [(int(member[chunk[0]]), chunk) for chunk in np.split(order, cuts)]
+
+
+def group_step_with_tape(ensemble, states, actions, member, eps):
+    """`world_model.step_with_tape` one member group at a time, every layer of
+    a group before the next group, with `post` kept in row order.
+
+    Returns (next_states, rewards, tape), where tape holds what
+    `group_step_backward` needs.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
+    member = np.asarray(member, dtype=np.intp).reshape(-1)
+    eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
+    x = np.concatenate([states, actions], axis=1)
+    stacks = ensemble._layer_stacks
+    activation = ensemble.spec.activation
+    groups = member_groups(member)
+    B = x.shape[0]
+    post = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
+    out = np.empty((B, stacks[-1][0].shape[2]))
+    for m, rows in groups:
+        a = x[rows]
+        for i, (w, b) in enumerate(stacks[:-1]):
+            a = alloc_activate(a @ w[m] + b[m], activation)
+            post[i][rows] = a
+        w, b = stacks[-1]
+        out[rows] = a @ w[m] + b[m]
+    head_dim = ensemble.obs_dim + 1
+    mu, log_std, interior = world_model._split_heads(out, head_dim)
+    sigma = np.exp(log_std)
+    sample = mu + sigma * eps
+    next_states = states + sample[:, : ensemble.obs_dim]
+    rewards = sample[:, ensemble.obs_dim]
+    tape = {
+        "x": x, "post": post, "groups": groups, "sigma": sigma, "eps": eps, "interior": interior
+    }
+    return next_states, rewards, tape
+
+
+def group_step_backward(ensemble, tape, g_next, g_reward):
+    """`world_model.step_backward` one member group at a time over a
+    `group_step_with_tape` tape."""
+    g_next = np.atleast_2d(np.asarray(g_next, dtype=np.float64))
+    g_reward = np.asarray(g_reward, dtype=np.float64).reshape(-1)
+    g_sample = np.concatenate([g_next, g_reward[:, None]], axis=1)
+    g_log_std = g_sample * tape["eps"] * tape["sigma"] * tape["interior"]
+    g_out = np.concatenate([g_sample, g_log_std], axis=1)
+    stacks = ensemble._layer_stacks
+    activation = ensemble.spec.activation
+    g_in = np.empty_like(tape["x"])
+    for m, rows in tape["groups"]:
+        g = g_out[rows] @ stacks[-1][0][m].T
+        for layer in range(len(tape["post"]) - 1, -1, -1):
+            act_grad = alloc_activate_grad(tape["post"][layer][rows], activation)
+            g = (g * act_grad) @ stacks[layer][0][m].T
+        g_in[rows] = g
+    g_state = g_in[:, : ensemble.obs_dim] + g_next
+    g_action = g_in[:, ensemble.obs_dim :]
+    return g_state, g_action
 
 
 def scalar_move_axis(pos: np.ndarray, axis: int, delta: float, walls) -> float:

@@ -216,9 +216,6 @@ class TestBackward:
             worst = _oracles.worst_fd_rel_error(obj, gx, x, rng, n_coords=3)
             assert worst < 1e-3
 
-_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324]
-
-
 @st.composite
 def mlp_cases(draw):
     """A spec, params, an input (1-D or an odd number of rows up to 703) and
@@ -240,19 +237,14 @@ def mlp_cases(draw):
     for arr in (x, cot):
         flat = arr.reshape(-1)
         for _ in range(draw(st.integers(0, 3))):
-            flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from(_SPECIALS))
+            at = draw(st.integers(0, flat.size - 1))
+            flat[at] = draw(st.sampled_from(_oracles.SPECIAL_VALUES))
     return spec, params, x, cot
 
 
 def _cache_arrays(cache):
     raw_in, x0, layers, last, _ = cache
     return [raw_in, x0, last] + [arr for layer in layers for arr in layer if arr is not None]
-
-
-def _assert_bits(got, want):
-    # values with NaNs at the same places, then the sign of every zero
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestInPlaceKernels:
@@ -266,20 +258,35 @@ class TestInPlaceKernels:
         y, cache = nn.forward_cached(spec, params, x)
         assert [params.tobytes(), x.tobytes()] == before
         y_ref, cache_ref = _oracles.alloc_forward_cached(spec, params, x)
-        _assert_bits(y, y_ref)
+        _oracles.assert_bits(y, y_ref)
         assert cache[-1] == cache_ref[-1]
         got_arrays, want_arrays = _cache_arrays(cache), _cache_arrays(cache_ref)
         assert len(got_arrays) == len(want_arrays)
         for got, want in zip(got_arrays, want_arrays):
-            _assert_bits(got, want)
+            _oracles.assert_bits(got, want)
 
         frozen = [arr.tobytes() for arr in got_arrays] + [params.tobytes(), cot.tobytes()]
         want = _oracles.alloc_backward_cached(spec, params, cache_ref, cot)
         for _ in range(2):  # a second sweep over the same cache, as the pathwise actor runs
             got = nn.backward_cached(spec, params, cache, cot)
             assert [arr.tobytes() for arr in got_arrays] + [params.tobytes(), cot.tobytes()] == frozen
-            _assert_bits(got[0], want[0])
-            _assert_bits(got[1], want[1])
+            _oracles.assert_bits(got[0], want[0])
+            _oracles.assert_bits(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mlp_cases())
+    def test_input_only_sweep_is_the_full_input_grad(self, case):
+        spec, params, x, cot = case
+        _, cache = nn.forward_cached(spec, params, x)
+        cache_arrays = _cache_arrays(cache)
+        written = cache_arrays + [params, cot]
+        frozen = [arr.tobytes() for arr in written]
+        _, want = nn.backward_cached(spec, params, cache, cot)
+        for _ in range(2):
+            grad, got = nn.backward_cached(spec, params, cache, cot, input_only=True)
+            assert grad is None
+            assert [arr.tobytes() for arr in written] == frozen
+            _oracles.assert_bits(got, want)
 
 
 class TestAdam:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leq_lab import nn
 from leq_lab import world_model as wm
@@ -71,3 +73,134 @@ def test_step_backward_matches_central_differences(activation):
     x0 = np.concatenate([states, actions], axis=1).reshape(-1)
     grad = np.concatenate([g_state, g_action], axis=1).reshape(-1)
     assert _oracles.worst_fd_rel_error(objective, grad, x0, rng, n_coords=40) < 1e-5
+
+
+def _random_ensemble(rng, activation, n_members, hidden, obs, act, scale):
+    """Members with every weight and bias drawn, so log-stds hit both clamps."""
+    config = wm.WorldModelConfig(
+        n_members=n_members, n_elites=n_members, hidden_dims=hidden, activation=activation
+    )
+    spec = wm.member_spec(obs, act, config)
+    params = rng.normal(0.0, scale, (n_members, nn.n_params(spec)))
+    return wm.EnsembleWorldModel(
+        obs_dim=obs,
+        act_dim=act,
+        spec=spec,
+        member_params=params,
+        val_nll=np.zeros(n_members),
+        elite_idx=tuple(range(n_members)),
+        config=config,
+    )
+
+
+def check_step_against_group_oracle(ensemble, states, actions, member, eps, g_next, g_reward):
+    """step_with_tape and step_backward give the per-group oracle's bits and
+    write none of their inputs, tapes, caches or cotangents."""
+    inputs = (states, actions, member, eps)
+    before = [arr.tobytes() for arr in inputs]
+    nxt, rew, cache = wm.step_with_tape(ensemble, states, actions, member, eps)
+    assert [arr.tobytes() for arr in inputs] == before
+    want_nxt, want_rew, tape = _oracles.group_step_with_tape(
+        ensemble, states, actions, member, eps
+    )
+    _oracles.assert_bits(nxt, want_nxt)
+    _oracles.assert_bits(rew, want_rew)
+
+    cache_arrays = [*cache.post, cache.order, cache.sigma, cache.eps, cache.interior]
+    frozen = [arr.tobytes() for arr in cache_arrays + [g_next, g_reward, *inputs]]
+    want_s, want_a = _oracles.group_step_backward(ensemble, tape, g_next, g_reward)
+    for _ in range(2):  # a second sweep over the same cache
+        g_s, g_a = wm.step_backward(ensemble, cache, g_next, g_reward)
+        assert [arr.tobytes() for arr in cache_arrays + [g_next, g_reward, *inputs]] == frozen
+        _oracles.assert_bits(g_s, want_s)
+        _oracles.assert_bits(g_a, want_a)
+
+
+def _plant(draw, arrays):
+    for arr in arrays:
+        flat = arr.reshape(-1)
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, flat.size - 1))
+            flat[at] = draw(st.sampled_from(_oracles.SPECIAL_VALUES))
+
+
+@st.composite
+def step_cases(draw):
+    """An ensemble, a (member, eps) tape over a batch drawn from a subset of
+    the members, inputs and cotangents, with a few special values planted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_members = draw(st.integers(1, 5))
+    obs, act = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    ensemble = _random_ensemble(
+        rng,
+        draw(st.sampled_from(["elu", "relu", "tanh"])),
+        n_members,
+        tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=3))),
+        obs,
+        act,
+        draw(st.sampled_from([0.3, 1.0, 3.0])),
+    )
+    present = draw(
+        st.lists(st.integers(0, n_members - 1), min_size=1, max_size=n_members, unique=True)
+    )
+    batch = draw(st.integers(1, 80))
+    member = np.asarray(draw(st.lists(st.sampled_from(present), min_size=batch, max_size=batch)))
+    states = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), (batch, obs))
+    actions = rng.uniform(-1.0, 1.0, (batch, act))
+    eps = rng.normal(size=(batch, obs + 1))
+    g_next, g_reward = rng.normal(size=(batch, obs)), rng.normal(size=batch)
+    if draw(st.booleans()):
+        _plant(draw, (states, actions, eps, g_next, g_reward))
+    return ensemble, states, actions, member, eps, g_next, g_reward
+
+
+class TestMemberSortedStep:
+    """The member-sorted, layer-major step against the per-group form in _oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_bit_identical_and_never_write_their_inputs(self, case):
+        check_step_against_group_oracle(*case)
+
+    @pytest.mark.parametrize("activation", ["elu", "relu", "tanh"])
+    @pytest.mark.parametrize(
+        "member",
+        [
+            [3],  # B = 1
+            [2, 2, 2, 2, 2, 2],  # one member, and elites 0, 1, 3 missing
+            [3, 0, 2, 1],  # singleton groups only
+            [1, 3, 1, 0, 3, 3, 1],  # singleton group 0 among larger ones, elite 2 missing
+        ],
+    )
+    def test_edge_batches(self, activation, member):
+        rng = np.random.default_rng(len(member))
+        ensemble = _random_ensemble(rng, activation, 4, (16, 16), OBS, ACT, 1.0)
+        batch = len(member)
+        check_step_against_group_oracle(
+            ensemble,
+            rng.normal(size=(batch, OBS)),
+            rng.uniform(-1.0, 1.0, (batch, ACT)),
+            np.asarray(member),
+            rng.normal(size=(batch, OBS + 1)),
+            rng.normal(size=(batch, OBS)),
+            rng.normal(size=batch),
+        )
+
+    def test_cache_keeps_member_sorted_rows_bounds_and_member_bits(self):
+        ensemble = tiny_ensemble()
+        states, actions, member = _inputs(np.random.default_rng(2))
+        _, _, cache = wm.step_with_tape(
+            ensemble, states, actions, member, np.zeros((member.size, OBS + 1))
+        )
+        np.testing.assert_array_equal(cache.order, np.argsort(member, kind="stable"))
+        assert [m for m, _, _ in cache.groups] == sorted(set(member.tolist()))
+        los = [lo for _, lo, _ in cache.groups]
+        his = [hi for _, _, hi in cache.groups]
+        assert los == [0] + his[:-1] and his[-1] == member.size
+        x = np.concatenate([states, actions], axis=1)
+        for m, lo, hi in cache.groups:
+            rows = cache.order[lo:hi]
+            assert (member[rows] == m).all()
+            _, member_cache = nn.forward_cached(ensemble.spec, ensemble.member_params[m], x[rows])
+            for post, (_, _, _, out) in zip(cache.post, member_cache[2]):
+                np.testing.assert_array_equal(post[lo:hi], out)
