@@ -126,6 +126,8 @@ class AgentConfig:
             raise ValueError("learning rates must be positive")
         if min(self.batch_env, self.batch_model, self.t_expand, self.n_expand, self.n_iter) <= 0:
             raise ValueError("batch sizes and schedule counters must be positive")
+        if min(self.bc_steps, self.fqe_steps) < 0:
+            raise ValueError("bc_steps and fqe_steps must be nonnegative")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
         if self.conservatism not in CONSERVATISM_MODES:
@@ -662,6 +664,19 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
     return params, mse
 
 
+def _fill_in_blocks(out: np.ndarray, size: int, rows_fn) -> np.ndarray:
+    """out[i] = rows_fn(rows)[j] for every row i = rows[j], `size` rows a call.
+
+    Every call gets exactly `size` rows: the last block wraps around to
+    row 0 (`np.arange(lo, lo + size) % n`), and only its rows not already
+    filled are kept.
+    """
+    n = out.shape[0]
+    for lo in range(0, n, size):
+        out[lo : lo + size] = rows_fn(np.arange(lo, lo + size) % n)[: n - lo]
+    return out
+
+
 def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float, batch: int = 256, target_every: int = 250):
     """Fitted Q evaluation of a frozen policy on the offline dataset.
 
@@ -670,28 +685,56 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     (approximate value iteration). Bootstrapping from the live parameters
     instead is unstable here: at gamma near 1 the moving targets chase the
     regression downhill and the values drift far past the true ones.
+
+    Neither the policy nor the snapshot changes within a stretch, so they
+    are evaluated once per dataset row, into two tables: the next actions
+    pi(s') once before the first step, and the targets
+    y = r + gamma * (1 - done) * Q_snapshot(s', pi(s')) at the start of
+    each stretch. The snapshot is the live critic at that moment, so it is
+    never copied, and a snapshot due after the last step is never taken.
+    A step gathers y at its sampled rows and trains the live critic on them.
+
+    The tables hold the bits that per-step batches would give because every
+    forward that fills them takes exactly min(batch, N) rows, a step's batch
+    size. BLAS chooses its kernel by the row count, so one whole-dataset
+    forward, or a short last block, rounds some rows differently; the last
+    block wraps around to the first rows instead. This also needs every row
+    of a call to round alike wherever it sits, which holds when the row
+    count is a multiple of the kernel's row unroll, as 256 is. Below one
+    batch, at a ragged count such as 11 rows, the last rows of a call round
+    apart, and the tables can differ from per-step batches in the last bits.
     """
+    loss = float("nan")
+    if steps <= 0:
+        return params, loss
     states, actions, rewards, next_states, terminals = dataset.flat_arrays()
     terminals = terminals.astype(np.float64)
     rng = stream(seed, "pretrain.fqe")
     adam = nn.init_adam(params.size, lr)
-    target = params.copy()
-    loss = float("nan")
+    size = min(batch, states.shape[0])
+    next_a = _fill_in_blocks(
+        np.empty_like(actions), size, lambda rows: np.atleast_2d(policy(next_states[rows]))
+    )
+
+    def targets(rows):
+        # params is the live critic when the stretch starts: its snapshot
+        x = np.concatenate([next_states[rows], next_a[rows]], axis=1)
+        next_q = nn.forward(spec, params, x)[:, 0]
+        return rewards[rows] + gamma * (1.0 - terminals[rows]) * next_q
+
+    y = np.empty_like(rewards)
     for step_i in range(steps):
-        idx = rng.integers(0, states.shape[0], size=min(batch, states.shape[0]))
-        next_a = np.atleast_2d(policy(next_states[idx]))
-        next_q = nn.forward(spec, target, np.concatenate([next_states[idx], next_a], axis=1))[:, 0]
-        y = rewards[idx] + gamma * (1.0 - terminals[idx]) * next_q
+        if step_i % target_every == 0:
+            _fill_in_blocks(y, size, targets)
+        idx = rng.integers(0, states.shape[0], size=size)
         q, cache = _critic_forward(spec, params, states[idx], actions[idx])
-        diff = q - y
+        diff = q - y[idx]
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
             raise DivergenceError("FQE loss diverged", {"step": step_i})
         cot = (2.0 * diff / diff.size)[:, None]
         grad, _ = nn.backward_cached(spec, params, cache, cot)
         adam, params = nn.adam_step(adam, params, grad)
-        if (step_i + 1) % target_every == 0:
-            target = params.copy()
     return params, loss
 
 

@@ -127,34 +127,34 @@ def _needs_model(cfg: RunConfig) -> bool:
     return cfg.agent.beta > 0.0 or cfg.agent.policy_update in ("lambda_expectile", "awr")
 
 
-def _pretrain_agent(cfg: RunConfig, state, dataset) -> dict:
+def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock) -> dict:
     """BC then FQE, honoring the stage selection; returns summary scalars."""
     info: dict = {}
     if not state.config.pretrain:
         return info
     if "bc" in cfg.stages:
-        state.policy_params, bc_mse = agent_mod.pretrain_bc(
-            dataset,
-            state.policy_spec,
-            state.policy_params,
-            state.config.bc_steps,
-            cfg.seed,
-            state.config.lr_pretrain,
-        )
-        info["bc_mse"] = bc_mse
+        with clock.phase("bc"):
+            state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
+                dataset,
+                state.policy_spec,
+                state.policy_params,
+                state.config.bc_steps,
+                cfg.seed,
+                state.config.lr_pretrain,
+            )
     if "fqe" in cfg.stages:
-        state.critic_params, fqe_loss = agent_mod.pretrain_fqe(
-            dataset,
-            state.policy,
-            state.critic_spec,
-            state.critic_params,
-            state.config.fqe_steps,
-            state.config.gamma,
-            cfg.seed,
-            state.config.lr_pretrain,
-        )
+        with clock.phase("fqe"):
+            state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
+                dataset,
+                state.policy,
+                state.critic_spec,
+                state.critic_params,
+                state.config.fqe_steps,
+                state.config.gamma,
+                cfg.seed,
+                state.config.lr_pretrain,
+            )
         state.critic_ema = nn.init_ema(state.critic_params, state.config.ema_decay)
-        info["fqe_loss"] = fqe_loss
     return info
 
 
@@ -226,7 +226,7 @@ class _PhaseClock:
     stream and writes the same numbers as an untimed one.
     """
 
-    PHASES = ("world_model", "pretrain", "expand", "train_step", "eval", "checkpoint")
+    PHASES = ("world_model", "bc", "fqe", "expand", "train_step", "eval", "checkpoint")
 
     def __init__(self):
         self.seconds = dict.fromkeys(self.PHASES, 0.0)
@@ -288,8 +288,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         pretrain_info = state.extra.get("pretrain", {})
     else:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-        with clock.phase("pretrain"):
-            pretrain_info = _pretrain_agent(cfg, state, dataset)
+        pretrain_info = _pretrain_agent(cfg, state, dataset, clock)
         state.buffer.insert(arrays[0])
         with clock.phase("checkpoint"):
             agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
@@ -439,7 +438,7 @@ def cmd_pretrain(args) -> int:
         ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume=False)
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-    info = _pretrain_agent(cfg, state, dataset)
+    info = _pretrain_agent(cfg, state, dataset, _PhaseClock())
     state.buffer.insert(dataset.flat_arrays()[0])
     agent_mod.save_agent(
         os.path.join(out_dir, _CHECKPOINT), state, cfg.seed, {"pretrain": info}

@@ -77,6 +77,10 @@ class WorldModelConfig:
             raise ValueError("need 0 < n_elites <= n_members")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
+        if min(self.train_steps, self.batch_size, self.val_interval, self.max_val_rows) <= 0:
+            raise ValueError("train_steps, batch_size, val_interval and max_val_rows must be positive")
+        if self.lr <= 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 def member_spec(obs_dim: int, act_dim: int, config: WorldModelConfig) -> nn.MlpSpec:

@@ -202,6 +202,35 @@ def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c:
     return targets
 
 
+def loop_pretrain_fqe(dataset, policy, spec, params, steps: int, gamma: float, seed: int, lr: float,
+                      batch: int = 256, target_every: int = 250):
+    """`agent.pretrain_fqe` re-evaluating the policy and the target snapshot
+    on every step's sampled batch, as it did before its row tables."""
+    states, actions, rewards, next_states, terminals = dataset.flat_arrays()
+    terminals = terminals.astype(np.float64)
+    rng = stream(seed, "pretrain.fqe")
+    adam = nn.init_adam(params.size, lr)
+    target = params.copy()
+    loss = float("nan")
+    for step_i in range(steps):
+        idx = rng.integers(0, states.shape[0], size=min(batch, states.shape[0]))
+        next_a = np.atleast_2d(policy(next_states[idx]))
+        next_q = nn.forward(spec, target, np.concatenate([next_states[idx], next_a], axis=1))[:, 0]
+        y = rewards[idx] + gamma * (1.0 - terminals[idx]) * next_q
+        x = np.concatenate([states[idx], actions[idx]], axis=1)
+        q, cache = nn.forward_cached(spec, params, x)
+        diff = q[:, 0] - y
+        loss = float((diff * diff).mean())
+        if not np.isfinite(loss):
+            raise agent.DivergenceError("FQE loss diverged", {"step": step_i})
+        cot = (2.0 * diff / diff.size)[:, None]
+        grad, _ = nn.backward_cached(spec, params, cache, cot)
+        adam, params = nn.adam_step(adam, params, grad)
+        if (step_i + 1) % target_every == 0:
+            target = params.copy()
+    return params, loss
+
+
 def central_diff(fn, params, i: int, h: float) -> float:
     p = np.array(params, dtype=np.float64, copy=True)
     p[i] += h

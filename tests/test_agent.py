@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from leq_lab import agent, datasets, envs, nn, returns
 from leq_lab import world_model as wm
 from leq_lab.expectile import expectile_weight
+from leq_lab.rng import stream
 
 from . import _oracles
 from .test_world_model import ACT, OBS, tiny_ensemble
@@ -236,6 +237,97 @@ def test_mobile_targets_match_a_per_elite_loop():
     # the library's stacked forwards may differ from one-row ones in the last bits
     np.testing.assert_allclose(targets, want, rtol=1e-12, atol=1e-12)
     assert not targets[~valid].any()
+
+
+class _FlatDataset:
+    """A dataset reduced to `flat_arrays`, whose arrays refuse writes."""
+
+    def __init__(self, n: int, seed: int = 0):
+        rng = np.random.default_rng(seed)
+        self.arrays = (
+            rng.normal(size=(n, OBS)),
+            rng.uniform(-1.0, 1.0, size=(n, ACT)),
+            rng.normal(size=n),
+            rng.normal(size=(n, OBS)),
+            rng.random(n) < 0.3,
+        )
+        for array in self.arrays:
+            array.flags.writeable = False
+
+    def flat_arrays(self):
+        return self.arrays
+
+
+FQE_BATCH, FQE_STEPS = 32, 12
+
+
+def _fqe_args(plan, dataset, target_every, policy=None):
+    policy = policy or agent.MlpPolicy(plan.policy_spec, plan.policy_params)
+    return dataset, policy, plan.critic_spec, plan.critic_params.copy(), FQE_STEPS, 0.9, 3, 1e-2, FQE_BATCH, target_every
+
+
+# 16 rows fit in one batch, 64 are two whole blocks, 80 wrap the last block;
+# targets refresh at steps 4 and 8 (and after the last), at step 11, or never
+@pytest.mark.parametrize("target_every", [4, 11, 20])
+@pytest.mark.parametrize("n", [16, 64, 80])
+def test_fqe_matches_the_per_batch_loop_bit_for_bit(n, target_every, monkeypatch):
+    plan = make_plan(11)
+    dataset = _FlatDataset(n)
+    assert dataset.arrays[4].any()
+    want = _oracles.loop_pretrain_fqe(*_fqe_args(plan, dataset, target_every))
+
+    policy = agent.MlpPolicy(plan.policy_spec, plan.policy_params)
+    policy_rows, forward_rows = [], []
+
+    def policy_spy(states):
+        policy_rows.append(states.shape[0])
+        return policy(states)
+
+    forward_cached = nn.forward_cached
+
+    def forward_spy(spec, params, x):
+        forward_rows.append(x.shape[0])
+        return forward_cached(spec, params, x)
+
+    monkeypatch.setattr(nn, "forward_cached", forward_spy)
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, target_every, policy_spy))
+
+    _oracles.assert_bits(got[0], want[0])
+    _oracles.assert_bits(np.float64(got[1]), np.float64(want[1]))
+    size = min(FQE_BATCH, n)
+    blocks = -(-n // size)
+    stretches = -(-FQE_STEPS // target_every)
+    assert policy_rows == [size] * blocks
+    # the policy's own forwards, a target table per stretch, one live forward per step
+    assert forward_rows == [size] * (blocks * (1 + stretches) + FQE_STEPS)
+
+
+def test_fqe_on_a_ragged_batch_matches_the_loop_to_rounding():
+    # at 11 rows BLAS treats the last rows of a call apart from the others, so a
+    # row's value depends on where in the call it sits, and no table of 11-row
+    # blocks can put every row where every sampled batch has it
+    plan = make_plan(11)
+    dataset = _FlatDataset(11)
+    want = _oracles.loop_pretrain_fqe(*_fqe_args(plan, dataset, 4))
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-14)
+    assert got[1] == pytest.approx(want[1], rel=1e-10)
+
+
+def test_fqe_with_a_nan_reward_diverges_at_the_loops_step():
+    plan = make_plan(12)
+    dataset = _FlatDataset(37)
+    first = stream(3, "pretrain.fqe").integers(0, 37, size=FQE_BATCH)
+    rewards = dataset.arrays[2].copy()
+    rewards[np.setdiff1d(np.arange(37), first)[0]] = np.nan
+    rewards.flags.writeable = False
+    dataset.arrays = (*dataset.arrays[:2], rewards, *dataset.arrays[3:])
+    steps = []
+    for fqe in (_oracles.loop_pretrain_fqe, agent.pretrain_fqe):
+        with pytest.raises(agent.DivergenceError) as err:
+            fqe(*_fqe_args(plan, dataset, 4))
+        steps.append(err.value.snapshot["step"])
+    assert steps[0] == steps[1] > 0
 
 
 @pytest.mark.parametrize("capacity", [16, 200])

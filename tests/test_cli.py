@@ -160,11 +160,25 @@ def test_training_without_mallopt_writes_the_same_files(cdll, tmp_path, monkeypa
         {"agent": {"tau": 1.5}},
         {"agent": {"hiden_actor": [8]}},
         {"world_model": {"n_elites": 9}},
+        {"agent": {"bc_steps": -2}},
+        {"agent": {"fqe_steps": -1}},
+        {"world_model": {"val_interval": 0}},
+        {"world_model": {"train_steps": -1}},
+        {"world_model": {"batch_size": 0}},
+        {"world_model": {"max_val_rows": 0}},
+        {"world_model": {"lr": 0.0}},
     ],
 )
 def test_bad_run_config_is_rejected(change, tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config({"seed": 0, "env": "dense_chain", "dataset": "d.leqd", **change})
+
+
+def test_zero_pretraining_steps_stay_valid():
+    cfg = parse_run_config(
+        {"seed": 0, "env": "dense_chain", "dataset": "d.leqd", "agent": {"bc_steps": 0, "fqe_steps": 0}}
+    )
+    assert (cfg.agent.bc_steps, cfg.agent.fqe_steps) == (0, 0)
 
 
 def test_fmt_writes_numpy_floats_as_plain_decimals():
@@ -174,7 +188,9 @@ def test_fmt_writes_numpy_floats_as_plain_decimals():
 
 
 def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
-    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10}, eval_episodes=3)
+    # enough pretraining steps that each stage reads above the report's 1 ms rounding
+    overrides = {"n_iter": 10, "bc_steps": 50, "fqe_steps": 50}
+    raw = _run_config(tmp_path, agent_overrides=overrides, eval_episodes=3)
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "timed"))
     monkeypatch.setattr(cli._PhaseClock, "phase", lambda self, name: contextlib.nullcontext())
     untimed = cli.run_training(parse_run_config(raw), str(tmp_path / "untimed"))
@@ -182,7 +198,8 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
         assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "untimed" / name).read_bytes()
     timing = report["timing_s"]
     assert set(timing) == set(cli._PhaseClock.PHASES)
-    assert all(seconds >= 0.0 for seconds in timing.values()) and timing["train_step"] > 0.0
+    assert all(seconds >= 0.0 for seconds in timing.values())
+    assert timing["train_step"] > 0.0 and timing["bc"] > 0.0 and timing["fqe"] > 0.0
     assert sum(timing.values()) <= report["elapsed_s"] + 0.01
     assert set(untimed["timing_s"].values()) == {0.0}
     with open(tmp_path / "timed" / "eval.csv", encoding="utf-8", newline="") as fh:
