@@ -686,23 +686,34 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     instead is unstable here: at gamma near 1 the moving targets chase the
     regression downhill and the values drift far past the true ones.
 
-    Neither the policy nor the snapshot changes within a stretch, so they
-    are evaluated once per dataset row, into two tables: the next actions
-    pi(s') once before the first step, and the targets
-    y = r + gamma * (1 - done) * Q_snapshot(s', pi(s')) at the start of
-    each stretch. The snapshot is the live critic at that moment, so it is
-    never copied, and a snapshot due after the last step is never taken.
-    A step gathers y at its sampled rows and trains the live critic on them.
+    Neither the policy nor the snapshot changes within a stretch, so on a
+    small enough dataset they are evaluated once per dataset row, into two
+    float64 tables: the next actions pi(s') once before the first step, and
+    the targets y = r + gamma * (1 - done) * Q_snapshot(s', pi(s')) at the
+    start of each stretch. The snapshot is the live critic at that moment,
+    so it is never copied, and a snapshot due after the last step is never
+    taken. A step gathers y at its sampled rows and trains the live critic
+    on them.
+
+    The tables cost ceil(N / size) forwards of each network up front, then
+    ceil(N / size) critic forwards per stretch, where size = min(batch, N);
+    evaluating both networks on every step's batch costs 2 forwards a step.
+    The tables are built only while they cost fewer forwards,
+    ceil(N / size) * (1 + stretches) < 2 * steps, that is while N stays
+    below about 2 * batch * steps / (1 + stretches) rows: 51,200 at 300
+    steps with the defaults, nearing 2 * batch * target_every = 128,000 over
+    many stretches. Larger datasets (D4RL's 1M rows) are evaluated batch by
+    batch, with the snapshot copied at each refresh.
 
     The tables hold the bits that per-step batches would give because every
-    forward that fills them takes exactly min(batch, N) rows, a step's batch
-    size. BLAS chooses its kernel by the row count, so one whole-dataset
-    forward, or a short last block, rounds some rows differently; the last
-    block wraps around to the first rows instead. This also needs every row
-    of a call to round alike wherever it sits, which holds when the row
-    count is a multiple of the kernel's row unroll, as 256 is. Below one
-    batch, at a ragged count such as 11 rows, the last rows of a call round
-    apart, and the tables can differ from per-step batches in the last bits.
+    forward that fills them takes exactly size rows, a step's batch size.
+    BLAS chooses its kernel by the row count, so one whole-dataset forward,
+    or a short last block, rounds some rows differently; the last block
+    wraps around to the first rows instead. This also needs every row of a
+    call to round alike wherever it sits, which holds when the row count is
+    a multiple of the kernel's row unroll, as 256 is. Below one batch, at a
+    ragged count such as 11 rows, the last rows of a call round apart, and
+    the tables can differ from per-step batches in the last bits.
     """
     loss = float("nan")
     if steps <= 0:
@@ -711,24 +722,29 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     terminals = terminals.astype(np.float64)
     rng = stream(seed, "pretrain.fqe")
     adam = nn.init_adam(params.size, lr)
-    size = min(batch, states.shape[0])
-    next_a = _fill_in_blocks(
-        np.empty_like(actions), size, lambda rows: np.atleast_2d(policy(next_states[rows]))
-    )
+    n = states.shape[0]
+    size = min(batch, n)
+    tables = n > 0 and -(-n // size) * (1 + -(-steps // target_every)) < 2 * steps
 
-    def targets(rows):
-        # params is the live critic when the stretch starts: its snapshot
-        x = np.concatenate([next_states[rows], next_a[rows]], axis=1)
-        next_q = nn.forward(spec, params, x)[:, 0]
+    def targets(rows, next_a, target):
+        next_q = nn.forward(spec, target, np.concatenate([next_states[rows], next_a], axis=1))[:, 0]
         return rewards[rows] + gamma * (1.0 - terminals[rows]) * next_q
 
-    y = np.empty_like(rewards)
+    if tables:
+        next_a = _fill_in_blocks(
+            np.empty((n, actions.shape[1])), size, lambda rows: np.atleast_2d(policy(next_states[rows]))
+        )
+        y = np.empty(n)
     for step_i in range(steps):
         if step_i % target_every == 0:
-            _fill_in_blocks(y, size, targets)
-        idx = rng.integers(0, states.shape[0], size=size)
+            if tables:
+                _fill_in_blocks(y, size, lambda rows: targets(rows, next_a[rows], params))
+            else:
+                target = params.copy()
+        idx = rng.integers(0, n, size=size)
+        y_idx = y[idx] if tables else targets(idx, np.atleast_2d(policy(next_states[idx])), target)
         q, cache = _critic_forward(spec, params, states[idx], actions[idx])
-        diff = q - y[idx]
+        diff = q - y_idx
         loss = float((diff * diff).mean())
         if not np.isfinite(loss):
             raise DivergenceError("FQE loss diverged", {"step": step_i})
