@@ -28,13 +28,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import container, datasets, envs, nn, theory, world_model
-from .config import (
-    ConfigError,
-    RunConfig,
-    load_matrix_config,
-    load_run_config,
-    parse_run_config,
-)
+from .config import ConfigError, RunConfig, load_matrix_config, load_run_config
 from .expectile import InputValidationError, ScalarDistribution, expectile_of
 from .rng import stream
 
@@ -109,6 +103,20 @@ def cmd_gen_data(args) -> int:
 
 # ---------------------------------------------------------------------------
 # the training pipeline
+
+
+def _load_inputs(cfg: RunConfig):
+    """(env spec, normalized dataset) of a run, checked before any stage runs."""
+    env_spec = envs.make_env_spec(cfg.env)
+    dataset = datasets.load_dataset(cfg.dataset)
+    recorded = dataset.metadata.get("env", env_spec.name)
+    if recorded != env_spec.name:
+        raise ConfigError(f"{cfg.dataset} was recorded in {recorded!r}, not in env {cfg.env!r}")
+    if dataset.n_transitions == 0:
+        raise ConfigError("dataset holds no transitions")
+    if cfg.reward_normalization != "none":
+        dataset = datasets.normalize_rewards(dataset, cfg.reward_normalization)
+    return env_spec, dataset
 
 
 def _prepare_ensemble(cfg: RunConfig, dataset, out_dir: str, resume: bool):
@@ -259,13 +267,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         json.dump(effective, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    env_spec = envs.make_env_spec(cfg.env)
-    dataset = datasets.load_dataset(cfg.dataset)
-    if cfg.reward_normalization != "none":
-        dataset = datasets.normalize_rewards(dataset, cfg.reward_normalization)
+    env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
-    if arrays[0].shape[0] == 0:
-        raise ConfigError("dataset holds no transitions")
 
     ensemble = None
     if _needs_model(cfg):
@@ -429,11 +432,7 @@ def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
-
-    env_spec = envs.make_env_spec(cfg.env)
-    dataset = datasets.load_dataset(cfg.dataset)
-    if cfg.reward_normalization != "none":
-        dataset = datasets.normalize_rewards(dataset, cfg.reward_normalization)
+    env_spec, dataset = _load_inputs(cfg)
     if "world_model" in cfg.stages:
         ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume=False)
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
@@ -469,20 +468,16 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     matrix = load_matrix_config(args.config)
-    out_dir = args.out_dir or matrix["base"].get("out_dir")
+    out_dir = args.out_dir or matrix.out_dir
     if not out_dir:
         raise ConfigError("no output directory: set base.out_dir or pass --out-dir")
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
-    for c_idx, cell in enumerate(matrix["cells"]):
-        name = cell.get("name", f"cell{c_idx}")
-        raw = dict(matrix["base"])
-        raw["agent"] = {**matrix["base"].get("agent", {}), **cell["agent"]}
-        raw.pop("out_dir", None)
+    for name, runs in matrix.cells.items():
         successes, returns, failures = [], [], []
-        for seed in matrix["seeds"]:
-            cell_cfg = parse_run_config({**raw, "seed": int(seed)})
+        for cell_cfg in runs:
+            seed = cell_cfg.seed
             cell_dir = os.path.join(out_dir, name, f"seed{seed}")
             try:
                 report = run_training(cell_cfg, cell_dir)
@@ -491,14 +486,14 @@ def cmd_ablate(args) -> int:
                 continue
             successes.append(report["final_eval"]["success_rate"])
             returns.append(report["final_eval"]["mean_return"])
-        agent_cfg = parse_run_config({**raw, "seed": 0}).agent
+        agent_cfg = runs[0].agent
         row = {
             "cell": name,
             "conservatism": agent_cfg.conservatism,
             "critic_target": agent_cfg.critic_target,
             "policy_update": agent_cfg.policy_update,
             "tau": agent_cfg.tau,
-            "n_seeds": len(matrix["seeds"]),
+            "n_seeds": len(runs),
             "n_completed": len(successes),
             "status": "diverged" if failures else "ok",
             "mean_success": float(np.mean(successes)) if successes else "",

@@ -7,6 +7,7 @@ obvious on purpose.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -15,6 +16,7 @@ import zlib
 import numpy as np
 
 from leq_lab import agent, datasets, envs, nn, world_model
+from leq_lab.container import from_dict
 from leq_lab.rng import stream
 
 
@@ -597,3 +599,115 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
             "success_rate": n_success / n_trajectories,
         },
     )
+
+
+# The run and matrix config schemas the config dataclasses replaced, as a
+# reference verdict: JSON Schema first, then the dataclasses' own checks.
+
+_PRETRAIN_STAGES = ("world_model", "bc", "fqe")
+_SCALAR_SCHEMAS = {
+    float: {"type": "number"},
+    int: {"type": "integer"},
+    str: {"type": "string"},
+    bool: {"type": "boolean"},
+}
+
+
+def _fields_schema(cls) -> dict:
+    """Property schema derived from a config dataclass's field defaults."""
+    props = {}
+    for f in dataclasses.fields(cls):
+        default = getattr(cls, f.name)
+        if isinstance(default, tuple):
+            props[f.name] = {"type": "array", "items": {"type": "integer", "minimum": 1}}
+        elif isinstance(default, bool):
+            props[f.name] = _SCALAR_SCHEMAS[bool]
+        else:
+            props[f.name] = _SCALAR_SCHEMAS[type(default)]
+    return props
+
+
+RUN_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["seed", "env", "dataset"],
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0},
+        "env": {"type": "string"},
+        "dataset": {"type": "string"},
+        "out_dir": {"type": "string"},
+        "desk_scale": {"type": "boolean"},
+        "reward_normalization": {"enum": list(datasets.NORMALIZATION_MODES)},
+        "agent": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": _fields_schema(agent.AgentConfig),
+        },
+        "world_model": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": _fields_schema(world_model.WorldModelConfig),
+        },
+        "stages": {"type": "array", "items": {"enum": list(_PRETRAIN_STAGES)}, "uniqueItems": True},
+        "eval_interval": {"type": "integer", "minimum": 1},
+        "eval_episodes": {"type": "integer", "minimum": 1},
+        "log_interval": {"type": "integer", "minimum": 1},
+        "checkpoint_interval": {"type": "integer", "minimum": 1},
+    },
+}
+
+MATRIX_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["base", "cells", "seeds"],
+    "properties": {
+        "base": RUN_SCHEMA,
+        "seeds": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
+        "cells": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "additionalProperties": False,
+                "required": ["agent"],
+                "properties": {"name": {"type": "string"}, "agent": RUN_SCHEMA["properties"]["agent"]},
+            },
+        },
+    },
+}
+
+
+def _schema_accepts(schema: dict, raw) -> bool:
+    import jsonschema
+
+    # jsonschema counts 10.0 as an integer, but configs are decoded as
+    # written, so an integer field must hold a JSON integer
+    validator = jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+        ),
+    )
+    return validator(schema).is_valid(raw)
+
+
+def schema_accepts_run_config(raw) -> bool:
+    """The schema-era verdict on a run config."""
+    if not _schema_accepts(RUN_SCHEMA, raw):
+        return False
+    preset = agent.AgentConfig()
+    if raw.get("desk_scale", False):
+        preset = preset.desk_scale()
+    try:
+        from_dict(agent.AgentConfig, {**dataclasses.asdict(preset), **raw.get("agent", {})})
+        from_dict(world_model.WorldModelConfig, raw.get("world_model", {}))
+    except ValueError:
+        return False
+    return True
+
+
+def schema_accepts_matrix_config(raw) -> bool:
+    """The schema-era verdict on a matrix config: its schema, then the base config's."""
+    return _schema_accepts(MATRIX_SCHEMA, raw) and schema_accepts_run_config(raw["base"])
