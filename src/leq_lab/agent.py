@@ -136,6 +136,10 @@ class AgentConfig:
             raise ValueError(f"critic_target must be one of {CRITIC_TARGET_MODES}")
         if self.policy_update not in POLICY_UPDATE_MODES:
             raise ValueError(f"policy_update must be one of {POLICY_UPDATE_MODES}")
+        if self.awr_alpha <= 0.0:
+            raise ValueError(f"awr_alpha must be positive, got {self.awr_alpha}")
+        if self.lcb_c < 0.0:
+            raise ValueError(f"lcb_c must be nonnegative, got {self.lcb_c}")
 
     def desk_scale(self) -> "AgentConfig":
         """Laptop-budget preset: smaller nets, batches, expansion cadence."""

@@ -127,15 +127,6 @@ class OfflineDataset:
         return states, actions, rewards, next_states, terminals
 
 
-def _collector_action(collector, spec, state, wp_idx, traj_rng, noisy):
-    if collector == "random":
-        return traj_rng.uniform(-1.0, 1.0, size=spec.act_dim), wp_idx
-    action, wp_idx = expert_action(spec, state, wp_idx)
-    if noisy:
-        action = np.clip(action + traj_rng.normal(0.0, _MEDIUM_NOISE, spec.act_dim), -1.0, 1.0)
-    return action, wp_idx
-
-
 def collect_dataset(
     spec: EnvSpec, collector: str, n_trajectories: int, seed: int, horizon: int | None = None
 ) -> OfflineDataset:
@@ -144,50 +135,58 @@ def collect_dataset(
     random: uniform actions; expert: scripted waypoint/bang-bang controller;
     medium: expert plus clipped Gaussian noise (sigma 0.5); mixed: even
     trajectory indices collected by medium, odd by random.
+
+    Every live trajectory steps at once on its own RNG stream. Its step
+    noise (random's uniform actions, medium's Gaussian noise) is drawn up
+    front in one (horizon, A) call, which gives the values of one (A,) call
+    per step; the draws an episode leaves unused are read by nothing else,
+    so the bytes are those of stepping each trajectory alone.
     """
     if collector not in COLLECTORS:
         raise DatasetError(f"unknown collector {collector!r}; expected one of {COLLECTORS}")
     if n_trajectories < 1:
         raise DatasetError("n_trajectories must be >= 1")
     horizon = spec.horizon if horizon is None else int(horizon)
-    rngs = [stream(seed, f"collect.{spec.name}.{collector}", i) for i in range(n_trajectories)]
-    modes = [
-        collector if collector != "mixed" else ("medium" if i % 2 == 0 else "random")
-        for i in range(n_trajectories)
-    ]
-    states = [[reset_state(spec, rng)] for rng in rngs]
-    actions = [[] for _ in range(n_trajectories)]
-    rewards = [[] for _ in range(n_trajectories)]
-    wp_idx = [0] * n_trajectories
-    ends_terminal = [False] * n_trajectories
-    # every live trajectory steps at once; each keeps its own RNG stream,
-    # so its draws and bytes are those of stepping it alone
-    live = list(range(n_trajectories))
-    live_states = np.array([traj[0] for traj in states])
-    for _ in range(horizon):
-        if not live:
+    if horizon < 1:
+        raise DatasetError("horizon must be >= 1")
+    n, shape = n_trajectories, (horizon, spec.act_dim)
+    modes = [collector if collector != "mixed" else ("medium", "random")[i % 2] for i in range(n)]
+    states = np.empty((n, horizon + 1, spec.obs_dim))
+    actions = np.empty((n, *shape))  # random actions and medium noise until steered
+    rewards = np.empty((n, horizon))
+    for i, mode in enumerate(modes):
+        rng = stream(seed, f"collect.{spec.name}.{collector}", i)
+        states[i, 0] = reset_state(spec, rng)
+        if mode == "random":
+            actions[i] = rng.uniform(-1.0, 1.0, shape)
+        elif mode == "medium":
+            actions[i] = rng.normal(0.0, _MEDIUM_NOISE, shape)
+    steered, noisy = np.array(modes) != "random", np.array(modes) == "medium"
+    wp_idx = np.zeros(n, dtype=np.intp)
+    lengths = np.full(n, horizon)
+    ends_terminal = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for t in range(horizon):
+        rows = live[steered[live]]
+        if rows.size:
+            expert, wp_idx[rows] = expert_action(spec, states[rows, t], wp_idx[rows])
+            medium = noisy[rows]
+            expert[medium] = np.clip(expert[medium] + actions[rows[medium], t], -1.0, 1.0)
+            actions[rows, t] = expert
+        states[live, t + 1], rewards[live, t], done = env_step(spec, states[live, t], actions[live, t])
+        lengths[live[done]] = t + 1
+        ends_terminal[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
-        live_actions = np.empty((len(live), spec.act_dim))
-        for row, i in enumerate(live):
-            live_actions[row], wp_idx[i] = _collector_action(
-                modes[i], spec, live_states[row], wp_idx[i], rngs[i], noisy=(modes[i] == "medium")
-            )
-        next_states, step_rewards, done = env_step(spec, live_states, live_actions)
-        for row, i in enumerate(live):
-            states[i].append(next_states[row])
-            actions[i].append(live_actions[row])
-            rewards[i].append(step_rewards[row])
-            ends_terminal[i] = bool(done[row])
-        live = [i for row, i in enumerate(live) if not done[row]]
-        live_states = next_states[~done]
     trajectories = [
         Trajectory(
-            states=np.asarray(states[i], dtype=np.float64),
-            actions=np.asarray(actions[i], dtype=np.float64),
-            rewards=np.asarray(rewards[i], dtype=np.float64),
-            ends_terminal=ends_terminal[i],
+            states=states[i, : m + 1].copy(),
+            actions=actions[i, :m].copy(),
+            rewards=rewards[i, :m].copy(),
+            ends_terminal=bool(ends_terminal[i]),
         )
-        for i in range(n_trajectories)
+        for i, m in enumerate(lengths)
     ]
     n_success = sum(
         is_success(spec, t.states[-1], t.ends_terminal) for t in trajectories

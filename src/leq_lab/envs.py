@@ -16,11 +16,12 @@ Two families:
 Collision handling moves one axis at a time and clips motion just short of
 any crossed wall, so agents slide along walls rather than sticking to them.
 
-`env_step` and `termination_fn` are shape-polymorphic: a (B, S) batch of
-states steps every row at once, each exactly as it would step alone, and a
-single (S,) state gives Python scalars for its reward and terminal flag.
-Evaluation and data collection step all their live episodes in lockstep
-through one batched call.
+`env_step`, `termination_fn` and `expert_action` are shape-polymorphic: a
+(B, S) batch of states steps (or steers) every row at once, each exactly as
+it would alone, and a single (S,) state gives Python scalars for its
+reward and terminal flag (or waypoint index). Evaluation and data
+collection step all their live episodes in lockstep through one batched
+call.
 """
 
 from __future__ import annotations
@@ -312,21 +313,31 @@ def termination_fn(spec: EnvSpec):
     return fn
 
 
-def expert_action(spec: EnvSpec, state: np.ndarray, waypoint_idx: int):
-    """Scripted controller action and updated waypoint index."""
+def expert_action(spec: EnvSpec, state, waypoint_idx):
+    """Scripted controller action and updated waypoint index.
+
+    Shape-polymorphic like `env_step`: a (S,) state with an int index gives
+    (action, int), and a (B, S) batch with a (B,) index array gives (B, A)
+    actions and (B,) indices, each row as it would go alone. A row advances
+    past every waypoint within `_WAYPOINT_RADIUS` of it, up to the last.
+    """
+    pos = np.atleast_2d(np.asarray(state, dtype=np.float64))
     if spec.env_id == "dense_chain":
-        return np.array([1.0]), 0
-    pos = np.asarray(state, dtype=np.float64)
-    waypoints = spec.waypoints
-    while waypoint_idx < len(waypoints) - 1:
-        wp = np.asarray(waypoints[waypoint_idx])
-        if float(np.hypot(*(wp - pos))) <= _WAYPOINT_RADIUS:
-            waypoint_idx += 1
-        else:
-            break
-    wp = np.asarray(waypoints[waypoint_idx])
-    action = np.clip(_STEER_GAIN * (wp - pos), -1.0, 1.0)
-    return action, waypoint_idx
+        action, idx = np.ones((len(pos), 1)), np.zeros(len(pos), dtype=np.intp)
+    else:
+        waypoints = np.asarray(spec.waypoints, dtype=np.float64)
+        idx = np.array(waypoint_idx, dtype=np.intp).reshape(-1)
+        rows = np.flatnonzero(idx < len(waypoints) - 1)
+        while rows.size:
+            wp = waypoints[idx[rows]]
+            near = np.hypot(wp[:, 0] - pos[rows, 0], wp[:, 1] - pos[rows, 1]) <= _WAYPOINT_RADIUS
+            rows = rows[near]
+            idx[rows] += 1
+            rows = rows[idx[rows] < len(waypoints) - 1]
+        action = np.clip(_STEER_GAIN * (waypoints[idx] - pos), -1.0, 1.0)
+    if np.ndim(state) == 1:
+        return action[0], int(idx[0])
+    return action, idx
 
 
 def is_success(spec: EnvSpec, final_state, reached_terminal: bool) -> bool:

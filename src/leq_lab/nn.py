@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ACTIVATIONS",
     "MlpSpec",
     "AdamState",
     "EmaTracker",
@@ -69,7 +70,7 @@ __all__ = [
     "ema_update",
 ]
 
-_ACTIVATIONS = ("relu", "tanh", "elu")
+ACTIVATIONS = ("relu", "tanh", "elu")
 _LN_EPS = 1e-8
 
 
@@ -88,8 +89,8 @@ class MlpSpec:
             raise ValueError("all dimensions must be >= 1")
         if len(self.hidden_dims) < 1:
             raise ValueError("need at least one hidden layer")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
 
 
 def symlog(x):

@@ -81,6 +81,8 @@ class WorldModelConfig:
             raise ValueError("train_steps, batch_size, val_interval and max_val_rows must be positive")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.activation not in nn.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {nn.ACTIVATIONS}, got {self.activation!r}")
 
 
 def member_spec(obs_dim: int, act_dim: int, config: WorldModelConfig) -> nn.MlpSpec:

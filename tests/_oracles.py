@@ -556,8 +556,35 @@ def loop_evaluate_policy(policy, env_spec, n_episodes: int, seed: int) -> dict:
     }
 
 
+def scalar_expert_action(spec, state: np.ndarray, waypoint_idx: int):
+    """`envs.expert_action` for one (S,) state, the way it went before it was batched."""
+    if spec.env_id == "dense_chain":
+        return np.array([1.0]), 0
+    pos = np.asarray(state, dtype=np.float64)
+    waypoints = spec.waypoints
+    while waypoint_idx < len(waypoints) - 1:
+        wp = np.asarray(waypoints[waypoint_idx])
+        if float(np.hypot(*(wp - pos))) <= envs._WAYPOINT_RADIUS:
+            waypoint_idx += 1
+        else:
+            break
+    wp = np.asarray(waypoints[waypoint_idx])
+    action = np.clip(envs._STEER_GAIN * (wp - pos), -1.0, 1.0)
+    return action, waypoint_idx
+
+
+def _collector_action(collector, spec, state, wp_idx, traj_rng, noisy):
+    """One row's action: a fresh (A,) draw per step from the trajectory's stream."""
+    if collector == "random":
+        return traj_rng.uniform(-1.0, 1.0, size=spec.act_dim), wp_idx
+    action, wp_idx = scalar_expert_action(spec, state, wp_idx)
+    if noisy:
+        action = np.clip(action + traj_rng.normal(0.0, datasets._MEDIUM_NOISE, spec.act_dim), -1.0, 1.0)
+    return action, wp_idx
+
+
 def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, horizon=None):
-    """`datasets.collect_dataset` one trajectory at a time."""
+    """`datasets.collect_dataset` one trajectory and one row at a time."""
     horizon = spec.horizon if horizon is None else int(horizon)
     trajectories = []
     for i in range(n_trajectories):
@@ -568,7 +595,7 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
         wp_idx = 0
         ends_terminal = False
         for _ in range(horizon):
-            action, wp_idx = datasets._collector_action(
+            action, wp_idx = _collector_action(
                 mode, spec, state, wp_idx, traj_rng, noisy=(mode == "medium")
             )
             state, reward, done = scalar_env_step(spec, state, action)

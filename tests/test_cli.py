@@ -167,11 +167,34 @@ def test_training_without_mallopt_writes_the_same_files(cdll, tmp_path, monkeypa
         {"world_model": {"batch_size": 0}},
         {"world_model": {"max_val_rows": 0}},
         {"world_model": {"lr": 0.0}},
+        {"world_model": {"activation": "nope"}},
+        {"agent": {"awr_alpha": 0.0}},
+        {"agent": {"awr_alpha": -1.0}},
+        {"agent": {"lcb_c": -2.0}},
+        {"agent": {"lcb_c": -1e-300}},
     ],
 )
 def test_bad_run_config_is_rejected(change, tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config({"seed": 0, "env": "dense_chain", "dataset": "d.leqd", **change})
+
+
+def test_an_unknown_world_model_activation_exits_2_before_any_file(tmp_path, capsys):
+    raw = _run_config(tmp_path, env="dense_chain")
+    raw["world_model"]["activation"] = "nope"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli.main(["train", str(config), "--out-dir", str(out)]) == 2
+    assert "world_model: activation must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_lcb_c_and_a_tiny_awr_alpha_stay_valid():
+    cfg = parse_run_config(
+        {"seed": 0, "env": "dense_chain", "dataset": "d.leqd", "agent": {"lcb_c": 0.0, "awr_alpha": 1e-300}}
+    )
+    assert (cfg.agent.lcb_c, cfg.agent.awr_alpha) == (0.0, 1e-300)
 
 
 def test_zero_pretraining_steps_stay_valid():

@@ -1,5 +1,7 @@
 """Environment dynamics, scripted collectors, normalization and the LEQD format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,24 @@ def env_batches(draw):
     return spec, states, actions, poisoned
 
 
+@st.composite
+def expert_batches(draw):
+    """(spec, (B, 2) positions, (B,) waypoint indices) on every maze layout,
+    with positions on, near and far from the waypoints."""
+    spec = make_env_spec("point_maze_" + draw(st.sampled_from(sorted(envs.MAZE_LAYOUTS))).replace("-", "_"))
+    (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
+    B = draw(st.integers(1, 12))
+    near = st.tuples(
+        st.sampled_from(spec.waypoints),
+        st.sampled_from([0.0, envs._WAYPOINT_RADIUS, -envs._WAYPOINT_RADIUS]) | st.floats(-0.6, 0.6),
+        st.sampled_from([0.0]) | st.floats(-0.6, 0.6),
+    ).map(lambda c: [c[0][0] + c[1], c[0][1] + c[2]])
+    anywhere = st.tuples(st.floats(lo_x, hi_x), st.floats(lo_y, hi_y)).map(list)
+    states = np.array(draw(st.lists(near | anywhere, min_size=B, max_size=B)), dtype=np.float64)
+    idx = np.array(draw(st.lists(st.integers(0, len(spec.waypoints) - 1), min_size=B, max_size=B)))
+    return spec, states, idx
+
+
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
@@ -296,6 +316,47 @@ class TestExpert:
         expected = np.clip(3.0 * (np.asarray(spec.waypoints[0]) - pos), -1, 1)
         np.testing.assert_allclose(action, expected)
 
+    def test_batched_chain_expert_is_ones_at_index_0(self):
+        states = np.array([[0.3, 0.2], [-4.0, -1.0], [0.0, 0.0]])
+        actions, idx = envs.expert_action(chain(), states, np.array([4, 0, 2]))
+        assert actions.shape == (3, 1) and np.array_equal(actions, np.ones((3, 1)))
+        assert np.array_equal(idx, [0, 0, 0])
+
+    def test_a_row_advances_several_close_waypoints_in_one_call(self):
+        spec = envs.EnvSpec(
+            env_id="point_maze",
+            name="close_waypoints",
+            horizon=10,
+            obs_dim=2,
+            act_dim=2,
+            bounds=((0.0, 0.0), (4.0, 4.0)),
+            start=(1.0, 1.0),
+            goal=(3.0, 3.0),
+            waypoints=((1.0, 1.0), (1.2, 1.0), (1.4, 1.0), (3.0, 3.0)),
+        )
+        states = np.array([[1.1, 1.0], [1.0, 1.0], [2.0, 2.0], [1.3, 1.0]])
+        given_idx = np.array([0, 0, 0, 1])
+        actions, idx = envs.expert_action(spec, states, given_idx)
+        # 0.1, 0.1 and 0.3 from the first three waypoints: all passed in one call
+        assert np.array_equal(idx, [3, 2, 0, 3])
+        assert np.array_equal(given_idx, [0, 0, 0, 1])  # the caller's indices stay as they were
+        for row in range(len(states)):
+            want_a, want_idx = _oracles.scalar_expert_action(spec, states[row], int(given_idx[row]))
+            assert _same_bits(actions[row], want_a) and idx[row] == want_idx
+
+    @settings(max_examples=200, deadline=None)
+    @given(expert_batches())
+    def test_batched_expert_equals_the_scalar_call_per_row(self, case):
+        spec, states, given_idx = case
+        actions, idx = envs.expert_action(spec, states, given_idx)
+        assert actions.shape == (len(states), spec.act_dim) and idx.shape == (len(states),)
+        for row in range(len(states)):
+            want_a, want_idx = _oracles.scalar_expert_action(spec, states[row], int(given_idx[row]))
+            one_a, one_idx = envs.expert_action(spec, states[row], int(given_idx[row]))
+            assert type(one_idx) is int and one_idx == idx[row] == want_idx
+            assert one_a.shape == (spec.act_dim,)
+            assert _same_bits(actions[row], want_a) and _same_bits(one_a, want_a)
+
     def test_chain_expert_beats_random(self):
         spec = chain()
         expert = collect_dataset(spec, "expert", 5, seed=0).returns().mean()
@@ -342,11 +403,71 @@ class TestCollect:
         save_dataset(_oracles.loop_collect_dataset(spec, collector, 9, seed=4), alone)
         assert lockstep.read_bytes() == alone.read_bytes()
 
+    @pytest.mark.parametrize("n, horizon", [(9, 1), (9, 5), (1, None)])
+    @pytest.mark.parametrize("collector", datasets.COLLECTORS)
+    @pytest.mark.parametrize("env", envs.ENV_NAMES)
+    def test_lockstep_bytes_equal_the_loop_at_short_horizons_and_one_trajectory(
+        self, env, collector, n, horizon, tmp_path
+    ):
+        spec = make_env_spec(env)
+        lockstep, alone = tmp_path / "lockstep.leqd", tmp_path / "alone.leqd"
+        save_dataset(collect_dataset(spec, collector, n, seed=7, horizon=horizon), lockstep)
+        save_dataset(_oracles.loop_collect_dataset(spec, collector, n, seed=7, horizon=horizon), alone)
+        assert lockstep.read_bytes() == alone.read_bytes()
+
+    @pytest.mark.parametrize(
+        "env, rows, digest",
+        [
+            ("point_maze_u", 11603, "58218be0c92fc152063cc670846d32886531ae76e5b41552f59c35be085e16fe"),
+            ("dense_chain", 7766, "df5bd2d7c76487ce9e2619f5f2ddf58944a5e4fa100197bda87f49a518fb14e9"),
+            (
+                "point_maze_large_spiral",
+                12200,
+                "5f600e7d0907abc2f349c2682be985d4d74998b49fea6ac0b566d9d645e66cd1",
+            ),
+        ],
+    )
+    def test_benchmark_datasets_keep_their_golden_digest(self, env, rows, digest, tmp_path):
+        dataset = collect_dataset(make_env_spec(env), "mixed", 100, seed=0)
+        save_dataset(dataset, tmp_path / "d.leqd")
+        assert dataset.n_transitions == rows
+        assert hashlib.sha256((tmp_path / "d.leqd").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("act_dim", [1, 2])
+    def test_one_draw_of_a_whole_horizon_equals_a_draw_per_step(self, act_dim):
+        # the premise of drawing each trajectory's noise up front
+        H = 37
+        for draw in (lambda g, size: g.uniform(-1.0, 1.0, size), lambda g, size: g.normal(0.0, 0.5, size)):
+            whole = draw(stream(3, "premise", 1), (H, act_dim))
+            per_step_stream = stream(3, "premise", 1)
+            per_step = np.array([draw(per_step_stream, act_dim) for _ in range(H)])
+            assert _same_bits(whole, per_step)
+
+    def test_each_step_is_one_batched_expert_and_env_call(self, monkeypatch):
+        calls = {"expert_action": [], "env_step": []}
+        for name in calls:
+            real = getattr(datasets, name)
+
+            def spy(spec, states, *args, _real=real, _name=name):
+                calls[_name].append(np.shape(states))
+                return _real(spec, states, *args)
+
+            monkeypatch.setattr(datasets, name, spy)
+        ds = collect_dataset(maze(), "mixed", 10, seed=3)
+        steps = max(len(t) for t in ds.trajectories)
+        assert len(calls["env_step"]) == steps
+        assert 1 <= len(calls["expert_action"]) <= steps
+        assert all(len(shape) == 2 for shape in calls["env_step"] + calls["expert_action"])
+        assert calls["env_step"][0] == (10, 2) and calls["expert_action"][0] == (5, 2)
+
     def test_bad_arguments(self):
         with pytest.raises(DatasetError, match="unknown collector"):
             collect_dataset(maze(), "adversarial", 1, seed=0)
         with pytest.raises(DatasetError, match="n_trajectories"):
             collect_dataset(maze(), "random", 0, seed=0)
+        for horizon in (0, -3):
+            with pytest.raises(DatasetError, match="horizon"):
+                collect_dataset(maze(), "random", 2, seed=0, horizon=horizon)
 
 
 def make_traj(rewards, terminal=False, obs_dim=2, act_dim=1):
