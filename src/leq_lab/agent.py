@@ -448,7 +448,9 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
     loss = float((w * diff * diff).mean())
     cot = np.zeros((ce.q.size, 1))
     cot[rows, 0] = 2.0 * w * diff / n_valid
-    grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, ce.cache, cot)
+    grad, _ = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, ce.cache, cot, params_only=True
+    )
     return loss, grad
 
 
@@ -459,7 +461,9 @@ def critic_loss_env(plan, config: AgentConfig, batch: dict):
     diff = q - target
     loss = float(0.5 * (diff * diff).mean())
     cot = (diff / diff.size)[:, None]
-    grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, cache, cot)
+    grad, _ = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+    )
     return loss, grad
 
 
@@ -470,7 +474,9 @@ def critic_loss_ema(plan, shadow_params, batch: dict):
     diff = q - q_shadow
     loss = float((diff * diff).mean())
     cot = (2.0 * diff / diff.size)[:, None]
-    grad, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, cache, cot)
+    grad, _ = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+    )
     return loss, grad
 
 
@@ -493,7 +499,9 @@ def critic_loss_total(
     l_env = float(0.5 * (d_env * d_env).mean())
     l_ema = float((d_ema * d_ema).mean())
     cot = (((1.0 - config.beta) * d_env + 2.0 * config.omega_ema * d_ema) / q.size)[:, None]
-    g_env_ema, _ = nn.backward_cached(plan.critic_spec, plan.critic_params, cache, cot)
+    g_env_ema, _ = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+    )
     total = config.beta * l_model + (1.0 - config.beta) * l_env + config.omega_ema * l_ema
     grad = config.beta * g_model + g_env_ema
     parts = {"loss_model": l_model, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
@@ -613,7 +621,9 @@ def _policy_q_value(plan, states):
     )
     g_action = g_in[:, states.shape[1] :]
     g_pre = g_action * (1.0 - acts * acts)
-    grad, _ = nn.backward_cached(plan.policy_spec, plan.policy_params, p_cache, g_pre)
+    grad, _ = nn.backward_cached(
+        plan.policy_spec, plan.policy_params, p_cache, g_pre, params_only=True
+    )
     return loss, grad, {}
 
 
@@ -642,7 +652,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     loss = float((w * (res * res).sum(axis=1)).mean())
     g_act = 2.0 * w[:, None] * res / w.size
     g_pre = g_act * (1.0 - acts * acts)
-    grad, _ = nn.backward_cached(plan.policy_spec, plan.policy_params, cache, g_pre)
+    grad, _ = nn.backward_cached(
+        plan.policy_spec, plan.policy_params, cache, g_pre, params_only=True
+    )
     return loss, grad, {"awr_weight_mean": float(w.mean())}
 
 
@@ -663,7 +675,7 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
         mse = float((res * res).sum(axis=1).mean())
         g_act = 2.0 * res / res.shape[0]
         g_pre = g_act * (1.0 - acts * acts)
-        grad, _ = nn.backward_cached(spec, params, cache, g_pre)
+        grad, _ = nn.backward_cached(spec, params, cache, g_pre, params_only=True)
         adam, params = nn.adam_step(adam, params, grad)
     return params, mse
 
@@ -753,7 +765,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
         if not np.isfinite(loss):
             raise DivergenceError("FQE loss diverged", {"step": step_i})
         cot = (2.0 * diff / diff.size)[:, None]
-        grad, _ = nn.backward_cached(spec, params, cache, cot)
+        grad, _ = nn.backward_cached(spec, params, cache, cot, params_only=True)
         adam, params = nn.adam_step(adam, params, grad)
     return params, loss
 

@@ -120,15 +120,30 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _prepare_ensemble(cfg: RunConfig, dataset, out_dir: str, resume: bool):
+    """(ensemble, lockstep groups it trained in; 0 when it was loaded)."""
     path = os.path.join(out_dir, _ENSEMBLE)
     if resume and os.path.exists(path):
         ensemble = world_model.load_ensemble(path)
         if ensemble.config != cfg.world_model:
             raise ConfigError(f"{path} was trained with a different world-model config")
-        return ensemble
+        return ensemble, 0
     ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
     world_model.save_ensemble(path, ensemble)
-    return ensemble
+    return ensemble, world_model.ensemble_groups(cfg.world_model.n_members)
+
+
+def _peak_rss_mb() -> dict:
+    """Peak resident set of this process and of its largest child waited
+    for so far, in MB, both over the life of the process. A forked
+    ensemble-training child counts the pages it still shares with this
+    process. A vfork'd child that execs (`git describe`) takes over this
+    process's peak as its own, so read this before `_build_id`."""
+    import resource
+
+    return {
+        who: round(resource.getrusage(which).ru_maxrss / 1024.0, 1)
+        for who, which in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
+    }
 
 
 def _needs_model(cfg: RunConfig) -> bool:
@@ -278,7 +293,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                 "stage cannot be skipped"
             )
         with clock.phase("world_model"):
-            ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume)
+            ensemble, ensemble_groups = _prepare_ensemble(cfg, dataset, out_dir, resume)
 
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
     if resume and os.path.exists(ckpt_path):
@@ -386,6 +401,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
 
     best = max(eval_rows, key=lambda r: (float(r["success_rate"]), float(r["mean_return"])))
     final = eval_rows[-1]
+    peak_rss_mb = _peak_rss_mb()
     report = {
         "build_id": _build_id(),
         "env": cfg.env,
@@ -402,6 +418,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     if ensemble is not None:
         report["ensemble_val_nll"] = [float(v) for v in ensemble.val_nll]
         report["elites"] = [int(v) for v in ensemble.elite_idx]
+        report["ensemble_groups"] = ensemble_groups
+    report["peak_rss_mb"] = peak_rss_mb
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

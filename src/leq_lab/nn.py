@@ -12,8 +12,24 @@ imagination rollouts backpropagate through critics, world-model members
 and the policy. Keeping the forward and backward apart lets one stacked
 forward serve several backward passes. A caller that needs only the input
 gradient (the pathwise actor's critic sweeps) passes input_only=True,
-which skips the parameter gradient's matmuls and sums and leaves the input
-gradient's bits as they are.
+which skips the parameter gradient's matmuls and sums; one that needs
+only the parameter gradient (every loss that updates the network it
+differentiates) passes params_only=True, which skips the first layer's
+input-gradient matmul and the symlog factor. The gradient kept has the
+same bits either way.
+
+Every function here also takes a stack of k networks of one spec: (k, P)
+parameters, whose param_views are (k, *shape), and (k, B, d) inputs. The
+kernels are written once for both: transposes are swapaxes(-1, -2), bias
+and layer-norm vectors broadcast as v[..., None, :], bias gradients sum
+over axis -2 and row statistics over axis -1. np.matmul runs one BLAS
+call per stacked slice with that slice's strides, so slice j of every
+output, cache and gradient has the bits of the 2-D call on network j
+alone. The one exception is the sign of a NaN where two NaNs meet in an
+elementwise op: numpy's SIMD lanes and scalar tails order the operands
+differently, and a slice sits at another offset in the stack. A 2-D call
+gives the bits it gave before stacks. Adam is elementwise, so
+init_adam((k, P), lr) steps k networks at once.
 
 forward_cached() keeps, per hidden layer, (a_in, norm, inv_std, out): the
 layer input, the layer-norm output and its row-wise 1/std (None without
@@ -28,15 +44,15 @@ h = a @ W + b is centred and scaled into the cached norm, one scratch array
 takes the squares and then the affine output, and the activation consumes
 it. ELU takes three passes, max(z, expm1(min(z, 0))), and its one
 temporary is the third array. Layer-norm row means are
-np.add.reduce(..., axis=1) / width: the bits of .mean(axis=1) without its
-call overhead. Backward, the activation derivative takes the cotangent and
-then the layer-norm backward in place, with one scratch array, and the
-weight gradients go straight into the flat gradient. Every in-place step
-keeps the operand order of the plain expression, so the bits (NaN signs
-included) are those of the allocating form; the one exception is that ELU
-passes a signaling NaN through unquieted. The kernels never write into
-their inputs, cotangents or caches: one cache can serve several backward
-passes.
+np.add.reduce(..., axis=-1) / width: the bits of .mean(axis=-1) without
+its call overhead. Backward, the activation derivative takes the
+cotangent and then the layer-norm backward in place, with one scratch
+array, and the weight gradients go straight into the flat gradient.
+Every in-place step keeps the operand order of the plain expression, so
+the bits (NaN signs included) are those of the allocating form; the one
+exception is that ELU passes a signaling NaN through unquieted. The
+kernels never write into their inputs, cotangents or caches: one cache
+can serve several backward passes.
 
 Everything is float64: identical params and inputs give bit-identical
 outputs.
@@ -132,9 +148,12 @@ def n_params(spec: MlpSpec) -> int:
 
 
 def param_views(spec: MlpSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views into a flat (P,) parameter vector, or into every row of a
+    C-contiguous (k, P) stack of them as (k, *shape) views."""
+    lead = flat.shape[:-1]
     views = {}
     for name, start, shape in param_layout(spec):
-        views[name] = flat[start : start + math.prod(shape)].reshape(shape)
+        views[name] = flat[..., start : start + math.prod(shape)].reshape(lead + shape)
     return views
 
 
@@ -185,20 +204,21 @@ def _activate_grad(a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=1, keepdims=True), bit for bit, without mean's call overhead."""
-    m = np.add.reduce(a, axis=1, keepdims=True)
-    m /= a.shape[1]
+    """a.mean(axis=-1, keepdims=True), bit for bit, without mean's call overhead."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
     return m
 
 
 def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
-    """Forward pass returning (output, cache); accepts (d,) or (B, d)."""
+    """Forward pass returning (output, cache); accepts (d,) or (B, d), or a
+    stack of k networks: (k, P) params and (k, B, d) inputs."""
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"expected input dim {spec.input_dim}, got {x.shape[1]}")
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"expected input dim {spec.input_dim}, got {x.shape[-1]}")
     views = param_views(spec, params)
     raw_in = x
     if spec.use_symlog_input:
@@ -207,7 +227,7 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
     a = x
     for i in range(len(spec.hidden_dims)):
         h = a @ views[f"w{i}"]
-        h += views[f"b{i}"]
+        h += views[f"b{i}"][..., None, :]
         if spec.use_layernorm:
             # h becomes the cached norm; z is one scratch array (squares first)
             h -= _row_mean(h)
@@ -215,15 +235,15 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
             inv_std = 1.0 / np.sqrt(_row_mean(z) + _LN_EPS)
             h *= inv_std
             norm = h
-            np.multiply(norm, views[f"ln_scale{i}"], out=z)
-            z += views[f"ln_shift{i}"]
+            np.multiply(norm, views[f"ln_scale{i}"][..., None, :], out=z)
+            z += views[f"ln_shift{i}"][..., None, :]
         else:
             norm = inv_std = None
             z = h
         out = _activate(z, spec.activation)
         layers.append((a, norm, inv_std, out))
         a = out
-    y = a @ views["w_out"] + views["b_out"]
+    y = a @ views["w_out"] + views["b_out"][..., None, :]
     cache = (raw_in, x, layers, a, squeeze)
     return (y[0] if squeeze else y), cache
 
@@ -240,14 +260,20 @@ def backward_cached(
     output_cotangent: np.ndarray,
     *,
     input_only: bool = False,
+    params_only: bool = False,
 ):
     """Reverse-mode sweep over a cached forward.
 
     Returns (param_grad, input_grad): gradients of <output, cotangent>
-    with respect to the flat parameter vector and the raw input. With
-    input_only the parameter gradient is skipped and returned as None; the
-    input gradient has the same bits either way.
+    with respect to the flat parameter vector and the raw input, or to
+    each network's (k, P) parameters and (k, B, d) input for a stacked
+    forward. With input_only the parameter gradient is skipped and
+    returned as None; with params_only the first layer's input-gradient
+    matmul and the symlog factor are, and the input gradient is None. The
+    gradient that is kept has the same bits either way.
     """
+    if input_only and params_only:
+        raise ValueError("input_only and params_only leave nothing to compute")
     raw_in, x0, layers, last, squeeze = cache
     gy = np.asarray(output_cotangent, dtype=np.float64)
     if squeeze:
@@ -257,9 +283,9 @@ def backward_cached(
     if not input_only:
         grad_flat = np.zeros_like(params)
         grads = param_views(spec, grad_flat)
-        np.matmul(last.T, gy, out=grads["w_out"])
-        grads["b_out"][...] = gy.sum(axis=0)
-    ga = gy @ views["w_out"].T
+        np.matmul(last.swapaxes(-1, -2), gy, out=grads["w_out"])
+        grads["b_out"][...] = gy.sum(axis=-2)
+    ga = gy @ views["w_out"].swapaxes(-1, -2)
 
     for i in reversed(range(len(spec.hidden_dims))):
         a_in, norm, inv_std, out = layers[i]
@@ -271,9 +297,9 @@ def backward_cached(
                 scratch = np.empty_like(gz)
             else:
                 scratch = np.multiply(gz, norm)
-                grads[f"ln_scale{i}"][...] = scratch.sum(axis=0)
-                grads[f"ln_shift{i}"][...] = gz.sum(axis=0)
-            gz *= views[f"ln_scale{i}"]
+                grads[f"ln_scale{i}"][...] = scratch.sum(axis=-2)
+                grads[f"ln_shift{i}"][...] = gz.sum(axis=-2)
+            gz *= views[f"ln_scale{i}"][..., None, :]
             # d/dh of (h - mean) * inv_std with row statistics:
             # gh = inv_std * (gn - mean(gn) - norm * mean(gn * norm))
             gn_mean = _row_mean(gz)
@@ -283,10 +309,13 @@ def backward_cached(
             gz -= np.multiply(norm, gn_norm_mean, out=scratch)
             np.multiply(inv_std, gz, out=gz)
         if not input_only:
-            np.matmul(a_in.T, gz, out=grads[f"w{i}"])
-            grads[f"b{i}"][...] = gz.sum(axis=0)
-        ga = gz @ views[f"w{i}"].T
+            np.matmul(a_in.swapaxes(-1, -2), gz, out=grads[f"w{i}"])
+            grads[f"b{i}"][...] = gz.sum(axis=-2)
+        if i > 0 or not params_only:
+            ga = gz @ views[f"w{i}"].swapaxes(-1, -2)
 
+    if params_only:
+        return grad_flat, None
     if spec.use_symlog_input:
         ga *= symlog_grad(raw_in)
     if squeeze:
@@ -305,7 +334,8 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_adam(n: int, lr: float) -> AdamState:
+def init_adam(n: int | tuple[int, ...], lr: float) -> AdamState:
+    """Zero moments for n parameters, or for a (k, P) stack of k networks."""
     return AdamState(
         m=np.zeros(n, dtype=np.float64), v=np.zeros(n, dtype=np.float64), step=0, lr=float(lr)
     )

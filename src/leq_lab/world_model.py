@@ -5,6 +5,20 @@ diagonal Gaussian over (state delta, reward). Members train independently
 on a per-trajectory train/validation split; the five members with the best
 validation NLL become the elites used for rollouts.
 
+Training runs the members in lockstep groups of consecutive members, one
+group per CPU the process may run on (at most one per member; a single
+group where the fork start method does not exist or the process is a
+daemonic worker). The first group trains
+in the calling process and each other one in a forked child that sends
+its members back over a pipe. Within a group, every step draws each
+member's batch from that member's own stream, then runs one stacked
+forward, backward and Adam step over the group's (k, P) parameters
+(`nn` on a stack); a member whose loss goes non-finite leaves the stack,
+and validation runs one member at a time. Since each slice of a stacked
+call has the bits of the member's own 2-D call, and a member's draws do
+not depend on its neighbours, the ensemble has the same bits for every
+grouping, and the bits of training the members one after another.
+
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
 differentiated: with the (member, eps) tape frozen, sampled outputs are a
@@ -23,8 +37,9 @@ activations in sorted order, with the permutation and the group bounds.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -37,6 +52,7 @@ __all__ = [
     "WorldModelConfig",
     "EnsembleWorldModel",
     "ImaginedRollouts",
+    "ensemble_groups",
     "train_ensemble",
     "step_with_tape",
     "step_backward",
@@ -106,22 +122,26 @@ def _split_heads(out: np.ndarray, head_dim: int):
 
 
 def _nll_from_heads(mu, log_std, targets):
+    """Mean Gaussian NLL over the rows; one per network for a (k, B, D) stack."""
     inv_var = np.exp(-2.0 * log_std)
     res = targets - mu
     per_row = 0.5 * res * res * inv_var + log_std + _HALF_LOG_2PI
-    return float(per_row.sum(axis=-1).mean())
+    return per_row.sum(axis=-1).mean(axis=-1)
 
 
 def _nll_grad_on(spec, params, x, t, head_dim):
+    """(k,) NLL losses of a (k, P) stack of members on their (k, B, d) batches,
+    and the (k, P) parameter gradients."""
     out, cache = nn.forward_cached(spec, params, x)
     mu, log_std, interior = _split_heads(out, head_dim)
     inv_var = np.exp(-2.0 * log_std)
     res = t - mu
     loss = _nll_from_heads(mu, log_std, t)
-    batch = x.shape[0]
+    batch = x.shape[-2]
     g_mu = -res * inv_var / batch
     g_log_std = (1.0 - res * res * inv_var) / batch * interior
-    grad, _ = nn.backward_cached(spec, params, cache, np.concatenate([g_mu, g_log_std], axis=1))
+    cot = np.concatenate([g_mu, g_log_std], axis=-1)
+    grad, _ = nn.backward_cached(spec, params, cache, cot, params_only=True)
     return loss, grad
 
 
@@ -167,24 +187,131 @@ class EnsembleWorldModel:
         self.member_params.flags.writeable = False
 
     @cached_property
-    def _layer_stacks(self):
-        """Per-layer (W (M,in,out), b (M,out)) stacks for gathered rollouts."""
-        layout = nn.param_layout(self.spec)
-        names = [name for name, _, _ in layout]
-        stacks = []
-        for i in range(len(self.spec.hidden_dims) + 1):
-            w_name = f"w{i}" if f"w{i}" in names else "w_out"
-            b_name = f"b{i}" if f"b{i}" in names else "b_out"
-            w_meta = next(m for m in layout if m[0] == w_name)
-            b_meta = next(m for m in layout if m[0] == b_name)
-            w = self.member_params[:, w_meta[1] : w_meta[1] + int(np.prod(w_meta[2]))]
-            b = self.member_params[:, b_meta[1] : b_meta[1] + int(np.prod(b_meta[2]))]
-            stacks.append((w.reshape((-1,) + w_meta[2]), b.reshape((-1,) + b_meta[2])))
-        return stacks
+    def _layers(self) -> list:
+        """(W (M, in, out), b (M, out)) per layer, the readout last: views of
+        member_params for gathered rollouts."""
+        views = nn.param_views(self.spec, self.member_params)
+        n_hidden = len(self.spec.hidden_dims)
+        names = [(f"w{i}", f"b{i}") for i in range(n_hidden)] + [("w_out", "b_out")]
+        return [(views[w], views[b]) for w, b in names]
+
+
+def ensemble_groups(n_members: int) -> int:
+    """How many lockstep groups `train_ensemble` splits its members into:
+    one per CPU this process may run on, at most one per member, and 1
+    where the fork start method does not exist or this process is a
+    daemonic worker, which may not start children."""
+    import multiprocessing
+
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(os, "sched_getaffinity")
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(n_members, len(os.sched_getaffinity(0)))
+
+
+def _train_group(spec, data, config: WorldModelConfig, seed: int, members) -> list:
+    """Train `members` in lockstep; [(member, val_nll, params)] of every
+    member that ends with a finite validation NLL.
+
+    Each step draws every live member's batch from its own stream and runs
+    one stacked forward, backward and Adam step. A member whose loss goes
+    non-finite leaves the stack and is dropped; validation runs per member.
+    """
+    x_tr, t_tr, x_val, t_val = data
+    head_dim = t_tr.shape[1]
+    rngs = [stream(seed, "wm.member", int(m)) for m in members]
+    params = np.stack([nn.init_params(spec, rng) for rng in rngs])
+    adam = nn.init_adam(params.shape, config.lr)
+    live = list(range(len(members)))  # positions in `members` still training
+    best = [(np.inf, None)] * len(members)
+    for step in range(config.train_steps):
+        idx = np.stack([rngs[j].integers(0, x_tr.shape[0], size=config.batch_size) for j in live])
+        loss, grad = _nll_grad_on(spec, params, x_tr[idx], t_tr[idx], head_dim)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            live = [j for j, ok in zip(live, finite) if ok]
+            if not live:
+                break
+            params, grad = params[finite], grad[finite]
+            adam.m, adam.v = adam.m[finite], adam.v[finite]
+        adam, params = nn.adam_step(adam, params, grad)
+        if (step + 1) % config.val_interval == 0 or step + 1 == config.train_steps:
+            for row, j in enumerate(live):
+                out = nn.forward(spec, params[row], x_val)
+                mu, log_std, _ = _split_heads(out, head_dim)
+                score = float(_nll_from_heads(mu, log_std, t_val))
+                if np.isfinite(score) and score < best[j][0]:
+                    best[j] = (score, params[row].copy())
+    return [(int(members[j]), best[j][0], best[j][1]) for j in live if np.isfinite(best[j][0])]
+
+
+def _in_processes(train, groups: list) -> list:
+    """[train(group) for group in groups]: the first group in this process,
+    each other one in a forked child that sends its result back over a pipe.
+
+    A child that fails or dies raises WorldModelError, and no child
+    outlives the call.
+    """
+    if len(groups) == 1:
+        return [train(groups[0])]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for group in groups[1:]:
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_main, args=(train, group, sender), daemon=True)
+            children.append((child, receiver))
+            child.start()
+            sender.close()
+        results = [train(groups[0])]
+        for child, receiver in children:
+            try:
+                status, payload = receiver.recv()
+            except EOFError:
+                child.join()
+                raise WorldModelError(
+                    f"ensemble training process exited with code {child.exitcode}"
+                ) from None
+            if status != "ok":
+                raise WorldModelError(f"ensemble training process failed: {payload}")
+            results.append(payload)
+            child.join()
+        return results
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.kill()
+            if child.pid is not None:
+                child.join()
+
+
+def _child_main(train, group, sender) -> None:
+    """A forked group's entry point: its result, or its error, to the parent."""
+    try:
+        message = ("ok", train(group))
+    except Exception as err:  # the parent raises it as a WorldModelError
+        message = ("error", f"{type(err).__name__}: {err}")
+    sender.send(message)
+    sender.close()
 
 
 def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorldModel:
-    """Train all members on a shared split; pick elites by validation NLL."""
+    """Train all members on a shared split; pick elites by validation NLL.
+
+    The members train in `ensemble_groups(n_members)` lockstep groups of
+    consecutive members (7 members in 2 groups: 0-3 and 4-6), the first
+    in this process and each other one in a forked child. Every member
+    draws its init and batches from its own `wm.member` stream, each slice
+    of a stacked step meets the same BLAS calls as that member alone, and
+    validation runs per member, so the result has the same bits for every
+    grouping, and equals training the members one after another.
+    """
     states, actions, rewards, next_states, _ = dataset.flat_arrays()
     if states.shape[0] < 20:
         raise WorldModelError(f"need at least 20 transitions, got {states.shape[0]}")
@@ -194,38 +321,16 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
 
     train_rows, val_rows = _split_rows(dataset, stream(seed, "wm.split"), config.val_fraction)
     val_rows = val_rows[: config.max_val_rows]
-    x_tr, t_tr = inputs[train_rows], targets[train_rows]
-    x_val, t_val = inputs[val_rows], targets[val_rows]
-    head_dim = dataset.obs_dim + 1
+    data = (inputs[train_rows], targets[train_rows], inputs[val_rows], targets[val_rows])
 
-    def val_score(params):
-        out = nn.forward(spec, params, x_val)
-        mu, log_std, _ = _split_heads(out, head_dim)
-        return _nll_from_heads(mu, log_std, t_val)
-
-    n_p = nn.n_params(spec)
-    member_params = np.zeros((config.n_members, n_p))
+    member_params = np.zeros((config.n_members, nn.n_params(spec)))
     val_nll = np.full(config.n_members, np.inf)
-    for m in range(config.n_members):
-        rng = stream(seed, "wm.member", m)
-        params = nn.init_params(spec, rng)
-        adam = nn.init_adam(n_p, config.lr)
-        best = (np.inf, params.copy())
-        diverged = False
-        for step in range(config.train_steps):
-            idx = rng.integers(0, x_tr.shape[0], size=config.batch_size)
-            loss, grad = _nll_grad_on(spec, params, x_tr[idx], t_tr[idx], head_dim)
-            if not np.isfinite(loss):
-                diverged = True
-                break
-            adam, params = nn.adam_step(adam, params, grad)
-            if (step + 1) % config.val_interval == 0 or step + 1 == config.train_steps:
-                score = val_score(params)
-                if np.isfinite(score) and score < best[0]:
-                    best = (score, params.copy())
-        if not diverged and np.isfinite(best[0]):
-            member_params[m] = best[1]
-            val_nll[m] = best[0]
+    groups = np.array_split(np.arange(config.n_members), ensemble_groups(config.n_members))
+    train = partial(_train_group, spec, data, config, seed)
+    for trained in _in_processes(train, groups):
+        for m, score, params in trained:
+            member_params[m] = params
+            val_nll[m] = score
     order = np.argsort(val_nll, kind="stable")
     elites = [int(i) for i in order[: config.n_elites]]
     if not np.isfinite(val_nll[elites]).all():
@@ -278,7 +383,7 @@ def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.nd
     per-row bias and applies the activation over the whole layer. `out` is
     scattered back to row order once at the end; `post` stays sorted.
     """
-    stacks = ensemble._layer_stacks
+    layers = ensemble._layers
     activation = ensemble.spec.activation
     order = np.argsort(member, kind="stable")
     ids = member[order]
@@ -286,12 +391,12 @@ def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.nd
     groups = [(int(ids[lo]), lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     a = x[order]
     post = []
-    for w, b in stacks[:-1]:
+    for w, b in layers[:-1]:
         h = _grouped_matmul(a, w, groups)
         h += b[ids]
         a = nn._activate(h, activation)
         post.append(a)
-    w, b = stacks[-1]
+    w, b = layers[-1]
     h = _grouped_matmul(a, w, groups)
     h += b[ids]
     out = np.empty_like(h)
@@ -336,14 +441,14 @@ def step_backward(ensemble: EnsembleWorldModel, cache: StepCache, g_next, g_rewa
     g_mu = g_sample
     g_log_std = g_sample * cache.eps * cache.sigma * cache.interior
     g = np.concatenate([g_mu, g_log_std], axis=1)[cache.order]
-    stacks = ensemble._layer_stacks
+    layers = ensemble._layers
     activation = ensemble.spec.activation
     # w.swapaxes(1, 2)[m] is the same transposed view as w[m].T
-    g = _grouped_matmul(g, stacks[-1][0].swapaxes(1, 2), cache.groups)
+    g = _grouped_matmul(g, layers[-1][0].swapaxes(1, 2), cache.groups)
     for layer in reversed(range(len(cache.post))):
         gz = nn._activate_grad(cache.post[layer], activation)
         np.multiply(g, gz, out=gz)
-        g = _grouped_matmul(gz, stacks[layer][0].swapaxes(1, 2), cache.groups)
+        g = _grouped_matmul(gz, layers[layer][0].swapaxes(1, 2), cache.groups)
     g_in = np.empty_like(g)
     g_in[cache.order] = g
     g_state = g_in[:, : ensemble.obs_dim] + g_next

@@ -16,7 +16,6 @@ import zlib
 import numpy as np
 
 from leq_lab import agent, datasets, envs, nn, world_model
-from leq_lab.container import from_dict
 from leq_lab.rng import stream
 
 
@@ -233,6 +232,83 @@ def loop_pretrain_fqe(dataset, policy, spec, params, steps: int, gamma: float, s
     return params, loss
 
 
+def loop_train_ensemble(dataset, config, seed: int):
+    """`world_model.train_ensemble` training its members one after another,
+    one 2-D forward, backward and Adam step per member and step, as it did
+    before the lockstep groups."""
+    states, actions, rewards, next_states, _ = dataset.flat_arrays()
+    if states.shape[0] < 20:
+        raise world_model.WorldModelError(f"need at least 20 transitions, got {states.shape[0]}")
+    spec = world_model.member_spec(dataset.obs_dim, dataset.act_dim, config)
+    inputs = np.concatenate([states, actions], axis=1)
+    targets = np.concatenate([next_states - states, rewards[:, None]], axis=1)
+    train_rows, val_rows = world_model._split_rows(
+        dataset, stream(seed, "wm.split"), config.val_fraction
+    )
+    val_rows = val_rows[: config.max_val_rows]
+    x_tr, t_tr = inputs[train_rows], targets[train_rows]
+    x_val, t_val = inputs[val_rows], targets[val_rows]
+    head_dim = dataset.obs_dim + 1
+
+    lo, hi = world_model.LOG_STD_MIN, world_model.LOG_STD_MAX
+
+    def nll(out, t):
+        res = t - out[:, :head_dim]
+        log_std = np.clip(out[:, head_dim:], lo, hi)
+        per_row = 0.5 * res * res * np.exp(-2.0 * log_std) + log_std + world_model._HALF_LOG_2PI
+        return float(per_row.sum(axis=-1).mean())
+
+    n_p = nn.n_params(spec)
+    member_params = np.zeros((config.n_members, n_p))
+    val_nll = np.full(config.n_members, np.inf)
+    for m in range(config.n_members):
+        rng = stream(seed, "wm.member", m)
+        params = nn.init_params(spec, rng)
+        adam = nn.init_adam(n_p, config.lr)
+        best = (np.inf, params.copy())
+        diverged = False
+        for step in range(config.train_steps):
+            idx = rng.integers(0, x_tr.shape[0], size=config.batch_size)
+            x, t = x_tr[idx], t_tr[idx]
+            out, cache = nn.forward_cached(spec, params, x)
+            loss = nll(out, t)
+            if not np.isfinite(loss):
+                diverged = True
+                break
+            raw = out[:, head_dim:]
+            log_std = np.clip(raw, lo, hi)
+            interior = (raw > lo) & (raw < hi)
+            inv_var = np.exp(-2.0 * log_std)
+            res = t - out[:, :head_dim]
+            g_mu = -res * inv_var / x.shape[0]
+            g_log_std = (1.0 - res * res * inv_var) / x.shape[0] * interior
+            grad, _ = nn.backward_cached(spec, params, cache, np.concatenate([g_mu, g_log_std], axis=1))
+            adam, params = nn.adam_step(adam, params, grad)
+            if (step + 1) % config.val_interval == 0 or step + 1 == config.train_steps:
+                score = nll(nn.forward(spec, params, x_val), t_val)
+                if np.isfinite(score) and score < best[0]:
+                    best = (score, params.copy())
+        if not diverged and np.isfinite(best[0]):
+            member_params[m] = best[1]
+            val_nll[m] = best[0]
+    order = np.argsort(val_nll, kind="stable")
+    elites = [int(i) for i in order[: config.n_elites]]
+    if not np.isfinite(val_nll[elites]).all():
+        n_ok = int(np.isfinite(val_nll).sum())
+        raise world_model.WorldModelError(
+            f"only {n_ok} members trained to a finite validation NLL; need {config.n_elites}"
+        )
+    return world_model.EnsembleWorldModel(
+        obs_dim=dataset.obs_dim,
+        act_dim=dataset.act_dim,
+        spec=spec,
+        member_params=member_params,
+        val_nll=val_nll,
+        elite_idx=tuple(elites),
+        config=config,
+    )
+
+
 def central_diff(fn, params, i: int, h: float) -> float:
     p = np.array(params, dtype=np.float64, copy=True)
     p[i] += h
@@ -430,19 +506,18 @@ def group_step_with_tape(ensemble, states, actions, member, eps):
     member = np.asarray(member, dtype=np.intp).reshape(-1)
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     x = np.concatenate([states, actions], axis=1)
-    stacks = ensemble._layer_stacks
-    activation = ensemble.spec.activation
+    spec = ensemble.spec
     groups = member_groups(member)
     B = x.shape[0]
-    post = [np.empty((B, w.shape[2])) for w, _ in stacks[:-1]]
-    out = np.empty((B, stacks[-1][0].shape[2]))
+    post = [np.empty((B, width)) for width in spec.hidden_dims]
+    out = np.empty((B, spec.output_dim))
     for m, rows in groups:
+        views = nn.param_views(spec, ensemble.member_params[m])
         a = x[rows]
-        for i, (w, b) in enumerate(stacks[:-1]):
-            a = alloc_activate(a @ w[m] + b[m], activation)
+        for i in range(len(spec.hidden_dims)):
+            a = alloc_activate(a @ views[f"w{i}"] + views[f"b{i}"], spec.activation)
             post[i][rows] = a
-        w, b = stacks[-1]
-        out[rows] = a @ w[m] + b[m]
+        out[rows] = a @ views["w_out"] + views["b_out"]
     head_dim = ensemble.obs_dim + 1
     mu, log_std, interior = world_model._split_heads(out, head_dim)
     sigma = np.exp(log_std)
@@ -463,14 +538,14 @@ def group_step_backward(ensemble, tape, g_next, g_reward):
     g_sample = np.concatenate([g_next, g_reward[:, None]], axis=1)
     g_log_std = g_sample * tape["eps"] * tape["sigma"] * tape["interior"]
     g_out = np.concatenate([g_sample, g_log_std], axis=1)
-    stacks = ensemble._layer_stacks
-    activation = ensemble.spec.activation
+    spec = ensemble.spec
     g_in = np.empty_like(tape["x"])
     for m, rows in tape["groups"]:
-        g = g_out[rows] @ stacks[-1][0][m].T
+        views = nn.param_views(spec, ensemble.member_params[m])
+        g = g_out[rows] @ views["w_out"].T
         for layer in range(len(tape["post"]) - 1, -1, -1):
-            act_grad = alloc_activate_grad(tape["post"][layer][rows], activation)
-            g = (g * act_grad) @ stacks[layer][0][m].T
+            act_grad = alloc_activate_grad(tape["post"][layer][rows], spec.activation)
+            g = (g * act_grad) @ views[f"w{layer}"].T
         g_in[rows] = g
     g_state = g_in[:, : ensemble.obs_dim] + g_next
     g_action = g_in[:, ensemble.obs_dim :]
@@ -720,19 +795,52 @@ def _schema_accepts(schema: dict, raw) -> bool:
     return validator(schema).is_valid(raw)
 
 
+def frozen_ranges_accept(agent_values: dict, model_values: dict) -> bool:
+    """The value ranges `AgentConfig` and `WorldModelConfig` checked in their
+    `__post_init__` when the schemas were retired, plus `awr_alpha`, `lcb_c`
+    and `activation`, written out so that a range the dataclasses later
+    tighten by mistake shows as a disagreement. The comparisons and `min`
+    orders are theirs, so a NaN passes or fails as it did there."""
+    a, w = agent_values, model_values
+    tau = float(a["tau"])
+    return not (
+        not math.isfinite(tau)
+        or not (0.0 < tau <= 1.0)
+        or not 0.0 <= a["lam"] < 1.0
+        or not 0.0 < a["gamma"] < 1.0
+        or a["horizon"] < 1
+        or a["rollout_r"] < 1
+        or not 0.0 <= a["beta"] <= 1.0
+        or a["omega_ema"] < 0.0
+        or a["sigma_exp"] < 0.0
+        or min(a["lr_actor"], a["lr_critic"], a["lr_pretrain"]) <= 0.0
+        or min(a["batch_env"], a["batch_model"], a["t_expand"], a["n_expand"], a["n_iter"]) <= 0
+        or min(a["bc_steps"], a["fqe_steps"]) < 0
+        or not 0.0 < a["ema_decay"] < 1.0
+        or a["conservatism"] not in ("lower_expectile", "mobile_lcb", "none")
+        or a["critic_target"] not in ("lambda", "one_step", "h_step")
+        or a["policy_update"] not in ("lambda_expectile", "q_value", "awr")
+        or a["awr_alpha"] <= 0.0
+        or a["lcb_c"] < 0.0
+        or not 0 < w["n_elites"] <= w["n_members"]
+        or not 0.0 < w["val_fraction"] < 1.0
+        or min(w["train_steps"], w["batch_size"], w["val_interval"], w["max_val_rows"]) <= 0
+        or w["lr"] <= 0.0
+        or w["activation"] not in ("relu", "tanh", "elu")
+    )
+
+
 def schema_accepts_run_config(raw) -> bool:
-    """The schema-era verdict on a run config."""
+    """The schema-era verdict on a run config, with the frozen value ranges."""
     if not _schema_accepts(RUN_SCHEMA, raw):
         return False
     preset = agent.AgentConfig()
     if raw.get("desk_scale", False):
         preset = preset.desk_scale()
-    try:
-        from_dict(agent.AgentConfig, {**dataclasses.asdict(preset), **raw.get("agent", {})})
-        from_dict(world_model.WorldModelConfig, raw.get("world_model", {}))
-    except ValueError:
-        return False
-    return True
+    return frozen_ranges_accept(
+        {**dataclasses.asdict(preset), **raw.get("agent", {})},
+        {**dataclasses.asdict(world_model.WorldModelConfig()), **raw.get("world_model", {})},
+    )
 
 
 def schema_accepts_matrix_config(raw) -> bool:

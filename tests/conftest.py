@@ -1,6 +1,11 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block."""
+"""Shared pytest plumbing: the acceptance-criteria summary block, and a
+check that no test leaves a child process running."""
 
 from __future__ import annotations
+
+import multiprocessing
+
+import pytest
 
 _CRITERIA: dict[int, str] = {}
 
@@ -17,3 +22,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for n in sorted(_CRITERIA):
         terminalreporter.write_line(_CRITERIA[n])
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_outlives_its_test():
+    yield
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.kill()
+        child.join()
+    if alive:
+        pytest.fail(f"the test left {len(alive)} child process(es) running: {alive}")

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from leq_lab import agent, cli, datasets, envs, returns
+from leq_lab import agent, cli, datasets, envs, returns, world_model
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -229,6 +229,19 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
         lengths = [float(row["mean_length"]) for row in csv.DictReader(fh)]
     assert len(lengths) == 3
     assert report["eval_env_steps"] == untimed["eval_env_steps"] == round(sum(lengths) * 3)
+
+
+def test_report_records_peak_rss_and_the_ensemble_groups(tmp_path, monkeypatch):
+    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 2)
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    assert report == json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["ensemble_groups"] == 2
+    # the forked ensemble-training process is among the finished children
+    assert set(report["peak_rss_mb"]) == {"self", "children"}
+    assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
+    resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
+    assert resumed["ensemble_groups"] == 0  # loaded, not trained
 
 
 def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):

@@ -30,16 +30,12 @@ _NONFINITE_LET_THROUGH = (
     ("world_model", "lr"),
 )
 
-# ranges the config dataclasses check since the schema era, by (section, key):
-# (rejected?, a value the oracle is asked about instead, values on both sides)
-_NEW_RANGE_REJECTIONS = {
-    ("agent", "awr_alpha"): (lambda v: v <= 0, 1.0, (0, -1e-300, -0.5, 1e-300)),
-    ("agent", "lcb_c"): (lambda v: v < 0, 1.0, (0, -0.0, -1e-300, -2.0)),
-    ("world_model", "activation"): (
-        lambda v: v not in ("relu", "tanh", "elu"),
-        "elu",
-        ("tanh", "nope", "ELU"),
-    ),
+# values on both sides of the ranges the config dataclasses check since the
+# schema era, by (section, key)
+_RANGE_PROBES = {
+    ("agent", "awr_alpha"): (0, -1e-300, -0.5, 1e-300),
+    ("agent", "lcb_c"): (0, -0.0, -1e-300, -2.0),
+    ("world_model", "activation"): ("tanh", "nope", "ELU"),
 }
 
 
@@ -140,7 +136,7 @@ def _run_configs(draw):
     if draw(st.integers(0, 3)) == 3 and isinstance(raw.get(section, {}), dict):
         raw[section] = {**raw.get(section, {}), key: draw(st.sampled_from(_NONFINITE))}
     # values on either side of the ranges the schema era did not check
-    for (section, key), (_, _, probes) in _NEW_RANGE_REJECTIONS.items():
+    for (section, key), probes in _RANGE_PROBES.items():
         if draw(st.booleans()) and isinstance(raw.get(section, {}), dict):
             raw[section] = {**raw.get(section, {}), key: draw(st.sampled_from(probes))}
     return raw
@@ -185,33 +181,9 @@ def _matrix_configs(draw):
     return raw
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _without_new_range_rejections(raw):
-    """`raw` with every well-typed value a new range check rejects swapped
-    for a valid one, and whether any was. The oracle builds the live
-    dataclasses, which reject those values too, so it is asked about the
-    swapped config and the new rejections are counted here."""
-    if not isinstance(raw, dict):
-        return raw, False
-    raw, swapped = dict(raw), False
-    for (section, key), (rejected, valid, _) in _NEW_RANGE_REJECTIONS.items():
-        values = raw.get(section)
-        if not isinstance(values, dict) or key not in values:
-            continue
-        value = values[key]
-        typed = isinstance(value, str) if isinstance(valid, str) else _is_number(value)
-        if typed and rejected(value):
-            raw[section], swapped = {**values, key: valid}, True
-    return raw, swapped
-
-
 def _expected_run_verdict(raw) -> bool:
-    """The schema-era verdict, less the non-finite numbers and new ranges it let through."""
-    lenient, swapped = _without_new_range_rejections(raw)
-    return _oracles.schema_accepts_run_config(lenient) and not _has_nonfinite(raw) and not swapped
+    """The schema-era verdict with the frozen ranges, less the non-finite numbers it let through."""
+    return _oracles.schema_accepts_run_config(raw) and not _has_nonfinite(raw)
 
 
 def _new_verdict(parse, raw) -> bool:
@@ -223,12 +195,7 @@ def _new_verdict(parse, raw) -> bool:
 
 
 def _expected_matrix_verdict(raw) -> bool:
-    """The schema-era verdict, less the cells, seeds, names and new ranges it let through."""
-    if isinstance(raw, dict) and isinstance(raw.get("cells"), list):
-        swaps = [_without_new_range_rejections(raw.get("base"))]
-        swaps += [_without_new_range_rejections(cell) for cell in raw["cells"]]
-        if any(swapped for _, swapped in swaps):
-            return False
+    """The schema-era verdict with the frozen ranges, less the cells, seeds and names it let through."""
     if not _oracles.schema_accepts_matrix_config(raw) or _has_nonfinite(raw):
         return False
     seeds = raw["seeds"]

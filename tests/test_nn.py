@@ -289,6 +289,110 @@ class TestInPlaceKernels:
             _oracles.assert_bits(got, want)
 
 
+@st.composite
+def stacked_cases(draw):
+    """A spec, k (P,) parameter rows, and (k, B, d) inputs and (k, B, o)
+    cotangents, with a few special values planted."""
+    spec = nn.MlpSpec(
+        input_dim=draw(st.integers(1, 6)),
+        hidden_dims=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))),
+        output_dim=draw(st.integers(1, 6)),
+        use_layernorm=draw(st.booleans()),
+        use_symlog_input=draw(st.booleans()),
+        activation=draw(st.sampled_from(["relu", "tanh", "elu"])),
+    )
+    k = draw(st.integers(1, 5))
+    rows = draw(st.sampled_from([1, 2, 3, 17, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.normal(0.0, 1.0, (k, nn.n_params(spec)))
+    x = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), (k, rows, spec.input_dim))
+    cot = rng.normal(0.0, 1.0, (k, rows, spec.output_dim))
+    for arr in (x, cot):
+        flat = arr.reshape(-1)
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, flat.size - 1))
+            flat[at] = draw(st.sampled_from(_oracles.SPECIAL_VALUES))
+    return spec, params, x, cot
+
+
+def assert_bits_but_nan_signs(got, want):
+    """Equal values, NaNs at the same places and the sign of every zero; a
+    NaN's sign may differ. numpy's SIMD lanes and scalar tails put the two
+    operands of a binary op in different orders, so where two NaNs of
+    opposite sign meet, the sign that survives depends on the element's
+    offset in the array, and a slice sits at another offset in a stack."""
+    np.testing.assert_array_equal(got, want)
+    signed = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+class TestStackedNetworks:
+    """A (k, P) stack of networks against k separate 2-D calls."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_cases())
+    def test_each_slice_has_the_bits_of_its_own_call(self, case):
+        spec, params, x, cot = case
+        inputs = (params, x, cot)
+        before = [arr.tobytes() for arr in inputs]
+        y, cache = nn.forward_cached(spec, params, x)
+        full = nn.backward_cached(spec, params, cache, cot)
+        grad, none = nn.backward_cached(spec, params, cache, cot, params_only=True)
+        none_too, g_in = nn.backward_cached(spec, params, cache, cot, input_only=True)
+        assert none is None and none_too is None
+        assert [arr.tobytes() for arr in inputs] == before
+        views = nn.param_views(spec, params)
+        for j in range(params.shape[0]):
+            p_j, x_j, cot_j = params[j].copy(), x[j].copy(), cot[j].copy()
+            y_j, cache_j = nn.forward_cached(spec, p_j, x_j)
+            grad_j, g_in_j = nn.backward_cached(spec, p_j, cache_j, cot_j)
+            assert_bits_but_nan_signs(y[j], y_j)
+            for got, want in zip(_cache_arrays(cache), _cache_arrays(cache_j)):
+                assert_bits_but_nan_signs(got[j], want)
+            for got in (full[0][j], grad[j]):
+                assert_bits_but_nan_signs(got, grad_j)
+            for got in (full[1][j], g_in[j]):
+                assert_bits_but_nan_signs(got, g_in_j)
+            for name, view in nn.param_views(spec, p_j).items():
+                assert_bits_but_nan_signs(views[name][j], view)
+
+    def test_adam_steps_each_network_as_alone(self):
+        rng = np.random.default_rng(12)
+        params = rng.normal(size=(3, 20))
+        alone = [row.copy() for row in params]
+        state = nn.init_adam(params.shape, lr=3e-3)
+        states = [nn.init_adam(20, lr=3e-3) for _ in alone]
+        for _ in range(50):
+            grad = rng.normal(size=params.shape)
+            nn.adam_step(state, params, grad)
+            for row, row_state, row_grad in zip(alone, states, grad):
+                nn.adam_step(row_state, row, row_grad.copy())
+        for j, row in enumerate(alone):
+            _oracles.assert_bits(params[j], row)
+
+
+class TestParamsOnly:
+    @settings(max_examples=100, deadline=None)
+    @given(mlp_cases())
+    def test_params_only_sweep_is_the_full_param_grad(self, case):
+        spec, params, x, cot = case
+        _, cache = nn.forward_cached(spec, params, x)
+        written = _cache_arrays(cache) + [params, cot]
+        frozen = [arr.tobytes() for arr in written]
+        want, _ = nn.backward_cached(spec, params, cache, cot)
+        grad, g_in = nn.backward_cached(spec, params, cache, cot, params_only=True)
+        assert g_in is None
+        assert [arr.tobytes() for arr in written] == frozen
+        _oracles.assert_bits(grad, want)
+
+    def test_both_flags_are_rejected(self):
+        spec = make_spec()
+        params = nn.init_params(spec, np.random.default_rng(0))
+        _, cache = nn.forward_cached(spec, params, np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            nn.backward_cached(spec, params, cache, np.ones((2, 2)), input_only=True, params_only=True)
+
+
 class TestAdam:
     def test_zero_grad_is_identity(self):
         params = np.array([1.0, -2.0, 3.0])
