@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import csv
 import json
 import os
@@ -27,7 +26,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import agent as agent_mod
-from . import container, datasets, envs, nn, theory, world_model
+from . import container, datasets, envs, heap, nn, world_model
 from .config import ConfigError, RunConfig, load_matrix_config, load_run_config
 from .expectile import InputValidationError, ScalarDistribution, expectile_of
 from .rng import stream
@@ -212,36 +211,6 @@ def _truncate_rows(path, step: int, interval: int) -> tuple[list[dict], list[str
     return kept, columns
 
 
-# glibc's mallopt parameter numbers, and the values a training process sets
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_TRIM_THRESHOLD = 64 << 20
-_MMAP_THRESHOLD = 32 << 20
-
-
-def _set_heap_policy() -> None:
-    """Keep the arrays a training step frees in the heap for the next step.
-
-    A main-loop step allocates and frees many 300-400 KB arrays (a hidden
-    layer at 600-700 rows). glibc's defaults map such a block or trim the
-    top of the heap once it is freed, depending on the largest block the
-    process freed before, so every step faulted its pages in again: a
-    median of 1200-3300 minor page faults (5-13 MB) per `train_step` on the
-    model-based desk runs, and step times that moved with unrelated
-    allocations. With the thresholds fixed at 32 MiB (mmap) and 64 MiB
-    (trim), well above the 10-14 MB heap a desk run keeps, a step faults
-    no pages. Where `mallopt` does not exist, this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-
-
 class _PhaseClock:
     """Wall seconds this process spent in each pipeline phase.
 
@@ -273,7 +242,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
     """
-    _set_heap_policy()
+    heap.set_heap_policy()
     clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
@@ -538,7 +507,7 @@ def cmd_ablate(args) -> int:
 # verify-theory
 
 
-def _lemma_sweep() -> dict:
+def _lemma_sweep(theory) -> dict:
     """Spot-check both contraction lemmas on analytic distributions."""
     dists = [
         ScalarDistribution.normal(0.0, 1.0),
@@ -564,6 +533,16 @@ def _lemma_sweep() -> dict:
 
 
 def cmd_verify_theory(args) -> int:
+    from . import theory  # loaded here only: no other command needs it
+
+    try:
+        return _verify_theory(theory, args)
+    except theory.TheoryError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+
+def _verify_theory(theory, args) -> int:
     t0 = time.monotonic()
     status = 0
     report: dict = {"build_id": _build_id(), "trials": args.trials, "seed": args.seed}
@@ -581,7 +560,7 @@ def cmd_verify_theory(args) -> int:
         for ex in err.counterexamples:
             print(json.dumps(ex), file=sys.stderr)
 
-    lemmas = _lemma_sweep()
+    lemmas = _lemma_sweep(theory)
     report["lemma_sweep"] = lemmas
     print(f"lemma sweep: {lemmas['checked']} checks, {lemmas['failed']} failures")
     if lemmas["failed"]:
@@ -695,7 +674,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (agent_mod.DivergenceError, theory.TheoryError) as err:
+    except agent_mod.DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

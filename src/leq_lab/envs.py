@@ -15,6 +15,15 @@ Two families:
 
 Collision handling moves one axis at a time and clips motion just short of
 any crossed wall, so agents slide along walls rather than sticking to them.
+Along an axis a row sweeps [start, target + m] moving up or [target - m,
+start] moving down (m is the wall margin), and meets a wall on line w at
+its face w + m or w - m. A row moving down is handled mirrored, times -1,
+which is exact, so that every row sweeps [start, target + m] toward its
+face. One reach mask per axis marks the (row, wall) pairs whose face lies
+in the row's swept interval and whose extent on the other axis holds the
+row; a step visits only the walls some row reaches, and none when no row
+reaches one. The wall tables, clamp bounds, goal and waypoints are arrays
+built once per spec.
 
 `env_step`, `termination_fn` and `expert_action` are shape-polymorphic: a
 (B, S) batch of states steps (or steers) every row at once, each exactly as
@@ -26,9 +35,10 @@ call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,6 +163,20 @@ class EnvSpec:
         if self.env_id == "point_maze" and self.goal_radius <= 0.0:
             raise EnvError("goal radius must be positive")
 
+    @cached_property
+    def _maze(self) -> _MazeTables:
+        """The maze's read-only arrays, built on first use."""
+        return _maze_tables(self)
+
+
+class _MazeTables(NamedTuple):
+    walls: tuple  # per axis, the (6, W) `_crossable_walls` table
+    lo: np.ndarray  # (2,) lowest coordinates a step may end at
+    hi: np.ndarray  # (2,) highest
+    goal: np.ndarray  # (2,)
+    goal_radius_sq: float
+    waypoints: np.ndarray  # (K, 2)
+
 
 def make_env_spec(name: str) -> EnvSpec:
     if name == "dense_chain":
@@ -177,61 +201,95 @@ def make_env_spec(name: str) -> EnvSpec:
     raise EnvError(f"unknown environment {name!r}; expected one of {ENV_NAMES}")
 
 
-@functools.lru_cache(maxsize=None)
 def _crossable_walls(walls: tuple, axis: int) -> np.ndarray:
-    """Read-only (4, W) rows w - m, w + m, lo - m and hi + m of the W walls
-    a move along `axis` can cross, in layout order: each wall line w, the
-    wall's extent [lo, hi] on the other axis, and the margin m."""
-    lines = [
-        (
-            a[axis] - _WALL_MARGIN,
-            a[axis] + _WALL_MARGIN,
-            min(a[1 - axis], b[1 - axis]) - _WALL_MARGIN,
-            max(a[1 - axis], b[1 - axis]) + _WALL_MARGIN,
-        )
-        for (a, b) in walls
-        if a[axis] == b[axis]  # a wall along the motion axis cannot be crossed sideways
-    ]
-    table = np.array(lines, dtype=np.float64).reshape(-1, 4).T.copy()
-    table.setflags(write=False)
-    return table
+    """(6, W) table of the W walls a move along `axis` can cross, in layout
+    order. With w the wall line and m the margin, its rows are the face a
+    row meets, w + m moving up and -(w - m) moving down (mirrored, see
+    `_maze_step`), the stop it clips to, w - m and -(w + m), and the wall's
+    extent lo - m and hi + m on the other axis."""
+    lines = []
+    for (a, b) in walls:
+        if a[axis] != b[axis]:
+            continue  # a wall along the motion axis cannot be crossed sideways
+        w_lo, w_hi = a[axis] - _WALL_MARGIN, a[axis] + _WALL_MARGIN
+        o_lo = min(a[1 - axis], b[1 - axis]) - _WALL_MARGIN
+        o_hi = max(a[1 - axis], b[1 - axis]) + _WALL_MARGIN
+        lines.append((w_hi, -w_lo, w_lo, -w_hi, o_lo, o_hi))
+    return np.array(lines, dtype=np.float64).reshape(-1, 6).T.copy()
 
 
-def _move_axis(pos: np.ndarray, axis: int, delta: np.ndarray, walls) -> np.ndarray:
-    """New coordinates along `axis` for every row of `pos` after clipping
-    against crossed walls.
+def _maze_tables(spec: EnvSpec) -> _MazeTables:
+    (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
+    tables = _MazeTables(
+        walls=(_crossable_walls(spec.walls, 0), _crossable_walls(spec.walls, 1)),
+        lo=np.array([lo_x + _WALL_MARGIN, lo_y + _WALL_MARGIN]),
+        hi=np.array([hi_x - _WALL_MARGIN, hi_y - _WALL_MARGIN]),
+        goal=np.array(spec.goal, dtype=np.float64),
+        goal_radius_sq=spec.goal_radius**2,
+        waypoints=np.array(spec.waypoints, dtype=np.float64).reshape(-1, 2),
+    )
+    for table in (*tables.walls, tables.lo, tables.hi, tables.goal, tables.waypoints):
+        table.setflags(write=False)
+    return tables
 
-    A wall clips a row that lies beside it, starts on the near side of its
-    line and would end at or past it. The walls clip one at a time in
-    layout order, each testing the target the earlier ones left. Clipping
-    only moves a target back toward its start, so a wall the unclipped
-    target does not reach is never reached, and the loop visits only the
-    walls some row reaches. A row that does not move keeps its coordinate
-    exactly.
+
+def _move_axis(pos, axis: int, up, sign, start, target, walls: np.ndarray, other) -> None:
+    """Clip `pos[:, axis]`, each row's target along `axis`, against the
+    walls the row crosses.
+
+    `up`, `sign`, `start` and `target` are `_maze_step`'s (B, 2) mirrored
+    moves, and `other` (B, 1) holds the rows' coordinates on the other
+    axis. The reach mask picks each row's wall face, w + m moving up or
+    -(w - m) moving down, and marks the (row, wall) pairs whose face lies
+    in the row's swept interval [start, target + m] and whose extent holds
+    the row: the rows beside a wall that start on its near side and would
+    end at or past its line. The walls then clip one at a time in layout
+    order, each testing the target the earlier ones left. Clipping only
+    moves a target back toward its start, so a wall the unclipped target
+    does not reach is never reached, and when no row reaches a wall
+    nothing more runs.
     """
-    w_lo, w_hi, o_lo, o_hi = _crossable_walls(walls, axis)
-    start = pos[:, axis]
-    target = start + delta
-    other, s_col, t_col = pos[:, 1 - axis, None], start[:, None], target[:, None]
-    beside = (o_lo <= other) & (other <= o_hi)
-    up = beside & (s_col <= w_hi) & (w_hi <= t_col + _WALL_MARGIN) & (delta > 0.0)[:, None]
-    down = beside & (t_col - _WALL_MARGIN <= w_lo) & (w_lo <= s_col) & (delta < 0.0)[:, None]
-    for j in np.flatnonzero((up | down).any(axis=0)):
-        hit_up = up[:, j] & (w_hi[j] <= target + _WALL_MARGIN)
-        hit_down = down[:, j] & (target - _WALL_MARGIN <= w_lo[j])
-        np.minimum(target, w_lo[j], out=target, where=hit_up)
-        np.maximum(target, w_hi[j], out=target, where=hit_down)
-    return np.where(delta == 0.0, start, target)
+    face_up, face_down, stop_up, stop_down, o_lo, o_hi = walls
+    up = up[:, axis, None]
+    target = target[:, axis]
+    face = np.where(up, face_up, face_down)
+    reach = (
+        (start[:, axis, None] <= face)
+        & (face <= (target + _WALL_MARGIN)[:, None])
+        & (o_lo <= other)
+        & (other <= o_hi)
+    )
+    if np.count_nonzero(reach) == 0:
+        return
+    stop = np.where(up, stop_up, stop_down)
+    dest, sign = pos[:, axis], sign[:, axis]
+    for j in np.flatnonzero(reach.any(axis=0)):
+        hit = reach[:, j] & (face[:, j] <= target + _WALL_MARGIN)
+        np.minimum(target, stop[:, j], out=target, where=hit)
+        np.multiply(sign, target, out=dest, where=hit)
 
 
 def _maze_step(spec: EnvSpec, states: np.ndarray, actions: np.ndarray):
-    pos = states.copy()
+    """Move every row along x, then along y, then clamp to the bounds.
+
+    Each axis a row moves down along is mirrored, times -1, so that every
+    row moves up: its swept interval is [start, target + m] and the walls
+    clip it with a minimum. Negation is exact and rounds symmetrically,
+    so every comparison and clip has the bits of the unmirrored one.
+    """
+    maze = spec._maze
     delta = spec.step_size * actions
-    pos[:, 0] = _move_axis(pos, 0, delta[:, 0], spec.walls)
-    pos[:, 1] = _move_axis(pos, 1, delta[:, 1], spec.walls)
-    lo, hi = spec.bounds
-    np.maximum(pos, (lo[0] + _WALL_MARGIN, lo[1] + _WALL_MARGIN), out=pos)
-    np.minimum(pos, (hi[0] - _WALL_MARGIN, hi[1] - _WALL_MARGIN), out=pos)
+    pos = states + delta  # each row's unclipped target
+    up = delta > 0.0
+    sign = np.where(up, 1.0, -1.0)
+    start, target = sign * states, sign * pos
+    still = delta == 0.0
+    np.copyto(start, np.nan, where=still)  # a row that does not move reaches no wall
+    _move_axis(pos, 0, up, sign, start, target, maze.walls[0], states[:, 1:])
+    _move_axis(pos, 1, up, sign, start, target, maze.walls[1], pos[:, :1])
+    np.copyto(pos, states, where=still)  # and keeps its coordinate exactly
+    np.maximum(pos, maze.lo, out=pos)
+    np.minimum(pos, maze.hi, out=pos)
     done = _maze_done(spec, pos)
     return pos, np.where(done, 0.0, -1.0), done
 
@@ -252,9 +310,10 @@ def env_step(spec: EnvSpec, state, action):
     shape that does not match the spec raises EnvError.
     """
     state = np.asarray(state, dtype=np.float64)
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise EnvError(f"non-finite state {state!r}")
-    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
+    # the bits of np.clip(action, -1.0, 1.0), NaN included, at less cost
+    action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
     if (
         state.ndim not in (1, 2)
         or action.ndim != state.ndim
@@ -264,10 +323,10 @@ def env_step(spec: EnvSpec, state, action):
     ):
         raise EnvError("state/action dimension mismatch")
     step = _maze_step if spec.env_id == "point_maze" else _chain_step
-    next_states, rewards, done = step(spec, np.atleast_2d(state), np.atleast_2d(action))
     if state.ndim == 1:
+        next_states, rewards, done = step(spec, state[None], action[None])
         return next_states[0], float(rewards[0]), bool(done[0])
-    return next_states, rewards, done
+    return step(spec, state, action)
 
 
 def reset_state(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
@@ -279,8 +338,10 @@ def reset_state(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _maze_done(spec: EnvSpec, pos: np.ndarray):
     """Goal-disc test on the last axis: bool for (2,), (B,) bools for (B, 2)."""
-    gx, gy = spec.goal
-    return (pos[..., 0] - gx) ** 2 + (pos[..., 1] - gy) ** 2 <= spec.goal_radius**2
+    maze = spec._maze
+    d = pos - maze.goal
+    np.square(d, out=d)
+    return d[..., 0] + d[..., 1] <= maze.goal_radius_sq
 
 
 def terminated(spec: EnvSpec, state) -> bool:
@@ -325,7 +386,7 @@ def expert_action(spec: EnvSpec, state, waypoint_idx):
     if spec.env_id == "dense_chain":
         action, idx = np.ones((len(pos), 1)), np.zeros(len(pos), dtype=np.intp)
     else:
-        waypoints = np.asarray(spec.waypoints, dtype=np.float64)
+        waypoints = spec._maze.waypoints
         idx = np.array(waypoint_idx, dtype=np.intp).reshape(-1)
         rows = np.flatnonzero(idx < len(waypoints) - 1)
         while rows.size:

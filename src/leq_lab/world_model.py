@@ -43,7 +43,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import container, nn
+from . import container, heap, nn
 from .rng import stream
 
 __all__ = [
@@ -121,12 +121,15 @@ def _split_heads(out: np.ndarray, head_dim: int):
     return mu, log_std, interior
 
 
-def _nll_from_heads(mu, log_std, targets):
-    """Mean Gaussian NLL over the rows; one per network for a (k, B, D) stack."""
-    inv_var = np.exp(-2.0 * log_std)
-    res = targets - mu
+def _nll(res, inv_var, log_std):
+    """Mean Gaussian NLL over the rows from the residuals and inverse variances."""
     per_row = 0.5 * res * res * inv_var + log_std + _HALF_LOG_2PI
     return per_row.sum(axis=-1).mean(axis=-1)
+
+
+def _nll_from_heads(mu, log_std, targets):
+    """Mean Gaussian NLL over the rows; one per network for a (k, B, D) stack."""
+    return _nll(targets - mu, np.exp(-2.0 * log_std), log_std)
 
 
 def _nll_grad_on(spec, params, x, t, head_dim):
@@ -136,7 +139,7 @@ def _nll_grad_on(spec, params, x, t, head_dim):
     mu, log_std, interior = _split_heads(out, head_dim)
     inv_var = np.exp(-2.0 * log_std)
     res = t - mu
-    loss = _nll_from_heads(mu, log_std, t)
+    loss = _nll(res, inv_var, log_std)
     batch = x.shape[-2]
     g_mu = -res * inv_var / batch
     g_log_std = (1.0 - res * res * inv_var) / batch * interior
@@ -311,7 +314,12 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
     of a stacked step meets the same BLAS calls as that member alone, and
     validation runs per member, so the result has the same bits for every
     grouping, and equals training the members one after another.
+
+    It first sets `heap.set_heap_policy`'s thresholds, as `cli.run_training`
+    does: without them glibc maps and unmaps every freed temporary of 128 KB
+    or more, and a stacked step costs about 1.5-2x as much per member.
     """
+    heap.set_heap_policy()
     states, actions, rewards, next_states, _ = dataset.flat_arrays()
     if states.shape[0] < 20:
         raise WorldModelError(f"need at least 20 transitions, got {states.shape[0]}")

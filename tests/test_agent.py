@@ -218,6 +218,20 @@ def test_env_and_ema_critic_gradients_match_central_differences():
         assert _oracles.worst_fd_rel_error(loss_at, grad, theta, rng, n_coords=40) < 1e-5
 
 
+def test_q_value_actor_gradient_matches_central_differences():
+    plan = make_plan(8)
+    states = env_batch(20)["states"]
+    loss, grad, _ = agent._policy_q_value(plan, states)
+    critic = agent.MlpCritic(plan.critic_spec, plan.critic_params)
+
+    def loss_at(theta):
+        return -float(critic(states, agent.MlpPolicy(plan.policy_spec, theta)(states)).mean())
+
+    assert loss_at(plan.policy_params) == pytest.approx(loss, rel=1e-12)
+    rng = np.random.default_rng(21)
+    assert _oracles.worst_fd_rel_error(loss_at, grad, plan.policy_params, rng, n_coords=40) < 1e-5
+
+
 def test_mobile_targets_match_a_per_elite_loop():
     plan = make_plan(9)
     config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)

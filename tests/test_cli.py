@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from leq_lab import agent, cli, datasets, envs, returns, world_model
+from leq_lab import agent, cli, datasets, envs, heap, returns, world_model
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -123,10 +123,19 @@ class _RecordingMallopt:
 def test_heap_policy_sets_the_glibc_thresholds(monkeypatch):
     libc = type("Libc", (), {"mallopt": _RecordingMallopt()})()
     monkeypatch.setattr(ctypes, "CDLL", lambda name, *args, **kwargs: libc)
-    cli._set_heap_policy()
+    heap.set_heap_policy()
     # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD -3 in glibc's malloc.h
     assert libc.mallopt.calls == [(-1, 64 << 20), (-3, 32 << 20)]
     assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    # a direct caller of train_ensemble trains under the same thresholds
+    libc.mallopt.calls.clear()
+    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
+    dataset = datasets.collect_dataset(envs.make_env_spec("point_maze_u"), "mixed", 4, seed=0)
+    config = world_model.WorldModelConfig(
+        train_steps=2, n_members=2, n_elites=1, hidden_dims=(8,), batch_size=8
+    )
+    world_model.train_ensemble(dataset, config, seed=0)
+    assert libc.mallopt.calls == [(-1, 64 << 20), (-3, 32 << 20)]
 
 
 def _no_c_library(name, *args, **kwargs):
@@ -265,3 +274,15 @@ def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):
     for seed in (0, 1):
         report = json.loads((out / "tau_low" / f"seed{seed}" / "report.json").read_text())
         assert report["seed"] == seed and report["steps"] == 4
+
+
+def test_verify_theory_maps_a_theory_error_to_exit_1(monkeypatch, capsys):
+    from leq_lab import theory
+
+    def broken(*args, **kwargs):
+        raise theory.TheoryError("planted")
+
+    monkeypatch.setattr(theory, "monte_carlo_theorem_suite", lambda *a: {"max_error_increase": 0.0})
+    monkeypatch.setattr(theory, "lemma1_check", broken)
+    assert cli.main(["verify-theory", "--trials", "1"]) == 1
+    assert "error: planted" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Environment dynamics, scripted collectors, normalization and the LEQD format."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -144,11 +145,31 @@ def _edge_coordinates(spec) -> list[float]:
     return sorted(values)
 
 
+# walls closer together than a step, so that one move reaches several, in
+# bounds around the origin, so that the clamp keeps negative coordinates
+CLOSE_WALLS = dataclasses.replace(
+    maze(),
+    name="close_walls",
+    bounds=((-2.0, -2.0), (2.0, 2.0)),
+    walls=(
+        ((-0.2, -1.0), (-0.2, 1.0)),
+        ((0.0, -1.0), (0.0, 1.0)),
+        ((0.1, -0.5), (0.1, 0.5)),
+        ((-1.0, 0.05), (1.0, 0.05)),
+        ((-0.5, 0.0), (0.5, 0.0)),
+        ((0.0015, 0.5), (1.0, 0.5)),
+    ),
+    goal=(1.5, 1.5),
+)
+
+
 @st.composite
 def env_batches(draw):
-    """(spec, states, actions, poisoned): rows on wall lines and ends, zero
-    and past-unit action components, B from 1; poisoned puts one NaN in."""
-    spec = make_env_spec(draw(st.sampled_from(envs.ENV_NAMES)))
+    """(spec, states, actions, poisoned): rows on wall lines and ends, zero,
+    past-unit, infinite and NaN action components, B from 1; poisoned puts
+    one NaN in the states."""
+    name = draw(st.sampled_from((*envs.ENV_NAMES, CLOSE_WALLS.name)))
+    spec = CLOSE_WALLS if name == CLOSE_WALLS.name else make_env_spec(name)
     B = draw(st.integers(1, 12))
     if spec.env_id == "point_maze":
         (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
@@ -162,7 +183,8 @@ def env_batches(draw):
         v = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.95]), st.floats(-1.5, 1.5))
         states = [[draw(x), draw(v)] for _ in range(B)]
     component = st.one_of(
-        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5, -3.0, 1e-300]), st.floats(-2.0, 2.0)
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.5, -3.0, 1e-300, np.inf, -np.inf, np.nan, -np.nan]),
+        st.floats(-2.0, 2.0),
     )
     actions = [[draw(component) for _ in range(spec.act_dim)] for _ in range(B)]
     states, actions = np.array(states, dtype=np.float64), np.array(actions, dtype=np.float64)
@@ -190,8 +212,10 @@ def expert_batches(draw):
     return spec, states, idx
 
 
-def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+def _same_bits(x, y) -> bool:
+    """Same shape, dtype and bytes: NaN positions, NaN signs and zero signs included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestBatchedStepAgainstScalarOracle:
@@ -216,6 +240,16 @@ class TestBatchedStepAgainstScalarOracle:
             assert one_s.shape == (spec.obs_dim,) and _same_bits(one_s, want_s)
             assert type(one_r) is float and _same_bits(np.float64(one_r), np.float64(want_r))
             assert type(one_done) is bool and one_done == want_done
+
+    def test_a_row_that_does_not_move_keeps_a_negative_zero(self):
+        spec = CLOSE_WALLS  # whose clamp keeps a coordinate of -0.0
+        states = np.array([[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0]])
+        actions = np.array([[0.0, 0.5], [0.5, 0.0], [-0.0, 0.0]])
+        next_states, _, _ = env_step(spec, states, actions)
+        assert np.signbit(next_states[[0, 2], 0]).all() and np.signbit(next_states[1:, 1]).all()
+        for row in range(3):
+            want, _, _ = _oracles.scalar_env_step(spec, states[row], actions[row])
+            assert _same_bits(next_states[row], want)
 
     def test_moving_onto_a_wall_line_from_a_margin_away(self):
         # a start exactly one margin below the dividing wall y = 2 cannot cross it

@@ -54,6 +54,44 @@ def test_step_at_zero_noise_is_the_member_mean(activation):
         np.testing.assert_allclose(rew[rows], out[:, OBS], rtol=0, atol=1e-12)
 
 
+def test_nll_gradient_of_each_stacked_member_matches_central_differences():
+    """`_nll_grad_on` over a (k, P) stack: each member's slice is the gradient
+    of its own NLL, and a log-std head clamped on a row passes it nothing."""
+    config = wm.WorldModelConfig(hidden_dims=(8, 8), activation="tanh")
+    spec = wm.member_spec(OBS, ACT, config)
+    head, B = OBS + 1, 16
+    rng = np.random.default_rng(20)
+    params = np.stack([nn.init_params(spec, np.random.default_rng(30 + m)) for m in range(3)])
+    x = rng.normal(size=(3, B, spec.input_dim))
+    t = rng.normal(size=(3, B, head))
+    b_log_std = nn.param_views(spec, params)["b_out"][:, head:]  # a view into params
+    b_log_std[0] = 9.0  # member 0: every log-std over the clamp
+    b_log_std[1, 0] = -15.0  # member 1: head 0 under it, its targets near the mean
+    t[1, :, 0] = nn.forward(spec, params[1], x[1])[:, 0] + 1e-4 * rng.normal(size=B)
+    # member 2: head 1 crosses the upper bound between two middle rows
+    raw = np.sort(nn.forward(spec, params[2], x[2])[:, head + 1])
+    b_log_std[2, 1] += wm.LOG_STD_MAX - 0.5 * (raw[B // 2 - 1] + raw[B // 2])
+
+    raw = np.stack([nn.forward(spec, params[m], x[m])[:, head:] for m in range(3)])
+    assert (raw[0] > wm.LOG_STD_MAX + 1.0).all() and (raw[1, :, 0] < wm.LOG_STD_MIN - 1.0).all()
+    assert (raw[2, :, 1] > wm.LOG_STD_MAX).sum() == B // 2
+    assert np.abs(raw[2, :, 1] - wm.LOG_STD_MAX).min() > 1e-4  # no row within a step of the kink
+
+    loss, grad = wm._nll_grad_on(spec, params, x, t, head)
+    assert loss.shape == (3,) and grad.shape == params.shape
+    for m in range(3):
+
+        def loss_at(theta, m=m):
+            mu, log_std, _ = wm._split_heads(nn.forward(spec, theta, x[m]), head)
+            return float(wm._nll_from_heads(mu, log_std, t[m]))
+
+        assert loss_at(params[m]) == pytest.approx(loss[m], rel=1e-12)
+        assert _oracles.worst_fd_rel_error(loss_at, grad[m], params[m], rng, n_coords=40) < 1e-5
+    g_b = nn.param_views(spec, grad)["b_out"][:, head:]
+    assert not g_b[0].any() and g_b[1, 0] == 0.0
+    assert (g_b[1, 1:] != 0.0).all() and g_b[2, 1] != 0.0
+
+
 @pytest.mark.parametrize("activation", ["elu", "relu", "tanh"])
 def test_step_backward_matches_central_differences(activation):
     ensemble = tiny_ensemble(activation)
