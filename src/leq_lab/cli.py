@@ -22,6 +22,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -118,17 +119,92 @@ def _load_inputs(cfg: RunConfig):
     return env_spec, dataset
 
 
-def _prepare_ensemble(cfg: RunConfig, dataset, out_dir: str, resume: bool):
-    """(ensemble, lockstep groups it trained in; 0 when it was loaded)."""
-    path = os.path.join(out_dir, _ENSEMBLE)
-    if resume and os.path.exists(path):
-        ensemble = world_model.load_ensemble(path)
-        if ensemble.config != cfg.world_model:
-            raise ConfigError(f"{path} was trained with a different world-model config")
-        return ensemble, 0
+def _train_ensemble(cfg: RunConfig, dataset) -> tuple:
+    """(ensemble, wall seconds its training took in the process that ran it)."""
+    t0 = time.perf_counter()
     ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
-    world_model.save_ensemble(path, ensemble)
-    return ensemble, world_model.ensemble_groups(cfg.world_model.n_members)
+    return ensemble, time.perf_counter() - t0
+
+
+def _pretrains(cfg: RunConfig) -> bool:
+    """Whether a fresh run's BC or FQE takes any step."""
+    agent_cfg = cfg.agent
+    return agent_cfg.pretrain and (
+        ("bc" in cfg.stages and agent_cfg.bc_steps > 0)
+        or ("fqe" in cfg.stages and agent_cfg.fqe_steps > 0)
+    )
+
+
+def _prepare_run(
+    cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, with_model: bool, clock
+) -> tuple:
+    """(ensemble or None, agent state, pretraining summary, ensemble report).
+
+    A resumed run loads the ensemble and the checkpoint it finds in
+    `out_dir`. Otherwise the ensemble trains (when `with_model`) and the
+    agent is built, pretrained and checkpointed, the ensemble saved first,
+    so a checkpoint never lacks its ensemble.
+
+    When a fresh run trains the ensemble, pretrains, and
+    `world_model.ensemble_groups` allows more than one group, the ensemble
+    trains in a forked daemonic child, in one lockstep group, while this
+    process runs BC and FQE: pretraining never reads the model, and the
+    ensemble has the same bits in one group as in several. The
+    `world_model` phase then times this process's wait for the child,
+    and the report's `ensemble_train_s` the child's own training.
+    """
+    ens_path = os.path.join(out_dir, _ENSEMBLE)
+    ckpt_path = os.path.join(out_dir, _CHECKPOINT)
+    ensemble, train_s = None, 0.0
+    if with_model and resume and os.path.exists(ens_path):
+        with clock.phase("world_model"):
+            ensemble = world_model.load_ensemble(ens_path)
+        if ensemble.config != cfg.world_model:
+            raise ConfigError(f"{ens_path} was trained with a different world-model config")
+    fresh = not (resume and os.path.exists(ckpt_path))
+    train = with_model and ensemble is None
+    groups = world_model.ensemble_groups(cfg.world_model.n_members) if train else 0
+    beside = train and fresh and _pretrains(cfg) and groups > 1
+    if train and not beside:
+        with clock.phase("world_model"):
+            ensemble, train_s = _train_ensemble(cfg, dataset)
+            world_model.save_ensemble(ens_path, ensemble)
+
+    if not fresh:
+        state = agent_mod.load_agent(ckpt_path)
+        # n_iter may grow between sessions; everything else must match or
+        # the resumed trace would silently diverge from a fresh run
+        if replace(state.config, n_iter=cfg.agent.n_iter) != cfg.agent:
+            raise ConfigError("checkpoint was written by a different agent config")
+        state.config = cfg.agent
+        pretrain_info = state.extra.get("pretrain", {})
+    else:
+        state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
+        if beside:
+            groups = 1
+            with contextlib.ExitStack() as waiting:
+
+                def pretrain():
+                    info = _pretrain_agent(cfg, state, dataset, clock, out_dir)
+                    # from here until the ensemble is saved, this process waits
+                    waiting.enter_context(clock.phase("world_model"))
+                    return info
+
+                pretrain_info, (ensemble, train_s) = world_model.in_processes(
+                    [pretrain, partial(_train_ensemble, cfg, dataset)]
+                )
+                world_model.save_ensemble(ens_path, ensemble)
+        else:
+            pretrain_info = _pretrain_agent(cfg, state, dataset, clock, out_dir)
+        state.buffer.insert(dataset.flat_arrays()[0])
+        with clock.phase("checkpoint"):
+            agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
+    trained = {
+        "ensemble_groups": groups,
+        "ensemble_train_s": round(train_s, 3),
+        "ensemble_beside_pretraining": beside,
+    }
+    return ensemble, state, pretrain_info, trained
 
 
 def _peak_rss_mb() -> dict:
@@ -149,34 +225,62 @@ def _needs_model(cfg: RunConfig) -> bool:
     return cfg.agent.beta > 0.0 or cfg.agent.policy_update in ("lambda_expectile", "awr")
 
 
-def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock) -> dict:
-    """BC then FQE, honoring the stage selection; returns summary scalars."""
+def _effective(cfg: RunConfig) -> dict:
+    """The run config as effective_config.json and divergence.json record it."""
+    return {k: v for k, v in asdict(cfg).items() if v is not None}
+
+
+def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> None:
+    snapshot = {
+        "error": str(err),
+        "details": err.snapshot,
+        "stage": stage,
+        "step": step,
+        "config": _effective(cfg),
+    }
+    with open(os.path.join(out_dir, "divergence.json"), "w", encoding="utf-8") as fh:
+        json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
+
+
+def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str) -> dict:
+    """BC then FQE, honoring the stage selection; returns summary scalars.
+
+    A divergence writes divergence.json, naming the stage and its step,
+    before the DivergenceError goes on.
+    """
     info: dict = {}
     if not state.config.pretrain:
         return info
-    if "bc" in cfg.stages:
-        with clock.phase("bc"):
-            state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
-                dataset,
-                state.policy_spec,
-                state.policy_params,
-                state.config.bc_steps,
-                cfg.seed,
-                state.config.lr_pretrain,
-            )
-    if "fqe" in cfg.stages:
-        with clock.phase("fqe"):
-            state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
-                dataset,
-                state.policy,
-                state.critic_spec,
-                state.critic_params,
-                state.config.fqe_steps,
-                state.config.gamma,
-                cfg.seed,
-                state.config.lr_pretrain,
-            )
-        state.critic_ema = nn.init_ema(state.critic_params, state.config.ema_decay)
+    stage = None
+    try:
+        if "bc" in cfg.stages:
+            stage = "bc"
+            with clock.phase("bc"):
+                state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
+                    dataset,
+                    state.policy_spec,
+                    state.policy_params,
+                    state.config.bc_steps,
+                    cfg.seed,
+                    state.config.lr_pretrain,
+                )
+        if "fqe" in cfg.stages:
+            stage = "fqe"
+            with clock.phase("fqe"):
+                state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
+                    dataset,
+                    state.policy,
+                    state.critic_spec,
+                    state.critic_params,
+                    state.config.fqe_steps,
+                    state.config.gamma,
+                    cfg.seed,
+                    state.config.lr_pretrain,
+                )
+            state.critic_ema = nn.init_ema(state.critic_params, state.config.ema_decay)
+    except agent_mod.DivergenceError as err:
+        _write_divergence(out_dir, cfg, err, stage, err.snapshot.get("step"))
+        raise
     return info
 
 
@@ -235,9 +339,18 @@ class _PhaseClock:
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
+    World-model training, BC and FQE run in `_prepare_run`: a fresh run
+    on more than one CPU trains the ensemble in a forked child while this
+    process runs BC and then FQE, and otherwise trains it here first, in
+    `world_model.ensemble_groups` lockstep groups. The main loop,
+    expansion, evaluation and checkpoints run in this process.
+
     The report's `timing_s` holds the wall seconds of each phase in this
-    process (a resumed run counts only its own), and `eval_env_steps` the
-    true-environment steps its evaluations took.
+    process (a resumed run counts only its own); its `world_model` phase
+    is this process's wait for a forked ensemble. `ensemble_train_s` is
+    the ensemble's own training time wherever it ran, beside
+    `ensemble_groups` and `ensemble_beside_pretraining`. `eval_env_steps`
+    counts the true-environment steps the evaluations took.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
@@ -246,39 +359,21 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
-    effective = {k: v for k, v in asdict(cfg).items() if v is not None}
     with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(effective, fh, indent=2, sort_keys=True)
+        json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
-
-    ensemble = None
-    if _needs_model(cfg):
-        if "world_model" not in cfg.stages:
-            raise ConfigError(
-                "this agent configuration imagines rollouts; the world_model "
-                "stage cannot be skipped"
-            )
-        with clock.phase("world_model"):
-            ensemble, ensemble_groups = _prepare_ensemble(cfg, dataset, out_dir, resume)
-
+    if _needs_model(cfg) and "world_model" not in cfg.stages:
+        raise ConfigError(
+            "this agent configuration imagines rollouts; the world_model "
+            "stage cannot be skipped"
+        )
+    ensemble, state, pretrain_info, trained = _prepare_run(
+        cfg, env_spec, dataset, out_dir, resume, _needs_model(cfg), clock
+    )
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
-    if resume and os.path.exists(ckpt_path):
-        state = agent_mod.load_agent(ckpt_path)
-        # n_iter may grow between sessions; everything else must match or
-        # the resumed trace would silently diverge from a fresh run
-        if replace(state.config, n_iter=cfg.agent.n_iter) != cfg.agent:
-            raise ConfigError("checkpoint was written by a different agent config")
-        state.config = cfg.agent
-        pretrain_info = state.extra.get("pretrain", {})
-    else:
-        state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-        pretrain_info = _pretrain_agent(cfg, state, dataset, clock)
-        state.buffer.insert(arrays[0])
-        with clock.phase("checkpoint"):
-            agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
 
     term_fn = envs.termination_fn(env_spec)
     config = state.config
@@ -351,14 +446,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                     _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
                     agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     except agent_mod.DivergenceError as err:
-        snapshot = {
-            "error": str(err),
-            "details": err.snapshot,
-            "step": state.step,
-            "config": effective,
-        }
-        with open(os.path.join(out_dir, "divergence.json"), "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
+        _write_divergence(out_dir, cfg, err, "train", state.step)
         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
@@ -387,7 +475,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     if ensemble is not None:
         report["ensemble_val_nll"] = [float(v) for v in ensemble.val_nll]
         report["elites"] = [int(v) for v in ensemble.elite_idx]
-        report["ensemble_groups"] = ensemble_groups
+        report.update(trained)
     report["peak_rss_mb"] = peak_rss_mb
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -420,15 +508,11 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    if "world_model" in cfg.stages:
-        ensemble = _prepare_ensemble(cfg, dataset, out_dir, resume=False)
-        print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
-    state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-    info = _pretrain_agent(cfg, state, dataset, _PhaseClock())
-    state.buffer.insert(dataset.flat_arrays()[0])
-    agent_mod.save_agent(
-        os.path.join(out_dir, _CHECKPOINT), state, cfg.seed, {"pretrain": info}
+    ensemble, _, info, _ = _prepare_run(
+        cfg, env_spec, dataset, out_dir, False, "world_model" in cfg.stages, _PhaseClock()
     )
+    if ensemble is not None:
+        print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     for key, value in info.items():
         print(f"{key}: {value:.6f}")
     print(f"checkpoint: {os.path.join(out_dir, _CHECKPOINT)}")

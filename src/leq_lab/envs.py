@@ -243,11 +243,11 @@ def _move_axis(pos, axis: int, up, sign, start, target, walls: np.ndarray, other
     -(w - m) moving down, and marks the (row, wall) pairs whose face lies
     in the row's swept interval [start, target + m] and whose extent holds
     the row: the rows beside a wall that start on its near side and would
-    end at or past its line. The walls then clip one at a time in layout
-    order, each testing the target the earlier ones left. Clipping only
-    moves a target back toward its start, so a wall the unclipped target
-    does not reach is never reached, and when no row reaches a wall
-    nothing more runs.
+    end at or past its line. Each row that reaches a wall then stops at
+    the nearest face it reaches, whatever the layout order: the nearest
+    face has the lowest stop, w - m moving up or -(w + m) moving down, so
+    the row's target is clipped to the least stop over its reached walls.
+    When no row reaches a wall nothing more runs.
     """
     face_up, face_down, stop_up, stop_down, o_lo, o_hi = walls
     up = up[:, axis, None]
@@ -261,12 +261,10 @@ def _move_axis(pos, axis: int, up, sign, start, target, walls: np.ndarray, other
     )
     if np.count_nonzero(reach) == 0:
         return
-    stop = np.where(up, stop_up, stop_down)
-    dest, sign = pos[:, axis], sign[:, axis]
-    for j in np.flatnonzero(reach.any(axis=0)):
-        hit = reach[:, j] & (face[:, j] <= target + _WALL_MARGIN)
-        np.minimum(target, stop[:, j], out=target, where=hit)
-        np.multiply(sign, target, out=dest, where=hit)
+    nearest = np.where(reach, np.where(up, stop_up, stop_down), np.inf).min(axis=1)
+    np.multiply(
+        sign[:, axis], np.minimum(target, nearest), out=pos[:, axis], where=reach.any(axis=1)
+    )
 
 
 def _maze_step(spec: EnvSpec, states: np.ndarray, actions: np.ndarray):

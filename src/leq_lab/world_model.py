@@ -8,16 +8,18 @@ validation NLL become the elites used for rollouts.
 Training runs the members in lockstep groups of consecutive members, one
 group per CPU the process may run on (at most one per member; a single
 group where the fork start method does not exist or the process is a
-daemonic worker). The first group trains
-in the calling process and each other one in a forked child that sends
-its members back over a pipe. Within a group, every step draws each
-member's batch from that member's own stream, then runs one stacked
-forward, backward and Adam step over the group's (k, P) parameters
-(`nn` on a stack); a member whose loss goes non-finite leaves the stack,
-and validation runs one member at a time. Since each slice of a stacked
-call has the bits of the member's own 2-D call, and a member's draws do
-not depend on its neighbours, the ensemble has the same bits for every
-grouping, and the bits of training the members one after another.
+daemonic worker). The first group trains in the calling process and each
+other one in a forked child that sends its members back over a pipe
+(`in_processes`). `cli.run_training` may itself call `train_ensemble` in
+such a child, beside BC and FQE pretraining in the parent; being
+daemonic, that child trains all members in one group. Within a group,
+every step draws each member's batch from that member's own stream, then
+runs one stacked forward, backward and Adam step over the group's (k, P)
+parameters (`nn` on a stack); a member whose loss goes non-finite leaves
+the stack, and validation runs one member at a time. Since each slice of
+a stacked call has the bits of the member's own 2-D call, and a member's
+draws do not depend on its neighbours, the ensemble has the same bits for
+every grouping, and the bits of training the members one after another.
 
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
@@ -53,6 +55,7 @@ __all__ = [
     "EnsembleWorldModel",
     "ImaginedRollouts",
     "ensemble_groups",
+    "in_processes",
     "train_ensemble",
     "step_with_tape",
     "step_backward",
@@ -189,6 +192,17 @@ class EnsembleWorldModel:
             )
         self.member_params.flags.writeable = False
 
+    def __getstate__(self) -> dict:
+        # `_layers` is rebuilt on first use: a pickled copy would come back
+        # as arrays of its own, not views of the restored member_params
+        state = dict(self.__dict__)
+        state.pop("_layers", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.member_params.flags.writeable = False
+
     @cached_property
     def _layers(self) -> list:
         """(W (M, in, out), b (M, out)) per layer, the readout last: views of
@@ -203,7 +217,10 @@ def ensemble_groups(n_members: int) -> int:
     """How many lockstep groups `train_ensemble` splits its members into:
     one per CPU this process may run on, at most one per member, and 1
     where the fork start method does not exist or this process is a
-    daemonic worker, which may not start children."""
+    daemonic worker, which may not start children. A child of
+    `in_processes` is such a worker, so an ensemble trained beside
+    pretraining trains in one group. `cli.run_training` forks for that
+    only where this gives more than 1."""
     import multiprocessing
 
     if (
@@ -251,37 +268,40 @@ def _train_group(spec, data, config: WorldModelConfig, seed: int, members) -> li
     return [(int(members[j]), best[j][0], best[j][1]) for j in live if np.isfinite(best[j][0])]
 
 
-def _in_processes(train, groups: list) -> list:
-    """[train(group) for group in groups]: the first group in this process,
-    each other one in a forked child that sends its result back over a pipe.
+def in_processes(calls: list) -> list:
+    """[call() for call in calls]: the first call in this process, each
+    other one in a forked daemonic child that sends its result back over a
+    pipe. A daemonic child may not fork in turn, so a call it runs sees
+    `ensemble_groups` give 1.
 
     A child that fails or dies raises WorldModelError, and no child
-    outlives the call.
+    outlives the call: if this process's own call raises, the children
+    are killed.
     """
-    if len(groups) == 1:
-        return [train(groups[0])]
+    if len(calls) == 1:
+        return [calls[0]()]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
     children = []
     try:
-        for group in groups[1:]:
+        for call in calls[1:]:
             receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_main, args=(train, group, sender), daemon=True)
+            child = ctx.Process(target=_child_main, args=(call, sender), daemon=True)
             children.append((child, receiver))
             child.start()
             sender.close()
-        results = [train(groups[0])]
+        results = [calls[0]()]
         for child, receiver in children:
             try:
                 status, payload = receiver.recv()
             except EOFError:
                 child.join()
                 raise WorldModelError(
-                    f"ensemble training process exited with code {child.exitcode}"
+                    f"world-model process exited with code {child.exitcode}"
                 ) from None
             if status != "ok":
-                raise WorldModelError(f"ensemble training process failed: {payload}")
+                raise WorldModelError(f"world-model process failed: {payload}")
             results.append(payload)
             child.join()
         return results
@@ -294,10 +314,10 @@ def _in_processes(train, groups: list) -> list:
                 child.join()
 
 
-def _child_main(train, group, sender) -> None:
-    """A forked group's entry point: its result, or its error, to the parent."""
+def _child_main(call, sender) -> None:
+    """A forked call's entry point: its result, or its error, to the parent."""
     try:
-        message = ("ok", train(group))
+        message = ("ok", call())
     except Exception as err:  # the parent raises it as a WorldModelError
         message = ("error", f"{type(err).__name__}: {err}")
     sender.send(message)
@@ -309,7 +329,9 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
 
     The members train in `ensemble_groups(n_members)` lockstep groups of
     consecutive members (7 members in 2 groups: 0-3 and 4-6), the first
-    in this process and each other one in a forked child. Every member
+    in this process and each other one in a forked child; called in a
+    forked child of `cli.run_training`, which pretrains the agent
+    meanwhile, it trains them all in one group there. Every member
     draws its init and batches from its own `wm.member` stream, each slice
     of a stacked step meets the same BLAS calls as that member alone, and
     validation runs per member, so the result has the same bits for every
@@ -334,8 +356,8 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
     member_params = np.zeros((config.n_members, nn.n_params(spec)))
     val_nll = np.full(config.n_members, np.inf)
     groups = np.array_split(np.arange(config.n_members), ensemble_groups(config.n_members))
-    train = partial(_train_group, spec, data, config, seed)
-    for trained in _in_processes(train, groups):
+    calls = [partial(_train_group, spec, data, config, seed, group) for group in groups]
+    for trained in in_processes(calls):
         for m, score, params in trained:
             member_params[m] = params
             val_nll[m] = score

@@ -553,13 +553,15 @@ def group_step_backward(ensemble, tape, g_next, g_reward):
 
 
 def scalar_move_axis(pos: np.ndarray, axis: int, delta: float, walls) -> float:
-    """`envs._move_axis` for one (2,) position, wall by wall."""
+    """`envs._move_axis` for one (2,) position, wall by wall: the position
+    stops at the nearest wall face its unclipped move reaches."""
     start = pos[axis]
     target = start + delta
     if delta == 0.0:
         return start
     other = 1 - axis
     margin = envs._WALL_MARGIN
+    stops = []
     for (a, b) in walls:
         if a[axis] != b[axis]:
             continue
@@ -568,10 +570,12 @@ def scalar_move_axis(pos: np.ndarray, axis: int, delta: float, walls) -> float:
         if not (lo_o - margin <= pos[other] <= hi_o + margin):
             continue
         if delta > 0.0 and start <= w + margin <= target + margin:
-            target = min(target, w - margin)
+            stops.append(w - margin)
         elif delta < 0.0 and target - margin <= w - margin <= start:
-            target = max(target, w + margin)
-    return target
+            stops.append(w + margin)
+    if not stops:
+        return target
+    return min(target, *stops) if delta > 0.0 else max(target, *stops)
 
 
 def scalar_maze_step(spec, state: np.ndarray, action: np.ndarray):

@@ -6,6 +6,9 @@ import csv
 import ctypes
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -46,12 +49,25 @@ def _run_config(tmp_path, env="point_maze_u", agent_overrides=None, **overrides)
     }
 
 
-def test_resumed_run_matches_an_uninterrupted_one(tmp_path):
+def _two_cpus(monkeypatch):
+    """`ensemble_groups` gives 2 here and 1 in a daemonic child, which may not fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _forbidden(*args):
+    raise AssertionError("trained or forked")
+
+
+def test_resumed_run_matches_an_uninterrupted_one(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
     raw = _run_config(tmp_path)
     whole = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"))
     halves = tmp_path / "halves"
     short = {**raw, "agent": {**raw["agent"], "n_iter": 10}}
     cli.run_training(parse_run_config(short), str(halves))
+    # a resume loads the saved ensemble: it trains nothing and forks nothing
+    monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
+    monkeypatch.setattr(world_model, "in_processes", _forbidden)
     resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
@@ -59,6 +75,10 @@ def test_resumed_run_matches_an_uninterrupted_one(tmp_path):
         "bc_mse",
         "fqe_loss",
     }
+    # an ensemble saved without its checkpoint is loaded too, and BC and FQE run here
+    (tmp_path / "whole" / "checkpoint.leqa").unlink()
+    again = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"), resume=True)
+    assert again["ensemble_groups"] == 0 and again["pretrain"] == whole["pretrain"]
 
 
 def test_effective_config_reparses_to_the_run_config(tmp_path):
@@ -241,16 +261,97 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
 
 
 def test_report_records_peak_rss_and_the_ensemble_groups(tmp_path, monkeypatch):
-    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 2)
+    _two_cpus(monkeypatch)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    raw["world_model"]["train_steps"] = 30
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     assert report == json.loads((tmp_path / "run" / "report.json").read_text())
-    assert report["ensemble_groups"] == 2
+    # trained in one group, in a forked child, while BC and FQE ran here
+    assert report["ensemble_groups"] == 1 and report["ensemble_beside_pretraining"] is True
+    assert report["ensemble_train_s"] > 0.0
     # the forked ensemble-training process is among the finished children
     assert set(report["peak_rss_mb"]) == {"self", "children"}
     assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
     resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
     assert resumed["ensemble_groups"] == 0  # loaded, not trained
+    assert resumed["ensemble_train_s"] == 0.0 and resumed["ensemble_beside_pretraining"] is False
+    # without pretraining to overlap, the members train in two lockstep groups
+    unpretrained = {**raw, "agent": {**raw["agent"], "pretrain": False}}
+    report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
+    assert report["ensemble_groups"] == 2 and report["ensemble_beside_pretraining"] is False
+
+
+def test_an_ensemble_trained_beside_pretraining_writes_the_sequential_files(tmp_path, monkeypatch):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10})
+    with monkeypatch.context() as patch:
+        _two_cpus(patch)
+        beside = cli.run_training(parse_run_config(raw), str(tmp_path / "beside"))
+    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
+    alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
+    assert beside["ensemble_beside_pretraining"] and not alone["ensemble_beside_pretraining"]
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
+        assert (tmp_path / "beside" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert beside["pretrain"] == alone["pretrain"]
+    assert sum(beside["timing_s"].values()) <= beside["elapsed_s"] + 0.01
+
+
+def _exit_3(*args):
+    os._exit(3)
+
+
+def _raise(*args):
+    raise FloatingPointError("planted")
+
+
+@pytest.mark.parametrize(
+    "train, message", [(_exit_3, "exited with code 3"), (_raise, "FloatingPointError: planted")]
+)
+def test_a_failing_world_model_child_raises_and_leaves_nothing_running(
+    train, message, tmp_path, monkeypatch
+):
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(world_model, "train_ensemble", train)
+    with pytest.raises(world_model.WorldModelError, match=message):
+        cli.run_training(parse_run_config(_run_config(tmp_path)), str(tmp_path / "run"))
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "run" / "world_model.leqm").exists()
+    assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["beside-pretraining", "sequential"])
+def test_an_fqe_divergence_snapshots_its_stage_and_stops_the_world_model(
+    forked, tmp_path, monkeypatch
+):
+    def diverging_fqe(*args, **kwargs):
+        raise agent.DivergenceError("FQE loss diverged", {"step": 2})
+
+    monkeypatch.setattr(agent, "pretrain_fqe", diverging_fqe)
+    if forked:
+        _two_cpus(monkeypatch)
+        monkeypatch.setattr(world_model, "train_ensemble", lambda *args: time.sleep(60.0))
+    else:
+        monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path)))
+    t0 = time.monotonic()
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("FQE loss diverged", "fqe", 2)
+    assert snapshot["details"] == {"step": 2}
+    assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+def test_pretrain_writes_the_ensemble_and_a_pretrained_checkpoint(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path)))
+    out = tmp_path / "pre"
+    assert cli.main(["pretrain", str(config), "--out-dir", str(out)]) == 0
+    assert "world model: val nll" in capsys.readouterr().out
+    world_model.load_ensemble(out / "world_model.leqm")
+    state = agent.load_agent(out / "checkpoint.leqa")
+    assert state.step == 0 and set(state.extra["pretrain"]) == {"bc_mse", "fqe_loss"}
 
 
 def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):

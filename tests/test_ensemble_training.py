@@ -91,8 +91,8 @@ def _outcome(train, dataset, config, tmp_path):
     )
 
 
-def _in_this_process(train, groups):
-    return [train(group) for group in groups]
+def _in_this_process(calls):
+    return [call() for call in calls]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -104,7 +104,7 @@ def test_every_grouping_gives_the_per_member_loop_bits(name, collected, tmp_path
             with monkeypatch.context() as patch:
                 patch.setattr(wm, "ensemble_groups", lambda n, k=n_groups: k)
                 if not forked:
-                    patch.setattr(wm, "_in_processes", _in_this_process)
+                    patch.setattr(wm, "in_processes", _in_this_process)
                 got = _outcome(wm.train_ensemble, dataset, config, tmp_path)
             assert got == want, f"{n_groups} groups, forked={forked}"
 

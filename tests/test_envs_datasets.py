@@ -251,6 +251,20 @@ class TestBatchedStepAgainstScalarOracle:
             want, _, _ = _oracles.scalar_env_step(spec, states[row], actions[row])
             assert _same_bits(next_states[row], want)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["nearer-last", "nearer-first"])
+    def test_a_row_stops_at_the_nearest_of_two_walls_closer_than_the_margin(self, order):
+        # walls at x = 0 and x = 0.0005: a row stepping left from x = 0.2 meets
+        # the face of the nearer one, 0.0005 + m, in either layout order
+        walls = (((0.0, -1.0), (0.0, 1.0)), ((0.0005, -1.0), (0.0005, 1.0)))[::order]
+        spec = dataclasses.replace(CLOSE_WALLS, walls=walls)
+        states, actions = np.array([[0.2, 0.8], [-0.2, 0.8]]), np.array([[-1.0, 0.0], [1.0, 0.0]])
+        next_states, _, _ = env_step(spec, states, actions)
+        m = envs._WALL_MARGIN
+        assert next_states[0, 0] == 0.0005 + m and next_states[1, 0] == -m
+        for row in range(2):
+            want, _, _ = _oracles.scalar_env_step(spec, states[row], actions[row])
+            assert _same_bits(next_states[row], want)
+
     def test_moving_onto_a_wall_line_from_a_margin_away(self):
         # a start exactly one margin below the dividing wall y = 2 cannot cross it
         spec = maze()

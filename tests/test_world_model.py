@@ -1,5 +1,7 @@
 """The gathered ensemble step against the member networks it stands for."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,25 @@ def test_step_at_zero_noise_is_the_member_mean(activation):
         )
         np.testing.assert_allclose(nxt[rows], states[rows] + out[:, :OBS], rtol=0, atol=1e-12)
         np.testing.assert_allclose(rew[rows], out[:, OBS], rtol=0, atol=1e-12)
+
+
+def test_a_pickled_ensemble_comes_back_read_only_with_views_of_its_params():
+    ensemble = tiny_ensemble()
+    ensemble._layers  # a cached copy must not travel with the pickle
+    restored = pickle.loads(pickle.dumps(ensemble))
+    assert not restored.member_params.flags.writeable
+    assert np.array_equal(restored.member_params, ensemble.member_params)
+    assert all(np.shares_memory(w, restored.member_params) for w, _ in restored._layers)
+    assert all(np.shares_memory(b, restored.member_params) for _, b in restored._layers)
+    rollouts = [
+        wm.imagine_rollout(
+            model, lambda s: np.tanh(s[:, :ACT]), np.random.default_rng(1).normal(size=(6, OBS)),
+            4, lambda s: np.zeros(s.shape[0], dtype=bool), 0.3, np.random.default_rng(2),
+        )
+        for model in (ensemble, restored)
+    ]
+    for name in ("states", "actions", "rewards", "member_ids", "eps", "t_eff"):
+        assert getattr(rollouts[0], name).tobytes() == getattr(rollouts[1], name).tobytes(), name
 
 
 def test_nll_gradient_of_each_stacked_member_matches_central_differences():
