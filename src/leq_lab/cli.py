@@ -22,7 +22,6 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, replace
-from functools import partial
 
 import numpy as np
 
@@ -119,13 +118,6 @@ def _load_inputs(cfg: RunConfig):
     return env_spec, dataset
 
 
-def _train_ensemble(cfg: RunConfig, dataset) -> tuple:
-    """(ensemble, wall seconds its training took in the process that ran it)."""
-    t0 = time.perf_counter()
-    ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
-    return ensemble, time.perf_counter() - t0
-
-
 def _pretrains(cfg: RunConfig) -> bool:
     """Whether a fresh run's BC or FQE takes any step."""
     agent_cfg = cfg.agent
@@ -146,16 +138,17 @@ def _prepare_run(
     so a checkpoint never lacks its ensemble.
 
     When a fresh run trains the ensemble, pretrains, and
-    `world_model.ensemble_groups` allows more than one group, the ensemble
-    trains in a forked daemonic child, in one lockstep group, while this
-    process runs BC and FQE: pretraining never reads the model, and the
-    ensemble has the same bits in one group as in several. The
-    `world_model` phase then times this process's wait for the child,
-    and the report's `ensemble_train_s` the child's own training.
+    `world_model.ensemble_groups` allows more than one group, BC and FQE
+    are `world_model.train_ensemble`'s `beside` call: they run in this
+    process while the ensemble trains in a forked daemonic child, in one
+    lockstep group. Pretraining never reads the model, and the ensemble
+    has the same bits in one group as in several. The `world_model` phase
+    then times this process's wait for the child, and the report's
+    `ensemble_train_s` the child's own training.
     """
     ens_path = os.path.join(out_dir, _ENSEMBLE)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
-    ensemble, train_s = None, 0.0
+    ensemble = None
     if with_model and resume and os.path.exists(ens_path):
         with clock.phase("world_model"):
             ensemble = world_model.load_ensemble(ens_path)
@@ -167,7 +160,7 @@ def _prepare_run(
     beside = train and fresh and _pretrains(cfg) and groups > 1
     if train and not beside:
         with clock.phase("world_model"):
-            ensemble, train_s = _train_ensemble(cfg, dataset)
+            ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
             world_model.save_ensemble(ens_path, ensemble)
 
     if not fresh:
@@ -182,16 +175,16 @@ def _prepare_run(
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
         if beside:
             groups = 1
+            pretrain_info = {}
             with contextlib.ExitStack() as waiting:
 
                 def pretrain():
-                    info = _pretrain_agent(cfg, state, dataset, clock, out_dir)
+                    pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir))
                     # from here until the ensemble is saved, this process waits
                     waiting.enter_context(clock.phase("world_model"))
-                    return info
 
-                pretrain_info, (ensemble, train_s) = world_model.in_processes(
-                    [pretrain, partial(_train_ensemble, cfg, dataset)]
+                ensemble = world_model.train_ensemble(
+                    dataset, cfg.world_model, cfg.seed, beside=pretrain
                 )
                 world_model.save_ensemble(ens_path, ensemble)
         else:
@@ -201,7 +194,7 @@ def _prepare_run(
             agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     trained = {
         "ensemble_groups": groups,
-        "ensemble_train_s": round(train_s, 3),
+        "ensemble_train_s": round(ensemble.train_s, 3) if train else 0.0,
         "ensemble_beside_pretraining": beside,
     }
     return ensemble, state, pretrain_info, trained

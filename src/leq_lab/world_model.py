@@ -8,11 +8,14 @@ validation NLL become the elites used for rollouts.
 Training runs the members in lockstep groups of consecutive members, one
 group per CPU the process may run on (at most one per member; a single
 group where the fork start method does not exist or the process is a
-daemonic worker). The first group trains in the calling process and each
-other one in a forked child that sends its members back over a pipe
-(`in_processes`). `cli.run_training` may itself call `train_ensemble` in
-such a child, beside BC and FQE pretraining in the parent; being
-daemonic, that child trains all members in one group. Within a group,
+daemonic worker, or where one of the `nn` functions a group calls has
+been wrapped in this process since import, as a tracer or a test's spy
+does: the wrapper would never see a forked child's calls). The first
+group trains in the calling process and each other one in a forked child
+that sends its members back over a pipe (`in_processes`). Given a
+`beside` call, as `cli.run_training` gives BC and FQE pretraining,
+`train_ensemble` instead trains all members in one group in a forked
+child while the call runs in the calling process. Within a group,
 every step draws each member's batch from that member's own stream, then
 runs one stacked forward, backward and Adam step over the group's (k, P)
 parameters (`nn` on a stack); a member whose loss goes non-finite leaves
@@ -40,6 +43,7 @@ activations in sorted order, with the permutation and the group bounds.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
 
@@ -184,6 +188,9 @@ class EnsembleWorldModel:
     val_nll: np.ndarray  # (M,)
     elite_idx: tuple[int, ...]  # sorted by validation NLL, best first
     config: WorldModelConfig = field(default_factory=WorldModelConfig)
+    # wall seconds the members took to train, in the process that trained
+    # them (or waited for their groups); 0.0 once loaded, and never saved
+    train_s: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.elite_idx) != self.config.n_elites:
@@ -213,13 +220,29 @@ class EnsembleWorldModel:
         return [(views[w], views[b]) for w, b in names]
 
 
+# the `nn` functions a training group calls, as this module found them
+_GROUP_CALLS = {
+    name: getattr(nn, name)
+    for name in (
+        "init_params", "init_adam", "forward_cached", "backward_cached", "adam_step", "forward"
+    )
+}
+
+
+def _group_calls_wrapped() -> bool:
+    """Whether one of the `nn` functions a group calls has been replaced in
+    this process (by a tracer, a profiler or a test's spy): the wrapper
+    records into its own process, so it would miss a forked child's calls."""
+    return any(getattr(nn, name) is not fn for name, fn in _GROUP_CALLS.items())
+
+
 def ensemble_groups(n_members: int) -> int:
     """How many lockstep groups `train_ensemble` splits its members into:
     one per CPU this process may run on, at most one per member, and 1
-    where the fork start method does not exist or this process is a
-    daemonic worker, which may not start children. A child of
-    `in_processes` is such a worker, so an ensemble trained beside
-    pretraining trains in one group. `cli.run_training` forks for that
+    where the fork start method does not exist, this process is a
+    daemonic worker, which may not start children, or a function a group
+    calls has been wrapped here. `train_ensemble` trains the members in a
+    forked child beside another call, and `cli.run_training` asks it to,
     only where this gives more than 1."""
     import multiprocessing
 
@@ -227,6 +250,7 @@ def ensemble_groups(n_members: int) -> int:
         "fork" not in multiprocessing.get_all_start_methods()
         or not hasattr(os, "sched_getaffinity")
         or multiprocessing.current_process().daemon
+        or _group_calls_wrapped()
     ):
         return 1
     return min(n_members, len(os.sched_getaffinity(0)))
@@ -272,7 +296,8 @@ def in_processes(calls: list) -> list:
     """[call() for call in calls]: the first call in this process, each
     other one in a forked daemonic child that sends its result back over a
     pipe. A daemonic child may not fork in turn, so a call it runs sees
-    `ensemble_groups` give 1.
+    `ensemble_groups` give 1. A call's effects in a child, other than its
+    result, stay in the child.
 
     A child that fails or dies raises WorldModelError, and no child
     outlives the call: if this process's own call raises, the children
@@ -324,18 +349,29 @@ def _child_main(call, sender) -> None:
     sender.close()
 
 
-def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorldModel:
+def _timed(call) -> tuple:
+    """(call(), wall seconds it took)."""
+    t0 = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - t0
+
+
+def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) -> EnsembleWorldModel:
     """Train all members on a shared split; pick elites by validation NLL.
 
     The members train in `ensemble_groups(n_members)` lockstep groups of
     consecutive members (7 members in 2 groups: 0-3 and 4-6), the first
-    in this process and each other one in a forked child; called in a
-    forked child of `cli.run_training`, which pretrains the agent
-    meanwhile, it trains them all in one group there. Every member
+    in this process and each other one in a forked child. Every member
     draws its init and batches from its own `wm.member` stream, each slice
     of a stacked step meets the same BLAS calls as that member alone, and
     validation runs per member, so the result has the same bits for every
     grouping, and equals training the members one after another.
+
+    `beside`, a call with no arguments, runs in this process. Where there
+    would be more than one group, it runs while all members train in one
+    group in a forked child, which `cli.run_training` uses to pretrain
+    the agent meanwhile; otherwise it runs after the members have trained
+    here. If it raises, the child is killed and the error goes on.
 
     It first sets `heap.set_heap_policy`'s thresholds, as `cli.run_training`
     does: without them glibc maps and unmaps every freed temporary of 128 KB
@@ -355,10 +391,20 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
 
     member_params = np.zeros((config.n_members, nn.n_params(spec)))
     val_nll = np.full(config.n_members, np.inf)
-    groups = np.array_split(np.arange(config.n_members), ensemble_groups(config.n_members))
-    calls = [partial(_train_group, spec, data, config, seed, group) for group in groups]
-    for trained in in_processes(calls):
-        for m, score, params in trained:
+    members = np.arange(config.n_members)
+    groups = np.array_split(members, ensemble_groups(config.n_members))
+    if beside is not None and len(groups) > 1:
+        _, (trained, train_s) = in_processes(
+            [beside, partial(_timed, partial(_train_group, spec, data, config, seed, members))]
+        )
+        trained = [trained]
+    else:
+        calls = [partial(_train_group, spec, data, config, seed, group) for group in groups]
+        trained, train_s = _timed(partial(in_processes, calls))
+        if beside is not None:
+            beside()
+    for group in trained:
+        for m, score, params in group:
             member_params[m] = params
             val_nll[m] = score
     order = np.argsort(val_nll, kind="stable")
@@ -376,6 +422,7 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int) -> EnsembleWorl
         val_nll=val_nll,
         elite_idx=tuple(elites),
         config=config,
+        train_s=train_s,
     )
 
 

@@ -310,7 +310,7 @@ def test_a_failing_world_model_child_raises_and_leaves_nothing_running(
     train, message, tmp_path, monkeypatch
 ):
     _two_cpus(monkeypatch)
-    monkeypatch.setattr(world_model, "train_ensemble", train)
+    monkeypatch.setattr(world_model, "_train_group", train)
     with pytest.raises(world_model.WorldModelError, match=message):
         cli.run_training(parse_run_config(_run_config(tmp_path)), str(tmp_path / "run"))
     assert multiprocessing.active_children() == []
@@ -328,7 +328,7 @@ def test_an_fqe_divergence_snapshots_its_stage_and_stops_the_world_model(
     monkeypatch.setattr(agent, "pretrain_fqe", diverging_fqe)
     if forked:
         _two_cpus(monkeypatch)
-        monkeypatch.setattr(world_model, "train_ensemble", lambda *args: time.sleep(60.0))
+        monkeypatch.setattr(world_model, "_train_group", lambda *args: time.sleep(60.0))
     else:
         monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
     config = tmp_path / "run.json"

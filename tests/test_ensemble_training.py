@@ -179,3 +179,38 @@ def test_group_count_rule(monkeypatch):
     assert [wm.ensemble_groups(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert wm.ensemble_groups(7) == 1
+
+
+def test_a_wrapped_group_call_keeps_every_member_in_this_process(collected, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert wm.ensemble_groups(7) == 2
+    forward_cached, stacks = nn.forward_cached, []
+
+    def spy(spec, params, *args, **kwargs):
+        if params.ndim == 2:  # a stacked training step, not one member's validation
+            stacks.append(params.shape[0])
+        return forward_cached(spec, params, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_cached", spy)
+    # a forked child's calls would land in the child's copy of the spy
+    assert wm.ensemble_groups(7) == 1
+    dataset, config = _case(collected, "maze_elu_interval_divides")
+    wm.train_ensemble(dataset, config, 0)
+    assert stacks == [config.n_members] * config.train_steps
+
+
+def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatch, tmp_path):
+    dataset, config = _case(collected, "maze_elu_interval_divides")
+    alone = _outcome(wm.train_ensemble, dataset, config, tmp_path)
+    ran = []
+    for cpus in ({0}, {0, 1}):  # after the members here, then beside a forked child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+
+        def train(*args):
+            ensemble = wm.train_ensemble(*args, beside=lambda: ran.append(os.getpid()))
+            assert ensemble.train_s > 0.0
+            return ensemble
+
+        assert _outcome(train, dataset, config, tmp_path) == alone
+    assert ran == [os.getpid()] * 2
+    assert multiprocessing.active_children() == []
