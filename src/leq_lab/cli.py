@@ -6,9 +6,11 @@ expansion round, per eval episode), so an interrupted run resumed from its
 checkpoint replays exactly the trace an uninterrupted run would have
 produced.  Timestamps appear only in report metadata, never in CSVs.
 
-Exit codes: 0 success; 1 a divergence (with divergence.json written) or a
-failed theory check; 2 bad input: a usage or config error, or a missing,
-corrupt, truncated or incompatible dataset, checkpoint or ensemble file.
+Exit codes: 0 success; 1 a divergence (with divergence.json written), a
+failed world-model training (too few members with a finite validation
+NLL, or a training process that failed or died) or a failed theory check;
+2 bad input: a usage or config error, or a missing, corrupt, truncated or
+incompatible dataset, checkpoint or ensemble file.
 """
 
 from __future__ import annotations
@@ -130,21 +132,19 @@ def _pretrains(cfg: RunConfig) -> bool:
 def _prepare_run(
     cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, with_model: bool, clock
 ) -> tuple:
-    """(ensemble or None, agent state, pretraining summary, ensemble report).
+    """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. Otherwise the ensemble trains (when `with_model`) and the
     agent is built, pretrained and checkpointed, the ensemble saved first,
     so a checkpoint never lacks its ensemble.
 
-    When a fresh run trains the ensemble, pretrains, and
-    `world_model.ensemble_groups` allows more than one group, BC and FQE
-    are `world_model.train_ensemble`'s `beside` call: they run in this
-    process while the ensemble trains in a forked daemonic child, in one
-    lockstep group. Pretraining never reads the model, and the ensemble
-    has the same bits in one group as in several. The `world_model` phase
-    then times this process's wait for the child, and the report's
-    `ensemble_train_s` the child's own training.
+    When a fresh run both trains the ensemble and pretrains, BC and FQE are
+    `world_model.train_ensemble`'s `beside` call: they run in this process,
+    while the members train in a forked child where the world model can
+    fork, and after they have trained here otherwise. Pretraining never
+    reads the model. The `world_model` phase leaves out BC and FQE, so it
+    times the wait for the child and the save, or the training and the save.
     """
     ens_path = os.path.join(out_dir, _ENSEMBLE)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
@@ -156,14 +156,11 @@ def _prepare_run(
             raise ConfigError(f"{ens_path} was trained with a different world-model config")
     fresh = not (resume and os.path.exists(ckpt_path))
     train = with_model and ensemble is None
-    groups = world_model.ensemble_groups(cfg.world_model.n_members) if train else 0
-    beside = train and fresh and _pretrains(cfg) and groups > 1
-    if train and not beside:
-        with clock.phase("world_model"):
-            ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed)
-            world_model.save_ensemble(ens_path, ensemble)
-
-    if not fresh:
+    beside = train and fresh and _pretrains(cfg)
+    if fresh:
+        state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
+        pretrain_info = {}
+    else:
         state = agent_mod.load_agent(ckpt_path)
         # n_iter may grow between sessions; everything else must match or
         # the resumed trace would silently diverge from a fresh run
@@ -171,33 +168,23 @@ def _prepare_run(
             raise ConfigError("checkpoint was written by a different agent config")
         state.config = cfg.agent
         pretrain_info = state.extra.get("pretrain", {})
-    else:
-        state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
-        if beside:
-            groups = 1
-            pretrain_info = {}
-            with contextlib.ExitStack() as waiting:
 
-                def pretrain():
-                    pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir))
-                    # from here until the ensemble is saved, this process waits
-                    waiting.enter_context(clock.phase("world_model"))
+    def pretrain():
+        pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir))
 
-                ensemble = world_model.train_ensemble(
-                    dataset, cfg.world_model, cfg.seed, beside=pretrain
-                )
-                world_model.save_ensemble(ens_path, ensemble)
-        else:
-            pretrain_info = _pretrain_agent(cfg, state, dataset, clock, out_dir)
+    if train:
+        with clock.phase("world_model"):
+            ensemble = world_model.train_ensemble(
+                dataset, cfg.world_model, cfg.seed, beside=pretrain if beside else None
+            )
+            world_model.save_ensemble(ens_path, ensemble)
+    if fresh:
+        if not beside:
+            pretrain()
         state.buffer.insert(dataset.flat_arrays()[0])
         with clock.phase("checkpoint"):
             agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
-    trained = {
-        "ensemble_groups": groups,
-        "ensemble_train_s": round(ensemble.train_s, 3) if train else 0.0,
-        "ensemble_beside_pretraining": beside,
-    }
-    return ensemble, state, pretrain_info, trained
+    return ensemble, state, pretrain_info
 
 
 def _peak_rss_mb() -> dict:
@@ -311,39 +298,47 @@ def _truncate_rows(path, step: int, interval: int) -> tuple[list[dict], list[str
 class _PhaseClock:
     """Wall seconds this process spent in each pipeline phase.
 
-    It reads the clock and nothing else, so a timed run draws from no RNG
-    stream and writes the same numbers as an untimed one.
+    A phase leaves out the time of any phase opened inside it, so the
+    phases never count a second twice. The clock reads the clock and
+    nothing else, so a timed run draws from no RNG stream and writes the
+    same numbers as an untimed one.
     """
 
     PHASES = ("world_model", "bc", "fqe", "expand", "train_step", "eval", "checkpoint")
 
     def __init__(self):
         self.seconds = dict.fromkeys(self.PHASES, 0.0)
+        self._inner = []  # per open phase, the seconds of the phases inside it
 
     @contextlib.contextmanager
     def phase(self, name: str):
         t0 = time.perf_counter()
+        self._inner.append(0.0)
         try:
             yield
         finally:
-            self.seconds[name] += time.perf_counter() - t0
+            spent = time.perf_counter() - t0
+            self.seconds[name] += spent - self._inner.pop()
+            if self._inner:
+                self._inner[-1] += spent
 
 
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
     World-model training, BC and FQE run in `_prepare_run`: a fresh run
-    on more than one CPU trains the ensemble in a forked child while this
-    process runs BC and then FQE, and otherwise trains it here first, in
-    `world_model.ensemble_groups` lockstep groups. The main loop,
-    expansion, evaluation and checkpoints run in this process.
+    trains every member in one lockstep group, in a forked child while
+    this process runs BC and then FQE where the world model can fork, and
+    otherwise here, before BC and FQE. The main loop, expansion,
+    evaluation and checkpoints run in this process.
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
-    is this process's wait for a forked ensemble. `ensemble_train_s` is
-    the ensemble's own training time wherever it ran, beside
-    `ensemble_groups` and `ensemble_beside_pretraining`. `eval_env_steps`
-    counts the true-environment steps the evaluations took.
+    is the wait for a forked ensemble, or its training here, plus the
+    save. `ensemble_train_s` is the ensemble's own training time wherever
+    it ran (0 once loaded): beside `timing_s.world_model` it shows whether
+    training overlapped BC and FQE. `eval_env_steps` counts the
+    true-environment steps the evaluations took.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
@@ -363,7 +358,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
             "this agent configuration imagines rollouts; the world_model "
             "stage cannot be skipped"
         )
-    ensemble, state, pretrain_info, trained = _prepare_run(
+    ensemble, state, pretrain_info = _prepare_run(
         cfg, env_spec, dataset, out_dir, resume, _needs_model(cfg), clock
     )
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
@@ -468,7 +463,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     if ensemble is not None:
         report["ensemble_val_nll"] = [float(v) for v in ensemble.val_nll]
         report["elites"] = [int(v) for v in ensemble.elite_idx]
-        report.update(trained)
+        report["ensemble_train_s"] = round(ensemble.train_s, 3)
     report["peak_rss_mb"] = peak_rss_mb
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -501,7 +496,7 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    ensemble, _, info, _ = _prepare_run(
+    ensemble, _, info = _prepare_run(
         cfg, env_spec, dataset, out_dir, False, "world_model" in cfg.stages, _PhaseClock()
     )
     if ensemble is not None:
@@ -545,7 +540,7 @@ def cmd_ablate(args) -> int:
             cell_dir = os.path.join(out_dir, name, f"seed{seed}")
             try:
                 report = run_training(cell_cfg, cell_dir)
-            except agent_mod.AgentError as err:
+            except (agent_mod.AgentError, world_model.WorldModelError) as err:
                 failures.append(f"seed{seed}: {err}")
                 continue
             successes.append(report["final_eval"]["success_rate"])
@@ -751,7 +746,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except agent_mod.DivergenceError as err:
+    except (agent_mod.DivergenceError, world_model.WorldModelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,24 +5,22 @@ diagonal Gaussian over (state delta, reward). Members train independently
 on a per-trajectory train/validation split; the five members with the best
 validation NLL become the elites used for rollouts.
 
-Training runs the members in lockstep groups of consecutive members, one
-group per CPU the process may run on (at most one per member; a single
-group where the fork start method does not exist or the process is a
-daemonic worker, or where one of the `nn` functions a group calls has
-been wrapped in this process since import, as a tracer or a test's spy
-does: the wrapper would never see a forked child's calls). The first
-group trains in the calling process and each other one in a forked child
-that sends its members back over a pipe (`in_processes`). Given a
-`beside` call, as `cli.run_training` gives BC and FQE pretraining,
-`train_ensemble` instead trains all members in one group in a forked
-child while the call runs in the calling process. Within a group,
-every step draws each member's batch from that member's own stream, then
-runs one stacked forward, backward and Adam step over the group's (k, P)
-parameters (`nn` on a stack); a member whose loss goes non-finite leaves
-the stack, and validation runs one member at a time. Since each slice of
-a stacked call has the bits of the member's own 2-D call, and a member's
-draws do not depend on its neighbours, the ensemble has the same bits for
-every grouping, and the bits of training the members one after another.
+Training runs every member in one lockstep group: each step draws each
+member's batch from that member's own stream, then runs one stacked
+forward, backward and Adam step over the (M, P) parameters (`nn` on a
+stack); a member whose loss goes non-finite leaves the stack, and
+validation runs one member at a time. Since each slice of a stacked call
+has the bits of the member's own 2-D call, and a member's draws do not
+depend on its neighbours, the ensemble has the bits of training the
+members one after another.
+
+The members train in the calling process. Given a `beside` call, as
+`cli.run_training` gives BC and FQE pretraining, one forked daemonic child
+trains them while the call runs here, where `_can_fork` allows: the fork
+start method exists, the process may run on at least 2 CPUs and is not a
+daemonic worker, and no `nn` function training calls has been wrapped
+since import, as a tracer or a test's spy does (the wrapper would never
+see the child's calls).
 
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
@@ -58,8 +56,6 @@ __all__ = [
     "WorldModelConfig",
     "EnsembleWorldModel",
     "ImaginedRollouts",
-    "ensemble_groups",
-    "in_processes",
     "train_ensemble",
     "step_with_tape",
     "step_backward",
@@ -189,7 +185,7 @@ class EnsembleWorldModel:
     elite_idx: tuple[int, ...]  # sorted by validation NLL, best first
     config: WorldModelConfig = field(default_factory=WorldModelConfig)
     # wall seconds the members took to train, in the process that trained
-    # them (or waited for their groups); 0.0 once loaded, and never saved
+    # them; 0.0 once loaded, and never saved
     train_s: float = field(default=0.0, compare=False, repr=False)
 
     def __post_init__(self):
@@ -220,8 +216,8 @@ class EnsembleWorldModel:
         return [(views[w], views[b]) for w, b in names]
 
 
-# the `nn` functions a training group calls, as this module found them
-_GROUP_CALLS = {
+# the `nn` functions `_train_members` calls, as this module found them
+_TRAINING_CALLS = {
     name: getattr(nn, name)
     for name in (
         "init_params", "init_adam", "forward_cached", "backward_cached", "adam_step", "forward"
@@ -229,114 +225,95 @@ _GROUP_CALLS = {
 }
 
 
-def _group_calls_wrapped() -> bool:
-    """Whether one of the `nn` functions a group calls has been replaced in
-    this process (by a tracer, a profiler or a test's spy): the wrapper
-    records into its own process, so it would miss a forked child's calls."""
-    return any(getattr(nn, name) is not fn for name, fn in _GROUP_CALLS.items())
-
-
-def ensemble_groups(n_members: int) -> int:
-    """How many lockstep groups `train_ensemble` splits its members into:
-    one per CPU this process may run on, at most one per member, and 1
-    where the fork start method does not exist, this process is a
-    daemonic worker, which may not start children, or a function a group
-    calls has been wrapped here. `train_ensemble` trains the members in a
-    forked child beside another call, and `cli.run_training` asks it to,
-    only where this gives more than 1."""
+def _can_fork() -> bool:
+    """Whether `train_ensemble` may train the members in a forked child: the
+    fork start method exists, this process may run on at least 2 CPUs, it
+    is not a daemonic worker, which may not start children, and no function
+    training calls has been replaced here (by a tracer, a profiler or a
+    test's spy), since the wrapper would miss the child's calls."""
     import multiprocessing
 
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or not hasattr(os, "sched_getaffinity")
-        or multiprocessing.current_process().daemon
-        or _group_calls_wrapped()
-    ):
-        return 1
-    return min(n_members, len(os.sched_getaffinity(0)))
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and not multiprocessing.current_process().daemon
+        and all(getattr(nn, name) is fn for name, fn in _TRAINING_CALLS.items())
+    )
 
 
-def _train_group(spec, data, config: WorldModelConfig, seed: int, members) -> list:
-    """Train `members` in lockstep; [(member, val_nll, params)] of every
-    member that ends with a finite validation NLL.
+def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
+    """Train all members in lockstep; (member_params, val_nll, wall seconds).
 
     Each step draws every live member's batch from its own stream and runs
     one stacked forward, backward and Adam step. A member whose loss goes
-    non-finite leaves the stack and is dropped; validation runs per member.
+    non-finite leaves the stack and is dropped: its parameters stay zero
+    and its validation NLL infinite. Validation runs per member.
     """
+    t0 = time.perf_counter()
     x_tr, t_tr, x_val, t_val = data
     head_dim = t_tr.shape[1]
-    rngs = [stream(seed, "wm.member", int(m)) for m in members]
+    rngs = [stream(seed, "wm.member", m) for m in range(config.n_members)]
     params = np.stack([nn.init_params(spec, rng) for rng in rngs])
     adam = nn.init_adam(params.shape, config.lr)
-    live = list(range(len(members)))  # positions in `members` still training
-    best = [(np.inf, None)] * len(members)
+    live = list(range(config.n_members))  # members still training
+    best_params = np.zeros_like(params)
+    val_nll = np.full(config.n_members, np.inf)
     for step in range(config.train_steps):
-        idx = np.stack([rngs[j].integers(0, x_tr.shape[0], size=config.batch_size) for j in live])
+        idx = np.stack([rngs[m].integers(0, x_tr.shape[0], size=config.batch_size) for m in live])
         loss, grad = _nll_grad_on(spec, params, x_tr[idx], t_tr[idx], head_dim)
         finite = np.isfinite(loss)
         if not finite.all():
-            live = [j for j, ok in zip(live, finite) if ok]
+            live = [m for m, ok in zip(live, finite) if ok]
             if not live:
                 break
             params, grad = params[finite], grad[finite]
             adam.m, adam.v = adam.m[finite], adam.v[finite]
         adam, params = nn.adam_step(adam, params, grad)
         if (step + 1) % config.val_interval == 0 or step + 1 == config.train_steps:
-            for row, j in enumerate(live):
+            for row, m in enumerate(live):
                 out = nn.forward(spec, params[row], x_val)
                 mu, log_std, _ = _split_heads(out, head_dim)
                 score = float(_nll_from_heads(mu, log_std, t_val))
-                if np.isfinite(score) and score < best[j][0]:
-                    best[j] = (score, params[row].copy())
-    return [(int(members[j]), best[j][0], best[j][1]) for j in live if np.isfinite(best[j][0])]
+                if np.isfinite(score) and score < val_nll[m]:
+                    val_nll[m], best_params[m] = score, params[row]
+    dropped = np.setdiff1d(np.arange(config.n_members), live)
+    val_nll[dropped], best_params[dropped] = np.inf, 0.0
+    return best_params, val_nll, time.perf_counter() - t0
 
 
-def in_processes(calls: list) -> list:
-    """[call() for call in calls]: the first call in this process, each
-    other one in a forked daemonic child that sends its result back over a
-    pipe. A daemonic child may not fork in turn, so a call it runs sees
-    `ensemble_groups` give 1. A call's effects in a child, other than its
-    result, stay in the child.
+def _in_a_child(call, beside):
+    """call()'s result, from a forked daemonic child that sends it back over
+    a pipe, while beside() runs in this process. A call's effects in the
+    child, other than its result, stay in the child.
 
-    A child that fails or dies raises WorldModelError, and no child
-    outlives the call: if this process's own call raises, the children
-    are killed.
+    A child that fails or dies raises WorldModelError, and the child never
+    outlives this function: if beside() raises, the child is killed.
     """
-    if len(calls) == 1:
-        return [calls[0]()]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    children = []
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_main, args=(call, sender), daemon=True)
     try:
-        for call in calls[1:]:
-            receiver, sender = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_main, args=(call, sender), daemon=True)
-            children.append((child, receiver))
-            child.start()
-            sender.close()
-        results = [calls[0]()]
-        for child, receiver in children:
-            try:
-                status, payload = receiver.recv()
-            except EOFError:
-                child.join()
-                raise WorldModelError(
-                    f"world-model process exited with code {child.exitcode}"
-                ) from None
-            if status != "ok":
-                raise WorldModelError(f"world-model process failed: {payload}")
-            results.append(payload)
+        child.start()
+        sender.close()
+        beside()
+        try:
+            status, payload = receiver.recv()
+        except EOFError:
             child.join()
-        return results
+            raise WorldModelError(f"world-model process exited with code {child.exitcode}") from None
+        if status != "ok":
+            raise WorldModelError(f"world-model process failed: {payload}")
+        child.join()
+        return payload
     finally:
-        for child, receiver in children:
-            receiver.close()
-            if child.is_alive():
-                child.kill()
-            if child.pid is not None:
-                child.join()
+        receiver.close()
+        if child.is_alive():
+            child.kill()
+        if child.pid is not None:
+            child.join()
 
 
 def _child_main(call, sender) -> None:
@@ -349,29 +326,20 @@ def _child_main(call, sender) -> None:
     sender.close()
 
 
-def _timed(call) -> tuple:
-    """(call(), wall seconds it took)."""
-    t0 = time.perf_counter()
-    result = call()
-    return result, time.perf_counter() - t0
-
-
 def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) -> EnsembleWorldModel:
     """Train all members on a shared split; pick elites by validation NLL.
 
-    The members train in `ensemble_groups(n_members)` lockstep groups of
-    consecutive members (7 members in 2 groups: 0-3 and 4-6), the first
-    in this process and each other one in a forked child. Every member
-    draws its init and batches from its own `wm.member` stream, each slice
-    of a stacked step meets the same BLAS calls as that member alone, and
-    validation runs per member, so the result has the same bits for every
-    grouping, and equals training the members one after another.
+    The members train in one lockstep group. Every member draws its init
+    and batches from its own `wm.member` stream, each slice of a stacked
+    step meets the same BLAS calls as that member alone, and validation
+    runs per member, so the result equals training the members one after
+    another.
 
-    `beside`, a call with no arguments, runs in this process. Where there
-    would be more than one group, it runs while all members train in one
-    group in a forked child, which `cli.run_training` uses to pretrain
-    the agent meanwhile; otherwise it runs after the members have trained
-    here. If it raises, the child is killed and the error goes on.
+    `beside`, a call with no arguments, runs in this process: while the
+    members train in one forked child where `_can_fork()` allows, which
+    `cli.run_training` uses to pretrain the agent meanwhile, and otherwise
+    after they have trained here. If it raises, the child is killed and
+    the error goes on. Without `beside` the members always train here.
 
     It first sets `heap.set_heap_policy`'s thresholds, as `cli.run_training`
     does: without them glibc maps and unmaps every freed temporary of 128 KB
@@ -389,24 +357,13 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
     val_rows = val_rows[: config.max_val_rows]
     data = (inputs[train_rows], targets[train_rows], inputs[val_rows], targets[val_rows])
 
-    member_params = np.zeros((config.n_members, nn.n_params(spec)))
-    val_nll = np.full(config.n_members, np.inf)
-    members = np.arange(config.n_members)
-    groups = np.array_split(members, ensemble_groups(config.n_members))
-    if beside is not None and len(groups) > 1:
-        _, (trained, train_s) = in_processes(
-            [beside, partial(_timed, partial(_train_group, spec, data, config, seed, members))]
-        )
-        trained = [trained]
+    train = partial(_train_members, spec, data, config, seed)
+    if beside is not None and _can_fork():
+        member_params, val_nll, train_s = _in_a_child(train, beside)
     else:
-        calls = [partial(_train_group, spec, data, config, seed, group) for group in groups]
-        trained, train_s = _timed(partial(in_processes, calls))
+        member_params, val_nll, train_s = train()
         if beside is not None:
             beside()
-    for group in trained:
-        for m, score, params in group:
-            member_params[m] = params
-            val_nll[m] = score
     order = np.argsort(val_nll, kind="stable")
     elites = [int(i) for i in order[: config.n_elites]]
     if not np.isfinite(val_nll[elites]).all():

@@ -1,5 +1,5 @@
-"""Shared pytest plumbing: the acceptance-criteria summary block, and a
-check that no test leaves a child process running."""
+"""Shared pytest plumbing: a check that no test leaves a child process
+running, and a count of the world model's forks."""
 
 from __future__ import annotations
 
@@ -7,21 +7,7 @@ import multiprocessing
 
 import pytest
 
-_CRITERIA: dict[int, str] = {}
-
-
-def record_criterion(n: int, passed: bool, detail: str) -> None:
-    """Register one acceptance criterion outcome for the summary block."""
-    status = "PASS" if passed else "FAIL"
-    _CRITERIA[n] = f"{status} criterion {n:2d}: {detail}"
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not _CRITERIA:
-        return
-    terminalreporter.section("acceptance criteria")
-    for n in sorted(_CRITERIA):
-        terminalreporter.write_line(_CRITERIA[n])
+from leq_lab import world_model
 
 
 @pytest.fixture(autouse=True)
@@ -33,3 +19,17 @@ def _no_child_process_outlives_its_test():
         child.join()
     if alive:
         pytest.fail(f"the test left {len(alive)} child process(es) running: {alive}")
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """A list that grows by one each time `world_model.train_ensemble`
+    forks a child."""
+    counted, in_a_child = [], world_model._in_a_child
+
+    def counting(*args):
+        counted.append(1)
+        return in_a_child(*args)
+
+    monkeypatch.setattr(world_model, "_in_a_child", counting)
+    return counted

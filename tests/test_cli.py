@@ -50,8 +50,13 @@ def _run_config(tmp_path, env="point_maze_u", agent_overrides=None, **overrides)
 
 
 def _two_cpus(monkeypatch):
-    """`ensemble_groups` gives 2 here and 1 in a daemonic child, which may not fork."""
+    """The world model may fork here; a daemonic child still may not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def _one_cpu(monkeypatch):
+    """The world model trains in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def _forbidden(*args):
@@ -67,7 +72,7 @@ def test_resumed_run_matches_an_uninterrupted_one(tmp_path, monkeypatch):
     cli.run_training(parse_run_config(short), str(halves))
     # a resume loads the saved ensemble: it trains nothing and forks nothing
     monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
-    monkeypatch.setattr(world_model, "in_processes", _forbidden)
+    monkeypatch.setattr(world_model, "_in_a_child", _forbidden)
     resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
@@ -78,7 +83,7 @@ def test_resumed_run_matches_an_uninterrupted_one(tmp_path, monkeypatch):
     # an ensemble saved without its checkpoint is loaded too, and BC and FQE run here
     (tmp_path / "whole" / "checkpoint.leqa").unlink()
     again = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"), resume=True)
-    assert again["ensemble_groups"] == 0 and again["pretrain"] == whole["pretrain"]
+    assert again["ensemble_train_s"] == 0.0 and again["pretrain"] == whole["pretrain"]
 
 
 def test_effective_config_reparses_to_the_run_config(tmp_path):
@@ -149,7 +154,6 @@ def test_heap_policy_sets_the_glibc_thresholds(monkeypatch):
     assert libc.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
     # a direct caller of train_ensemble trains under the same thresholds
     libc.mallopt.calls.clear()
-    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
     dataset = datasets.collect_dataset(envs.make_env_spec("point_maze_u"), "mixed", 4, seed=0)
     config = world_model.WorldModelConfig(
         train_steps=2, n_members=2, n_elites=1, hidden_dims=(8,), batch_size=8
@@ -260,39 +264,52 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
     assert report["eval_env_steps"] == untimed["eval_env_steps"] == round(sum(lengths) * 3)
 
 
-def test_report_records_peak_rss_and_the_ensemble_groups(tmp_path, monkeypatch):
+def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkeypatch, forks):
     _two_cpus(monkeypatch)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
     raw["world_model"]["train_steps"] = 30
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     assert report == json.loads((tmp_path / "run" / "report.json").read_text())
-    # trained in one group, in a forked child, while BC and FQE ran here
-    assert report["ensemble_groups"] == 1 and report["ensemble_beside_pretraining"] is True
-    assert report["ensemble_train_s"] > 0.0
+    # trained in a forked child while BC and FQE ran here
+    assert forks == [1] and report["ensemble_train_s"] > 0.0
+    assert "ensemble_groups" not in report and "ensemble_beside_pretraining" not in report
     # the forked ensemble-training process is among the finished children
     assert set(report["peak_rss_mb"]) == {"self", "children"}
     assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
     resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
-    assert resumed["ensemble_groups"] == 0  # loaded, not trained
-    assert resumed["ensemble_train_s"] == 0.0 and resumed["ensemble_beside_pretraining"] is False
-    # without pretraining to overlap, the members train in two lockstep groups
+    assert resumed["ensemble_train_s"] == 0.0 and forks == [1]  # loaded, not trained
+    # without pretraining to overlap, the members train here
     unpretrained = {**raw, "agent": {**raw["agent"], "pretrain": False}}
     report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
-    assert report["ensemble_groups"] == 2 and report["ensemble_beside_pretraining"] is False
+    assert report["ensemble_train_s"] > 0.0 and forks == [1]
 
 
-def test_an_ensemble_trained_beside_pretraining_writes_the_sequential_files(tmp_path, monkeypatch):
+def test_an_ensemble_trained_beside_pretraining_writes_the_sequential_files(
+    tmp_path, monkeypatch, forks
+):
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 10})
     with monkeypatch.context() as patch:
         _two_cpus(patch)
         beside = cli.run_training(parse_run_config(raw), str(tmp_path / "beside"))
-    monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
+    assert forks == [1]
+    _one_cpu(monkeypatch)
     alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
-    assert beside["ensemble_beside_pretraining"] and not alone["ensemble_beside_pretraining"]
+    assert forks == [1]
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
         assert (tmp_path / "beside" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
     assert beside["pretrain"] == alone["pretrain"]
-    assert sum(beside["timing_s"].values()) <= beside["elapsed_s"] + 0.01
+    for report in (beside, alone):
+        assert sum(report["timing_s"].values()) <= report["elapsed_s"] + 0.01
+
+
+def test_phase_clock_leaves_an_inner_phase_out_of_the_outer_one(monkeypatch):
+    clock = cli._PhaseClock()
+    with monkeypatch.context() as patch:
+        patch.setattr(time, "perf_counter", iter([0.0, 2.0, 5.0, 10.0]).__next__)
+        with clock.phase("world_model"):
+            with clock.phase("bc"):
+                pass
+    assert clock.seconds["world_model"] == 7.0 and clock.seconds["bc"] == 3.0
 
 
 def _exit_3(*args):
@@ -303,19 +320,43 @@ def _raise(*args):
     raise FloatingPointError("planted")
 
 
+def _too_few_members(*args):
+    raise world_model.WorldModelError("only 1 members trained to a finite validation NLL; need 2")
+
+
 @pytest.mark.parametrize(
-    "train, message", [(_exit_3, "exited with code 3"), (_raise, "FloatingPointError: planted")]
+    "cpus, train, message",
+    [
+        (_two_cpus, _exit_3, "exited with code 3"),
+        (_two_cpus, _raise, "FloatingPointError: planted"),
+        (_one_cpu, _too_few_members, "only 1 members trained"),
+    ],
+    ids=["forked-exits", "forked-raises", "in-process"],
 )
-def test_a_failing_world_model_child_raises_and_leaves_nothing_running(
-    train, message, tmp_path, monkeypatch
+def test_a_failing_world_model_exits_1_and_leaves_nothing_running(
+    cpus, train, message, tmp_path, monkeypatch, capsys
 ):
-    _two_cpus(monkeypatch)
-    monkeypatch.setattr(world_model, "_train_group", train)
-    with pytest.raises(world_model.WorldModelError, match=message):
-        cli.run_training(parse_run_config(_run_config(tmp_path)), str(tmp_path / "run"))
+    cpus(monkeypatch)
+    monkeypatch.setattr(world_model, "_train_members", train)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path)))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "run" / "world_model.leqm").exists()
     assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+def test_a_corrupt_ensemble_file_still_exits_2(tmp_path, capsys):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli.main(["train", str(config), "--out-dir", str(out)]) == 0
+    (out / "world_model.leqm").write_bytes(b"LEQE garbage")
+    assert cli.main(["train", str(config), "--out-dir", str(out), "--resume"]) == 2
+    assert capsys.readouterr().err.startswith("error: ensemble checkpoint")
 
 
 @pytest.mark.parametrize("forked", [True, False], ids=["beside-pretraining", "sequential"])
@@ -328,9 +369,9 @@ def test_an_fqe_divergence_snapshots_its_stage_and_stops_the_world_model(
     monkeypatch.setattr(agent, "pretrain_fqe", diverging_fqe)
     if forked:
         _two_cpus(monkeypatch)
-        monkeypatch.setattr(world_model, "_train_group", lambda *args: time.sleep(60.0))
+        monkeypatch.setattr(world_model, "_train_members", lambda *args: time.sleep(60.0))
     else:
-        monkeypatch.setattr(world_model, "ensemble_groups", lambda n: 1)
+        _one_cpu(monkeypatch)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(_run_config(tmp_path)))
     t0 = time.monotonic()
@@ -375,6 +416,33 @@ def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):
     for seed in (0, 1):
         report = json.loads((out / "tau_low" / f"seed{seed}" / "report.json").read_text())
         assert report["seed"] == seed and report["steps"] == 4
+
+
+def test_ablate_records_a_failed_ensemble_and_runs_on(tmp_path, monkeypatch):
+    base = _run_config(
+        tmp_path, agent_overrides={"n_iter": 4}, eval_interval=4, log_interval=2,
+        checkpoint_interval=4,
+    )
+    train_members = world_model._train_members
+
+    def fails_for_seed_0(spec, data, config, seed):
+        if seed == 0:
+            raise world_model.WorldModelError("planted for seed 0")
+        return train_members(spec, data, config, seed)
+
+    monkeypatch.setattr(world_model, "_train_members", fails_for_seed_0)
+    matrix = {"base": base, "cells": [{"name": "tau_low", "agent": {"tau": 0.1}}], "seeds": [0, 1]}
+    config = tmp_path / "matrix.json"
+    config.write_text(json.dumps(matrix))
+    out = tmp_path / "ablate"
+    assert cli.main(["ablate", str(config), "--out-dir", str(out)]) == 0
+    with open(out / "ablation.csv", encoding="utf-8", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["status"], row["n_seeds"], row["n_completed"]) == ("diverged", "2", "1")
+    assert "seed0:" in row["notes"] and "planted for seed 0" in row["notes"]
+    assert math.isfinite(float(row["mean_return"]))
+    assert not (out / "tau_low" / "seed0" / "report.json").exists()
+    assert json.loads((out / "tau_low" / "seed1" / "report.json").read_text())["steps"] == 4
 
 
 def test_verify_theory_maps_a_theory_error_to_exit_1(monkeypatch, capsys):

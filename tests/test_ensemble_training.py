@@ -1,9 +1,10 @@
-"""Lockstep ensemble training against the per-member loop it replaced, for
-every grouping of the members, in one process and across forked ones."""
+"""Lockstep ensemble training against the per-member loop it replaced, in
+this process and in a forked child, and the rule that picks between them."""
 
 import multiprocessing
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def _poisoned(dataset, n_rows: int, seed: int, val_fraction: float):
 
 _SMALL = {"hidden_dims": (8, 8), "train_steps": 10, "batch_size": 16}
 
-# (dataset, config overrides); every case runs under every grouping
+# (dataset, config overrides); every case trains in this process and forked
 CASES = {
     "maze_elu_interval_divides": ("point_maze_u", {"activation": "elu", "val_interval": 5}),
     "maze_relu_interval_does_not_divide": ("point_maze_u", {"activation": "relu", "val_interval": 4}),
@@ -91,27 +92,26 @@ def _outcome(train, dataset, config, tmp_path):
     )
 
 
-def _in_this_process(calls):
-    return [call() for call in calls]
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_every_grouping_gives_the_per_member_loop_bits(name, collected, tmp_path, monkeypatch):
+def test_in_this_process_and_forked_give_the_per_member_loop_bits(
+    name, collected, tmp_path, monkeypatch, forks
+):
     dataset, config = _case(collected, name)
     want = _outcome(_oracles.loop_train_ensemble, dataset, config, tmp_path)
-    for forked in (False, True):
-        for n_groups in range(1, config.n_members + 1):
-            with monkeypatch.context() as patch:
-                patch.setattr(wm, "ensemble_groups", lambda n, k=n_groups: k)
-                if not forked:
-                    patch.setattr(wm, "in_processes", _in_this_process)
-                got = _outcome(wm.train_ensemble, dataset, config, tmp_path)
-            assert got == want, f"{n_groups} groups, forked={forked}"
+    assert _outcome(wm.train_ensemble, dataset, config, tmp_path) == want, "in this process"
+    _two_cpus(monkeypatch)
+    beside = partial(wm.train_ensemble, beside=lambda: None)
+    assert _outcome(beside, dataset, config, tmp_path) == want, "forked"
+    assert forks == [1]
 
 
 def test_the_divergence_cases_hold_their_premise(collected, tmp_path):
-    """Members of the poisoned dataset diverge in both halves of the
-    ensemble, and enough end finite for three elites but not for five."""
+    """Members of the poisoned dataset diverge in both halves of the stack,
+    and enough end finite for three elites but not for five."""
     dataset, config = _case(collected, "chain_some_members_diverge")
     val_nll = _oracles.loop_train_ensemble(dataset, config, 0).val_nll
     lost = np.flatnonzero(~np.isfinite(val_nll)).tolist()
@@ -122,21 +122,21 @@ def test_the_divergence_cases_hold_their_premise(collected, tmp_path):
     assert outcome == f"only {n_ok} members trained to a finite validation NLL; need 5"
 
 
-def _train_two_groups(collected, monkeypatch, child_hook=None, parent_hook=None):
-    """Two groups, one forked, with a hook run before every Adam step of
-    the child or of the parent."""
+def _train_in_a_child(collected, monkeypatch, child_hook, beside=lambda: None):
+    """Train the members in a forked child, with a hook run before every
+    Adam step of the child, while `beside` runs here."""
     parent, adam_step = os.getpid(), nn.adam_step
 
     def hooked(*args, **kwargs):
-        hook = parent_hook if os.getpid() == parent else child_hook
-        if hook is not None:
-            hook()
+        if os.getpid() != parent:
+            child_hook()
         return adam_step(*args, **kwargs)
 
     monkeypatch.setattr(nn, "adam_step", hooked)
-    monkeypatch.setattr(wm, "ensemble_groups", lambda n: 2)
+    # the hook wraps an `nn` call, which alone would keep training here
+    monkeypatch.setattr(wm, "_can_fork", lambda: True)
     dataset, config = _case(collected, "maze_elu_interval_divides")
-    return wm.train_ensemble(dataset, config, 0)
+    return wm.train_ensemble(dataset, config, 0, beside=beside)
 
 
 def test_a_child_that_exits_mid_training_raises_and_leaves_nothing_running(collected, monkeypatch):
@@ -148,7 +148,7 @@ def test_a_child_that_exits_mid_training_raises_and_leaves_nothing_running(colle
             os._exit(3)
 
     with pytest.raises(wm.WorldModelError, match="exited with code 3"):
-        _train_two_groups(collected, monkeypatch, child_hook=exit_on_the_fifth_step)
+        _train_in_a_child(collected, monkeypatch, exit_on_the_fifth_step)
     assert multiprocessing.active_children() == []
 
 
@@ -157,33 +157,39 @@ def test_a_child_that_raises_reports_its_error(collected, monkeypatch):
         raise FloatingPointError("planted")
 
     with pytest.raises(wm.WorldModelError, match="FloatingPointError: planted"):
-        _train_two_groups(collected, monkeypatch, child_hook=fail)
+        _train_in_a_child(collected, monkeypatch, fail)
     assert multiprocessing.active_children() == []
 
 
-def test_a_failing_parent_kills_its_children(collected, monkeypatch):
+def test_a_failing_beside_call_kills_the_child(collected, monkeypatch):
     def fail():
         raise RuntimeError("parent failed")
 
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="parent failed"):
-        _train_two_groups(
-            collected, monkeypatch, child_hook=lambda: time.sleep(60.0), parent_hook=fail
-        )
+        _train_in_a_child(collected, monkeypatch, lambda: time.sleep(60.0), beside=fail)
     assert time.monotonic() - t0 < 30.0
     assert multiprocessing.active_children() == []
 
 
-def test_group_count_rule(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert [wm.ensemble_groups(n) for n in (1, 2, 3, 7)] == [1, 2, 3, 3]
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert wm.ensemble_groups(7) == 1
+def test_fork_rule(monkeypatch):
+    _two_cpus(monkeypatch)
+    assert wm._can_fork()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert not wm._can_fork()
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not wm._can_fork()
+    with monkeypatch.context() as patch:
+        worker = multiprocessing.current_process()
+        patch.setattr(worker, "daemon", True)
+        assert not wm._can_fork()
+    assert wm._can_fork()
 
 
-def test_a_wrapped_group_call_keeps_every_member_in_this_process(collected, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert wm.ensemble_groups(7) == 2
+def test_a_wrapped_nn_call_keeps_every_member_in_this_process(collected, monkeypatch, forks):
+    _two_cpus(monkeypatch)
     forward_cached, stacks = nn.forward_cached, []
 
     def spy(spec, params, *args, **kwargs):
@@ -193,13 +199,13 @@ def test_a_wrapped_group_call_keeps_every_member_in_this_process(collected, monk
 
     monkeypatch.setattr(nn, "forward_cached", spy)
     # a forked child's calls would land in the child's copy of the spy
-    assert wm.ensemble_groups(7) == 1
+    assert not wm._can_fork()
     dataset, config = _case(collected, "maze_elu_interval_divides")
-    wm.train_ensemble(dataset, config, 0)
-    assert stacks == [config.n_members] * config.train_steps
+    wm.train_ensemble(dataset, config, 0, beside=lambda: None)
+    assert forks == [] and stacks == [config.n_members] * config.train_steps
 
 
-def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatch, tmp_path):
+def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatch, tmp_path, forks):
     dataset, config = _case(collected, "maze_elu_interval_divides")
     alone = _outcome(wm.train_ensemble, dataset, config, tmp_path)
     ran = []
@@ -212,5 +218,5 @@ def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatc
             return ensemble
 
         assert _outcome(train, dataset, config, tmp_path) == alone
-    assert ran == [os.getpid()] * 2
+    assert ran == [os.getpid()] * 2 and forks == [1]
     assert multiprocessing.active_children() == []
