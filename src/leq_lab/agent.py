@@ -52,6 +52,7 @@ __all__ = [
     "pretrain_bc",
     "pretrain_fqe",
     "expand_dataset",
+    "uses_helper",
     "train_step",
     "evaluate_policy",
     "save_agent",
@@ -362,7 +363,27 @@ class _Plan:
     critic_params: np.ndarray
 
 
-def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
+@dataclass
+class _Remote:
+    """A mobile_lcb train step's call in the run's helper (a
+    `forked.Helper`): its job number (None when the rollout has no valid
+    row), and the `_lcb_rows` that call was given."""
+
+    helper: object
+    lcb: int | None
+    rows: tuple
+
+
+def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
+    """(the elites whose LCB predictions a step computes here, the helper's):
+    the first n // 2 of n, and the rest. Meanwhile this process evaluates the
+    policy and the critic over every rollout state, about two thirds of one
+    elite's three forwards, so the helper takes the larger half."""
+    half = len(elite_idx) // 2
+    return elite_idx[:half], elite_idx[half:]
+
+
+def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q, remote=None):
     """Per-(rollout, t) critic regression targets and the valid mask.
 
     critic_target picks the target family: normalized lambda-mixture,
@@ -371,27 +392,29 @@ def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q):
     times the population std of the bootstrapped values.
     """
     if config.conservatism == "mobile_lcb":
-        return _mobile_targets(plan, config, ensemble, rollouts)
+        return _mobile_targets(plan, config, ensemble, rollouts, remote)
     if config.critic_target == "h_step":
         return returns.full_return_batch(rollouts.rewards, boot_q, rollouts.t_eff, config.gamma)
     lam = config.lam if config.critic_target == "lambda" else 0.0
     return returns.lambda_return_batch(rollouts.rewards, boot_q, rollouts.t_eff, lam, config.gamma)
 
 
-def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts):
-    """One-step targets r + gamma*Q(s', pi(s')) averaged over all elites,
-    penalized by c times their population std (LCB-style baseline)."""
+def _lcb_rows(rollouts) -> tuple:
+    """(valid mask, (N, 2) index of the valid (b, t), s_t, a_t) of a rollout."""
     B, H = rollouts.rewards.shape
     valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
     flat_idx = np.argwhere(valid)
-    if flat_idx.size == 0:
-        return np.zeros((B, H)), valid
     s = rollouts.states[flat_idx[:, 0], flat_idx[:, 1]]
     a = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
-    preds_q = []
-    preds_r = []
+    return valid, flat_idx, s, a
+
+
+def _elite_preds(plan, gamma: float, ensemble, members, s, a) -> tuple[list, list]:
+    """r_m + gamma * Q(s', pi(s')) and Q(s', pi(s')) for each member m of
+    `members`, in order, where (s' - s, r_m) is m's predicted mean."""
+    preds_r, preds_q = [], []
     x = np.concatenate([s, a], axis=1)
-    for m in ensemble.elite_idx:
+    for m in members:
         out = nn.forward(ensemble.spec, ensemble.member_params[m], x)
         mu = out[:, : ensemble.obs_dim + 1]
         nxt = s + mu[:, : ensemble.obs_dim]
@@ -400,8 +423,39 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts):
         q = nn.forward(plan.critic_spec, plan.critic_params, np.concatenate([nxt, acts], axis=1))[
             :, 0
         ]
-        preds_r.append(r + config.gamma * q)
+        preds_r.append(r + gamma * q)
         preds_q.append(q)
+    return preds_r, preds_q
+
+
+def _send_elites(helper, plan, config: AgentConfig, ensemble, rollouts) -> _Remote:
+    """Hand the helper its `_split_elites` share of the LCB predictions."""
+    rows = _lcb_rows(rollouts)
+    theirs = _split_elites(ensemble.elite_idx)[1]
+    s, a = rows[2:]
+    if not s.shape[0]:
+        return _Remote(helper, None, rows)
+    keep = helper.keep(ensemble)
+    return _Remote(helper, helper.submit(_elite_preds, plan, config.gamma, keep, theirs, s, a), rows)
+
+
+def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, remote=None):
+    """One-step targets r + gamma*Q(s', pi(s')) averaged over all elites,
+    penalized by c times their population std (LCB-style baseline).
+
+    With a `_Remote`, this process evaluates the elites the helper was not
+    sent, and the helper's predictions join them in elite order."""
+    B, H = rollouts.rewards.shape
+    valid, flat_idx, s, a = _lcb_rows(rollouts) if remote is None else remote.rows
+    if flat_idx.size == 0:
+        return np.zeros((B, H)), valid
+    # a remote with valid rows has sent the helper its share
+    here = ensemble.elite_idx if remote is None else _split_elites(ensemble.elite_idx)[0]
+    preds_r, preds_q = _elite_preds(plan, config.gamma, ensemble, here, s, a)
+    if remote is not None:
+        theirs_r, theirs_q = remote.helper.result(remote.lcb)
+        preds_r += theirs_r
+        preds_q += theirs_q
     preds_r = np.stack(preds_r)  # (E, N)
     preds_q = np.stack(preds_q)
     lcb = preds_r.mean(axis=0) - config.lcb_c * preds_q.std(axis=0)
@@ -431,11 +485,11 @@ def _shadow_q(plan, shadow_params, batch: dict) -> np.ndarray:
     return nn.forward(plan.critic_spec, shadow_params, x)[:, 0]
 
 
-def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval):
+def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval, remote=None):
     """Asymmetric squared error of Q(s_t, pi(s_t)) against rollout targets,
     with its gradient."""
     ce = _critic_eval(plan, rollouts, pol)
-    targets, valid = _model_targets(plan, config, ensemble, rollouts, boot_q=ce.boot_q)
+    targets, valid = _model_targets(plan, config, ensemble, rollouts, ce.boot_q, remote)
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0, np.zeros_like(plan.critic_params)
@@ -481,14 +535,16 @@ def critic_loss_ema(plan, shadow_params, batch: dict):
 
 
 def critic_loss_total(
-    plan, config: AgentConfig, ensemble, rollouts, env_batch, shadow_params, pol: _PolicyEval
+    plan, config: AgentConfig, ensemble, rollouts, env_batch, shadow_params, pol: _PolicyEval,
+    remote=None,
 ):
     """beta * L_model + (1 - beta) * L_env + omega * L_ema, with gradient.
 
     The env and EMA terms share one critic forward over the real (s, a)
     batch; their cotangents are pre-mixed so a single backward covers both.
+    With a `_Remote`, `_mobile_targets` shares its elites with the helper,
+    which computes them while the env and EMA terms run here first.
     """
-    l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, pol)
     target = _bellman_target(plan, config, env_batch)
     q_shadow = _shadow_q(plan, shadow_params, env_batch)
     q, cache = _critic_forward(
@@ -502,6 +558,7 @@ def critic_loss_total(
     g_env_ema, _ = nn.backward_cached(
         plan.critic_spec, plan.critic_params, cache, cot, params_only=True
     )
+    l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, pol, remote)
     total = config.beta * l_model + (1.0 - config.beta) * l_env + config.omega_ema * l_ema
     grad = config.beta * g_model + g_env_ema
     parts = {"loss_model": l_model, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
@@ -662,9 +719,15 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
 # pretraining
 
 
+def _check_rows(states: np.ndarray, stage: str) -> None:
+    if states.shape[0] == 0:
+        raise AgentError(f"{stage} pretraining needs transitions, but the dataset holds none")
+
+
 def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed: int, lr: float, batch: int = 256):
     """Behavioral cloning: minimize ||tanh(mlp(s)) - a||^2 over the dataset."""
     states, actions, _, _, _ = dataset.flat_arrays()
+    _check_rows(states, "BC")
     rng = stream(seed, "pretrain.bc")
     adam = nn.init_adam(params.size, lr)
     mse = float("nan")
@@ -732,15 +795,16 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     the tables can differ from per-step batches in the last bits.
     """
     loss = float("nan")
+    states, actions, rewards, next_states, terminals = dataset.flat_arrays()
+    _check_rows(states, "FQE")
     if steps <= 0:
         return params, loss
-    states, actions, rewards, next_states, terminals = dataset.flat_arrays()
     terminals = terminals.astype(np.float64)
     rng = stream(seed, "pretrain.fqe")
     adam = nn.init_adam(params.size, lr)
     n = states.shape[0]
     size = min(batch, n)
-    tables = n > 0 and -(-n // size) * (1 + -(-steps // target_every)) < 2 * steps
+    tables = -(-n // size) * (1 + -(-steps // target_every)) < 2 * steps
 
     def targets(rows, next_a, target):
         next_q = nn.forward(spec, target, np.concatenate([next_states[rows], next_a], axis=1))[:, 0]
@@ -813,12 +877,31 @@ def expand_dataset(
     return inserted
 
 
+def uses_helper(config: AgentConfig) -> bool:
+    """Whether `train_step` gives a helper work: a mobile_lcb step with beta
+    > 0. Other steps run here alone: on `leq_maze` the real-batch critic
+    terms (about 1.5 ms of a 20 ms step) did not pay for their transfer and
+    for the slowdown a busy second CPU brings."""
+    return config.beta > 0.0 and config.conservatism == "mobile_lcb"
+
+
 def train_step(
-    state: AgentState, ensemble, env_batch: dict, start_states: np.ndarray, rng, logged: bool = True
+    state: AgentState,
+    ensemble,
+    env_batch: dict,
+    start_states: np.ndarray,
+    rng,
+    logged: bool = True,
+    helper=None,
 ) -> dict:
     """One critic step, one EMA update, one actor step; returns metrics.
 
     `mean_q` needs one more critic forward, so only a `logged` step has it.
+
+    Given the run's `forked.Helper`, a step that `uses_helper` has the
+    helper compute its `_split_elites` share of the LCB predictions while
+    this process evaluates the rollout, the real-batch critic terms and the
+    other elites. Every result has the bits it has here.
     """
     config = state.config
     plan = _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
@@ -837,13 +920,16 @@ def train_step(
             rng,
             differentiable=config.policy_update == "lambda_expectile",
         )
+    remote = None
+    if helper is not None and uses_helper(config):
+        remote = _send_elites(helper, plan, config, ensemble, rollouts)
 
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states can serve both loss phases
     pol = _policy_eval(plan, rollouts) if needs_rollout else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
-            plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol
+            plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol, remote
         )
     else:
         l_env, g_env = critic_loss_env(plan, config, env_batch)

@@ -8,7 +8,8 @@ produced.  Timestamps appear only in report metadata, never in CSVs.
 
 Exit codes: 0 success; 1 a divergence (with divergence.json written), a
 failed world-model training (too few members with a finite validation
-NLL, or a training process that failed or died) or a failed theory check;
+NLL), a helper process whose call failed or that died, or a failed theory
+check;
 2 bad input: a usage or config error, or a missing, corrupt, truncated or
 incompatible dataset, checkpoint or ensemble file.
 """
@@ -28,7 +29,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import agent as agent_mod
-from . import container, datasets, envs, heap, nn, world_model
+from . import container, datasets, envs, forked, heap, nn, world_model
 from .config import ConfigError, RunConfig, load_matrix_config, load_run_config
 from .expectile import InputValidationError, ScalarDistribution, expectile_of
 from .rng import stream
@@ -130,7 +131,7 @@ def _pretrains(cfg: RunConfig) -> bool:
 
 
 def _prepare_run(
-    cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, with_model: bool, clock
+    cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, with_model: bool, clock, helper
 ) -> tuple:
     """(ensemble or None, agent state, pretraining summary).
 
@@ -141,10 +142,10 @@ def _prepare_run(
 
     When a fresh run both trains the ensemble and pretrains, BC and FQE are
     `world_model.train_ensemble`'s `beside` call: they run in this process,
-    while the members train in a forked child where the world model can
-    fork, and after they have trained here otherwise. Pretraining never
-    reads the model. The `world_model` phase leaves out BC and FQE, so it
-    times the wait for the child and the save, or the training and the save.
+    while the members train in the run's `helper` if it has one, and after
+    they have trained here otherwise. Pretraining never reads the model.
+    The `world_model` phase leaves out BC and FQE, so it times the wait for
+    the helper and the save, or the training and the save.
     """
     ens_path = os.path.join(out_dir, _ENSEMBLE)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
@@ -175,7 +176,7 @@ def _prepare_run(
     if train:
         with clock.phase("world_model"):
             ensemble = world_model.train_ensemble(
-                dataset, cfg.world_model, cfg.seed, beside=pretrain if beside else None
+                dataset, cfg.world_model, cfg.seed, pretrain if beside else None, helper
             )
             world_model.save_ensemble(ens_path, ensemble)
     if fresh:
@@ -189,10 +190,10 @@ def _prepare_run(
 
 def _peak_rss_mb() -> dict:
     """Peak resident set of this process and of its largest child waited
-    for so far, in MB, both over the life of the process. A forked
-    ensemble-training child counts the pages it still shares with this
-    process. A vfork'd child that execs (`git describe`) takes over this
-    process's peak as its own, so read this before `_build_id`."""
+    for so far, in MB, both over the life of the process. A run's helper
+    counts the pages it still shares with this process. A vfork'd child
+    that execs (`git describe`) takes over this process's peak as its own,
+    so read this before `_build_id`."""
     import resource
 
     return {
@@ -326,23 +327,45 @@ class _PhaseClock:
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
-    World-model training, BC and FQE run in `_prepare_run`: a fresh run
-    trains every member in one lockstep group, in a forked child while
-    this process runs BC and then FQE where the world model can fork, and
-    otherwise here, before BC and FQE. The main loop, expansion,
-    evaluation and checkpoints run in this process.
+    A run has one helper, a daemonic child forked on its first call, where
+    `forked.can_fork()` allows: the fork start method exists, the process
+    may run on at least 2 CPUs and is not a daemonic worker, and no `nn`
+    function has been wrapped. World-model training, BC and FQE run in
+    `_prepare_run`: a fresh run trains every member in one lockstep group,
+    in the helper while this process runs BC and then FQE, or without a
+    helper here, before BC and FQE. The main loop, expansion, evaluation
+    and checkpoints run in this process; a mobile_lcb step with beta > 0
+    hands the helper part of its elites (`agent.train_step`). Any other
+    run's helper is killed once pretraining is done, and a run that
+    imagines nothing has none. The helper is killed when the main loop
+    ends, or before a divergence snapshot is written, and never outlives
+    this call.
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
-    is the wait for a forked ensemble, or its training here, plus the
+    is the wait for the helper's ensemble, or its training here, plus the
     save. `ensemble_train_s` is the ensemble's own training time wherever
     it ran (0 once loaded): beside `timing_s.world_model` it shows whether
-    training overlapped BC and FQE. `eval_env_steps` counts the
+    training overlapped BC and FQE. `helper_busy_s` is the helper's own
+    seconds in main-loop calls and `helper_wait_s` the main loop's wait for
+    their results, both 0 without a helper. `eval_env_steps` counts the
     true-environment steps the evaluations took.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
     """
+    with _serving(_needs_model(cfg)) as helper:
+        return _run_training(cfg, out_dir, resume, helper)
+
+
+def _serving(with_model: bool):
+    """`forked.serving()` for a run with a world model. A run without one
+    shares nothing, so it has no helper and never loads `multiprocessing`
+    (about 0.6 MB of peak RSS)."""
+    return forked.serving() if with_model else contextlib.nullcontext()
+
+
+def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
     heap.set_heap_policy()
     clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
@@ -359,8 +382,13 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
             "stage cannot be skipped"
         )
     ensemble, state, pretrain_info = _prepare_run(
-        cfg, env_spec, dataset, out_dir, resume, _needs_model(cfg), clock
+        cfg, env_spec, dataset, out_dir, resume, _needs_model(cfg), clock, helper
     )
+    if helper is not None and not agent_mod.uses_helper(state.config):
+        helper.close()  # no step will call it
+        helper = None
+    if helper is not None:  # count the main loop's calls only
+        helper.busy_s = helper.wait_s = 0.0
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
 
     term_fn = envs.termination_fn(env_spec)
@@ -419,7 +447,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
             starts = state.buffer.sample(config.batch_model, rng)
             logged = (i + 1) % cfg.log_interval == 0 or i + 1 == config.n_iter
             with clock.phase("train_step"):
-                metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged)
+                metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged, helper)
             if logged:
                 if not metrics_cols:
                     metrics_cols = list(metrics.keys())
@@ -434,11 +462,15 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                     _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
                     agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     except agent_mod.DivergenceError as err:
+        if helper is not None:
+            helper.close()
         _write_divergence(out_dir, cfg, err, "train", state.step)
         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
 
+    if helper is not None:
+        helper.close()
     with clock.phase("checkpoint"):
         agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
@@ -458,6 +490,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "elapsed_s": round(time.monotonic() - t_start, 3),
         "timing_s": {phase: round(sec, 3) for phase, sec in clock.seconds.items()},
         "eval_env_steps": eval_env_steps,
+        "helper_busy_s": round(helper.busy_s, 3) if helper else 0.0,
+        "helper_wait_s": round(helper.wait_s, 3) if helper else 0.0,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if ensemble is not None:
@@ -496,9 +530,11 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    ensemble, _, info = _prepare_run(
-        cfg, env_spec, dataset, out_dir, False, "world_model" in cfg.stages, _PhaseClock()
-    )
+    with_model = "world_model" in cfg.stages
+    with _serving(with_model) as helper:
+        ensemble, _, info = _prepare_run(
+            cfg, env_spec, dataset, out_dir, False, with_model, _PhaseClock(), helper
+        )
     if ensemble is not None:
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     for key, value in info.items():
@@ -540,7 +576,7 @@ def cmd_ablate(args) -> int:
             cell_dir = os.path.join(out_dir, name, f"seed{seed}")
             try:
                 report = run_training(cell_cfg, cell_dir)
-            except (agent_mod.AgentError, world_model.WorldModelError) as err:
+            except (agent_mod.AgentError, world_model.WorldModelError, forked.HelperError) as err:
                 failures.append(f"seed{seed}: {err}")
                 continue
             successes.append(report["final_eval"]["success_rate"])
@@ -746,7 +782,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (agent_mod.DivergenceError, world_model.WorldModelError) as err:
+    except (agent_mod.DivergenceError, world_model.WorldModelError, forked.HelperError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

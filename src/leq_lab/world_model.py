@@ -14,13 +14,15 @@ has the bits of the member's own 2-D call, and a member's draws do not
 depend on its neighbours, the ensemble has the bits of training the
 members one after another.
 
-The members train in the calling process. Given a `beside` call, as
-`cli.run_training` gives BC and FQE pretraining, one forked daemonic child
-trains them while the call runs here, where `_can_fork` allows: the fork
-start method exists, the process may run on at least 2 CPUs and is not a
-daemonic worker, and no `nn` function training calls has been wrapped
-since import, as a tracer or a test's spy does (the wrapper would never
-see the child's calls).
+The members train in the calling process. Given a `beside` call and a
+`forked.Helper`, as `cli.run_training` gives BC and FQE pretraining and
+the run's helper, they train in the helper while the call runs here. A
+run has a helper where `forked.can_fork` allows: the fork start method
+exists, the process may run on at least 2 CPUs and is not a daemonic
+worker, and no `nn` function has been wrapped since import, as a tracer
+or a test's spy does (the wrapper would never see the child's calls).
+In a run, the training is the helper's first call, so the helper forks
+then and finds the data in its copy of the run's memory, unpickled.
 
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
@@ -40,14 +42,13 @@ activations in sorted order, with the permutation and the group bounds.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from . import container, heap, nn
+from . import container, forked, heap, nn
 from .rng import stream
 
 __all__ = [
@@ -216,32 +217,6 @@ class EnsembleWorldModel:
         return [(views[w], views[b]) for w, b in names]
 
 
-# the `nn` functions `_train_members` calls, as this module found them
-_TRAINING_CALLS = {
-    name: getattr(nn, name)
-    for name in (
-        "init_params", "init_adam", "forward_cached", "backward_cached", "adam_step", "forward"
-    )
-}
-
-
-def _can_fork() -> bool:
-    """Whether `train_ensemble` may train the members in a forked child: the
-    fork start method exists, this process may run on at least 2 CPUs, it
-    is not a daemonic worker, which may not start children, and no function
-    training calls has been replaced here (by a tracer, a profiler or a
-    test's spy), since the wrapper would miss the child's calls."""
-    import multiprocessing
-
-    return (
-        "fork" in multiprocessing.get_all_start_methods()
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and not multiprocessing.current_process().daemon
-        and all(getattr(nn, name) is fn for name, fn in _TRAINING_CALLS.items())
-    )
-
-
 def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
     """Train all members in lockstep; (member_params, val_nll, wall seconds).
 
@@ -282,51 +257,9 @@ def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
     return best_params, val_nll, time.perf_counter() - t0
 
 
-def _in_a_child(call, beside):
-    """call()'s result, from a forked daemonic child that sends it back over
-    a pipe, while beside() runs in this process. A call's effects in the
-    child, other than its result, stay in the child.
-
-    A child that fails or dies raises WorldModelError, and the child never
-    outlives this function: if beside() raises, the child is killed.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_main, args=(call, sender), daemon=True)
-    try:
-        child.start()
-        sender.close()
-        beside()
-        try:
-            status, payload = receiver.recv()
-        except EOFError:
-            child.join()
-            raise WorldModelError(f"world-model process exited with code {child.exitcode}") from None
-        if status != "ok":
-            raise WorldModelError(f"world-model process failed: {payload}")
-        child.join()
-        return payload
-    finally:
-        receiver.close()
-        if child.is_alive():
-            child.kill()
-        if child.pid is not None:
-            child.join()
-
-
-def _child_main(call, sender) -> None:
-    """A forked call's entry point: its result, or its error, to the parent."""
-    try:
-        message = ("ok", call())
-    except Exception as err:  # the parent raises it as a WorldModelError
-        message = ("error", f"{type(err).__name__}: {err}")
-    sender.send(message)
-    sender.close()
-
-
-def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) -> EnsembleWorldModel:
+def train_ensemble(
+    dataset, config: WorldModelConfig, seed: int, beside=None, helper=None
+) -> EnsembleWorldModel:
     """Train all members on a shared split; pick elites by validation NLL.
 
     The members train in one lockstep group. Every member draws its init
@@ -336,10 +269,11 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
     another.
 
     `beside`, a call with no arguments, runs in this process: while the
-    members train in one forked child where `_can_fork()` allows, which
-    `cli.run_training` uses to pretrain the agent meanwhile, and otherwise
-    after they have trained here. If it raises, the child is killed and
-    the error goes on. Without `beside` the members always train here.
+    members train in `helper` (a `forked.Helper`), which `cli.run_training`
+    uses to pretrain the agent meanwhile, and otherwise after they have
+    trained here. If it raises, the error goes on, and the helper's owner
+    ends the helper. A helper call that fails, or a helper that dies,
+    raises WorldModelError. Without `beside` the members always train here.
 
     It first sets `heap.set_heap_policy`'s thresholds, as `cli.run_training`
     does: without them glibc maps and unmaps every freed temporary of 128 KB
@@ -357,11 +291,15 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
     val_rows = val_rows[: config.max_val_rows]
     data = (inputs[train_rows], targets[train_rows], inputs[val_rows], targets[val_rows])
 
-    train = partial(_train_members, spec, data, config, seed)
-    if beside is not None and _can_fork():
-        member_params, val_nll, train_s = _in_a_child(train, beside)
+    if beside is not None and helper is not None:
+        job = helper.submit(_train_members, spec, data, config, seed)
+        beside()
+        try:
+            member_params, val_nll, train_s = helper.result(job)
+        except forked.HelperError as err:
+            raise WorldModelError(f"world-model training failed: {err}") from err
     else:
-        member_params, val_nll, train_s = train()
+        member_params, val_nll, train_s = _train_members(spec, data, config, seed)
         if beside is not None:
             beside()
     order = np.argsort(val_nll, kind="stable")

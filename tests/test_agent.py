@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leq_lab import agent, datasets, envs, nn, returns
+from leq_lab import agent, datasets, envs, forked, nn, returns
 from leq_lab import world_model as wm
 from leq_lab.expectile import expectile_weight
 from leq_lab.rng import stream
@@ -253,6 +253,127 @@ def test_mobile_targets_match_a_per_elite_loop():
     assert not targets[~valid].any()
 
 
+@pytest.mark.parametrize("elite_idx", [(1, 0), (1,), (2, 0, 1)], ids=["2-elites", "1-elite", "3-elites"])
+def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_idx, forks):
+    plan = make_plan(9)
+    config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)
+    ensemble = tiny_ensemble()
+    ensemble = replace(
+        ensemble, elite_idx=elite_idx, config=replace(ensemble.config, n_elites=len(elite_idx))
+    )
+    _, ro = rollout(plan, far_is_terminal, seed=8)
+    here = agent._mobile_targets(plan, config, ensemble, ro)
+    helper = forked.Helper()
+    try:
+        remote = agent._send_elites(helper, plan, config, ensemble, ro)
+        assert remote.lcb is not None
+        there = agent._mobile_targets(plan, config, ensemble, ro, remote)
+    finally:
+        helper.close()
+    assert forks == [1] and helper.busy_s > 0.0
+    assert here[0].tobytes() == there[0].tobytes() and np.array_equal(here[1], there[1])
+    want = _oracles.loop_mobile_targets(
+        ensemble,
+        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
+        agent.MlpCritic(plan.critic_spec, plan.critic_params),
+        ro,
+        config.gamma,
+        config.lcb_c,
+    )
+    np.testing.assert_allclose(there[0], want, rtol=1e-12, atol=1e-12)
+
+
+def _maze_ensemble(spec, n_elites: int):
+    """Untrained members for `spec`'s dimensions; the elites out of index order."""
+    config = wm.WorldModelConfig(n_members=3, n_elites=n_elites, hidden_dims=(16, 16))
+    member = wm.member_spec(spec.obs_dim, spec.act_dim, config)
+    params = np.stack([0.3 * nn.init_params(member, np.random.default_rng(m)) for m in range(3)])
+    return wm.EnsembleWorldModel(
+        obs_dim=spec.obs_dim,
+        act_dim=spec.act_dim,
+        spec=member,
+        member_params=params,
+        val_nll=np.array([0.5, 0.75, 0.25]),
+        elite_idx=(2, 0, 1)[:n_elites],
+        config=config,
+    )
+
+
+def _state_bytes(state) -> dict:
+    arrays = {
+        "policy": state.policy_params,
+        "critic": state.critic_params,
+        "ema": state.critic_ema.shadow,
+        "actor_m": state.adam_actor.m,
+        "actor_v": state.adam_actor.v,
+        "critic_m": state.adam_critic.m,
+        "critic_v": state.adam_critic.v,
+    }
+    return {name: array.tobytes() for name, array in arrays.items()}
+
+
+@pytest.mark.parametrize("n_elites", [3, 1], ids=["3-elites", "1-elite"])
+@pytest.mark.parametrize(
+    "conservatism, update",
+    [("mobile_lcb", "awr"), ("lower_expectile", "lambda_expectile")],
+    ids=["mobile_lcb-awr", "lower_expectile-lambda_expectile"],
+)
+def test_train_step_through_the_helper_has_the_bits_of_this_process(
+    conservatism, update, n_elites, forks
+):
+    spec = envs.make_env_spec("point_maze_u")
+    config = agent.AgentConfig(
+        conservatism=conservatism, policy_update=update, horizon=4, n_expand=10,
+        hidden_actor=(16, 16), hidden_critic=(16, 16),
+    )
+    ensemble = _maze_ensemble(spec, n_elites)
+    here, there = (agent.build_agent(config, spec, seed=0) for _ in range(2))
+    helper = forked.Helper()
+    try:
+        for step in range(3):
+            batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
+            starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(8, spec.obs_dim))
+            logged = step != 1
+            want = agent.train_step(here, ensemble, batch, starts, stream(0, "t", step), logged)
+            got = agent.train_step(there, ensemble, batch, starts, stream(0, "t", step), logged, helper)
+            assert list(got) == list(want)
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
+                k: np.float64(v).tobytes() for k, v in want.items()
+            }
+            assert _state_bytes(there) == _state_bytes(here), step
+    finally:
+        helper.close()
+    # a mobile_lcb step sends its elites; any other step runs here alone
+    if conservatism == "mobile_lcb":
+        assert forks == [1] and helper._sent == 3 and helper.busy_s > 0.0
+    else:
+        assert forks == [] and helper._sent == 0
+
+
+def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(deadline, forks):
+    # the policy and critic params (256, 256) a step sends come to about
+    # 1 MB, several times a pipe's buffer
+    spec = envs.make_env_spec("point_maze_u")
+    config = agent.AgentConfig(conservatism="mobile_lcb", policy_update="awr", horizon=4)
+    ensemble = _maze_ensemble(spec, 3)
+    here, there = (agent.build_agent(config, spec, seed=0) for _ in range(2))
+    helper = forked.Helper()
+    deadline(60.0)
+    try:
+        for step in range(2):
+            batch = env_batch(30 + step, n=64, obs=spec.obs_dim, act=spec.act_dim)
+            starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(32, spec.obs_dim))
+            want = agent.train_step(here, ensemble, batch, starts, stream(0, "t", step))
+            got = agent.train_step(there, ensemble, batch, starts, stream(0, "t", step), True, helper)
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
+                k: np.float64(v).tobytes() for k, v in want.items()
+            }
+            assert _state_bytes(there) == _state_bytes(here), step
+    finally:
+        helper.close()
+    assert forks == [1] and helper._sent == 2
+
+
 class _FlatDataset:
     """A dataset reduced to `flat_arrays`, whose arrays refuse writes."""
 
@@ -336,6 +457,26 @@ def test_fqe_on_a_ragged_batch_matches_the_loop_to_rounding():
     got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4))
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-14)
     assert got[1] == pytest.approx(want[1], rel=1e-10)
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("took a step")
+
+
+def test_bc_on_an_empty_dataset_raises_before_any_step(monkeypatch):
+    plan = make_plan(17)
+    monkeypatch.setattr(nn, "adam_step", _no_step)
+    with pytest.raises(agent.AgentError, match="BC pretraining needs transitions") as err:
+        agent.pretrain_bc(_FlatDataset(0), plan.policy_spec, plan.policy_params, 5, 3, 1e-3)
+    assert type(err.value) is agent.AgentError
+
+
+def test_fqe_on_an_empty_dataset_raises_before_any_step(monkeypatch):
+    plan = make_plan(18)
+    monkeypatch.setattr(nn, "adam_step", _no_step)
+    with pytest.raises(agent.AgentError, match="FQE pretraining needs transitions") as err:
+        agent.pretrain_fqe(*_fqe_args(plan, _FlatDataset(0), 4))
+    assert type(err.value) is agent.AgentError
 
 
 # 37 rows take the tables, 400 rows the per-batch forwards

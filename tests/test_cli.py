@@ -50,12 +50,12 @@ def _run_config(tmp_path, env="point_maze_u", agent_overrides=None, **overrides)
 
 
 def _two_cpus(monkeypatch):
-    """The world model may fork here; a daemonic child still may not."""
+    """A run may start a helper here; a daemonic child still may not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def _one_cpu(monkeypatch):
-    """The world model trains in this process."""
+    """A run starts no helper: everything runs in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
@@ -63,17 +63,24 @@ def _forbidden(*args):
     raise AssertionError("trained or forked")
 
 
-def test_resumed_run_matches_an_uninterrupted_one(tmp_path, monkeypatch):
+# the agent whose main-loop steps the run's helper shares
+_LCB = {"conservatism": "mobile_lcb", "policy_update": "awr"}
+
+
+@pytest.mark.parametrize("overrides", [{}, _LCB], ids=["lower_expectile", "mobile_lcb"])
+def test_resumed_run_matches_an_uninterrupted_one(overrides, tmp_path, monkeypatch, forks):
     _two_cpus(monkeypatch)
-    raw = _run_config(tmp_path)
+    raw = _run_config(tmp_path, agent_overrides=overrides)
     whole = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"))
     halves = tmp_path / "halves"
     short = {**raw, "agent": {**raw["agent"], "n_iter": 10}}
     cli.run_training(parse_run_config(short), str(halves))
-    # a resume loads the saved ensemble: it trains nothing and forks nothing
+    # a resume loads the saved ensemble: it trains nothing, and its helper
+    # forks at the first main-loop step it shares
     monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
-    monkeypatch.setattr(world_model, "_in_a_child", _forbidden)
     resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
+    assert forks == [1, 1, 1] if overrides else [1, 1]
+    assert (resumed["helper_busy_s"] > 0.0) == bool(overrides)
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
     assert resumed["pretrain"] == whole["pretrain"] and set(whole["pretrain"]) == {
@@ -266,39 +273,62 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
 
 def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkeypatch, forks):
     _two_cpus(monkeypatch)
-    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5, **_LCB})
     raw["world_model"]["train_steps"] = 30
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     assert report == json.loads((tmp_path / "run" / "report.json").read_text())
-    # trained in a forked child while BC and FQE ran here
+    # trained in the helper while BC and FQE ran here; the helper then served
+    # the main loop
     assert forks == [1] and report["ensemble_train_s"] > 0.0
+    assert report["helper_busy_s"] > 0.0 and report["helper_wait_s"] >= 0.0
     assert "ensemble_groups" not in report and "ensemble_beside_pretraining" not in report
-    # the forked ensemble-training process is among the finished children
+    # the helper is among the finished children
     assert set(report["peak_rss_mb"]) == {"self", "children"}
     assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
     resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
     assert resumed["ensemble_train_s"] == 0.0 and forks == [1]  # loaded, not trained
-    # without pretraining to overlap, the members train here
+    assert resumed["helper_busy_s"] == resumed["helper_wait_s"] == 0.0  # no step left to run
+    # without pretraining to overlap, the members train here, and the helper
+    # forks at the first main-loop step
     unpretrained = {**raw, "agent": {**raw["agent"], "pretrain": False}}
     report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
-    assert report["ensemble_train_s"] > 0.0 and forks == [1]
+    assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1, 1]
+    # one CPU: no helper
+    with monkeypatch.context() as patch:
+        _one_cpu(patch)
+        report = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1, 1]
+    # a lower-expectile run's helper trains the ensemble, then ends before
+    # the main loop, whose steps it would not serve
+    plain = {**raw, "agent": {**raw["agent"], "conservatism": "lower_expectile"}}
+    step, children = agent.train_step, []
+
+    def counting_children(*args):
+        children.append(len(multiprocessing.active_children()))
+        return step(*args)
+
+    monkeypatch.setattr(agent, "train_step", counting_children)
+    report = cli.run_training(parse_run_config(plain), str(tmp_path / "plain"))
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1, 1, 1]
+    assert children == [0] * 5
 
 
-def test_an_ensemble_trained_beside_pretraining_writes_the_sequential_files(
-    tmp_path, monkeypatch, forks
+@pytest.mark.parametrize("overrides", [{}, _LCB], ids=["lower_expectile", "mobile_lcb"])
+def test_a_run_with_a_helper_writes_the_files_of_one_without(
+    overrides, tmp_path, monkeypatch, forks
 ):
-    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10})
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10, **overrides})
     with monkeypatch.context() as patch:
         _two_cpus(patch)
-        beside = cli.run_training(parse_run_config(raw), str(tmp_path / "beside"))
-    assert forks == [1]
+        helped = cli.run_training(parse_run_config(raw), str(tmp_path / "helped"))
+    assert forks == [1] and (helped["helper_busy_s"] > 0.0) == bool(overrides)
     _one_cpu(monkeypatch)
     alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
     assert forks == [1]
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
-        assert (tmp_path / "beside" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
-    assert beside["pretrain"] == alone["pretrain"]
-    for report in (beside, alone):
+        assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    assert helped["pretrain"] == alone["pretrain"]
+    for report in (helped, alone):
         assert sum(report["timing_s"].values()) <= report["elapsed_s"] + 0.01
 
 
@@ -318,6 +348,19 @@ def _exit_3(*args):
 
 def _raise(*args):
     raise FloatingPointError("planted")
+
+
+_ELITE_PREDS = agent._elite_preds
+
+
+def _elite_preds_exiting_there(*args):
+    """`agent._elite_preds` here; in the helper, `_exit_3`."""
+    return _ELITE_PREDS(*args) if multiprocessing.parent_process() is None else _exit_3()
+
+
+def _elite_preds_raising_there(*args):
+    """`agent._elite_preds` here; in the helper, `_raise`."""
+    return _ELITE_PREDS(*args) if multiprocessing.parent_process() is None else _raise()
 
 
 def _too_few_members(*args):
@@ -346,6 +389,64 @@ def test_a_failing_world_model_exits_1_and_leaves_nothing_running(
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "run" / "world_model.leqm").exists()
     assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        (_elite_preds_exiting_there, "helper process exited with code 3"),
+        (_elite_preds_raising_there, "FloatingPointError: planted"),
+    ],
+    ids=["exits", "raises"],
+)
+def test_a_failing_helper_in_the_main_loop_exits_1_and_leaves_nothing_running(
+    job, message, tmp_path, monkeypatch, capsys, forks
+):
+    _two_cpus(monkeypatch)
+    # the step's elites in the helper fail there
+    monkeypatch.setattr(agent, "_elite_preds", job)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path, agent_overrides=_LCB)))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert forks == [1] and multiprocessing.active_children() == []
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert not (tmp_path / "run" / "divergence.json").exists()
+
+
+def test_a_main_loop_divergence_stops_the_helper_before_its_snapshot(
+    tmp_path, monkeypatch, capsys, forks
+):
+    _two_cpus(monkeypatch)
+
+    def nan_policy_loss(plan, *args):
+        return float("nan"), np.zeros_like(plan.policy_params), {}
+
+    monkeypatch.setattr(agent, "awr_policy_loss", nan_policy_loss)
+    write, running = cli._write_divergence, []
+
+    def spy(*args):
+        running.append(multiprocessing.active_children())
+        write(*args)
+
+    monkeypatch.setattr(cli, "_write_divergence", spy)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path, agent_overrides=_LCB)))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: policy loss diverged\n"
+    assert forks == [1] and running == [[]]
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("policy loss diverged", "train", 0)
+
+
+def test_a_run_that_imagines_nothing_starts_no_helper(tmp_path, monkeypatch, forks):
+    _two_cpus(monkeypatch)
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
+    )
+    report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    assert forks == [] and report["helper_busy_s"] == report["helper_wait_s"] == 0.0
 
 
 def test_a_corrupt_ensemble_file_still_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Lockstep ensemble training against the per-member loop it replaced, in
-this process and in a forked child, and the rule that picks between them."""
+this process and in a run's forked helper."""
 
 import multiprocessing
 import os
@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from leq_lab import datasets, envs, nn
+from leq_lab import datasets, envs, forked, nn
 from leq_lab import world_model as wm
 from leq_lab.rng import stream
 
@@ -49,7 +49,7 @@ def _poisoned(dataset, n_rows: int, seed: int, val_fraction: float):
 
 _SMALL = {"hidden_dims": (8, 8), "train_steps": 10, "batch_size": 16}
 
-# (dataset, config overrides); every case trains in this process and forked
+# (dataset, config overrides); every case trains in this process and in a helper
 CASES = {
     "maze_elu_interval_divides": ("point_maze_u", {"activation": "elu", "val_interval": 5}),
     "maze_relu_interval_does_not_divide": ("point_maze_u", {"activation": "relu", "val_interval": 4}),
@@ -104,8 +104,9 @@ def test_in_this_process_and_forked_give_the_per_member_loop_bits(
     want = _outcome(_oracles.loop_train_ensemble, dataset, config, tmp_path)
     assert _outcome(wm.train_ensemble, dataset, config, tmp_path) == want, "in this process"
     _two_cpus(monkeypatch)
-    beside = partial(wm.train_ensemble, beside=lambda: None)
-    assert _outcome(beside, dataset, config, tmp_path) == want, "forked"
+    with forked.serving() as helper:
+        beside = partial(wm.train_ensemble, beside=lambda: None, helper=helper)
+        assert _outcome(beside, dataset, config, tmp_path) == want, "in the helper"
     assert forks == [1]
 
 
@@ -123,8 +124,8 @@ def test_the_divergence_cases_hold_their_premise(collected, tmp_path):
 
 
 def _train_in_a_child(collected, monkeypatch, child_hook, beside=lambda: None):
-    """Train the members in a forked child, with a hook run before every
-    Adam step of the child, while `beside` runs here."""
+    """Train the members in a helper, with a hook run before every Adam step
+    of the child, while `beside` runs here; the helper is closed after."""
     parent, adam_step = os.getpid(), nn.adam_step
 
     def hooked(*args, **kwargs):
@@ -133,10 +134,13 @@ def _train_in_a_child(collected, monkeypatch, child_hook, beside=lambda: None):
         return adam_step(*args, **kwargs)
 
     monkeypatch.setattr(nn, "adam_step", hooked)
-    # the hook wraps an `nn` call, which alone would keep training here
-    monkeypatch.setattr(wm, "_can_fork", lambda: True)
     dataset, config = _case(collected, "maze_elu_interval_divides")
-    return wm.train_ensemble(dataset, config, 0, beside=beside)
+    # the hook wraps an `nn` call, so `forked.serving` would give no helper
+    helper = forked.Helper()
+    try:
+        return wm.train_ensemble(dataset, config, 0, beside=beside, helper=helper)
+    finally:
+        helper.close()
 
 
 def test_a_child_that_exits_mid_training_raises_and_leaves_nothing_running(collected, monkeypatch):
@@ -161,7 +165,7 @@ def test_a_child_that_raises_reports_its_error(collected, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_a_failing_beside_call_kills_the_child(collected, monkeypatch):
+def test_a_failing_beside_call_raises_and_its_helper_closes_at_once(collected, monkeypatch):
     def fail():
         raise RuntimeError("parent failed")
 
@@ -170,22 +174,6 @@ def test_a_failing_beside_call_kills_the_child(collected, monkeypatch):
         _train_in_a_child(collected, monkeypatch, lambda: time.sleep(60.0), beside=fail)
     assert time.monotonic() - t0 < 30.0
     assert multiprocessing.active_children() == []
-
-
-def test_fork_rule(monkeypatch):
-    _two_cpus(monkeypatch)
-    assert wm._can_fork()
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert not wm._can_fork()
-    with monkeypatch.context() as patch:
-        patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert not wm._can_fork()
-    with monkeypatch.context() as patch:
-        worker = multiprocessing.current_process()
-        patch.setattr(worker, "daemon", True)
-        assert not wm._can_fork()
-    assert wm._can_fork()
 
 
 def test_a_wrapped_nn_call_keeps_every_member_in_this_process(collected, monkeypatch, forks):
@@ -198,10 +186,11 @@ def test_a_wrapped_nn_call_keeps_every_member_in_this_process(collected, monkeyp
         return forward_cached(spec, params, *args, **kwargs)
 
     monkeypatch.setattr(nn, "forward_cached", spy)
-    # a forked child's calls would land in the child's copy of the spy
-    assert not wm._can_fork()
-    dataset, config = _case(collected, "maze_elu_interval_divides")
-    wm.train_ensemble(dataset, config, 0, beside=lambda: None)
+    # a helper's calls would land in the child's copy of the spy
+    with forked.serving() as helper:
+        assert helper is None
+        dataset, config = _case(collected, "maze_elu_interval_divides")
+        wm.train_ensemble(dataset, config, 0, beside=lambda: None, helper=helper)
     assert forks == [] and stacks == [config.n_members] * config.train_steps
 
 
@@ -209,11 +198,14 @@ def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatc
     dataset, config = _case(collected, "maze_elu_interval_divides")
     alone = _outcome(wm.train_ensemble, dataset, config, tmp_path)
     ran = []
-    for cpus in ({0}, {0, 1}):  # after the members here, then beside a forked child
+    for cpus in ({0}, {0, 1}):  # after the members here, then beside the helper
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
 
         def train(*args):
-            ensemble = wm.train_ensemble(*args, beside=lambda: ran.append(os.getpid()))
+            with forked.serving() as helper:
+                ensemble = wm.train_ensemble(
+                    *args, beside=lambda: ran.append(os.getpid()), helper=helper
+                )
             assert ensemble.train_s > 0.0
             return ensemble
 
