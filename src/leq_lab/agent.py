@@ -18,8 +18,9 @@ ized model steps and the deterministic policy, DDPG-style. At tau = 0.5
 both updates reduce to standard lambda-return actor-critic up to a factor
 of one half.
 
-Ablation switches select plain or LCB-penalized targets, one-step or
-H-step critic targets, and value-gradient or advantage-weighted policy
+Ablation switches select lower-expectile or MOBILE-style LCB-penalized
+targets (tau = 0.5 gives the unpenalized, symmetric ones), lambda, one-step
+or H-step critic targets, and value-gradient or advantage-weighted policy
 updates, so baseline variants share every other code path.
 """
 
@@ -52,6 +53,7 @@ __all__ = [
     "pretrain_bc",
     "pretrain_fqe",
     "expand_dataset",
+    "needs_model",
     "uses_helper",
     "train_step",
     "evaluate_policy",
@@ -59,7 +61,7 @@ __all__ = [
     "load_agent",
 ]
 
-CONSERVATISM_MODES = ("lower_expectile", "mobile_lcb", "none")
+CONSERVATISM_MODES = ("lower_expectile", "mobile_lcb")
 CRITIC_TARGET_MODES = ("lambda", "one_step", "h_step")
 POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr")
 
@@ -109,7 +111,6 @@ class AgentConfig:
     policy_update: str = "lambda_expectile"
     awr_alpha: float = 1.0
     use_expansion: bool = True
-    pretrain: bool = True
 
     def __post_init__(self):
         ExpectileParam(self.tau)  # bounds check
@@ -877,6 +878,12 @@ def expand_dataset(
     return inserted
 
 
+def needs_model(config: AgentConfig) -> bool:
+    """Whether a run imagines rollouts, and so trains or loads a world model:
+    the critic's beta > 0 model term, or a lambda_expectile or awr actor."""
+    return config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
+
+
 def uses_helper(config: AgentConfig) -> bool:
     """Whether `train_step` gives a helper work: a mobile_lcb step with beta
     > 0. Other steps run here alone: on `leq_maze` the real-batch critic
@@ -906,7 +913,7 @@ def train_step(
     config = state.config
     plan = _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
     term_fn = envs.termination_fn(state.env_spec)
-    needs_rollout = config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
+    needs_rollout = needs_model(config)
     rollouts = None
     if needs_rollout:
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
@@ -1014,7 +1021,7 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
 # checkpointing
 
 _AGENT_MAGIC = b"LEQA"
-_AGENT_VERSION = 1
+_AGENT_VERSION = 2
 
 
 def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | None = None) -> None:

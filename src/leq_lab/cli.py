@@ -91,8 +91,6 @@ def _read_csv(path) -> tuple[list[dict], list[str]]:
 def cmd_gen_data(args) -> int:
     spec = envs.make_env_spec(args.env)
     dataset = datasets.collect_dataset(spec, args.collector, args.n, args.seed)
-    if args.normalize != "none":
-        dataset = datasets.normalize_rewards(dataset, args.normalize)
     datasets.save_dataset(dataset, args.out)
     returns = dataset.returns()
     print(f"wrote {args.out}")
@@ -121,24 +119,14 @@ def _load_inputs(cfg: RunConfig):
     return env_spec, dataset
 
 
-def _pretrains(cfg: RunConfig) -> bool:
-    """Whether a fresh run's BC or FQE takes any step."""
-    agent_cfg = cfg.agent
-    return agent_cfg.pretrain and (
-        ("bc" in cfg.stages and agent_cfg.bc_steps > 0)
-        or ("fqe" in cfg.stages and agent_cfg.fqe_steps > 0)
-    )
-
-
-def _prepare_run(
-    cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, with_model: bool, clock, helper
-) -> tuple:
+def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper) -> tuple:
     """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
-    `out_dir`. Otherwise the ensemble trains (when `with_model`) and the
-    agent is built, pretrained and checkpointed, the ensemble saved first,
-    so a checkpoint never lacks its ensemble.
+    `out_dir`. Otherwise the ensemble trains (when the agent
+    `agent.needs_model`) and the agent is built, pretrained and
+    checkpointed, the ensemble saved first, so a checkpoint never lacks its
+    ensemble.
 
     When a fresh run both trains the ensemble and pretrains, BC and FQE are
     `world_model.train_ensemble`'s `beside` call: they run in this process,
@@ -150,6 +138,7 @@ def _prepare_run(
     ens_path = os.path.join(out_dir, _ENSEMBLE)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
     ensemble = None
+    with_model = agent_mod.needs_model(cfg.agent)
     if with_model and resume and os.path.exists(ens_path):
         with clock.phase("world_model"):
             ensemble = world_model.load_ensemble(ens_path)
@@ -157,7 +146,7 @@ def _prepare_run(
             raise ConfigError(f"{ens_path} was trained with a different world-model config")
     fresh = not (resume and os.path.exists(ckpt_path))
     train = with_model and ensemble is None
-    beside = train and fresh and _pretrains(cfg)
+    beside = train and fresh and (cfg.agent.bc_steps > 0 or cfg.agent.fqe_steps > 0)
     if fresh:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
         pretrain_info = {}
@@ -202,10 +191,6 @@ def _peak_rss_mb() -> dict:
     }
 
 
-def _needs_model(cfg: RunConfig) -> bool:
-    return cfg.agent.beta > 0.0 or cfg.agent.policy_update in ("lambda_expectile", "awr")
-
-
 def _effective(cfg: RunConfig) -> dict:
     """The run config as effective_config.json and divergence.json record it."""
     return {k: v for k, v in asdict(cfg).items() if v is not None}
@@ -224,17 +209,16 @@ def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> No
 
 
 def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str) -> dict:
-    """BC then FQE, honoring the stage selection; returns summary scalars.
+    """BC, when bc_steps > 0, then FQE, when fqe_steps > 0; returns summary
+    scalars.
 
     A divergence writes divergence.json, naming the stage and its step,
     before the DivergenceError goes on.
     """
     info: dict = {}
-    if not state.config.pretrain:
-        return info
     stage = None
     try:
-        if "bc" in cfg.stages:
+        if state.config.bc_steps > 0:
             stage = "bc"
             with clock.phase("bc"):
                 state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
@@ -245,7 +229,7 @@ def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir:
                     cfg.seed,
                     state.config.lr_pretrain,
                 )
-        if "fqe" in cfg.stages:
+        if state.config.fqe_steps > 0:
             stage = "fqe"
             with clock.phase("fqe"):
                 state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
@@ -354,15 +338,15 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
     """
-    with _serving(_needs_model(cfg)) as helper:
+    with _serving(cfg) as helper:
         return _run_training(cfg, out_dir, resume, helper)
 
 
-def _serving(with_model: bool):
+def _serving(cfg: RunConfig):
     """`forked.serving()` for a run with a world model. A run without one
     shares nothing, so it has no helper and never loads `multiprocessing`
     (about 0.6 MB of peak RSS)."""
-    return forked.serving() if with_model else contextlib.nullcontext()
+    return forked.serving() if agent_mod.needs_model(cfg.agent) else contextlib.nullcontext()
 
 
 def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
@@ -376,14 +360,7 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
 
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
-    if _needs_model(cfg) and "world_model" not in cfg.stages:
-        raise ConfigError(
-            "this agent configuration imagines rollouts; the world_model "
-            "stage cannot be skipped"
-        )
-    ensemble, state, pretrain_info = _prepare_run(
-        cfg, env_spec, dataset, out_dir, resume, _needs_model(cfg), clock, helper
-    )
+    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, helper)
     if helper is not None and not agent_mod.uses_helper(state.config):
         helper.close()  # no step will call it
         helper = None
@@ -530,11 +507,8 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    with_model = "world_model" in cfg.stages
-    with _serving(with_model) as helper:
-        ensemble, _, info = _prepare_run(
-            cfg, env_spec, dataset, out_dir, False, with_model, _PhaseClock(), helper
-        )
+    with _serving(cfg) as helper:
+        ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock(), helper)
     if ensemble is not None:
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     for key, value in info.items():
@@ -729,10 +703,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of trajectories")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--normalize", default="none", choices=datasets.NORMALIZATION_MODES)
     p.set_defaults(fn=cmd_gen_data)
 
-    p = sub.add_parser("pretrain", help="world model + BC + FQE only")
+    p = sub.add_parser("pretrain", help="world model (when the agent imagines) + BC + FQE only")
     p.add_argument("config")
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_pretrain)

@@ -34,9 +34,6 @@ __all__ = [
     "load_matrix_config",
 ]
 
-PRETRAIN_STAGES = ("world_model", "bc", "fqe")
-
-
 class ConfigError(ValueError):
     """A run or matrix config has a wrong key, type or value."""
 
@@ -53,7 +50,6 @@ class RunConfig:
     out_dir: str | None = None
     desk_scale: bool = False
     reward_normalization: str = "none"
-    stages: tuple[str, ...] = PRETRAIN_STAGES
     eval_interval: int = 5000
     eval_episodes: int = 50
     log_interval: int = 100
@@ -66,8 +62,6 @@ class RunConfig:
             raise ValueError("eval, log and checkpoint intervals and eval_episodes must be positive")
         if self.reward_normalization not in NORMALIZATION_MODES:
             raise ValueError(f"reward_normalization must be one of {NORMALIZATION_MODES}")
-        if not set(self.stages) <= set(PRETRAIN_STAGES) or len(set(self.stages)) != len(self.stages):
-            raise ValueError(f"stages must be distinct names from {PRETRAIN_STAGES}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +87,6 @@ _JSON_TYPES = {
     "tuple[int, ...]": (
         "a list of integers >= 1",
         lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v),
-    ),
-    "tuple[str, ...]": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
     ),
 }
 _SECTIONS = {"AgentConfig": AgentConfig, "WorldModelConfig": WorldModelConfig}

@@ -709,8 +709,9 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
 
 # The run and matrix config schemas the config dataclasses replaced, as a
 # reference verdict: JSON Schema first, then the dataclasses' own checks.
+# The run config's `stages` and the agent's `pretrain` have since been
+# removed on purpose, from both sides.
 
-_PRETRAIN_STAGES = ("world_model", "bc", "fqe")
 _SCALAR_SCHEMAS = {
     float: {"type": "number"},
     int: {"type": "integer"},
@@ -755,7 +756,6 @@ RUN_SCHEMA = {
             "additionalProperties": False,
             "properties": _fields_schema(world_model.WorldModelConfig),
         },
-        "stages": {"type": "array", "items": {"enum": list(_PRETRAIN_STAGES)}, "uniqueItems": True},
         "eval_interval": {"type": "integer", "minimum": 1},
         "eval_episodes": {"type": "integer", "minimum": 1},
         "log_interval": {"type": "integer", "minimum": 1},
@@ -804,7 +804,9 @@ def frozen_ranges_accept(agent_values: dict, model_values: dict) -> bool:
     `__post_init__` when the schemas were retired, plus `awr_alpha`, `lcb_c`
     and `activation`, written out so that a range the dataclasses later
     tighten by mistake shows as a disagreement. The comparisons and `min`
-    orders are theirs, so a NaN passes or fails as it did there."""
+    orders are theirs, so a NaN passes or fails as it did there. The one
+    deliberate tightening since: `conservatism` lost "none", which was
+    `lower_expectile` at tau = 0.5."""
     a, w = agent_values, model_values
     tau = float(a["tau"])
     return not (
@@ -821,7 +823,7 @@ def frozen_ranges_accept(agent_values: dict, model_values: dict) -> bool:
         or min(a["batch_env"], a["batch_model"], a["t_expand"], a["n_expand"], a["n_iter"]) <= 0
         or min(a["bc_steps"], a["fqe_steps"]) < 0
         or not 0.0 < a["ema_decay"] < 1.0
-        or a["conservatism"] not in ("lower_expectile", "mobile_lcb", "none")
+        or a["conservatism"] not in ("lower_expectile", "mobile_lcb")
         or a["critic_target"] not in ("lambda", "one_step", "h_step")
         or a["policy_update"] not in ("lambda_expectile", "q_value", "awr")
         or a["awr_alpha"] <= 0.0

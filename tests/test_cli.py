@@ -290,7 +290,7 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
     assert resumed["helper_busy_s"] == resumed["helper_wait_s"] == 0.0  # no step left to run
     # without pretraining to overlap, the members train here, and the helper
     # forks at the first main-loop step
-    unpretrained = {**raw, "agent": {**raw["agent"], "pretrain": False}}
+    unpretrained = {**raw, "agent": {**raw["agent"], "bc_steps": 0, "fqe_steps": 0}}
     report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
     assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1, 1]
     # one CPU: no helper
@@ -494,6 +494,32 @@ def test_pretrain_writes_the_ensemble_and_a_pretrained_checkpoint(tmp_path, caps
     world_model.load_ensemble(out / "world_model.leqm")
     state = agent.load_agent(out / "checkpoint.leqa")
     assert state.step == 0 and set(state.extra["pretrain"]) == {"bc_mse", "fqe_loss"}
+
+
+def test_pretrain_of_a_model_free_agent_trains_no_world_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
+    raw = _run_config(
+        tmp_path, env="dense_chain",
+        agent_overrides={"beta": 0.0, "policy_update": "q_value", "bc_steps": 0},
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "pre"
+    assert cli.main(["pretrain", str(config), "--out-dir", str(out)]) == 0
+    assert "world model" not in capsys.readouterr().out
+    assert not (out / "world_model.leqm").exists()
+    # a stage with no steps does not run
+    assert set(agent.load_agent(out / "checkpoint.leqa").extra["pretrain"]) == {"fqe_loss"}
+
+
+def test_gen_data_has_no_normalize_flag(tmp_path, capsys):
+    # a run config's reward_normalization normalizes the rewards it reads
+    argv = ["gen-data", "--env", "dense_chain", "--collector", "random", "--n", "2",
+            "--seed", "0", "--out", str(tmp_path / "d.leqd"), "--normalize", "minmax_return"]
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    assert caught.value.code == 2 and "--normalize" in capsys.readouterr().err
+    assert not (tmp_path / "d.leqd").exists()
 
 
 def test_ablate_summarizes_each_cell_over_its_seeds(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import leq_lab
 from leq_lab import cli, datasets, envs
 from leq_lab.agent import CONSERVATISM_MODES, CRITIC_TARGET_MODES, POLICY_UPDATE_MODES, AgentConfig
-from leq_lab.config import PRETRAIN_STAGES, ConfigError, parse_matrix_config, parse_run_config
+from leq_lab.config import ConfigError, parse_matrix_config, parse_run_config
 from leq_lab.world_model import WorldModelConfig
 
 from . import _oracles
@@ -111,11 +111,6 @@ _RUN_FIELDS = {
     "reward_normalization": _value("reward_normalization", ""),
     "agent": _section(AgentConfig),
     "world_model": _section(WorldModelConfig),
-    "stages": _mostly(
-        st.lists(st.sampled_from(PRETRAIN_STAGES), max_size=3, unique=True),
-        st.lists(st.sampled_from(PRETRAIN_STAGES + ("nope",)), min_size=2, max_size=4),
-        st.just("bc"),
-    ),
     "eval_interval": _ints,
     "eval_episodes": _ints,
     "log_interval": _ints,
@@ -249,6 +244,9 @@ def test_non_finite_numbers_are_rejected(section, key, value):
         ({**_BASE, "agent": {"hiden_actor": [8]}}, "agent.hiden_actor"),
         ({"seed": 0, "env": "dense_chain"}, "dataset"),
         ({**_BASE, "eval_episodes": True}, "eval_episodes"),
+        # settings that repeated a choice other values make, since removed
+        ({**_BASE, "stages": ["bc", "fqe"]}, "stages"),
+        ({**_BASE, "agent": {"pretrain": False}}, "agent.pretrain"),
     ],
 )
 def test_a_rejection_names_its_key_path(raw, path):
@@ -256,11 +254,20 @@ def test_a_rejection_names_its_key_path(raw, path):
         parse_run_config(raw)
 
 
-def test_the_cli_prints_the_key_path_and_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"agent": {"n_iter": 10.0}}, "agent.n_iter"),
+        ({"stages": ["world_model"]}, "stages"),
+        ({"agent": {"pretrain": True}}, "agent.pretrain"),
+        ({"agent": {"conservatism": "none"}}, "agent: conservatism"),
+    ],
+)
+def test_the_cli_prints_the_key_path_and_exits_2(change, path, tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({**_BASE, "agent": {"n_iter": 10.0}}))
+    config.write_text(json.dumps({**_BASE, **change}))
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 2
-    assert "agent.n_iter" in capsys.readouterr().err
+    assert f"error: {path}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -268,7 +275,7 @@ def test_the_cli_prints_the_key_path_and_exits_2(tmp_path, capsys):
     "change, path",
     [
         ({"seed": -1}, "run config: seed"),
-        ({"stages": ["bc", "bc"]}, "run config: stages"),
+        ({"agent": {"conservatism": "none"}}, "agent: conservatism"),
         ({"reward_normalization": "zscore"}, "run config: reward_normalization"),
         ({"log_interval": 0}, "run config: eval, log and checkpoint intervals"),
         ({"agent": {"tau": 1.5}}, "agent: tau"),

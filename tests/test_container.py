@@ -142,3 +142,14 @@ def test_eval_of_a_corrupt_checkpoint_exits_2(tmp_path, capsys):
     assert cli.main(["eval", str(path), "--episodes", "1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "checksum" in err[0]
+
+
+def test_eval_of_a_checkpoint_from_before_version_2_exits_2(tmp_path, capsys):
+    # version 1 headers carried the agent config's since-removed `pretrain`
+    path = _saved("agent", tmp_path)
+    blob = path.read_bytes()
+    config = _oracles.container_parts(blob)[1]["config"]
+    path.write_bytes(_reseal(blob, {"version": 1, "config": {**config, "pretrain": True}}))
+    assert cli.main(["eval", str(path), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "unsupported version 1" in err[0]
