@@ -260,12 +260,13 @@ def _env_batch(arrays, idx) -> dict:
     }
 
 
-def _truncate_rows(path, step: int, interval: int) -> tuple[list[dict], list[str]]:
+def _truncate_rows(path, step: int, interval: int, n_iter: int) -> tuple[list[dict], list[str]]:
     """Drop CSV rows the resumed run will rewrite.
 
     Rows past the checkpoint go, and so does an off-cadence final row at
-    the checkpoint itself (the old run's n_iter row), so the resumed trace
-    is exactly what one uninterrupted run would have produced.
+    the checkpoint itself (an older run's n_iter row), so the resumed trace
+    is exactly what one uninterrupted run would have produced. A final row
+    at this run's own n_iter stays: a run already there steps no more.
     """
     if not os.path.exists(path):
         return [], []
@@ -275,7 +276,7 @@ def _truncate_rows(path, step: int, interval: int) -> tuple[list[dict], list[str
         for r in rows
         if r.get("step")
         and int(r["step"]) <= step
-        and int(r["step"]) % interval == 0
+        and (int(r["step"]) % interval == 0 or int(r["step"]) == n_iter)
     ]
     return kept, columns
 
@@ -376,10 +377,10 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
     # dropped; a fresh run ignores whatever an older run left behind
     if resume:
         metrics_rows, metrics_cols = _truncate_rows(
-            os.path.join(out_dir, _TRAIN_CSV), state.step, cfg.log_interval
+            os.path.join(out_dir, _TRAIN_CSV), state.step, cfg.log_interval, config.n_iter
         )
         eval_rows, eval_cols = _truncate_rows(
-            os.path.join(out_dir, _EVAL_CSV), state.step, cfg.eval_interval
+            os.path.join(out_dir, _EVAL_CSV), state.step, cfg.eval_interval, config.n_iter
         )
     else:
         metrics_rows, metrics_cols = [], []
@@ -446,12 +447,10 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
 
+    # the loop's last step wrote the CSVs and the checkpoint; the helper is
+    # joined before the peak RSS is read, so that its own peak counts
     if helper is not None:
         helper.close()
-    with clock.phase("checkpoint"):
-        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
-        _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
-        _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
 
     best = max(eval_rows, key=lambda r: (float(r["success_rate"]), float(r["mean_return"])))
     final = eval_rows[-1]

@@ -93,6 +93,19 @@ def test_resumed_run_matches_an_uninterrupted_one(overrides, tmp_path, monkeypat
     assert again["ensemble_train_s"] == 0.0 and again["pretrain"] == whole["pretrain"]
 
 
+def test_resuming_a_finished_run_rewrites_nothing(tmp_path):
+    # n_iter off the intervals' cadence: the last rows are at step 12
+    cfg = parse_run_config(_run_config(tmp_path, agent_overrides={"n_iter": 12}))
+    run = tmp_path / "run"
+    whole = cli.run_training(cfg, str(run))
+    names = ("metrics.csv", "eval.csv", "checkpoint.leqa")
+    before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in names}
+    resumed = cli.run_training(cfg, str(run), resume=True)
+    assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in names} == before
+    assert whole["final_eval"]["step"] == 12 and resumed["steps"] == 12
+    assert resumed["final_eval"] == whole["final_eval"] and resumed["best_eval"] == whole["best_eval"]
+
+
 def test_effective_config_reparses_to_the_run_config(tmp_path):
     raw = _run_config(tmp_path, out_dir=str(tmp_path / "out"))
     cfg = parse_run_config(raw)
