@@ -356,19 +356,21 @@ def _slice_cache(cache, lo: int, hi: int):
 
 @dataclass
 class _Plan:
-    """Parameter bundle threaded through loss computations."""
+    """Parameter bundle threaded through loss computations, with the env
+    whose termination rule the MOBILE targets apply to predicted states."""
 
     policy_spec: nn.MlpSpec
     policy_params: np.ndarray
     critic_spec: nn.MlpSpec
     critic_params: np.ndarray
+    env_spec: envs.EnvSpec
 
 
 @dataclass
 class _Remote:
     """A mobile_lcb train step's call in the run's helper (a
     `forked.Helper`): its job number (None when the rollout has no valid
-    row), and the `_lcb_rows` that call was given."""
+    row), and the `_lcb_rows` (s_t, a_t) that call was given."""
 
     helper: object
     lcb: int | None
@@ -384,16 +386,14 @@ def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
     return elite_idx[:half], elite_idx[half:]
 
 
-def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q, remote=None):
-    """Per-(rollout, t) critic regression targets and the valid mask.
+def _model_targets(config: AgentConfig, rollouts, boot_q):
+    """Per-(rollout, t) lower-expectile critic regression targets and the
+    valid mask.
 
     critic_target picks the target family: normalized lambda-mixture,
-    one-step, or the single full-horizon n-step return. conservatism
-    "mobile_lcb" instead builds one-step ensemble targets penalized by c
-    times the population std of the bootstrapped values.
+    one-step, or the single full-horizon n-step return. (conservatism
+    "mobile_lcb" builds its targets in `_mobile_targets` instead.)
     """
-    if config.conservatism == "mobile_lcb":
-        return _mobile_targets(plan, config, ensemble, rollouts, remote)
     if config.critic_target == "h_step":
         return returns.full_return_batch(rollouts.rewards, boot_q, rollouts.t_eff, config.gamma)
     lam = config.lam if config.critic_target == "lambda" else 0.0
@@ -401,18 +401,15 @@ def _model_targets(plan, config: AgentConfig, ensemble, rollouts, boot_q, remote
 
 
 def _lcb_rows(rollouts) -> tuple:
-    """(valid mask, (N, 2) index of the valid (b, t), s_t, a_t) of a rollout."""
-    B, H = rollouts.rewards.shape
-    valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
-    flat_idx = np.argwhere(valid)
-    s = rollouts.states[flat_idx[:, 0], flat_idx[:, 1]]
-    a = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
-    return valid, flat_idx, s, a
+    """(s_t, a_t) at every valid (b, t) of a rollout, b-major: (N, S), (N, A)."""
+    valid = np.arange(rollouts.horizon)[None, :] < rollouts.t_eff[:, None]
+    return rollouts.states[:, :-1][valid], rollouts.actions[valid]
 
 
 def _elite_preds(plan, gamma: float, ensemble, members, s, a) -> tuple[list, list]:
-    """r_m + gamma * Q(s', pi(s')) and Q(s', pi(s')) for each member m of
-    `members`, in order, where (s' - s, r_m) is m's predicted mean."""
+    """r_m + gamma * (1 - done(s')) * Q(s', pi(s')) and Q(s', pi(s')) for
+    each member m of `members`, in order, where (s' - s, r_m) is m's
+    predicted mean and done is `plan.env_spec`'s termination rule."""
     preds_r, preds_q = [], []
     x = np.concatenate([s, a], axis=1)
     for m in members:
@@ -424,33 +421,30 @@ def _elite_preds(plan, gamma: float, ensemble, members, s, a) -> tuple[list, lis
         q = nn.forward(plan.critic_spec, plan.critic_params, np.concatenate([nxt, acts], axis=1))[
             :, 0
         ]
-        preds_r.append(r + gamma * q)
+        done = envs.terminated_batch(plan.env_spec, nxt)
+        preds_r.append(r + gamma * (1.0 - done) * q)
         preds_q.append(q)
     return preds_r, preds_q
 
 
 def _send_elites(helper, plan, config: AgentConfig, ensemble, rollouts) -> _Remote:
     """Hand the helper its `_split_elites` share of the LCB predictions."""
-    rows = _lcb_rows(rollouts)
-    theirs = _split_elites(ensemble.elite_idx)[1]
-    s, a = rows[2:]
+    s, a = _lcb_rows(rollouts)
     if not s.shape[0]:
-        return _Remote(helper, None, rows)
+        return _Remote(helper, None, (s, a))
+    theirs = _split_elites(ensemble.elite_idx)[1]
     keep = helper.keep(ensemble)
-    return _Remote(helper, helper.submit(_elite_preds, plan, config.gamma, keep, theirs, s, a), rows)
+    return _Remote(helper, helper.submit(_elite_preds, plan, config.gamma, keep, theirs, s, a), (s, a))
 
 
-def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, remote=None):
-    """One-step targets r + gamma*Q(s', pi(s')) averaged over all elites,
-    penalized by c times their population std (LCB-style baseline).
+def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> np.ndarray:
+    """One-step targets r + gamma * (1 - done) * Q(s', pi(s')) at N >= 1
+    rows (s, a), averaged over all elites and penalized by c times the
+    population std of their Q(s', pi(s')): the MOBILE-style LCB baseline.
 
-    With a `_Remote`, this process evaluates the elites the helper was not
-    sent, and the helper's predictions join them in elite order."""
-    B, H = rollouts.rewards.shape
-    valid, flat_idx, s, a = _lcb_rows(rollouts) if remote is None else remote.rows
-    if flat_idx.size == 0:
-        return np.zeros((B, H)), valid
-    # a remote with valid rows has sent the helper its share
+    With a `_Remote`, whose call was given these rows, this process
+    evaluates the elites the helper was not sent, and the helper's
+    predictions join them in elite order."""
     here = ensemble.elite_idx if remote is None else _split_elites(ensemble.elite_idx)[0]
     preds_r, preds_q = _elite_preds(plan, config.gamma, ensemble, here, s, a)
     if remote is not None:
@@ -459,10 +453,7 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, rollouts, remote=None):
         preds_q += theirs_q
     preds_r = np.stack(preds_r)  # (E, N)
     preds_q = np.stack(preds_q)
-    lcb = preds_r.mean(axis=0) - config.lcb_c * preds_q.std(axis=0)
-    targets = np.zeros((B, H))
-    targets[flat_idx[:, 0], flat_idx[:, 1]] = lcb
-    return targets, valid
+    return preds_r.mean(axis=0) - config.lcb_c * preds_q.std(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +478,41 @@ def _shadow_q(plan, shadow_params, batch: dict) -> np.ndarray:
 
 
 def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval, remote=None):
-    """Asymmetric squared error of Q(s_t, pi(s_t)) against rollout targets,
-    with its gradient."""
-    ce = _critic_eval(plan, rollouts, pol)
-    targets, valid = _model_targets(plan, config, ensemble, rollouts, ce.boot_q, remote)
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        return 0.0, np.zeros_like(plan.critic_params)
-    tau = 0.5 if config.conservatism != "lower_expectile" else config.tau
-    B = valid.shape[0]
-    flat_idx = np.argwhere(valid)
-    rows = flat_idx[:, 1] * B + flat_idx[:, 0]  # k-major row of (b, t)
-    diff = ce.q[rows] - targets[flat_idx[:, 0], flat_idx[:, 1]]
+    """Asymmetric squared error of Q against rollout targets, with its
+    gradient.
+
+    lower_expectile regresses Q(s_t, pi(s_t)), from the stacked critic
+    forward over every rollout state, onto its targets at expectile tau.
+    mobile_lcb regresses Q(s_t, a_t) at the valid (b, t) of `_lcb_rows`
+    onto its LCB targets, built from those actions, symmetrically (tau
+    0.5); under awr a_t is the noisy rollout action, not pi(s_t).
+    """
+    if config.conservatism == "mobile_lcb":
+        s, a = _lcb_rows(rollouts) if remote is None else remote.rows
+        if not s.shape[0]:
+            return 0.0, np.zeros_like(plan.critic_params)
+        y = _mobile_targets(plan, config, ensemble, s, a, remote)
+        q, cache = _critic_forward(plan.critic_spec, plan.critic_params, s, a)
+        rows = np.arange(q.size)
+        tau = 0.5
+    else:
+        ce = _critic_eval(plan, rollouts, pol)
+        targets, valid = _model_targets(config, rollouts, ce.boot_q)
+        flat_idx = np.argwhere(valid)
+        if flat_idx.size == 0:
+            return 0.0, np.zeros_like(plan.critic_params)
+        y = targets[flat_idx[:, 0], flat_idx[:, 1]]
+        q, cache = ce.q, ce.cache
+        rows = flat_idx[:, 1] * valid.shape[0] + flat_idx[:, 0]  # k-major row of (b, t)
+        tau = config.tau
+    n_valid = rows.size
+    diff = q[rows] - y
     w = expectile_weight(diff, tau)
     loss = float((w * diff * diff).mean())
-    cot = np.zeros((ce.q.size, 1))
+    cot = np.zeros((q.size, 1))
     cot[rows, 0] = 2.0 * w * diff / n_valid
     grad, _ = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, ce.cache, cot, params_only=True
+        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
     )
     return loss, grad
 
@@ -689,7 +697,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     """Advantage-weighted regression toward rollout actions.
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
-    pi(s_t) toward the recorded (noisy) rollout actions.
+    pi(s_t) toward the recorded (noisy) rollout actions. pi(s_t) and the
+    backward reuse `pol`'s stacked forward, with zero cotangents on the
+    rows of invalid (b, t).
     """
     B, H = rollouts.rewards.shape
     valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
@@ -700,18 +710,18 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     qlam, _ = returns.lambda_return_batch(
         rollouts.rewards, boot_q, rollouts.t_eff, config.lam, config.gamma
     )
-    s = rollouts.states[flat_idx[:, 0], flat_idx[:, 1]]
     a_taken = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
     q_pol = boot_q[flat_idx[:, 0], flat_idx[:, 1]]
     adv = qlam[flat_idx[:, 0], flat_idx[:, 1]] - q_pol
     w = np.minimum(np.exp(adv / config.awr_alpha), 20.0)
-    acts, cache = _policy_forward(plan.policy_spec, plan.policy_params, s)
+    rows = flat_idx[:, 1] * B + flat_idx[:, 0]  # k-major row of (b, t)
+    acts = pol.acts[rows]
     res = acts - a_taken
     loss = float((w * (res * res).sum(axis=1)).mean())
-    g_act = 2.0 * w[:, None] * res / w.size
-    g_pre = g_act * (1.0 - acts * acts)
+    g_pre = np.zeros_like(pol.acts)
+    g_pre[rows] = 2.0 * w[:, None] * res / w.size * (1.0 - acts * acts)
     grad, _ = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, cache, g_pre, params_only=True
+        plan.policy_spec, plan.policy_params, pol.cache, g_pre, params_only=True
     )
     return loss, grad, {"awr_weight_mean": float(w.mean())}
 
@@ -911,7 +921,9 @@ def train_step(
     other elites. Every result has the bits it has here.
     """
     config = state.config
-    plan = _Plan(state.policy_spec, state.policy_params, state.critic_spec, state.critic_params)
+    plan = _Plan(
+        state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
+    )
     term_fn = envs.termination_fn(state.env_spec)
     needs_rollout = needs_model(config)
     rollouts = None

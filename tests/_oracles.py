@@ -177,12 +177,13 @@ def loop_expand_dataset(buffer, ensemble, policy, config, env_states, terminatio
     return inserted
 
 
-def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c: float):
+def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c: float, termination):
     """MOBILE-style one-step LCB targets, one valid (b, t) and one elite at a time.
 
     For each elite m: s' = s + mu_m(s, a)[:S], r_m = mu_m(s, a)[S], and
-    y_m = r_m + gamma * Q(s', pi(s')). The target is mean_m y_m minus lcb_c
-    times the population std of Q(s', pi(s')) over the elites.
+    y_m = r_m + gamma * Q(s', pi(s')), or r_m alone when `termination(s')`.
+    The target is mean_m y_m minus lcb_c times the population std of
+    Q(s', pi(s')) over the elites, terminal or not.
     """
     B, H = rollouts.rewards.shape
     S = ensemble.obs_dim
@@ -195,7 +196,7 @@ def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c:
                 out = nn.forward(ensemble.spec, ensemble.member_params[m], np.concatenate([s, a]))
                 nxt = s + out[:S]
                 q = critic(nxt, policy(nxt))
-                ys.append(out[S] + gamma * q)
+                ys.append(out[S] + (0.0 if termination(nxt) else gamma * q))
                 qs.append(q)
             mean_q = sum(qs) / len(qs)
             std_q = math.sqrt(sum((q - mean_q) ** 2 for q in qs) / len(qs))

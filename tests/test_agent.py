@@ -18,6 +18,10 @@ from .test_world_model import ACT, OBS, tiny_ensemble
 
 BATCH, HORIZON = 12, 5
 
+# a chain at the tiny ensemble's dimensions: |s[0]| > 3 ends it, as
+# `far_is_terminal` does
+CHAIN = replace(envs.make_env_spec("dense_chain"), obs_dim=OBS, act_dim=ACT, chain_length=3.0)
+
 
 def make_plan(seed: int = 0) -> agent._Plan:
     p_spec = agent.policy_spec_for(OBS, ACT, (16, 16))
@@ -27,6 +31,7 @@ def make_plan(seed: int = 0) -> agent._Plan:
         nn.init_params(p_spec, np.random.default_rng(seed)),
         c_spec,
         nn.init_params(c_spec, np.random.default_rng(seed + 1)),
+        CHAIN,
     )
 
 
@@ -36,6 +41,26 @@ def never_terminal(states):
 
 def far_is_terminal(states):
     return np.abs(np.atleast_2d(states)[:, 0]) > 3.0
+
+
+def loop_mobile(plan, config, ensemble, ro, termination=far_is_terminal):
+    """`_oracles.loop_mobile_targets` at `plan`'s networks: (B, H) targets."""
+    return _oracles.loop_mobile_targets(
+        ensemble,
+        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
+        agent.MlpCritic(plan.critic_spec, plan.critic_params),
+        ro,
+        config.gamma,
+        config.lcb_c,
+        termination,
+    )
+
+
+def terminal_predictions(ensemble, ro, member: int) -> int:
+    """How many valid (b, t) of `ro` member `member`'s mean sends to a terminal state."""
+    s, a = agent._lcb_rows(ro)
+    out = nn.forward(ensemble.spec, ensemble.member_params[member], np.concatenate([s, a], axis=1))
+    return int(far_is_terminal(s + out[:, :OBS]).sum())
 
 
 def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
@@ -130,13 +155,23 @@ def test_surrogate_weights_come_from_the_rollout_actions():
     np.testing.assert_array_equal(info["weights"], want)
 
 
-def test_awr_gradient_matches_central_differences():
+def test_awr_gradient_matches_central_differences(monkeypatch):
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
     _, ro = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
     assert ro.terminal.any()
     pol = agent._policy_eval(plan, ro)
-    loss, grad, info = agent.awr_policy_loss(plan, config, ro, pol)
+    forward, forwarded = nn.forward_cached, []
+
+    def recording(spec, *args, **kwargs):
+        forwarded.append(spec)
+        return forward(spec, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "forward_cached", recording)
+        loss, grad, info = agent.awr_policy_loss(plan, config, ro, pol)
+    # pi(s_t) comes from `pol`'s stacked forward, not from a second one
+    assert plan.policy_spec not in forwarded
 
     # the advantage weights, frozen at the current critic and policy
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
@@ -160,21 +195,29 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
     plan = make_plan(6)
     config = agent.AgentConfig(horizon=HORIZON, conservatism=conservatism, lcb_c=0.7)
     ensemble = tiny_ensemble()
-    _, ro = rollout(plan, far_is_terminal, seed=13)
+    # mobile_lcb's awr rollouts take noisy actions, which pi(s_t) is not
+    noise = config.sigma_exp if conservatism == "mobile_lcb" else 0.0
+    _, ro = rollout(plan, far_is_terminal, noise=noise, seed=13)
     batch = env_batch(14)
     shadow = nn.init_params(plan.critic_spec, np.random.default_rng(15))
     pol = agent._policy_eval(plan, ro)
     total, grad, parts = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
 
-    # every regression target frozen at the current params
-    ce = agent._critic_eval(plan, ro, pol)
-    targets, valid = agent._model_targets(plan, config, ensemble, ro, ce.boot_q)
-    y_model = targets[valid]
+    # every regression target frozen at the current params; mobile_lcb
+    # regresses Q at the rollout's own actions
+    valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
+    model_states = ro.states[:, :HORIZON][valid]
+    if conservatism == "mobile_lcb":
+        y_model = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
+        model_acts = ro.actions[valid]
+        tau = 0.5
+    else:
+        boot_q = agent._critic_eval(plan, ro, pol).boot_q
+        y_model = agent._model_targets(config, ro, boot_q)[0][valid]
+        model_acts = agent.MlpPolicy(plan.policy_spec, plan.policy_params)(model_states)
+        tau = config.tau
     y_env = bellman_target(plan, config, batch)
     y_ema = agent.MlpCritic(plan.critic_spec, shadow)(batch["states"], batch["actions"])
-    model_states = ro.states[:, :HORIZON][valid]
-    model_acts = agent.MlpPolicy(plan.policy_spec, plan.policy_params)(model_states)
-    tau = config.tau if conservatism == "lower_expectile" else 0.5
 
     def loss_at(theta):
         critic = agent.MlpCritic(plan.critic_spec, theta)
@@ -238,19 +281,18 @@ def test_mobile_targets_match_a_per_elite_loop():
     ensemble = tiny_ensemble()
     _, ro = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1
-    targets, valid = agent._model_targets(plan, config, ensemble, ro, boot_q=None)
-    want = _oracles.loop_mobile_targets(
-        ensemble,
-        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
-        agent.MlpCritic(plan.critic_spec, plan.critic_params),
-        ro,
-        config.gamma,
-        config.lcb_c,
-    )
-    np.testing.assert_array_equal(valid, np.arange(HORIZON)[None, :] < ro.t_eff[:, None])
+    assert all(terminal_predictions(ensemble, ro, m) for m in ensemble.elite_idx)
+    s, a = agent._lcb_rows(ro)
+    valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
+    np.testing.assert_array_equal(s, ro.states[:, :HORIZON][valid])
+    np.testing.assert_array_equal(a, ro.actions[valid])
+    targets = agent._mobile_targets(plan, config, ensemble, s, a)
+    want = loop_mobile(plan, config, ensemble, ro)
     # the library's stacked forwards may differ from one-row ones in the last bits
-    np.testing.assert_allclose(targets, want, rtol=1e-12, atol=1e-12)
-    assert not targets[~valid].any()
+    np.testing.assert_allclose(targets, want[valid], rtol=1e-12, atol=1e-12)
+    # a terminal prediction bootstraps nothing
+    unended = loop_mobile(plan, config, ensemble, ro, never_terminal)[valid]
+    assert not np.allclose(targets, unended, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("elite_idx", [(1, 0), (1,), (2, 0, 1)], ids=["2-elites", "1-elite", "3-elites"])
@@ -262,25 +304,21 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
         ensemble, elite_idx=elite_idx, config=replace(ensemble.config, n_elites=len(elite_idx))
     )
     _, ro = rollout(plan, far_is_terminal, seed=8)
-    here = agent._mobile_targets(plan, config, ensemble, ro)
+    # the helper's elites predict terminal states too
+    assert all(terminal_predictions(ensemble, ro, m) for m in elite_idx)
+    here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
     helper = forked.Helper()
     try:
         remote = agent._send_elites(helper, plan, config, ensemble, ro)
         assert remote.lcb is not None
-        there = agent._mobile_targets(plan, config, ensemble, ro, remote)
+        there = agent._mobile_targets(plan, config, ensemble, *remote.rows, remote)
     finally:
         helper.close()
     assert forks == [1] and helper.busy_s > 0.0
-    assert here[0].tobytes() == there[0].tobytes() and np.array_equal(here[1], there[1])
-    want = _oracles.loop_mobile_targets(
-        ensemble,
-        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
-        agent.MlpCritic(plan.critic_spec, plan.critic_params),
-        ro,
-        config.gamma,
-        config.lcb_c,
-    )
-    np.testing.assert_allclose(there[0], want, rtol=1e-12, atol=1e-12)
+    assert here.tobytes() == there.tobytes()
+    valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
+    want = loop_mobile(plan, config, ensemble, ro)[valid]
+    np.testing.assert_allclose(there, want, rtol=1e-12, atol=1e-12)
 
 
 def _maze_ensemble(spec, n_elites: int):
