@@ -493,7 +493,7 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
             return 0.0, np.zeros_like(plan.critic_params)
         y = _mobile_targets(plan, config, ensemble, s, a, remote)
         q, cache = _critic_forward(plan.critic_spec, plan.critic_params, s, a)
-        rows = np.arange(q.size)
+        rows = slice(None)
         tau = 0.5
     else:
         ce = _critic_eval(plan, rollouts, pol)
@@ -505,7 +505,7 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
         q, cache = ce.q, ce.cache
         rows = flat_idx[:, 1] * valid.shape[0] + flat_idx[:, 0]  # k-major row of (b, t)
         tau = config.tau
-    n_valid = rows.size
+    n_valid = y.size
     diff = q[rows] - y
     w = expectile_weight(diff, tau)
     loss = float((w * diff * diff).mean())
@@ -925,9 +925,8 @@ def train_step(
         state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
     )
     term_fn = envs.termination_fn(state.env_spec)
-    needs_rollout = needs_model(config)
     rollouts = None
-    if needs_rollout:
+    if needs_model(config):
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
         rollouts = world_model.imagine_rollout(
             ensemble,
@@ -945,7 +944,7 @@ def train_step(
 
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states can serve both loss phases
-    pol = _policy_eval(plan, rollouts) if needs_rollout else None
+    pol = None if rollouts is None else _policy_eval(plan, rollouts)
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol, remote
