@@ -26,6 +26,7 @@ updates, so baseline variants share every other code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -159,7 +160,7 @@ class AgentConfig:
 
 @dataclass
 class MlpPolicy:
-    """Deterministic tanh-squashed policy; callable on (S,) or (B, S)."""
+    """Deterministic tanh-squashed policy: (B, S) states to (B, A) actions."""
 
     spec: nn.MlpSpec
     params: np.ndarray
@@ -170,17 +171,14 @@ class MlpPolicy:
 
 @dataclass
 class MlpCritic:
-    """Scalar Q network over concatenated (state, action)."""
+    """Scalar Q network: (B, S) states and (B, A) actions to (B,) values."""
 
     spec: nn.MlpSpec
     params: np.ndarray
 
     def __call__(self, states, actions):
-        states = np.asarray(states, dtype=np.float64)
-        single = states.ndim == 1
-        x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
-        q = nn.forward(self.spec, self.params, x)[:, 0]
-        return float(q[0]) if single else q
+        x = np.concatenate([states, actions], axis=1)
+        return nn.forward(self.spec, self.params, x)[:, 0]
 
 
 def policy_spec_for(obs_dim: int, act_dim: int, hidden: tuple[int, ...]) -> nn.MlpSpec:
@@ -223,7 +221,6 @@ class ModelStateBuffer:
 
     def insert(self, states: np.ndarray) -> None:
         """Write rows at the cursor, wrapping; past capacity the last rows win."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         n, cap = states.shape[0], self.capacity
         kept = states[max(0, n - cap) :]
         start = (self.cursor + n - kept.shape[0]) % cap
@@ -287,13 +284,13 @@ def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> Agent
 
 
 def _critic_forward(spec, params, states, actions):
-    x = np.concatenate([np.atleast_2d(states), np.atleast_2d(actions)], axis=1)
+    x = np.concatenate([states, actions], axis=1)
     q, cache = nn.forward_cached(spec, params, x)
     return q[:, 0], cache
 
 
 def _policy_forward(spec, params, states):
-    pre, cache = nn.forward_cached(spec, params, np.atleast_2d(states))
+    pre, cache = nn.forward_cached(spec, params, states)
     return np.tanh(pre), cache
 
 
@@ -337,21 +334,6 @@ def _critic_eval(plan, rollouts, pol: _PolicyEval) -> _CriticEval:
     apex = rollouts.t_eff
     boot_q[rows, apex] = np.where(rollouts.terminal, 0.0, boot_q[rows, apex])
     return _CriticEval(q, cache, boot_q)
-
-
-def _slice_cache(cache, lo: int, hi: int):
-    """Row-slice a forward cache so backward_cached can run on a sub-batch."""
-    raw_in, x0, layers, last, squeeze = cache
-    sub = [
-        (
-            a[lo:hi],
-            None if norm is None else norm[lo:hi],
-            None if inv_std is None else inv_std[lo:hi],
-            out[lo:hi],
-        )
-        for a, norm, inv_std, out in layers
-    ]
-    return raw_in[lo:hi], x0[lo:hi], sub, last[lo:hi], squeeze
 
 
 @dataclass
@@ -579,15 +561,16 @@ def critic_loss_total(
 
 
 def _policy_pathwise(
-    plan, config: AgentConfig, ensemble, rollouts, weights, pol: _PolicyEval, ce: _CriticEval, qlam
+    plan, config: AgentConfig, ensemble, rollouts, weights, pol: _PolicyEval, ce: _CriticEval,
+    qlam, valid,
 ):
     """Loss -mean(w_t * Qlam_t) and its pathwise gradient w.r.t. policy params.
 
-    `weights` (B, H) are constants, and `qlam` the lambda-returns of `ce`'s
-    bootstraps. The lambda-return is differentiated as
-    an explicit function of rollout rewards and bootstraps; cotangents then
-    flow backward through critic inputs, frozen model steps (skip included)
-    and the tanh policy at every visited state.
+    `weights` (B, H) are constants, and `qlam` and `valid` the lambda-returns
+    of `ce`'s bootstraps and their valid mask. The lambda-return is
+    differentiated as an explicit function of rollout rewards and
+    bootstraps; cotangents then flow backward through critic inputs, frozen
+    model steps (skip included) and the tanh policy at every visited state.
 
     The critic cotangents c_q are known up front, so all critic input
     gradients and their squash-through-policy parts run as two stacked
@@ -597,7 +580,6 @@ def _policy_pathwise(
     B, H = rollouts.rewards.shape
     if rollouts.caches is None:
         raise AgentError("policy update needs rollouts recorded with differentiable=True")
-    valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
     n_valid = int(valid.sum())
     if n_valid == 0:
         return 0.0, np.zeros_like(plan.policy_params), {"qlam_mean": 0.0}
@@ -634,7 +616,7 @@ def _policy_pathwise(
         lo, hi = k * B, (k + 1) * B
         g_pre = g_action * squash_grad[lo:hi]
         g_params, g_states = nn.backward_cached(
-            plan.policy_spec, plan.policy_params, _slice_cache(pol.cache, lo, hi), g_pre
+            plan.policy_spec, plan.policy_params, nn._slice_cache(pol.cache, lo, hi), g_pre
         )
         theta_grad += g_params
         return g_states
@@ -662,15 +644,15 @@ def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol: _P
     indicator and weight are constants for the gradient. The rollout ran
     noise-free, so a_t = pi(s_t) and Q(s_t, a_t) is the bootstrap at t.
     """
-    B, H = rollouts.rewards.shape
-    valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
     ce = _critic_eval(plan, rollouts, pol)
-    qlam, _ = returns.lambda_return_batch(
+    qlam, valid = returns.lambda_return_batch(
         rollouts.rewards, ce.boot_q, rollouts.t_eff, config.lam, config.gamma
     )
-    q_taken = np.where(valid, ce.boot_q[:, :H], 0.0)
+    q_taken = np.where(valid, ce.boot_q[:, :-1], 0.0)
     weights = np.where(valid, expectile_weight(q_taken - qlam, config.tau), 0.0)
-    loss, grad, info = _policy_pathwise(plan, config, ensemble, rollouts, weights, pol, ce, qlam)
+    loss, grad, info = _policy_pathwise(
+        plan, config, ensemble, rollouts, weights, pol, ce, qlam, valid
+    )
     info["weight_mean"] = float(weights[valid].mean()) if valid.any() else 0.0
     info["weights"] = weights
     return loss, grad, info
@@ -701,20 +683,18 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     backward reuse `pol`'s stacked forward, with zero cotangents on the
     rows of invalid (b, t).
     """
-    B, H = rollouts.rewards.shape
-    valid = np.arange(H)[None, :] < rollouts.t_eff[:, None]
-    flat_idx = np.argwhere(valid)
-    if flat_idx.size == 0:
+    if not rollouts.t_eff.any():
         return 0.0, np.zeros_like(plan.policy_params), {}
     boot_q = _critic_eval(plan, rollouts, pol).boot_q
-    qlam, _ = returns.lambda_return_batch(
+    qlam, valid = returns.lambda_return_batch(
         rollouts.rewards, boot_q, rollouts.t_eff, config.lam, config.gamma
     )
+    flat_idx = np.argwhere(valid)
     a_taken = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
     q_pol = boot_q[flat_idx[:, 0], flat_idx[:, 1]]
     adv = qlam[flat_idx[:, 0], flat_idx[:, 1]] - q_pol
     w = np.minimum(np.exp(adv / config.awr_alpha), 20.0)
-    rows = flat_idx[:, 1] * B + flat_idx[:, 0]  # k-major row of (b, t)
+    rows = flat_idx[:, 1] * valid.shape[0] + flat_idx[:, 0]  # k-major row of (b, t)
     acts = pol.acts[rows]
     res = acts - a_taken
     loss = float((w * (res * res).sum(axis=1)).mean())
@@ -823,7 +803,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
 
     if tables:
         next_a = _fill_in_blocks(
-            np.empty((n, actions.shape[1])), size, lambda rows: np.atleast_2d(policy(next_states[rows]))
+            np.empty((n, actions.shape[1])), size, lambda rows: policy(next_states[rows])
         )
         y = np.empty(n)
     for step_i in range(steps):
@@ -833,7 +813,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
             else:
                 target = params.copy()
         idx = rng.integers(0, n, size=size)
-        y_idx = y[idx] if tables else targets(idx, np.atleast_2d(policy(next_states[idx])), target)
+        y_idx = y[idx] if tables else targets(idx, policy(next_states[idx]), target)
         q, cache = _critic_forward(spec, params, states[idx], actions[idx])
         diff = q - y_idx
         loss = float((diff * diff).mean())
@@ -924,7 +904,7 @@ def train_step(
     plan = _Plan(
         state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
     )
-    term_fn = envs.termination_fn(state.env_spec)
+    term_fn = functools.partial(envs.terminated_batch, state.env_spec)
     rollouts = None
     if needs_model(config):
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
@@ -943,8 +923,10 @@ def train_step(
         remote = _send_elites(helper, plan, config, ensemble, rollouts)
 
     # policy params stay fixed until the actor Adam step, so one stacked
-    # policy forward over the rollout states can serve both loss phases
-    pol = None if rollouts is None else _policy_eval(plan, rollouts)
+    # policy forward over the rollout states serves both loss phases; the
+    # lambda_expectile and awr actors and the lower_expectile model term read it
+    reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
+    pol = _policy_eval(plan, rollouts) if reads_pol and rollouts is not None else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol, remote
@@ -993,7 +975,7 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
     episode in step order and the episode totals add in episode order, so
     the scores equal stepping each episode alone with the same actions. A
     forward over B rows may round differently in the last bit from a
-    single-row one.
+    one-row one.
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
@@ -1006,8 +988,7 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
     lengths = 0
     for _ in range(env_spec.horizon):
         live_states = states[live]
-        actions = np.asarray(policy(live_states), dtype=np.float64).reshape(live.size, -1)
-        next_states, rewards, live_done = envs.env_step(env_spec, live_states, actions)
+        next_states, rewards, live_done = envs.env_step(env_spec, live_states, policy(live_states))
         states[live] = next_states
         ep_returns[live] += rewards
         done[live] = live_done
@@ -1018,9 +999,7 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
     total_return = 0.0
     for ep_return in ep_returns.tolist():
         total_return += ep_return
-    successes = sum(
-        int(envs.is_success(env_spec, states[ep], bool(done[ep]))) for ep in range(n_episodes)
-    )
+    successes = int(envs.is_success(env_spec, states, done).sum())
     return {
         "mean_return": total_return / n_episodes,
         "success_rate": successes / n_episodes,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -123,8 +124,10 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
-    `out_dir`. Otherwise the ensemble trains (when the agent
-    `agent.needs_model`) and the agent is built, pretrained and
+    `out_dir`. A checkpoint past step 0 was written just after both CSVs,
+    which the resumed trace continues, so a missing one raises ConfigError
+    before anything is written here. Otherwise the ensemble trains (when
+    the agent `agent.needs_model`) and the agent is built, pretrained and
     checkpointed, the ensemble saved first, so a checkpoint never lacks its
     ensemble.
 
@@ -156,6 +159,9 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
         # the resumed trace would silently diverge from a fresh run
         if replace(state.config, n_iter=cfg.agent.n_iter) != cfg.agent:
             raise ConfigError("checkpoint was written by a different agent config")
+        for path in (os.path.join(out_dir, _TRAIN_CSV), os.path.join(out_dir, _EVAL_CSV)):
+            if state.step > 0 and not os.path.exists(path):
+                raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")
         state.config = cfg.agent
         pretrain_info = state.extra.get("pretrain", {})
 
@@ -369,7 +375,7 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
         helper.busy_s = helper.wait_s = 0.0
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
 
-    term_fn = envs.termination_fn(env_spec)
+    term_fn = functools.partial(envs.terminated_batch, env_spec)
     config = state.config
     n_rows = arrays[0].shape[0]
 

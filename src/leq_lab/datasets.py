@@ -188,9 +188,7 @@ def collect_dataset(
         )
         for i, m in enumerate(lengths)
     ]
-    n_success = sum(
-        is_success(spec, t.states[-1], t.ends_terminal) for t in trajectories
-    )
+    n_success = int(is_success(spec, states[np.arange(n), lengths], ends_terminal).sum())
     return OfflineDataset(
         trajectories=tuple(trajectories),
         obs_dim=spec.obs_dim,

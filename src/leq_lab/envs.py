@@ -25,12 +25,13 @@ row; a step visits only the walls some row reaches, and none when no row
 reaches one. The wall tables, clamp bounds, goal and waypoints are arrays
 built once per spec.
 
-`env_step`, `termination_fn` and `expert_action` are shape-polymorphic: a
-(B, S) batch of states steps (or steers) every row at once, each exactly as
-it would alone, and a single (S,) state gives Python scalars for its
-reward and terminal flag (or waypoint index). Evaluation and data
-collection step all their live episodes in lockstep through one batched
-call.
+`env_step`, `terminated_batch`, `expert_action` and `is_success` take
+(B, S) batches only: every row steps (or steers, or is tested) at once,
+each exactly as it would alone, and a single state is a one-row batch.
+`terminated_batch` is the one termination rule: `env_step`'s terminal
+flag applies it to the next states, and imagined rollouts and the MOBILE
+targets apply it to predicted states. Evaluation and data collection step
+all their live episodes in lockstep through one batched call.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
     "make_env_spec",
     "env_step",
     "reset_state",
-    "termination_fn",
-    "terminated",
     "terminated_batch",
     "expert_action",
     "is_success",
@@ -299,13 +298,12 @@ def _chain_step(spec: EnvSpec, states: np.ndarray, actions: np.ndarray):
 
 
 def env_step(spec: EnvSpec, state, action):
-    """Ground-truth transitions, shape-polymorphic like `termination_fn`.
+    """Ground-truth transitions of a batch.
 
     A (B, S) state with a (B, A) action gives (B, S) next states, (B,)
-    rewards and (B,) terminal flags, each row stepped on its own. A (S,)
-    state with a (A,) action gives (next_state, float reward, bool
-    terminal). Actions are clipped to [-1, 1]; a non-finite state or a
-    shape that does not match the spec raises EnvError.
+    rewards and (B,) terminal flags, each row stepped on its own. Actions
+    are clipped to [-1, 1]; a non-finite state or a shape that does not
+    match the spec raises EnvError.
     """
     state = np.asarray(state, dtype=np.float64)
     if not np.isfinite(state).all():
@@ -313,17 +311,13 @@ def env_step(spec: EnvSpec, state, action):
     # the bits of np.clip(action, -1.0, 1.0), NaN included, at less cost
     action = np.minimum(np.maximum(np.asarray(action, dtype=np.float64), -1.0), 1.0)
     if (
-        state.ndim not in (1, 2)
-        or action.ndim != state.ndim
-        or state.shape[-1] != spec.obs_dim
-        or action.shape[:-1] != state.shape[:-1]
-        or action.shape[-1] != spec.act_dim
+        state.ndim != 2
+        or action.ndim != 2
+        or state.shape[1] != spec.obs_dim
+        or action.shape != (state.shape[0], spec.act_dim)
     ):
         raise EnvError("state/action dimension mismatch")
     step = _maze_step if spec.env_id == "point_maze" else _chain_step
-    if state.ndim == 1:
-        next_states, rewards, done = step(spec, state[None], action[None])
-        return next_states[0], float(rewards[0]), bool(done[0])
     return step(spec, state, action)
 
 
@@ -335,74 +329,50 @@ def reset_state(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _maze_done(spec: EnvSpec, pos: np.ndarray):
-    """Goal-disc test on the last axis: bool for (2,), (B,) bools for (B, 2)."""
+    """Goal-disc test of (B, 2) positions: (B,) bools."""
     maze = spec._maze
     d = pos - maze.goal
     np.square(d, out=d)
-    return d[..., 0] + d[..., 1] <= maze.goal_radius_sq
-
-
-def terminated(spec: EnvSpec, state) -> bool:
-    state = np.asarray(state, dtype=np.float64)
-    if spec.env_id == "point_maze":
-        return _maze_done(spec, state)
-    return abs(float(state[0])) > spec.chain_length
+    return d[:, 0] + d[:, 1] <= maze.goal_radius_sq
 
 
 def terminated_batch(spec: EnvSpec, states: np.ndarray) -> np.ndarray:
-    """Vectorized termination test over rows of `states`."""
-    states = np.asarray(states, dtype=np.float64)
+    """The termination rule over (B, S) states: (B,) bools, true inside the
+    maze's goal disc or past either of the chain's position bounds."""
     if spec.env_id == "point_maze":
         return _maze_done(spec, states)
     return np.abs(states[:, 0]) > spec.chain_length
 
 
-def termination_fn(spec: EnvSpec):
-    """The exact termination rule as a shape-polymorphic closure.
-
-    (S,) input -> bool; (B, S) input -> bool array of shape (B,).
-    """
-
-    def fn(state):
-        state = np.asarray(state, dtype=np.float64)
-        if state.ndim == 2:
-            return terminated_batch(spec, state)
-        return terminated(spec, state)
-
-    return fn
-
-
 def expert_action(spec: EnvSpec, state, waypoint_idx):
-    """Scripted controller action and updated waypoint index.
+    """Scripted controller actions and updated waypoint indices.
 
-    Shape-polymorphic like `env_step`: a (S,) state with an int index gives
-    (action, int), and a (B, S) batch with a (B,) index array gives (B, A)
-    actions and (B,) indices, each row as it would go alone. A row advances
-    past every waypoint within `_WAYPOINT_RADIUS` of it, up to the last.
+    (B, S) states with (B,) waypoint indices give (B, A) actions and (B,)
+    indices, each row as it would go alone; the caller's indices are not
+    written. A row advances past every waypoint within `_WAYPOINT_RADIUS`
+    of it, up to the last.
     """
-    pos = np.atleast_2d(np.asarray(state, dtype=np.float64))
+    pos = np.asarray(state, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != spec.obs_dim:
+        raise EnvError("state dimension mismatch")
     if spec.env_id == "dense_chain":
-        action, idx = np.ones((len(pos), 1)), np.zeros(len(pos), dtype=np.intp)
-    else:
-        waypoints = spec._maze.waypoints
-        idx = np.array(waypoint_idx, dtype=np.intp).reshape(-1)
-        rows = np.flatnonzero(idx < len(waypoints) - 1)
-        while rows.size:
-            wp = waypoints[idx[rows]]
-            near = np.hypot(wp[:, 0] - pos[rows, 0], wp[:, 1] - pos[rows, 1]) <= _WAYPOINT_RADIUS
-            rows = rows[near]
-            idx[rows] += 1
-            rows = rows[idx[rows] < len(waypoints) - 1]
-        action = np.clip(_STEER_GAIN * (waypoints[idx] - pos), -1.0, 1.0)
-    if np.ndim(state) == 1:
-        return action[0], int(idx[0])
-    return action, idx
+        return np.ones((len(pos), 1)), np.zeros(len(pos), dtype=np.intp)
+    waypoints = spec._maze.waypoints
+    idx = np.array(waypoint_idx, dtype=np.intp)
+    rows = np.flatnonzero(idx < len(waypoints) - 1)
+    while rows.size:
+        wp = waypoints[idx[rows]]
+        near = np.hypot(wp[:, 0] - pos[rows, 0], wp[:, 1] - pos[rows, 1]) <= _WAYPOINT_RADIUS
+        rows = rows[near]
+        idx[rows] += 1
+        rows = rows[idx[rows] < len(waypoints) - 1]
+    return np.clip(_STEER_GAIN * (waypoints[idx] - pos), -1.0, 1.0), idx
 
 
-def is_success(spec: EnvSpec, final_state, reached_terminal: bool) -> bool:
-    """Task success: goal-disc entry for mazes, forward-bound exit for chains."""
-    if not reached_terminal:
-        return False
+def is_success(spec: EnvSpec, final_states, reached_terminal) -> np.ndarray:
+    """Task success of (B, S) final states with (B,) reached-terminal flags:
+    (B,) bools, goal-disc entry for mazes, a forward-bound exit for chains."""
+    reached = np.asarray(reached_terminal, dtype=bool)
     if spec.env_id == "point_maze":
-        return True
-    return float(np.asarray(final_state)[0]) > spec.chain_length
+        return reached.copy()
+    return reached & (final_states[:, 0] > spec.chain_length)

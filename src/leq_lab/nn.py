@@ -31,9 +31,13 @@ differently, and a slice sits at another offset in the stack. A 2-D call
 gives the bits it gave before stacks. Adam is elementwise, so
 init_adam((k, P), lr) steps k networks at once.
 
-forward_cached() keeps, per hidden layer, (a_in, norm, inv_std, out): the
+Inputs are (B, d) batches, or (k, B, d) for a stack; one row is a (1, d)
+batch. forward_cached()'s cache is (raw_in, x0, layers, last): the raw and
+the symlogged input, per hidden layer (a_in, norm, inv_std, out), the
 layer input, the layer-norm output and its row-wise 1/std (None without
-layer norm) and the activation output. Activation derivatives are taken
+layer norm) and the activation output, and the last hidden output. Only
+this module reads it; _slice_cache() cuts out a row block for a backward
+pass over part of a batch. Activation derivatives are taken
 from the outputs alone (relu: out > 0, tanh: 1 - out^2, elu: min(out, 0)
 + 1), which equal the pre-activation forms bit for bit, so the
 pre-activation is never stored or recomputed.
@@ -211,14 +215,11 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
-    """Forward pass returning (output, cache); accepts (d,) or (B, d), or a
+    """Forward pass returning (output, cache) for (B, d) inputs, or for a
     stack of k networks: (k, P) params and (k, B, d) inputs."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[-1] != spec.input_dim:
-        raise ValueError(f"expected input dim {spec.input_dim}, got {x.shape[-1]}")
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
+        raise ValueError(f"expected (B, {spec.input_dim}) inputs, got shape {x.shape}")
     views = param_views(spec, params)
     raw_in = x
     if spec.use_symlog_input:
@@ -244,8 +245,22 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
         layers.append((a, norm, inv_std, out))
         a = out
     y = a @ views["w_out"] + views["b_out"][..., None, :]
-    cache = (raw_in, x, layers, a, squeeze)
-    return (y[0] if squeeze else y), cache
+    return y, (raw_in, x, layers, a)
+
+
+def _slice_cache(cache, lo: int, hi: int):
+    """Rows lo:hi of a 2-D forward's cache, so backward_cached can run on a sub-batch."""
+    raw_in, x0, layers, last = cache
+    sub = [
+        (
+            a[lo:hi],
+            None if norm is None else norm[lo:hi],
+            None if inv_std is None else inv_std[lo:hi],
+            out[lo:hi],
+        )
+        for a, norm, inv_std, out in layers
+    ]
+    return raw_in[lo:hi], x0[lo:hi], sub, last[lo:hi]
 
 
 def forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -274,10 +289,8 @@ def backward_cached(
     """
     if input_only and params_only:
         raise ValueError("input_only and params_only leave nothing to compute")
-    raw_in, x0, layers, last, squeeze = cache
+    raw_in, x0, layers, last = cache
     gy = np.asarray(output_cotangent, dtype=np.float64)
-    if squeeze:
-        gy = gy[None, :]
     views = param_views(spec, params)
     grad_flat = None
     if not input_only:
@@ -318,8 +331,6 @@ def backward_cached(
         return grad_flat, None
     if spec.use_symlog_input:
         ga *= symlog_grad(raw_in)
-    if squeeze:
-        ga = ga[0]
     return grad_flat, ga
 
 

@@ -29,6 +29,9 @@ noise, recording both so a rollout can be replayed bit-identically and
 differentiated: with the (member, eps) tape frozen, sampled outputs are a
 deterministic smooth function of states and actions, and `step_backward`
 pushes cotangents on (next_state, reward) back to (state, action).
+`imagine_rollout` draws the tapes and `replay_rollout` runs them. Steps,
+rollouts and their policy and termination calls take (B, ·) batches, the
+rule mapping (B, S) states to (B,) bools as `envs.terminated_batch` does.
 
 A step runs in member-sorted, layer-major order: the rows are sorted by
 member once, each layer runs one matmul per member into that member's
@@ -379,12 +382,9 @@ def _gathered_forward(ensemble: EnsembleWorldModel, member: np.ndarray, x: np.nd
 def step_with_tape(ensemble: EnsembleWorldModel, states, actions, member, eps):
     """Deterministic sampled step given a frozen (member, eps) tape.
 
-    Returns (next_states, rewards, cache); next = state + predicted delta.
+    (B, S) states, (B, A) actions, (B,) member ids and (B, S+1) eps give
+    (next_states, rewards, cache); next = state + predicted delta.
     """
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    member = np.asarray(member, dtype=np.intp).reshape(-1)
-    eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     x = np.concatenate([states, actions], axis=1)
     out, post, order, groups = _gathered_forward(ensemble, member, x)
     head_dim = ensemble.obs_dim + 1
@@ -406,9 +406,8 @@ def step_backward(ensemble: EnsembleWorldModel, cache: StepCache, g_next, g_rewa
     gradient already contains the identity term from g_next. The sweep runs
     in the forward's member-sorted order, one matmul per member and layer,
     with each activation derivative applied once over the whole layer.
+    g_next is (B, S) and g_reward (B,).
     """
-    g_next = np.atleast_2d(np.asarray(g_next, dtype=np.float64))
-    g_reward = np.asarray(g_reward, dtype=np.float64).reshape(-1)
     g_sample = np.concatenate([g_next, g_reward[:, None]], axis=1)
     g_mu = g_sample
     g_log_std = g_sample * cache.eps * cache.sigma * cache.interior
@@ -453,30 +452,65 @@ class ImaginedRollouts:
         return self.rewards.shape[1]
 
 
-def _run_rollout(
+def imagine_rollout(
     ensemble: EnsembleWorldModel,
     policy,
-    start_states: np.ndarray,
+    start_states,
+    horizon: int,
+    termination,
+    action_noise_sigma: float,
+    rng,
+    differentiable: bool = False,
+) -> ImaginedRollouts:
+    """Roll the policy from (B, S) start states through per-step sampled
+    elites for `horizon` steps: draws the (member, eps) tapes, and the
+    action noise when action_noise_sigma > 0, then `replay_rollout`s them."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    batch = len(start_states)
+    elite_arr = np.asarray(ensemble.elite_idx, dtype=np.intp)
+    member_ids = elite_arr[rng.integers(0, elite_arr.size, size=(batch, horizon))]
+    eps = rng.standard_normal((batch, horizon, ensemble.obs_dim + 1))
+    noise = None
+    if action_noise_sigma > 0.0:
+        noise = action_noise_sigma * rng.standard_normal((batch, horizon, ensemble.act_dim))
+    return replay_rollout(
+        ensemble, policy, start_states, member_ids, eps, termination, noise, differentiable
+    )
+
+
+def replay_rollout(
+    ensemble: EnsembleWorldModel,
+    policy,
+    start_states,
     member_ids: np.ndarray,
     eps: np.ndarray,
     termination,
-    action_noise: np.ndarray | None,
-    differentiable: bool,
+    action_noise: np.ndarray | None = None,
+    differentiable: bool = False,
 ) -> ImaginedRollouts:
+    """Run a rollout under frozen (B, H) member and (B, H, S+1) eps tapes.
+
+    `policy` maps (B, S) states to (B, A) actions, clipped to [-1, 1] with
+    the (B, H, A) `action_noise` added when given, and `termination` maps
+    (B, S) states to (B,) bools. With the same policy this reproduces the
+    original bit-for-bit; with a perturbed policy it realizes the
+    common-random-numbers path used by finite-difference gradient checks.
+    """
     batch, horizon = member_ids.shape
     obs_dim, act_dim = ensemble.obs_dim, ensemble.act_dim
     states = np.zeros((batch, horizon + 1, obs_dim))
     actions = np.zeros((batch, horizon, act_dim))
     rewards = np.zeros((batch, horizon))
-    states[:, 0] = start_states
-    alive = ~np.asarray(termination(start_states), dtype=bool)
+    s = np.array(start_states, dtype=np.float64)
+    states[:, 0] = s
+    alive = ~termination(s)
     t_eff = np.zeros(batch, dtype=np.intp)
     terminal = ~alive  # start states already inside a terminal set
     nonfinite = np.zeros(batch, dtype=bool)
     caches = [] if differentiable else None
-    s = start_states.copy()
     for k in range(horizon):
-        a = np.clip(np.atleast_2d(np.asarray(policy(s), dtype=np.float64)), -1.0, 1.0)
+        a = np.clip(policy(s), -1.0, 1.0)
         if action_noise is not None:
             a = np.clip(a + action_noise[:, k], -1.0, 1.0)
         nxt, r, cache = step_with_tape(ensemble, s, a, member_ids[:, k], eps[:, k])
@@ -491,7 +525,7 @@ def _run_rollout(
         s = np.where(step_ok[:, None], nxt, s)
         states[:, k + 1] = s
         t_eff[step_ok] = k + 1
-        done_now = step_ok & np.asarray(termination(s), dtype=bool)
+        done_now = step_ok & termination(s)
         terminal |= done_now
         alive = step_ok & ~done_now
     return ImaginedRollouts(
@@ -504,56 +538,6 @@ def _run_rollout(
         terminal=terminal,
         nonfinite=nonfinite,
         caches=caches,
-    )
-
-
-def imagine_rollout(
-    ensemble: EnsembleWorldModel,
-    policy,
-    start_states,
-    horizon: int,
-    termination,
-    action_noise_sigma: float,
-    rng,
-    differentiable: bool = False,
-) -> ImaginedRollouts:
-    """Roll the policy through per-step sampled elites for `horizon` steps."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    start_states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
-    batch = start_states.shape[0]
-    elite_arr = np.asarray(ensemble.elite_idx, dtype=np.intp)
-    member_ids = elite_arr[rng.integers(0, elite_arr.size, size=(batch, horizon))]
-    eps = rng.standard_normal((batch, horizon, ensemble.obs_dim + 1))
-    noise = None
-    if action_noise_sigma > 0.0:
-        noise = action_noise_sigma * rng.standard_normal((batch, horizon, ensemble.act_dim))
-    return _run_rollout(
-        ensemble, policy, start_states, member_ids, eps, termination, noise, differentiable
-    )
-
-
-def replay_rollout(
-    ensemble: EnsembleWorldModel,
-    policy,
-    start_states,
-    member_ids,
-    eps,
-    termination,
-    action_noise=None,
-    differentiable: bool = False,
-) -> ImaginedRollouts:
-    """Re-run a rollout under frozen (member, eps) tapes.
-
-    With the same policy this reproduces the original bit-for-bit; with a
-    perturbed policy it realizes the common-random-numbers path used by
-    finite-difference gradient checks.
-    """
-    start_states = np.atleast_2d(np.asarray(start_states, dtype=np.float64))
-    member_ids = np.asarray(member_ids, dtype=np.intp)
-    eps = np.asarray(eps, dtype=np.float64)
-    return _run_rollout(
-        ensemble, policy, start_states, member_ids, eps, termination, action_noise, differentiable
     )
 
 

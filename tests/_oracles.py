@@ -183,7 +183,8 @@ def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c:
     For each elite m: s' = s + mu_m(s, a)[:S], r_m = mu_m(s, a)[S], and
     y_m = r_m + gamma * Q(s', pi(s')), or r_m alone when `termination(s')`.
     The target is mean_m y_m minus lcb_c times the population std of
-    Q(s', pi(s')) over the elites, terminal or not.
+    Q(s', pi(s')) over the elites, terminal or not. Every network and the
+    termination rule see one-row batches.
     """
     B, H = rollouts.rewards.shape
     S = ensemble.obs_dim
@@ -193,10 +194,11 @@ def loop_mobile_targets(ensemble, policy, critic, rollouts, gamma: float, lcb_c:
             s, a = rollouts.states[b, t], rollouts.actions[b, t]
             ys, qs = [], []
             for m in ensemble.elite_idx:
-                out = nn.forward(ensemble.spec, ensemble.member_params[m], np.concatenate([s, a]))
-                nxt = s + out[:S]
-                q = critic(nxt, policy(nxt))
-                ys.append(out[S] + (0.0 if termination(nxt) else gamma * q))
+                x = np.concatenate([s, a])[None]
+                out = nn.forward(ensemble.spec, ensemble.member_params[m], x)[0]
+                nxt = (s + out[:S])[None]
+                q = float(critic(nxt, policy(nxt))[0])
+                ys.append(out[S] + (0.0 if termination(nxt)[0] else gamma * q))
                 qs.append(q)
             mean_q = sum(qs) / len(qs)
             std_q = math.sqrt(sum((q - mean_q) ** 2 for q in qs) / len(qs))
@@ -419,9 +421,6 @@ def alloc_activate_grad(a, kind: str):
 def alloc_forward_cached(spec, params, x):
     """`nn.forward_cached` as it was before its in-place kernels."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     views = nn.param_views(spec, params)
     raw_in = x
     if spec.use_symlog_input:
@@ -443,16 +442,13 @@ def alloc_forward_cached(spec, params, x):
         layers.append((a, norm, inv_std, out))
         a = out
     y = a @ views["w_out"] + views["b_out"]
-    cache = (raw_in, x, layers, a, squeeze)
-    return (y[0] if squeeze else y), cache
+    return y, (raw_in, x, layers, a)
 
 
 def alloc_backward_cached(spec, params, cache, output_cotangent):
     """`nn.backward_cached` as it was before its in-place kernels."""
-    raw_in, x0, layers, last, squeeze = cache
+    raw_in, x0, layers, last = cache
     gy = np.asarray(output_cotangent, dtype=np.float64)
-    if squeeze:
-        gy = gy[None, :]
     views = nn.param_views(spec, params)
     grad_flat = np.zeros_like(params)
     grads = nn.param_views(spec, grad_flat)
@@ -482,8 +478,6 @@ def alloc_backward_cached(spec, params, cache, output_cotangent):
 
     if spec.use_symlog_input:
         ga = ga * nn.symlog_grad(raw_in)
-    if squeeze:
-        ga = ga[0]
     return grad_flat, ga
 
 
@@ -588,15 +582,32 @@ def scalar_maze_step(spec, state: np.ndarray, action: np.ndarray):
     (lo_x, lo_y), (hi_x, hi_y) = spec.bounds
     pos[0] = min(max(pos[0], lo_x + margin), hi_x - margin)
     pos[1] = min(max(pos[1], lo_y + margin), hi_y - margin)
-    gx, gy = spec.goal
-    done = bool((pos[0] - gx) ** 2 + (pos[1] - gy) ** 2 <= spec.goal_radius**2)
+    done = scalar_terminated(spec, pos)
     return pos, 0.0 if done else -1.0, done
 
 
 def scalar_chain_step(spec, state: np.ndarray, action: np.ndarray):
     v = float(np.clip(state[1] + 0.1 * action[0], -1.0, 1.0))
     x = float(state[0] + 0.1 * v)
-    return np.array([x, v], dtype=np.float64), v, abs(x) > spec.chain_length
+    nxt = np.array([x, v], dtype=np.float64)
+    return nxt, v, scalar_terminated(spec, nxt)
+
+
+def scalar_terminated(spec, state) -> bool:
+    """The termination rule for one (S,) state, from the env definitions:
+    inside the maze's goal disc, or past either of the chain's position bounds."""
+    if spec.env_id == "point_maze":
+        gx, gy = spec.goal
+        return bool((state[0] - gx) ** 2 + (state[1] - gy) ** 2 <= spec.goal_radius**2)
+    return bool(abs(state[0]) > spec.chain_length)
+
+
+def scalar_success(spec, final_state, reached_terminal: bool) -> bool:
+    """One episode's success: it reached a terminal state, which for a chain
+    must lie past the forward bound."""
+    if not reached_terminal:
+        return False
+    return spec.env_id == "point_maze" or bool(final_state[0] > spec.chain_length)
 
 
 def scalar_env_step(spec, state, action):
@@ -613,7 +624,7 @@ def scalar_env_step(spec, state, action):
 
 
 def loop_evaluate_policy(policy, env_spec, n_episodes: int, seed: int) -> dict:
-    """`agent.evaluate_policy` one episode at a time, one row per policy call."""
+    """`agent.evaluate_policy` one episode at a time, a one-row batch per policy call."""
     total_return = 0.0
     successes = 0
     lengths = 0
@@ -621,14 +632,14 @@ def loop_evaluate_policy(policy, env_spec, n_episodes: int, seed: int) -> dict:
         s = envs.reset_state(env_spec, stream(seed, "eval.episode", ep))
         ep_ret, done = 0.0, False
         for _ in range(env_spec.horizon):
-            a = np.asarray(policy(s), dtype=np.float64).reshape(-1)
+            a = policy(s[None])[0]
             s, r, done = scalar_env_step(env_spec, s, a)
             ep_ret += r
             lengths += 1
             if done:
                 break
         total_return += ep_ret
-        successes += int(envs.is_success(env_spec, s, done))
+        successes += int(scalar_success(env_spec, s, done))
     return {
         "mean_return": total_return / n_episodes,
         "success_rate": successes / n_episodes,
@@ -693,7 +704,7 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
                 ends_terminal=ends_terminal,
             )
         )
-    n_success = sum(envs.is_success(spec, t.states[-1], t.ends_terminal) for t in trajectories)
+    n_success = sum(scalar_success(spec, t.states[-1], t.ends_terminal) for t in trajectories)
     return datasets.OfflineDataset(
         trajectories=tuple(trajectories),
         obs_dim=spec.obs_dim,

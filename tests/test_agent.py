@@ -1,6 +1,7 @@
 """Agent losses and their gradients, dataset expansion, the train step and the
 imagination-start ring buffer."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -36,11 +37,11 @@ def make_plan(seed: int = 0) -> agent._Plan:
 
 
 def never_terminal(states):
-    return np.zeros(np.atleast_2d(states).shape[0], dtype=bool)
+    return np.zeros(len(states), dtype=bool)
 
 
 def far_is_terminal(states):
-    return np.abs(np.atleast_2d(states)[:, 0]) > 3.0
+    return np.abs(states[:, 0]) > 3.0
 
 
 def loop_mobile(plan, config, ensemble, ro, termination=far_is_terminal):
@@ -570,6 +571,48 @@ def test_expand_dataset_matches_the_row_by_row_loop(capacity, monkeypatch):
             cut = total[np.searchsorted(total, left)] > left  # filled partway through a row
         left -= min(left, int(total[-1]))
     assert cut
+
+
+def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeypatch):
+    # the mobile_lcb critic regresses Q(s_t, a_t) and the q_value actor reads
+    # the real batch, so nothing reads a policy forward over the rollout states
+    spec = envs.make_env_spec("point_maze_u")
+    config = agent.AgentConfig(
+        conservatism="mobile_lcb", policy_update="q_value", horizon=4, n_expand=10,
+        hidden_actor=(16, 16), hidden_critic=(16, 16),
+    )
+    ensemble = _maze_ensemble(spec, 3)
+    stepped, want = (agent.build_agent(config, spec, seed=0) for _ in range(2))
+    policy_eval, calls = agent._policy_eval, []
+
+    def counting(*args):
+        calls.append(1)
+        return policy_eval(*args)
+
+    for step in range(12):
+        batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
+        starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(8, spec.obs_dim))
+        with monkeypatch.context() as patch:
+            patch.setattr(agent, "_policy_eval", counting)
+            agent.train_step(stepped, ensemble, batch, starts, stream(0, "t", step))
+        # the same step from its parts, with the rollout policy forward
+        plan = agent._Plan(
+            want.policy_spec, want.policy_params, want.critic_spec, want.critic_params, spec
+        )
+        ro = wm.imagine_rollout(
+            ensemble, want.policy, starts, config.horizon,
+            functools.partial(envs.terminated_batch, spec), 0.0, stream(0, "t", step),
+        )
+        pol = agent._policy_eval(plan, ro)
+        _, c_grad, _ = agent.critic_loss_total(
+            plan, config, ensemble, ro, batch, want.critic_ema.shadow, pol
+        )
+        nn.adam_step(want.adam_critic, want.critic_params, c_grad)
+        nn.ema_update(want.critic_ema, want.critic_params)
+        _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
+        nn.adam_step(want.adam_actor, want.policy_params, p_grad)
+        assert _state_bytes(stepped) == _state_bytes(want), step
+    assert calls == []
 
 
 def test_actor_sees_the_updated_critic(monkeypatch):

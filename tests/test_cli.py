@@ -106,6 +106,49 @@ def test_resuming_a_finished_run_rewrites_nothing(tmp_path):
     assert resumed["final_eval"] == whole["final_eval"] and resumed["best_eval"] == whole["best_eval"]
 
 
+@pytest.mark.parametrize(
+    "first, then, lost",
+    [
+        (12, 12, ("metrics.csv", "eval.csv")),
+        (10, 20, ("eval.csv",)),
+        (10, 20, ("metrics.csv",)),
+    ],
+    ids=["finished-both", "mid-run-eval", "mid-run-metrics"],
+)
+def test_a_resume_past_step_0_without_its_csvs_exits_2_and_writes_nothing(
+    first, then, lost, tmp_path, capsys
+):
+    raw = _run_config(tmp_path)
+    config = tmp_path / "run.json"
+    run = tmp_path / "run"
+    config.write_text(json.dumps({**raw, "agent": {**raw["agent"], "n_iter": first}}))
+    assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+    for name in lost:
+        (run / name).unlink()
+    # effective_config.json records the attempted config first, as for any config error
+    kept = sorted(p.name for p in run.iterdir() if p.name != "effective_config.json")
+    before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept}
+    config.write_text(json.dumps({**raw, "agent": {**raw["agent"], "n_iter": then}}))
+    assert cli.main(["train", str(config), "--out-dir", str(run), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume from step {first}: ") and lost[0] in err
+    assert sorted(p.name for p in run.iterdir() if p.name != "effective_config.json") == kept
+    assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
+
+
+def test_a_pretrained_step_0_checkpoint_resumes_into_the_files_of_a_fresh_run(tmp_path):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    pre = tmp_path / "pre"
+    assert cli.main(["pretrain", str(config), "--out-dir", str(pre)]) == 0
+    assert not (pre / "eval.csv").exists() and not (pre / "metrics.csv").exists()
+    cli.run_training(parse_run_config(raw), str(pre), resume=True)
+    cli.run_training(parse_run_config(raw), str(tmp_path / "fresh"))
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
+        assert (pre / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
 def test_effective_config_reparses_to_the_run_config(tmp_path):
     raw = _run_config(tmp_path, out_dir=str(tmp_path / "out"))
     cfg = parse_run_config(raw)

@@ -33,6 +33,12 @@ def chain():
     return make_env_spec("dense_chain")
 
 
+def step_one(spec, state, action):
+    """`env_step` on a one-row batch: (next state, reward, terminal flag) of the row."""
+    next_states, rewards, done = env_step(spec, np.array([state], float), np.array([action], float))
+    return next_states[0], rewards[0], done[0]
+
+
 class TestEnvSpecs:
     def test_all_names_construct(self):
         for name in envs.ENV_NAMES:
@@ -55,13 +61,13 @@ class TestEnvStep:
     def test_goal_center_terminates(self):
         spec = maze()
         for action in ([0.0, 0.0], [1.0, -1.0]):
-            _, reward, done = env_step(spec, np.array(spec.goal), action)
+            _, reward, done = step_one(spec, np.array(spec.goal), action)
             assert done and reward == 0.0
 
     def test_zero_action_stays_put(self):
         spec = maze()
         s = np.array([1.0, 1.0])
-        s2, reward, done = env_step(spec, s, np.zeros(2))
+        s2, reward, done = step_one(spec, s, np.zeros(2))
         assert np.array_equal(s2, s)
         assert reward == -1.0 and not done
 
@@ -71,7 +77,7 @@ class TestEnvStep:
         s = np.array([0.0, 0.0])
         xs = []
         for k in range(10):
-            s, reward, done = env_step(spec, s, np.array([1.0]))
+            s, reward, done = step_one(spec, s, np.array([1.0]))
             assert s[1] == pytest.approx(min(0.1 * (k + 1), 1.0))
             assert reward == s[1]
             xs.append(s[0])
@@ -79,51 +85,52 @@ class TestEnvStep:
 
     def test_chain_reward_is_clipped_velocity(self):
         spec = chain()
-        s2, reward, _ = env_step(spec, np.array([0.0, 0.95]), np.array([1.0]))
+        s2, reward, _ = step_one(spec, np.array([0.0, 0.95]), np.array([1.0]))
         assert s2[1] == 1.0 and reward == 1.0
 
     def test_action_clipped_to_unit_box(self):
         spec = maze()
         s = np.array([1.0, 1.0])
-        big, _, _ = env_step(spec, s, np.array([5.0, 0.0]))
-        unit, _, _ = env_step(spec, s, np.array([1.0, 0.0]))
+        big, _, _ = step_one(spec, s, np.array([5.0, 0.0]))
+        unit, _, _ = step_one(spec, s, np.array([1.0, 0.0]))
         assert np.array_equal(big, unit)
 
     def test_wall_blocks_and_slides(self):
         spec = maze()
         # dividing wall spans y=2, x in [0, 2.6]; approaching from below
         s = np.array([1.0, 1.85])
-        up, _, _ = env_step(spec, s, np.array([0.0, 1.0]))
+        up, _, _ = step_one(spec, s, np.array([0.0, 1.0]))
         assert up[1] == pytest.approx(2.0 - 1e-3)
-        diag, _, _ = env_step(spec, s, np.array([1.0, 1.0]))
+        diag, _, _ = step_one(spec, s, np.array([1.0, 1.0]))
         assert diag[0] == pytest.approx(1.3)  # free axis keeps its motion
         assert diag[1] == pytest.approx(2.0 - 1e-3)
 
     def test_gap_past_wall_end_is_open(self):
         spec = maze()
         s = np.array([3.0, 1.85])  # x > 2.6, no wall overhead
-        up, _, _ = env_step(spec, s, np.array([0.0, 1.0]))
+        up, _, _ = step_one(spec, s, np.array([0.0, 1.0]))
         assert up[1] == pytest.approx(2.15)
 
     def test_bounds_clamp(self):
         spec = maze()
-        out, _, _ = env_step(spec, np.array([0.1, 0.5]), np.array([-1.0, 0.0]))
+        out, _, _ = step_one(spec, np.array([0.1, 0.5]), np.array([-1.0, 0.0]))
         assert out[0] == pytest.approx(1e-3)
 
     def test_bad_states_rejected(self):
         spec = maze()
         with pytest.raises(EnvError, match="non-finite"):
-            env_step(spec, np.array([np.nan, 0.0]), np.zeros(2))
+            env_step(spec, np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
         with pytest.raises(EnvError, match="dimension"):
-            env_step(spec, np.zeros(3), np.zeros(2))
+            env_step(spec, np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(EnvError, match="dimension"):
-            env_step(spec, np.zeros(2), np.zeros(1))
+            env_step(spec, np.zeros((1, 2)), np.zeros((1, 1)))
         with pytest.raises(EnvError, match="non-finite"):
             env_step(spec, np.array([[1.0, 1.0], [np.inf, 1.0]]), np.zeros((2, 2)))
         for states, actions in (
             (np.zeros((3, 2)), np.zeros((2, 2))),
             (np.zeros((3, 2)), np.zeros((3, 1))),
             (np.zeros((3, 3)), np.zeros((3, 2))),
+            (np.zeros(2), np.zeros(2)),  # a single state is a one-row batch
             (np.zeros(2), np.zeros((1, 2))),
             (np.zeros((1, 2)), np.zeros(2)),
             (np.zeros((1, 1, 2)), np.zeros((1, 1, 2))),
@@ -236,10 +243,9 @@ class TestBatchedStepAgainstScalarOracle:
             assert _same_bits(next_states[row], want_s)
             assert _same_bits(rewards[row], np.float64(want_r))
             assert done[row] == want_done
-            one_s, one_r, one_done = env_step(spec, states[row], actions[row])
-            assert one_s.shape == (spec.obs_dim,) and _same_bits(one_s, want_s)
-            assert type(one_r) is float and _same_bits(np.float64(one_r), np.float64(want_r))
-            assert type(one_done) is bool and one_done == want_done
+            one_s, one_r, one_done = env_step(spec, states[row : row + 1], actions[row : row + 1])
+            assert one_s.shape == (1, spec.obs_dim) and _same_bits(one_s[0], want_s)
+            assert _same_bits(one_r[0], np.float64(want_r)) and one_done[0] == want_done
 
     def test_a_row_that_does_not_move_keeps_a_negative_zero(self):
         spec = CLOSE_WALLS  # whose clamp keeps a coordinate of -0.0
@@ -277,41 +283,45 @@ class TestBatchedStepAgainstScalarOracle:
 
 
 class TestTermination:
-    def test_terminal_flag_matches_termination_fn(self):
-        """env_step's done flag and the standalone rule agree on random transitions."""
+    def test_terminal_flag_matches_the_termination_rule(self):
+        """env_step's done flag and terminated_batch agree with the per-row
+        rule of the env definitions on random transitions of every env."""
         rng = stream(5, "term")
-        for spec in (maze(), chain()):
-            fn = envs.termination_fn(spec)
-            for _ in range(200):
-                if spec.env_id == "point_maze":
-                    s = rng.uniform(0.2, 3.8, size=2)
-                else:
-                    s = np.array([rng.uniform(-5.2, 5.2), rng.uniform(-1, 1)])
-                    if envs.terminated(spec, s):
-                        continue  # stepping from a terminal chain state is out of contract
-                a = rng.uniform(-1, 1, size=spec.act_dim)
-                s2, _, done = env_step(spec, s, a)
-                assert done == bool(fn(s2))
+        for name in envs.ENV_NAMES:
+            spec = make_env_spec(name)
+            if spec.env_id == "point_maze":  # rows in and around the goal disc
+                states = np.array(spec.goal) + rng.uniform(-0.8, 0.8, size=(200, 2))
+            else:  # rows near either position bound
+                x = rng.choice([-1.0, 1.0], 200) * rng.uniform(4.7, 5.2, 200)
+                states = np.stack([x, rng.uniform(-1, 1, 200)], axis=1)
+            # stepping from a terminal state is out of contract
+            start = [not _oracles.scalar_terminated(spec, s) for s in states]
+            states = states[start]
+            actions = rng.uniform(-1, 1, size=(len(states), spec.act_dim))
+            next_states, _, done = env_step(spec, states, actions)
+            want = [_oracles.scalar_terminated(spec, s) for s in next_states]
+            assert np.array_equal(done, want) and np.array_equal(envs.terminated_batch(spec, next_states), want)
+            assert any(want) and not all(want), name
 
-    def test_batch_matches_scalar(self):
+    def test_terminated_batch_matches_the_per_row_rule(self):
         rng = stream(6, "term.batch")
-        for spec in (maze(), chain()):
+        for name in envs.ENV_NAMES:
+            spec = make_env_spec(name)
             states = rng.uniform(-6, 6, size=(64, 2))
+            if spec.env_id == "point_maze":  # rows in and around the goal disc
+                states[::2] = np.array(spec.goal) + rng.uniform(-0.7, 0.7, size=(32, 2))
             batch = envs.terminated_batch(spec, states)
-            fn = envs.termination_fn(spec)
-            assert batch.shape == (64,)
-            assert np.array_equal(batch, fn(states))
-            for i in range(64):
-                assert batch[i] == envs.terminated(spec, states[i])
-                assert batch[i] == bool(fn(states[i]))
+            assert batch.shape == (64,) and batch.dtype == bool
+            assert batch.tolist() == [_oracles.scalar_terminated(spec, s) for s in states]
+            assert batch.any() and not batch.all()
 
     def test_is_success_conventions(self):
         m, c = maze(), chain()
-        assert envs.is_success(m, np.array(m.goal), reached_terminal=True)
-        assert not envs.is_success(m, np.array(m.goal), reached_terminal=False)
+        finals = np.array([m.goal, m.goal])
+        assert envs.is_success(m, finals, np.array([True, False])).tolist() == [True, False]
         # chain: only the forward bound counts as success
-        assert envs.is_success(c, np.array([5.3, 1.0]), reached_terminal=True)
-        assert not envs.is_success(c, np.array([-5.3, -1.0]), reached_terminal=True)
+        finals = np.array([[5.3, 1.0], [-5.3, -1.0], [5.3, 1.0]])
+        assert envs.is_success(c, finals, np.array([True, True, False])).tolist() == [True, False, False]
 
 
 class TestResetState:
@@ -344,25 +354,31 @@ class TestExpert:
 
     def test_chain_expert_is_bang_bang(self):
         spec = chain()
-        action, idx = envs.expert_action(spec, np.array([0.3, 0.2]), 4)
-        assert np.array_equal(action, [1.0]) and idx == 0
+        action, idx = envs.expert_action(spec, np.array([[0.3, 0.2]]), np.array([4]))
+        assert np.array_equal(action, [[1.0]]) and np.array_equal(idx, [0])
 
     def test_waypoint_advances_inside_radius(self):
         spec = maze()
-        on_first = np.asarray(spec.waypoints[0], dtype=np.float64)
-        _, idx = envs.expert_action(spec, on_first, 0)
-        assert idx == 1
+        on_first = np.asarray(spec.waypoints[:1], dtype=np.float64)
+        _, idx = envs.expert_action(spec, on_first, np.array([0]))
+        assert np.array_equal(idx, [1])
         # final waypoint never advances past the end
-        _, idx = envs.expert_action(spec, np.asarray(spec.waypoints[-1]), len(spec.waypoints) - 1)
-        assert idx == len(spec.waypoints) - 1
+        last = len(spec.waypoints) - 1
+        _, idx = envs.expert_action(spec, np.asarray(spec.waypoints[-1:]), np.array([last]))
+        assert np.array_equal(idx, [last])
 
     def test_steering_is_proportional_and_clipped(self):
         spec = maze()
-        pos = np.array([2.7, 0.5])  # outside waypoint 0's radius
-        action, idx = envs.expert_action(spec, pos, 0)
-        assert idx == 0
-        expected = np.clip(3.0 * (np.asarray(spec.waypoints[0]) - pos), -1, 1)
+        pos = np.array([[2.7, 0.5]])  # outside waypoint 0's radius
+        action, idx = envs.expert_action(spec, pos, np.array([0]))
+        assert np.array_equal(idx, [0])
+        expected = np.clip(3.0 * (np.asarray(spec.waypoints[:1]) - pos), -1, 1)
         np.testing.assert_allclose(action, expected)
+
+    def test_a_single_state_is_rejected(self):
+        for spec in (maze(), chain()):
+            with pytest.raises(EnvError, match="dimension"):
+                envs.expert_action(spec, np.array([0.3, 0.2]), 0)
 
     def test_batched_chain_expert_is_ones_at_index_0(self):
         states = np.array([[0.3, 0.2], [-4.0, -1.0], [0.0, 0.0]])
@@ -400,10 +416,10 @@ class TestExpert:
         assert actions.shape == (len(states), spec.act_dim) and idx.shape == (len(states),)
         for row in range(len(states)):
             want_a, want_idx = _oracles.scalar_expert_action(spec, states[row], int(given_idx[row]))
-            one_a, one_idx = envs.expert_action(spec, states[row], int(given_idx[row]))
-            assert type(one_idx) is int and one_idx == idx[row] == want_idx
-            assert one_a.shape == (spec.act_dim,)
-            assert _same_bits(actions[row], want_a) and _same_bits(one_a, want_a)
+            one_a, one_idx = envs.expert_action(spec, states[row : row + 1], given_idx[row : row + 1])
+            assert one_idx.tolist() == [idx[row]] == [want_idx]
+            assert one_a.shape == (1, spec.act_dim)
+            assert _same_bits(actions[row], want_a) and _same_bits(one_a[0], want_a)
 
     def test_chain_expert_beats_random(self):
         spec = chain()
@@ -434,7 +450,7 @@ class TestCollect:
         assert md["env"] == "point_maze_u" and md["collector"] == "mixed"
         assert md["seed"] == 3 and md["n_trajectories"] == 10
         n_success = sum(
-            envs.is_success(maze(), t.states[-1], t.ends_terminal) for t in ds.trajectories
+            _oracles.scalar_success(maze(), t.states[-1], t.ends_terminal) for t in ds.trajectories
         )
         assert md["success_rate"] == n_success / 10
 

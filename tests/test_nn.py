@@ -99,26 +99,27 @@ class TestForward:
         batch = nn.forward(spec, params, x)
         assert batch.shape == (4, 2)
         for i in range(4):
-            row = nn.forward(spec, params, x[i])
-            assert row.shape == (2,)
+            row = nn.forward(spec, params, x[i : i + 1])
+            assert row.shape == (1, 2)
             # matmul kernels differ by batch shape, so only near-exact
-            np.testing.assert_allclose(row, batch[i], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(row[0], batch[i], rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch_raises(self):
         spec = make_spec()
         params = nn.init_params(spec, np.random.default_rng(7))
-        with pytest.raises(ValueError):
-            nn.forward(spec, params, np.zeros((2, 4)))
+        for x in (np.zeros((2, 4)), np.zeros(3)):  # a single row is a (1, d) batch
+            with pytest.raises(ValueError):
+                nn.forward(spec, params, x)
 
     def test_deterministic_and_golden(self):
         spec = nn.MlpSpec(input_dim=2, hidden_dims=(4,), output_dim=1,
                           use_layernorm=True, use_symlog_input=True, activation="elu")
         params = nn.init_params(spec, np.random.default_rng(0))
-        x = np.array([0.7, -1.3])
+        x = np.array([[0.7, -1.3]])
         y = nn.forward(spec, params, x)
         np.testing.assert_array_equal(y, nn.forward(spec, params, x))
         # frozen reference output for seed-0 params on this fixed input
-        assert y[0] == pytest.approx(-0.377535671148973, abs=1e-12)
+        assert y[0, 0] == pytest.approx(-0.377535671148973, abs=1e-12)
 
     def test_layernorm_stats_before_affine(self):
         spec = make_spec(use_layernorm=True, hidden=(16,))
@@ -170,13 +171,13 @@ class TestBackward:
         views["w_out"][...] = np.array(
             [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
         )
-        x = np.array([0.8, -0.6])
-        c = np.array([2.0, -3.0])
+        x = np.array([[0.8, -0.6]])
+        c = np.array([[2.0, -3.0]])
         grad, gx = backward(spec, params, x, c)
         g = nn.param_views(spec, grad)
-        hidden = np.maximum([x[0], x[1], -x[0], -x[1]], 0.0)
-        np.testing.assert_allclose(g["w_out"], np.outer(hidden, c), atol=0)
-        np.testing.assert_allclose(g["b_out"], c, atol=0)
+        hidden = np.maximum([x[0, 0], x[0, 1], -x[0, 0], -x[0, 1]], 0.0)
+        np.testing.assert_allclose(g["w_out"], np.outer(hidden, c[0]), atol=0)
+        np.testing.assert_allclose(g["b_out"], c[0], atol=0)
         # the relu pair makes the whole network the identity map
         np.testing.assert_allclose(gx, c, atol=0)
 
@@ -207,19 +208,19 @@ class TestBackward:
             spec = make_spec(activation, bool(rng.integers(2)), bool(rng.integers(2)))
             params = rng.normal(size=nn.n_params(spec)) * 0.6
             x = rng.normal(size=3)
-            c = rng.normal(size=2)
-            _, gx = backward(spec, params, x, c)
+            c = rng.normal(size=(1, 2))
+            _, gx = backward(spec, params, x[None], c)
 
             def obj(v):
-                return float((nn.forward(spec, params, v) * c).sum())
+                return float((nn.forward(spec, params, v[None]) * c).sum())
 
-            worst = _oracles.worst_fd_rel_error(obj, gx, x, rng, n_coords=3)
+            worst = _oracles.worst_fd_rel_error(obj, gx[0], x, rng, n_coords=3)
             assert worst < 1e-3
 
 @st.composite
 def mlp_cases(draw):
-    """A spec, params, an input (1-D or an odd number of rows up to 703) and
-    an output cotangent, with a few special values planted in both."""
+    """A spec, params, an input of an odd number of rows up to 703 and an
+    output cotangent, with a few special values planted in both."""
     spec = nn.MlpSpec(
         input_dim=draw(st.integers(1, 6)),
         hidden_dims=tuple(draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))),
@@ -228,12 +229,11 @@ def mlp_cases(draw):
         use_symlog_input=draw(st.booleans()),
         activation=draw(st.sampled_from(["relu", "tanh", "elu"])),
     )
-    rows = draw(st.one_of(st.none(), st.integers(0, 351).map(lambda k: 2 * k + 1)))
-    lead = () if rows is None else (rows,)
+    rows = draw(st.integers(0, 351).map(lambda k: 2 * k + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = rng.normal(0.0, 1.0, nn.n_params(spec))
-    x = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), lead + (spec.input_dim,))
-    cot = rng.normal(0.0, 1.0, lead + (spec.output_dim,))
+    x = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 30.0])), (rows, spec.input_dim))
+    cot = rng.normal(0.0, 1.0, (rows, spec.output_dim))
     for arr in (x, cot):
         flat = arr.reshape(-1)
         for _ in range(draw(st.integers(0, 3))):
@@ -243,7 +243,7 @@ def mlp_cases(draw):
 
 
 def _cache_arrays(cache):
-    raw_in, x0, layers, last, _ = cache
+    raw_in, x0, layers, last = cache
     return [raw_in, x0, last] + [arr for layer in layers for arr in layer if arr is not None]
 
 
@@ -259,7 +259,6 @@ class TestInPlaceKernels:
         assert [params.tobytes(), x.tobytes()] == before
         y_ref, cache_ref = _oracles.alloc_forward_cached(spec, params, x)
         _oracles.assert_bits(y, y_ref)
-        assert cache[-1] == cache_ref[-1]
         got_arrays, want_arrays = _cache_arrays(cache), _cache_arrays(cache_ref)
         assert len(got_arrays) == len(want_arrays)
         for got, want in zip(got_arrays, want_arrays):
