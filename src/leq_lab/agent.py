@@ -499,10 +499,13 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
     return loss, grad
 
 
-def critic_loss_env(plan, config: AgentConfig, batch: dict):
-    """One-step Bellman regression on real transitions, target frozen."""
+def critic_loss_env(plan, config: AgentConfig, batch: dict, fwd: tuple):
+    """One-step Bellman regression on real transitions, target frozen.
+
+    `fwd` is the critic's `_critic_forward` (q, cache) over batch's (s, a),
+    which `critic_loss_ema` shares."""
     target = _bellman_target(plan, config, batch)
-    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, batch["states"], batch["actions"])
+    q, cache = fwd
     diff = q - target
     loss = float(0.5 * (diff * diff).mean())
     cot = (diff / diff.size)[:, None]
@@ -512,10 +515,11 @@ def critic_loss_env(plan, config: AgentConfig, batch: dict):
     return loss, grad
 
 
-def critic_loss_ema(plan, shadow_params, batch: dict):
-    """Squared drift of the critic from its EMA shadow on real (s, a)."""
+def critic_loss_ema(plan, shadow_params, batch: dict, fwd: tuple):
+    """Squared drift of the critic from its EMA shadow on real (s, a), at
+    `critic_loss_env`'s `fwd`."""
     q_shadow = _shadow_q(plan, shadow_params, batch)
-    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, batch["states"], batch["actions"])
+    q, cache = fwd
     diff = q - q_shadow
     loss = float((diff * diff).mean())
     cot = (2.0 * diff / diff.size)[:, None]
@@ -932,8 +936,12 @@ def train_step(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol, remote
         )
     else:
-        l_env, g_env = critic_loss_env(plan, config, env_batch)
-        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema.shadow, env_batch)
+        # one critic forward over the real (s, a) serves both terms' backward passes
+        fwd = _critic_forward(
+            plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
+        )
+        l_env, g_env = critic_loss_env(plan, config, env_batch, fwd)
+        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema.shadow, env_batch, fwd)
         total = l_env + config.omega_ema * l_ema
         c_grad = g_env + config.omega_ema * g_ema
         parts = {"loss_model": 0.0, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}

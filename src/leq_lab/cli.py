@@ -126,10 +126,12 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. A checkpoint past step 0 was written just after both CSVs,
     which the resumed trace continues, so a missing one raises ConfigError
-    before anything is written here. Otherwise the ensemble trains (when
-    the agent `agent.needs_model`) and the agent is built, pretrained and
-    checkpointed, the ensemble saved first, so a checkpoint never lacks its
-    ensemble.
+    before anything is written here. Only once the ensemble and the
+    checkpoint pass their checks does `effective_config.json` record the
+    run's config, so a refused run leaves the directory's record as it was.
+    Otherwise the ensemble trains (when the agent `agent.needs_model`) and
+    the agent is built, pretrained and checkpointed, the ensemble saved
+    first, so a checkpoint never lacks its ensemble.
 
     When a fresh run both trains the ensemble and pretrains, BC and FQE are
     `world_model.train_ensemble`'s `beside` call: they run in this process,
@@ -164,6 +166,10 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
                 raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")
         state.config = cfg.agent
         pretrain_info = state.extra.get("pretrain", {})
+    # every check has passed: the directory's record becomes this run's config
+    with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
+        json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
     def pretrain():
         pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir))
@@ -361,10 +367,6 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
     clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
-    with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
     ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, helper)

@@ -19,12 +19,26 @@ effective lengths `t_eff`, and entries past a row's length are ignored.
 `policy_grad_coefficients` returns the partial derivatives of the
 weighted lambda-return sum with respect to every reward and bootstrap,
 which is what the pathwise policy update backpropagates through rollouts.
-Each makes one vectorized pass per mixture index i over every start t at
-once. Every entry still accumulates in the order a loop over (t, i) pairs
-adds it, so results equal that loop form bit for bit.
+
+Each function is one array pass over an (i, t, B) layout: mixture index
+i, start t, row b. Index and weight tables are built once per (H, lambda,
+gamma) and cached read-only. Entries with t + i > H read zero padding and
+add exact zeros. Every entry still adds in the order a loop over (t, i)
+pairs adds it, so results equal that loop form bit for bit:
+
+- the partial reward sums run over i ascending, by `np.cumsum`;
+- the mixture sums, and every reward and bootstrap partial, run over the
+  leading axis by `np.add.reduce(..., axis=0, initial=0.0)`, which adds
+  elementwise in axis order from 0.0. The partials read their terms
+  along each output's diagonal t + i in order of i descending;
+- a normalizer that depends only on (t, t_eff) is tabulated over
+  t_eff = 0..H by the same reduction that summed it per row.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +47,79 @@ __all__ = [
     "full_return_batch",
     "policy_grad_coefficients",
 ]
+
+
+class _Tables(NamedTuple):
+    """Read-only tables of one (H, lambda, gamma); [i - 1, t] is the
+    (mixture index, start) entry."""
+
+    end: np.ndarray  # (H, H, 1) t + i
+    r_idx: np.ndarray  # (H, H) row of r_{t+i-1} in `_padded(rewards, H + 1)`
+    q_idx: np.ndarray  # (H, H) row of q_{t+i} in `_padded(boot_q, H + 2)`
+    g_r: np.ndarray  # (H, 1, 1) gamma^(i-1)
+    g_q: np.ndarray  # (H, 1, 1) gamma^i
+    # lambda^(i-1) twice: by Python's float power, as lambda_return_batch's
+    # loop form takes it, and by numpy's, as policy_grad_coefficients' does
+    lam_w: np.ndarray  # (H, 1, 1)
+    lam_denom: np.ndarray  # (H, H + 1) [t, t_eff] lambda_return_batch's weight sum, 1 if 0
+    raw: np.ndarray  # (H, 1, 1)
+    grad_wsum: np.ndarray  # (H, H + 1) [t, t_eff] policy_grad_coefficients' weight sum, 1 if 0
+    q_diag: np.ndarray  # (H, H + 1) [s, k] flat (i - 1, t) with t + i = k, i = H - s; pad H*H
+    r_diag: np.ndarray  # (H, H) [s, k] flat (i - 1, t) with t + i - 1 = k, i = H - s; pad H*H
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(H: int, lam: float, gamma: float) -> _Tables:
+    i_vals = np.arange(1, H + 1)
+    end = i_vals[:, None] + np.arange(H)[None, :]
+    inside = end <= H
+    t_effs = np.arange(H + 1)
+    lam_w = np.array([lam ** (n - 1) for n in range(1, H + 1)])[:, None, None]
+    lam_wsum = np.add.reduce(
+        np.where(end[:, :, None] <= t_effs, lam_w, 0.0), axis=0, initial=0.0
+    )
+    raw = lam ** (i_vals - 1.0)
+    # each start's weight sum adds exactly H - t terms, as numpy's pairwise
+    # sum groups them by length
+    grad_wsum = np.zeros((H, H + 1))
+    for start in range(H):
+        avail = (start + i_vals[: H - start])[None, :] <= t_effs[:, None]
+        grad_wsum[start] = (raw[None, : H - start] * avail).sum(axis=1)
+    # slot s of the diagonal reads i = H - s, so each partial adds over i descending
+    i_desc = H - np.arange(H)[:, None]
+    k = np.arange(H + 1)[None, :]
+    q_diag = np.where(i_desc <= k, (i_desc - 1) * H + k - i_desc, H * H)
+    r_diag = np.where(i_desc <= k[:, :H] + 1, (i_desc - 1) * H + k[:, :H] + 1 - i_desc, H * H)
+    tables = _Tables(
+        end=end[:, :, None],
+        r_idx=np.where(inside, end - 1, H),
+        q_idx=np.where(inside, end, H + 1),
+        g_r=np.array([gamma ** (n - 1) for n in range(1, H + 1)])[:, None, None],
+        g_q=np.array([gamma**n for n in range(1, H + 1)])[:, None, None],
+        lam_w=lam_w,
+        lam_denom=np.where(lam_wsum > 0.0, lam_wsum, 1.0),
+        raw=raw[:, None, None],
+        grad_wsum=np.where(grad_wsum > 0.0, grad_wsum, 1.0),
+        q_diag=q_diag,
+        r_diag=r_diag,
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _padded(x: np.ndarray, n_rows: int) -> np.ndarray:
+    """x.T, (n, B), over zero rows up to n_rows: the rows past the horizon."""
+    out = np.zeros((n_rows, x.shape[0]))
+    out[: x.shape[1]] = x.T
+    return out
+
+
+def _diagonal_sums(terms: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """(B, K) sums of (H, H, B) `terms` read along `diag`'s (slot, k) entries."""
+    H, _, B = terms.shape
+    flat = np.concatenate([terms.reshape(H * H, B), np.zeros((1, B))])
+    return np.ascontiguousarray(np.add.reduce(flat[diag], axis=0, initial=0.0).T)
 
 
 def lambda_return_batch(
@@ -49,23 +136,13 @@ def lambda_return_batch(
     Returns (qlam (B, H), valid (B, H)) with qlam zero outside valid.
     """
     B, H = rewards.shape
-    starts = np.arange(H)
-    acc = np.zeros((B, H))
-    wsum = np.zeros((B, H))
-    running = np.zeros((B, H))
-    # one pass per mixture index i over every start t < H - i + 1 at once;
-    # i ascends, so each (row, t) accumulates in the order of a loop over i
-    for i in range(1, H + 1):
-        n = H - i + 1
-        running[:, :n] += gamma ** (i - 1) * rewards[:, i - 1 :]
-        g_i = running[:, :n] + gamma**i * boot_q[:, i:]
-        ok = (starts[:n] + i)[None, :] <= t_eff[:, None]
-        w = lam ** (i - 1)
-        acc[:, :n] += np.where(ok, w * g_i, 0.0)
-        wsum[:, :n] += np.where(ok, w, 0.0)
+    tab = _tables(H, float(lam), float(gamma))
+    running = np.cumsum(tab.g_r * _padded(rewards, H + 1)[tab.r_idx], axis=0)
+    g = running + tab.g_q * _padded(boot_q, H + 2)[tab.q_idx]
+    acc = np.add.reduce(np.where(tab.end <= t_eff, tab.lam_w * g, 0.0), axis=0, initial=0.0)
     valid = np.arange(H)[None, :] < t_eff[:, None]
-    qlam = np.where(valid, acc / np.where(wsum > 0.0, wsum, 1.0), 0.0)
-    return qlam, valid
+    qlam = np.where(valid, (acc / tab.lam_denom[:, t_eff]).T, 0.0)
+    return np.ascontiguousarray(qlam), valid
 
 
 def full_return_batch(rewards: np.ndarray, boot_q: np.ndarray, t_eff: np.ndarray, gamma: float):
@@ -75,16 +152,14 @@ def full_return_batch(rewards: np.ndarray, boot_q: np.ndarray, t_eff: np.ndarray
     (targets (B, H), valid (B, H)) with targets zero outside valid.
     """
     B, H = rewards.shape
+    tab = _tables(H, 0.0, float(gamma))  # lambda does not enter G_{t:T}
+    terms = tab.g_r * _padded(rewards, H + 1)[tab.r_idx] * (tab.end <= t_eff)
+    acc = np.add.reduce(terms, axis=0, initial=0.0).T
     starts = np.arange(H)
-    acc = np.zeros((B, H))
-    for i in range(1, H + 1):
-        n = H - i + 1
-        ok = (starts[:n] + i)[None, :] <= t_eff[:, None]
-        acc[:, :n] += gamma ** (i - 1) * rewards[:, i - 1 :] * ok
     valid = starts[None, :] < t_eff[:, None]
     apex_q = boot_q[np.arange(B), t_eff][:, None]
     targets = np.where(valid, acc + gamma ** (t_eff[:, None] - starts[None, :]) * apex_q, 0.0)
-    return targets, valid
+    return np.ascontiguousarray(targets), valid
 
 
 def policy_grad_coefficients(
@@ -102,30 +177,11 @@ def policy_grad_coefficients(
     zeroed terminal placeholders. Returns (c_r (B, H), c_q (B, H+1)).
     """
     B, H = weights.shape
-    c_r = np.zeros((B, H))
-    c_q = np.zeros((B, H + 1))
-    # starts at or past every row's t_eff contribute nothing
-    n_t = min(H, int(np.max(t_eff, initial=0)))
-    i_vals = np.arange(1, H + 1)
-    raw = lam ** (i_vals - 1.0)
-    # normalized mixture weights w_i = lam^{i-1} / wsum, truncated per row;
-    # each wsum is summed over exactly H - t terms, as numpy's pairwise sum
-    # groups them by length
-    scale = np.zeros((B, n_t))
-    for t in range(n_t):
-        avail = (t + i_vals[: H - t])[None, :] <= t_eff[:, None]  # (B, H - t)
-        wsum = (raw[None, : H - t] * avail).sum(axis=1)
-        wsum = np.where(wsum > 0.0, wsum, 1.0)
-        scale[:, t] = np.where(t_eff > t, weights[:, t], 0.0) / wsum
-    # one pass per i over every start t at once; i descends, so both each
-    # start's suffix sum and each c_r/c_q entry add in the order of a loop
-    # over t ascending with i descending inside it
-    suffix = np.zeros((B, n_t))
-    for i in range(H, 0, -1):
-        n = min(H - i + 1, n_t)
-        avail = (np.arange(n) + i)[None, :] <= t_eff[:, None]
-        w_i = np.where(avail, raw[i - 1] * scale[:, :n], 0.0)
-        c_q[:, i : i + n] += w_i * gamma**i * bootstrap_ok[:, i : i + n]
-        suffix[:, :n] += w_i
-        c_r[:, i - 1 : i - 1 + n] += gamma ** (i - 1) * suffix[:, :n]
-    return c_r, c_q
+    tab = _tables(H, float(lam), float(gamma))
+    # normalized mixture weights w_i = lam^{i-1} / wsum, truncated per row
+    scale = np.where(t_eff > np.arange(H)[:, None], weights.T, 0.0) / tab.grad_wsum[:, t_eff]
+    w = np.where(tab.end <= t_eff, tab.raw * scale, 0.0)
+    q_terms = w * tab.g_q * _padded(bootstrap_ok, H + 2)[tab.q_idx]
+    # each start's suffix sum of w over i descending
+    r_terms = tab.g_r * np.cumsum(w[::-1], axis=0)[::-1]
+    return _diagonal_sums(r_terms, tab.r_diag), _diagonal_sums(q_terms, tab.q_diag)

@@ -254,9 +254,10 @@ def test_env_and_ema_critic_gradients_match_central_differences():
 
     rng = np.random.default_rng(19)
     theta = plan.critic_params
+    fwd = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])
     for (loss, grad), loss_at in (
-        (agent.critic_loss_env(plan, config, batch), env_at),
-        (agent.critic_loss_ema(plan, shadow, batch), ema_at),
+        (agent.critic_loss_env(plan, config, batch, fwd), env_at),
+        (agent.critic_loss_ema(plan, shadow, batch, fwd), ema_at),
     ):
         assert loss_at(theta) == pytest.approx(loss, rel=1e-12)
         assert _oracles.worst_fd_rel_error(loss_at, grad, theta, rng, n_coords=40) < 1e-5
@@ -634,6 +635,50 @@ def test_actor_sees_the_updated_critic(monkeypatch):
     agent.train_step(state, None, batch, None, np.random.default_rng(23))
     assert not np.array_equal(seen["critic"], before)
     np.testing.assert_array_equal(seen["critic"], state.critic_params)
+
+
+def test_a_beta_zero_step_makes_one_real_batch_critic_forward(monkeypatch):
+    spec = envs.make_env_spec("dense_chain")
+    config = agent.AgentConfig(
+        beta=0.0, policy_update="q_value", hidden_actor=(8,), hidden_critic=(8,), n_expand=10
+    )
+    shared, separate = (agent.build_agent(config, spec, seed=0) for _ in range(2))
+    forward, critic_loss_env, critic_loss_ema = (
+        nn.forward_cached, agent.critic_loss_env, agent.critic_loss_ema
+    )
+    for step in range(3):
+        batch = env_batch(50 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
+        real = np.concatenate([batch["states"], batch["actions"]], axis=1)
+        real_forwards = []
+
+        def spying(spec_, params, x):
+            # the EMA shadow's forward over (s, a) is another network's
+            if params is shared.critic_params and np.array_equal(x, real):
+                real_forwards.append(1)
+            return forward(spec_, params, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "forward_cached", spying)
+            agent.train_step(shared, None, batch, None, stream(0, "t", step), logged=False)
+        assert real_forwards == [1], step
+
+        # the same step with each real-batch term on its own critic forward
+        def fresh(plan, batch):
+            return agent._critic_forward(
+                plan.critic_spec, plan.critic_params, batch["states"], batch["actions"]
+            )
+
+        def env_alone(plan, config, batch, fwd):
+            return critic_loss_env(plan, config, batch, fresh(plan, batch))
+
+        def ema_alone(plan, shadow, batch, fwd):
+            return critic_loss_ema(plan, shadow, batch, fresh(plan, batch))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(agent, "critic_loss_env", env_alone)
+            patch.setattr(agent, "critic_loss_ema", ema_alone)
+            agent.train_step(separate, None, batch, None, stream(0, "t", step), logged=False)
+        assert _state_bytes(shared) == _state_bytes(separate), step
 
 
 def test_unlogged_step_skips_only_mean_q():

@@ -125,14 +125,14 @@ def test_a_resume_past_step_0_without_its_csvs_exits_2_and_writes_nothing(
     assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
     for name in lost:
         (run / name).unlink()
-    # effective_config.json records the attempted config first, as for any config error
-    kept = sorted(p.name for p in run.iterdir() if p.name != "effective_config.json")
+    kept = sorted(p.name for p in run.iterdir())
+    assert "effective_config.json" in kept
     before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept}
     config.write_text(json.dumps({**raw, "agent": {**raw["agent"], "n_iter": then}}))
     assert cli.main(["train", str(config), "--out-dir", str(run), "--resume"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot resume from step {first}: ") and lost[0] in err
-    assert sorted(p.name for p in run.iterdir() if p.name != "effective_config.json") == kept
+    assert sorted(p.name for p in run.iterdir()) == kept
     assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
 
 

@@ -96,7 +96,17 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+# the poisoned dataset's 1e200 rewards overflow to infinite losses on purpose
+_POISONED = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_POISONED) if CASES[name][0] == "dense_chain_poisoned" else name
+        for name in sorted(CASES)
+    ],
+)
 def test_in_this_process_and_forked_give_the_per_member_loop_bits(
     name, collected, tmp_path, monkeypatch, forks
 ):
@@ -110,6 +120,7 @@ def test_in_this_process_and_forked_give_the_per_member_loop_bits(
     assert forks == [1]
 
 
+@_POISONED
 def test_the_divergence_cases_hold_their_premise(collected, tmp_path):
     """Members of the poisoned dataset diverge in both halves of the stack,
     and enough end finite for three elites but not for five."""

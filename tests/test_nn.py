@@ -250,6 +250,7 @@ def _cache_arrays(cache):
 class TestInPlaceKernels:
     """The in-place kernels against their allocating forms in _oracles."""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted NaN and Inf values
     @settings(max_examples=200, deadline=None)
     @given(mlp_cases())
     def test_bit_identical_and_never_write_their_inputs(self, case):
@@ -272,6 +273,7 @@ class TestInPlaceKernels:
             _oracles.assert_bits(got[0], want[0])
             _oracles.assert_bits(got[1], want[1])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted NaN and Inf values
     @settings(max_examples=200, deadline=None)
     @given(mlp_cases())
     def test_input_only_sweep_is_the_full_input_grad(self, case):
@@ -328,6 +330,7 @@ def assert_bits_but_nan_signs(got, want):
 class TestStackedNetworks:
     """A (k, P) stack of networks against k separate 2-D calls."""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted NaN and Inf values
     @settings(max_examples=200, deadline=None)
     @given(stacked_cases())
     def test_each_slice_has_the_bits_of_its_own_call(self, case):
@@ -371,6 +374,7 @@ class TestStackedNetworks:
 
 
 class TestParamsOnly:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted NaN and Inf values
     @settings(max_examples=100, deadline=None)
     @given(mlp_cases())
     def test_params_only_sweep_is_the_full_param_grad(self, case):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from leq_lab import returns
 from leq_lab.agent import AgentConfig
 from leq_lab.returns import full_return_batch, lambda_return_batch, policy_grad_coefficients
 
@@ -284,3 +285,50 @@ class TestBitExactAgainstLoops:
         )
         assert_same_bits(c_r, want_r)
         assert_same_bits(c_q, want_q)
+
+
+class TestAtTheTrainStepShape:
+    """The kernels at a train step's (B, H) = (64, 10), against the loops."""
+
+    @staticmethod
+    def step_batch(seed: int):
+        rng = np.random.default_rng(seed)
+        B, H = 64, 10
+        t_eff = np.full(B, H)
+        t_eff[:3] = 0  # rows whose start state was already terminal
+        t_eff[3:12] = rng.integers(1, H, size=9)  # rollouts that ended early
+        rng.shuffle(t_eff)
+        rewards = rng.normal(size=(B, H))
+        boot_q = rng.normal(size=(B, H + 1))
+        boot_q[t_eff < H, t_eff[t_eff < H]] = 0.0
+        valid = np.arange(H)[None, :] < t_eff[:, None]
+        weights = np.where(valid, rng.random((B, H)), 0.0)
+        bootstrap_ok = (np.arange(H + 1)[None, :] <= t_eff[:, None]).astype(np.float64)
+        return rewards, boot_q, t_eff, weights, bootstrap_ok
+
+    # 0.95 is the default; at 0.99 the pairwise weight sums of the three
+    # longest starts round differently from sequential ones
+    @pytest.mark.parametrize("lam", [0.95, 0.99])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_exact(self, seed, lam):
+        rewards, boot_q, t_eff, weights, bootstrap_ok = self.step_batch(seed)
+        gamma = 0.997
+        got = lambda_return_batch(rewards, boot_q, t_eff, lam, gamma)
+        for g, w in zip(got, _oracles.loop_lambda_return_batch(rewards, boot_q, t_eff, lam, gamma)):
+            assert_same_bits(g, w)
+        got = full_return_batch(rewards, boot_q, t_eff, gamma)
+        for g, w in zip(got, _oracles.loop_full_return_batch(rewards, boot_q, t_eff, gamma)):
+            assert_same_bits(g, w)
+        got = policy_grad_coefficients(weights, t_eff, bootstrap_ok, lam, gamma)
+        want = _oracles.loop_policy_grad_coefficients(weights, t_eff, bootstrap_ok, lam, gamma)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+            assert g.flags.c_contiguous
+
+    def test_cached_tables_are_read_only(self):
+        rewards, boot_q, t_eff, _, _ = self.step_batch(0)
+        lambda_return_batch(rewards, boot_q, t_eff, 0.95, 0.997)
+        tables = returns._tables(10, 0.95, 0.997)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 1.0
