@@ -26,12 +26,13 @@ updates, so baseline variants share every other code path.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import container, envs, nn, returns, world_model
+from . import container, envs, forked, nn, returns, world_model
 from .expectile import ExpectileParam, expectile_weight
 from .rng import stream
 
@@ -55,7 +56,7 @@ __all__ = [
     "pretrain_fqe",
     "expand_dataset",
     "needs_model",
-    "uses_helper",
+    "elite_helper",
     "train_step",
     "evaluate_policy",
     "save_agent",
@@ -250,6 +251,7 @@ class AgentState:
     buffer: ModelStateBuffer
     step: int = 0
     extra: dict = field(default_factory=dict)  # the checkpoint header's free-form summary
+    seed: int | None = None  # the run seed the checkpoint header recorded, once loaded
 
     @property
     def policy(self) -> MlpPolicy:
@@ -350,12 +352,11 @@ class _Plan:
 
 @dataclass
 class _Remote:
-    """A mobile_lcb train step's call in the run's helper (a
-    `forked.Helper`): its job number (None when the rollout has no valid
-    row), and the `_lcb_rows` (s_t, a_t) that call was given."""
+    """A mobile_lcb train step's share of the elites in its `elite_helper`,
+    and the `_lcb_rows` (s_t, a_t): the helper has a call in flight on
+    them unless they are empty."""
 
     helper: object
-    lcb: int | None
     rows: tuple
 
 
@@ -388,7 +389,7 @@ def _lcb_rows(rollouts) -> tuple:
     return rollouts.states[:, :-1][valid], rollouts.actions[valid]
 
 
-def _elite_preds(plan, gamma: float, ensemble, members, s, a) -> tuple[list, list]:
+def _elite_preds(ensemble, plan, gamma: float, members, s, a) -> tuple[list, list]:
     """r_m + gamma * (1 - done(s')) * Q(s', pi(s')) and Q(s', pi(s')) for
     each member m of `members`, in order, where (s' - s, r_m) is m's
     predicted mean and done is `plan.env_spec`'s termination rule."""
@@ -410,13 +411,12 @@ def _elite_preds(plan, gamma: float, ensemble, members, s, a) -> tuple[list, lis
 
 
 def _send_elites(helper, plan, config: AgentConfig, ensemble, rollouts) -> _Remote:
-    """Hand the helper its `_split_elites` share of the LCB predictions."""
+    """Hand the helper, bound to `ensemble`, its `_split_elites` share of
+    the LCB predictions."""
     s, a = _lcb_rows(rollouts)
-    if not s.shape[0]:
-        return _Remote(helper, None, (s, a))
-    theirs = _split_elites(ensemble.elite_idx)[1]
-    keep = helper.keep(ensemble)
-    return _Remote(helper, helper.submit(_elite_preds, plan, config.gamma, keep, theirs, s, a), (s, a))
+    if s.shape[0]:
+        helper.call(plan, config.gamma, _split_elites(ensemble.elite_idx)[1], s, a)
+    return _Remote(helper, (s, a))
 
 
 def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> np.ndarray:
@@ -428,9 +428,9 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> n
     evaluates the elites the helper was not sent, and the helper's
     predictions join them in elite order."""
     here = ensemble.elite_idx if remote is None else _split_elites(ensemble.elite_idx)[0]
-    preds_r, preds_q = _elite_preds(plan, config.gamma, ensemble, here, s, a)
+    preds_r, preds_q = _elite_preds(ensemble, plan, config.gamma, here, s, a)
     if remote is not None:
-        theirs_r, theirs_q = remote.helper.result(remote.lcb)
+        theirs_r, theirs_q = remote.helper.result()
         preds_r += theirs_r
         preds_q += theirs_q
     preds_r = np.stack(preds_r)  # (E, N)
@@ -878,12 +878,23 @@ def needs_model(config: AgentConfig) -> bool:
     return config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
 
 
-def uses_helper(config: AgentConfig) -> bool:
-    """Whether `train_step` gives a helper work: a mobile_lcb step with beta
-    > 0. Other steps run here alone: on `leq_maze` the real-batch critic
-    terms (about 1.5 ms of a 20 ms step) did not pay for their transfer and
-    for the slowdown a busy second CPU brings."""
-    return config.beta > 0.0 and config.conservatism == "mobile_lcb"
+def elite_helper(state: AgentState, ensemble):
+    """A context that yields the `forked.Helper` for `state`'s main-loop
+    steps, bound to `ensemble`'s elite predictions, or None.
+
+    Only a mobile_lcb step with beta > 0 gives a helper work, and only
+    with a model and a step left to run is one forked (where
+    `forked.can_fork` allows). Other steps run here alone: on `leq_maze`
+    the real-batch critic terms (about 1.5 ms of a 20 ms step) did not pay
+    for their transfer and for the slowdown a busy second CPU brings. A
+    model-free run never loads `multiprocessing` here (about 0.6 MB of
+    peak RSS).
+    """
+    config = state.config
+    uses = config.beta > 0.0 and config.conservatism == "mobile_lcb"
+    if not uses or ensemble is None or state.step >= config.n_iter:
+        return contextlib.nullcontext()
+    return forked.serving(functools.partial(_elite_preds, ensemble))
 
 
 def train_step(
@@ -899,10 +910,11 @@ def train_step(
 
     `mean_q` needs one more critic forward, so only a `logged` step has it.
 
-    Given the run's `forked.Helper`, a step that `uses_helper` has the
-    helper compute its `_split_elites` share of the LCB predictions while
-    this process evaluates the rollout, the real-batch critic terms and the
-    other elites. Every result has the bits it has here.
+    Given the helper `elite_helper` yields for this state and ensemble,
+    the step has it compute its `_split_elites` share of the LCB
+    predictions while this process evaluates the rollout, the real-batch
+    critic terms and the other elites. Every result has the bits it has
+    here.
     """
     config = state.config
     plan = _Plan(
@@ -922,9 +934,7 @@ def train_step(
             rng,
             differentiable=config.policy_update == "lambda_expectile",
         )
-    remote = None
-    if helper is not None and uses_helper(config):
-        remote = _send_elites(helper, plan, config, ensemble, rollouts)
+    remote = None if helper is None else _send_elites(helper, plan, config, ensemble, rollouts)
 
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states serves both loss phases; the
@@ -1090,4 +1100,5 @@ def load_agent(path) -> AgentState:
         buffer=buffer,
         step=header["step"],
         extra=header["extra"],
+        seed=header["seed"],
     )

@@ -120,23 +120,24 @@ def _load_inputs(cfg: RunConfig):
     return env_spec, dataset
 
 
-def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper) -> tuple:
+def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock) -> tuple:
     """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
-    `out_dir`. A checkpoint past step 0 was written just after both CSVs,
-    which the resumed trace continues, so a missing one raises ConfigError
-    before anything is written here. Only once the ensemble and the
-    checkpoint pass their checks does `effective_config.json` record the
-    run's config, so a refused run leaves the directory's record as it was.
+    `out_dir`. A checkpoint of another seed would continue on other RNG
+    streams, and one past step 0 was written just after both CSVs, which
+    the resumed trace continues; either refusal raises ConfigError before
+    anything is written here. Only once the ensemble and the checkpoint
+    pass their checks does `effective_config.json` record the run's config,
+    so a refused run leaves the directory's record as it was.
     Otherwise the ensemble trains (when the agent `agent.needs_model`) and
     the agent is built, pretrained and checkpointed, the ensemble saved
     first, so a checkpoint never lacks its ensemble.
 
     When a fresh run both trains the ensemble and pretrains, BC and FQE are
     `world_model.train_ensemble`'s `beside` call: they run in this process,
-    while the members train in the run's `helper` if it has one, and after
-    they have trained here otherwise. Pretraining never reads the model.
+    while the members train in a helper if one forks, and after they have
+    trained here otherwise. Pretraining never reads the model.
     The `world_model` phase leaves out BC and FQE, so it times the wait for
     the helper and the save, or the training and the save.
     """
@@ -161,6 +162,8 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
         # the resumed trace would silently diverge from a fresh run
         if replace(state.config, n_iter=cfg.agent.n_iter) != cfg.agent:
             raise ConfigError("checkpoint was written by a different agent config")
+        if state.seed != cfg.seed:
+            raise ConfigError(f"checkpoint was written by a run with seed {state.seed}, not {cfg.seed}")
         for path in (os.path.join(out_dir, _TRAIN_CSV), os.path.join(out_dir, _EVAL_CSV)):
             if state.step > 0 and not os.path.exists(path):
                 raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")
@@ -177,7 +180,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     if train:
         with clock.phase("world_model"):
             ensemble = world_model.train_ensemble(
-                dataset, cfg.world_model, cfg.seed, pretrain if beside else None, helper
+                dataset, cfg.world_model, cfg.seed, pretrain if beside else None
             )
             world_model.save_ensemble(ens_path, ensemble)
     if fresh:
@@ -191,10 +194,10 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
 
 def _peak_rss_mb() -> dict:
     """Peak resident set of this process and of its largest child waited
-    for so far, in MB, both over the life of the process. A run's helper
-    counts the pages it still shares with this process. A vfork'd child
-    that execs (`git describe`) takes over this process's peak as its own,
-    so read this before `_build_id`."""
+    for so far, in MB, both over the life of the process. A helper counts
+    the pages it still shares with this process. A vfork'd child that execs
+    (`git describe`) takes over this process's peak as its own, so read
+    this before `_build_id`."""
     import resource
 
     return {
@@ -324,57 +327,39 @@ class _PhaseClock:
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
-    A run has one helper, a daemonic child forked on its first call, where
-    `forked.can_fork()` allows: the fork start method exists, the process
-    may run on at least 2 CPUs and is not a daemonic worker, and no `nn`
-    function has been wrapped. World-model training, BC and FQE run in
+    A run forks at most two helpers, each a daemonic child for one phase,
+    where `forked.can_fork()` allows: the fork start method exists, the
+    process may run on at least 2 CPUs and is not a daemonic worker, and no
+    `nn` function has been wrapped. World-model training, BC and FQE run in
     `_prepare_run`: a fresh run trains every member in one lockstep group,
-    in the helper while this process runs BC and then FQE, or without a
-    helper here, before BC and FQE. The main loop, expansion, evaluation
-    and checkpoints run in this process; a mobile_lcb step with beta > 0
-    hands the helper part of its elites (`agent.train_step`). Any other
-    run's helper is killed once pretraining is done, and a run that
-    imagines nothing has none. The helper is killed when the main loop
-    ends, or before a divergence snapshot is written, and never outlives
-    this call.
+    in a helper while this process runs BC and then FQE, or without one
+    here, before BC and FQE. The main loop, expansion, evaluation and
+    checkpoints run in this process; a mobile_lcb run with beta > 0 and a
+    step left forks a second helper for the loop, which computes part of
+    each step's elites (`agent.elite_helper`). Each helper is killed when
+    its phase ends, the loop's before a divergence snapshot is written, and
+    none outlives this call.
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
     is the wait for the helper's ensemble, or its training here, plus the
     save. `ensemble_train_s` is the ensemble's own training time wherever
     it ran (0 once loaded): beside `timing_s.world_model` it shows whether
-    training overlapped BC and FQE. `helper_busy_s` is the helper's own
-    seconds in main-loop calls and `helper_wait_s` the main loop's wait for
-    their results, both 0 without a helper. `eval_env_steps` counts the
-    true-environment steps the evaluations took.
+    training overlapped BC and FQE. `helper_busy_s` is the main loop's
+    helper's own seconds in its calls and `helper_wait_s` the loop's wait
+    for their results, both 0 without that helper. `eval_env_steps` counts
+    the true-environment steps the evaluations took.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
     """
-    with _serving(cfg) as helper:
-        return _run_training(cfg, out_dir, resume, helper)
-
-
-def _serving(cfg: RunConfig):
-    """`forked.serving()` for a run with a world model. A run without one
-    shares nothing, so it has no helper and never loads `multiprocessing`
-    (about 0.6 MB of peak RSS)."""
-    return forked.serving() if agent_mod.needs_model(cfg.agent) else contextlib.nullcontext()
-
-
-def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
     heap.set_heap_policy()
     clock = _PhaseClock()
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
-    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, helper)
-    if helper is not None and not agent_mod.uses_helper(state.config):
-        helper.close()  # no step will call it
-        helper = None
-    if helper is not None:  # count the main loop's calls only
-        helper.busy_s = helper.wait_s = 0.0
+    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
 
     term_fn = functools.partial(envs.terminated_batch, env_spec)
@@ -410,56 +395,52 @@ def _run_training(cfg: RunConfig, out_dir: str, resume: bool, helper) -> dict:
         eval_cols = list(eval_rows[0].keys())
 
     try:
-        while state.step < config.n_iter:
-            i = state.step
-            if (
-                config.use_expansion
-                and ensemble is not None
-                and i % config.t_expand == 0
-            ):
-                with clock.phase("expand"):
-                    agent_mod.expand_dataset(
-                        state.buffer,
-                        ensemble,
-                        state.policy,
-                        config,
-                        arrays[0],
-                        term_fn,
-                        stream(cfg.seed, "train.expand", i // config.t_expand),
-                    )
-            rng = stream(cfg.seed, "train.step", i)
-            idx = rng.integers(0, n_rows, size=min(config.batch_env, n_rows))
-            batch = _env_batch(arrays, idx)
-            starts = state.buffer.sample(config.batch_model, rng)
-            logged = (i + 1) % cfg.log_interval == 0 or i + 1 == config.n_iter
-            with clock.phase("train_step"):
-                metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged, helper)
-            if logged:
-                if not metrics_cols:
-                    metrics_cols = list(metrics.keys())
-                metrics_rows.append(metrics)
-            if state.step % cfg.eval_interval == 0 or state.step == config.n_iter:
-                eval_rows.append(run_eval(state.step))
-            if state.step % cfg.checkpoint_interval == 0 or state.step == config.n_iter:
-                # CSVs go first: after a hard kill the checkpoint must never
-                # be ahead of the logs, or resume would leave a gap
-                with clock.phase("checkpoint"):
-                    _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
-                    _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
-                    agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
+        with agent_mod.elite_helper(state, ensemble) as helper:
+            while state.step < config.n_iter:
+                i = state.step
+                if (
+                    config.use_expansion
+                    and ensemble is not None
+                    and i % config.t_expand == 0
+                ):
+                    with clock.phase("expand"):
+                        agent_mod.expand_dataset(
+                            state.buffer,
+                            ensemble,
+                            state.policy,
+                            config,
+                            arrays[0],
+                            term_fn,
+                            stream(cfg.seed, "train.expand", i // config.t_expand),
+                        )
+                rng = stream(cfg.seed, "train.step", i)
+                idx = rng.integers(0, n_rows, size=min(config.batch_env, n_rows))
+                batch = _env_batch(arrays, idx)
+                starts = state.buffer.sample(config.batch_model, rng)
+                logged = (i + 1) % cfg.log_interval == 0 or i + 1 == config.n_iter
+                with clock.phase("train_step"):
+                    metrics = agent_mod.train_step(state, ensemble, batch, starts, rng, logged, helper)
+                if logged:
+                    if not metrics_cols:
+                        metrics_cols = list(metrics.keys())
+                    metrics_rows.append(metrics)
+                if state.step % cfg.eval_interval == 0 or state.step == config.n_iter:
+                    eval_rows.append(run_eval(state.step))
+                if state.step % cfg.checkpoint_interval == 0 or state.step == config.n_iter:
+                    # CSVs go first: after a hard kill the checkpoint must never
+                    # be ahead of the logs, or resume would leave a gap
+                    with clock.phase("checkpoint"):
+                        _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
+                        _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
+                        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
     except agent_mod.DivergenceError as err:
-        if helper is not None:
-            helper.close()
         _write_divergence(out_dir, cfg, err, "train", state.step)
         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
 
-    # the loop's last step wrote the CSVs and the checkpoint; the helper is
-    # joined before the peak RSS is read, so that its own peak counts
-    if helper is not None:
-        helper.close()
-
+    # the loop's last step wrote the CSVs and the checkpoint; the helper was
+    # joined as its block ended, so its own peak counts below
     best = max(eval_rows, key=lambda r: (float(r["success_rate"]), float(r["mean_return"])))
     final = eval_rows[-1]
     peak_rss_mb = _peak_rss_mb()
@@ -514,8 +495,7 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    with _serving(cfg) as helper:
-        ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock(), helper)
+    ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock())
     if ensemble is not None:
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     for key, value in info.items():
@@ -697,6 +677,20 @@ def _verify_theory(theory, args) -> int:
 # parser and dispatch
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least `low`, so that a value out
+    of range is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leq-lab",
@@ -708,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True)
     p.add_argument("--collector", required=True, choices=datasets.COLLECTORS)
     p.add_argument("--n", type=int, required=True, help="number of trajectories")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 
@@ -725,8 +719,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint in the true environment")
     p.add_argument("checkpoint")
-    p.add_argument("--episodes", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--episodes", type=_int_at_least(1), default=50)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
@@ -737,7 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-theory", help="surrogate-loss contraction checks")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_verify_theory)
 

@@ -1,22 +1,16 @@
-"""A run's one helper process: a forked child that runs calls beside this one.
+"""A helper process: a forked child that runs one function beside this one.
 
-`serving()` yields a `Helper` where `can_fork()` allows, and None
-otherwise. The helper forks on its first call, which the child runs from
-its copy of this process's memory, so that call's arguments are never
-pickled. Later calls and every result cross a pipe, pickled. The child
-runs the calls one at a time, in the order they were submitted, and
-`result(job)` returns one call's result, keeping any earlier ones until
-they are asked for. A call is a module-level function and its arguments;
-`keep(value)` sends a value many calls share (the world model) once, and
-its token stands for the value in later calls' arguments.
-
-This process sends nothing while a call's result is still to come: it
-first reads every result due. The child reads a message only once it has
-sent its last result, so if both ends wrote at once, a message larger
-than the pipe's buffer would leave each waiting for the other to read.
+`serving(fn)` forks a `Helper` bound to `fn` where `can_fork()` allows,
+and yields None otherwise. `fn`, and whatever it binds (a
+`functools.partial`'s arguments), reach the child in its copy of this
+process's memory, so they are never pickled. `call(*args)` sends one call's
+arguments down a pipe, and `result()` waits for what `fn(*args)` returned.
+One call is in flight at a time: a second `call` before `result` raises.
+So neither end ever writes while the other does, and no message is too
+large for the pipe.
 
 A call that raises, or a child that dies, makes `result` raise
-HelperError. The child never outlives the `serving()` block, and ends by
+HelperError. The child never outlives the `serving(fn)` block, and ends by
 itself if this process dies, when its end of the pipe closes.
 """
 
@@ -59,127 +53,88 @@ def can_fork() -> bool:
     )
 
 
-class _Kept(int):
-    """Stands for a value sent by `Helper.keep` in a call's arguments: its key."""
-
-
 class Helper:
-    """A forked daemonic child that runs submitted calls in order.
+    """A forked daemonic child that runs `fn(*args)` for each `call(*args)`.
 
     `busy_s` sums the child's seconds inside the calls whose results came
     back, and `wait_s` the seconds this process waited for them.
     """
 
-    def __init__(self):
-        self._conn = None
-        self._child = None
-        self._sent = self._received = 0
-        self._results: dict = {}
-        self._kept: dict = {}  # id -> value, held so that the id stays this value's
+    def __init__(self, fn):
         self.busy_s = self.wait_s = 0.0
+        self._in_flight = False
+        self._fork(fn)
 
-    def _fork(self, first) -> None:
+    def _fork(self, fn) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, there = ctx.Pipe()
-        self._child = ctx.Process(target=self._serve, args=(there, first), daemon=True)
+        self._child = ctx.Process(target=self._serve, args=(fn, there), daemon=True)
         self._child.start()
         there.close()
 
-    def submit(self, fn, *args) -> int:
-        """Queue fn(*args) in the child; returns its job number for `result`."""
-        if self._child is None:
-            self._fork((fn, args))
-        else:
-            self._send(("call", fn, args))
-        self._sent += 1
-        return self._sent - 1
-
-    def keep(self, value) -> _Kept:
-        """A token that stands for `value` in later calls' arguments; the value
-        crosses to the child once."""
-        key = id(value)
-        if key not in self._kept:
-            self._send(("keep", key, value))
-            self._kept[key] = value
-        return _Kept(key)
-
-    def result(self, job: int):
-        """Job `job`'s result, waiting for it; HelperError if a call raised
-        or the child died."""
-        self._receive(job + 1)
-        return self._results.pop(job)
-
-    def _receive(self, through: int) -> None:
-        """Read results until the first `through` jobs' have come."""
-        t0 = time.perf_counter()
+    def call(self, *args) -> None:
+        """Start fn(*args) in the child; `result` returns its value."""
+        if self._in_flight:
+            raise RuntimeError("a helper call is already in flight: read its result first")
         try:
-            while self._received < through:
-                try:
-                    ok, value, busy_s = self._conn.recv()
-                except (EOFError, OSError):  # the child has gone
-                    raise self._exited() from None
-                self.busy_s += busy_s
-                if not ok:
-                    raise HelperError(f"helper process failed: {value}")
-                self._results[self._received] = value
-                self._received += 1
-        finally:
-            self.wait_s += time.perf_counter() - t0
-
-    def _send(self, message) -> None:
-        if self._child is None:
-            self._fork(None)
-        self._receive(self._sent)
-        try:
-            self._conn.send(message)
+            self._conn.send(args)
         except OSError:  # the child has gone, and its end of the pipe with it
             raise self._exited() from None
+        self._in_flight = True
+
+    def result(self):
+        """The call's result, waiting for it; HelperError if it raised or
+        the child died."""
+        if not self._in_flight:
+            raise RuntimeError("no helper call is in flight")
+        self._in_flight = False
+        t0 = time.perf_counter()
+        try:
+            ok, value, busy_s = self._conn.recv()
+        except (EOFError, OSError):  # the child has gone
+            raise self._exited() from None
+        finally:
+            self.wait_s += time.perf_counter() - t0
+        self.busy_s += busy_s
+        if not ok:
+            raise HelperError(f"helper process failed: {value}")
+        return value
 
     def _exited(self) -> HelperError:
         self._child.join()
         return HelperError(f"helper process exited with code {self._child.exitcode}")
 
     def close(self) -> None:
-        """Kill the child, if it forked, and wait for it; calling again does nothing."""
-        if self._child is None or self._conn.closed:
+        """Kill the child and wait for it; calling again does nothing."""
+        if self._conn.closed:
             return
         self._conn.close()
         self._child.kill()
         self._child.join()
-        self._results.clear()
 
-    def _serve(self, conn, call) -> None:
-        """The child: run `call`, if any, then every message that arrives, in order."""
+    def _serve(self, fn, conn) -> None:
+        """The child: run fn on each call's arguments as they arrive."""
         self._conn.close()  # so that the child sees EOF once this process is gone
         while True:
-            if call is not None:
-                fn, args = call
-                args = [self._kept[a] if isinstance(a, _Kept) else a for a in args]
-                t0 = time.perf_counter()
-                try:
-                    reply = (True, fn(*args))
-                except Exception as err:  # `result` raises it here as a HelperError
-                    reply = (False, f"{type(err).__name__}: {err}")
-                conn.send((*reply, time.perf_counter() - t0))
             try:
-                kind, *message = conn.recv()
+                args = conn.recv()
             except (EOFError, OSError):  # this process has gone
                 return
-            if kind == "keep":
-                key, value = message
-                self._kept[key] = value
-                call = None
-            else:
-                call = message
+            t0 = time.perf_counter()
+            try:
+                reply = (True, fn(*args))
+            except Exception as err:  # `result` raises it here as a HelperError
+                reply = (False, f"{type(err).__name__}: {err}")
+            conn.send((*reply, time.perf_counter() - t0))
 
 
 @contextlib.contextmanager
-def serving():
-    """A Helper where `can_fork()` allows, else None; its child, if it
-    forked, is killed when the block ends."""
-    helper = Helper() if can_fork() else None
+def serving(fn):
+    """A Helper bound to `fn` where `can_fork()` allows, else None; its
+    child is killed when the block ends."""
+    helper = Helper(fn) if can_fork() else None
     try:
         yield helper
     finally:

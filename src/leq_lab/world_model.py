@@ -14,15 +14,15 @@ has the bits of the member's own 2-D call, and a member's draws do not
 depend on its neighbours, the ensemble has the bits of training the
 members one after another.
 
-The members train in the calling process. Given a `beside` call and a
-`forked.Helper`, as `cli.run_training` gives BC and FQE pretraining and
-the run's helper, they train in the helper while the call runs here. A
-run has a helper where `forked.can_fork` allows: the fork start method
-exists, the process may run on at least 2 CPUs and is not a daemonic
-worker, and no `nn` function has been wrapped since import, as a tracer
-or a test's spy does (the wrapper would never see the child's calls).
-In a run, the training is the helper's first call, so the helper forks
-then and finds the data in its copy of the run's memory, unpickled.
+The members train in the calling process. Given a `beside` call, as
+`cli.run_training` gives BC and FQE pretraining, they train in a helper
+forked for them (`forked.serving`) while the call runs here, where
+`forked.can_fork` allows: the fork start method exists, the process may
+run on at least 2 CPUs and is not a daemonic worker, and no `nn` function
+has been wrapped since import, as a tracer or a test's spy does (the
+wrapper would never see the child's calls). The helper forks once the
+data is split, so it finds the data in its copy of the run's memory,
+unpickled, and it ends before the ensemble is built.
 
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
@@ -45,9 +45,10 @@ activations in sorted order, with the permutation and the group bounds.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -199,17 +200,6 @@ class EnsembleWorldModel:
             )
         self.member_params.flags.writeable = False
 
-    def __getstate__(self) -> dict:
-        # `_layers` is rebuilt on first use: a pickled copy would come back
-        # as arrays of its own, not views of the restored member_params
-        state = dict(self.__dict__)
-        state.pop("_layers", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.member_params.flags.writeable = False
-
     @cached_property
     def _layers(self) -> list:
         """(W (M, in, out), b (M, out)) per layer, the readout last: views of
@@ -260,9 +250,7 @@ def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
     return best_params, val_nll, time.perf_counter() - t0
 
 
-def train_ensemble(
-    dataset, config: WorldModelConfig, seed: int, beside=None, helper=None
-) -> EnsembleWorldModel:
+def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) -> EnsembleWorldModel:
     """Train all members on a shared split; pick elites by validation NLL.
 
     The members train in one lockstep group. Every member draws its init
@@ -272,11 +260,11 @@ def train_ensemble(
     another.
 
     `beside`, a call with no arguments, runs in this process: while the
-    members train in `helper` (a `forked.Helper`), which `cli.run_training`
+    members train in a helper forked for them, which `cli.run_training`
     uses to pretrain the agent meanwhile, and otherwise after they have
-    trained here. If it raises, the error goes on, and the helper's owner
-    ends the helper. A helper call that fails, or a helper that dies,
-    raises WorldModelError. Without `beside` the members always train here.
+    trained here. If it raises, the error goes on and the helper is killed.
+    A helper call that fails, or a helper that dies, raises
+    WorldModelError. Without `beside` the members always train here.
 
     It first sets `heap.set_heap_policy`'s thresholds, as `cli.run_training`
     does: without them glibc maps and unmaps every freed temporary of 128 KB
@@ -294,17 +282,19 @@ def train_ensemble(
     val_rows = val_rows[: config.max_val_rows]
     data = (inputs[train_rows], targets[train_rows], inputs[val_rows], targets[val_rows])
 
-    if beside is not None and helper is not None:
-        job = helper.submit(_train_members, spec, data, config, seed)
-        beside()
-        try:
-            member_params, val_nll, train_s = helper.result(job)
-        except forked.HelperError as err:
-            raise WorldModelError(f"world-model training failed: {err}") from err
-    else:
-        member_params, val_nll, train_s = _train_members(spec, data, config, seed)
-        if beside is not None:
+    train = partial(_train_members, spec, data, config, seed)
+    with forked.serving(train) if beside is not None else contextlib.nullcontext() as helper:
+        if helper is None:
+            member_params, val_nll, train_s = train()
+            if beside is not None:
+                beside()
+        else:
+            helper.call()
             beside()
+            try:
+                member_params, val_nll, train_s = helper.result()
+            except forked.HelperError as err:
+                raise WorldModelError(f"world-model training failed: {err}") from err
     order = np.argsort(val_nll, kind="stable")
     elites = [int(i) for i in order[: config.n_elites]]
     if not np.isfinite(val_nll[elites]).all():

@@ -309,10 +309,9 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
     # the helper's elites predict terminal states too
     assert all(terminal_predictions(ensemble, ro, m) for m in elite_idx)
     here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
-    helper = forked.Helper()
+    helper = forked.Helper(functools.partial(agent._elite_preds, ensemble))
     try:
         remote = agent._send_elites(helper, plan, config, ensemble, ro)
-        assert remote.lcb is not None
         there = agent._mobile_targets(plan, config, ensemble, *remote.rows, remote)
     finally:
         helper.close()
@@ -339,6 +338,18 @@ def _maze_ensemble(spec, n_elites: int):
     )
 
 
+def _counting_calls(monkeypatch) -> list:
+    """A list that grows by one with each `forked.Helper.call`."""
+    counted, call = [], forked.Helper.call
+
+    def counting(self, *args):
+        counted.append(1)
+        return call(self, *args)
+
+    monkeypatch.setattr(forked.Helper, "call", counting)
+    return counted
+
+
 def _state_bytes(state) -> dict:
     arrays = {
         "policy": state.policy_params,
@@ -359,17 +370,18 @@ def _state_bytes(state) -> dict:
     ids=["mobile_lcb-awr", "lower_expectile-lambda_expectile"],
 )
 def test_train_step_through_the_helper_has_the_bits_of_this_process(
-    conservatism, update, n_elites, forks
+    conservatism, update, n_elites, forks, monkeypatch
 ):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    calls = _counting_calls(monkeypatch)
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(
-        conservatism=conservatism, policy_update=update, horizon=4, n_expand=10,
+        conservatism=conservatism, policy_update=update, horizon=4, n_expand=10, n_iter=3,
         hidden_actor=(16, 16), hidden_critic=(16, 16),
     )
     ensemble = _maze_ensemble(spec, n_elites)
     here, there = (agent.build_agent(config, spec, seed=0) for _ in range(2))
-    helper = forked.Helper()
-    try:
+    with agent.elite_helper(there, ensemble) as helper:
         for step in range(3):
             batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
             starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(8, spec.obs_dim))
@@ -381,23 +393,24 @@ def test_train_step_through_the_helper_has_the_bits_of_this_process(
                 k: np.float64(v).tobytes() for k, v in want.items()
             }
             assert _state_bytes(there) == _state_bytes(here), step
-    finally:
-        helper.close()
     # a mobile_lcb step sends its elites; any other step runs here alone
     if conservatism == "mobile_lcb":
-        assert forks == [1] and helper._sent == 3 and helper.busy_s > 0.0
+        assert forks == [1] and calls == [1] * 3 and helper.busy_s > 0.0
     else:
-        assert forks == [] and helper._sent == 0
+        assert forks == [] and calls == [] and helper is None
 
 
-def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(deadline, forks):
+def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(
+    deadline, forks, monkeypatch
+):
+    calls = _counting_calls(monkeypatch)
     # the policy and critic params (256, 256) a step sends come to about
     # 1 MB, several times a pipe's buffer
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(conservatism="mobile_lcb", policy_update="awr", horizon=4)
     ensemble = _maze_ensemble(spec, 3)
     here, there = (agent.build_agent(config, spec, seed=0) for _ in range(2))
-    helper = forked.Helper()
+    helper = forked.Helper(functools.partial(agent._elite_preds, ensemble))
     deadline(60.0)
     try:
         for step in range(2):
@@ -411,7 +424,7 @@ def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(dead
             assert _state_bytes(there) == _state_bytes(here), step
     finally:
         helper.close()
-    assert forks == [1] and helper._sent == 2
+    assert forks == [1] and calls == [1] * 2
 
 
 class _FlatDataset:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from leq_lab import agent, cli, datasets, envs, heap, returns, world_model
+from leq_lab import agent, cli, datasets, envs, forked, heap, returns, world_model
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
 
 
@@ -63,6 +63,10 @@ def _forbidden(*args):
     raise AssertionError("trained or forked")
 
 
+def _unpicklable(*args):
+    raise AssertionError("pickled")
+
+
 # the agent whose main-loop steps the run's helper shares
 _LCB = {"conservatism": "mobile_lcb", "policy_update": "awr"}
 
@@ -75,11 +79,11 @@ def test_resumed_run_matches_an_uninterrupted_one(overrides, tmp_path, monkeypat
     halves = tmp_path / "halves"
     short = {**raw, "agent": {**raw["agent"], "n_iter": 10}}
     cli.run_training(parse_run_config(short), str(halves))
-    # a resume loads the saved ensemble: it trains nothing, and its helper
-    # forks at the first main-loop step it shares
+    # each fresh run forks to train its ensemble, and a mobile_lcb run again
+    # for its main loop; a resume loads the saved ensemble and trains nothing
     monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
     resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
-    assert forks == [1, 1, 1] if overrides else [1, 1]
+    assert forks == ([1] * 5 if overrides else [1] * 2)
     assert (resumed["helper_busy_s"] > 0.0) == bool(overrides)
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
@@ -147,6 +151,21 @@ def test_a_pretrained_step_0_checkpoint_resumes_into_the_files_of_a_fresh_run(tm
     cli.run_training(parse_run_config(raw), str(tmp_path / "fresh"))
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (pre / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_a_resume_with_another_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+    raw = _run_config(tmp_path, env="dense_chain", agent_overrides={"n_iter": 5})
+    config = tmp_path / "run.json"
+    run = tmp_path / "run"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+    kept = sorted(p.name for p in run.iterdir())
+    before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept}
+    config.write_text(json.dumps({**raw, "seed": 7, "agent": {**raw["agent"], "n_iter": 10}}))
+    assert cli.main(["train", str(config), "--out-dir", str(run), "--resume"]) == 2
+    assert capsys.readouterr().err == "error: checkpoint was written by a run with seed 0, not 7\n"
+    assert sorted(p.name for p in run.iterdir()) == kept
+    assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
 
 
 def test_effective_config_reparses_to_the_run_config(tmp_path):
@@ -333,29 +352,30 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
     raw["world_model"]["train_steps"] = 30
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     assert report == json.loads((tmp_path / "run" / "report.json").read_text())
-    # trained in the helper while BC and FQE ran here; the helper then served
-    # the main loop
-    assert forks == [1] and report["ensemble_train_s"] > 0.0
+    # trained in one helper while BC and FQE ran here; a second served the
+    # main loop
+    assert forks == [1, 1] and report["ensemble_train_s"] > 0.0
     assert report["helper_busy_s"] > 0.0 and report["helper_wait_s"] >= 0.0
     assert "ensemble_groups" not in report and "ensemble_beside_pretraining" not in report
     # the helper is among the finished children
     assert set(report["peak_rss_mb"]) == {"self", "children"}
     assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
     resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
-    assert resumed["ensemble_train_s"] == 0.0 and forks == [1]  # loaded, not trained
-    assert resumed["helper_busy_s"] == resumed["helper_wait_s"] == 0.0  # no step left to run
-    # without pretraining to overlap, the members train here, and the helper
-    # forks at the first main-loop step
+    # loaded, not trained, and no step left to run: no helper
+    assert resumed["ensemble_train_s"] == 0.0 and forks == [1, 1]
+    assert resumed["helper_busy_s"] == resumed["helper_wait_s"] == 0.0
+    # without pretraining to overlap, the members train here, and only the
+    # main loop forks
     unpretrained = {**raw, "agent": {**raw["agent"], "bc_steps": 0, "fqe_steps": 0}}
     report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
-    assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1, 1]
+    assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1] * 3
     # one CPU: no helper
     with monkeypatch.context() as patch:
         _one_cpu(patch)
         report = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
-    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1, 1]
-    # a lower-expectile run's helper trains the ensemble, then ends before
-    # the main loop, whose steps it would not serve
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 3
+    # a lower-expectile run's helper trains the ensemble and ends with that
+    # phase; no helper serves its main loop
     plain = {**raw, "agent": {**raw["agent"], "conservatism": "lower_expectile"}}
     step, children = agent.train_step, []
 
@@ -365,22 +385,43 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
 
     monkeypatch.setattr(agent, "train_step", counting_children)
     report = cli.run_training(parse_run_config(plain), str(tmp_path / "plain"))
-    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1, 1, 1]
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 4
     assert children == [0] * 5
+
+
+def test_the_main_loop_forks_its_own_helper_once_the_training_one_has_ended(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    fork, forked_for = forked.Helper._fork, []
+
+    def recording(self, fn):
+        alive = multiprocessing.active_children()
+        fork(self, fn)
+        forked_for.append((fn.func.__name__, self._child.pid, alive))
+
+    monkeypatch.setattr(forked.Helper, "_fork", recording)
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5, **_LCB})
+    cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    (train, train_pid, _), (loop, loop_pid, alive) = forked_for
+    assert (train, loop) == ("_train_members", "_elite_preds")
+    assert train_pid != loop_pid and alive == []
 
 
 @pytest.mark.parametrize("overrides", [{}, _LCB], ids=["lower_expectile", "mobile_lcb"])
 def test_a_run_with_a_helper_writes_the_files_of_one_without(
     overrides, tmp_path, monkeypatch, forks
 ):
+    # the helpers find the ensemble and the data in their copy of this
+    # process's memory: nothing pickles the ensemble
+    monkeypatch.setattr(world_model.EnsembleWorldModel, "__reduce_ex__", _unpicklable)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 10, **overrides})
     with monkeypatch.context() as patch:
         _two_cpus(patch)
         helped = cli.run_training(parse_run_config(raw), str(tmp_path / "helped"))
-    assert forks == [1] and (helped["helper_busy_s"] > 0.0) == bool(overrides)
+    n_forks = 2 if overrides else 1
+    assert forks == [1] * n_forks and (helped["helper_busy_s"] > 0.0) == bool(overrides)
     _one_cpu(monkeypatch)
     alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
-    assert forks == [1]
+    assert forks == [1] * n_forks
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
         assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
     assert helped["pretrain"] == alone["pretrain"]
@@ -466,7 +507,7 @@ def test_a_failing_helper_in_the_main_loop_exits_1_and_leaves_nothing_running(
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
-    assert forks == [1] and multiprocessing.active_children() == []
+    assert forks == [1, 1] and multiprocessing.active_children() == []
     assert not (tmp_path / "run" / "metrics.csv").exists()
     assert not (tmp_path / "run" / "divergence.json").exists()
 
@@ -491,7 +532,7 @@ def test_a_main_loop_divergence_stops_the_helper_before_its_snapshot(
     config.write_text(json.dumps(_run_config(tmp_path, agent_overrides=_LCB)))
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: policy loss diverged\n"
-    assert forks == [1] and running == [[]]
+    assert forks == [1, 1] and running == [[]]
     snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
     assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("policy loss diverged", "train", 0)
 
@@ -566,6 +607,28 @@ def test_pretrain_of_a_model_free_agent_trains_no_world_model(tmp_path, monkeypa
     assert not (out / "world_model.leqm").exists()
     # a stage with no steps does not run
     assert set(agent.load_agent(out / "checkpoint.leqa").extra["pretrain"]) == {"fqe_loss"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "{out}/run/checkpoint.leqa", "--episodes", "0", "--out", "{out}/eval.json"],
+        ["eval", "{out}/run/checkpoint.leqa", "--seed", "-1", "--out", "{out}/eval.json"],
+        ["gen-data", "--env", "dense_chain", "--collector", "random", "--n", "2",
+         "--seed", "-1", "--out", "{out}/d.leqd"],
+        ["verify-theory", "--trials", "10", "--seed", "-1", "--out-dir", "{out}/theory"],
+    ],
+    ids=["eval-episodes-0", "eval-seed-negative", "gen-data-seed-negative", "verify-theory-seed-negative"],
+)
+def test_an_integer_flag_out_of_range_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(SystemExit) as caught:
+        cli.main([arg.format(out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert caught.value.code == 2 and captured.out == ""
+    assert "error: argument --" in captured.err and "must be at least" in captured.err
+    assert list(out.iterdir()) == []
 
 
 def test_gen_data_has_no_normalize_flag(tmp_path, capsys):

@@ -114,10 +114,9 @@ def test_in_this_process_and_forked_give_the_per_member_loop_bits(
     want = _outcome(_oracles.loop_train_ensemble, dataset, config, tmp_path)
     assert _outcome(wm.train_ensemble, dataset, config, tmp_path) == want, "in this process"
     _two_cpus(monkeypatch)
-    with forked.serving() as helper:
-        beside = partial(wm.train_ensemble, beside=lambda: None, helper=helper)
-        assert _outcome(beside, dataset, config, tmp_path) == want, "in the helper"
-    assert forks == [1]
+    beside = partial(wm.train_ensemble, beside=lambda: None)
+    assert _outcome(beside, dataset, config, tmp_path) == want, "in the helper"
+    assert forks == [1] and multiprocessing.active_children() == []
 
 
 @_POISONED
@@ -136,7 +135,7 @@ def test_the_divergence_cases_hold_their_premise(collected, tmp_path):
 
 def _train_in_a_child(collected, monkeypatch, child_hook, beside=lambda: None):
     """Train the members in a helper, with a hook run before every Adam step
-    of the child, while `beside` runs here; the helper is closed after."""
+    of the child, while `beside` runs here."""
     parent, adam_step = os.getpid(), nn.adam_step
 
     def hooked(*args, **kwargs):
@@ -145,13 +144,10 @@ def _train_in_a_child(collected, monkeypatch, child_hook, beside=lambda: None):
         return adam_step(*args, **kwargs)
 
     monkeypatch.setattr(nn, "adam_step", hooked)
+    # the hook wraps an `nn` call, which `forked.can_fork` would refuse
+    monkeypatch.setattr(forked, "can_fork", lambda: True)
     dataset, config = _case(collected, "maze_elu_interval_divides")
-    # the hook wraps an `nn` call, so `forked.serving` would give no helper
-    helper = forked.Helper()
-    try:
-        return wm.train_ensemble(dataset, config, 0, beside=beside, helper=helper)
-    finally:
-        helper.close()
+    return wm.train_ensemble(dataset, config, 0, beside=beside)
 
 
 def test_a_child_that_exits_mid_training_raises_and_leaves_nothing_running(collected, monkeypatch):
@@ -198,10 +194,8 @@ def test_a_wrapped_nn_call_keeps_every_member_in_this_process(collected, monkeyp
 
     monkeypatch.setattr(nn, "forward_cached", spy)
     # a helper's calls would land in the child's copy of the spy
-    with forked.serving() as helper:
-        assert helper is None
-        dataset, config = _case(collected, "maze_elu_interval_divides")
-        wm.train_ensemble(dataset, config, 0, beside=lambda: None, helper=helper)
+    dataset, config = _case(collected, "maze_elu_interval_divides")
+    wm.train_ensemble(dataset, config, 0, beside=lambda: None)
     assert forks == [] and stacks == [config.n_members] * config.train_steps
 
 
@@ -213,10 +207,7 @@ def test_a_beside_call_runs_here_and_leaves_the_bits_alone(collected, monkeypatc
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
 
         def train(*args):
-            with forked.serving() as helper:
-                ensemble = wm.train_ensemble(
-                    *args, beside=lambda: ran.append(os.getpid()), helper=helper
-                )
+            ensemble = wm.train_ensemble(*args, beside=lambda: ran.append(os.getpid()))
             assert ensemble.train_s > 0.0
             return ensemble
 
