@@ -42,7 +42,6 @@ __all__ = [
     "DivergenceError",
     "AgentConfig",
     "MlpPolicy",
-    "MlpCritic",
     "ModelStateBuffer",
     "AgentState",
     "build_agent",
@@ -167,19 +166,7 @@ class MlpPolicy:
     params: np.ndarray
 
     def __call__(self, states):
-        return np.tanh(nn.forward(self.spec, self.params, states))
-
-
-@dataclass
-class MlpCritic:
-    """Scalar Q network: (B, S) states and (B, A) actions to (B,) values."""
-
-    spec: nn.MlpSpec
-    params: np.ndarray
-
-    def __call__(self, states, actions):
-        x = np.concatenate([states, actions], axis=1)
-        return nn.forward(self.spec, self.params, x)[:, 0]
+        return _policy_forward(self.spec, self.params, states)[0]
 
 
 def policy_spec_for(obs_dim: int, act_dim: int, hidden: tuple[int, ...]) -> nn.MlpSpec:
@@ -245,7 +232,7 @@ class AgentState:
     critic_spec: nn.MlpSpec
     policy_params: np.ndarray
     critic_params: np.ndarray
-    critic_ema: nn.EmaTracker
+    critic_ema: np.ndarray  # the critic's EMA shadow parameters
     adam_actor: nn.AdamState
     adam_critic: nn.AdamState
     buffer: ModelStateBuffer
@@ -256,10 +243,6 @@ class AgentState:
     @property
     def policy(self) -> MlpPolicy:
         return MlpPolicy(self.policy_spec, self.policy_params)
-
-    @property
-    def critic(self) -> MlpCritic:
-        return MlpCritic(self.critic_spec, self.critic_params)
 
 
 def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> AgentState:
@@ -274,7 +257,7 @@ def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> Agent
         critic_spec=c_spec,
         policy_params=p_params,
         critic_params=c_params,
-        critic_ema=nn.init_ema(c_params, config.ema_decay),
+        critic_ema=c_params.copy(),
         adam_actor=nn.init_adam(p_params.size, config.lr_actor),
         adam_critic=nn.init_adam(c_params.size, config.lr_critic),
         buffer=ModelStateBuffer.create(10 * config.n_expand, env_spec.obs_dim),
@@ -282,7 +265,9 @@ def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> Agent
 
 
 # ---------------------------------------------------------------------------
-# forward helpers
+# forward helpers: the only way this module evaluates the critic and the
+# policy. A caller that needs only the output takes [0], so the cache is
+# freed as the call returns.
 
 
 def _critic_forward(spec, params, states, actions):
@@ -321,16 +306,12 @@ class _CriticEval:
 def _policy_eval(plan, rollouts) -> _PolicyEval:
     B, Hp1, S = rollouts.states.shape
     flat = rollouts.states.transpose(1, 0, 2).reshape(Hp1 * B, S)
-    pre, cache = nn.forward_cached(plan.policy_spec, plan.policy_params, flat)
-    return _PolicyEval(flat, np.tanh(pre), cache)
+    return _PolicyEval(flat, *_policy_forward(plan.policy_spec, plan.policy_params, flat))
 
 
 def _critic_eval(plan, rollouts, pol: _PolicyEval) -> _CriticEval:
     B, Hp1, S = rollouts.states.shape
-    q, cache = nn.forward_cached(
-        plan.critic_spec, plan.critic_params, np.concatenate([pol.flat_states, pol.acts], axis=1)
-    )
-    q = q[:, 0]
+    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, pol.flat_states, pol.acts)
     boot_q = np.ascontiguousarray(q.reshape(Hp1, B).T)
     rows = np.arange(B)
     apex = rollouts.t_eff
@@ -400,10 +381,8 @@ def _elite_preds(ensemble, plan, gamma: float, members, s, a) -> tuple[list, lis
         mu = out[:, : ensemble.obs_dim + 1]
         nxt = s + mu[:, : ensemble.obs_dim]
         r = mu[:, ensemble.obs_dim]
-        acts = np.tanh(nn.forward(plan.policy_spec, plan.policy_params, nxt))
-        q = nn.forward(plan.critic_spec, plan.critic_params, np.concatenate([nxt, acts], axis=1))[
-            :, 0
-        ]
+        acts = _policy_forward(plan.policy_spec, plan.policy_params, nxt)[0]
+        q = _critic_forward(plan.critic_spec, plan.critic_params, nxt, acts)[0]
         done = envs.terminated_batch(plan.env_spec, nxt)
         preds_r.append(r + gamma * (1.0 - done) * q)
         preds_q.append(q)
@@ -444,19 +423,10 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> n
 
 def _bellman_target(plan, config: AgentConfig, batch: dict) -> np.ndarray:
     """r + gamma * (1 - done) * Q(s', pi(s')) on real transitions, as a constant."""
-    next_acts = np.tanh(nn.forward(plan.policy_spec, plan.policy_params, batch["next_states"]))
-    next_q = nn.forward(
-        plan.critic_spec,
-        plan.critic_params,
-        np.concatenate([batch["next_states"], next_acts], axis=1),
-    )[:, 0]
+    next_s = batch["next_states"]
+    next_acts = _policy_forward(plan.policy_spec, plan.policy_params, next_s)[0]
+    next_q = _critic_forward(plan.critic_spec, plan.critic_params, next_s, next_acts)[0]
     return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
-
-
-def _shadow_q(plan, shadow_params, batch: dict) -> np.ndarray:
-    """The EMA shadow critic's Q on real (s, a)."""
-    x = np.concatenate([batch["states"], batch["actions"]], axis=1)
-    return nn.forward(plan.critic_spec, shadow_params, x)[:, 0]
 
 
 def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval, remote=None):
@@ -518,7 +488,9 @@ def critic_loss_env(plan, config: AgentConfig, batch: dict, fwd: tuple):
 def critic_loss_ema(plan, shadow_params, batch: dict, fwd: tuple):
     """Squared drift of the critic from its EMA shadow on real (s, a), at
     `critic_loss_env`'s `fwd`."""
-    q_shadow = _shadow_q(plan, shadow_params, batch)
+    q_shadow = _critic_forward(
+        plan.critic_spec, shadow_params, batch["states"], batch["actions"]
+    )[0]
     q, cache = fwd
     diff = q - q_shadow
     loss = float((diff * diff).mean())
@@ -541,7 +513,9 @@ def critic_loss_total(
     which computes them while the env and EMA terms run here first.
     """
     target = _bellman_target(plan, config, env_batch)
-    q_shadow = _shadow_q(plan, shadow_params, env_batch)
+    q_shadow = _critic_forward(
+        plan.critic_spec, shadow_params, env_batch["states"], env_batch["actions"]
+    )[0]
     q, cache = _critic_forward(
         plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
     )
@@ -720,22 +694,25 @@ def _check_rows(states: np.ndarray, stage: str) -> None:
 
 
 def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed: int, lr: float, batch: int = 256):
-    """Behavioral cloning: minimize ||tanh(mlp(s)) - a||^2 over the dataset."""
+    """Behavioral cloning: minimize ||tanh(mlp(s)) - a||^2 over the dataset.
+
+    Returns the params and the last step's batch MSE, taken before its
+    update (nan at zero steps)."""
     states, actions, _, _, _ = dataset.flat_arrays()
     _check_rows(states, "BC")
+    if steps <= 0:
+        return params, float("nan")
     rng = stream(seed, "pretrain.bc")
     adam = nn.init_adam(params.size, lr)
-    mse = float("nan")
     for _ in range(steps):
         idx = rng.integers(0, states.shape[0], size=min(batch, states.shape[0]))
         acts, cache = _policy_forward(spec, params, states[idx])
         res = acts - actions[idx]
-        mse = float((res * res).sum(axis=1).mean())
         g_act = 2.0 * res / res.shape[0]
         g_pre = g_act * (1.0 - acts * acts)
         grad, _ = nn.backward_cached(spec, params, cache, g_pre, params_only=True)
         adam, params = nn.adam_step(adam, params, grad)
-    return params, mse
+    return params, float((res * res).sum(axis=1).mean())
 
 
 def _fill_in_blocks(out: np.ndarray, size: int, rows_fn) -> np.ndarray:
@@ -802,7 +779,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     tables = -(-n // size) * (1 + -(-steps // target_every)) < 2 * steps
 
     def targets(rows, next_a, target):
-        next_q = nn.forward(spec, target, np.concatenate([next_states[rows], next_a], axis=1))[:, 0]
+        next_q = _critic_forward(spec, target, next_states[rows], next_a)[0]
         return rewards[rows] + gamma * (1.0 - terminals[rows]) * next_q
 
     if tables:
@@ -943,7 +920,7 @@ def train_step(
     pol = _policy_eval(plan, rollouts) if reads_pol and rollouts is not None else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
-            plan, config, ensemble, rollouts, env_batch, state.critic_ema.shadow, pol, remote
+            plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, remote
         )
     else:
         # one critic forward over the real (s, a) serves both terms' backward passes
@@ -951,7 +928,7 @@ def train_step(
             plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
         )
         l_env, g_env = critic_loss_env(plan, config, env_batch, fwd)
-        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema.shadow, env_batch, fwd)
+        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema, env_batch, fwd)
         total = l_env + config.omega_ema * l_ema
         c_grad = g_env + config.omega_ema * g_ema
         parts = {"loss_model": 0.0, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
@@ -960,7 +937,7 @@ def train_step(
     state.adam_critic, state.critic_params = nn.adam_step(
         state.adam_critic, state.critic_params, c_grad
     )
-    state.critic_ema = nn.ema_update(state.critic_ema, state.critic_params)
+    nn.ema_update(state.critic_ema, state.critic_params, config.ema_decay)
 
     # adam_step updated critic_params in place, so the actor sees the new values
     if config.policy_update == "lambda_expectile":
@@ -978,7 +955,10 @@ def train_step(
 
     metrics = {"step": state.step, "loss_policy": p_loss}
     if logged:
-        metrics["mean_q"] = float(np.mean(state.critic(env_batch["states"], env_batch["actions"])))
+        q = _critic_forward(
+            state.critic_spec, state.critic_params, env_batch["states"], env_batch["actions"]
+        )[0]
+        metrics["mean_q"] = float(np.mean(q))
     scalars = {k: v for k, v in p_info.items() if isinstance(v, (int, float))}
     return {**metrics, **parts, **scalars}
 
@@ -1052,7 +1032,7 @@ def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | N
     arrays = {
         "policy_params": state.policy_params,
         "critic_params": state.critic_params,
-        "ema_shadow": state.critic_ema.shadow,
+        "ema_shadow": state.critic_ema,
         "adam_actor_m": state.adam_actor.m,
         "adam_actor_v": state.adam_actor.v,
         "adam_critic_m": state.adam_critic.m,
@@ -1069,7 +1049,6 @@ def load_agent(path) -> AgentState:
         raise AgentFormatError(f"agent checkpoint {err}") from err
     config = container.from_dict(AgentConfig, header["config"])
     env_spec = envs.make_env_spec(header["env"])
-    ema = nn.EmaTracker(shadow=views["ema_shadow"], decay=config.ema_decay)
     adam_a = nn.AdamState(
         m=views["adam_actor_m"],
         v=views["adam_actor_v"],
@@ -1094,7 +1073,7 @@ def load_agent(path) -> AgentState:
         critic_spec=container.from_dict(nn.MlpSpec, header["critic_spec"]),
         policy_params=views["policy_params"],
         critic_params=views["critic_params"],
-        critic_ema=ema,
+        critic_ema=views["ema_shadow"],
         adam_actor=adam_a,
         adam_critic=adam_c,
         buffer=buffer,

@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -30,7 +31,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import agent as agent_mod
-from . import container, datasets, envs, forked, heap, nn, world_model
+from . import container, datasets, envs, forked, heap, world_model
 from .config import ConfigError, RunConfig, load_matrix_config, load_run_config
 from .expectile import InputValidationError, ScalarDistribution, expectile_of
 from .rng import stream
@@ -120,16 +121,28 @@ def _load_inputs(cfg: RunConfig):
     return env_spec, dataset
 
 
+def _sha256(path) -> str:
+    """The file's sha256, read in 64 KB blocks: a whole-file buffer, once
+    freed, stays resident under `heap.set_heap_policy` (+0.3 MB peak RSS)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock) -> tuple:
     """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. A checkpoint of another seed would continue on other RNG
     streams, and one past step 0 was written just after both CSVs, which
-    the resumed trace continues; either refusal raises ConfigError before
-    anything is written here. Only once the ensemble and the checkpoint
-    pass their checks does `effective_config.json` record the run's config,
-    so a refused run leaves the directory's record as it was.
+    the resumed trace continues. An ensemble trained by a run of another
+    seed, or on a dataset file of another sha256, is not the model this
+    run would train. Each refusal raises ConfigError before anything is
+    written here. Only once the ensemble and the checkpoint pass their
+    checks does `effective_config.json` record the run's config, so a
+    refused run leaves the directory's record as it was.
     Otherwise the ensemble trains (when the agent `agent.needs_model`) and
     the agent is built, pretrained and checkpointed, the ensemble saved
     first, so a checkpoint never lacks its ensemble.
@@ -145,6 +158,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
     ensemble = None
     with_model = agent_mod.needs_model(cfg.agent)
+    data_sha256 = _sha256(cfg.dataset) if with_model else None
     if with_model and resume and os.path.exists(ens_path):
         with clock.phase("world_model"):
             ensemble = world_model.load_ensemble(ens_path)
@@ -169,6 +183,13 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
                 raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")
         state.config = cfg.agent
         pretrain_info = state.extra.get("pretrain", {})
+    # a checkpoint's own refusals come first; without one, only this stops
+    # a fresh agent from training on another run's model
+    if ensemble is not None and (ensemble.seed, ensemble.dataset_sha256) != (cfg.seed, data_sha256):
+        raise ConfigError(
+            f"{ens_path} was trained by a run of seed {ensemble.seed} on a dataset of sha256"
+            f" {ensemble.dataset_sha256}, not of seed {cfg.seed} on {cfg.dataset} ({data_sha256})"
+        )
     # every check has passed: the directory's record becomes this run's config
     with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
         json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
@@ -182,7 +203,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             ensemble = world_model.train_ensemble(
                 dataset, cfg.world_model, cfg.seed, pretrain if beside else None
             )
-            world_model.save_ensemble(ens_path, ensemble)
+            world_model.save_ensemble(ens_path, ensemble, cfg.seed, data_sha256)
     if fresh:
         if not beside:
             pretrain()
@@ -257,7 +278,7 @@ def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir:
                     cfg.seed,
                     state.config.lr_pretrain,
                 )
-            state.critic_ema = nn.init_ema(state.critic_params, state.config.ema_decay)
+            state.critic_ema = state.critic_params.copy()
     except agent_mod.DivergenceError as err:
         _write_divergence(out_dir, cfg, err, stage, err.snapshot.get("step"))
         raise
@@ -348,7 +369,10 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     training overlapped BC and FQE. `helper_busy_s` is the main loop's
     helper's own seconds in its calls and `helper_wait_s` the loop's wait
     for their results, both 0 without that helper. `eval_env_steps` counts
-    the true-environment steps the evaluations took.
+    the true-environment steps the evaluations took. `blas_threads` is the
+    OPENBLAS_NUM_THREADS this process saw, or "unset": a fixed-seed run's
+    bits can depend on the BLAS thread count, so only files of a run that
+    saw "1" can match the one-thread digests of the benchmark.
 
     Raises DivergenceError (after writing a snapshot) when a loss goes
     non-finite; the caller maps that to exit code 1.
@@ -455,6 +479,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "elapsed_s": round(time.monotonic() - t_start, 3),
         "timing_s": {phase: round(sec, 3) for phase, sec in clock.seconds.items()},
         "eval_env_steps": eval_env_steps,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "helper_busy_s": round(helper.busy_s, 3) if helper else 0.0,
         "helper_wait_s": round(helper.wait_s, 3) if helper else 0.0,
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -74,7 +74,6 @@ __all__ = [
     "ACTIVATIONS",
     "MlpSpec",
     "AdamState",
-    "EmaTracker",
     "symlog",
     "symlog_grad",
     "param_layout",
@@ -86,7 +85,6 @@ __all__ = [
     "backward_cached",
     "init_adam",
     "adam_step",
-    "init_ema",
     "ema_update",
 ]
 
@@ -367,25 +365,10 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     return state, params
 
 
-@dataclass
-class EmaTracker:
-    shadow: np.ndarray
-    decay: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.decay < 1.0):
-            raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-
-
-def init_ema(params: np.ndarray, decay: float) -> EmaTracker:
-    return EmaTracker(shadow=params.copy(), decay=float(decay))
-
-
-def ema_update(tracker: EmaTracker, params: np.ndarray) -> EmaTracker:
+def ema_update(shadow: np.ndarray, params: np.ndarray, decay: float) -> None:
     """shadow <- decay * shadow + (1 - decay) * params, in place."""
-    if tracker.shadow.shape != params.shape:
+    if shadow.shape != params.shape:
         raise ValueError("shadow/parameter shapes disagree")
-    tracker.shadow *= tracker.decay
-    tracker.shadow += (1.0 - tracker.decay) * params
-    return tracker
+    shadow *= decay
+    shadow += (1.0 - decay) * params
 

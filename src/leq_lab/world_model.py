@@ -192,6 +192,9 @@ class EnsembleWorldModel:
     # wall seconds the members took to train, in the process that trained
     # them; 0.0 once loaded, and never saved
     train_s: float = field(default=0.0, compare=False, repr=False)
+    # the run seed and dataset sha256 a loaded file's header recorded
+    seed: int | None = field(default=None, compare=False, repr=False)
+    dataset_sha256: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.elite_idx) != self.config.n_elites:
@@ -532,10 +535,14 @@ def replay_rollout(
 
 
 _ENSEMBLE_MAGIC = b"LEQE"
-_ENSEMBLE_VERSION = 2
+_ENSEMBLE_VERSION = 3
 
 
-def save_ensemble(path, ensemble: EnsembleWorldModel) -> None:
+def save_ensemble(
+    path, ensemble: EnsembleWorldModel, seed: int | None = None, dataset_sha256: str | None = None
+) -> None:
+    """Write `ensemble`; the header also records the run seed and the sha256
+    of the dataset file it trained on, which a resumed run checks."""
     header = {
         "format": "leq-lab-ensemble",
         "version": _ENSEMBLE_VERSION,
@@ -543,6 +550,8 @@ def save_ensemble(path, ensemble: EnsembleWorldModel) -> None:
         "act_dim": ensemble.act_dim,
         "config": asdict(ensemble.config),
         "elite_idx": list(ensemble.elite_idx),
+        "seed": seed,
+        "dataset_sha256": dataset_sha256,
     }
     arrays = {"member_params": ensemble.member_params, "val_nll": ensemble.val_nll}
     container.write(path, _ENSEMBLE_MAGIC, header, arrays)
@@ -565,4 +574,6 @@ def load_ensemble(path) -> EnsembleWorldModel:
         val_nll=arrays["val_nll"],
         elite_idx=tuple(header["elite_idx"]),
         config=config,
+        seed=header["seed"],
+        dataset_sha256=header["dataset_sha256"],
     )

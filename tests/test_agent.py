@@ -49,7 +49,7 @@ def loop_mobile(plan, config, ensemble, ro, termination=far_is_terminal):
     return _oracles.loop_mobile_targets(
         ensemble,
         agent.MlpPolicy(plan.policy_spec, plan.policy_params),
-        agent.MlpCritic(plan.critic_spec, plan.critic_params),
+        lambda s, a: agent._critic_forward(plan.critic_spec, plan.critic_params, s, a)[0],
         ro,
         config.gamma,
         config.lcb_c,
@@ -93,8 +93,8 @@ def env_batch(seed: int, n: int = 10, obs: int = OBS, act: int = ACT) -> dict:
 def bellman_target(plan, config, batch):
     """r + gamma * (1 - done) * Q(s', pi(s')), one network call at a time."""
     policy = agent.MlpPolicy(plan.policy_spec, plan.policy_params)
-    critic = agent.MlpCritic(plan.critic_spec, plan.critic_params)
-    next_q = critic(batch["next_states"], policy(batch["next_states"]))
+    next_s = batch["next_states"]
+    next_q = agent._critic_forward(plan.critic_spec, plan.critic_params, next_s, policy(next_s))[0]
     return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
 
 
@@ -139,9 +139,9 @@ def test_surrogate_weights_come_from_the_rollout_actions():
     _, _, info = agent.policy_loss_surrogate(plan, config, tiny_ensemble(), ro, pol)
 
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
-    q_explicit = agent.MlpCritic(plan.critic_spec, plan.critic_params)(
-        ro.states[:, :HORIZON][valid], ro.actions[valid]
-    )
+    q_explicit = agent._critic_forward(
+        plan.critic_spec, plan.critic_params, ro.states[:, :HORIZON][valid], ro.actions[valid]
+    )[0]
     ce = agent._critic_eval(plan, ro, pol)
     ended = np.flatnonzero(ro.terminal)
     assert not ce.boot_q[ended, ro.t_eff[ended]].any()  # no bootstrap past a terminal end
@@ -218,13 +218,13 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
         model_acts = agent.MlpPolicy(plan.policy_spec, plan.policy_params)(model_states)
         tau = config.tau
     y_env = bellman_target(plan, config, batch)
-    y_ema = agent.MlpCritic(plan.critic_spec, shadow)(batch["states"], batch["actions"])
+    y_ema = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
 
     def loss_at(theta):
-        critic = agent.MlpCritic(plan.critic_spec, theta)
-        d_model = critic(model_states, model_acts) - y_model
+        q_model = agent._critic_forward(plan.critic_spec, theta, model_states, model_acts)[0]
+        d_model = q_model - y_model
         w = np.where(d_model > 0.0, 1.0 - tau, tau)
-        q_env = critic(batch["states"], batch["actions"])
+        q_env = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])[0]
         l_model = float((w * d_model * d_model).mean())
         l_env = 0.5 * float(((q_env - y_env) ** 2).mean())
         l_ema = float(((q_env - y_ema) ** 2).mean())
@@ -242,14 +242,14 @@ def test_env_and_ema_critic_gradients_match_central_differences():
     batch = env_batch(17)
     shadow = nn.init_params(plan.critic_spec, np.random.default_rng(18))
     y_env = bellman_target(plan, config, batch)
-    y_ema = agent.MlpCritic(plan.critic_spec, shadow)(batch["states"], batch["actions"])
+    y_ema = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
 
     def env_at(theta):
-        q = agent.MlpCritic(plan.critic_spec, theta)(batch["states"], batch["actions"])
+        q = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])[0]
         return 0.5 * float(((q - y_env) ** 2).mean())
 
     def ema_at(theta):
-        q = agent.MlpCritic(plan.critic_spec, theta)(batch["states"], batch["actions"])
+        q = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])[0]
         return float(((q - y_ema) ** 2).mean())
 
     rng = np.random.default_rng(19)
@@ -267,10 +267,11 @@ def test_q_value_actor_gradient_matches_central_differences():
     plan = make_plan(8)
     states = env_batch(20)["states"]
     loss, grad, _ = agent._policy_q_value(plan, states)
-    critic = agent.MlpCritic(plan.critic_spec, plan.critic_params)
 
     def loss_at(theta):
-        return -float(critic(states, agent.MlpPolicy(plan.policy_spec, theta)(states)).mean())
+        acts = agent.MlpPolicy(plan.policy_spec, theta)(states)
+        q = agent._critic_forward(plan.critic_spec, plan.critic_params, states, acts)[0]
+        return -float(q.mean())
 
     assert loss_at(plan.policy_params) == pytest.approx(loss, rel=1e-12)
     rng = np.random.default_rng(21)
@@ -354,7 +355,7 @@ def _state_bytes(state) -> dict:
     arrays = {
         "policy": state.policy_params,
         "critic": state.critic_params,
-        "ema": state.critic_ema.shadow,
+        "ema": state.critic_ema,
         "actor_m": state.adam_actor.m,
         "actor_v": state.adam_actor.v,
         "critic_m": state.adam_critic.m,
@@ -619,10 +620,10 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
         )
         pol = agent._policy_eval(plan, ro)
         _, c_grad, _ = agent.critic_loss_total(
-            plan, config, ensemble, ro, batch, want.critic_ema.shadow, pol
+            plan, config, ensemble, ro, batch, want.critic_ema, pol
         )
         nn.adam_step(want.adam_critic, want.critic_params, c_grad)
-        nn.ema_update(want.critic_ema, want.critic_params)
+        nn.ema_update(want.critic_ema, want.critic_params, config.ema_decay)
         _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
         nn.adam_step(want.adam_actor, want.policy_params, p_grad)
         assert _state_bytes(stepped) == _state_bytes(want), step
@@ -703,7 +704,10 @@ def test_unlogged_step_skips_only_mean_q():
     states = [agent.build_agent(config, spec, seed=0) for _ in range(2)]
     logged = agent.train_step(states[0], None, batch, None, np.random.default_rng(23))
     quiet = agent.train_step(states[1], None, batch, None, np.random.default_rng(23), logged=False)
-    assert logged["mean_q"] == float(np.mean(states[0].critic(batch["states"], batch["actions"])))
+    q = agent._critic_forward(
+        states[0].critic_spec, states[0].critic_params, batch["states"], batch["actions"]
+    )[0]
+    assert logged["mean_q"] == float(np.mean(q))
     assert {k: v for k, v in logged.items() if k != "mean_q"} == quiet
     np.testing.assert_array_equal(states[0].critic_params, states[1].critic_params)
     np.testing.assert_array_equal(states[0].policy_params, states[1].policy_params)

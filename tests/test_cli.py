@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from leq_lab import agent, cli, datasets, envs, forked, heap, returns, world_model
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
+
+from . import _oracles
 
 
 def _run_config(tmp_path, env="point_maze_u", agent_overrides=None, **overrides) -> dict:
@@ -346,6 +349,19 @@ def test_phase_timers_change_no_output_byte(tmp_path, monkeypatch):
     assert report["eval_env_steps"] == untimed["eval_env_steps"] == round(sum(lengths) * 3)
 
 
+@pytest.mark.parametrize("threads", ["3", None], ids=["set", "unset"])
+def test_report_records_the_blas_thread_count_the_run_saw(threads, tmp_path, monkeypatch):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
+    )
+    report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    assert report["blas_threads"] == (threads or "unset")
+
+
 def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkeypatch, forks):
     _two_cpus(monkeypatch)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 5, **_LCB})
@@ -555,6 +571,46 @@ def test_a_corrupt_ensemble_file_still_exits_2(tmp_path, capsys):
     (out / "world_model.leqm").write_bytes(b"LEQE garbage")
     assert cli.main(["train", str(config), "--out-dir", str(out), "--resume"]) == 2
     assert capsys.readouterr().err.startswith("error: ensemble checkpoint")
+
+
+def _older_ensemble(path):
+    """Rewrite a .leqm as its version-2 form, without the seed and dataset keys."""
+    magic, header, body = _oracles.container_parts(path.read_bytes())
+    del header["seed"], header["dataset_sha256"]
+    path.write_bytes(_oracles.container_bytes(magic, {**header, "version": 2}, body))
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ("seed", "world_model.leqm was trained by a run of seed 0 on .*, not of seed 1 on"),
+        ("dataset", "world_model.leqm was trained by a run of seed 0 on .*, not of seed 0 on"),
+        ("older file", "error: ensemble checkpoint .*unsupported version 2"),
+    ],
+)
+def test_a_resume_refuses_an_ensemble_of_another_run_and_writes_nothing(
+    change, error, tmp_path, capsys
+):
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 5})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli.main(["train", str(config), "--out-dir", str(out)]) == 0
+    # only the ensemble is left, so a resume would build a fresh agent on it
+    (out / "checkpoint.leqa").unlink()
+    if change == "seed":
+        config.write_text(json.dumps({**raw, "seed": 1}))
+    elif change == "dataset":
+        # the same path with other contents
+        spec = envs.make_env_spec(raw["env"])
+        datasets.save_dataset(datasets.collect_dataset(spec, "mixed", 4, seed=1), raw["dataset"])
+    else:
+        _older_ensemble(out / "world_model.leqm")
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli.main(["train", str(config), "--out-dir", str(out), "--resume"]) == 2
+    assert re.search(error, capsys.readouterr().err)
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("forked", [True, False], ids=["beside-pretraining", "sequential"])

@@ -94,6 +94,15 @@ def test_damaged_file_is_rejected(kind, damage, tmp_path):
     assert isinstance(caught.value, container.ContainerError)
 
 
+def test_an_ensemble_file_records_the_run_seed_and_the_dataset_sha256(tmp_path):
+    path = tmp_path / "file.leqm"
+    wm.save_ensemble(path, tiny_ensemble(), seed=3, dataset_sha256="ab" * 32)
+    header = _oracles.container_parts(path.read_bytes())[1]
+    assert (header["version"], header["seed"], header["dataset_sha256"]) == (3, 3, "ab" * 32)
+    loaded = wm.load_ensemble(path)
+    assert (loaded.seed, loaded.dataset_sha256) == (3, "ab" * 32)
+
+
 def _fail_replace(monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")

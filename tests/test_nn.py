@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leq_lab import nn
+from leq_lab import agent, envs, nn
 
 from . import _oracles
 
@@ -435,32 +435,37 @@ class TestAdam:
 
 class TestEma:
     def test_init_copies(self):
-        params = np.ones(4)
-        tracker = nn.init_ema(params, 0.995)
-        params[0] = 5.0
-        assert tracker.shadow[0] == 1.0
+        config = agent.AgentConfig(hidden_actor=(4,), hidden_critic=(4,), n_expand=1)
+        state = agent.build_agent(config, envs.make_env_spec("dense_chain"), seed=0)
+        np.testing.assert_array_equal(state.critic_ema, state.critic_params)
+        state.critic_params[0] = 5.0
+        assert state.critic_ema[0] != 5.0
 
     def test_fixed_point(self):
         params = np.array([2.0, -1.0])
-        tracker = nn.init_ema(params, 0.9)
-        nn.ema_update(tracker, params)
-        np.testing.assert_array_equal(tracker.shadow, params)
+        shadow = params.copy()
+        nn.ema_update(shadow, params, 0.9)
+        np.testing.assert_array_equal(shadow, params)
 
     def test_single_update_value(self):
-        tracker = nn.init_ema(np.zeros(1), 0.995)
-        nn.ema_update(tracker, np.ones(1))
-        assert tracker.shadow[0] == pytest.approx(0.005, abs=1e-15)
+        shadow = np.zeros(1)
+        nn.ema_update(shadow, np.ones(1), 0.995)
+        assert shadow[0] == pytest.approx(0.005, abs=1e-15)
 
     def test_geometric_convergence(self):
-        tracker = nn.init_ema(np.zeros(1), 0.9)
+        shadow = np.zeros(1)
         target = np.ones(1)
         for k in range(1, 51):
-            nn.ema_update(tracker, target)
-            assert tracker.shadow[0] == pytest.approx(1.0 - 0.9**k, abs=1e-12)
+            nn.ema_update(shadow, target, 0.9)
+            assert shadow[0] == pytest.approx(1.0 - 0.9**k, abs=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes disagree"):
+            nn.ema_update(np.zeros(2), np.ones(1), 0.9)
 
     def test_decay_bounds(self):
-        with pytest.raises(ValueError):
-            nn.init_ema(np.zeros(1), 1.0)
-        with pytest.raises(ValueError):
-            nn.init_ema(np.zeros(1), 0.0)
+        with pytest.raises(ValueError, match="ema_decay"):
+            agent.AgentConfig(ema_decay=1.0)
+        with pytest.raises(ValueError, match="ema_decay"):
+            agent.AgentConfig(ema_decay=0.0)
 

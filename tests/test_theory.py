@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leq_lab.expectile import (
+    SOLVER_TOL,
     InputValidationError,
     ScalarDistribution,
     expectile_of,
@@ -14,6 +15,9 @@ from leq_lab.expectile import (
 from leq_lab.theory import (
     ScanConfig,
     TheoryError,
+    _expectile_grid,
+    _refined_grid,
+    _sorted_empirical_expectiles,
     exception_region_scan,
     lemma1_check,
     lemma2_check,
@@ -134,6 +138,63 @@ class TestScanAgainstScalarApi:
         )
         finite = np.isfinite(expect)
         assert np.array_equal(res.error_diff[finite], expect[finite])
+
+
+# finite cells only: tau in (0, 1), finite starts
+TWIN_TAUS = np.linspace(0.01, 0.99, 50)
+TWIN_DISTS = {
+    "normal": ScalarDistribution.normal(0.0, 1.0),
+    "normal-moved": ScalarDistribution.normal(-1.5, 2.0),
+    "uniform": UNIFORM,
+    "uniform-moved": ScalarDistribution.uniform(-2.0, 3.0),
+}
+
+
+class TestVectorTwinsMatchTheScalarRoutines:
+    """`_expectile_grid`, `_refined_grid` and `_sorted_empirical_expectiles`
+    duplicate `expectile_of` and `filtered_mean_estimate`. Where either side
+    bisects, they agree to the scalar solver's tolerance; closed forms on
+    both sides agree to rounding."""
+
+    @pytest.mark.parametrize("name", TWIN_DISTS)
+    def test_expectile_grid(self, name):
+        dist = TWIN_DISTS[name]
+        tol = SOLVER_TOL if dist.kind == "normal" else 1e-12
+        want = [expectile_of(dist, float(t)) for t in TWIN_TAUS]
+        np.testing.assert_allclose(_expectile_grid(dist, TWIN_TAUS), want, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("name", TWIN_DISTS)
+    def test_refined_grid(self, name):
+        dist = TWIN_DISTS[name]
+        if dist.kind == "normal":
+            starts = np.linspace(dist.mu - 3.0 * dist.sigma, dist.mu + 3.0 * dist.sigma, 31)
+        else:  # starts outside the support clip to its ends
+            starts = np.linspace(dist.lo - 1.0, dist.hi + 1.0, 31)
+        want = [
+            [filtered_mean_estimate(dist, float(y), float(t)) for y in starts] for t in TWIN_TAUS
+        ]
+        got = _refined_grid(dist, TWIN_TAUS, starts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_sorted_empirical_expectiles(self):
+        rng = np.random.default_rng(5)
+        k, width = 60, 12
+        counts = rng.integers(1, width + 1, size=k)
+        xs = np.zeros((k, width))
+        ws = np.zeros((k, width))
+        dists = []
+        for row, n in enumerate(counts):
+            x = np.sort(rng.normal(0.5, 2.0, size=n))
+            w = rng.uniform(0.1, 1.0, size=n)
+            w /= w.sum()
+            # zero-weight padding at the end, above the support
+            xs[row] = np.concatenate([x, np.full(width - n, x[-1] + 1.0)])
+            ws[row, :n] = w
+            dists.append(ScalarDistribution.empirical(x, w))
+        taus = rng.uniform(0.01, 0.99, size=k)
+        want = [expectile_of(d, float(t)) for d, t in zip(dists, taus)]
+        got = _sorted_empirical_expectiles(xs, ws, taus)
+        np.testing.assert_allclose(got, want, rtol=0, atol=SOLVER_TOL)
 
 
 class TestScanResultSurface:
