@@ -21,7 +21,8 @@ of one half.
 Ablation switches select lower-expectile or MOBILE-style LCB-penalized
 targets (tau = 0.5 gives the unpenalized, symmetric ones), lambda, one-step
 or H-step critic targets, and value-gradient or advantage-weighted policy
-updates, so baseline variants share every other code path.
+updates, or none (a frozen actor, so the critic evaluates one fixed
+policy), so baseline variants share every other code path.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ __all__ = [
 
 CONSERVATISM_MODES = ("lower_expectile", "mobile_lcb")
 CRITIC_TARGET_MODES = ("lambda", "one_step", "h_step")
-POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr")
+POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr", "frozen")
 
 
 class AgentError(RuntimeError):
@@ -239,6 +240,7 @@ class AgentState:
     step: int = 0
     extra: dict = field(default_factory=dict)  # the checkpoint header's free-form summary
     seed: int | None = None  # the run seed the checkpoint header recorded, once loaded
+    dataset_sha256: str | None = None  # sha256 of the dataset file the agent trains on
 
     @property
     def policy(self) -> MlpPolicy:
@@ -473,32 +475,34 @@ def critic_loss_env(plan, config: AgentConfig, batch: dict, fwd: tuple):
     """One-step Bellman regression on real transitions, target frozen.
 
     `fwd` is the critic's `_critic_forward` (q, cache) over batch's (s, a),
-    which `critic_loss_ema` shares."""
+    which `critic_loss_ema` shares. Returns the loss and the residual
+    q - target; `_real_batch_grad` turns the residuals of both terms into
+    one gradient."""
     target = _bellman_target(plan, config, batch)
-    q, cache = fwd
-    diff = q - target
-    loss = float(0.5 * (diff * diff).mean())
-    cot = (diff / diff.size)[:, None]
-    grad, _ = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
-    )
-    return loss, grad
+    diff = fwd[0] - target
+    return float(0.5 * (diff * diff).mean()), diff
 
 
 def critic_loss_ema(plan, shadow_params, batch: dict, fwd: tuple):
     """Squared drift of the critic from its EMA shadow on real (s, a), at
-    `critic_loss_env`'s `fwd`."""
+    `critic_loss_env`'s `fwd`. Returns the loss and the residual
+    q - q_shadow."""
     q_shadow = _critic_forward(
         plan.critic_spec, shadow_params, batch["states"], batch["actions"]
     )[0]
-    q, cache = fwd
-    diff = q - q_shadow
-    loss = float((diff * diff).mean())
-    cot = (2.0 * diff / diff.size)[:, None]
+    diff = fwd[0] - q_shadow
+    return float((diff * diff).mean()), diff
+
+
+def _real_batch_grad(plan, config: AgentConfig, cache, d_env, d_ema) -> np.ndarray:
+    """Gradient of (1 - beta) * L_env + omega * L_ema from their residuals
+    at one critic forward's `cache`: the cotangents are mixed first, so one
+    backward covers both terms."""
+    cot = (((1.0 - config.beta) * d_env + 2.0 * config.omega_ema * d_ema) / d_env.size)[:, None]
     grad, _ = nn.backward_cached(
         plan.critic_spec, plan.critic_params, cache, cot, params_only=True
     )
-    return loss, grad
+    return grad
 
 
 def critic_loss_total(
@@ -508,7 +512,7 @@ def critic_loss_total(
     """beta * L_model + (1 - beta) * L_env + omega * L_ema, with gradient.
 
     The env and EMA terms share one critic forward over the real (s, a)
-    batch; their cotangents are pre-mixed so a single backward covers both.
+    batch and one backward, `_real_batch_grad`.
     With a `_Remote`, `_mobile_targets` shares its elites with the helper,
     which computes them while the env and EMA terms run here first.
     """
@@ -523,10 +527,7 @@ def critic_loss_total(
     d_ema = q - q_shadow
     l_env = float(0.5 * (d_env * d_env).mean())
     l_ema = float((d_ema * d_ema).mean())
-    cot = (((1.0 - config.beta) * d_env + 2.0 * config.omega_ema * d_ema) / q.size)[:, None]
-    g_env_ema, _ = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
-    )
+    g_env_ema = _real_batch_grad(plan, config, cache, d_env, d_ema)
     l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, pol, remote)
     total = config.beta * l_model + (1.0 - config.beta) * l_env + config.omega_ema * l_ema
     grad = config.beta * g_model + g_env_ema
@@ -851,7 +852,8 @@ def expand_dataset(
 
 def needs_model(config: AgentConfig) -> bool:
     """Whether a run imagines rollouts, and so trains or loads a world model:
-    the critic's beta > 0 model term, or a lambda_expectile or awr actor."""
+    the critic's beta > 0 model term, or a lambda_expectile or awr actor.
+    A q_value or frozen actor reads no rollout, so beta alone decides."""
     return config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
 
 
@@ -883,7 +885,15 @@ def train_step(
     logged: bool = True,
     helper=None,
 ) -> dict:
-    """One critic step, one EMA update, one actor step; returns metrics.
+    """One critic step, one EMA update and, unless the actor is frozen, one
+    actor step; returns metrics.
+
+    At beta > 0 the critic step is `critic_loss_total`. At beta 0 it is
+    `critic_loss_env` and `critic_loss_ema` on one shared critic forward
+    over the real (s, a): each returns its loss and residual, and
+    `_real_batch_grad` mixes the residuals into one backward. A frozen
+    actor takes no step, so its Adam state stays as it was, and its rows
+    carry no `loss_policy`.
 
     `mean_q` needs one more critic forward, so only a `logged` step has it.
 
@@ -916,21 +926,23 @@ def train_step(
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states serves both loss phases; the
     # lambda_expectile and awr actors and the lower_expectile model term read it
-    reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
+    reads_pol = (
+        config.policy_update in ("lambda_expectile", "awr")
+        or config.conservatism == "lower_expectile"
+    )
     pol = _policy_eval(plan, rollouts) if reads_pol and rollouts is not None else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, remote
         )
     else:
-        # one critic forward over the real (s, a) serves both terms' backward passes
         fwd = _critic_forward(
             plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
         )
-        l_env, g_env = critic_loss_env(plan, config, env_batch, fwd)
-        l_ema, g_ema = critic_loss_ema(plan, state.critic_ema, env_batch, fwd)
+        l_env, d_env = critic_loss_env(plan, config, env_batch, fwd)
+        l_ema, d_ema = critic_loss_ema(plan, state.critic_ema, env_batch, fwd)
         total = l_env + config.omega_ema * l_ema
-        c_grad = g_env + config.omega_ema * g_ema
+        c_grad = _real_batch_grad(plan, config, fwd[1], d_env, d_ema)
         parts = {"loss_model": 0.0, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
     if not (np.isfinite(total) and np.isfinite(c_grad).all()):
         raise DivergenceError("critic loss diverged", {"step": state.step, **parts})
@@ -939,21 +951,23 @@ def train_step(
     )
     nn.ema_update(state.critic_ema, state.critic_params, config.ema_decay)
 
-    # adam_step updated critic_params in place, so the actor sees the new values
-    if config.policy_update == "lambda_expectile":
-        p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
-    elif config.policy_update == "awr":
-        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
-    else:
-        p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
-    if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
-        raise DivergenceError("policy loss diverged", {"step": state.step, "loss": p_loss})
-    state.adam_actor, state.policy_params = nn.adam_step(
-        state.adam_actor, state.policy_params, p_grad
-    )
+    metrics, p_info = {"step": state.step + 1}, {}
+    if config.policy_update != "frozen":
+        # adam_step updated critic_params in place, so the actor sees the new values
+        if config.policy_update == "lambda_expectile":
+            p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
+        elif config.policy_update == "awr":
+            p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
+        else:
+            p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
+        if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
+            raise DivergenceError("policy loss diverged", {"step": state.step, "loss": p_loss})
+        state.adam_actor, state.policy_params = nn.adam_step(
+            state.adam_actor, state.policy_params, p_grad
+        )
+        metrics["loss_policy"] = p_loss
     state.step += 1
 
-    metrics = {"step": state.step, "loss_policy": p_loss}
     if logged:
         q = _critic_forward(
             state.critic_spec, state.critic_params, env_batch["states"], env_batch["actions"]
@@ -1009,10 +1023,12 @@ def evaluate_policy(policy, env_spec: envs.EnvSpec, n_episodes: int, seed: int) 
 # checkpointing
 
 _AGENT_MAGIC = b"LEQA"
-_AGENT_VERSION = 2
+_AGENT_VERSION = 3
 
 
 def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | None = None) -> None:
+    """Write `state` to `path`; the header records `seed` and the state's
+    `dataset_sha256`, which a resume checks against its own run."""
     header = {
         "format": "leq-lab-agent",
         "version": _AGENT_VERSION,
@@ -1027,6 +1043,7 @@ def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | N
         "buffer_cursor": state.buffer.cursor,
         "buffer_capacity": state.buffer.capacity,
         "seed": seed,
+        "dataset_sha256": state.dataset_sha256,
         "extra": extra or {},
     }
     arrays = {
@@ -1080,4 +1097,5 @@ def load_agent(path) -> AgentState:
         step=header["step"],
         extra=header["extra"],
         seed=header["seed"],
+        dataset_sha256=header["dataset_sha256"],
     )

@@ -136,13 +136,14 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. A checkpoint of another seed would continue on other RNG
-    streams, and one past step 0 was written just after both CSVs, which
-    the resumed trace continues. An ensemble trained by a run of another
-    seed, or on a dataset file of another sha256, is not the model this
-    run would train. Each refusal raises ConfigError before anything is
-    written here. Only once the ensemble and the checkpoint pass their
-    checks does `effective_config.json` record the run's config, so a
-    refused run leaves the directory's record as it was.
+    streams, one trained on a dataset file of another sha256 would go on
+    learning from other data, and one past step 0 was written just after
+    both CSVs, which the resumed trace continues. An ensemble trained by a
+    run of another seed, or on a dataset file of another sha256, is not
+    the model this run would train. Each refusal raises ConfigError before
+    anything is written here. Only once the ensemble and the checkpoint
+    pass their checks does `effective_config.json` record the run's
+    config, so a refused run leaves the directory's record as it was.
     Otherwise the ensemble trains (when the agent `agent.needs_model`) and
     the agent is built, pretrained and checkpointed, the ensemble saved
     first, so a checkpoint never lacks its ensemble.
@@ -158,7 +159,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
     ensemble = None
     with_model = agent_mod.needs_model(cfg.agent)
-    data_sha256 = _sha256(cfg.dataset) if with_model else None
+    data_sha256 = _sha256(cfg.dataset)
     if with_model and resume and os.path.exists(ens_path):
         with clock.phase("world_model"):
             ensemble = world_model.load_ensemble(ens_path)
@@ -169,6 +170,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     beside = train and fresh and (cfg.agent.bc_steps > 0 or cfg.agent.fqe_steps > 0)
     if fresh:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
+        state.dataset_sha256 = data_sha256
         pretrain_info = {}
     else:
         state = agent_mod.load_agent(ckpt_path)
@@ -178,6 +180,11 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             raise ConfigError("checkpoint was written by a different agent config")
         if state.seed != cfg.seed:
             raise ConfigError(f"checkpoint was written by a run with seed {state.seed}, not {cfg.seed}")
+        if state.dataset_sha256 != data_sha256:
+            raise ConfigError(
+                f"checkpoint was trained on a dataset of sha256 {state.dataset_sha256},"
+                f" not on {cfg.dataset} ({data_sha256})"
+            )
         for path in (os.path.join(out_dir, _TRAIN_CSV), os.path.join(out_dir, _EVAL_CSV)):
             if state.step > 0 and not os.path.exists(path):
                 raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")

@@ -236,9 +236,9 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
     assert _oracles.worst_fd_rel_error(loss_at, grad, plan.critic_params, rng, n_coords=40) < 1e-5
 
 
-def test_env_and_ema_critic_gradients_match_central_differences():
+def test_mixed_beta_zero_critic_gradient_matches_central_differences():
     plan = make_plan(7)
-    config = agent.AgentConfig()
+    config = agent.AgentConfig(beta=0.0, omega_ema=0.7)
     batch = env_batch(17)
     shadow = nn.init_params(plan.critic_spec, np.random.default_rng(18))
     y_env = bellman_target(plan, config, batch)
@@ -252,15 +252,48 @@ def test_env_and_ema_critic_gradients_match_central_differences():
         q = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])[0]
         return float(((q - y_ema) ** 2).mean())
 
-    rng = np.random.default_rng(19)
     theta = plan.critic_params
     fwd = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])
-    for (loss, grad), loss_at in (
-        (agent.critic_loss_env(plan, config, batch, fwd), env_at),
-        (agent.critic_loss_ema(plan, shadow, batch, fwd), ema_at),
-    ):
-        assert loss_at(theta) == pytest.approx(loss, rel=1e-12)
-        assert _oracles.worst_fd_rel_error(loss_at, grad, theta, rng, n_coords=40) < 1e-5
+    l_env, d_env = agent.critic_loss_env(plan, config, batch, fwd)
+    l_ema, d_ema = agent.critic_loss_ema(plan, shadow, batch, fwd)
+    assert env_at(theta) == pytest.approx(l_env, rel=1e-12)
+    assert ema_at(theta) == pytest.approx(l_ema, rel=1e-12)
+    np.testing.assert_array_equal(d_env, fwd[0] - y_env)
+    np.testing.assert_array_equal(d_ema, fwd[0] - y_ema)
+    grad = agent._real_batch_grad(plan, config, fwd[1], d_env, d_ema)
+
+    def loss_at(theta):
+        return env_at(theta) + config.omega_ema * ema_at(theta)
+
+    rng = np.random.default_rng(19)
+    assert _oracles.worst_fd_rel_error(loss_at, grad, theta, rng, n_coords=40) < 1e-5
+
+
+@pytest.mark.parametrize("beta", [0.25, 1.0])
+def test_critic_loss_total_gradient_keeps_the_bits_of_its_inline_backward(beta):
+    # the real-batch terms' backward, written out as critic_loss_total had it
+    # before `_real_batch_grad` served the beta 0 step as well
+    plan = make_plan(24)
+    config = agent.AgentConfig(horizon=HORIZON, beta=beta, omega_ema=0.7)
+    ensemble = tiny_ensemble()
+    _, ro = rollout(plan, far_is_terminal, seed=25)
+    batch = env_batch(26)
+    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(27))
+    pol = agent._policy_eval(plan, ro)
+    _, grad, _ = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
+
+    target = agent._bellman_target(plan, config, batch)
+    q_shadow = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
+    q, cache = agent._critic_forward(
+        plan.critic_spec, plan.critic_params, batch["states"], batch["actions"]
+    )
+    d_env, d_ema = q - target, q - q_shadow
+    cot = (((1.0 - config.beta) * d_env + 2.0 * config.omega_ema * d_ema) / q.size)[:, None]
+    g_env_ema, _ = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+    )
+    _, g_model = agent.critic_loss_model(plan, config, ensemble, ro, pol)
+    np.testing.assert_array_equal(grad, config.beta * g_model + g_env_ema)
 
 
 def test_q_value_actor_gradient_matches_central_differences():
@@ -349,6 +382,20 @@ def _counting_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(forked.Helper, "call", counting)
     return counted
+
+
+def _count_critic_losses(patch) -> list:
+    """A list that grows by the name of each critic loss `agent` calls
+    while `patch` (a monkeypatch context) holds."""
+    called = []
+    for name in ("critic_loss_env", "critic_loss_ema", "critic_loss_total"):
+
+        def call(*args, name=name, loss=getattr(agent, name)):
+            called.append(name)
+            return loss(*args)
+
+        patch.setattr(agent, name, call)
+    return called
 
 
 def _state_bytes(state) -> dict:
@@ -588,12 +635,16 @@ def test_expand_dataset_matches_the_row_by_row_loop(capacity, monkeypatch):
     assert cut
 
 
-def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeypatch):
-    # the mobile_lcb critic regresses Q(s_t, a_t) and the q_value actor reads
-    # the real batch, so nothing reads a policy forward over the rollout states
+@pytest.mark.parametrize("update", ["q_value", "frozen"])
+def test_an_actor_reading_no_rollout_under_mobile_lcb_runs_no_rollout_policy_forward(
+    update, monkeypatch
+):
+    # the mobile_lcb critic regresses Q(s_t, a_t), the q_value actor reads the
+    # real batch and a frozen one reads nothing, so nothing reads a policy
+    # forward over the rollout states
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(
-        conservatism="mobile_lcb", policy_update="q_value", horizon=4, n_expand=10,
+        conservatism="mobile_lcb", policy_update=update, horizon=4, n_expand=10,
         hidden_actor=(16, 16), hidden_critic=(16, 16),
     )
     ensemble = _maze_ensemble(spec, 3)
@@ -624,8 +675,9 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
         )
         nn.adam_step(want.adam_critic, want.critic_params, c_grad)
         nn.ema_update(want.critic_ema, want.critic_params, config.ema_decay)
-        _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
-        nn.adam_step(want.adam_actor, want.policy_params, p_grad)
+        if update == "q_value":
+            _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
+            nn.adam_step(want.adam_actor, want.policy_params, p_grad)
         assert _state_bytes(stepped) == _state_bytes(want), step
     assert calls == []
 
@@ -651,30 +703,38 @@ def test_actor_sees_the_updated_critic(monkeypatch):
     np.testing.assert_array_equal(seen["critic"], state.critic_params)
 
 
-def test_a_beta_zero_step_makes_one_real_batch_critic_forward(monkeypatch):
+def test_a_beta_zero_step_makes_one_real_batch_critic_forward_and_backward(monkeypatch):
     spec = envs.make_env_spec("dense_chain")
     config = agent.AgentConfig(
         beta=0.0, policy_update="q_value", hidden_actor=(8,), hidden_critic=(8,), n_expand=10
     )
     shared, separate = (agent.build_agent(config, spec, seed=0) for _ in range(2))
-    forward, critic_loss_env, critic_loss_ema = (
-        nn.forward_cached, agent.critic_loss_env, agent.critic_loss_ema
-    )
+    forward, backward = nn.forward_cached, nn.backward_cached
+    critic_loss_env, critic_loss_ema = agent.critic_loss_env, agent.critic_loss_ema
     for step in range(3):
         batch = env_batch(50 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
         real = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        real_forwards = []
+        real_caches, real_backwards = [], []
 
         def spying(spec_, params, x):
             # the EMA shadow's forward over (s, a) is another network's
+            out = forward(spec_, params, x)
             if params is shared.critic_params and np.array_equal(x, real):
-                real_forwards.append(1)
-            return forward(spec_, params, x)
+                real_caches.append(out[1])
+            return out
+
+        def spying_backward(spec_, params, cache, cot, **kwargs):
+            if any(cache is c for c in real_caches):
+                real_backwards.append(cot.shape[0])
+            return backward(spec_, params, cache, cot, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(nn, "forward_cached", spying)
+            patch.setattr(nn, "backward_cached", spying_backward)
+            called = _count_critic_losses(patch)
             agent.train_step(shared, None, batch, None, stream(0, "t", step), logged=False)
-        assert real_forwards == [1], step
+        assert len(real_caches) == 1 and real_backwards == [16], step
+        assert sorted(called) == ["critic_loss_ema", "critic_loss_env"], step
 
         # the same step with each real-batch term on its own critic forward
         def fresh(plan, batch):
@@ -693,6 +753,39 @@ def test_a_beta_zero_step_makes_one_real_batch_critic_forward(monkeypatch):
             patch.setattr(agent, "critic_loss_ema", ema_alone)
             agent.train_step(separate, None, batch, None, stream(0, "t", step), logged=False)
         assert _state_bytes(shared) == _state_bytes(separate), step
+
+
+def test_a_frozen_actor_keeps_its_bits_and_the_critic_steps_as_at_q_value(monkeypatch):
+    spec = envs.make_env_spec("point_maze_u")
+    ensemble = _maze_ensemble(spec, 3)
+    for beta in (0.0, 0.25):
+        calls = {}
+        for update in ("frozen", "q_value"):
+            config = agent.AgentConfig(
+                beta=beta, policy_update=update, horizon=4, n_expand=10,
+                hidden_actor=(16, 16), hidden_critic=(16, 16),
+            )
+            # neither actor reads a rollout, so only the critic's model term needs one
+            assert agent.needs_model(config) == (beta > 0.0)
+            state = agent.build_agent(config, spec, seed=0)
+            before = _state_bytes(state)
+            with monkeypatch.context() as patch:
+                calls[update] = _count_critic_losses(patch)
+                for step in range(12):
+                    batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
+                    starts = np.random.default_rng(40 + step).uniform(
+                        0.5, 2.5, size=(8, spec.obs_dim)
+                    )
+                    row = agent.train_step(state, ensemble, batch, starts, stream(0, "t", step))
+                    assert ("loss_policy" in row) == (update == "q_value")
+            if update == "frozen":
+                after = _state_bytes(state)
+                for name in ("policy", "actor_m", "actor_v"):
+                    assert after[name] == before[name], name
+                assert after["critic"] != before["critic"] and state.adam_actor.step == 0
+        assert calls["frozen"] == calls["q_value"] == (
+            ["critic_loss_env", "critic_loss_ema"] * 12 if beta == 0.0 else ["critic_loss_total"] * 12
+        ), beta
 
 
 def test_unlogged_step_skips_only_mean_q():

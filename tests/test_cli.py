@@ -171,6 +171,33 @@ def test_a_resume_with_another_seed_exits_2_and_writes_nothing(tmp_path, capsys)
     assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
 
 
+@pytest.mark.parametrize(
+    "overrides", [{"beta": 0.0, "policy_update": "q_value"}, {}], ids=["model-free", "model"]
+)
+def test_a_resume_on_another_dataset_file_exits_2_and_writes_nothing(overrides, tmp_path, capsys):
+    raw = _run_config(tmp_path, env="dense_chain", agent_overrides={"n_iter": 5, **overrides})
+    config = tmp_path / "run.json"
+    run = tmp_path / "run"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+    recorded = cli._sha256(raw["dataset"])
+    assert agent.load_agent(run / "checkpoint.leqa").dataset_sha256 == recorded
+    kept = sorted(p.name for p in run.iterdir())
+    before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept}
+    # the same path with other contents
+    spec = envs.make_env_spec(raw["env"])
+    datasets.save_dataset(datasets.collect_dataset(spec, "mixed", 4, seed=1), raw["dataset"])
+    config.write_text(json.dumps({**raw, "agent": {**raw["agent"], "n_iter": 10}}))
+    capsys.readouterr()
+    assert cli.main(["train", str(config), "--out-dir", str(run), "--resume"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint was trained on a dataset of sha256 {recorded},"
+        f" not on {raw['dataset']} ({cli._sha256(raw['dataset'])})\n"
+    )
+    assert sorted(p.name for p in run.iterdir()) == kept
+    assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
+
+
 def test_effective_config_reparses_to_the_run_config(tmp_path):
     raw = _run_config(tmp_path, out_dir=str(tmp_path / "out"))
     cfg = parse_run_config(raw)

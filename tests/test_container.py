@@ -22,6 +22,7 @@ def _agent():
     state.buffer.insert(np.ones((7, state.env_spec.obs_dim)))
     state.step = 7
     state.extra = {"pretrain": {"bc_mse": 0.5}}
+    state.dataset_sha256 = "cd" * 32
     return state
 
 
