@@ -21,8 +21,7 @@ of one half.
 Ablation switches select lower-expectile or MOBILE-style LCB-penalized
 targets (tau = 0.5 gives the unpenalized, symmetric ones), lambda, one-step
 or H-step critic targets, and value-gradient or advantage-weighted policy
-updates, or none (a frozen actor, so the critic evaluates one fixed
-policy), so baseline variants share every other code path.
+updates, so baseline variants share every other code path.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ __all__ = [
 
 CONSERVATISM_MODES = ("lower_expectile", "mobile_lcb")
 CRITIC_TARGET_MODES = ("lambda", "one_step", "h_step")
-POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr", "frozen")
+POLICY_UPDATE_MODES = ("lambda_expectile", "q_value", "awr")
 
 
 class AgentError(RuntimeError):
@@ -852,8 +851,7 @@ def expand_dataset(
 
 def needs_model(config: AgentConfig) -> bool:
     """Whether a run imagines rollouts, and so trains or loads a world model:
-    the critic's beta > 0 model term, or a lambda_expectile or awr actor.
-    A q_value or frozen actor reads no rollout, so beta alone decides."""
+    the critic's beta > 0 model term, or a lambda_expectile or awr actor."""
     return config.beta > 0.0 or config.policy_update in ("lambda_expectile", "awr")
 
 
@@ -885,15 +883,12 @@ def train_step(
     logged: bool = True,
     helper=None,
 ) -> dict:
-    """One critic step, one EMA update and, unless the actor is frozen, one
-    actor step; returns metrics.
+    """One critic step, one EMA update, one actor step; returns metrics.
 
     At beta > 0 the critic step is `critic_loss_total`. At beta 0 it is
     `critic_loss_env` and `critic_loss_ema` on one shared critic forward
     over the real (s, a): each returns its loss and residual, and
-    `_real_batch_grad` mixes the residuals into one backward. A frozen
-    actor takes no step, so its Adam state stays as it was, and its rows
-    carry no `loss_policy`.
+    `_real_batch_grad` mixes the residuals into one backward.
 
     `mean_q` needs one more critic forward, so only a `logged` step has it.
 
@@ -926,10 +921,7 @@ def train_step(
     # policy params stay fixed until the actor Adam step, so one stacked
     # policy forward over the rollout states serves both loss phases; the
     # lambda_expectile and awr actors and the lower_expectile model term read it
-    reads_pol = (
-        config.policy_update in ("lambda_expectile", "awr")
-        or config.conservatism == "lower_expectile"
-    )
+    reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
     pol = _policy_eval(plan, rollouts) if reads_pol and rollouts is not None else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
@@ -951,23 +943,21 @@ def train_step(
     )
     nn.ema_update(state.critic_ema, state.critic_params, config.ema_decay)
 
-    metrics, p_info = {"step": state.step + 1}, {}
-    if config.policy_update != "frozen":
-        # adam_step updated critic_params in place, so the actor sees the new values
-        if config.policy_update == "lambda_expectile":
-            p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
-        elif config.policy_update == "awr":
-            p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
-        else:
-            p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
-        if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
-            raise DivergenceError("policy loss diverged", {"step": state.step, "loss": p_loss})
-        state.adam_actor, state.policy_params = nn.adam_step(
-            state.adam_actor, state.policy_params, p_grad
-        )
-        metrics["loss_policy"] = p_loss
+    # adam_step updated critic_params in place, so the actor sees the new values
+    if config.policy_update == "lambda_expectile":
+        p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
+    elif config.policy_update == "awr":
+        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
+    else:
+        p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
+    if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
+        raise DivergenceError("policy loss diverged", {"step": state.step, "loss": p_loss})
+    state.adam_actor, state.policy_params = nn.adam_step(
+        state.adam_actor, state.policy_params, p_grad
+    )
     state.step += 1
 
+    metrics = {"step": state.step, "loss_policy": p_loss}
     if logged:
         q = _critic_forward(
             state.critic_spec, state.critic_params, env_batch["states"], env_batch["actions"]

@@ -837,7 +837,7 @@ def frozen_ranges_accept(agent_values: dict, model_values: dict) -> bool:
         or not 0.0 < a["ema_decay"] < 1.0
         or a["conservatism"] not in ("lower_expectile", "mobile_lcb")
         or a["critic_target"] not in ("lambda", "one_step", "h_step")
-        or a["policy_update"] not in ("lambda_expectile", "q_value", "awr", "frozen")
+        or a["policy_update"] not in ("lambda_expectile", "q_value", "awr")
         or a["awr_alpha"] <= 0.0
         or a["lcb_c"] < 0.0
         or not 0 < w["n_elites"] <= w["n_members"]

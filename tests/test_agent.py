@@ -384,20 +384,6 @@ def _counting_calls(monkeypatch) -> list:
     return counted
 
 
-def _count_critic_losses(patch) -> list:
-    """A list that grows by the name of each critic loss `agent` calls
-    while `patch` (a monkeypatch context) holds."""
-    called = []
-    for name in ("critic_loss_env", "critic_loss_ema", "critic_loss_total"):
-
-        def call(*args, name=name, loss=getattr(agent, name)):
-            called.append(name)
-            return loss(*args)
-
-        patch.setattr(agent, name, call)
-    return called
-
-
 def _state_bytes(state) -> dict:
     arrays = {
         "policy": state.policy_params,
@@ -635,16 +621,12 @@ def test_expand_dataset_matches_the_row_by_row_loop(capacity, monkeypatch):
     assert cut
 
 
-@pytest.mark.parametrize("update", ["q_value", "frozen"])
-def test_an_actor_reading_no_rollout_under_mobile_lcb_runs_no_rollout_policy_forward(
-    update, monkeypatch
-):
-    # the mobile_lcb critic regresses Q(s_t, a_t), the q_value actor reads the
-    # real batch and a frozen one reads nothing, so nothing reads a policy
-    # forward over the rollout states
+def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeypatch):
+    # the mobile_lcb critic regresses Q(s_t, a_t) and the q_value actor reads
+    # the real batch, so nothing reads a policy forward over the rollout states
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(
-        conservatism="mobile_lcb", policy_update=update, horizon=4, n_expand=10,
+        conservatism="mobile_lcb", policy_update="q_value", horizon=4, n_expand=10,
         hidden_actor=(16, 16), hidden_critic=(16, 16),
     )
     ensemble = _maze_ensemble(spec, 3)
@@ -675,9 +657,8 @@ def test_an_actor_reading_no_rollout_under_mobile_lcb_runs_no_rollout_policy_for
         )
         nn.adam_step(want.adam_critic, want.critic_params, c_grad)
         nn.ema_update(want.critic_ema, want.critic_params, config.ema_decay)
-        if update == "q_value":
-            _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
-            nn.adam_step(want.adam_actor, want.policy_params, p_grad)
+        _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
+        nn.adam_step(want.adam_actor, want.policy_params, p_grad)
         assert _state_bytes(stepped) == _state_bytes(want), step
     assert calls == []
 
@@ -714,7 +695,7 @@ def test_a_beta_zero_step_makes_one_real_batch_critic_forward_and_backward(monke
     for step in range(3):
         batch = env_batch(50 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
         real = np.concatenate([batch["states"], batch["actions"]], axis=1)
-        real_caches, real_backwards = [], []
+        real_caches, real_backwards, called = [], [], []
 
         def spying(spec_, params, x):
             # the EMA shadow's forward over (s, a) is another network's
@@ -731,7 +712,13 @@ def test_a_beta_zero_step_makes_one_real_batch_critic_forward_and_backward(monke
         with monkeypatch.context() as patch:
             patch.setattr(nn, "forward_cached", spying)
             patch.setattr(nn, "backward_cached", spying_backward)
-            called = _count_critic_losses(patch)
+            for name in ("critic_loss_env", "critic_loss_ema", "critic_loss_total"):
+
+                def call(*args, name=name, loss=getattr(agent, name)):
+                    called.append(name)
+                    return loss(*args)
+
+                patch.setattr(agent, name, call)
             agent.train_step(shared, None, batch, None, stream(0, "t", step), logged=False)
         assert len(real_caches) == 1 and real_backwards == [16], step
         assert sorted(called) == ["critic_loss_ema", "critic_loss_env"], step
@@ -753,39 +740,6 @@ def test_a_beta_zero_step_makes_one_real_batch_critic_forward_and_backward(monke
             patch.setattr(agent, "critic_loss_ema", ema_alone)
             agent.train_step(separate, None, batch, None, stream(0, "t", step), logged=False)
         assert _state_bytes(shared) == _state_bytes(separate), step
-
-
-def test_a_frozen_actor_keeps_its_bits_and_the_critic_steps_as_at_q_value(monkeypatch):
-    spec = envs.make_env_spec("point_maze_u")
-    ensemble = _maze_ensemble(spec, 3)
-    for beta in (0.0, 0.25):
-        calls = {}
-        for update in ("frozen", "q_value"):
-            config = agent.AgentConfig(
-                beta=beta, policy_update=update, horizon=4, n_expand=10,
-                hidden_actor=(16, 16), hidden_critic=(16, 16),
-            )
-            # neither actor reads a rollout, so only the critic's model term needs one
-            assert agent.needs_model(config) == (beta > 0.0)
-            state = agent.build_agent(config, spec, seed=0)
-            before = _state_bytes(state)
-            with monkeypatch.context() as patch:
-                calls[update] = _count_critic_losses(patch)
-                for step in range(12):
-                    batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
-                    starts = np.random.default_rng(40 + step).uniform(
-                        0.5, 2.5, size=(8, spec.obs_dim)
-                    )
-                    row = agent.train_step(state, ensemble, batch, starts, stream(0, "t", step))
-                    assert ("loss_policy" in row) == (update == "q_value")
-            if update == "frozen":
-                after = _state_bytes(state)
-                for name in ("policy", "actor_m", "actor_v"):
-                    assert after[name] == before[name], name
-                assert after["critic"] != before["critic"] and state.adam_actor.step == 0
-        assert calls["frozen"] == calls["q_value"] == (
-            ["critic_loss_env", "critic_loss_ema"] * 12 if beta == 0.0 else ["critic_loss_total"] * 12
-        ), beta
 
 
 def test_unlogged_step_skips_only_mean_q():
