@@ -284,15 +284,11 @@ def _policy_forward(spec, params, states):
 
 @dataclass
 class _PolicyEval:
-    """Stacked policy forward over every rollout state, k-major.
+    """The policy at every rollout state, one B-row forward per state; every
+    later pass reuses it, and the actor runs one backward per state on it."""
 
-    Row k * B + b corresponds to rollouts.states[b, k]; keeping the cache
-    lets later backward passes reuse the forward instead of recomputing it.
-    """
-
-    flat_states: np.ndarray  # (K*B, S)
-    acts: np.ndarray  # (K*B, A)
-    cache: tuple
+    acts: np.ndarray  # (K*B, A), k-major: row k * B + b is rollouts.states[b, k]'s
+    steps: list  # steps[k]: (acts (B, A), cache) at rollouts.states[:, k]
 
 
 @dataclass
@@ -304,15 +300,26 @@ class _CriticEval:
     boot_q: np.ndarray  # (B, H+1), terminal apex zeroed
 
 
-def _policy_eval(plan, rollouts) -> _PolicyEval:
-    B, Hp1, S = rollouts.states.shape
-    flat = rollouts.states.transpose(1, 0, 2).reshape(Hp1 * B, S)
-    return _PolicyEval(flat, *_policy_forward(plan.policy_spec, plan.policy_params, flat))
+def _recording_policy(plan, steps: list):
+    """The rollout policy, appending each call's (acts, cache) to `steps`."""
+
+    def policy(states):
+        steps.append(_policy_forward(plan.policy_spec, plan.policy_params, states))
+        return steps[-1][0]
+
+    return policy
+
+
+def _policy_eval(plan, rollouts, steps: list) -> _PolicyEval:
+    """`_PolicyEval` from a `_recording_policy` rollout's `steps` and its last states."""
+    steps = [*steps, _policy_forward(plan.policy_spec, plan.policy_params, rollouts.states[:, -1])]
+    return _PolicyEval(np.concatenate([acts for acts, _ in steps]), steps)
 
 
 def _critic_eval(plan, rollouts, pol: _PolicyEval) -> _CriticEval:
     B, Hp1, S = rollouts.states.shape
-    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, pol.flat_states, pol.acts)
+    flat = rollouts.states.transpose(1, 0, 2).reshape(Hp1 * B, S)
+    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, flat, pol.acts)
     boot_q = np.ascontiguousarray(q.reshape(Hp1, B).T)
     rows = np.arange(B)
     apex = rollouts.t_eff
@@ -344,9 +351,8 @@ class _Remote:
 
 def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
     """(the elites whose LCB predictions a step computes here, the helper's):
-    the first n // 2 of n, and the rest. Meanwhile this process evaluates the
-    policy and the critic over every rollout state, about two thirds of one
-    elite's three forwards, so the helper takes the larger half."""
+    the first n // 2 of n, and the rest. Meanwhile this process runs the
+    real-batch critic terms, so the helper takes the larger half."""
     half = len(elite_idx) // 2
     return elite_idx[:half], elite_idx[half:]
 
@@ -551,9 +557,9 @@ def _policy_pathwise(
     model steps (skip included) and the tanh policy at every visited state.
 
     The critic cotangents c_q are known up front, so all critic input
-    gradients and their squash-through-policy parts run as two stacked
-    backward passes; only cotangents surfacing from model steps still walk
-    the horizon sequentially.
+    gradients run as one stacked backward pass. The walk k = H..0 adds s_k's
+    critic and model-step action cotangents and runs one policy backward per
+    state, on `pol`'s forward at s_k.
     """
     B, H = rollouts.rewards.shape
     if rollouts.caches is None:
@@ -573,33 +579,24 @@ def _policy_pathwise(
     )
 
     S = ensemble.obs_dim
-    squash_grad = 1.0 - pol.acts * pol.acts
-
     # all critic input gradients at once: cotangent c_q[b, k] on row k*B + b
     _, g_in = nn.backward_cached(
         plan.critic_spec, plan.critic_params, ce.cache, c_q.T.reshape(-1, 1), input_only=True
     )
     g_s_crit = g_in[:, :S].reshape(H + 1, B, S)
-    # ... and their action components through tanh(policy), also at once
-    theta_grad, g_s_flat = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, pol.cache, g_in[:, S:] * squash_grad
-    )
-    g_s_polc = g_s_flat.reshape(H + 1, B, S)
+    g_a_crit = g_in[:, S:].reshape(H + 1, B, -1)
+    theta_grad = np.zeros_like(plan.policy_params)
 
     def policy_backprop(k, g_action):
-        # push model-step action cotangents through tanh(mlp(s_k))
-        nonlocal theta_grad
-        if not np.any(g_action):
-            return np.zeros((B, S))
-        lo, hi = k * B, (k + 1) * B
-        g_pre = g_action * squash_grad[lo:hi]
+        # push s_k's action cotangent through tanh(mlp(s_k))
+        acts, cache = pol.steps[k]
         g_params, g_states = nn.backward_cached(
-            plan.policy_spec, plan.policy_params, nn._slice_cache(pol.cache, lo, hi), g_pre
+            plan.policy_spec, plan.policy_params, cache, g_action * (1.0 - acts * acts)
         )
-        theta_grad += g_params
+        np.add(theta_grad, g_params, out=theta_grad)
         return g_states
 
-    g_s_next = g_s_crit[H] + g_s_polc[H]
+    g_s_next = g_s_crit[H] + policy_backprop(H, g_a_crit[H])
     for k in range(H - 1, -1, -1):
         alive = (rollouts.t_eff > k)[:, None]
         g_next = g_s_next * alive
@@ -608,9 +605,8 @@ def _policy_pathwise(
             ensemble, rollouts.caches[k], g_next, g_reward
         )
         g_s_model = np.where(alive, g_s_model, 0.0)
-        g_a_model = np.where(alive, g_a_model, 0.0)
-        g_s_pol = policy_backprop(k, g_a_model)
-        g_s_next = g_s_model + g_s_crit[k] + g_s_polc[k] + g_s_pol + g_s_next * (~alive)
+        g_s_pol = policy_backprop(k, np.where(alive, g_a_model, 0.0) + g_a_crit[k])
+        g_s_next = g_s_model + g_s_crit[k] + g_s_pol + g_s_next * (~alive)
     info = {"qlam_mean": float(qlam[valid].mean())}
     return loss, theta_grad, info
 
@@ -657,9 +653,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     """Advantage-weighted regression toward rollout actions.
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
-    pi(s_t) toward the recorded (noisy) rollout actions. pi(s_t) and the
-    backward reuse `pol`'s stacked forward, with zero cotangents on the
-    rows of invalid (b, t).
+    pi(s_t) toward the recorded (noisy) rollout actions. pi(s_t) comes from
+    `pol`, and the one backward runs on its per-step caches joined in step
+    order, with zero cotangents on the rows of invalid (b, t).
     """
     if not rollouts.t_eff.any():
         return 0.0, np.zeros_like(plan.policy_params), {}
@@ -671,15 +667,17 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     a_taken = rollouts.actions[flat_idx[:, 0], flat_idx[:, 1]]
     q_pol = boot_q[flat_idx[:, 0], flat_idx[:, 1]]
     adv = qlam[flat_idx[:, 0], flat_idx[:, 1]] - q_pol
-    w = np.minimum(np.exp(adv / config.awr_alpha), 20.0)
+    with np.errstate(over="ignore"):  # exp overflows to inf past 709 * alpha; the cap is 20
+        w = np.minimum(np.exp(adv / config.awr_alpha), 20.0)
     rows = flat_idx[:, 1] * valid.shape[0] + flat_idx[:, 0]  # k-major row of (b, t)
     acts = pol.acts[rows]
     res = acts - a_taken
     loss = float((w * (res * res).sum(axis=1)).mean())
     g_pre = np.zeros_like(pol.acts)
     g_pre[rows] = 2.0 * w[:, None] * res / w.size * (1.0 - acts * acts)
+    cache = nn._concat_caches([step_cache for _, step_cache in pol.steps])
     grad, _ = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, pol.cache, g_pre, params_only=True
+        plan.policy_spec, plan.policy_params, cache, g_pre, params_only=True
     )
     return loss, grad, {"awr_weight_mean": float(w.mean())}
 
@@ -903,12 +901,12 @@ def train_step(
         state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
     )
     term_fn = functools.partial(envs.terminated_batch, state.env_spec)
-    rollouts = None
+    rollouts, steps = None, []
     if needs_model(config):
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
         rollouts = world_model.imagine_rollout(
             ensemble,
-            state.policy,
+            _recording_policy(plan, steps),
             start_states,
             config.horizon,
             term_fn,
@@ -918,11 +916,10 @@ def train_step(
         )
     remote = None if helper is None else _send_elites(helper, plan, config, ensemble, rollouts)
 
-    # policy params stay fixed until the actor Adam step, so one stacked
-    # policy forward over the rollout states serves both loss phases; the
-    # lambda_expectile and awr actors and the lower_expectile model term read it
+    # the rollout's policy forwards serve both loss phases, as the policy is fixed until its Adam
+    # step; the lambda_expectile and awr actors and the lower_expectile model term read them
     reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
-    pol = _policy_eval(plan, rollouts) if reads_pol and rollouts is not None else None
+    pol = _policy_eval(plan, rollouts, steps) if reads_pol and rollouts is not None else None
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, remote

@@ -36,11 +36,11 @@ batch. forward_cached()'s cache is (raw_in, x0, layers, last): the raw and
 the symlogged input, per hidden layer (a_in, norm, inv_std, out), the
 layer input, the layer-norm output and its row-wise 1/std (None without
 layer norm) and the activation output, and the last hidden output. Only
-this module reads it; _slice_cache() cuts out a row block for a backward
-pass over part of a batch. Activation derivatives are taken
-from the outputs alone (relu: out > 0, tanh: 1 - out^2, elu: min(out, 0)
-+ 1), which equal the pre-activation forms bit for bit, so the
-pre-activation is never stored or recomputed.
+this module reads it; _concat_caches() joins the caches of forwards over
+row blocks into one, for a backward pass over all their rows. Activation
+derivatives are taken from the outputs alone (relu: out > 0, tanh:
+1 - out^2, elu: min(out, 0) + 1), which equal the pre-activation forms
+bit for bit, so the pre-activation is never stored or recomputed.
 
 The kernels work in place, and a hidden layer still holds at most three
 full-size arrays in either direction, input_only sweeps included. Forward,
@@ -246,19 +246,21 @@ def forward_cached(spec: MlpSpec, params: np.ndarray, x: np.ndarray):
     return y, (raw_in, x, layers, a)
 
 
-def _slice_cache(cache, lo: int, hi: int):
-    """Rows lo:hi of a 2-D forward's cache, so backward_cached can run on a sub-batch."""
-    raw_in, x0, layers, last = cache
-    sub = [
-        (
-            a[lo:hi],
-            None if norm is None else norm[lo:hi],
-            None if inv_std is None else inv_std[lo:hi],
-            out[lo:hi],
-        )
-        for a, norm, inv_std, out in layers
-    ]
-    return raw_in[lo:hi], x0[lo:hi], sub, last[lo:hi]
+def _concat_caches(caches):
+    """The caches of 2-D forwards joined row-wise in order, sharing arrays as
+    forward_cached's cache does (a layer's input is the previous output)."""
+
+    def cat(parts):
+        return None if parts[0] is None else np.concatenate(parts)
+
+    raw_in = cat([c[0] for c in caches])
+    x0 = raw_in if caches[0][1] is caches[0][0] else cat([c[1] for c in caches])
+    layers, a = [], x0
+    for blocks in zip(*(c[2] for c in caches)):
+        norm, inv_std, out = (cat([block[j] for block in blocks]) for j in (1, 2, 3))
+        layers.append((a, norm, inv_std, out))
+        a = out
+    return raw_in, x0, layers, a
 
 
 def forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from leq_lab import agent, datasets, envs, nn, world_model
+from leq_lab import agent, datasets, envs, nn, returns, world_model
 from leq_lab.rng import stream
 
 
@@ -310,6 +310,53 @@ def loop_train_ensemble(dataset, config, seed: int):
         elite_idx=tuple(elites),
         config=config,
     )
+
+
+def two_pass_policy_pathwise(plan, config, ensemble, rollouts, weights, pol, ce, qlam, valid):
+    """`agent._policy_pathwise` with two policy backward passes per rollout
+    state, as it ran before they were merged: the critic's action
+    cotangents go through one stacked policy forward and backward over
+    every state, and each model step's through that state's forward in
+    `pol`, skipped where they are all zero. Returns (loss, gradient)."""
+    B, H = rollouts.rewards.shape
+    n_valid = int(valid.sum())
+    loss = -float((weights * qlam).sum() / n_valid)
+    rows = np.arange(B)
+    bootstrap_ok = np.zeros((B, H + 1))
+    bootstrap_ok[np.arange(H + 1)[None, :] <= rollouts.t_eff[:, None]] = 1.0
+    bootstrap_ok[rows, rollouts.t_eff] = np.where(rollouts.terminal, 0.0, 1.0)
+    c_r, c_q = returns.policy_grad_coefficients(
+        -weights / n_valid, rollouts.t_eff, bootstrap_ok, config.lam, config.gamma
+    )
+    S = ensemble.obs_dim
+    _, g_in = nn.backward_cached(
+        plan.critic_spec, plan.critic_params, ce.cache, c_q.T.reshape(-1, 1), input_only=True
+    )
+    g_s_crit = g_in[:, :S].reshape(H + 1, B, S)
+    flat = rollouts.states.transpose(1, 0, 2).reshape((H + 1) * B, S)
+    acts, cache = agent._policy_forward(plan.policy_spec, plan.policy_params, flat)
+    theta_grad, g_s_flat = nn.backward_cached(
+        plan.policy_spec, plan.policy_params, cache, g_in[:, S:] * (1.0 - acts * acts)
+    )
+    g_s_polc = g_s_flat.reshape(H + 1, B, S)
+    g_s_next = g_s_crit[H] + g_s_polc[H]
+    for k in range(H - 1, -1, -1):
+        alive = (rollouts.t_eff > k)[:, None]
+        g_s_model, g_a_model = world_model.step_backward(
+            ensemble, rollouts.caches[k], g_s_next * alive, c_r[:, k]
+        )
+        g_s_model = np.where(alive, g_s_model, 0.0)
+        g_a_model = np.where(alive, g_a_model, 0.0)
+        g_s_pol = np.zeros((B, S))
+        if np.any(g_a_model):
+            step_acts, step_cache = pol.steps[k]
+            g_params, g_s_pol = nn.backward_cached(
+                plan.policy_spec, plan.policy_params, step_cache,
+                g_a_model * (1.0 - step_acts * step_acts),
+            )
+            theta_grad += g_params
+        g_s_next = g_s_model + g_s_crit[k] + g_s_polc[k] + g_s_pol + g_s_next * (~alive)
+    return loss, theta_grad
 
 
 def central_diff(fn, params, i: int, h: float) -> float:

@@ -2,6 +2,7 @@
 imagination-start ring buffer."""
 
 import functools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -65,10 +66,12 @@ def terminal_predictions(ensemble, ro, member: int) -> int:
 
 
 def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
+    """(starts, rollouts, `_PolicyEval`) of a rollout recorded as `agent.train_step` records it."""
     starts = np.random.default_rng(seed).normal(size=(BATCH, OBS))
+    steps = []
     ro = wm.imagine_rollout(
         tiny_ensemble(),
-        agent.MlpPolicy(plan.policy_spec, plan.policy_params),
+        agent._recording_policy(plan, steps),
         starts,
         HORIZON,
         termination,
@@ -76,7 +79,7 @@ def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
         np.random.default_rng(seed + 1),
         differentiable=noise == 0.0,
     )
-    return starts, ro
+    return starts, ro, agent._policy_eval(plan, ro, steps)
 
 
 def env_batch(seed: int, n: int = 10, obs: int = OBS, act: int = ACT) -> dict:
@@ -102,25 +105,23 @@ def test_surrogate_gradient_matches_central_differences():
     plan = make_plan()
     config = agent.AgentConfig(horizon=HORIZON)
     ensemble = tiny_ensemble()
-    starts, ro = rollout(plan, never_terminal)
-    _, grad, info = agent.policy_loss_surrogate(
-        plan, config, ensemble, ro, agent._policy_eval(plan, ro)
-    )
+    starts, ro, pol = rollout(plan, never_terminal)
+    _, grad, info = agent.policy_loss_surrogate(plan, config, ensemble, ro, pol)
     weights = info["weights"]
     n_valid = int((ro.t_eff[:, None] > np.arange(HORIZON)[None, :]).sum())
 
     def loss_at(theta):
         # common random numbers: the same (member, eps) tapes, the weights frozen
-        moved = replace(plan, policy_params=theta)
+        moved, steps = replace(plan, policy_params=theta), []
         replayed = wm.replay_rollout(
             ensemble,
-            agent.MlpPolicy(plan.policy_spec, theta),
+            agent._recording_policy(moved, steps),
             starts,
             ro.member_ids,
             ro.eps,
             never_terminal,
         )
-        ce = agent._critic_eval(moved, replayed, agent._policy_eval(moved, replayed))
+        ce = agent._critic_eval(moved, replayed, agent._policy_eval(moved, replayed, steps))
         qlam, _ = returns.lambda_return_batch(
             replayed.rewards, ce.boot_q, replayed.t_eff, config.lam, config.gamma
         )
@@ -133,9 +134,8 @@ def test_surrogate_gradient_matches_central_differences():
 def test_surrogate_weights_come_from_the_rollout_actions():
     plan = make_plan(2)
     config = agent.AgentConfig(horizon=HORIZON)
-    _, ro = rollout(plan, far_is_terminal, seed=8)
+    _, ro, pol = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1  # the terminal path runs
-    pol = agent._policy_eval(plan, ro)
     _, _, info = agent.policy_loss_surrogate(plan, config, tiny_ensemble(), ro, pol)
 
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
@@ -156,12 +156,44 @@ def test_surrogate_weights_come_from_the_rollout_actions():
     np.testing.assert_array_equal(info["weights"], want)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merged_policy_backward_matches_the_two_pass_gradient(seed):
+    plan = make_plan(seed)
+    config = agent.AgentConfig(horizon=HORIZON)
+    ensemble = tiny_ensemble()
+    rng = np.random.default_rng(60 + seed)
+    starts = 2.0 * rng.normal(size=(BATCH, OBS))
+    starts[0, 0] = 4.0  # a start inside the terminal set: t_eff 0
+    member_ids = rng.choice(ensemble.elite_idx, size=(BATCH, HORIZON))
+    eps = rng.standard_normal((BATCH, HORIZON, OBS + 1))
+    eps[1, 1, 0] = np.nan  # the model's second step goes non-finite and truncates row 1
+    steps = []
+    ro = wm.replay_rollout(
+        ensemble, agent._recording_policy(plan, steps), starts, member_ids, eps,
+        far_is_terminal, differentiable=True,
+    )
+    assert ro.t_eff[0] == 0 and ro.nonfinite[1] and ro.t_eff[1] == 1
+    assert (ro.terminal & (ro.t_eff > 0)).any()
+    pol = agent._policy_eval(plan, ro, steps)
+    _, grad, info = agent.policy_loss_surrogate(plan, config, ensemble, ro, pol)
+
+    ce = agent._critic_eval(plan, ro, pol)
+    qlam, valid = returns.lambda_return_batch(
+        ro.rewards, ce.boot_q, ro.t_eff, config.lam, config.gamma
+    )
+    _, want = _oracles.two_pass_policy_pathwise(
+        plan, config, ensemble, ro, info["weights"], pol, ce, qlam, valid
+    )
+    assert np.isfinite(grad).all() and np.abs(want).max() > 0.0
+    # the per-state sums round apart, and near-zero entries carry the rounding of large ones
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def test_awr_gradient_matches_central_differences(monkeypatch):
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
-    _, ro = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
     assert ro.terminal.any()
-    pol = agent._policy_eval(plan, ro)
     forward, forwarded = nn.forward_cached, []
 
     def recording(spec, *args, **kwargs):
@@ -171,7 +203,7 @@ def test_awr_gradient_matches_central_differences(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(nn, "forward_cached", recording)
         loss, grad, info = agent.awr_policy_loss(plan, config, ro, pol)
-    # pi(s_t) comes from `pol`'s stacked forward, not from a second one
+    # pi(s_t) comes from `pol`'s per-step forwards, not from another one
     assert plan.policy_spec not in forwarded
 
     # the advantage weights, frozen at the current critic and policy
@@ -191,6 +223,37 @@ def test_awr_gradient_matches_central_differences(monkeypatch):
     assert _oracles.worst_fd_rel_error(loss_at, grad, plan.policy_params, rng, n_coords=40) < 1e-5
 
 
+def test_awr_gradient_from_the_per_step_caches_has_the_stacked_forwards_bits():
+    plan = make_plan(4)
+    config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    _, grad, _ = agent.awr_policy_loss(plan, config, ro, pol)
+    # one policy forward over every rollout state, as a single step, the way
+    # awr_policy_loss read it before; a forward's bits can depend on its row
+    # count, and at BATCH rows each per-step forward has the stacked rows' bits
+    flat = ro.states.transpose(1, 0, 2).reshape(-1, OBS)
+    acts, cache = agent._policy_forward(plan.policy_spec, plan.policy_params, flat)
+    assert acts.tobytes() == pol.acts.tobytes()
+    stacked = replace(pol, acts=acts, steps=[(acts, cache)])
+    _, want, _ = agent.awr_policy_loss(plan, config, ro, stacked)
+    assert grad.tobytes() == want.tobytes()
+
+
+def test_awr_weight_of_an_overflowing_advantage_is_the_cap_without_a_warning():
+    plan = make_plan(4)
+    config = agent.AgentConfig(horizon=HORIZON, policy_update="awr", awr_alpha=1e-3)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    # a reward of 1e3 at every valid step takes each A_t / alpha far past
+    # 709, where exp overflows
+    valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
+    planted = replace(ro, rewards=np.where(valid, 1e3, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, grad, info = agent.awr_policy_loss(plan, config, planted, pol)
+    assert info["awr_weight_mean"] == 20.0
+    assert np.isfinite(loss) and np.isfinite(grad).all()
+
+
 @pytest.mark.parametrize("conservatism", ["lower_expectile", "mobile_lcb"])
 def test_critic_loss_total_gradient_matches_central_differences(conservatism):
     plan = make_plan(6)
@@ -198,10 +261,9 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
     ensemble = tiny_ensemble()
     # mobile_lcb's awr rollouts take noisy actions, which pi(s_t) is not
     noise = config.sigma_exp if conservatism == "mobile_lcb" else 0.0
-    _, ro = rollout(plan, far_is_terminal, noise=noise, seed=13)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=noise, seed=13)
     batch = env_batch(14)
     shadow = nn.init_params(plan.critic_spec, np.random.default_rng(15))
-    pol = agent._policy_eval(plan, ro)
     total, grad, parts = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
 
     # every regression target frozen at the current params; mobile_lcb
@@ -276,10 +338,9 @@ def test_critic_loss_total_gradient_keeps_the_bits_of_its_inline_backward(beta):
     plan = make_plan(24)
     config = agent.AgentConfig(horizon=HORIZON, beta=beta, omega_ema=0.7)
     ensemble = tiny_ensemble()
-    _, ro = rollout(plan, far_is_terminal, seed=25)
+    _, ro, pol = rollout(plan, far_is_terminal, seed=25)
     batch = env_batch(26)
     shadow = nn.init_params(plan.critic_spec, np.random.default_rng(27))
-    pol = agent._policy_eval(plan, ro)
     _, grad, _ = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
 
     target = agent._bellman_target(plan, config, batch)
@@ -315,7 +376,7 @@ def test_mobile_targets_match_a_per_elite_loop():
     plan = make_plan(9)
     config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)
     ensemble = tiny_ensemble()
-    _, ro = rollout(plan, far_is_terminal, seed=8)
+    _, ro, _ = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1
     assert all(terminal_predictions(ensemble, ro, m) for m in ensemble.elite_idx)
     s, a = agent._lcb_rows(ro)
@@ -339,7 +400,7 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
     ensemble = replace(
         ensemble, elite_idx=elite_idx, config=replace(ensemble.config, n_elites=len(elite_idx))
     )
-    _, ro = rollout(plan, far_is_terminal, seed=8)
+    _, ro, _ = rollout(plan, far_is_terminal, seed=8)
     # the helper's elites predict terminal states too
     assert all(terminal_predictions(ensemble, ro, m) for m in elite_idx)
     here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
@@ -651,9 +712,8 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
             ensemble, want.policy, starts, config.horizon,
             functools.partial(envs.terminated_batch, spec), 0.0, stream(0, "t", step),
         )
-        pol = agent._policy_eval(plan, ro)
         _, c_grad, _ = agent.critic_loss_total(
-            plan, config, ensemble, ro, batch, want.critic_ema, pol
+            plan, config, ensemble, ro, batch, want.critic_ema, None
         )
         nn.adam_step(want.adam_critic, want.critic_params, c_grad)
         nn.ema_update(want.critic_ema, want.critic_params, config.ema_decay)
@@ -661,6 +721,36 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
         nn.adam_step(want.adam_actor, want.policy_params, p_grad)
         assert _state_bytes(stepped) == _state_bytes(want), step
     assert calls == []
+
+
+def test_a_lambda_expectile_step_runs_one_policy_pass_per_rollout_state(monkeypatch):
+    spec = envs.make_env_spec("point_maze_u")
+    config = agent.AgentConfig(
+        horizon=4, n_expand=10, hidden_actor=(16, 16), hidden_critic=(16, 16)
+    )
+    state = agent.build_agent(config, spec, seed=0)
+    n_real, n_starts = 16, 8
+    batch = env_batch(70, n=n_real, obs=spec.obs_dim, act=spec.act_dim)
+    starts = np.random.default_rng(71).uniform(0.5, 2.5, size=(n_starts, spec.obs_dim))
+    forward, backward = nn.forward_cached, nn.backward_cached
+    forwards, backwards = [], []
+
+    def spying(spec_, params, x):
+        if spec_ == state.policy_spec:
+            forwards.append(x.shape[0])
+        return forward(spec_, params, x)
+
+    def spying_backward(spec_, params, cache, cot, **kwargs):
+        if spec_ == state.policy_spec:
+            backwards.append(cot.shape[0])
+        return backward(spec_, params, cache, cot, **kwargs)
+
+    monkeypatch.setattr(nn, "forward_cached", spying)
+    monkeypatch.setattr(nn, "backward_cached", spying_backward)
+    agent.train_step(state, _maze_ensemble(spec, 2), batch, starts, stream(0, "t", 0))
+    # H + 1 rollout states per start, and the real batch's Bellman target
+    assert sorted(forwards) == [n_starts] * (config.horizon + 1) + [n_real]
+    assert backwards == [n_starts] * (config.horizon + 1)
 
 
 def test_actor_sees_the_updated_critic(monkeypatch):

@@ -396,6 +396,36 @@ class TestParamsOnly:
             nn.backward_cached(spec, params, cache, np.ones((2, 2)), input_only=True, params_only=True)
 
 
+class TestConcatCaches:
+    @pytest.mark.parametrize(
+        "use_layernorm, use_symlog_input", [(False, False), (True, True)], ids=["plain", "ln-symlog"]
+    )
+    def test_joined_caches_hold_the_blocks_rows_as_a_forwards_cache_holds_them(
+        self, use_layernorm, use_symlog_input
+    ):
+        spec = make_spec("elu", use_layernorm, use_symlog_input)
+        params = nn.init_params(spec, np.random.default_rng(0))
+        caches = [
+            nn.forward_cached(spec, params, np.random.default_rng(b).normal(size=(4, 3)))[1]
+            for b in range(3)
+        ]
+        joined = nn._concat_caches(caches)
+        for i, got in enumerate(_cache_arrays(joined)):
+            np.testing.assert_array_equal(got, np.concatenate([_cache_arrays(c)[i] for c in caches]))
+        # each array once: x0 is raw_in without symlog, a layer's input the
+        # previous layer's output, and last the last layer's
+        raw_in, x0, layers, last = joined
+        assert (x0 is raw_in) == (not use_symlog_input)
+        assert layers[0][0] is x0 and last is layers[-1][3]
+        assert all(layers[i][0] is layers[i - 1][3] for i in range(1, len(layers)))
+        # one sweep over the joined rows is the blocks' sweeps, summed or stacked
+        cot = np.random.default_rng(9).normal(size=(12, 2))
+        grad, g_in = nn.backward_cached(spec, params, joined, cot)
+        parts = [nn.backward_cached(spec, params, c, cot[4 * b : 4 * b + 4]) for b, c in enumerate(caches)]
+        np.testing.assert_allclose(grad, sum(g for g, _ in parts), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(g_in, np.concatenate([g for _, g in parts]), rtol=1e-12, atol=1e-14)
+
+
 class TestAdam:
     def test_zero_grad_is_identity(self):
         params = np.array([1.0, -2.0, 3.0])
