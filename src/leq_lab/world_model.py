@@ -39,10 +39,7 @@ contiguous slice of one (B, width) array, and the per-row bias and the
 activation (or, going backward, its derivative) then go over the whole
 layer at once. Outputs are scattered back to row order once at the end.
 Each member's rows meet the same matmuls as they would alone, so the bits
-are those of one forward per member, but for the sign of a NaN where two
-NaNs meet in a layer-wide elementwise op: numpy's SIMD lanes and scalar
-tails order the operands differently, and a member's rows sit at another
-offset in the sorted layer than alone. A `StepCache` keeps the hidden
+are those of one forward per member. A `StepCache` keeps the hidden
 activations in sorted order, with the permutation and the group bounds.
 """
 

@@ -446,18 +446,6 @@ def assert_bits(got, want):
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
-def assert_bits_but_nan_signs(got, want):
-    """Equal values, NaNs at the same places and the sign of every zero; a
-    NaN's sign may differ. numpy's SIMD lanes and scalar tails put the two
-    operands of a binary op in different orders, so where two NaNs of
-    opposite sign meet, the sign that survives depends on the element's
-    offset in the array, and a slice or a member group sits at another
-    offset in a stack or a member-sorted batch."""
-    np.testing.assert_array_equal(got, want)
-    signed = ~np.isnan(want)
-    np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
-
-
 def alloc_activate(h, kind: str):
     """`nn._activate` as it was before it consumed its argument; its ELU is
     the four-pass expm1(min(h, 0)) + max(h, 0)."""

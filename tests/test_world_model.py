@@ -132,9 +132,8 @@ def _random_ensemble(rng, activation, n_members, hidden, obs, act, scale):
 
 
 def check_step_against_group_oracle(ensemble, states, actions, member, eps, g_next, g_reward):
-    """step_with_tape and step_backward give the per-group oracle's bits, but
-    for the sign of a NaN where two of opposite sign meet, and write none of
-    their inputs, tapes, caches or cotangents."""
+    """step_with_tape and step_backward give the per-group oracle's bits and
+    write none of their inputs, tapes, caches or cotangents."""
     inputs = (states, actions, member, eps)
     before = [arr.tobytes() for arr in inputs]
     nxt, rew, cache = wm.step_with_tape(ensemble, states, actions, member, eps)
@@ -142,8 +141,8 @@ def check_step_against_group_oracle(ensemble, states, actions, member, eps, g_ne
     want_nxt, want_rew, tape = _oracles.group_step_with_tape(
         ensemble, states, actions, member, eps
     )
-    _oracles.assert_bits_but_nan_signs(nxt, want_nxt)
-    _oracles.assert_bits_but_nan_signs(rew, want_rew)
+    _oracles.assert_bits(nxt, want_nxt)
+    _oracles.assert_bits(rew, want_rew)
 
     cache_arrays = [*cache.post, cache.order, cache.sigma, cache.eps, cache.interior]
     frozen = [arr.tobytes() for arr in cache_arrays + [g_next, g_reward, *inputs]]
@@ -151,8 +150,8 @@ def check_step_against_group_oracle(ensemble, states, actions, member, eps, g_ne
     for _ in range(2):  # a second sweep over the same cache
         g_s, g_a = wm.step_backward(ensemble, cache, g_next, g_reward)
         assert [arr.tobytes() for arr in cache_arrays + [g_next, g_reward, *inputs]] == frozen
-        _oracles.assert_bits_but_nan_signs(g_s, want_s)
-        _oracles.assert_bits_but_nan_signs(g_a, want_a)
+        _oracles.assert_bits(g_s, want_s)
+        _oracles.assert_bits(g_a, want_a)
 
 
 def _plant(draw, arrays):
