@@ -285,10 +285,11 @@ def _policy_forward(spec, params, states):
 @dataclass
 class _PolicyEval:
     """The policy at every rollout state, one B-row forward per state; every
-    later pass reuses it, and the actor runs one backward per state on it."""
+    later pass reuses it, and the pathwise actor runs one backward per state on it."""
 
     acts: np.ndarray  # (K*B, A), k-major: row k * B + b is rollouts.states[b, k]'s
-    steps: list  # steps[k]: (acts (B, A), cache) at rollouts.states[:, k]
+    steps: list  # steps[k]: (acts (B, A), cache) at rollouts.states[:, k]; empty once joined
+    cache: tuple | None = None  # the steps' caches joined in order, for AWR's one backward
 
 
 @dataclass
@@ -351,8 +352,8 @@ class _Remote:
 
 def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
     """(the elites whose LCB predictions a step computes here, the helper's):
-    the first n // 2 of n, and the rest. Meanwhile this process runs the
-    real-batch critic terms, so the helper takes the larger half."""
+    the first n // 2 of n, and the rest. On lcb_spiral, giving this process
+    the larger half instead made no measurable difference to the step rate."""
     half = len(elite_idx) // 2
     return elite_idx[:half], elite_idx[half:]
 
@@ -654,8 +655,8 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
     pi(s_t) toward the recorded (noisy) rollout actions. pi(s_t) comes from
-    `pol`, and the one backward runs on its per-step caches joined in step
-    order, with zero cotangents on the rows of invalid (b, t).
+    `pol`, and the one backward runs on its joined cache, with zero
+    cotangents on the rows of invalid (b, t).
     """
     if not rollouts.t_eff.any():
         return 0.0, np.zeros_like(plan.policy_params), {}
@@ -675,9 +676,8 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     loss = float((w * (res * res).sum(axis=1)).mean())
     g_pre = np.zeros_like(pol.acts)
     g_pre[rows] = 2.0 * w[:, None] * res / w.size * (1.0 - acts * acts)
-    cache = nn._concat_caches([step_cache for _, step_cache in pol.steps])
     grad, _ = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, cache, g_pre, params_only=True
+        plan.policy_spec, plan.policy_params, pol.cache, g_pre, params_only=True
     )
     return loss, grad, {"awr_weight_mean": float(w.mean())}
 
@@ -901,12 +901,15 @@ def train_step(
         state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
     )
     term_fn = functools.partial(envs.terminated_batch, state.env_spec)
+    # the rollout's policy forwards serve both loss phases, as the policy is fixed until its Adam
+    # step; the lambda_expectile and awr actors and the lower_expectile model term read them
+    reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
     rollouts, steps = None, []
     if needs_model(config):
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
         rollouts = world_model.imagine_rollout(
             ensemble,
-            _recording_policy(plan, steps),
+            _recording_policy(plan, steps) if reads_pol else state.policy,
             start_states,
             config.horizon,
             term_fn,
@@ -916,10 +919,10 @@ def train_step(
         )
     remote = None if helper is None else _send_elites(helper, plan, config, ensemble, rollouts)
 
-    # the rollout's policy forwards serve both loss phases, as the policy is fixed until its Adam
-    # step; the lambda_expectile and awr actors and the lower_expectile model term read them
-    reads_pol = config.policy_update != "q_value" or config.conservatism == "lower_expectile"
     pol = _policy_eval(plan, rollouts, steps) if reads_pol and rollouts is not None else None
+    if config.policy_update == "awr":  # joined while the helper computes its elites
+        pol.cache, pol.steps = nn._concat_caches([cache for _, cache in pol.steps]), []
+    del steps  # so a joined `pol` holds the rollout's policy caches once
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
             plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, remote

@@ -65,8 +65,9 @@ def terminal_predictions(ensemble, ro, member: int) -> int:
     return int(far_is_terminal(s + out[:, :OBS]).sum())
 
 
-def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
-    """(starts, rollouts, `_PolicyEval`) of a rollout recorded as `agent.train_step` records it."""
+def rollout(plan, termination, noise: float = 0.0, seed: int = 5, joined: bool = False):
+    """(starts, rollouts, `_PolicyEval`) of a rollout recorded as `agent.train_step` records it,
+    with the caches joined as for an AWR actor if `joined`."""
     starts = np.random.default_rng(seed).normal(size=(BATCH, OBS))
     steps = []
     ro = wm.imagine_rollout(
@@ -79,7 +80,10 @@ def rollout(plan, termination, noise: float = 0.0, seed: int = 5):
         np.random.default_rng(seed + 1),
         differentiable=noise == 0.0,
     )
-    return starts, ro, agent._policy_eval(plan, ro, steps)
+    pol = agent._policy_eval(plan, ro, steps)
+    if joined:
+        pol = replace(pol, steps=[], cache=nn._concat_caches([cache for _, cache in pol.steps]))
+    return starts, ro, pol
 
 
 def env_batch(seed: int, n: int = 10, obs: int = OBS, act: int = ACT) -> dict:
@@ -192,7 +196,7 @@ def test_merged_policy_backward_matches_the_two_pass_gradient(seed):
 def test_awr_gradient_matches_central_differences(monkeypatch):
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
-    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
     assert ro.terminal.any()
     forward, forwarded = nn.forward_cached, []
 
@@ -226,15 +230,15 @@ def test_awr_gradient_matches_central_differences(monkeypatch):
 def test_awr_gradient_from_the_per_step_caches_has_the_stacked_forwards_bits():
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
-    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
     _, grad, _ = agent.awr_policy_loss(plan, config, ro, pol)
-    # one policy forward over every rollout state, as a single step, the way
-    # awr_policy_loss read it before; a forward's bits can depend on its row
+    # one policy forward over every rollout state, the way awr_policy_loss
+    # read it before; a forward's bits can depend on its row
     # count, and at BATCH rows each per-step forward has the stacked rows' bits
     flat = ro.states.transpose(1, 0, 2).reshape(-1, OBS)
     acts, cache = agent._policy_forward(plan.policy_spec, plan.policy_params, flat)
     assert acts.tobytes() == pol.acts.tobytes()
-    stacked = replace(pol, acts=acts, steps=[(acts, cache)])
+    stacked = replace(pol, acts=acts, cache=cache)
     _, want, _ = agent.awr_policy_loss(plan, config, ro, stacked)
     assert grad.tobytes() == want.tobytes()
 
@@ -242,7 +246,7 @@ def test_awr_gradient_from_the_per_step_caches_has_the_stacked_forwards_bits():
 def test_awr_weight_of_an_overflowing_advantage_is_the_cap_without_a_warning():
     plan = make_plan(4)
     config = agent.AgentConfig(horizon=HORIZON, policy_update="awr", awr_alpha=1e-3)
-    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11)
+    _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
     # a reward of 1e3 at every valid step takes each A_t / alpha far past
     # 709, where exp overflows
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
@@ -684,7 +688,8 @@ def test_expand_dataset_matches_the_row_by_row_loop(capacity, monkeypatch):
 
 def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeypatch):
     # the mobile_lcb critic regresses Q(s_t, a_t) and the q_value actor reads
-    # the real batch, so nothing reads a policy forward over the rollout states
+    # the real batch, so nothing reads a policy forward over the rollout states,
+    # and the rollout keeps none of its policy caches
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(
         conservatism="mobile_lcb", policy_update="q_value", horizon=4, n_expand=10,
@@ -692,17 +697,22 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
     )
     ensemble = _maze_ensemble(spec, 3)
     stepped, want = (agent.build_agent(config, spec, seed=0) for _ in range(2))
-    policy_eval, calls = agent._policy_eval, []
+    policy_eval, recording, calls = agent._policy_eval, agent._recording_policy, []
 
     def counting(*args):
-        calls.append(1)
+        calls.append("_policy_eval")
         return policy_eval(*args)
+
+    def counting_recording(*args):
+        calls.append("_recording_policy")
+        return recording(*args)
 
     for step in range(12):
         batch = env_batch(30 + step, n=16, obs=spec.obs_dim, act=spec.act_dim)
         starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(8, spec.obs_dim))
         with monkeypatch.context() as patch:
             patch.setattr(agent, "_policy_eval", counting)
+            patch.setattr(agent, "_recording_policy", counting_recording)
             agent.train_step(stepped, ensemble, batch, starts, stream(0, "t", step))
         # the same step from its parts, with the rollout policy forward
         plan = agent._Plan(
