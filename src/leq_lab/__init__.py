@@ -34,7 +34,6 @@ _EXPORTS = {
         "InputValidationError",
         "ScalarDistribution",
         "SolverError",
-        "expectile_loss",
         "expectile_of",
         "expectile_weight",
         "filtered_mean_estimate",

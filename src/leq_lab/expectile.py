@@ -13,10 +13,13 @@ Conventions
   one-step refinement of an estimate y_hat; its fixed point is the
   tau-expectile.
 
-All solvers work to absolute tolerance 1e-10. Closed forms are used for
-uniform and two-point distributions; normal and empirical distributions
-use bisection on g, bracketed by the support (empirical) or mu +/- 10
-sigma (normal).
+Each distribution kind has one expectile solver and one refinement, both
+array-valued (`_expectiles`, `_refined`); `expectile_of` and
+`filtered_mean_estimate` validate their input and call them on one tau.
+Uniform expectiles use the closed form. Empirical and two-point
+expectiles take the exact root of the piecewise-linear g. Normal
+expectiles bisect the standard-normal g on [-12, 12] down to float
+resolution, and raise SolverError where g does not change sign there.
 """
 
 from __future__ import annotations
@@ -33,15 +36,18 @@ __all__ = [
     "ExpectileParam",
     "ScalarDistribution",
     "expectile_weight",
-    "expectile_loss",
     "expectile_of",
     "filtered_mean_estimate",
 ]
 
-SOLVER_TOL = 1e-10
 _WEIGHT_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the standard-normal bisection: 80 halvings of [-12, 12] reach float
+# resolution away from 0
+_NORMAL_BRACKET = 12.0
+_NORMAL_HALVINGS = 80
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 class ExpectileError(Exception):
@@ -61,11 +67,8 @@ def _std_normal_pdf(z):
 
 
 def _std_normal_cdf(z):
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 0:
-        return 0.5 * (1.0 + math.erf(float(z) / _SQRT2))
-    flat = np.array([math.erf(v / _SQRT2) for v in z.ravel()])
-    return 0.5 * (1.0 + flat.reshape(z.shape))
+    erf = _erf(np.asarray(z, dtype=np.float64) / _SQRT2)
+    return 0.5 * (1.0 + np.asarray(erf, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,10 @@ class ScalarDistribution:
         return 1.0
 
     def bracket(self) -> tuple[float, float]:
-        """Interval guaranteed to contain every expectile."""
+        """A range for sweeping estimates: the support, or mu +/- 10 sigma.
+
+        A normal's expectiles at tau near 0 or 1 lie outside it.
+        """
         if self.kind == "empirical":
             return float(self.samples.min()), float(self.samples.max())
         if self.kind == "normal":
@@ -196,47 +202,119 @@ def expectile_weight(u, tau: ExpectileParam | float):
     return np.abs(t - (np.asarray(u, dtype=np.float64) > 0.0))
 
 
-def expectile_loss(u, tau: ExpectileParam | float):
-    """Asymmetric squared loss |tau - 1(u > 0)| * u^2."""
-    u_arr = np.asarray(u, dtype=np.float64)
-    return expectile_weight(u_arr, tau) * np.square(u_arr)
+def _sorted_empirical_expectiles(
+    xs: np.ndarray, ws: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """Exact row-wise tau-expectiles of weighted empirical distributions.
+
+    xs (k, n) is sorted per row, any zero-weight padding at the end; k = 1
+    shares one row across all taus.  g is linear between atoms, so each
+    interval gives a closed-form candidate root, and as g increases the
+    root is the first candidate at or below its interval's upper end (a
+    two-sided test misses roots on an atom whose candidates round outward).
+    tau = 0 gives the smallest atom of positive weight.
+    """
+    t = taus[:, None]
+    w_tot = ws.sum(axis=1, keepdims=True)
+    s_tot = (ws * xs).sum(axis=1, keepdims=True)
+    zeros = np.zeros((xs.shape[0], 1))
+    w_below = np.concatenate([zeros, np.cumsum(ws, axis=1)], axis=1)
+    s_below = np.concatenate([zeros, np.cumsum(ws * xs, axis=1)], axis=1)
+    num = (1.0 - t) * s_below + t * (s_tot - s_below)
+    den = (1.0 - t) * w_below + t * (w_tot - w_below)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        roots = num / den
+    hi = np.concatenate([xs, np.full((xs.shape[0], 1), np.inf)], axis=1)
+    pick = np.argmax(roots <= hi, axis=1)
+    return roots[np.arange(roots.shape[0]), pick]
 
 
-def _foc(dist: ScalarDistribution, y: float, tau: float) -> float:
-    """First-order condition g(y); strictly increasing in y."""
-    if dist.kind == "empirical":
-        d = y - dist.samples
-        below = d >= 0.0  # x <= y
-        g = (1.0 - tau) * float(np.dot(dist.weights[below], d[below]))
-        g += tau * float(np.dot(dist.weights[~below], d[~below]))
-        return g
-    if dist.kind == "normal":
-        z = (y - dist.mu) / dist.sigma
-        pdf = float(_std_normal_pdf(z))
-        cdf = float(_std_normal_cdf(z))
-        # E[(y - X) 1(X <= y)] = sigma * (z * Phi(z) + phi(z)), and similarly above.
-        lower = dist.sigma * (z * cdf + pdf)
-        upper = dist.sigma * (z * (1.0 - cdf) - pdf)
-        return (1.0 - tau) * lower + tau * upper
-    raise InputValidationError(f"no first-order condition for kind {dist.kind!r}")
+def _empirical_refined(xs, ws, y_hat, tau):
+    """Row-wise filtered means of weighted atoms xs (..., n) cut at y_hat (...).
+
+    Atoms strictly below y_hat weigh (1 - tau); ties count as the upper side.
+    """
+    w = np.where(xs < y_hat[..., None], 1.0 - tau[..., None], tau[..., None]) * ws
+    return (w * xs).sum(axis=-1) / w.sum(axis=-1)
 
 
-def _bisect_expectile(dist: ScalarDistribution, tau: float) -> float:
-    lo, hi = dist.bracket()
-    if lo == hi:
-        return lo
-    g_lo, g_hi = _foc(dist, lo, tau), _foc(dist, hi, tau)
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo > 0.0 or g_hi < 0.0:
-        raise SolverError(f"first-order condition not bracketed on [{lo}, {hi}]")
-    for _ in range(200):
+def _atoms(dist: ScalarDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Support and weights of an empirical or two-point dist, sorted by value."""
+    if dist.kind == "two_point":
+        xs, ws = np.array([dist.x0, dist.x1]), np.array([dist.p, 1.0 - dist.p])
+    else:
+        xs, ws = dist.samples, dist.weights
+    order = np.argsort(xs, kind="stable")
+    return xs[order], ws[order]
+
+
+def _std_normal_foc(z, t):
+    """g at z for the standard normal, elementwise in (z, t)."""
+    cdf = _std_normal_cdf(z)
+    pdf = _std_normal_pdf(z)
+    # E[(z - X) 1(X <= z)] = z * Phi(z) + phi(z), and similarly above.
+    return (1.0 - t) * (z * cdf + pdf) + t * (z * (1.0 - cdf) - pdf)
+
+
+def _std_normal_expectiles(t: np.ndarray) -> np.ndarray:
+    """Standard-normal expectiles for tau in (0, 1) by bisection on g."""
+    lo = np.full(t.shape, -_NORMAL_BRACKET)
+    hi = np.full(t.shape, _NORMAL_BRACKET)
+    if not (np.all(_std_normal_foc(lo, t) <= 0.0) and np.all(_std_normal_foc(hi, t) >= 0.0)):
+        raise SolverError(
+            f"first-order condition not bracketed on mu +/- {_NORMAL_BRACKET:g} sigma"
+        )
+    for _ in range(_NORMAL_HALVINGS):
         mid = 0.5 * (lo + hi)
-        if _foc(dist, mid, tau) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= SOLVER_TOL:
-            return 0.5 * (lo + hi)
-    raise SolverError(f"expectile bisection did not converge below {SOLVER_TOL:g}")
+        if np.all((mid == lo) | (mid == hi)):
+            break  # g(lo) <= 0 < g(hi), so no row can move any more
+        above = _std_normal_foc(mid, t) > 0.0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _expectiles(dist: ScalarDistribution, taus) -> np.ndarray:
+    """The tau-expectiles of dist for a 1-D array of tau in [0, 1).
+
+    tau = 0 gives the essential infimum, the tau -> 0 limit (-inf for a
+    normal).
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    if dist.kind == "uniform":
+        # Solve (1 - tau) y^2 = tau (1 - y)^2 on the unit interval, then rescale.
+        root = np.sqrt(taus) / (np.sqrt(taus) + np.sqrt(1.0 - taus))
+        return dist.lo + (dist.hi - dist.lo) * root
+    if dist.kind == "normal":
+        out = np.full(taus.shape, -np.inf)
+        pos = taus > 0.0
+        out[pos] = dist.mu + dist.sigma * _std_normal_expectiles(taus[pos])
+        return out
+    xs, ws = _atoms(dist)
+    return _sorted_empirical_expectiles(xs[None, :], ws[None, :], taus)
+
+
+def _refined(dist: ScalarDistribution, y_hat, tau) -> np.ndarray:
+    """filtered_mean_estimate, broadcast over arrays of y_hat and tau.
+
+    Infinite starts go through ordinary inf/nan arithmetic: a -inf start
+    refines to the plain mean for tau > 0 and to nan at tau = 0.
+    """
+    y = np.asarray(y_hat, dtype=np.float64)
+    t = np.asarray(tau, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if dist.kind == "normal":
+            z = (y - dist.mu) / dist.sigma
+            num = -(1.0 - 2.0 * t) * _std_normal_pdf(z)
+            den = t + (1.0 - 2.0 * t) * _std_normal_cdf(z)
+            return dist.mu + dist.sigma * (num / den)
+        if dist.kind == "uniform":
+            # truncated interval means on the unit scale, then rescale
+            span = dist.hi - dist.lo
+            u = np.clip((y - dist.lo) / span, 0.0, 1.0)
+            num = 0.5 * ((1.0 - t) * u * u + t * (1.0 - u * u))
+            den = (1.0 - t) * u + t * (1.0 - u)
+            return dist.lo + span * (num / den)
+        return _empirical_refined(*_atoms(dist), y, t)
 
 
 def expectile_of(dist: ScalarDistribution, tau: ExpectileParam | float) -> float:
@@ -248,18 +326,7 @@ def expectile_of(dist: ScalarDistribution, tau: ExpectileParam | float) -> float
     t = _tau_value(tau)
     if t >= 1.0:
         raise InputValidationError("expectile_of requires tau < 1 for a unique minimizer")
-    if dist.kind == "uniform":
-        # Solve (1 - tau) y^2 = tau (1 - y)^2 on the unit interval, then rescale.
-        root = math.sqrt(t) / (math.sqrt(t) + math.sqrt(1.0 - t))
-        return dist.lo + (dist.hi - dist.lo) * root
-    if dist.kind == "two_point":
-        a, b = (dist.x0, dist.x1) if dist.x0 <= dist.x1 else (dist.x1, dist.x0)
-        wa = (dist.p if dist.x0 <= dist.x1 else 1.0 - dist.p)
-        wb = 1.0 - wa
-        num = (1.0 - t) * wa * a + t * wb * b
-        den = (1.0 - t) * wa + t * wb
-        return num / den
-    return _bisect_expectile(dist, t)
+    return float(_expectiles(dist, np.array([t]))[0])
 
 
 def filtered_mean_estimate(
@@ -275,20 +342,4 @@ def filtered_mean_estimate(
     y_hat = float(y_hat)
     if not math.isfinite(y_hat):
         raise InputValidationError("y_hat must be finite")
-    if dist.kind == "empirical":
-        w = np.where(dist.samples < y_hat, 1.0 - t, t) * dist.weights
-        return float(np.dot(w, dist.samples) / w.sum())
-    if dist.kind == "two_point":
-        w0 = (1.0 - t if dist.x0 < y_hat else t) * dist.p
-        w1 = (1.0 - t if dist.x1 < y_hat else t) * (1.0 - dist.p)
-        return (w0 * dist.x0 + w1 * dist.x1) / (w0 + w1)
-    if dist.kind == "normal":
-        z = (y_hat - dist.mu) / dist.sigma
-        num = -(1.0 - 2.0 * t) * float(_std_normal_pdf(z))
-        den = t + (1.0 - 2.0 * t) * float(_std_normal_cdf(z))
-        return dist.mu + dist.sigma * num / den
-    # uniform: truncated interval means on the unit scale, then rescale.
-    u = min(max((y_hat - dist.lo) / (dist.hi - dist.lo), 0.0), 1.0)
-    num = 0.5 * ((1.0 - t) * u * u + t * (1.0 - u * u))
-    den = (1.0 - t) * u + t * (1.0 - u)
-    return dist.lo + (dist.hi - dist.lo) * num / den
+    return float(_refined(dist, y_hat, t))

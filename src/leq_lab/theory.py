@@ -35,6 +35,10 @@ executable here:
 Grid cells whose error difference is undefined (an infinitely bad start
 stays infinitely bad, or the tau = 0 target itself is infinite) evaluate
 to nan or -inf and are never counted as exceptions.
+
+The scan and the Monte Carlo suite solve and refine with `expectile`'s
+array kernels, one per distribution kind, so they agree bit for bit with
+`expectile_of` and `filtered_mean_estimate` on the same inputs.
 """
 
 from __future__ import annotations
@@ -47,8 +51,10 @@ import numpy as np
 from .expectile import (
     InputValidationError,
     ScalarDistribution,
-    _std_normal_cdf,
-    _std_normal_pdf,
+    _empirical_refined,
+    _expectiles,
+    _refined,
+    _sorted_empirical_expectiles,
     _tau_value,
     expectile_of,
     filtered_mean_estimate,
@@ -66,8 +72,8 @@ __all__ = [
     "exception_region_scan",
 ]
 
-# Slack for "the error did not increase" comparisons; covers the 1e-10
-# scalar solver tolerance plus float rounding on both sides.
+# Slack for "the error did not increase" comparisons; covers float
+# rounding in the solver and the refinement on both sides.
 ERROR_SLACK = 1e-9
 
 _MC_SUPPORT_RANGE = (5, 50)
@@ -164,33 +170,6 @@ def lemma2_check(
     return bool(abs(refined - target) <= abs(y_hat - target) + slack)
 
 
-def _sorted_empirical_expectiles(
-    xs: np.ndarray, ws: np.ndarray, taus: np.ndarray
-) -> np.ndarray:
-    """Exact row-wise tau-expectiles of weighted empirical distributions.
-
-    xs must be sorted per row with zero-weight padding collected at the
-    end.  The first-order condition is piecewise linear in y with
-    breakpoints at the support, so each interval yields a closed-form
-    candidate root and exactly one candidate lands inside its own interval.
-    """
-    k, _ = xs.shape
-    t = taus[:, None]
-    w_tot = ws.sum(axis=1, keepdims=True)
-    s_tot = (ws * xs).sum(axis=1, keepdims=True)
-    zeros = np.zeros((k, 1))
-    w_below = np.concatenate([zeros, np.cumsum(ws, axis=1)], axis=1)
-    s_below = np.concatenate([zeros, np.cumsum(ws * xs, axis=1)], axis=1)
-    num = (1.0 - t) * s_below + t * (s_tot - s_below)
-    den = (1.0 - t) * w_below + t * (w_tot - w_below)
-    roots = num / den
-    inf = np.full((k, 1), np.inf)
-    lo = np.concatenate([-inf, xs], axis=1)
-    hi = np.concatenate([xs, inf], axis=1)
-    pick = np.argmax((roots >= lo) & (roots <= hi), axis=1)
-    return roots[np.arange(k), pick]
-
-
 def monte_carlo_theorem_suite(n_trials: int = 100_000, seed: int = 0) -> dict:
     """Refinement-contraction sweep over random empirical distributions.
 
@@ -272,11 +251,7 @@ def monte_carlo_theorem_suite(n_trials: int = 100_000, seed: int = 0) -> dict:
             "the trial construction is broken"
         )
 
-    # Strict-below weighting matches filtered_mean_estimate: ties at the
-    # start estimate count as the upper side.
-    w_ref = np.where(xs < y_hat[:, None], 1.0 - taus[:, None], taus[:, None])
-    w_ref = w_ref * ws
-    refined = (w_ref * xs).sum(axis=1) / w_ref.sum(axis=1)
+    refined = _empirical_refined(xs, ws, y_hat, taus)
 
     err_old = np.abs(y_hat - targets)
     err_new = np.abs(refined - targets)
@@ -434,66 +409,13 @@ class ScanResult:
         }
 
 
-def _expectile_grid(dist: ScalarDistribution, taus: np.ndarray) -> np.ndarray:
-    """Expectiles for every tau, with tau = 0 as the essential infimum."""
-    taus = np.asarray(taus, dtype=np.float64)
-    if dist.kind == "uniform":
-        root = np.sqrt(taus) / (np.sqrt(taus) + np.sqrt(1.0 - taus))
-        return dist.lo + (dist.hi - dist.lo) * root
-    out = np.full(taus.shape, -np.inf)
-    pos = taus > 0.0
-    t = taus[pos]
-    # Bisect the standard-normal first-order condition; 80 halvings of
-    # [-12, 12] land at float resolution, well under the scan tolerance.
-    lo = np.full(t.shape, -12.0)
-    hi = np.full(t.shape, 12.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        cdf = _std_normal_cdf(mid)
-        pdf = _std_normal_pdf(mid)
-        g = (1.0 - t) * (mid * cdf + pdf) + t * (mid * (1.0 - cdf) - pdf)
-        above = g > 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    out[pos] = dist.mu + dist.sigma * 0.5 * (lo + hi)
-    return out
-
-
-def _refined_grid(
-    dist: ScalarDistribution, taus: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """filtered_mean_estimate on a (tau row, start column) grid.
-
-    Vectorized twin of the scalar routine that additionally admits
-    infinite starts (the tau_hat = 0 column) through ordinary inf/nan
-    arithmetic: a -inf start refines to the plain mean for tau > 0 and to
-    nan at the (0, 0) corner.
-    """
-    t = np.asarray(taus, dtype=np.float64)[:, None]
-    starts = np.asarray(starts, dtype=np.float64)
-    if dist.kind == "normal":
-        z = (starts - dist.mu) / dist.sigma
-        pdf = np.asarray(_std_normal_pdf(z))[None, :]
-        cdf = np.asarray(_std_normal_cdf(z))[None, :]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            num = -(1.0 - 2.0 * t) * pdf
-            den = t + (1.0 - 2.0 * t) * cdf
-            return dist.mu + dist.sigma * (num / den)
-    span = dist.hi - dist.lo
-    u = np.clip((starts - dist.lo) / span, 0.0, 1.0)[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        num = 0.5 * ((1.0 - t) * u * u + t * (1.0 - u * u))
-        den = (1.0 - t) * u + t * (1.0 - u)
-        return dist.lo + span * (num / den)
-
-
 def exception_region_scan(config: ScanConfig) -> ScanResult:
     """Sweep the (tau, tau_hat) grid and flag every non-contracting cell."""
     taus = config.tau_grid()
     tau_hats = taus.copy()
-    targets = _expectile_grid(config.distribution, taus)
-    starts = _expectile_grid(config.distribution, tau_hats)
-    refined = _refined_grid(config.distribution, taus, starts)
+    targets = _expectiles(config.distribution, taus)
+    starts = _expectiles(config.distribution, tau_hats)
+    refined = _refined(config.distribution, starts[None, :], taus[:, None])
     with np.errstate(invalid="ignore"):
         error_diff = np.abs(refined - targets[:, None]) - np.abs(
             starts[None, :] - targets[:, None]

@@ -11,7 +11,9 @@ from leq_lab.expectile import (
     ExpectileParam,
     InputValidationError,
     ScalarDistribution,
-    expectile_loss,
+    SolverError,
+    _expectiles,
+    _std_normal_foc,
     expectile_of,
     expectile_weight,
     filtered_mean_estimate,
@@ -48,15 +50,6 @@ class TestWeightAndLoss:
         w = expectile_weight(u, 0.3)
         assert w.shape == (4, 7)
         assert np.all((w == 0.3) | (w == 0.7))
-
-    def test_loss_values(self):
-        assert expectile_loss(2.0, 0.5) == 2.0
-        assert expectile_loss(2.0, 0.1) == pytest.approx(3.6, abs=1e-15)
-        assert expectile_loss(-2.0, 0.1) == pytest.approx(0.4, abs=1e-15)
-
-    def test_loss_is_half_mse_at_tau_half(self):
-        u = np.linspace(-3.0, 3.0, 11)
-        np.testing.assert_allclose(expectile_loss(u, 0.5), 0.5 * u * u, atol=0)
 
     def test_param_validation(self):
         for bad in (0.0, -0.1, 1.0001, float("nan"), float("inf")):
@@ -112,7 +105,21 @@ class TestExpectileSolvers:
         for tau in (0.05, 0.1, 0.3, 0.5, 0.8):
             assert expectile_of(d, tau) == pytest.approx(tau, abs=1e-12)
 
-    def test_two_point_matches_empirical_bisection(self):
+    def test_two_point_closed_form(self):
+        # independent of the solver: with x0 < x1 the root lies between the
+        # atoms, where g is linear with the root below
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            x0, x1 = sorted(rng.normal(size=2) * 5.0)
+            p = rng.uniform(0.05, 0.95)
+            tau = rng.uniform(0.02, 0.98)
+            want = ((1.0 - tau) * p * x0 + tau * (1.0 - p) * x1) / (
+                (1.0 - tau) * p + tau * (1.0 - p)
+            )
+            got = expectile_of(ScalarDistribution.two_point(x0, x1, p), tau)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_two_point_matches_empirical(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             x0, x1 = sorted(rng.normal(size=2) * 5.0)
@@ -173,6 +180,37 @@ class TestExpectileSolvers:
             for tau in (0.05, 0.2, 0.35, 0.5):
                 want = _oracles.grid_minimize_expectile(d.samples, d.weights, tau)
                 assert expectile_of(d, tau) == pytest.approx(want, abs=2e-4)
+
+    def test_empirical_root_on_an_atom(self):
+        # The root sits exactly on an atom, and the candidates of the two
+        # intervals that meet there both round outward.  Requiring a
+        # candidate inside its own interval then picked none and returned
+        # the mean (0.3 and -0.143 here).
+        d = ScalarDistribution.empirical([1.5, -0.9, -0.1, 1.9, -0.3, -0.3])
+        assert expectile_of(d, 0.25) == pytest.approx(-0.1, abs=1e-15)
+        d = ScalarDistribution.empirical([-3.0, -2.0, -1.0, 0.0, 0.0, 2.0, 3.0])
+        assert expectile_of(d, 0.25) == pytest.approx(-1.0, abs=1e-15)
+
+    def test_normal_bracket(self):
+        # [-12, 12] standard deviations holds the root of the computed g
+        # down to tau = 1e-30, where mu - 10 sigma did not
+        d = ScalarDistribution.normal(0.0, 1.0)
+        y = expectile_of(d, 1e-30)
+        assert -12.0 < y < -10.0
+        below, above = np.nextafter(y, -np.inf), np.nextafter(y, np.inf)
+        assert _std_normal_foc(np.array([below]), 1e-30)[0] <= 0.0
+        assert _std_normal_foc(np.array([above]), 1e-30)[0] > 0.0
+        with pytest.raises(SolverError):
+            expectile_of(d, 1e-40)
+
+    def test_tau_zero_is_the_essential_infimum(self):
+        zero = np.array([0.0])
+        assert _expectiles(ScalarDistribution.normal(1.0, 2.0), zero)[0] == -np.inf
+        assert _expectiles(ScalarDistribution.uniform(-2.0, 3.0), zero)[0] == -2.0
+        assert _expectiles(ScalarDistribution.two_point(4.0, -1.0, 0.3), zero)[0] == -1.0
+        # a zero-weight atom is outside the essential support
+        d = ScalarDistribution.empirical([-5.0, 2.0, 7.0], [0.0, 0.4, 0.6])
+        assert _expectiles(d, zero)[0] == 2.0
 
     def test_tau_one_rejected(self):
         with pytest.raises(InputValidationError):
@@ -295,7 +333,8 @@ def test_expectile_is_a_local_loss_minimum(xs, tau):
     assert min(xs) - 1e-9 <= y <= max(xs) + 1e-9
 
     def total(v):
-        return float(np.dot(d.weights, expectile_loss(v - d.samples, tau)))
+        u = v - d.samples
+        return float(np.dot(d.weights, expectile_weight(u, tau) * u * u))
 
     span = max(max(xs) - min(xs), 1.0)
     for delta in (1e-3 * span, 1e-2 * span):

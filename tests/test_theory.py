@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from leq_lab.expectile import (
-    SOLVER_TOL,
     InputValidationError,
     ScalarDistribution,
+    _empirical_refined,
+    _sorted_empirical_expectiles,
     expectile_of,
     filtered_mean_estimate,
 )
 from leq_lab.theory import (
     ScanConfig,
     TheoryError,
-    _expectile_grid,
-    _refined_grid,
-    _sorted_empirical_expectiles,
     exception_region_scan,
     lemma1_check,
     lemma2_check,
@@ -115,21 +113,44 @@ class TestScanUniform:
         assert math.isnan(res.refined[0, 0])
 
 
+SCAN_DISTS = {
+    "normal": NORMAL,
+    "normal-moved": ScalarDistribution.normal(-1.5, 2.0),
+    "uniform": UNIFORM,
+    "uniform-moved": ScalarDistribution.uniform(-2.0, 3.0),
+}
+
+
+def full_scan(dist):
+    # both regimes, tau in [0, 1)
+    return exception_region_scan(ScanConfig(distribution=dist, tau_stop=1.0, tau_step=0.01))
+
+
 class TestScanAgainstScalarApi:
-    @pytest.mark.parametrize("dist", [NORMAL, UNIFORM], ids=["normal", "uniform"])
-    def test_grid_matches_scalar_routines(self, dist):
-        res = exception_region_scan(ScanConfig(distribution=dist))
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            i = int(rng.integers(1, res.taus.size))
-            j = int(rng.integers(1, res.tau_hats.size))
-            tau = float(res.taus[i])
-            assert res.targets[i] == pytest.approx(expectile_of(dist, tau), abs=1e-9)
-            start = expectile_of(dist, float(res.tau_hats[j]))
-            assert res.starts[j] == pytest.approx(start, abs=1e-9)
-            assert res.refined[i, j] == pytest.approx(
-                filtered_mean_estimate(dist, float(res.starts[j]), tau), abs=1e-9
-            )
+    """The scan solves and refines with the scalar API's own kernels, so
+    it agrees with `expectile_of` and `filtered_mean_estimate` bit for bit."""
+
+    @pytest.mark.parametrize("name", SCAN_DISTS)
+    def test_targets_are_expectile_of(self, name):
+        dist = SCAN_DISTS[name]
+        res = full_scan(dist)
+        assert res.taus[0] == 0.0
+        want = [expectile_of(dist, float(t)) for t in res.taus[1:]]
+        assert res.targets[1:].tolist() == want
+        assert res.starts[1:].tolist() == want
+
+    @pytest.mark.parametrize("name", SCAN_DISTS)
+    def test_refined_is_filtered_mean_estimate(self, name):
+        dist = SCAN_DISTS[name]
+        res = full_scan(dist)
+        cells = 0
+        for i, tau in enumerate(res.taus[1:], start=1):
+            for j, start in enumerate(res.starts):
+                if np.isfinite(start):
+                    cells += 1
+                    want = filtered_mean_estimate(dist, float(start), float(tau))
+                    assert res.refined[i, j] == want, (tau, start)
+        assert cells >= (res.taus.size - 1) ** 2
 
     def test_error_diff_definition(self):
         res = exception_region_scan(ScanConfig(distribution=UNIFORM))
@@ -138,63 +159,6 @@ class TestScanAgainstScalarApi:
         )
         finite = np.isfinite(expect)
         assert np.array_equal(res.error_diff[finite], expect[finite])
-
-
-# finite cells only: tau in (0, 1), finite starts
-TWIN_TAUS = np.linspace(0.01, 0.99, 50)
-TWIN_DISTS = {
-    "normal": ScalarDistribution.normal(0.0, 1.0),
-    "normal-moved": ScalarDistribution.normal(-1.5, 2.0),
-    "uniform": UNIFORM,
-    "uniform-moved": ScalarDistribution.uniform(-2.0, 3.0),
-}
-
-
-class TestVectorTwinsMatchTheScalarRoutines:
-    """`_expectile_grid`, `_refined_grid` and `_sorted_empirical_expectiles`
-    duplicate `expectile_of` and `filtered_mean_estimate`. Where either side
-    bisects, they agree to the scalar solver's tolerance; closed forms on
-    both sides agree to rounding."""
-
-    @pytest.mark.parametrize("name", TWIN_DISTS)
-    def test_expectile_grid(self, name):
-        dist = TWIN_DISTS[name]
-        tol = SOLVER_TOL if dist.kind == "normal" else 1e-12
-        want = [expectile_of(dist, float(t)) for t in TWIN_TAUS]
-        np.testing.assert_allclose(_expectile_grid(dist, TWIN_TAUS), want, rtol=0, atol=tol)
-
-    @pytest.mark.parametrize("name", TWIN_DISTS)
-    def test_refined_grid(self, name):
-        dist = TWIN_DISTS[name]
-        if dist.kind == "normal":
-            starts = np.linspace(dist.mu - 3.0 * dist.sigma, dist.mu + 3.0 * dist.sigma, 31)
-        else:  # starts outside the support clip to its ends
-            starts = np.linspace(dist.lo - 1.0, dist.hi + 1.0, 31)
-        want = [
-            [filtered_mean_estimate(dist, float(y), float(t)) for y in starts] for t in TWIN_TAUS
-        ]
-        got = _refined_grid(dist, TWIN_TAUS, starts)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_sorted_empirical_expectiles(self):
-        rng = np.random.default_rng(5)
-        k, width = 60, 12
-        counts = rng.integers(1, width + 1, size=k)
-        xs = np.zeros((k, width))
-        ws = np.zeros((k, width))
-        dists = []
-        for row, n in enumerate(counts):
-            x = np.sort(rng.normal(0.5, 2.0, size=n))
-            w = rng.uniform(0.1, 1.0, size=n)
-            w /= w.sum()
-            # zero-weight padding at the end, above the support
-            xs[row] = np.concatenate([x, np.full(width - n, x[-1] + 1.0)])
-            ws[row, :n] = w
-            dists.append(ScalarDistribution.empirical(x, w))
-        taus = rng.uniform(0.01, 0.99, size=k)
-        want = [expectile_of(d, float(t)) for d, t in zip(dists, taus)]
-        got = _sorted_empirical_expectiles(xs, ws, taus)
-        np.testing.assert_allclose(got, want, rtol=0, atol=SOLVER_TOL)
 
 
 class TestScanResultSurface:
@@ -337,6 +301,39 @@ class TestMonteCarloSuite:
     def test_rejects_empty(self):
         with pytest.raises(InputValidationError):
             monte_carlo_theorem_suite(0)
+
+    @staticmethod
+    def padded_rows(seed, k=60, width=12):
+        # rows as the suite builds them: sorted, with zero-weight padding
+        # above the support
+        rng = np.random.default_rng(seed)
+        xs = np.zeros((k, width))
+        ws = np.zeros((k, width))
+        for row, n in enumerate(rng.integers(1, width + 1, size=k)):
+            x = np.sort(rng.normal(0.5, 2.0, size=n))
+            w = rng.uniform(0.1, 1.0, size=n)
+            xs[row] = np.concatenate([x, np.full(width - n, x[-1] + 1.0)])
+            ws[row, :n] = w / w.sum()
+        return xs, ws, rng.uniform(0.005, 0.495, size=k)
+
+    def test_roots_are_expectile_of(self):
+        xs, ws, taus = self.padded_rows(5)
+        got = _sorted_empirical_expectiles(xs, ws, taus)
+        want = [
+            expectile_of(ScalarDistribution.empirical(x, w), float(t))
+            for x, w, t in zip(xs, ws, taus)
+        ]
+        assert got.tolist() == want
+
+    def test_refined_is_filtered_mean_estimate(self):
+        xs, ws, taus = self.padded_rows(6)
+        y_hat = np.random.default_rng(7).normal(0.5, 3.0, size=taus.size)
+        got = _empirical_refined(xs, ws, y_hat, taus)
+        want = [
+            filtered_mean_estimate(ScalarDistribution.empirical(x, w), float(y), float(t))
+            for x, w, y, t in zip(xs, ws, y_hat, taus)
+        ]
+        assert got.tolist() == want
 
     def test_error_type_carries_counterexamples(self):
         err = TheoryError("failed", counterexamples=[{"tau": 0.1}])
