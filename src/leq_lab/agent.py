@@ -340,16 +340,6 @@ class _Plan:
     env_spec: envs.EnvSpec
 
 
-@dataclass
-class _Remote:
-    """A mobile_lcb train step's share of the elites in its `elite_helper`,
-    and the `_lcb_rows` (s_t, a_t): the helper has a call in flight on
-    them unless they are empty."""
-
-    helper: object
-    rows: tuple
-
-
 def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
     """(the elites whose LCB predictions a step computes here, the helper's):
     the first n // 2 of n, and the rest. On lcb_spiral, giving this process
@@ -397,13 +387,51 @@ def _elite_preds(ensemble, plan, gamma: float, members, s, a) -> tuple[list, lis
     return preds_r, preds_q
 
 
-def _send_elites(helper, plan, config: AgentConfig, ensemble, rollouts) -> _Remote:
-    """Hand the helper, bound to `ensemble`, its `_split_elites` share of
-    the LCB predictions."""
+@dataclass
+class _MappedElites:
+    """The elite helper's function. `s`, `a`, `plan`'s parameters and
+    `preds` are float64 views of one anonymous shared mapping made before
+    the fork, so a call carries only its row count n; the helper writes
+    `_elite_preds` of the first n rows into `preds[:, :, :n]`."""
+
+    ensemble: object
+    plan: _Plan  # the specs and env spec, with the mapping's parameters
+    gamma: float
+    members: tuple  # the helper's `_split_elites` share
+    s: np.ndarray  # (batch_model * horizon, S): room for every (b, t) of a rollout
+    a: np.ndarray  # (batch_model * horizon, A)
+    preds: np.ndarray  # (2, len(members), batch_model * horizon): the targets, then Q
+
+    @classmethod
+    def create(cls, nets: "_Plan | AgentState", config: AgentConfig, ensemble) -> "_MappedElites":
+        import mmap  # loaded here only: a run without this helper never needs it
+
+        rows, members = config.batch_model * config.horizon, _split_elites(ensemble.elite_idx)[1]
+        shapes = [(rows, ensemble.obs_dim), (rows, ensemble.act_dim), nets.policy_params.shape,
+                  nets.critic_params.shape, (2, len(members), rows)]
+        ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
+        flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.float64)
+        s, a, p, c, preds = (v.reshape(n) for v, n in zip(np.split(flat, ends[:-1]), shapes))
+        plan = _Plan(nets.policy_spec, p, nets.critic_spec, c, nets.env_spec)
+        return cls(ensemble, plan, config.gamma, members, s, a, preds)
+
+    def __call__(self, n: int) -> None:
+        self.preds[:, :, :n] = _elite_preds(
+            self.ensemble, self.plan, self.gamma, self.members, self.s[:n], self.a[:n]
+        )
+
+
+def _send_elites(helper, plan, rollouts) -> None:
+    """Hand the helper its `_split_elites` share of a step's LCB predictions:
+    write the `_lcb_rows` and parameters into its `_MappedElites` mapping,
+    then call with the row count alone. The next write follows `result()`."""
     s, a = _lcb_rows(rollouts)
-    if s.shape[0]:
-        helper.call(plan, config.gamma, _split_elites(ensemble.elite_idx)[1], s, a)
-    return _Remote(helper, (s, a))
+    if n := s.shape[0]:
+        mapped = helper.fn
+        mapped.s[:n], mapped.a[:n] = s, a
+        mapped.plan.policy_params[:] = plan.policy_params
+        mapped.plan.critic_params[:] = plan.critic_params
+        helper.call(n)
 
 
 def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> np.ndarray:
@@ -411,15 +439,17 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> n
     rows (s, a), averaged over all elites and penalized by c times the
     population std of their Q(s', pi(s')): the MOBILE-style LCB baseline.
 
-    With a `_Remote`, whose call was given these rows, this process
+    Given the helper that `_send_elites` sent these rows, this process
     evaluates the elites the helper was not sent, and the helper's
-    predictions join them in elite order."""
+    predictions, read from its mapping once `result()` returns, join them
+    in elite order."""
     here = ensemble.elite_idx if remote is None else _split_elites(ensemble.elite_idx)[0]
     preds_r, preds_q = _elite_preds(ensemble, plan, config.gamma, here, s, a)
     if remote is not None:
-        theirs_r, theirs_q = remote.helper.result()
-        preds_r += theirs_r
-        preds_q += theirs_q
+        remote.result()
+        theirs = remote.fn.preds[:, :, : s.shape[0]]
+        preds_r += list(theirs[0])
+        preds_q += list(theirs[1])
     preds_r = np.stack(preds_r)  # (E, N)
     preds_q = np.stack(preds_q)
     return preds_r.mean(axis=0) - config.lcb_c * preds_q.std(axis=0)
@@ -448,11 +478,11 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
     0.5); under awr a_t is the noisy rollout action, not pi(s_t).
     """
     if config.conservatism == "mobile_lcb":
-        s, a = _lcb_rows(rollouts) if remote is None else remote.rows
+        s, a = _lcb_rows(rollouts)
         if not s.shape[0]:
             return 0.0, np.zeros_like(plan.critic_params)
-        y = _mobile_targets(plan, config, ensemble, s, a, remote)
         q, cache = _critic_forward(plan.critic_spec, plan.critic_params, s, a)
+        y = _mobile_targets(plan, config, ensemble, s, a, remote)
         rows = slice(None)
         tau = 0.5
     else:
@@ -519,8 +549,9 @@ def critic_loss_total(
 
     The env and EMA terms share one critic forward over the real (s, a)
     batch and one backward, `_real_batch_grad`.
-    With a `_Remote`, `_mobile_targets` shares its elites with the helper,
-    which computes them while the env and EMA terms run here first.
+    Given the helper `_send_elites` called, `_mobile_targets` shares its
+    elites with it, which computes them while the env and EMA terms and the
+    LCB-row critic forward run here.
     """
     target = _bellman_target(plan, config, env_batch)
     q_shadow = _critic_forward(
@@ -857,6 +888,10 @@ def elite_helper(state: AgentState, ensemble):
     """A context that yields the `forked.Helper` for `state`'s main-loop
     steps, bound to `ensemble`'s elite predictions, or None.
 
+    Its function, a `_MappedElites`, shares one mapping with the helper:
+    `_send_elites` writes a step's LCB rows and parameters there and the
+    helper its predictions, so a call pickles no array either way.
+
     Only a mobile_lcb step with beta > 0 gives a helper work, and only
     with a model and a step left to run is one forked (where
     `forked.can_fork` allows). Other steps run here alone: on `leq_maze`
@@ -869,7 +904,7 @@ def elite_helper(state: AgentState, ensemble):
     uses = config.beta > 0.0 and config.conservatism == "mobile_lcb"
     if not uses or ensemble is None or state.step >= config.n_iter:
         return contextlib.nullcontext()
-    return forked.serving(functools.partial(_elite_preds, ensemble))
+    return forked.serving(_MappedElites.create(state, config, ensemble))
 
 
 def train_step(
@@ -917,7 +952,8 @@ def train_step(
             rng,
             differentiable=config.policy_update == "lambda_expectile",
         )
-    remote = None if helper is None else _send_elites(helper, plan, config, ensemble, rollouts)
+    if helper is not None:
+        _send_elites(helper, plan, rollouts)
 
     pol = _policy_eval(plan, rollouts, steps) if reads_pol and rollouts is not None else None
     if config.policy_update == "awr":  # joined while the helper computes its elites
@@ -925,7 +961,7 @@ def train_step(
     del steps  # so a joined `pol` holds the rollout's policy caches once
     if config.beta > 0.0:
         total, c_grad, parts = critic_loss_total(
-            plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, remote
+            plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, helper
         )
     else:
         fwd = _critic_forward(

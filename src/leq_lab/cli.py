@@ -33,7 +33,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import container, datasets, envs, forked, heap, world_model
 from .config import ConfigError, RunConfig, load_matrix_config, load_run_config
-from .expectile import InputValidationError, ScalarDistribution, expectile_of
+from .expectile import InputValidationError, ScalarDistribution
 from .rng import stream
 
 __all__ = ["main"]
@@ -621,7 +621,7 @@ def _lemma_sweep(theory) -> dict:
     for dist in dists:
         lo, hi = dist.bracket()
         for tau in taus:
-            target = expectile_of(dist, tau)
+            target = theory._target(dist, tau)
             for offset in (0.0, 0.1 * (hi - lo), hi - lo):
                 checked += 1
                 failed += not theory.lemma1_check(dist, tau, target + offset)

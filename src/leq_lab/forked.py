@@ -9,6 +9,11 @@ One call is in flight at a time: a second `call` before `result` raises.
 So neither end ever writes while the other does, and no message is too
 large for the pipe.
 
+`fn` may bind views of an anonymous shared mapping made before the fork
+(`Helper.fn` reaches them here), so arrays travel unpickled: this process
+writes inputs there before `call` and reads outputs after `result`, and
+the child touches them only while its call is in flight.
+
 A call that raises, or a child that dies, makes `result` raise
 HelperError. The child never outlives the `serving(fn)` block, and ends by
 itself if this process dies, when its end of the pipe closes.
@@ -61,6 +66,7 @@ class Helper:
     """
 
     def __init__(self, fn):
+        self.fn = fn
         self.busy_s = self.wait_s = 0.0
         self._in_flight = False
         self._fork(fn)

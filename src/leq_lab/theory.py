@@ -43,6 +43,7 @@ array kernels, one per distribution kind, so they agree bit for bit with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -102,6 +103,15 @@ def _below_mass(dist: ScalarDistribution, v: float) -> float:
     return float(dist.cdf(v))
 
 
+_kept_target = functools.lru_cache(maxsize=64)(expectile_of)
+
+
+def _target(dist: ScalarDistribution, t: float) -> float:
+    """The t-expectile of dist for every check here. A lemma sweep asks for
+    each about ten times, so the analytic kinds' are kept (arrays do not hash)."""
+    return expectile_of(dist, t) if dist.kind == "empirical" else _kept_target(dist, t)
+
+
 def theorem1_condition(
     dist: ScalarDistribution, tau, y_hat: float
 ) -> bool:
@@ -115,7 +125,7 @@ def theorem1_condition(
     t = _tau_value(tau)
     if t >= 0.5:
         return True
-    target = expectile_of(dist, t)
+    target = _target(dist, t)
     bound = 0.5 * (float(dist.cdf(target)) - t / (1.0 - 2.0 * t))
     return bool(_below_mass(dist, float(y_hat)) >= bound)
 
@@ -134,7 +144,7 @@ def lemma1_check(
         raise InputValidationError(
             f"lemma1_check covers the lower regime tau <= 1/2, got {t!r}"
         )
-    target = expectile_of(dist, t)
+    target = _target(dist, t)
     y_hat = float(y_hat)
     if y_hat < target:
         raise InputValidationError(
@@ -154,7 +164,7 @@ def lemma2_check(
     ``theorem1_condition``; both are preconditions, not outcomes.
     """
     t = _tau_value(tau)
-    target = expectile_of(dist, t)
+    target = _target(dist, t)
     y_hat = float(y_hat)
     if y_hat > target:
         raise InputValidationError(

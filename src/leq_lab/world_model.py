@@ -39,8 +39,10 @@ contiguous slice of one (B, width) array, and the per-row bias and the
 activation (or, going backward, its derivative) then go over the whole
 layer at once. Outputs are scattered back to row order once at the end.
 Each member's rows meet the same matmuls as they would alone, so the bits
-are those of one forward per member. A `StepCache` keeps the hidden
-activations in sorted order, with the permutation and the group bounds.
+are those of one forward per member, but for a NaN's sign, as in `nn`: where
+two NaNs meet in a layer-wide elementwise op, which one survives depends on
+a row's offset in the layer. A `StepCache` keeps the hidden activations in
+sorted order, with the permutation and the group bounds.
 """
 
 from __future__ import annotations

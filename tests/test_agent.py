@@ -408,10 +408,10 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
     # the helper's elites predict terminal states too
     assert all(terminal_predictions(ensemble, ro, m) for m in elite_idx)
     here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
-    helper = forked.Helper(functools.partial(agent._elite_preds, ensemble))
+    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
     try:
-        remote = agent._send_elites(helper, plan, config, ensemble, ro)
-        there = agent._mobile_targets(plan, config, ensemble, *remote.rows, remote)
+        agent._send_elites(helper, plan, ro)
+        there = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro), helper)
     finally:
         helper.close()
     assert forks == [1] and helper.busy_s > 0.0
@@ -419,6 +419,77 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
     want = loop_mobile(plan, config, ensemble, ro)[valid]
     np.testing.assert_allclose(there, want, rtol=1e-12, atol=1e-12)
+
+
+def _lcb_step_640(seed: int = 8):
+    """(plan, config, ensemble, rollouts) of a mobile_lcb step with 640 LCB
+    rows: 64 rollouts of 10 steps, none of them ending."""
+    plan = make_plan(9)
+    config = agent.AgentConfig(horizon=10, batch_model=64, conservatism="mobile_lcb", lcb_c=0.7)
+    ensemble = tiny_ensemble()
+    starts = np.random.default_rng(seed).normal(size=(64, OBS))
+    ro = wm.imagine_rollout(
+        ensemble, agent.MlpPolicy(plan.policy_spec, plan.policy_params), starts, 10,
+        never_terminal, 0.1, np.random.default_rng(seed + 1),
+    )
+    assert agent._lcb_rows(ro)[0].shape[0] == 640
+    return plan, config, ensemble, ro
+
+
+def test_an_elite_helper_call_pickles_no_array_either_way(forks, monkeypatch):
+    plan, config, ensemble, ro = _lcb_step_640()
+    here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
+    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
+    # patched after the fork, so only this process's messages are counted
+    conn = type(helper._conn)
+    sent, received = [], []
+    send_bytes, recv_bytes = conn._send_bytes, conn._recv_bytes
+
+    def sending(self, buf):
+        sent.append(len(buf))
+        return send_bytes(self, buf)
+
+    def receiving(self, maxsize=None):
+        buf = recv_bytes(self, maxsize)
+        received.append(buf.getbuffer().nbytes)
+        return buf
+
+    monkeypatch.setattr(conn, "_send_bytes", sending)
+    monkeypatch.setattr(conn, "_recv_bytes", receiving)
+    try:
+        agent._send_elites(helper, plan, ro)
+        there = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro), helper)
+    finally:
+        helper.close()
+    # the rows alone are 640 * (3 + 2) * 8 = 25,600 bytes
+    assert len(sent) == len(received) == 1 and max(sent + received) < 1024
+    assert forks == [1] and here.tobytes() == there.tobytes()
+
+
+def test_the_lcb_row_critic_forward_runs_while_the_helper_computes(monkeypatch):
+    plan, config, ensemble, ro = _lcb_step_640()
+    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
+    events, forward, result = [], agent._critic_forward, forked.Helper.result
+    lcb_s, lcb_a = agent._lcb_rows(ro)
+
+    def forwarding(spec, params, states, actions):
+        at_lcb_rows = np.array_equal(states, lcb_s) and np.array_equal(actions, lcb_a)
+        events.append("lcb rows" if at_lcb_rows else "other")
+        return forward(spec, params, states, actions)
+
+    def resulting(self):
+        events.append("result")
+        return result(self)
+
+    monkeypatch.setattr(agent, "_critic_forward", forwarding)
+    monkeypatch.setattr(forked.Helper, "result", resulting)
+    try:
+        agent._send_elites(helper, plan, ro)
+        agent.critic_loss_model(plan, config, ensemble, ro, None, helper)
+    finally:
+        helper.close()
+    assert events.count("lcb rows") == events.count("result") == 1
+    assert events.index("lcb rows") < events.index("result")
 
 
 def _maze_ensemble(spec, n_elites: int):
@@ -502,16 +573,16 @@ def test_train_step_through_the_helper_has_the_bits_of_this_process(
 def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(
     deadline, forks, monkeypatch
 ):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     calls = _counting_calls(monkeypatch)
-    # the policy and critic params (256, 256) a step sends come to about
-    # 1 MB, several times a pipe's buffer
+    # the policy and critic params (256, 256) a step writes into the
+    # helper's mapping come to about 1 MB, several times a pipe's buffer
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(conservatism="mobile_lcb", policy_update="awr", horizon=4)
     ensemble = _maze_ensemble(spec, 3)
     here, there = (agent.build_agent(config, spec, seed=0) for _ in range(2))
-    helper = forked.Helper(functools.partial(agent._elite_preds, ensemble))
     deadline(60.0)
-    try:
+    with agent.elite_helper(there, ensemble) as helper:
         for step in range(2):
             batch = env_batch(30 + step, n=64, obs=spec.obs_dim, act=spec.act_dim)
             starts = np.random.default_rng(40 + step).uniform(0.5, 2.5, size=(32, spec.obs_dim))
@@ -521,8 +592,6 @@ def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(
                 k: np.float64(v).tobytes() for k, v in want.items()
             }
             assert _state_bytes(there) == _state_bytes(here), step
-    finally:
-        helper.close()
     assert forks == [1] and calls == [1] * 2
 
 

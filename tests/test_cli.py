@@ -439,13 +439,13 @@ def test_the_main_loop_forks_its_own_helper_once_the_training_one_has_ended(tmp_
     def recording(self, fn):
         alive = multiprocessing.active_children()
         fork(self, fn)
-        forked_for.append((fn.func.__name__, self._child.pid, alive))
+        forked_for.append((fn, self._child.pid, alive))
 
     monkeypatch.setattr(forked.Helper, "_fork", recording)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 5, **_LCB})
     cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     (train, train_pid, _), (loop, loop_pid, alive) = forked_for
-    assert (train, loop) == ("_train_members", "_elite_preds")
+    assert train.func.__name__ == "_train_members" and isinstance(loop, agent._MappedElites)
     assert train_pid != loop_pid and alive == []
 
 
@@ -772,6 +772,25 @@ def test_ablate_records_a_failed_ensemble_and_runs_on(tmp_path, monkeypatch):
     assert math.isfinite(float(row["mean_return"]))
     assert not (out / "tau_low" / "seed0" / "report.json").exists()
     assert json.loads((out / "tau_low" / "seed1" / "report.json").read_text())["steps"] == 4
+
+
+def test_the_lemma_sweep_solves_each_of_its_20_targets_once(monkeypatch):
+    from leq_lab import expectile, theory
+
+    solver, solves = expectile._expectiles, []
+
+    def counting(*args):
+        solves.append(1)
+        return solver(*args)
+
+    monkeypatch.setattr(expectile, "_expectiles", counting)
+    theory._kept_target.cache_clear()
+    swept = cli._lemma_sweep(theory)
+    assert len(solves) == 20 and swept["failed"] == 0
+    # with nothing kept, every check solves its target again, to the same counts
+    monkeypatch.setattr(theory, "_kept_target", theory.expectile_of)
+    solves.clear()
+    assert cli._lemma_sweep(theory) == swept and len(solves) == 200
 
 
 def test_verify_theory_maps_a_theory_error_to_exit_1(monkeypatch, capsys):

@@ -316,17 +316,6 @@ def stacked_cases(draw):
     return spec, params, x, cot
 
 
-def assert_bits_but_nan_signs(got, want):
-    """Equal values, NaNs at the same places and the sign of every zero; a
-    NaN's sign may differ. numpy's SIMD lanes and scalar tails put the two
-    operands of a binary op in different orders, so where two NaNs of
-    opposite sign meet, the sign that survives depends on the element's
-    offset in the array, and a slice sits at another offset in a stack."""
-    np.testing.assert_array_equal(got, want)
-    signed = ~np.isnan(want)
-    np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
-
-
 class TestStackedNetworks:
     """A (k, P) stack of networks against k separate 2-D calls."""
 
@@ -348,15 +337,15 @@ class TestStackedNetworks:
             p_j, x_j, cot_j = params[j].copy(), x[j].copy(), cot[j].copy()
             y_j, cache_j = nn.forward_cached(spec, p_j, x_j)
             grad_j, g_in_j = nn.backward_cached(spec, p_j, cache_j, cot_j)
-            assert_bits_but_nan_signs(y[j], y_j)
+            _oracles.assert_bits_but_nan_signs(y[j], y_j)
             for got, want in zip(_cache_arrays(cache), _cache_arrays(cache_j)):
-                assert_bits_but_nan_signs(got[j], want)
+                _oracles.assert_bits_but_nan_signs(got[j], want)
             for got in (full[0][j], grad[j]):
-                assert_bits_but_nan_signs(got, grad_j)
+                _oracles.assert_bits_but_nan_signs(got, grad_j)
             for got in (full[1][j], g_in[j]):
-                assert_bits_but_nan_signs(got, g_in_j)
+                _oracles.assert_bits_but_nan_signs(got, g_in_j)
             for name, view in nn.param_views(spec, p_j).items():
-                assert_bits_but_nan_signs(views[name][j], view)
+                _oracles.assert_bits_but_nan_signs(views[name][j], view)
 
     def test_adam_steps_each_network_as_alone(self):
         rng = np.random.default_rng(12)
