@@ -392,7 +392,7 @@ class _MappedElites:
     """The elite helper's function. `s`, `a`, `plan`'s parameters and
     `preds` are float64 views of one anonymous shared mapping made before
     the fork, so a call carries only its row count n; the helper writes
-    `_elite_preds` of the first n rows into `preds[:, :, :n]`."""
+    `_elite_preds` of the first n rows into `preds[:, :, :n]`, then replies."""
 
     ensemble: object
     plan: _Plan  # the specs and env spec, with the mapping's parameters
