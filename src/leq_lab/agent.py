@@ -404,14 +404,11 @@ class _MappedElites:
 
     @classmethod
     def create(cls, nets: "_Plan | AgentState", config: AgentConfig, ensemble) -> "_MappedElites":
-        import mmap  # loaded here only: a run without this helper never needs it
-
         rows, members = config.batch_model * config.horizon, _split_elites(ensemble.elite_idx)[1]
-        shapes = [(rows, ensemble.obs_dim), (rows, ensemble.act_dim), nets.policy_params.shape,
-                  nets.critic_params.shape, (2, len(members), rows)]
-        ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])
-        flat = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])), dtype=np.float64)
-        s, a, p, c, preds = (v.reshape(n) for v, n in zip(np.split(flat, ends[:-1]), shapes))
+        s, a, p, c, preds = forked.shared_arrays(
+            (rows, ensemble.obs_dim), (rows, ensemble.act_dim), nets.policy_params.shape,
+            nets.critic_params.shape, (2, len(members), rows),
+        )
         plan = _Plan(nets.policy_spec, p, nets.critic_spec, c, nets.env_spec)
         return cls(ensemble, plan, config.gamma, members, s, a, preds)
 
@@ -722,11 +719,165 @@ def _check_rows(states: np.ndarray, stage: str) -> None:
         raise AgentError(f"{stage} pretraining needs transitions, but the dataset holds none")
 
 
+# the one FQE step size whose 128-row halves tests pin as rounding like
+# the whole call, at every workload's network shapes: the default batch
+_SPLIT_ROWS = 256
+# a `_RowSplit`'s tasks: the helper's rounding check, a step's two
+# passes, and the two table fills
+_CHECK, _ROWS, _SUMS, _FILL_NEXT_A, _FILL_Y = range(5)
+
+
+@dataclass
+class _RowSplit:
+    """An FQE helper's function, and the arrays it shares.
+
+    A split step runs the forward and the row pass of `nn.backward_rows`
+    on the first half of its rows here and on the second half in a
+    doorbell helper, each writing into the mapped rows; then each process
+    takes one part of `nn.backward_sums` over all the rows, into the
+    mapped gradient, and this process checks the loss and takes the Adam
+    step. Each weight product and sum is one call over the whole batch, so
+    every bit is as in one whole call wherever the halves give the whole
+    call's rows. The table fills split their blocks the same way.
+
+    The arrays are views of one anonymous shared mapping made before the
+    fork: the live parameters, which the Adam step updates in place, a
+    step's dataset rows `idx`, its `nn.backward_rows` `rows`, its loss rows
+    and its gradient, the tables, and the outcome of the rounding check.
+    `tasks[k](lo, hi)` does part [lo, hi) of task k and writes only into
+    that part: the forward and the row pass at a step's rows [lo, hi)
+    (`_ROWS`), the `nn.backward_sums` part lo (`_SUMS`), or a table fill's
+    blocks [lo, hi). A helper call runs one task on the helper's part, and
+    `_halves` runs it here on the other part.
+
+    The helper's first call (`_CHECK`) runs the forward and the row pass
+    on `probe`, the dataset's first rows, whole and in halves, and
+    the split goes on only if the halves give the whole call's bits. They
+    do at every workload's shapes, but not at every width: a (100, 50)
+    network rounds apart at 128 rows. The check runs in the helper so
+    that its arrays never add to this process's peak memory.
+    """
+
+    spec: nn.MlpSpec
+    params: np.ndarray  # (P,)
+    idx: np.ndarray  # (_SPLIT_ROWS,) row indices, as float64
+    rows: tuple  # backward_rows' arrays at _SPLIT_ROWS rows
+    loss: np.ndarray  # (_SPLIT_ROWS, ...) the step's loss rows
+    grad: np.ndarray  # (P,)
+    tables: list  # the next-action and target tables
+    alike: np.ndarray  # (), 1 once the check has passed
+    probe: np.ndarray  # (_SPLIT_ROWS, d) inputs for the check
+    tasks: list = field(default_factory=list)
+
+    @classmethod
+    def create(cls, spec, params, probe, loss_shape, table_shapes=()) -> "_RowSplit | None":
+        """The mapped arrays for steps of `probe`'s row count, or None where
+        a step stays whole: another row count, or no helper allowed."""
+        if probe.shape[0] != _SPLIT_ROWS or not forked.can_fork():
+            return None
+        shapes = [(_SPLIT_ROWS, *w.shape[1:]) for w in _passes(spec, params, probe[:1])[1:]]
+        mapped, idx, loss, grad, alike, *rest = forked.shared_arrays(
+            params.shape, (_SPLIT_ROWS,), (_SPLIT_ROWS, *loss_shape), params.shape, (),
+            *shapes, *table_shapes,
+        )
+        mapped[:] = params
+        rows, tables = tuple(rest[: len(shapes)]), rest[len(shapes) :]
+        return cls(spec, mapped, idx, rows, loss, grad, tables, alike, probe)
+
+    def bind(self, rows_fn, *table_fills) -> None:
+        """Set the tasks: `rows_fn(params, idx)` gives a step's (cache,
+        cotangent, loss rows) at its rows idx."""
+
+        def rows(lo, hi):
+            cache, cot, loss = rows_fn(self.params, self.idx[lo:hi].astype(np.intp))
+            parts, _ = nn.backward_rows(self.spec, self.params, cache, cot, params_only=True)
+            for buf, part in zip(self.rows, parts):
+                buf[lo:hi] = part
+            self.loss[lo:hi] = loss
+
+        def sums(part, _):
+            nn.backward_sums(self.spec, self.params, self.rows, self.grad, part)
+
+        def check(lo, hi):
+            half = _SPLIT_ROWS // 2
+            parts = (self.probe, self.probe[:half], self.probe[half:])
+            whole, top, bottom = (_passes(self.spec, self.params, x) for x in parts)
+            pairs = zip(whole, top, bottom)
+            self.alike[...] = all(np.concatenate(p).tobytes() == w.tobytes() for w, *p in pairs)
+
+        self.tasks = [check, rows, sums, *table_fills]
+
+    def __call__(self, task: int, lo: int, hi: int) -> None:
+        self.tasks[task](lo, hi)
+
+
+def _passes(spec, params, x) -> tuple:
+    """The forward's output and the row pass at inputs x, with the output
+    as the cotangent."""
+    y, cache = nn.forward_cached(spec, params, x)
+    return (y, *nn.backward_rows(spec, params, cache, y, params_only=True)[0])
+
+
+def _halves(helper, task: int, n: int) -> None:
+    """Run the helper's `_RowSplit` task on [n // 2, n) there and on
+    [0, n // 2) here, and wait for both."""
+    helper.call(task, n // 2, n)
+    helper.fn.tasks[task](0, n // 2)
+    helper.result()
+
+
+def _split_rows(helper, idx) -> np.ndarray:
+    """The forward and the row pass of a step at rows `idx`, half of them
+    in the helper; the step's loss rows."""
+    helper.fn.idx[:] = idx
+    _halves(helper, _ROWS, _SPLIT_ROWS)
+    return helper.fn.loss
+
+
+def _split_grad(helper) -> np.ndarray:
+    """`nn.backward_sums` of the step `_split_rows` ran, part 1 in the helper."""
+    _halves(helper, _SUMS, 2)
+    return helper.fn.grad
+
+
+@contextlib.contextmanager
+def _fqe_helper(split, helper_s):
+    """`forked.serving(split, doorbell=True)` for a `_RowSplit`, or None,
+    also once its rounding check has failed; `helper_s`, if given, gains
+    the helper's busy_s and wait_s."""
+    with forked.serving(split, doorbell=True) if split else contextlib.nullcontext() as helper:
+        try:
+            if helper is not None:
+                helper.call(_CHECK, 0, 0)
+                helper.result()
+                if not split.alike:
+                    helper.close()  # whole steps from here on
+            yield helper if helper is not None and split.alike else None
+        finally:
+            if helper is not None and helper_s is not None:
+                helper_s["busy_s"] = helper_s.get("busy_s", 0.0) + helper.busy_s
+                helper_s["wait_s"] = helper_s.get("wait_s", 0.0) + helper.wait_s
+
+
+def _fqe_rows(spec, states, actions, size: int, params, idx, y_idx):
+    """(cache, cotangent, residuals) of an FQE step of `size` rows at its
+    rows `idx`, whose targets are y_idx."""
+    q, cache = _critic_forward(spec, params, states[idx], actions[idx])
+    diff = q - y_idx
+    return cache, (2.0 * diff / size)[:, None], diff
+
+
 def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed: int, lr: float, batch: int = 256):
     """Behavioral cloning: minimize ||tanh(mlp(s)) - a||^2 over the dataset.
 
     Returns the params and the last step's batch MSE, taken before its
-    update (nan at zero steps)."""
+    update (nan at zero steps).
+
+    Its steps are not split across two processes as FQE's are: at 128 rows
+    the policy's forward and row pass take over half the time of 256, and
+    on `modelfree_chain` the split's fixed costs (the fork, the mapping and
+    `multiprocessing`'s import) left `bc_s` higher in 4 of 5 benchmark pairs.
+    """
     states, actions, _, _, _ = dataset.flat_arrays()
     _check_rows(states, "BC")
     if steps <= 0:
@@ -744,20 +895,22 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
     return params, float((res * res).sum(axis=1).mean())
 
 
-def _fill_in_blocks(out: np.ndarray, size: int, rows_fn) -> np.ndarray:
-    """out[i] = rows_fn(rows)[j] for every row i = rows[j], `size` rows a call.
+def _fill_in_blocks(out: np.ndarray, size: int, rows_fn, blocks: slice = slice(None)) -> np.ndarray:
+    """out[i] = rows_fn(rows)[j] for every row i = rows[j], `size` rows a call,
+    over the `blocks` of `size` rows (all of them by default).
 
     Every call gets exactly `size` rows: the last block wraps around to
     row 0 (`np.arange(lo, lo + size) % n`), and only its rows not already
     filled are kept.
     """
     n = out.shape[0]
-    for lo in range(0, n, size):
+    for lo in range(0, n, size)[blocks]:
         out[lo : lo + size] = rows_fn(np.arange(lo, lo + size) % n)[: n - lo]
     return out
 
 
-def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float, batch: int = 256, target_every: int = 250):
+def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float,
+                 batch: int = 256, target_every: int = 250, helper_s: dict | None = None):
     """Fitted Q evaluation of a frozen policy on the offline dataset.
 
     Bootstraps come from a parameter snapshot refreshed every target_every
@@ -778,12 +931,16 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     The tables cost ceil(N / size) forwards of each network up front, then
     ceil(N / size) critic forwards per stretch, where size = min(batch, N);
     evaluating both networks on every step's batch costs 2 forwards a step.
-    The tables are built only while they cost fewer forwards,
+    A step itself costs one forward and one backward either way. The
+    tables are built only while they cost fewer forwards,
     ceil(N / size) * (1 + stretches) < 2 * steps, that is while N stays
     below about 2 * batch * steps / (1 + stretches) rows: 51,200 at 300
     steps with the defaults, nearing 2 * batch * target_every = 128,000 over
     many stretches. Larger datasets (D4RL's 1M rows) are evaluated batch by
-    batch, with the snapshot copied at each refresh.
+    batch, with the snapshot copied at each refresh. A split run (below)
+    shares the table fills between two processes, which halves their wall
+    time, but per-batch evaluation is never split, so the rule, which counts
+    forwards, only understates the tables' advantage there.
 
     The tables hold the bits that per-step batches would give because every
     forward that fills them takes exactly size rows, a step's batch size.
@@ -794,6 +951,11 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     a multiple of the kernel's row unroll, as 256 is. Below one batch, at a
     ragged count such as 11 rows, the last rows of a call round apart, and
     the tables can differ from per-step batches in the last bits.
+
+    With the tables, where a step takes `_SPLIT_ROWS` rows and
+    `forked.can_fork` allows, a helper fills half of each table's blocks
+    and computes half of each step (`_RowSplit`), and every bit is as in
+    whole steps. `helper_s`, if given, gains its busy_s and wait_s.
     """
     loss = float("nan")
     states, actions, rewards, next_states, terminals = dataset.flat_arrays()
@@ -805,33 +967,64 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     adam = nn.init_adam(params.size, lr)
     n = states.shape[0]
     size = min(batch, n)
-    tables = -(-n // size) * (1 + -(-steps // target_every)) < 2 * steps
+    blocks = -(-n // size)
+    tables = blocks * (1 + -(-steps // target_every)) < 2 * steps
 
     def targets(rows, next_a, target):
         next_q = _critic_forward(spec, target, next_states[rows], next_a)[0]
         return rewards[rows] + gamma * (1.0 - terminals[rows]) * next_q
 
+    split = None
     if tables:
-        next_a = _fill_in_blocks(
-            np.empty((n, actions.shape[1])), size, lambda rows: policy(next_states[rows])
+        x = np.concatenate([states[:size], actions[:size]], axis=1)
+        split = _RowSplit.create(spec, params, x, (), [(n, actions.shape[1]), (n,)])
+    next_a, y = split.tables if split else (np.empty((n, actions.shape[1])), np.empty(n))
+    live = params if split is None else split.params
+
+    def fill_next_a(lo, hi):
+        _fill_in_blocks(next_a, size, lambda rows: policy(next_states[rows]), slice(lo, hi))
+
+    def fill_y(lo, hi):
+        _fill_in_blocks(y, size, lambda rows: targets(rows, next_a[rows], live), slice(lo, hi))
+
+    if split:
+        split.bind(
+            lambda params, idx: _fqe_rows(spec, states, actions, size, params, idx, y[idx]),
+            fill_next_a,
+            fill_y,
         )
-        y = np.empty(n)
-    for step_i in range(steps):
-        if step_i % target_every == 0:
-            if tables:
-                _fill_in_blocks(y, size, lambda rows: targets(rows, next_a[rows], params))
+    with _fqe_helper(split, helper_s) as helper:
+
+        def fill(task, fill_blocks):
+            if helper is None:
+                fill_blocks(0, blocks)
             else:
-                target = params.copy()
-        idx = rng.integers(0, n, size=size)
-        y_idx = y[idx] if tables else targets(idx, policy(next_states[idx]), target)
-        q, cache = _critic_forward(spec, params, states[idx], actions[idx])
-        diff = q - y_idx
-        loss = float((diff * diff).mean())
-        if not np.isfinite(loss):
-            raise DivergenceError("FQE loss diverged", {"step": step_i})
-        cot = (2.0 * diff / diff.size)[:, None]
-        grad, _ = nn.backward_cached(spec, params, cache, cot, params_only=True)
-        adam, params = nn.adam_step(adam, params, grad)
+                _halves(helper, task, blocks)
+
+        if tables:
+            fill(_FILL_NEXT_A, fill_next_a)
+        for step_i in range(steps):
+            if step_i % target_every == 0:
+                if tables:
+                    fill(_FILL_Y, fill_y)
+                else:
+                    target = live.copy()
+            idx = rng.integers(0, n, size=size)
+            if helper is None:
+                y_idx = y[idx] if tables else targets(idx, policy(next_states[idx]), target)
+                cache, cot, diff = _fqe_rows(spec, states, actions, size, live, idx, y_idx)
+            else:
+                diff = _split_rows(helper, idx)
+            loss = float((diff * diff).mean())
+            if not np.isfinite(loss):
+                raise DivergenceError("FQE loss diverged", {"step": step_i})
+            if helper is None:
+                grad, _ = nn.backward_cached(spec, live, cache, cot, params_only=True)
+            else:
+                grad = _split_grad(helper)
+            adam, live = nn.adam_step(adam, live, grad)
+    if split:
+        params[...] = live
     return params, loss
 
 
@@ -897,8 +1090,8 @@ def elite_helper(state: AgentState, ensemble):
     `forked.can_fork` allows). Other steps run here alone: on `leq_maze`
     the real-batch critic terms (about 1.5 ms of a 20 ms step) did not pay
     for their transfer and for the slowdown a busy second CPU brings. A
-    model-free run never loads `multiprocessing` here (about 0.6 MB of
-    peak RSS).
+    model-free run forks none here; it loads `multiprocessing` (about
+    0.6 MB of peak RSS) only for its FQE helper.
     """
     config = state.config
     uses = config.beta > 0.0 and config.conservatism == "mobile_lcb"

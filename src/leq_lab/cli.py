@@ -131,7 +131,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock) -> tuple:
+def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper_s: dict | None = None) -> tuple:
     """(ensemble or None, agent state, pretraining summary).
 
     A resumed run loads the ensemble and the checkpoint it finds in
@@ -203,7 +203,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
         fh.write("\n")
 
     def pretrain():
-        pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir))
+        pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir, helper_s))
 
     if train:
         with clock.phase("world_model"):
@@ -251,9 +251,9 @@ def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> No
         json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
 
 
-def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str) -> dict:
+def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict | None) -> dict:
     """BC, when bc_steps > 0, then FQE, when fqe_steps > 0; returns summary
-    scalars.
+    scalars. `helper_s`, if given, gains the seconds of FQE's helper.
 
     A divergence writes divergence.json, naming the stage and its step,
     before the DivergenceError goes on.
@@ -284,6 +284,7 @@ def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir:
                     state.config.gamma,
                     cfg.seed,
                     state.config.lr_pretrain,
+                    helper_s=helper_s,
                 )
             state.critic_ema = state.critic_params.copy()
     except agent_mod.DivergenceError as err:
@@ -355,18 +356,22 @@ class _PhaseClock:
 def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """Pretraining plus the main loop; returns the final report dict.
 
-    A run forks at most two helpers, each a daemonic child for one phase,
-    where `forked.can_fork()` allows: the fork start method exists, the
-    process may run on at least 2 CPUs and is not a daemonic worker, and no
-    `nn` function has been wrapped. World-model training, BC and FQE run in
-    `_prepare_run`: a fresh run trains every member in one lockstep group,
-    in a helper while this process runs BC and then FQE, or without one
-    here, before BC and FQE. The main loop, expansion, evaluation and
-    checkpoints run in this process; a mobile_lcb run with beta > 0 and a
-    step left forks a second helper for the loop, which computes part of
-    each step's elites (`agent.elite_helper`). Each helper is killed when
-    its phase ends, the loop's before a divergence snapshot is written, and
-    none outlives this call.
+    A run forks at most three helpers, one at a time, each a daemonic
+    child for one phase, where `forked.can_fork()` allows: the fork start
+    method exists, the process may run on at least 2 CPUs and is not a
+    daemonic worker, no other helper is alive, and no `nn` function has
+    been wrapped. World-model training, BC and FQE run in `_prepare_run`:
+    a fresh run trains every member in one lockstep group, in a helper
+    while this process runs BC and then FQE, or without one here, before
+    BC and FQE. FQE that runs with no helper alive (in a model-free run,
+    or one whose ensemble is loaded) forks one, which computes half of
+    each FQE step (`agent.pretrain_fqe`). The main
+    loop, expansion, evaluation and checkpoints run in this process; a
+    mobile_lcb run with beta > 0 and a step left forks a helper for the
+    loop, which computes part of each step's elites
+    (`agent.elite_helper`). Each helper is killed when its phase ends, the
+    loop's before a divergence snapshot is written, and none outlives
+    this call.
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
@@ -375,7 +380,9 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     it ran (0 once loaded): beside `timing_s.world_model` it shows whether
     training overlapped BC and FQE. `helper_busy_s` is the main loop's
     helper's own seconds in its calls and `helper_wait_s` the loop's wait
-    for their results, both 0 without that helper. `eval_env_steps` counts
+    for their results, both 0 without that helper, and
+    `pretrain_helper_busy_s` and `pretrain_helper_wait_s` are the same for
+    the FQE helper; all four are rounded to 1 us. `eval_env_steps` counts
     the true-environment steps the evaluations took. `blas_threads` is the
     OPENBLAS_NUM_THREADS this process saw, or "unset": a fixed-seed run's
     bits can depend on the BLAS thread count, so only files of a run that
@@ -390,7 +397,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     t_start = time.monotonic()
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
-    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock)
+    pretrain_helper = {"busy_s": 0.0, "wait_s": 0.0}
+    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, pretrain_helper)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
 
     term_fn = functools.partial(envs.terminated_batch, env_spec)
@@ -487,8 +495,10 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "timing_s": {phase: round(sec, 3) for phase, sec in clock.seconds.items()},
         "eval_env_steps": eval_env_steps,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-        "helper_busy_s": round(helper.busy_s, 3) if helper else 0.0,
-        "helper_wait_s": round(helper.wait_s, 3) if helper else 0.0,
+        "helper_busy_s": round(helper.busy_s, 6) if helper else 0.0,
+        "helper_wait_s": round(helper.wait_s, 6) if helper else 0.0,
+        "pretrain_helper_busy_s": round(pretrain_helper["busy_s"], 6),
+        "pretrain_helper_wait_s": round(pretrain_helper["wait_s"], 6),
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if ensemble is not None:

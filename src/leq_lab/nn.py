@@ -10,9 +10,17 @@ backward_cached() sweeps a forward_cached() cache and returns gradients
 with respect to BOTH parameters and inputs; input gradients are what lets
 imagination rollouts backpropagate through critics, world-model members
 and the policy. Keeping the forward and backward apart lets one stacked
-forward serve several backward passes. A caller that needs only the input
-gradient (the pathwise actor's critic sweeps) passes input_only=True,
-which skips the parameter gradient's matmuls and sums; one that needs
+forward serve several backward passes. The backward has two parts:
+backward_rows() takes the cotangent back through the layers, row by row,
+and backward_sums() reduces over the rows into the parameter gradient
+(the weight products a_in^T @ gh, then the bias and layer-norm sums).
+backward_cached() runs both in one sweep, each layer's sums right after
+its rows. Apart, a batch's rows can run the forward and the row pass in
+blocks, even in two processes, and one backward_sums() over the joined
+rows gives the whole call's gradient, wherever the blocks gave the whole
+call's rows. A caller that needs only the input gradient (the pathwise
+actor's critic sweeps) passes input_only=True, which skips the parameter
+gradient's matmuls and sums; one that needs
 only the parameter gradient (every loss that updates the network it
 differentiates) passes params_only=True, which skips the first layer's
 input-gradient matmul and the symlog factor. The gradient kept has the
@@ -43,15 +51,18 @@ derivatives are taken from the outputs alone (relu: out > 0, tanh:
 bit for bit, so the pre-activation is never stored or recomputed.
 
 The kernels work in place, and a hidden layer still holds at most three
-full-size arrays in either direction, input_only sweeps included. Forward,
-h = a @ W + b is centred and scaled into the cached norm, one scratch array
-takes the squares and then the affine output, and the activation consumes
-it. ELU takes three passes, max(z, expm1(min(z, 0))), and its one
-temporary is the third array. Layer-norm row means are
+full-size arrays in either direction, input_only sweeps included;
+backward_rows() also keeps the cotangents gh and, with layer norm, gz of
+every hidden layer for backward_sums(). Forward, h = a @ W + b is
+centred and scaled into the cached norm, one scratch array takes the
+squares and then the affine output z, and the activation consumes it.
+ELU takes three passes, max(z, expm1(min(z, 0))), and its one temporary
+is the third array. Layer-norm row means are
 np.add.reduce(..., axis=-1) / width: the bits of .mean(axis=-1) without
 its call overhead. Backward, the activation derivative takes the
-cotangent and then the layer-norm backward in place, with one scratch
-array, and the weight gradients go straight into the flat gradient.
+cotangent and then the layer-norm backward, in place but for a gz kept
+by backward_rows(), with one scratch array, and the weight gradients go
+straight into the flat gradient.
 Every in-place step keeps the operand order of the plain expression, so
 the bits (NaN signs included) are those of the allocating form; the one
 exception is that ELU passes a signaling NaN through unquieted. The
@@ -83,6 +94,8 @@ __all__ = [
     "forward",
     "forward_cached",
     "backward_cached",
+    "backward_rows",
+    "backward_sums",
     "init_adam",
     "adam_step",
     "ema_update",
@@ -286,33 +299,65 @@ def backward_cached(
     returned as None; with params_only the first layer's input-gradient
     matmul and the symlog factor are, and the input gradient is None. The
     gradient that is kept has the same bits either way.
+
+    It is backward_rows and backward_sums in one sweep: each layer's sums
+    follow its rows, so no layer's rows are kept past it.
     """
     if input_only and params_only:
         raise ValueError("input_only and params_only leave nothing to compute")
+    grad = None if input_only else np.zeros_like(params)
+    _, ga = _sweep(spec, params, cache, output_cotangent, grad, False, params_only)
+    return grad, ga
+
+
+def backward_rows(
+    spec: MlpSpec,
+    params: np.ndarray,
+    cache,
+    output_cotangent: np.ndarray,
+    *,
+    params_only: bool = False,
+):
+    """The row pass of backward_cached: (rows, input_grad).
+
+    It takes the cotangent back through every layer, and row r of what it
+    computes depends on row r of the cache and of the cotangent alone.
+    `rows` holds what backward_sums reduces over the rows: (gy, last, then
+    per hidden layer its input a_in, the cotangent gh of its pre-norm
+    output h and, with layer norm, norm and the cotangent gz of the affine
+    output z = norm * ln_scale + ln_shift), each with one row per input
+    row. The input gradient is as backward_cached's.
+    """
+    return _sweep(spec, params, cache, output_cotangent, None, True, params_only)
+
+
+def _sweep(spec, params, cache, output_cotangent, grad, keep: bool, params_only: bool):
+    """backward_cached's sweep: (rows if `keep`, input gradient). Given a
+    flat `grad`, each layer's sums go into it as soon as its rows are done."""
     raw_in, x0, layers, last = cache
     gy = np.asarray(output_cotangent, dtype=np.float64)
     views = param_views(spec, params)
-    grad_flat = None
-    if not input_only:
-        grad_flat = np.zeros_like(params)
-        grads = param_views(spec, grad_flat)
-        np.matmul(last.swapaxes(-1, -2), gy, out=grads["w_out"])
-        grads["b_out"][...] = gy.sum(axis=-2)
+    grads = None if grad is None else param_views(spec, grad)
+    if grads is not None:
+        _output_sums(grads, last, gy)
+    per_layer = []
     ga = gy @ views["w_out"].swapaxes(-1, -2)
-
     for i in reversed(range(len(spec.hidden_dims))):
         a_in, norm, inv_std, out = layers[i]
         gz = _activate_grad(out, spec.activation)
         np.multiply(ga, gz, out=gz)
+        kept = (a_in, gz)
         if spec.use_layernorm:
-            # gz turns into gn and then gh in place, with one scratch array
-            if input_only:
-                scratch = np.empty_like(gz)
+            # gz turns into gn and then gh in place, with one scratch array;
+            # a gz kept for the sums turns into a copy instead
+            if grads is not None:
+                _layer_norm_sums(grads, i, norm, gz)
+            scratch = np.empty_like(gz)
+            if keep:
+                kept_gz, gz = gz, np.multiply(gz, views[f"ln_scale{i}"][..., None, :])
+                kept = (a_in, gz, norm, kept_gz)
             else:
-                scratch = np.multiply(gz, norm)
-                grads[f"ln_scale{i}"][...] = scratch.sum(axis=-2)
-                grads[f"ln_shift{i}"][...] = gz.sum(axis=-2)
-            gz *= views[f"ln_scale{i}"][..., None, :]
+                gz *= views[f"ln_scale{i}"][..., None, :]
             # d/dh of (h - mean) * inv_std with row statistics:
             # gh = inv_std * (gn - mean(gn) - norm * mean(gn * norm))
             gn_mean = _row_mean(gz)
@@ -321,17 +366,63 @@ def backward_cached(
             gz -= gn_mean
             gz -= np.multiply(norm, gn_norm_mean, out=scratch)
             np.multiply(inv_std, gz, out=gz)
-        if not input_only:
-            np.matmul(a_in.swapaxes(-1, -2), gz, out=grads[f"w{i}"])
-            grads[f"b{i}"][...] = gz.sum(axis=-2)
+        if grads is not None:
+            _weight_sums(grads, i, a_in, gz)
+        if keep:
+            per_layer.append(kept)
         if i > 0 or not params_only:
             ga = gz @ views[f"w{i}"].swapaxes(-1, -2)
 
+    rows = (gy, last, *(a for kept in reversed(per_layer) for a in kept)) if keep else None
     if params_only:
-        return grad_flat, None
+        return rows, None
     if spec.use_symlog_input:
         ga *= symlog_grad(raw_in)
-    return grad_flat, ga
+    return rows, ga
+
+
+def _output_sums(grads, last, gy) -> None:
+    np.matmul(last.swapaxes(-1, -2), gy, out=grads["w_out"])
+    grads["b_out"][...] = gy.sum(axis=-2)
+
+
+def _layer_norm_sums(grads, i: int, norm, gz) -> None:
+    grads[f"ln_scale{i}"][...] = np.multiply(gz, norm).sum(axis=-2)
+    grads[f"ln_shift{i}"][...] = gz.sum(axis=-2)
+
+
+def _weight_sums(grads, i: int, a_in, gh) -> None:
+    np.matmul(a_in.swapaxes(-1, -2), gh, out=grads[f"w{i}"])
+    grads[f"b{i}"][...] = gh.sum(axis=-2)
+
+
+def backward_sums(
+    spec: MlpSpec, params: np.ndarray, rows, grad: np.ndarray | None = None, part: int | None = None
+) -> np.ndarray:
+    """The reduction pass of backward_cached: the parameter gradient from a
+    backward_rows `rows`. Each weight gradient is one product a_in^T @ gh
+    over all the rows, and each bias and layer-norm gradient one sum over
+    them, so `rows` assembled from the row passes of row blocks give the
+    bits of one whole call wherever those passes gave its rows' bits.
+
+    Given `grad`, it writes there; `part` 0 reduces only the output layer
+    and the first half of the hidden layers (L // 2 of them), and `part` 1
+    the others, leaving the rest of `grad` as it was."""
+    gy, last, *per_layer = rows
+    grad_flat = np.zeros_like(params) if grad is None else grad
+    grads = param_views(spec, grad_flat)
+    if part != 1:
+        _output_sums(grads, last, gy)
+    width = 4 if spec.use_layernorm else 2
+    layers = range(len(spec.hidden_dims))
+    if part is not None:
+        layers = layers[: len(layers) // 2] if part == 0 else layers[len(layers) // 2 :]
+    for i in layers:
+        a_in, gh, *ln = per_layer[width * i : width * (i + 1)]
+        if ln:
+            _layer_norm_sums(grads, i, *ln)
+        _weight_sums(grads, i, a_in, gh)
+    return grad_flat
 
 
 @dataclass

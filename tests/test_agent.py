@@ -2,6 +2,7 @@
 imagination-start ring buffer."""
 
 import functools
+import os
 import warnings
 from dataclasses import replace
 
@@ -950,6 +951,66 @@ def test_buffer_insert_matches_row_by_row_loop(capacity, sizes):
 def test_buffer_sample_needs_rows():
     with pytest.raises(agent.AgentError):
         agent.ModelStateBuffer.create(4, 2).sample(1, np.random.default_rng(0))
+
+
+def _pretrain_both(data, state, monkeypatch, cpus):
+    """BC, then FQE on the BC policy, with `cpus` patched in: (params and
+    losses, the FQE helper's seconds)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    helper_s = {}
+    policy_params, bc_mse = agent.pretrain_bc(data, state.policy_spec, state.policy_params.copy(), 30, 0, 1e-3)
+    policy = agent.MlpPolicy(state.policy_spec, policy_params)
+    critic_params, fqe_loss = agent.pretrain_fqe(
+        data, policy, state.critic_spec, state.critic_params.copy(), 30, 0.99, 0, 1e-3,
+        target_every=10, helper_s=helper_s,
+    )
+    return (policy_params, np.float64(bc_mse), critic_params, np.float64(fqe_loss)), helper_s
+
+
+# 30 steps with a target refresh every 10: FQE's target table is filled 3 times
+@pytest.mark.parametrize("env", ["dense_chain", "point_maze_u"])
+def test_fqe_split_across_two_processes_keeps_every_bit(env, monkeypatch, forks):
+    spec = envs.make_env_spec(env)
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    assert data.flat_arrays()[0].shape[0] > agent._SPLIT_ROWS
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    split, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert forks == [1] and helper_s["busy_s"] > 0.0 and helper_s["wait_s"] > 0.0
+    whole, helper_s = _pretrain_both(data, state, monkeypatch, {0})
+    assert forks == [1] and helper_s == {}
+    for got, want in zip(split, whole):
+        _oracles.assert_bits(got, want)
+
+
+def test_fqe_on_a_dataset_below_one_batch_runs_here_alone(monkeypatch, forks):
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 2, seed=0)
+    assert data.flat_arrays()[0].shape[0] < agent._SPLIT_ROWS
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    _, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert forks == [] and helper_s == {}
+
+
+def test_fqe_at_a_width_whose_halves_round_apart_takes_whole_steps(monkeypatch, forks):
+    # at (100, 50) a 128-row forward rounds apart from 256 rows on some BLAS
+    # builds; the helper's first call checks that, and no step splits then
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    config = replace(agent.AgentConfig().desk_scale(), hidden_actor=(100, 50), hidden_critic=(100, 50))
+    state = agent.build_agent(config, spec, 0)
+    states, actions = data.flat_arrays()[:2]
+    x = np.concatenate([states, actions], axis=1)[:256]
+    halves = [nn.forward(state.critic_spec, state.critic_params, x[lo : lo + 128]) for lo in (0, 128)]
+    alike = np.concatenate(halves).tobytes() == nn.forward(state.critic_spec, state.critic_params, x).tobytes()
+    calls, call = [], forked.Helper.call
+    monkeypatch.setattr(forked.Helper, "call", lambda self, *args: (calls.append(args[0]), call(self, *args))[1])
+    split, _ = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert forks == [1]
+    if not alike:
+        assert calls == [agent._CHECK]
+    whole, _ = _pretrain_both(data, state, monkeypatch, {0})
+    for got, want in zip(split, whole):
+        _oracles.assert_bits(got, want)
 
 
 @pytest.mark.parametrize("bc_steps", [0, 40, 80])

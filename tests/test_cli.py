@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import time
 
 import numpy as np
@@ -580,13 +581,54 @@ def test_a_main_loop_divergence_stops_the_helper_before_its_snapshot(
     assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("policy loss diverged", "train", 0)
 
 
-def test_a_run_that_imagines_nothing_starts_no_helper(tmp_path, monkeypatch, forks):
+def test_a_run_that_imagines_nothing_forks_a_helper_for_fqe_only(tmp_path, monkeypatch, forks):
     _two_cpus(monkeypatch)
     raw = _run_config(
         tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
     )
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
-    assert forks == [] and report["helper_busy_s"] == report["helper_wait_s"] == 0.0
+    assert forks == [1] and report["helper_busy_s"] == report["helper_wait_s"] == 0.0
+    assert report["pretrain_helper_busy_s"] > 0.0 and report["pretrain_helper_wait_s"] > 0.0
+
+
+def test_a_pretraining_helper_killed_mid_fqe_exits_1_and_leaves_no_child(
+    tmp_path, monkeypatch, capsys, deadline, forks
+):
+    _two_cpus(monkeypatch)
+    here, fqe_rows = os.getpid(), agent._fqe_rows
+
+    def dying(*args):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fqe_rows(*args)
+
+    monkeypatch.setattr(agent, "_fqe_rows", dying)
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    deadline(30.0)
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: helper process exited with code -9\n"
+    assert forks == [1] and multiprocessing.active_children() == []
+    assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+def test_the_report_records_helper_seconds_to_the_microsecond(tmp_path, monkeypatch):
+    _two_cpus(monkeypatch)
+    elite_helper = agent.elite_helper
+
+    @contextlib.contextmanager
+    def brief(state, ensemble):
+        with elite_helper(state, ensemble) as helper:
+            yield helper
+        helper.busy_s, helper.wait_s = 4.12e-4, 1.23e-4
+
+    monkeypatch.setattr(agent, "elite_helper", brief)
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 2, **_LCB})
+    report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    assert (report["helper_busy_s"], report["helper_wait_s"]) == (0.000412, 0.000123)
 
 
 def test_a_corrupt_ensemble_file_still_exits_2(tmp_path, capsys):

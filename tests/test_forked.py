@@ -3,7 +3,11 @@ time, failures raise, and the rule for forking."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -123,12 +127,101 @@ def test_a_call_sent_after_the_child_died_raises_with_its_exit_code():
     assert multiprocessing.active_children() == []
 
 
-def test_the_child_ends_by_itself_once_this_end_of_the_pipe_closes():
-    helper = forked.Helper(_pid_and_sum)
+@pytest.mark.parametrize("doorbell", [False, True], ids=["pipe", "doorbell"])
+def test_the_child_ends_by_itself_once_this_end_of_the_pipe_closes(doorbell):
+    helper = forked.Helper(_pid_and_sum, doorbell)
     helper._conn.close()
     helper._child.join(timeout=30.0)
     assert helper._child.exitcode == 0
     helper.close()  # nothing left to do
+
+
+def test_shared_arrays_are_zeroed_line_aligned_and_one_memory_across_the_fork():
+    ints, rows, one = forked.shared_arrays((3,), (5, 2), ())
+    assert [a.shape for a in (ints, rows, one)] == [(3,), (5, 2), ()]
+    assert all(a.ctypes.data % 64 == 0 and not a.any() for a in (ints, rows, one))
+
+    def fill(k):
+        rows[k] = os.getpid(), k
+
+    helper = forked.Helper(fill, doorbell=True)
+    try:
+        for k in range(5):
+            helper.call(k)
+            assert helper.result() is None
+    finally:
+        helper.close()
+    assert rows[:, 0].tolist() == [helper._child.pid] * 5 and rows[:, 1].tolist() == list(range(5))
+    assert not ints.any() and helper.busy_s > 0.0 and helper.wait_s > 0.0
+
+
+def test_a_doorbell_call_takes_integers_and_reports_a_failure_and_the_child_serves_on():
+    (out,) = forked.shared_arrays((2,))
+
+    def add(a, b, fail):
+        if fail:
+            _raise()
+        out[:] = a + b, os.getpid()
+
+    helper = forked.Helper(add, doorbell=True)
+    try:
+        helper.call(1, 2, 1)
+        with pytest.raises(forked.HelperError, match="FloatingPointError: planted"):
+            helper.result()
+        helper.call(40, 2, 0)
+        helper.result()
+        assert out.tolist() == [42.0, helper._child.pid]
+        with pytest.raises(ValueError, match="at most 6 integer arguments"):
+            helper.call(*range(7))
+        with pytest.raises(RuntimeError, match="no helper call is in flight"):
+            helper.result()
+    finally:
+        helper.close()
+
+
+def test_a_doorbell_child_that_dies_mid_call_raises_with_its_exit_code(deadline):
+    helper = forked.Helper(lambda die: os.kill(os.getpid(), signal.SIGKILL) if die else None, doorbell=True)
+    deadline(30.0)
+    try:
+        helper.call(0)
+        helper.result()
+        helper.call(1)
+        with pytest.raises(forked.HelperError, match="exited with code -9"):
+            helper.result()
+    finally:
+        helper.close()
+    assert multiprocessing.active_children() == []
+
+
+def _ended(pid: int) -> bool:
+    """Whether process `pid` has exited: gone, or a zombie nobody reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the child's state in /proc")
+def test_a_polling_child_ends_by_itself_once_this_process_dies():
+    script = (
+        "import os, signal\n"
+        "from leq_lab import forked\n"
+        "helper = forked.Helper(lambda: None, doorbell=True)\n"
+        "helper.call()\n"
+        "helper.result()\n"
+        "print(helper._child.pid, flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src = os.path.dirname(os.path.dirname(forked.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == -signal.SIGKILL, run.stderr
+    child = int(run.stdout)
+    t0 = time.monotonic()
+    while not _ended(child) and time.monotonic() - t0 < 30.0:
+        time.sleep(0.01)
+    assert _ended(child)
 
 
 def test_serving_forks_at_entry_and_its_child_never_outlives_the_block(monkeypatch, forks):
@@ -164,4 +257,13 @@ def test_fork_rule(monkeypatch, forks):
         assert not forked.can_fork()
         with forked.serving(_pid_and_sum) as helper:
             assert helper is None
-    assert forked.can_fork() and forks == []
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "uname", lambda: os.uname_result(("Linux", "box", "6", "#1", "aarch64")))
+        with forked.serving(_pid_and_sum, doorbell=True) as helper:
+            assert helper is None  # the doorbell relies on x86's store order
+        with forked.serving(_pid_and_sum) as helper:
+            assert helper is not None
+            assert not forked.can_fork()  # one helper at a time
+            helper.call()
+            assert helper.result()[0] != os.getpid()
+        assert forked.can_fork() and forks == [1]

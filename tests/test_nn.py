@@ -385,6 +385,52 @@ class TestParamsOnly:
             nn.backward_cached(spec, params, cache, np.ones((2, 2)), input_only=True, params_only=True)
 
 
+class TestRowSplit:
+    """The backward's row pass and reduction pass, and the row invariance a
+    pretraining step split across two processes relies on."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # planted NaN and Inf values
+    @settings(max_examples=100, deadline=None)
+    @given(mlp_cases())
+    def test_the_two_parts_of_the_sums_write_every_entry_of_the_whole_gradient(self, case):
+        spec, params, x, cot = case
+        _, cache = nn.forward_cached(spec, params, x)
+        want, _ = nn.backward_cached(spec, params, cache, cot)
+        rows, _ = nn.backward_rows(spec, params, cache, cot, params_only=True)
+        grad = np.full_like(params, 7.0)
+        for part in (1, 0):
+            assert nn.backward_sums(spec, params, rows, grad, part) is grad
+        _oracles.assert_bits(grad, want)
+
+    # every env's critic and policy at the desk-scale and the default widths;
+    # the point mazes share one shape
+    @pytest.mark.parametrize("hidden", [(64, 64), (256, 256)], ids=["desk", "default"])
+    @pytest.mark.parametrize("net", ["critic", "policy"])
+    @pytest.mark.parametrize("env", envs.ENV_NAMES)
+    def test_two_halves_of_a_256_row_pass_are_the_whole_call_bit_for_bit(self, env, net, hidden):
+        env_spec = envs.make_env_spec(env)
+        spec_for = agent.critic_spec_for if net == "critic" else agent.policy_spec_for
+        spec = spec_for(env_spec.obs_dim, env_spec.act_dim, hidden)
+        rng = np.random.default_rng(5)
+        params = nn.init_params(spec, rng)
+        x = rng.normal(0.0, 3.0, (256, spec.input_dim))
+        cot = rng.normal(0.0, 1e-2, (256, spec.output_dim))
+
+        def passes(lo, hi):
+            y, cache = nn.forward_cached(spec, params, x[lo:hi].copy())
+            rows, _ = nn.backward_rows(spec, params, cache, cot[lo:hi].copy(), params_only=True)
+            return [y, *_cache_arrays(cache)], rows
+
+        (whole, whole_rows), (top, top_rows), (bottom, bottom_rows) = (
+            passes(0, 256), passes(0, 128), passes(128, 256)
+        )
+        for got_top, got_bottom, want in zip(top + list(top_rows), bottom + list(bottom_rows), whole + list(whole_rows)):
+            _oracles.assert_bits(np.concatenate([got_top, got_bottom]), want)
+        joined = tuple(np.concatenate(parts) for parts in zip(top_rows, bottom_rows))
+        grad, _ = nn.backward_cached(spec, params, nn.forward_cached(spec, params, x)[1], cot, params_only=True)
+        _oracles.assert_bits(nn.backward_sums(spec, params, joined), grad)
+
+
 class TestConcatCaches:
     @pytest.mark.parametrize(
         "use_layernorm, use_symlog_input", [(False, False), (True, True)], ids=["plain", "ln-symlog"]
