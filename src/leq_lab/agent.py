@@ -841,10 +841,10 @@ def _split_grad(helper) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _fqe_helper(split, helper_s):
+def _fqe_helper(split, helper_s: dict):
     """`forked.serving(split, doorbell=True)` for a `_RowSplit`, or None,
-    also once its rounding check has failed; `helper_s`, if given, gains
-    the helper's busy_s and wait_s."""
+    also once its rounding check has failed; a helper's busy_s and wait_s
+    go into `helper_s`."""
     with forked.serving(split, doorbell=True) if split else contextlib.nullcontext() as helper:
         try:
             if helper is not None:
@@ -854,9 +854,8 @@ def _fqe_helper(split, helper_s):
                     helper.close()  # whole steps from here on
             yield helper if helper is not None and split.alike else None
         finally:
-            if helper is not None and helper_s is not None:
-                helper_s["busy_s"] = helper_s.get("busy_s", 0.0) + helper.busy_s
-                helper_s["wait_s"] = helper_s.get("wait_s", 0.0) + helper.wait_s
+            if helper is not None:
+                helper_s.update(busy_s=helper.busy_s, wait_s=helper.wait_s)
 
 
 def _fqe_rows(spec, states, actions, size: int, params, idx, y_idx):
@@ -910,7 +909,7 @@ def _fill_in_blocks(out: np.ndarray, size: int, rows_fn, blocks: slice = slice(N
 
 
 def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float,
-                 batch: int = 256, target_every: int = 250, helper_s: dict | None = None):
+                 batch: int = 256, target_every: int = 250, *, helper_s: dict):
     """Fitted Q evaluation of a frozen policy on the offline dataset.
 
     Bootstraps come from a parameter snapshot refreshed every target_every
@@ -955,7 +954,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     With the tables, where a step takes `_SPLIT_ROWS` rows and
     `forked.can_fork` allows, a helper fills half of each table's blocks
     and computes half of each step (`_RowSplit`), and every bit is as in
-    whole steps. `helper_s`, if given, gains its busy_s and wait_s.
+    whole steps. A forked helper's busy_s and wait_s go into `helper_s`.
     """
     loss = float("nan")
     states, actions, rewards, next_states, terminals = dataset.flat_arrays()

@@ -131,8 +131,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper_s: dict | None = None) -> tuple:
-    """(ensemble or None, agent state, pretraining summary).
+def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper_s: dict) -> tuple:
+    """(ensemble or None, agent state, pretraining summary); the seconds of
+    FQE's helper, if one forks, go into `helper_s`.
 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. A checkpoint of another seed would continue on other RNG
@@ -251,9 +252,9 @@ def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> No
         json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
 
 
-def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict | None) -> dict:
+def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict) -> dict:
     """BC, when bc_steps > 0, then FQE, when fqe_steps > 0; returns summary
-    scalars. `helper_s`, if given, gains the seconds of FQE's helper.
+    scalars. The seconds of FQE's helper, if one forks, go into `helper_s`.
 
     A divergence writes divergence.json, naming the stage and its step,
     before the DivergenceError goes on.
@@ -537,7 +538,7 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock())
+    ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock(), {})
     if ensemble is not None:
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
     for key, value in info.items():

@@ -396,33 +396,32 @@ def _weight_sums(grads, i: int, a_in, gh) -> None:
     grads[f"b{i}"][...] = gh.sum(axis=-2)
 
 
-def backward_sums(
-    spec: MlpSpec, params: np.ndarray, rows, grad: np.ndarray | None = None, part: int | None = None
-) -> np.ndarray:
-    """The reduction pass of backward_cached: the parameter gradient from a
-    backward_rows `rows`. Each weight gradient is one product a_in^T @ gh
-    over all the rows, and each bias and layer-norm gradient one sum over
-    them, so `rows` assembled from the row passes of row blocks give the
-    bits of one whole call wherever those passes gave its rows' bits.
+def backward_sums(spec: MlpSpec, params: np.ndarray, rows, grad: np.ndarray, part: int) -> np.ndarray:
+    """The reduction pass of backward_cached, in two parts: the parameter
+    gradient from a backward_rows `rows`, written into `grad`. Each weight
+    gradient is one product a_in^T @ gh over all the rows, and each bias
+    and layer-norm gradient one sum over them, so `rows` assembled from the
+    row passes of row blocks give the bits of one whole call wherever those
+    passes gave its rows' bits.
 
-    Given `grad`, it writes there; `part` 0 reduces only the output layer
-    and the first half of the hidden layers (L // 2 of them), and `part` 1
-    the others, leaving the rest of `grad` as it was."""
+    `part` 0 reduces the output layer and the first half of the hidden
+    layers (L // 2 of them), and `part` 1 the others, leaving the rest of
+    `grad` as it was; the two parts together write all of it."""
     gy, last, *per_layer = rows
-    grad_flat = np.zeros_like(params) if grad is None else grad
-    grads = param_views(spec, grad_flat)
-    if part != 1:
-        _output_sums(grads, last, gy)
-    width = 4 if spec.use_layernorm else 2
+    grads = param_views(spec, grad)
     layers = range(len(spec.hidden_dims))
-    if part is not None:
-        layers = layers[: len(layers) // 2] if part == 0 else layers[len(layers) // 2 :]
+    if part == 0:
+        _output_sums(grads, last, gy)
+        layers = layers[: len(layers) // 2]
+    else:
+        layers = layers[len(layers) // 2 :]
+    width = 4 if spec.use_layernorm else 2
     for i in layers:
         a_in, gh, *ln = per_layer[width * i : width * (i + 1)]
         if ln:
             _layer_norm_sums(grads, i, *ln)
         _weight_sums(grads, i, a_in, gh)
-    return grad_flat
+    return grad
 
 
 @dataclass

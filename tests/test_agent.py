@@ -652,7 +652,7 @@ def test_fqe_matches_the_per_batch_loop_bit_for_bit(n, target_every, dtype, monk
         return forward_cached(spec, params, x)
 
     monkeypatch.setattr(nn, "forward_cached", forward_spy)
-    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, target_every, policy_spy))
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, target_every, policy_spy), helper_s={})
 
     _oracles.assert_bits(got[0], want[0])
     _oracles.assert_bits(np.float64(got[1]), np.float64(want[1]))
@@ -676,7 +676,7 @@ def test_fqe_on_a_ragged_batch_matches_the_loop_to_rounding():
     plan = make_plan(11)
     dataset = _FlatDataset(11)
     want = _oracles.loop_pretrain_fqe(*_fqe_args(plan, dataset, 4))
-    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4))
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4), helper_s={})
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-14)
     assert got[1] == pytest.approx(want[1], rel=1e-10)
 
@@ -697,7 +697,7 @@ def test_fqe_on_an_empty_dataset_raises_before_any_step(monkeypatch):
     plan = make_plan(18)
     monkeypatch.setattr(nn, "adam_step", _no_step)
     with pytest.raises(agent.AgentError, match="FQE pretraining needs transitions") as err:
-        agent.pretrain_fqe(*_fqe_args(plan, _FlatDataset(0), 4))
+        agent.pretrain_fqe(*_fqe_args(plan, _FlatDataset(0), 4), helper_s={})
     assert type(err.value) is agent.AgentError
 
 
@@ -713,7 +713,7 @@ def test_fqe_with_a_nan_reward_diverges_at_the_loops_step(n):
     rewards.flags.writeable = False
     dataset.arrays = (*dataset.arrays[:2], rewards, *dataset.arrays[3:])
     steps = []
-    for fqe in (_oracles.loop_pretrain_fqe, agent.pretrain_fqe):
+    for fqe in (_oracles.loop_pretrain_fqe, functools.partial(agent.pretrain_fqe, helper_s={})):
         with pytest.raises(agent.DivergenceError) as err:
             fqe(*_fqe_args(plan, dataset, 4))
         steps.append(err.value.snapshot["step"])
