@@ -16,15 +16,14 @@ and backward_sums() reduces over the rows into the parameter gradient
 (the weight products a_in^T @ gh, then the bias and layer-norm sums).
 backward_cached() runs both in one sweep, each layer's sums right after
 its rows. Apart, a batch's rows can run the forward and the row pass in
-blocks, even in two processes, and one backward_sums() over the joined
-rows gives the whole call's gradient, wherever the blocks gave the whole
-call's rows. A caller that needs only the input gradient (the pathwise
-actor's critic sweeps) passes input_only=True, which skips the parameter
-gradient's matmuls and sums; one that needs
-only the parameter gradient (every loss that updates the network it
-differentiates) passes params_only=True, which skips the first layer's
-input-gradient matmul and the symlog factor. The gradient kept has the
-same bits either way.
+blocks, even in two processes, and the two parts of backward_sums() over
+the joined rows give the whole call's gradient, wherever the blocks gave
+the whole call's rows. A caller that needs only the input gradient (the
+pathwise actor's critic sweeps) passes input_only=True, which skips the
+parameter gradient's matmuls and sums; one that needs only the parameter
+gradient (every loss that updates the network it differentiates) passes
+params_only=True, which skips the first layer's input-gradient matmul and
+the symlog factor. The gradient kept has the same bits either way.
 
 Every function here also takes a stack of k networks of one spec: (k, P)
 parameters, whose param_views are (k, *shape), and (k, B, d) inputs. The
