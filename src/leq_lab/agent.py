@@ -744,11 +744,15 @@ class _RowSplit:
     fork: the live parameters, which the Adam step updates in place, a
     step's dataset rows `idx`, its `nn.backward_rows` `rows`, its loss rows
     and its gradient, the tables, and the outcome of the rounding check.
-    `tasks[k](lo, hi)` does part [lo, hi) of task k and writes only into
+    `self(k, lo, hi)` does part [lo, hi) of task k and writes only into
     that part: the forward and the row pass at a step's rows [lo, hi)
     (`_ROWS`), the `nn.backward_sums` part lo (`_SUMS`), or a table fill's
     blocks [lo, hi). A helper call runs one task on the helper's part, and
-    `_halves` runs it here on the other part.
+    `_halves` runs it here on the other part. The tasks are methods, and
+    `bind` keeps only functions that never refer back to the split: a
+    task that closed over the split and was kept in it would make a
+    reference cycle, which would hold the mapping until the next cyclic
+    collection, past `pretrain_fqe`'s return.
 
     The helper's first call (`_CHECK`) runs the forward and the row pass
     on `probe`, the dataset's first rows, whole and in halves, and
@@ -767,7 +771,8 @@ class _RowSplit:
     tables: list  # the next-action and target tables
     alike: np.ndarray  # (), 1 once the check has passed
     probe: np.ndarray  # (_SPLIT_ROWS, d) inputs for the check
-    tasks: list = field(default_factory=list)
+    rows_fn: object = None  # (params, idx) -> a step's (cache, cotangent, loss rows) at rows idx
+    fills: tuple = ()  # the table fills, in task order
 
     @classmethod
     def create(cls, spec, params, probe, loss_shape, table_shapes=()) -> "_RowSplit | None":
@@ -785,30 +790,32 @@ class _RowSplit:
         return cls(spec, mapped, idx, rows, loss, grad, tables, alike, probe)
 
     def bind(self, rows_fn, *table_fills) -> None:
-        """Set the tasks: `rows_fn(params, idx)` gives a step's (cache,
-        cotangent, loss rows) at its rows idx."""
-
-        def rows(lo, hi):
-            cache, cot, loss = rows_fn(self.params, self.idx[lo:hi].astype(np.intp))
-            parts, _ = nn.backward_rows(self.spec, self.params, cache, cot, params_only=True)
-            for buf, part in zip(self.rows, parts):
-                buf[lo:hi] = part
-            self.loss[lo:hi] = loss
-
-        def sums(part, _):
-            nn.backward_sums(self.spec, self.params, self.rows, self.grad, part)
-
-        def check(lo, hi):
-            half = _SPLIT_ROWS // 2
-            parts = (self.probe, self.probe[:half], self.probe[half:])
-            whole, top, bottom = (_passes(self.spec, self.params, x) for x in parts)
-            pairs = zip(whole, top, bottom)
-            self.alike[...] = all(np.concatenate(p).tobytes() == w.tobytes() for w, *p in pairs)
-
-        self.tasks = [check, rows, sums, *table_fills]
+        """Set the step's `rows_fn` and the table fills, `fill(lo, hi)` each."""
+        self.rows_fn, self.fills = rows_fn, table_fills
 
     def __call__(self, task: int, lo: int, hi: int) -> None:
-        self.tasks[task](lo, hi)
+        if task == _CHECK:
+            self._check()
+        elif task == _ROWS:
+            self._rows(lo, hi)
+        elif task == _SUMS:
+            nn.backward_sums(self.spec, self.params, self.rows, self.grad, lo)
+        else:
+            self.fills[task - _FILL_NEXT_A](lo, hi)
+
+    def _rows(self, lo: int, hi: int) -> None:
+        cache, cot, loss = self.rows_fn(self.params, self.idx[lo:hi].astype(np.intp))
+        parts, _ = nn.backward_rows(self.spec, self.params, cache, cot, params_only=True)
+        for buf, part in zip(self.rows, parts):
+            buf[lo:hi] = part
+        self.loss[lo:hi] = loss
+
+    def _check(self) -> None:
+        half = _SPLIT_ROWS // 2
+        parts = (self.probe, self.probe[:half], self.probe[half:])
+        whole, top, bottom = (_passes(self.spec, self.params, x) for x in parts)
+        pairs = zip(whole, top, bottom)
+        self.alike[...] = all(np.concatenate(p).tobytes() == w.tobytes() for w, *p in pairs)
 
 
 def _passes(spec, params, x) -> tuple:
@@ -822,7 +829,7 @@ def _halves(helper, task: int, n: int) -> None:
     """Run the helper's `_RowSplit` task on [n // 2, n) there and on
     [0, n // 2) here, and wait for both."""
     helper.call(task, n // 2, n)
-    helper.fn.tasks[task](0, n // 2)
+    helper.fn(task, 0, n // 2)
     helper.result()
 
 
@@ -955,6 +962,9 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     `forked.can_fork` allows, a helper fills half of each table's blocks
     and computes half of each step (`_RowSplit`), and every bit is as in
     whole steps. A forked helper's busy_s and wait_s go into `helper_s`.
+    `cli` runs FQE once the world model's helper has been joined, so a
+    model-based run splits it too. The helper is killed when FQE ends,
+    and the shared mapping is unmapped as this returns.
     """
     loss = float("nan")
     states, actions, rewards, next_states, terminals = dataset.flat_arrays()

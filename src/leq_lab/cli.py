@@ -149,12 +149,14 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     the agent is built, pretrained and checkpointed, the ensemble saved
     first, so a checkpoint never lacks its ensemble.
 
-    When a fresh run both trains the ensemble and pretrains, BC and FQE are
-    `world_model.train_ensemble`'s `beside` call: they run in this process,
-    while the members train in a helper if one forks, and after they have
-    trained here otherwise. Pretraining never reads the model.
-    The `world_model` phase leaves out BC and FQE, so it times the wait for
-    the helper and the save, or the training and the save.
+    When a fresh run both trains the ensemble and runs BC, BC is
+    `world_model.train_ensemble`'s `beside` call: it runs in this process
+    while the members train in a helper, if one forks, and after they have
+    trained here if not; any other run trains the members here. FQE always
+    follows the join, so no helper is alive then, and `agent.pretrain_fqe`
+    may fork its own. Pretraining never reads the model. The `world_model`
+    phase leaves out BC, so it times the wait for the helper after BC and
+    the save, or the training and the save.
     """
     ens_path = os.path.join(out_dir, _ENSEMBLE)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
@@ -168,7 +170,7 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             raise ConfigError(f"{ens_path} was trained with a different world-model config")
     fresh = not (resume and os.path.exists(ckpt_path))
     train = with_model and ensemble is None
-    beside = train and fresh and (cfg.agent.bc_steps > 0 or cfg.agent.fqe_steps > 0)
+    beside = train and fresh and cfg.agent.bc_steps > 0
     if fresh:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
         state.dataset_sha256 = data_sha256
@@ -203,18 +205,18 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
         json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    def pretrain():
-        pretrain_info.update(_pretrain_agent(cfg, state, dataset, clock, out_dir, helper_s))
+    def pretrain(stage):
+        pretrain_info.update(_pretrain_stage(stage, cfg, state, dataset, clock, out_dir, helper_s))
 
     if train:
         with clock.phase("world_model"):
-            ensemble = world_model.train_ensemble(
-                dataset, cfg.world_model, cfg.seed, pretrain if beside else None
-            )
+            bc = functools.partial(pretrain, "bc") if beside else None
+            ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed, bc)
             world_model.save_ensemble(ens_path, ensemble, cfg.seed, data_sha256)
     if fresh:
         if not beside:
-            pretrain()
+            pretrain("bc")
+        pretrain("fqe")
         state.buffer.insert(dataset.flat_arrays()[0])
         with clock.phase("checkpoint"):
             agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
@@ -252,18 +254,19 @@ def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> No
         json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
 
 
-def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict) -> dict:
-    """BC, when bc_steps > 0, then FQE, when fqe_steps > 0; returns summary
-    scalars. The seconds of FQE's helper, if one forks, go into `helper_s`.
+def _pretrain_stage(
+    stage: str, cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict
+) -> dict:
+    """One pretraining stage: "bc", which runs when bc_steps > 0, or "fqe",
+    which runs when fqe_steps > 0; returns its summary scalar, if it ran.
+    The seconds of FQE's helper, if one forks, go into `helper_s`.
 
     A divergence writes divergence.json, naming the stage and its step,
     before the DivergenceError goes on.
     """
     info: dict = {}
-    stage = None
     try:
-        if state.config.bc_steps > 0:
-            stage = "bc"
+        if stage == "bc" and state.config.bc_steps > 0:
             with clock.phase("bc"):
                 state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
                     dataset,
@@ -273,8 +276,7 @@ def _pretrain_agent(cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir:
                     cfg.seed,
                     state.config.lr_pretrain,
                 )
-        if state.config.fqe_steps > 0:
-            stage = "fqe"
+        elif stage == "fqe" and state.config.fqe_steps > 0:
             with clock.phase("fqe"):
                 state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
                     dataset,
@@ -363,11 +365,10 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     daemonic worker, no other helper is alive, and no `nn` function has
     been wrapped. World-model training, BC and FQE run in `_prepare_run`:
     a fresh run trains every member in one lockstep group, in a helper
-    while this process runs BC and then FQE, or without one here, before
-    BC and FQE. FQE that runs with no helper alive (in a model-free run,
-    or one whose ensemble is loaded) forks one, which computes half of
-    each FQE step (`agent.pretrain_fqe`). The main
-    loop, expansion, evaluation and checkpoints run in this process; a
+    while this process runs BC, or without one here, before BC. FQE runs
+    once that helper has been joined, and forks its own, which computes
+    half of each FQE step (`agent.pretrain_fqe`). The main loop,
+    expansion, evaluation and checkpoints run in this process; a
     mobile_lcb run with beta > 0 and a step left forks a helper for the
     loop, which computes part of each step's elites
     (`agent.elite_helper`). Each helper is killed when its phase ends, the
@@ -376,12 +377,12 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
-    is the wait for the helper's ensemble, or its training here, plus the
-    save. `ensemble_train_s` is the ensemble's own training time wherever
-    it ran (0 once loaded): beside `timing_s.world_model` it shows whether
-    training overlapped BC and FQE. `helper_busy_s` is the main loop's
-    helper's own seconds in its calls and `helper_wait_s` the loop's wait
-    for their results, both 0 without that helper, and
+    is the wait for the helper's ensemble after BC, or its training here,
+    plus the save. `ensemble_train_s` is the ensemble's own training time
+    wherever it ran (0 once loaded): beside `timing_s.world_model` it
+    shows whether training overlapped BC. `helper_busy_s` is the main
+    loop's helper's own seconds in its calls and `helper_wait_s` the
+    loop's wait for their results, both 0 without that helper, and
     `pretrain_helper_busy_s` and `pretrain_helper_wait_s` are the same for
     the FQE helper; all four are rounded to 1 us. `eval_env_steps` counts
     the true-environment steps the evaluations took. `blas_threads` is the

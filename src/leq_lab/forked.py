@@ -37,9 +37,9 @@ when its end of the pipe closes; a doorbell child checks for that every
 `_POLLS` polls as well.
 
 One helper at a time: `can_fork` is false while a helper of this process
-is alive, so a stage that runs beside a helper (pretraining beside the
-world model's) forks none of its own; a helper, a daemonic child, never
-forks one.
+is alive, so a stage that runs beside a helper (BC beside the world
+model's) forks none of its own; a helper, a daemonic child, never forks
+one.
 """
 
 from __future__ import annotations

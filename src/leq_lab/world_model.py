@@ -15,7 +15,7 @@ depend on its neighbours, the ensemble has the bits of training the
 members one after another.
 
 The members train in the calling process. Given a `beside` call, as
-`cli.run_training` gives BC and FQE pretraining, they train in a helper
+`cli.run_training` gives BC pretraining, they train in a helper
 forked for them (`forked.serving`) while the call runs here, where
 `forked.can_fork` allows: the fork start method exists, the process may
 run on at least 2 CPUs and is not a daemonic worker, and no `nn` function
@@ -266,8 +266,9 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
 
     `beside`, a call with no arguments, runs in this process: while the
     members train in a helper forked for them, which `cli.run_training`
-    uses to pretrain the agent meanwhile, and otherwise after they have
-    trained here. If it raises, the error goes on and the helper is killed.
+    uses to run BC meanwhile, and otherwise after they have trained here.
+    The helper is joined before this returns, so a later stage may fork
+    its own. If `beside` raises, the error goes on and the helper is killed.
     A helper call that fails, or a helper that dies, raises
     WorldModelError. Without `beside` the members always train here.
 

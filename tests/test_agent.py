@@ -2,8 +2,10 @@
 imagination-start ring buffer."""
 
 import functools
+import gc
 import os
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -980,6 +982,28 @@ def test_fqe_split_across_two_processes_keeps_every_bit(env, monkeypatch, forks)
     assert forks == [1] and helper_s == {}
     for got, want in zip(split, whole):
         _oracles.assert_bits(got, want)
+
+
+def test_fqe_unmaps_its_split_as_it_returns(monkeypatch, forks):
+    # with the cyclic collector off, only reference counts can free the
+    # split's mapping; a cycle through it would hold it past the return
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    made, create = [], agent._RowSplit.create.__func__
+
+    def recording(cls, *args):
+        split = create(cls, *args)
+        made.append(weakref.ref(split))
+        return split
+
+    monkeypatch.setattr(agent._RowSplit, "create", classmethod(recording))
+    gc.disable()
+    try:
+        _pretrain_both(data, state, monkeypatch, {0, 1})
+        assert forks == [1] and len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_fqe_on_a_dataset_below_one_batch_runs_here_alone(monkeypatch, forks):

@@ -83,11 +83,12 @@ def test_resumed_run_matches_an_uninterrupted_one(overrides, tmp_path, monkeypat
     halves = tmp_path / "halves"
     short = {**raw, "agent": {**raw["agent"], "n_iter": 10}}
     cli.run_training(parse_run_config(short), str(halves))
-    # each fresh run forks to train its ensemble, and a mobile_lcb run again
-    # for its main loop; a resume loads the saved ensemble and trains nothing
+    # each fresh run forks to train its ensemble, again for FQE, and a
+    # mobile_lcb run a third time for its main loop; a resume loads the
+    # saved ensemble and trains nothing
     monkeypatch.setattr(world_model, "train_ensemble", _forbidden)
     resumed = cli.run_training(parse_run_config(raw), str(halves), resume=True)
-    assert forks == ([1] * 5 if overrides else [1] * 2)
+    assert forks == ([1] * 7 if overrides else [1] * 4)
     assert (resumed["helper_busy_s"] > 0.0) == bool(overrides)
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
         assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
@@ -396,30 +397,31 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
     raw["world_model"]["train_steps"] = 30
     report = cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
     assert report == json.loads((tmp_path / "run" / "report.json").read_text())
-    # trained in one helper while BC and FQE ran here; a second served the
-    # main loop
-    assert forks == [1, 1] and report["ensemble_train_s"] > 0.0
+    # trained in one helper while BC ran here; FQE forked a second once it
+    # had been joined, and a third served the main loop
+    assert forks == [1] * 3 and report["ensemble_train_s"] > 0.0
+    assert report["pretrain_helper_busy_s"] > 0.0
     assert report["helper_busy_s"] > 0.0 and report["helper_wait_s"] >= 0.0
     assert "ensemble_groups" not in report and "ensemble_beside_pretraining" not in report
-    # the helper is among the finished children
+    # the helpers are among the finished children
     assert set(report["peak_rss_mb"]) == {"self", "children"}
     assert report["peak_rss_mb"]["self"] > 0.0 and report["peak_rss_mb"]["children"] > 0.0
     resumed = cli.run_training(parse_run_config(raw), str(tmp_path / "run"), resume=True)
     # loaded, not trained, and no step left to run: no helper
-    assert resumed["ensemble_train_s"] == 0.0 and forks == [1, 1]
+    assert resumed["ensemble_train_s"] == 0.0 and forks == [1] * 3
     assert resumed["helper_busy_s"] == resumed["helper_wait_s"] == 0.0
     # without pretraining to overlap, the members train here, and only the
     # main loop forks
     unpretrained = {**raw, "agent": {**raw["agent"], "bc_steps": 0, "fqe_steps": 0}}
     report = cli.run_training(parse_run_config(unpretrained), str(tmp_path / "bare"))
-    assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1] * 3
+    assert report["ensemble_train_s"] > 0.0 and report["helper_busy_s"] > 0.0 and forks == [1] * 4
     # one CPU: no helper
     with monkeypatch.context() as patch:
         _one_cpu(patch)
         report = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
-    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 3
-    # a lower-expectile run's helper trains the ensemble and ends with that
-    # phase; no helper serves its main loop
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 4
+    # a lower-expectile run's helpers train the ensemble and split FQE, and
+    # each ends with its phase; no helper serves its main loop
     plain = {**raw, "agent": {**raw["agent"], "conservatism": "lower_expectile"}}
     step, children = agent.train_step, []
 
@@ -429,7 +431,7 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
 
     monkeypatch.setattr(agent, "train_step", counting_children)
     report = cli.run_training(parse_run_config(plain), str(tmp_path / "plain"))
-    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 4
+    assert report["helper_busy_s"] == report["helper_wait_s"] == 0.0 and forks == [1] * 6
     assert children == [0] * 5
 
 
@@ -445,9 +447,13 @@ def test_the_main_loop_forks_its_own_helper_once_the_training_one_has_ended(tmp_
     monkeypatch.setattr(forked.Helper, "_fork", recording)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 5, **_LCB})
     cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
-    (train, train_pid, _), (loop, loop_pid, alive) = forked_for
-    assert train.func.__name__ == "_train_members" and isinstance(loop, agent._MappedElites)
-    assert train_pid != loop_pid and alive == []
+    # the ensemble's helper, then FQE's once it has been joined, then the
+    # loop's, each forked with no other child alive
+    (train, train_pid, train_alive), (fqe, fqe_pid, fqe_alive), (loop, loop_pid, loop_alive) = forked_for
+    assert train.func.__name__ == "_train_members" and isinstance(fqe, agent._RowSplit)
+    assert isinstance(loop, agent._MappedElites)
+    assert len({train_pid, fqe_pid, loop_pid}) == 3
+    assert train_alive == fqe_alive == loop_alive == []
 
 
 @pytest.mark.parametrize("overrides", [{}, _LCB], ids=["lower_expectile", "mobile_lcb"])
@@ -458,14 +464,19 @@ def test_a_run_with_a_helper_writes_the_files_of_one_without(
     # process's memory: nothing pickles the ensemble
     monkeypatch.setattr(world_model.EnsembleWorldModel, "__reduce_ex__", _unpicklable)
     raw = _run_config(tmp_path, agent_overrides={"n_iter": 10, **overrides})
+    # 3 FQE steps build the tables from 2 blocks of 256 rows, so FQE
+    # splits its steps once the ensemble's helper has been joined
+    n_rows = datasets.load_dataset(raw["dataset"]).n_transitions
+    assert agent._SPLIT_ROWS <= n_rows <= 2 * agent._SPLIT_ROWS
     with monkeypatch.context() as patch:
         _two_cpus(patch)
         helped = cli.run_training(parse_run_config(raw), str(tmp_path / "helped"))
-    n_forks = 2 if overrides else 1
+    n_forks = 3 if overrides else 2
     assert forks == [1] * n_forks and (helped["helper_busy_s"] > 0.0) == bool(overrides)
+    assert helped["pretrain_helper_busy_s"] > 0.0
     _one_cpu(monkeypatch)
     alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
-    assert forks == [1] * n_forks
+    assert forks == [1] * n_forks and alone["pretrain_helper_busy_s"] == 0.0
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
         assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
     assert helped["pretrain"] == alone["pretrain"]
@@ -551,7 +562,8 @@ def test_a_failing_helper_in_the_main_loop_exits_1_and_leaves_nothing_running(
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
-    assert forks == [1, 1] and multiprocessing.active_children() == []
+    # the ensemble's helper, FQE's, then the loop's
+    assert forks == [1] * 3 and multiprocessing.active_children() == []
     assert not (tmp_path / "run" / "metrics.csv").exists()
     assert not (tmp_path / "run" / "divergence.json").exists()
 
@@ -576,7 +588,7 @@ def test_a_main_loop_divergence_stops_the_helper_before_its_snapshot(
     config.write_text(json.dumps(_run_config(tmp_path, agent_overrides=_LCB)))
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: policy loss diverged\n"
-    assert forks == [1, 1] and running == [[]]
+    assert forks == [1] * 3 and running == [[]]
     snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
     assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("policy loss diverged", "train", 0)
 
@@ -686,10 +698,14 @@ def test_a_resume_refuses_an_ensemble_of_another_run_and_writes_nothing(
 def test_an_fqe_divergence_snapshots_its_stage_and_stops_the_world_model(
     forked, tmp_path, monkeypatch
 ):
-    def diverging_fqe(*args, **kwargs):
-        raise agent.DivergenceError("FQE loss diverged", {"step": 2})
+    # beside the world model's helper, which sleeps, runs BC; FQE follows
+    # the join, so a divergence there finds the helper gone already
+    stage, error = ("bc", "BC loss diverged") if forked else ("fqe", "FQE loss diverged")
 
-    monkeypatch.setattr(agent, "pretrain_fqe", diverging_fqe)
+    def diverging(*args, **kwargs):
+        raise agent.DivergenceError(error, {"step": 2})
+
+    monkeypatch.setattr(agent, f"pretrain_{stage}", diverging)
     if forked:
         _two_cpus(monkeypatch)
         monkeypatch.setattr(world_model, "_train_members", lambda *args: time.sleep(60.0))
@@ -702,8 +718,39 @@ def test_an_fqe_divergence_snapshots_its_stage_and_stops_the_world_model(
     assert time.monotonic() - t0 < 10.0
     assert multiprocessing.active_children() == []
     snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
-    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("FQE loss diverged", "fqe", 2)
+    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == (error, stage, 2)
     assert snapshot["details"] == {"step": 2}
+    assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+
+
+def test_an_fqe_divergence_after_the_join_stops_fqes_helper_before_its_snapshot(
+    tmp_path, monkeypatch, capsys, forks
+):
+    _two_cpus(monkeypatch)
+    split_rows, alive = agent._split_rows, []
+
+    def diverging(helper, idx):
+        alive.append(len(multiprocessing.active_children()))
+        loss = split_rows(helper, idx)
+        return loss * np.nan if len(alive) == 2 else loss
+
+    monkeypatch.setattr(agent, "_split_rows", diverging)
+    write, running = cli._write_divergence, []
+
+    def spy(*args):
+        running.append(multiprocessing.active_children())
+        write(*args)
+
+    monkeypatch.setattr(cli, "_write_divergence", spy)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_run_config(tmp_path)))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: FQE loss diverged\n"
+    # the ensemble's helper, then FQE's, the only child while its steps ran
+    assert forks == [1, 1] and alive == [1, 1] and running == [[]]
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("FQE loss diverged", "fqe", 1)
+    assert (tmp_path / "run" / "world_model.leqm").exists()
     assert not (tmp_path / "run" / "checkpoint.leqa").exists()
 
 
