@@ -733,7 +733,7 @@ class _RowSplit:
 
     A split step runs the forward and the row pass of `nn.backward_rows`
     on the first half of its rows here and on the second half in a
-    doorbell helper, each writing into the mapped rows; then each process
+    helper, each writing into the mapped rows; then each process
     takes one part of `nn.backward_sums` over all the rows, into the
     mapped gradient, and this process checks the loss and takes the Adam
     step. Each weight product and sum is one call over the whole batch, so
@@ -849,10 +849,11 @@ def _split_grad(helper) -> np.ndarray:
 
 @contextlib.contextmanager
 def _fqe_helper(split, helper_s: dict):
-    """`forked.serving(split, doorbell=True)` for a `_RowSplit`, or None,
-    also once its rounding check has failed; a helper's busy_s and wait_s
-    go into `helper_s`."""
-    with forked.serving(split, doorbell=True) if split else contextlib.nullcontext() as helper:
+    """`forked.serving(split)` for a `_RowSplit`, or None, also once its
+    rounding check has failed; a helper's busy_s and wait_s go into
+    `helper_s`. `split` is None where `forked.can_fork` was false, so no
+    mapping is made where no helper may fork."""
+    with forked.serving(split) if split else contextlib.nullcontext() as helper:
         try:
             if helper is not None:
                 helper.call(_CHECK, 0, 0)
@@ -1091,8 +1092,9 @@ def elite_helper(state: AgentState, ensemble):
     steps, bound to `ensemble`'s elite predictions, or None.
 
     Its function, a `_MappedElites`, shares one mapping with the helper:
-    `_send_elites` writes a step's LCB rows and parameters there and the
-    helper its predictions, so a call pickles no array either way.
+    `_send_elites` writes a step's LCB rows and parameters there and
+    calls with the row count alone, and the helper writes its predictions
+    there, so a call pickles nothing either way.
 
     Only a mobile_lcb step with beta > 0 gives a helper work, and only
     with a model and a step left to run is one forked (where

@@ -361,9 +361,14 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
 
     A run forks at most three helpers, one at a time, each a daemonic
     child for one phase, where `forked.can_fork()` allows: the fork start
-    method exists, the process may run on at least 2 CPUs and is not a
-    daemonic worker, no other helper is alive, and no `nn` function has
-    been wrapped. World-model training, BC and FQE run in `_prepare_run`:
+    method exists, the process runs on x86 and may run on at least 2 CPUs
+    and is not a daemonic worker, no other helper is alive, and no `nn`
+    function has been wrapped. Every helper is called alike: this process
+    writes a call's inputs into a shared mapping, rings with a few
+    integers and polls for the end, and reads the outputs from the
+    mapping, so no argument or result is pickled; the helper polls for its
+    next call and holds a CPU while its phase lasts. World-model training,
+    BC and FQE run in `_prepare_run`:
     a fresh run trains every member in one lockstep group, in a helper
     while this process runs BC, or without one here, before BC. FQE runs
     once that helper has been joined, and forks its own, which computes

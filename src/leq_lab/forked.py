@@ -3,38 +3,33 @@
 `serving(fn)` forks a `Helper` bound to `fn` where `can_fork()` allows,
 and yields None otherwise. `fn`, and whatever it binds (a
 `functools.partial`'s arguments), reach the child in its copy of this
-process's memory, so they are never pickled. `call(*args)` sends one call's
-arguments down a pipe, and `result()` waits for what `fn(*args)` returned.
-One call is in flight at a time: a second `call` before `result` raises.
-So neither end ever writes while the other does, and no message is too
-large for the pipe.
+process's memory, so they are never pickled. Arrays travel through an
+anonymous shared mapping made before the fork (`shared_arrays`;
+`Helper.fn` reaches its views here): this process writes a call's inputs
+there before `call` and reads its outputs after `result`, and the child
+touches them only while its call is in flight.
 
-`fn` may bind views of an anonymous shared mapping made before the fork
-(`shared_arrays`; `Helper.fn` reaches them here), so arrays travel
-unpickled: this process writes inputs there before `call` and reads
-outputs after `result`, and the child touches them only while its call is
-in flight.
-
-With `doorbell=True` a call travels through shared memory instead, for
-calls too short to pay for the pipe: the child of a pipe helper sleeps in
-its read, and waking it took about 140 us, most of a 1 ms call. `call`
+A call travels through shared memory as well, by a doorbell. `call(*ints)`
 writes up to `_MAX_ARGS` integer arguments and then bumps a ring counter;
-the child, which polls that counter, runs `fn(*args)` for its side
-effects and sets a done counter, which `result` polls. Each counter sits
-on its own cache line of a one-page mapping, so the two spinning
-processes never write to a line the other polls. Both ends hold a CPU
-while they wait, so this suits only a helper that is busy for most of its
-life. It relies on x86's store order, under which the inputs written
-before the ring, and the outputs written before the done count, are seen
-before the counter is; `serving` forks no doorbell helper on another
-architecture.
+the child, which polls that counter, runs `fn(*ints)` for its side effects
+and sets a done counter, which `result` polls and then returns None. One
+call is in flight at a time: a second `call` before `result` raises. Each
+counter sits on its own cache line of a one-page mapping, so the two
+spinning processes never write to a line the other polls. Polling spares
+a call the wake-up of a child that sleeps in a pipe read, about 140 us,
+most of a 1 ms call; but both ends hold a CPU while they wait, so a helper
+suits only work that keeps it busy for most of its life. The doorbell
+relies on x86's store order, under which the inputs written before the
+ring, and the outputs written before the done count, are seen before the
+counter is. So `can_fork` is false on another architecture: a run there
+forks no helper, does every call's work here, and writes the same bytes.
 
-A call that raises, or a child that dies, makes `result` raise
-HelperError: a doorbell helper reports a failure down the pipe, and its
-waiting end checks the pipe every `_POLLS` polls. The child never
-outlives the `serving(fn)` block, and ends by itself if this process dies,
-when its end of the pipe closes; a doorbell child checks for that every
-`_POLLS` polls as well.
+The pipe between the two carries only failures. A call that raises, or a
+child that dies, makes `result` raise HelperError: the child reports a
+failure down the pipe, and the waiting end checks the pipe every `_POLLS`
+polls, where EOF means the child died. The child never outlives the
+`serving(fn)` block, and ends by itself if this process dies: it checks
+its end of the pipe for EOF every `_POLLS` polls as well.
 
 One helper at a time: `can_fork` is false while a helper of this process
 is alive, so a stage that runs beside a helper (BC beside the world
@@ -90,14 +85,16 @@ _POLLS = 1024
 
 def can_fork() -> bool:
     """Whether a run may start a helper: the fork start method exists, this
-    process may run on at least 2 CPUs, it is not a daemonic worker, which
-    may not start children, no helper of this process is alive, and no
-    `nn` function has been replaced here (by a tracer, a profiler or a
-    test's spy), since the wrapper would miss the child's calls."""
+    process runs on x86 (the doorbell's store order) and may run on at
+    least 2 CPUs, it is not a daemonic worker, which may not start
+    children, no helper of this process is alive, and no `nn` function has
+    been replaced here (by a tracer, a profiler or a test's spy), since
+    the wrapper would miss the child's calls."""
     import multiprocessing
 
     return (
         "fork" in multiprocessing.get_all_start_methods()
+        and os.uname().machine in ("x86_64", "amd64")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and not multiprocessing.current_process().daemon
@@ -117,17 +114,17 @@ def shared_arrays(*shapes) -> list[np.ndarray]:
 
 
 class Helper:
-    """A forked daemonic child that runs `fn(*args)` for each `call(*args)`.
+    """A forked daemonic child that runs `fn(*ints)` for each `call(*ints)`.
 
-    `busy_s` sums the child's seconds inside the calls whose results came
-    back, and `wait_s` the seconds this process waited for them.
+    `busy_s` sums the child's seconds inside the calls that succeeded, and
+    `wait_s` the seconds this process waited for them.
     """
 
-    def __init__(self, fn, doorbell: bool = False):
+    def __init__(self, fn):
         self.fn = fn
         self.busy_s = self.wait_s = 0.0
         self._in_flight = False
-        self._bell = np.frombuffer(mmap.mmap(-1, 128), dtype=np.int64) if doorbell else None
+        self._bell = np.frombuffer(mmap.mmap(-1, 128), dtype=np.int64)
         self._fork(fn)
         _live.add(self)
 
@@ -140,56 +137,40 @@ class Helper:
         self._child.start()
         there.close()
 
-    def call(self, *args) -> None:
-        """Start fn(*args) in the child; `result` returns its value."""
+    def call(self, *args: int) -> None:
+        """Start fn(*args) in the child, for at most `_MAX_ARGS` integers."""
         if self._in_flight:
-            raise RuntimeError("a helper call is already in flight: read its result first")
-        if self._bell is not None:
-            if len(args) > _MAX_ARGS:
-                raise ValueError(f"a doorbell call takes at most {_MAX_ARGS} integer arguments")
-            self._bell[_ARGS : _ARGS + len(args)] = args
-            self._bell[_NARGS] = len(args)
-            self._bell[_RING] += 1
-        else:
-            try:
-                self._conn.send(args)
-            except OSError:  # the child has gone, and its end of the pipe with it
-                raise self._exited() from None
+            raise RuntimeError("a helper call is already in flight: wait for its result first")
+        if len(args) > _MAX_ARGS:
+            raise ValueError(f"a helper call takes at most {_MAX_ARGS} integer arguments")
+        self._bell[_ARGS : _ARGS + len(args)] = args
+        self._bell[_NARGS] = len(args)
+        self._bell[_RING] += 1
         self._in_flight = True
 
-    def result(self):
-        """The call's result, waiting for it; HelperError if it raised or
-        the child died."""
+    def result(self) -> None:
+        """Wait for the call to end; HelperError if it raised or the child
+        died."""
         if not self._in_flight:
             raise RuntimeError("no helper call is in flight")
         self._in_flight = False
+        bell, ring, polls = self._bell, self._bell[_RING], 0
         t0 = time.perf_counter()
         try:
-            ok, value, busy_s = self._conn.recv() if self._bell is None else self._answer()
+            while bell[_DONE] != ring:
+                polls += 1
+                # readable before the done count: a failure reported, or EOF from a dead child
+                if polls % _POLLS == 0 and self._conn.poll():
+                    break
+            failure = None if bell[_DONE] == ring and bell[_OK] else self._conn.recv()
         except (EOFError, OSError):  # the child has gone
-            raise self._exited() from None
+            self._child.join()
+            raise HelperError(f"helper process exited with code {self._child.exitcode}") from None
         finally:
             self.wait_s += time.perf_counter() - t0
-        self.busy_s += busy_s
-        if not ok:
-            raise HelperError(f"helper process failed: {value}")
-        return value
-
-    def _answer(self) -> tuple:
-        """Poll the done count up to the ring count: (ok, value or failure, busy_s)."""
-        bell, ring, polls = self._bell, self._bell[_RING], 0
-        while bell[_DONE] != ring:
-            polls += 1
-            # readable before the answer: a failure reported, or EOF from a dead child
-            if polls % _POLLS == 0 and self._conn.poll():
-                return False, self._conn.recv(), 0.0
-        if not bell[_OK]:
-            return False, self._conn.recv(), 0.0
-        return True, None, float(bell[_BUSY : _BUSY + 1].view(np.float64)[0])
-
-    def _exited(self) -> HelperError:
-        self._child.join()
-        return HelperError(f"helper process exited with code {self._child.exitcode}")
+        if failure is not None:
+            raise HelperError(f"helper process failed: {failure}")
+        self.busy_s += float(bell[_BUSY : _BUSY + 1].view(np.float64)[0])
 
     def close(self) -> None:
         """Kill the child and wait for it; calling again does nothing."""
@@ -201,24 +182,8 @@ class Helper:
         self._child.join()
 
     def _serve(self, fn, conn) -> None:
-        """The child: run fn on each call's arguments as they arrive."""
+        """The child: poll the ring count, and run each call as it rings."""
         self._conn.close()  # so that the child sees EOF once this process is gone
-        if self._bell is not None:
-            return self._serve_doorbell(fn, conn)
-        while True:
-            try:
-                args = conn.recv()
-            except (EOFError, OSError):  # this process has gone
-                return
-            t0 = time.perf_counter()
-            try:
-                reply = (True, fn(*args))
-            except Exception as err:  # `result` raises it here as a HelperError
-                reply = (False, f"{type(err).__name__}: {err}")
-            conn.send((*reply, time.perf_counter() - t0))
-
-    def _serve_doorbell(self, fn, conn) -> None:
-        """The child of a doorbell helper: poll the ring count, run each call."""
         bell, seen, polls = self._bell, 0, 0
         while True:
             while bell[_RING] == seen:
@@ -243,12 +208,10 @@ class Helper:
 
 
 @contextlib.contextmanager
-def serving(fn, doorbell: bool = False):
-    """A Helper bound to `fn` where `can_fork()` allows (and, for a
-    doorbell helper, on x86), else None; its child is killed when the
-    block ends."""
-    allowed = can_fork() and (not doorbell or os.uname().machine in ("x86_64", "amd64"))
-    helper = Helper(fn, doorbell) if allowed else None
+def serving(fn):
+    """A Helper bound to `fn` where `can_fork()` allows, else None; its
+    child is killed when the block ends."""
+    helper = Helper(fn) if can_fork() else None
     try:
         yield helper
     finally:

@@ -17,12 +17,15 @@ members one after another.
 The members train in the calling process. Given a `beside` call, as
 `cli.run_training` gives BC pretraining, they train in a helper
 forked for them (`forked.serving`) while the call runs here, where
-`forked.can_fork` allows: the fork start method exists, the process may
-run on at least 2 CPUs and is not a daemonic worker, and no `nn` function
-has been wrapped since import, as a tracer or a test's spy does (the
-wrapper would never see the child's calls). The helper forks once the
-data is split, so it finds the data in its copy of the run's memory,
-unpickled, and it ends before the ensemble is built.
+`forked.can_fork` allows: the fork start method exists, the process runs
+on x86 and may run on at least 2 CPUs and is not a daemonic worker, and
+no `nn` function has been wrapped since import, as a tracer or a test's
+spy does (the wrapper would never see the child's calls). The helper
+forks once the data is split, so it finds the data in its copy of the
+run's memory, unpickled. Either way the training writes the members'
+parameters, validation NLLs and seconds into arrays of one shared
+mapping made before the fork (`forked.shared_arrays`), and the ensemble
+is built from copies of them, so the mapping is freed as training ends.
 
 Rollouts sample one elite per step (uniformly) and draw reparameterized
 noise, recording both so a rollout can be replayed bit-identically and
@@ -215,8 +218,12 @@ class EnsembleWorldModel:
         return [(views[w], views[b]) for w, b in names]
 
 
-def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
-    """Train all members in lockstep; (member_params, val_nll, wall seconds).
+def _train_members(
+    spec, data, config: WorldModelConfig, seed: int, best_params, val_nll, seconds
+) -> None:
+    """Train all members in lockstep into zeroed arrays: their best
+    parameters into `best_params` (M, P), their validation NLLs into
+    `val_nll` (M,) and the wall seconds taken into `seconds` ().
 
     Each step draws every live member's batch from its own stream and runs
     one stacked forward, backward and Adam step. A member whose loss goes
@@ -230,8 +237,7 @@ def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
     params = np.stack([nn.init_params(spec, rng) for rng in rngs])
     adam = nn.init_adam(params.shape, config.lr)
     live = list(range(config.n_members))  # members still training
-    best_params = np.zeros_like(params)
-    val_nll = np.full(config.n_members, np.inf)
+    val_nll[:] = np.inf
     for step in range(config.train_steps):
         idx = np.stack([rngs[m].integers(0, x_tr.shape[0], size=config.batch_size) for m in live])
         loss, grad = _nll_grad_on(spec, params, x_tr[idx], t_tr[idx], head_dim)
@@ -252,7 +258,7 @@ def _train_members(spec, data, config: WorldModelConfig, seed: int) -> tuple:
                     val_nll[m], best_params[m] = score, params[row]
     dropped = np.setdiff1d(np.arange(config.n_members), live)
     val_nll[dropped], best_params[dropped] = np.inf, 0.0
-    return best_params, val_nll, time.perf_counter() - t0
+    seconds[...] = time.perf_counter() - t0
 
 
 def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) -> EnsembleWorldModel:
@@ -288,19 +294,21 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
     val_rows = val_rows[: config.max_val_rows]
     data = (inputs[train_rows], targets[train_rows], inputs[val_rows], targets[val_rows])
 
-    train = partial(_train_members, spec, data, config, seed)
+    mapped = forked.shared_arrays((config.n_members, nn.n_params(spec)), (config.n_members,), ())
+    train = partial(_train_members, spec, data, config, seed, *mapped)
     with forked.serving(train) if beside is not None else contextlib.nullcontext() as helper:
         if helper is None:
-            member_params, val_nll, train_s = train()
+            train()
             if beside is not None:
                 beside()
         else:
             helper.call()
             beside()
             try:
-                member_params, val_nll, train_s = helper.result()
+                helper.result()
             except forked.HelperError as err:
                 raise WorldModelError(f"world-model training failed: {err}") from err
+    member_params, val_nll, train_s = (a.copy() for a in mapped)
     order = np.argsort(val_nll, kind="stable")
     elites = [int(i) for i in order[: config.n_elites]]
     if not np.isfinite(val_nll[elites]).all():
@@ -316,7 +324,7 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
         val_nll=val_nll,
         elite_idx=tuple(elites),
         config=config,
-        train_s=train_s,
+        train_s=float(train_s),
     )
 
 

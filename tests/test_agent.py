@@ -3,6 +3,7 @@ imagination-start ring buffer."""
 
 import functools
 import gc
+import multiprocessing.connection
 import os
 import warnings
 import weakref
@@ -439,34 +440,64 @@ def _lcb_step_640(seed: int = 8):
     return plan, config, ensemble, ro
 
 
-def test_an_elite_helper_call_pickles_no_array_either_way(forks, monkeypatch):
-    plan, config, ensemble, ro = _lcb_step_640()
-    here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
-    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
-    # patched after the fork, so only this process's messages are counted
-    conn = type(helper._conn)
-    sent, received = [], []
+def test_no_helper_call_moves_a_byte_through_the_pipe(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    conn = multiprocessing.connection.Connection
     send_bytes, recv_bytes = conn._send_bytes, conn._recv_bytes
+    fork, close, shared_arrays = forked.Helper._fork, forked.Helper.close, forked.shared_arrays
+    moved, unread, mapped = [], [], []
 
     def sending(self, buf):
-        sent.append(len(buf))
+        moved.append(("sent", len(buf)))
         return send_bytes(self, buf)
 
-    def receiving(self, maxsize=None):
-        buf = recv_bytes(self, maxsize)
-        received.append(buf.getbuffer().nbytes)
-        return buf
+    def receiving(self, *args):
+        moved.append("received")
+        return recv_bytes(self, *args)
 
-    monkeypatch.setattr(conn, "_send_bytes", sending)
-    monkeypatch.setattr(conn, "_recv_bytes", receiving)
+    def forking(self, fn):
+        fork(self, fn)
+        # patched once the child has forked, so only this process's messages count
+        monkeypatch.setattr(conn, "_send_bytes", sending)
+        monkeypatch.setattr(conn, "_recv_bytes", receiving)
+
+    def closing(self):
+        if not self._conn.closed:  # anything the child sent that was never read
+            unread.append(self._conn.poll())
+        close(self)
+
+    def mapping(*shapes):
+        mapped.append(shared_arrays(*shapes))
+        return mapped[-1]
+
+    monkeypatch.setattr(forked.Helper, "_fork", forking)
+    monkeypatch.setattr(forked.Helper, "close", closing)
+    monkeypatch.setattr(forked, "shared_arrays", mapping)
+
+    # the world model's members, trained in a helper
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    config = wm.WorldModelConfig(n_members=3, n_elites=2, hidden_dims=(8,), train_steps=5)
+    ensemble = wm.train_ensemble(data, config, 0, beside=lambda: None)
+    # the ensemble holds copies, so the mapping is freed as it returns
+    assert len(mapped) == 1 and ensemble.train_s > 0.0
+    results = (ensemble.member_params, ensemble.val_nll)
+    assert not any(np.shares_memory(a, m) for a in results for m in mapped[0])
+    # FQE's row split
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    _, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert helper_s["busy_s"] > 0.0
+    # the MOBILE elites
+    plan, lcb_config, lcb_ensemble, ro = _lcb_step_640()
+    here = agent._mobile_targets(plan, lcb_config, lcb_ensemble, *agent._lcb_rows(ro))
+    helper = forked.Helper(agent._MappedElites.create(plan, lcb_config, lcb_ensemble))
     try:
         agent._send_elites(helper, plan, ro)
-        there = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro), helper)
+        there = agent._mobile_targets(plan, lcb_config, lcb_ensemble, *agent._lcb_rows(ro), helper)
     finally:
         helper.close()
-    # the rows alone are 640 * (3 + 2) * 8 = 25,600 bytes
-    assert len(sent) == len(received) == 1 and max(sent + received) < 1024
-    assert forks == [1] and here.tobytes() == there.tobytes()
+    assert here.tobytes() == there.tobytes() and helper.busy_s > 0.0
+    assert forks == [1] * 3 and moved == [] and unread == [False] * 3
 
 
 def test_the_lcb_row_critic_forward_runs_while_the_helper_computes(monkeypatch):
@@ -579,7 +610,7 @@ def test_a_step_with_paper_sized_networks_through_the_helper_keeps_its_bits(
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     calls = _counting_calls(monkeypatch)
     # the policy and critic params (256, 256) a step writes into the
-    # helper's mapping come to about 1 MB, several times a pipe's buffer
+    # helper's mapping come to about 1 MB
     spec = envs.make_env_spec("point_maze_u")
     config = agent.AgentConfig(conservatism="mobile_lcb", policy_update="awr", horizon=4)
     ensemble = _maze_ensemble(spec, 3)
@@ -1004,6 +1035,26 @@ def test_fqe_unmaps_its_split_as_it_returns(monkeypatch, forks):
         assert forks == [1] and len(made) == 1 and made[0]() is None
     finally:
         gc.enable()
+
+
+def test_on_another_architecture_fqe_maps_nothing_and_keeps_whole_step_bits(monkeypatch, forks):
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    whole, _ = _pretrain_both(data, state, monkeypatch, {0})
+    mapped, shared_arrays = [], forked.shared_arrays
+
+    def mapping(*shapes):
+        mapped.append(shapes)
+        return shared_arrays(*shapes)
+
+    monkeypatch.setattr(forked, "shared_arrays", mapping)
+    # the doorbell relies on x86's store order: elsewhere no helper forks
+    monkeypatch.setattr(os, "uname", lambda: os.uname_result(("Linux", "box", "6", "#1", "aarch64")))
+    got, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert forks == [] and mapped == [] and helper_s == {}
+    for g, w in zip(got, whole):
+        _oracles.assert_bits(g, w)
 
 
 def test_fqe_on_a_dataset_below_one_batch_runs_here_alone(monkeypatch, forks):

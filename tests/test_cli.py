@@ -843,10 +843,10 @@ def test_ablate_records_a_failed_ensemble_and_runs_on(tmp_path, monkeypatch):
     )
     train_members = world_model._train_members
 
-    def fails_for_seed_0(spec, data, config, seed):
+    def fails_for_seed_0(spec, data, config, seed, *out):
         if seed == 0:
             raise world_model.WorldModelError("planted for seed 0")
-        return train_members(spec, data, config, seed)
+        train_members(spec, data, config, seed, *out)
 
     monkeypatch.setattr(world_model, "_train_members", fails_for_seed_0)
     matrix = {"base": base, "cells": [{"name": "tau_low", "agent": {"tau": 0.1}}], "seeds": [0, 1]}
