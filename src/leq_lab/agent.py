@@ -722,98 +722,116 @@ def _check_rows(states: np.ndarray, stage: str) -> None:
 # the one FQE step size whose 128-row halves tests pin as rounding like
 # the whole call, at every workload's network shapes: the default batch
 _SPLIT_ROWS = 256
-# a `_RowSplit`'s tasks: the helper's rounding check, a step's two
+# an `_Fqe`'s tasks: the helper's rounding check, a split step's two
 # passes, and the two table fills
 _CHECK, _ROWS, _SUMS, _FILL_NEXT_A, _FILL_Y = range(5)
 
 
 @dataclass
-class _RowSplit:
-    """An FQE helper's function, and the arrays it shares.
+class _Fqe:
+    """One FQE run of `pretrain_fqe`: the code its whole and split steps
+    share, and the arrays it works on.
 
-    A split step runs the forward and the row pass of `nn.backward_rows`
-    on the first half of its rows here and on the second half in a
-    helper, each writing into the mapped rows; then each process
-    takes one part of `nn.backward_sums` over all the rows, into the
-    mapped gradient, and this process checks the loss and takes the Adam
-    step. Each weight product and sum is one call over the whole batch, so
-    every bit is as in one whole call wherever the halves give the whole
-    call's rows. The table fills split their blocks the same way.
+    `self(task, lo, hi)` does part [lo, hi) of a task and writes only into
+    that part: a table fill's blocks (`_FILL_NEXT_A`, `_FILL_Y`), a split
+    step's forward and row pass of `nn.backward_rows` at its rows
+    (`_ROWS`), its `nn.backward_sums` part lo (`_SUMS`), or the rounding
+    check (`_CHECK`). `_halves` runs a task on its whole range here, or on
+    one half here and the other in a helper, whose function is this object.
+    A split step's two processes each write their half of the rows, then
+    each takes one part of the sums over all the rows, and this process
+    checks the loss and takes the Adam step. Each weight product and sum
+    is one call over the whole batch, so every bit is as in one whole call
+    wherever the halves give the whole call's rows.
 
-    The arrays are views of one anonymous shared mapping made before the
-    fork: the live parameters, which the Adam step updates in place, a
-    step's dataset rows `idx`, its `nn.backward_rows` `rows`, its loss rows
-    and its gradient, the tables, and the outcome of the rounding check.
-    `self(k, lo, hi)` does part [lo, hi) of task k and writes only into
-    that part: the forward and the row pass at a step's rows [lo, hi)
-    (`_ROWS`), the `nn.backward_sums` part lo (`_SUMS`), or a table fill's
-    blocks [lo, hi). A helper call runs one task on the helper's part, and
-    `_halves` runs it here on the other part. The tasks are methods, and
-    `bind` keeps only functions that never refer back to the split: a
-    task that closed over the split and was kept in it would make a
-    reference cycle, which would hold the mapping until the next cyclic
-    collection, past `pretrain_fqe`'s return.
-
-    The helper's first call (`_CHECK`) runs the forward and the row pass
-    on `probe`, the dataset's first rows, whole and in halves, and
-    the split goes on only if the halves give the whole call's bits. They
-    do at every workload's shapes, but not at every width: a (100, 50)
-    network rounds apart at 128 rows. The check runs in the helper so
-    that its arrays never add to this process's peak memory.
+    Where steps split (`create`), the live critic, the tables and the
+    split's arrays are views of one anonymous shared mapping made before
+    the fork: a step's dataset rows `idx`, its `rows`, its loss rows, its
+    gradient, and the outcome of the rounding check. The helper's first
+    call (`_CHECK`) runs the forward and the row pass on the dataset's
+    first rows, whole and in halves, and the split goes on only if the
+    halves give the whole call's bits. They do at every workload's shapes,
+    but not at every width: a (100, 50) network rounds apart at 128 rows.
+    The check runs in the helper alone, never through `_halves`, so that
+    its arrays never add to this process's peak memory.
     """
 
     spec: nn.MlpSpec
-    params: np.ndarray  # (P,)
-    idx: np.ndarray  # (_SPLIT_ROWS,) row indices, as float64
-    rows: tuple  # backward_rows' arrays at _SPLIT_ROWS rows
-    loss: np.ndarray  # (_SPLIT_ROWS, ...) the step's loss rows
-    grad: np.ndarray  # (P,)
-    tables: list  # the next-action and target tables
-    alike: np.ndarray  # (), 1 once the check has passed
-    probe: np.ndarray  # (_SPLIT_ROWS, d) inputs for the check
-    rows_fn: object = None  # (params, idx) -> a step's (cache, cotangent, loss rows) at rows idx
-    fills: tuple = ()  # the table fills, in task order
+    states: np.ndarray  # (N, S)
+    actions: np.ndarray  # (N, A)
+    rewards: np.ndarray  # (N,)
+    next_states: np.ndarray  # (N, S)
+    terminals: np.ndarray  # (N,) as float64
+    policy: MlpPolicy
+    gamma: float
+    size: int  # the rows of a step and of a table fill's call
+    live: np.ndarray  # (P,) the critic being trained
+    next_a: np.ndarray  # (N, A) pi(s') at every row
+    y: np.ndarray  # (N,) the targets at every row
+    # the split's mapped arrays, where steps split
+    idx: np.ndarray | None = None  # (_SPLIT_ROWS,) a step's rows, as float64
+    rows: tuple = ()  # backward_rows' arrays at _SPLIT_ROWS rows
+    loss: np.ndarray | None = None  # (_SPLIT_ROWS,) a step's residuals
+    grad: np.ndarray | None = None  # (P,)
+    alike: np.ndarray | None = None  # (), 1 once the check has passed
 
     @classmethod
-    def create(cls, spec, params, probe, loss_shape, table_shapes=()) -> "_RowSplit | None":
-        """The mapped arrays for steps of `probe`'s row count, or None where
-        a step stays whole: another row count, or no helper allowed."""
-        if probe.shape[0] != _SPLIT_ROWS or not forked.can_fork():
-            return None
-        shapes = [(_SPLIT_ROWS, *w.shape[1:]) for w in _passes(spec, params, probe[:1])[1:]]
-        mapped, idx, loss, grad, alike, *rest = forked.shared_arrays(
-            params.shape, (_SPLIT_ROWS,), (_SPLIT_ROWS, *loss_shape), params.shape, (),
-            *shapes, *table_shapes,
+    def create(cls, spec, arrays, policy, gamma: float, size: int, params, split: bool) -> "_Fqe":
+        """A run from `params` on the dataset's flat `arrays`. With `split`,
+        where a step takes `_SPLIT_ROWS` rows and `forked.can_fork()`
+        allows, the live critic, the tables and the split's arrays are
+        mapped; elsewhere nothing is, and the live critic is `params`."""
+        states, actions, rewards, next_states, terminals = arrays
+        n, act_dim = actions.shape
+        run = (spec, states, actions, rewards, next_states, terminals.astype(np.float64), policy, gamma, size)
+        if not (split and size == _SPLIT_ROWS and forked.can_fork()):
+            return cls(*run, params, np.empty((n, act_dim)), np.empty(n))
+        x = np.concatenate([states[:1], actions[:1]], axis=1)
+        shapes = [(_SPLIT_ROWS, *w.shape[1:]) for w in _passes(spec, params, x)[1:]]
+        live, idx, loss, grad, alike, *rest = forked.shared_arrays(
+            params.shape, (_SPLIT_ROWS,), (_SPLIT_ROWS,), params.shape, (), *shapes, (n, act_dim), (n,)
         )
-        mapped[:] = params
-        rows, tables = tuple(rest[: len(shapes)]), rest[len(shapes) :]
-        return cls(spec, mapped, idx, rows, loss, grad, tables, alike, probe)
+        live[:] = params
+        *rows, next_a, y = rest
+        return cls(*run, live, next_a, y, idx, tuple(rows), loss, grad, alike)
 
-    def bind(self, rows_fn, *table_fills) -> None:
-        """Set the step's `rows_fn` and the table fills, `fill(lo, hi)` each."""
-        self.rows_fn, self.fills = rows_fn, table_fills
+    def targets(self, rows, next_a, target) -> np.ndarray:
+        """r + gamma * (1 - done) * Q_target(s', next_a) at dataset rows `rows`."""
+        next_q = _critic_forward(self.spec, target, self.next_states[rows], next_a)[0]
+        return self.rewards[rows] + self.gamma * (1.0 - self.terminals[rows]) * next_q
+
+    def step_rows(self, idx, y_idx) -> tuple:
+        """(cache, cotangent, residuals) of the live critic's forward at a
+        step's dataset rows `idx`, whose targets are y_idx."""
+        q, cache = _critic_forward(self.spec, self.live, self.states[idx], self.actions[idx])
+        diff = q - y_idx
+        return cache, (2.0 * diff / self.size)[:, None], diff
 
     def __call__(self, task: int, lo: int, hi: int) -> None:
-        if task == _CHECK:
-            self._check()
-        elif task == _ROWS:
-            self._rows(lo, hi)
+        if task == _ROWS:
+            idx = self.idx[lo:hi].astype(np.intp)
+            cache, cot, self.loss[lo:hi] = self.step_rows(idx, self.y[idx])
+            for buf, part in zip(self.rows, nn.backward_rows(self.spec, self.live, cache, cot)):
+                buf[lo:hi] = part
         elif task == _SUMS:
-            nn.backward_sums(self.spec, self.params, self.rows, self.grad, lo)
+            nn.backward_sums(self.spec, self.live, self.rows, self.grad, lo)
+        elif task == _CHECK:
+            self._check()
         else:
-            self.fills[task - _FILL_NEXT_A](lo, hi)
-
-    def _rows(self, lo: int, hi: int) -> None:
-        cache, cot, loss = self.rows_fn(self.params, self.idx[lo:hi].astype(np.intp))
-        parts, _ = nn.backward_rows(self.spec, self.params, cache, cot, params_only=True)
-        for buf, part in zip(self.rows, parts):
-            buf[lo:hi] = part
-        self.loss[lo:hi] = loss
+            # every call takes exactly `size` rows: the last block wraps
+            # around to row 0 and keeps only its rows not already filled
+            n = self.y.shape[0]
+            for start in range(0, n, self.size)[lo:hi]:
+                rows, end = np.arange(start, start + self.size) % n, start + self.size
+                if task == _FILL_NEXT_A:
+                    self.next_a[start:end] = self.policy(self.next_states[rows])[: n - start]
+                else:
+                    self.y[start:end] = self.targets(rows, self.next_a[rows], self.live)[: n - start]
 
     def _check(self) -> None:
+        x = np.concatenate([self.states[:_SPLIT_ROWS], self.actions[:_SPLIT_ROWS]], axis=1)
         half = _SPLIT_ROWS // 2
-        parts = (self.probe, self.probe[:half], self.probe[half:])
-        whole, top, bottom = (_passes(self.spec, self.params, x) for x in parts)
+        whole, top, bottom = (_passes(self.spec, self.live, part) for part in (x, x[:half], x[half:]))
         pairs = zip(whole, top, bottom)
         self.alike[...] = all(np.concatenate(p).tobytes() == w.tobytes() for w, *p in pairs)
 
@@ -822,56 +840,36 @@ def _passes(spec, params, x) -> tuple:
     """The forward's output and the row pass at inputs x, with the output
     as the cotangent."""
     y, cache = nn.forward_cached(spec, params, x)
-    return (y, *nn.backward_rows(spec, params, cache, y, params_only=True)[0])
+    return (y, *nn.backward_rows(spec, params, cache, y))
 
 
-def _halves(helper, task: int, n: int) -> None:
-    """Run the helper's `_RowSplit` task on [n // 2, n) there and on
-    [0, n // 2) here, and wait for both."""
+def _halves(helper, fqe: _Fqe, task: int, n: int) -> None:
+    """Run `fqe`'s task on [0, n) here without a helper, or on [n // 2, n)
+    in the helper and on [0, n // 2) here, and wait for both."""
+    if helper is None:
+        fqe(task, 0, n)
+        return
     helper.call(task, n // 2, n)
-    helper.fn(task, 0, n // 2)
+    fqe(task, 0, n // 2)
     helper.result()
 
 
-def _split_rows(helper, idx) -> np.ndarray:
-    """The forward and the row pass of a step at rows `idx`, half of them
-    in the helper; the step's loss rows."""
-    helper.fn.idx[:] = idx
-    _halves(helper, _ROWS, _SPLIT_ROWS)
-    return helper.fn.loss
-
-
-def _split_grad(helper) -> np.ndarray:
-    """`nn.backward_sums` of the step `_split_rows` ran, part 1 in the helper."""
-    _halves(helper, _SUMS, 2)
-    return helper.fn.grad
-
-
 @contextlib.contextmanager
-def _fqe_helper(split, helper_s: dict):
-    """`forked.serving(split)` for a `_RowSplit`, or None, also once its
+def _fqe_helper(fqe: _Fqe, helper_s: dict):
+    """`forked.serving(fqe)` where its steps split, or None, also once its
     rounding check has failed; a helper's busy_s and wait_s go into
-    `helper_s`. `split` is None where `forked.can_fork` was false, so no
-    mapping is made where no helper may fork."""
-    with forked.serving(split) if split else contextlib.nullcontext() as helper:
+    `helper_s`."""
+    with forked.serving(fqe) if fqe.alike is not None else contextlib.nullcontext() as helper:
         try:
             if helper is not None:
                 helper.call(_CHECK, 0, 0)
                 helper.result()
-                if not split.alike:
+                if not fqe.alike:
                     helper.close()  # whole steps from here on
-            yield helper if helper is not None and split.alike else None
+            yield helper if helper is not None and fqe.alike else None
         finally:
             if helper is not None:
                 helper_s.update(busy_s=helper.busy_s, wait_s=helper.wait_s)
-
-
-def _fqe_rows(spec, states, actions, size: int, params, idx, y_idx):
-    """(cache, cotangent, residuals) of an FQE step of `size` rows at its
-    rows `idx`, whose targets are y_idx."""
-    q, cache = _critic_forward(spec, params, states[idx], actions[idx])
-    diff = q - y_idx
-    return cache, (2.0 * diff / size)[:, None], diff
 
 
 def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed: int, lr: float, batch: int = 256):
@@ -900,20 +898,6 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
         grad, _ = nn.backward_cached(spec, params, cache, g_pre, params_only=True)
         adam, params = nn.adam_step(adam, params, grad)
     return params, float((res * res).sum(axis=1).mean())
-
-
-def _fill_in_blocks(out: np.ndarray, size: int, rows_fn, blocks: slice = slice(None)) -> np.ndarray:
-    """out[i] = rows_fn(rows)[j] for every row i = rows[j], `size` rows a call,
-    over the `blocks` of `size` rows (all of them by default).
-
-    Every call gets exactly `size` rows: the last block wraps around to
-    row 0 (`np.arange(lo, lo + size) % n`), and only its rows not already
-    filled are kept.
-    """
-    n = out.shape[0]
-    for lo in range(0, n, size)[blocks]:
-        out[lo : lo + size] = rows_fn(np.arange(lo, lo + size) % n)[: n - lo]
-    return out
 
 
 def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float,
@@ -959,82 +943,55 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     ragged count such as 11 rows, the last rows of a call round apart, and
     the tables can differ from per-step batches in the last bits.
 
-    With the tables, where a step takes `_SPLIT_ROWS` rows and
+    The run's arrays, tables and live critic sit in one `_Fqe`, whose
+    methods fill the tables and compute a step's rows for whole and split
+    steps alike. With the tables, where a step takes `_SPLIT_ROWS` rows and
     `forked.can_fork` allows, a helper fills half of each table's blocks
-    and computes half of each step (`_RowSplit`), and every bit is as in
-    whole steps. A forked helper's busy_s and wait_s go into `helper_s`.
+    and computes half of each step, and every bit is as in whole steps.
+    A forked helper's busy_s and wait_s go into `helper_s`.
     `cli` runs FQE once the world model's helper has been joined, so a
     model-based run splits it too. The helper is killed when FQE ends,
     and the shared mapping is unmapped as this returns.
     """
     loss = float("nan")
-    states, actions, rewards, next_states, terminals = dataset.flat_arrays()
-    _check_rows(states, "FQE")
+    arrays = dataset.flat_arrays()
+    _check_rows(arrays[0], "FQE")
     if steps <= 0:
         return params, loss
-    terminals = terminals.astype(np.float64)
     rng = stream(seed, "pretrain.fqe")
     adam = nn.init_adam(params.size, lr)
-    n = states.shape[0]
+    n = arrays[0].shape[0]
     size = min(batch, n)
     blocks = -(-n // size)
     tables = blocks * (1 + -(-steps // target_every)) < 2 * steps
-
-    def targets(rows, next_a, target):
-        next_q = _critic_forward(spec, target, next_states[rows], next_a)[0]
-        return rewards[rows] + gamma * (1.0 - terminals[rows]) * next_q
-
-    split = None
-    if tables:
-        x = np.concatenate([states[:size], actions[:size]], axis=1)
-        split = _RowSplit.create(spec, params, x, (), [(n, actions.shape[1]), (n,)])
-    next_a, y = split.tables if split else (np.empty((n, actions.shape[1])), np.empty(n))
-    live = params if split is None else split.params
-
-    def fill_next_a(lo, hi):
-        _fill_in_blocks(next_a, size, lambda rows: policy(next_states[rows]), slice(lo, hi))
-
-    def fill_y(lo, hi):
-        _fill_in_blocks(y, size, lambda rows: targets(rows, next_a[rows], live), slice(lo, hi))
-
-    if split:
-        split.bind(
-            lambda params, idx: _fqe_rows(spec, states, actions, size, params, idx, y[idx]),
-            fill_next_a,
-            fill_y,
-        )
-    with _fqe_helper(split, helper_s) as helper:
-
-        def fill(task, fill_blocks):
-            if helper is None:
-                fill_blocks(0, blocks)
-            else:
-                _halves(helper, task, blocks)
-
+    fqe = _Fqe.create(spec, arrays, policy, gamma, size, params, split=tables)
+    with _fqe_helper(fqe, helper_s) as helper:
         if tables:
-            fill(_FILL_NEXT_A, fill_next_a)
+            _halves(helper, fqe, _FILL_NEXT_A, blocks)
         for step_i in range(steps):
             if step_i % target_every == 0:
                 if tables:
-                    fill(_FILL_Y, fill_y)
+                    _halves(helper, fqe, _FILL_Y, blocks)
                 else:
-                    target = live.copy()
+                    target = fqe.live.copy()
             idx = rng.integers(0, n, size=size)
             if helper is None:
-                y_idx = y[idx] if tables else targets(idx, policy(next_states[idx]), target)
-                cache, cot, diff = _fqe_rows(spec, states, actions, size, live, idx, y_idx)
+                y_idx = fqe.y[idx] if tables else fqe.targets(idx, policy(fqe.next_states[idx]), target)
+                cache, cot, diff = fqe.step_rows(idx, y_idx)
             else:
-                diff = _split_rows(helper, idx)
+                fqe.idx[:] = idx
+                _halves(helper, fqe, _ROWS, _SPLIT_ROWS)
+                diff = fqe.loss
             loss = float((diff * diff).mean())
             if not np.isfinite(loss):
                 raise DivergenceError("FQE loss diverged", {"step": step_i})
             if helper is None:
-                grad, _ = nn.backward_cached(spec, live, cache, cot, params_only=True)
+                grad, _ = nn.backward_cached(spec, fqe.live, cache, cot, params_only=True)
             else:
-                grad = _split_grad(helper)
-            adam, live = nn.adam_step(adam, live, grad)
-    if split:
-        params[...] = live
+                _halves(helper, fqe, _SUMS, 2)
+                grad = fqe.grad
+            nn.adam_step(adam, fqe.live, grad)
+    params[...] = fqe.live
     return params, loss
 
 

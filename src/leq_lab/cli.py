@@ -372,7 +372,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     a fresh run trains every member in one lockstep group, in a helper
     while this process runs BC, or without one here, before BC. FQE runs
     once that helper has been joined, and forks its own, which computes
-    half of each FQE step (`agent.pretrain_fqe`). The main loop,
+    half of each FQE step and table fill through the run's `agent._Fqe`
+    (`agent.pretrain_fqe`). The main loop,
     expansion, evaluation and checkpoints run in this process; a
     mobile_lcb run with beta > 0 and a step left forks a helper for the
     loop, which computes part of each step's elites

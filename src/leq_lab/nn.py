@@ -12,7 +12,9 @@ imagination rollouts backpropagate through critics, world-model members
 and the policy. Keeping the forward and backward apart lets one stacked
 forward serve several backward passes. The backward has two parts:
 backward_rows() takes the cotangent back through the layers, row by row,
-and backward_sums() reduces over the rows into the parameter gradient
+and returns those rows alone: they serve only a parameter gradient, so it
+skips the first layer's input-gradient matmul, as params_only=True below
+does. backward_sums() reduces over the rows into the parameter gradient
 (the weight products a_in^T @ gh, then the bias and layer-norm sums).
 backward_cached() runs both in one sweep, each layer's sums right after
 its rows. Apart, a batch's rows can run the forward and the row pass in
@@ -309,25 +311,18 @@ def backward_cached(
     return grad, ga
 
 
-def backward_rows(
-    spec: MlpSpec,
-    params: np.ndarray,
-    cache,
-    output_cotangent: np.ndarray,
-    *,
-    params_only: bool = False,
-):
-    """The row pass of backward_cached: (rows, input_grad).
+def backward_rows(spec: MlpSpec, params: np.ndarray, cache, output_cotangent: np.ndarray):
+    """The row pass of backward_cached with params_only: `rows`, what
+    backward_sums reduces over the rows.
 
-    It takes the cotangent back through every layer, and row r of what it
-    computes depends on row r of the cache and of the cotangent alone.
-    `rows` holds what backward_sums reduces over the rows: (gy, last, then
-    per hidden layer its input a_in, the cotangent gh of its pre-norm
-    output h and, with layer norm, norm and the cotangent gz of the affine
-    output z = norm * ln_scale + ln_shift), each with one row per input
-    row. The input gradient is as backward_cached's.
+    It takes the cotangent back through every layer but the first layer's
+    input-gradient matmul, and row r of what it computes depends on row r
+    of the cache and of the cotangent alone. `rows` is (gy, last, then per
+    hidden layer its input a_in, the cotangent gh of its pre-norm output h
+    and, with layer norm, norm and the cotangent gz of the affine output
+    z = norm * ln_scale + ln_shift), each with one row per input row.
     """
-    return _sweep(spec, params, cache, output_cotangent, None, True, params_only)
+    return _sweep(spec, params, cache, output_cotangent, None, True, True)[0]
 
 
 def _sweep(spec, params, cache, output_cotangent, grad, keep: bool, params_only: bool):

@@ -1021,20 +1021,45 @@ def test_fqe_unmaps_its_split_as_it_returns(monkeypatch, forks):
     spec = envs.make_env_spec("dense_chain")
     data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
     state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
-    made, create = [], agent._RowSplit.create.__func__
+    made, create = [], agent._Fqe.create.__func__
 
-    def recording(cls, *args):
-        split = create(cls, *args)
-        made.append(weakref.ref(split))
-        return split
+    def recording(cls, *args, **kwargs):
+        fqe = create(cls, *args, **kwargs)
+        made.append((weakref.ref(fqe), fqe.alike is not None))
+        return fqe
 
-    monkeypatch.setattr(agent._RowSplit, "create", classmethod(recording))
+    monkeypatch.setattr(agent._Fqe, "create", classmethod(recording))
     gc.disable()
     try:
         _pretrain_both(data, state, monkeypatch, {0, 1})
-        assert forks == [1] and len(made) == 1 and made[0]() is None
+        assert forks == [1] and len(made) == 1
+        (fqe, mapped), = made
+        assert mapped and fqe() is None
     finally:
         gc.enable()
+
+
+def test_a_split_fqe_runs_its_rounding_check_in_the_helper_alone(monkeypatch, forks):
+    # the check's 256-row passes, and their halves, would add to this
+    # process's peak memory; here only the 1-row pass that sizes the
+    # mapping and each split step's 128-row half run
+    spec = envs.make_env_spec("dense_chain")
+    data = datasets.collect_dataset(spec, "mixed", 6, seed=0)
+    state = agent.build_agent(agent.AgentConfig().desk_scale(), spec, 0)
+    here, backward_rows, seen = os.getpid(), nn.backward_rows, []
+
+    def spy(spec, params, cache, cot):
+        if os.getpid() == here:
+            seen.append(cot.shape[0])
+        return backward_rows(spec, params, cache, cot)
+
+    monkeypatch.setattr(nn, "backward_rows", spy)
+    # `forked.can_fork` refuses while an `nn` function differs from its
+    # record in `forked._NN_CALLS`, so the spy is recorded there too
+    monkeypatch.setitem(forked._NN_CALLS, "backward_rows", spy)
+    _, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
+    assert forks == [1] and helper_s["busy_s"] > 0.0
+    assert seen[0] == 1 and set(seen[1:]) == {128} and len(seen) == 31
 
 
 def test_on_another_architecture_fqe_maps_nothing_and_keeps_whole_step_bits(monkeypatch, forks):

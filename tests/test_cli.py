@@ -102,6 +102,25 @@ def test_resumed_run_matches_an_uninterrupted_one(overrides, tmp_path, monkeypat
     assert again["ensemble_train_s"] == 0.0 and again["pretrain"] == whole["pretrain"]
 
 
+def test_a_model_based_run_without_expansion_imagines_from_the_dataset_alone(tmp_path, monkeypatch):
+    expanded = []
+    monkeypatch.setattr(agent, "expand_dataset", lambda *args: expanded.append(args))
+    raw = _run_config(tmp_path, agent_overrides={"use_expansion": False})
+    whole = cli.run_training(parse_run_config(raw), str(tmp_path / "whole"))
+    assert expanded == [] and whole["timing_s"]["expand"] == 0.0 and whole["steps"] == 20
+    # the buffer's 10 * n_expand = 500 rows hold the dataset's 461 states
+    buffer = agent.load_agent(tmp_path / "whole" / "checkpoint.leqa").buffer
+    states = datasets.load_dataset(raw["dataset"]).flat_arrays()[0]
+    assert buffer.size == states.shape[0] < buffer.capacity
+    assert np.array_equal(buffer.data[: buffer.size], states)
+    halves = tmp_path / "halves"
+    cli.run_training(parse_run_config({**raw, "agent": {**raw["agent"], "n_iter": 10}}), str(halves))
+    cli.run_training(parse_run_config(raw), str(halves), resume=True)
+    assert expanded == []
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa"):
+        assert (halves / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+
 def test_resuming_a_finished_run_rewrites_nothing(tmp_path):
     # n_iter off the intervals' cadence: the last rows are at step 12
     cfg = parse_run_config(_run_config(tmp_path, agent_overrides={"n_iter": 12}))
@@ -450,7 +469,7 @@ def test_the_main_loop_forks_its_own_helper_once_the_training_one_has_ended(tmp_
     # the ensemble's helper, then FQE's once it has been joined, then the
     # loop's, each forked with no other child alive
     (train, train_pid, train_alive), (fqe, fqe_pid, fqe_alive), (loop, loop_pid, loop_alive) = forked_for
-    assert train.func.__name__ == "_train_members" and isinstance(fqe, agent._RowSplit)
+    assert train.func.__name__ == "_train_members" and isinstance(fqe, agent._Fqe)
     assert isinstance(loop, agent._MappedElites)
     assert len({train_pid, fqe_pid, loop_pid}) == 3
     assert train_alive == fqe_alive == loop_alive == []
@@ -607,14 +626,14 @@ def test_a_pretraining_helper_killed_mid_fqe_exits_1_and_leaves_no_child(
     tmp_path, monkeypatch, capsys, deadline, forks
 ):
     _two_cpus(monkeypatch)
-    here, fqe_rows = os.getpid(), agent._fqe_rows
+    here, step_rows = os.getpid(), agent._Fqe.step_rows
 
-    def dying(*args):
+    def dying(fqe, *args):
         if os.getpid() != here:
             os.kill(os.getpid(), signal.SIGKILL)
-        return fqe_rows(*args)
+        return step_rows(fqe, *args)
 
-    monkeypatch.setattr(agent, "_fqe_rows", dying)
+    monkeypatch.setattr(agent._Fqe, "step_rows", dying)
     raw = _run_config(
         tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value"}
     )
@@ -727,14 +746,17 @@ def test_an_fqe_divergence_after_the_join_stops_fqes_helper_before_its_snapshot(
     tmp_path, monkeypatch, capsys, forks
 ):
     _two_cpus(monkeypatch)
-    split_rows, alive = agent._split_rows, []
+    here, step_rows, alive = os.getpid(), agent._Fqe.step_rows, []
 
-    def diverging(helper, idx):
+    def diverging(fqe, *args):
+        cache, cot, diff = step_rows(fqe, *args)
+        if os.getpid() != here:
+            return cache, cot, diff
+        # this process's half of each split step's rows
         alive.append(len(multiprocessing.active_children()))
-        loss = split_rows(helper, idx)
-        return loss * np.nan if len(alive) == 2 else loss
+        return cache, cot, diff * np.nan if len(alive) == 2 else diff
 
-    monkeypatch.setattr(agent, "_split_rows", diverging)
+    monkeypatch.setattr(agent._Fqe, "step_rows", diverging)
     write, running = cli._write_divergence, []
 
     def spy(*args):

@@ -396,7 +396,7 @@ class TestRowSplit:
         spec, params, x, cot = case
         _, cache = nn.forward_cached(spec, params, x)
         want, _ = nn.backward_cached(spec, params, cache, cot)
-        rows, _ = nn.backward_rows(spec, params, cache, cot, params_only=True)
+        rows = nn.backward_rows(spec, params, cache, cot)
         grad = np.full_like(params, 7.0)
         for part in (1, 0):
             assert nn.backward_sums(spec, params, rows, grad, part) is grad
@@ -418,7 +418,7 @@ class TestRowSplit:
 
         def passes(lo, hi):
             y, cache = nn.forward_cached(spec, params, x[lo:hi].copy())
-            rows, _ = nn.backward_rows(spec, params, cache, cot[lo:hi].copy(), params_only=True)
+            rows = nn.backward_rows(spec, params, cache, cot[lo:hi].copy())
             return [y, *_cache_arrays(cache)], rows
 
         (whole, whole_rows), (top, top_rows), (bottom, bottom_rows) = (
