@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -238,7 +239,7 @@ class AgentState:
     buffer: ModelStateBuffer
     step: int = 0
     extra: dict = field(default_factory=dict)  # the checkpoint header's free-form summary
-    seed: int | None = None  # the run seed the checkpoint header recorded, once loaded
+    seed: int | None = None  # the run seed it was built with
     dataset_sha256: str | None = None  # sha256 of the dataset file the agent trains on
 
     @property
@@ -262,6 +263,7 @@ def build_agent(config: AgentConfig, env_spec: envs.EnvSpec, seed: int) -> Agent
         adam_actor=nn.init_adam(p_params.size, config.lr_actor),
         adam_critic=nn.init_adam(c_params.size, config.lr_critic),
         buffer=ModelStateBuffer.create(10 * config.n_expand, env_spec.obs_dim),
+        seed=seed,
     )
 
 
@@ -855,10 +857,10 @@ def _halves(helper, fqe: _Fqe, task: int, n: int) -> None:
 
 
 @contextlib.contextmanager
-def _fqe_helper(fqe: _Fqe, helper_s: dict):
+def _fqe_helper(fqe: _Fqe, helper_s: dict | None):
     """`forked.serving(fqe)` where its steps split, or None, also once its
     rounding check has failed; a helper's busy_s and wait_s go into
-    `helper_s`."""
+    `helper_s`, if given."""
     with forked.serving(fqe) if fqe.alike is not None else contextlib.nullcontext() as helper:
         try:
             if helper is not None:
@@ -868,7 +870,7 @@ def _fqe_helper(fqe: _Fqe, helper_s: dict):
                     helper.close()  # whole steps from here on
             yield helper if helper is not None and fqe.alike else None
         finally:
-            if helper is not None:
+            if helper is not None and helper_s is not None:
                 helper_s.update(busy_s=helper.busy_s, wait_s=helper.wait_s)
 
 
@@ -876,7 +878,12 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
     """Behavioral cloning: minimize ||tanh(mlp(s)) - a||^2 over the dataset.
 
     Returns the params and the last step's batch MSE, taken before its
-    update (nan at zero steps).
+    update (nan at zero steps). Raises DivergenceError, with the step in
+    its snapshot, when a step's loss is non-finite before its update, as
+    `pretrain_fqe` does; the residuals' dot product with themselves is
+    finite exactly when the loss is, as the tanh policy's actions and the
+    dataset's lie in [-1, 1]. A last update that blows up surfaces at
+    FQE's first step, as FQE's own last one does at the main loop's.
 
     Its steps are not split across two processes as FQE's are: at 128 rows
     the policy's forward and row pass take over half the time of 256, and
@@ -889,10 +896,12 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
         return params, float("nan")
     rng = stream(seed, "pretrain.bc")
     adam = nn.init_adam(params.size, lr)
-    for _ in range(steps):
+    for step_i in range(steps):
         idx = rng.integers(0, states.shape[0], size=min(batch, states.shape[0]))
         acts, cache = _policy_forward(spec, params, states[idx])
         res = acts - actions[idx]
+        if not math.isfinite(np.dot(res.ravel(), res.ravel())):
+            raise DivergenceError("BC loss diverged", {"step": step_i})
         g_act = 2.0 * res / res.shape[0]
         g_pre = g_act * (1.0 - acts * acts)
         grad, _ = nn.backward_cached(spec, params, cache, g_pre, params_only=True)
@@ -901,7 +910,7 @@ def pretrain_bc(dataset, spec: nn.MlpSpec, params: np.ndarray, steps: int, seed:
 
 
 def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: int, gamma: float, seed: int, lr: float,
-                 batch: int = 256, target_every: int = 250, *, helper_s: dict):
+                 batch: int = 256, target_every: int = 250, *, helper_s: dict | None = None):
     """Fitted Q evaluation of a frozen policy on the offline dataset.
 
     Bootstraps come from a parameter snapshot refreshed every target_every
@@ -948,7 +957,7 @@ def pretrain_fqe(dataset, policy, spec: nn.MlpSpec, params: np.ndarray, steps: i
     steps alike. With the tables, where a step takes `_SPLIT_ROWS` rows and
     `forked.can_fork` allows, a helper fills half of each table's blocks
     and computes half of each step, and every bit is as in whole steps.
-    A forked helper's busy_s and wait_s go into `helper_s`.
+    A forked helper's busy_s and wait_s go into `helper_s`, if given.
     `cli` runs FQE once the world model's helper has been joined, so a
     model-based run splits it too. The helper is killed when FQE ends,
     and the shared mapping is unmapped as this returns.
@@ -1213,9 +1222,10 @@ _AGENT_MAGIC = b"LEQA"
 _AGENT_VERSION = 3
 
 
-def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | None = None) -> None:
-    """Write `state` to `path`; the header records `seed` and the state's
-    `dataset_sha256`, which a resume checks against its own run."""
+def save_agent(path, state: AgentState) -> None:
+    """Write `state` to `path`, all of it: the header records its `seed`
+    and `dataset_sha256`, which a resume checks against its own run, and
+    its `extra`, so a loaded state saves to the same bytes."""
     header = {
         "format": "leq-lab-agent",
         "version": _AGENT_VERSION,
@@ -1229,9 +1239,9 @@ def save_agent(path, state: AgentState, seed: int | None = None, extra: dict | N
         "buffer_size": state.buffer.size,
         "buffer_cursor": state.buffer.cursor,
         "buffer_capacity": state.buffer.capacity,
-        "seed": seed,
+        "seed": state.seed,
         "dataset_sha256": state.dataset_sha256,
-        "extra": extra or {},
+        "extra": state.extra,
     }
     arrays = {
         "policy_params": state.policy_params,

@@ -131,9 +131,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper_s: dict) -> tuple:
-    """(ensemble or None, agent state, pretraining summary); the seconds of
-    FQE's helper, if one forks, go into `helper_s`.
+def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, clock, helper_s=None) -> tuple:
+    """(ensemble or None, agent state); the seconds of FQE's helper, if one
+    forks, go into `helper_s`, if given.
 
     A resumed run loads the ensemble and the checkpoint it finds in
     `out_dir`. A checkpoint of another seed would continue on other RNG
@@ -147,7 +147,12 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     config, so a refused run leaves the directory's record as it was.
     Otherwise the ensemble trains (when the agent `agent.needs_model`) and
     the agent is built, pretrained and checkpointed, the ensemble saved
-    first, so a checkpoint never lacks its ensemble.
+    first, so a checkpoint never lacks its ensemble. Pretraining writes
+    into the state: BC's and FQE's params, and the summary scalar of each
+    stage with steps into `state.extra["pretrain"]`, which the checkpoint
+    and the report record. A divergence in either writes divergence.json
+    (`_snapshot`). Each save writes what its object holds: the seed the
+    state and the ensemble were built with, and the dataset's sha256.
 
     When a fresh run both trains the ensemble and runs BC, BC is
     `world_model.train_ensemble`'s `beside` call: it runs in this process
@@ -170,11 +175,9 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             raise ConfigError(f"{ens_path} was trained with a different world-model config")
     fresh = not (resume and os.path.exists(ckpt_path))
     train = with_model and ensemble is None
-    beside = train and fresh and cfg.agent.bc_steps > 0
     if fresh:
         state = agent_mod.build_agent(cfg.agent, env_spec, cfg.seed)
         state.dataset_sha256 = data_sha256
-        pretrain_info = {}
     else:
         state = agent_mod.load_agent(ckpt_path)
         # n_iter may grow between sessions; everything else must match or
@@ -192,7 +195,6 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             if state.step > 0 and not os.path.exists(path):
                 raise ConfigError(f"cannot resume from step {state.step}: {path} is missing")
         state.config = cfg.agent
-        pretrain_info = state.extra.get("pretrain", {})
     # a checkpoint's own refusals come first; without one, only this stops
     # a fresh agent from training on another run's model
     if ensemble is not None and (ensemble.seed, ensemble.dataset_sha256) != (cfg.seed, data_sha256):
@@ -205,22 +207,35 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
         json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    def pretrain(stage):
-        pretrain_info.update(_pretrain_stage(stage, cfg, state, dataset, clock, out_dir, helper_s))
+    pretrain = state.extra.setdefault("pretrain", {})
+    config = state.config
+    bc = fresh and config.bc_steps > 0
+
+    def run_bc():
+        with _snapshot(out_dir, cfg, "bc"), clock.phase("bc"):
+            state.policy_params, pretrain["bc_mse"] = agent_mod.pretrain_bc(
+                dataset, state.policy_spec, state.policy_params, config.bc_steps, cfg.seed, config.lr_pretrain
+            )
 
     if train:
         with clock.phase("world_model"):
-            bc = functools.partial(pretrain, "bc") if beside else None
-            ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed, bc)
-            world_model.save_ensemble(ens_path, ensemble, cfg.seed, data_sha256)
+            ensemble = world_model.train_ensemble(dataset, cfg.world_model, cfg.seed, run_bc if bc else None)
+            ensemble = replace(ensemble, dataset_sha256=data_sha256)
+            world_model.save_ensemble(ens_path, ensemble)
+    elif bc:
+        run_bc()
     if fresh:
-        if not beside:
-            pretrain("bc")
-        pretrain("fqe")
+        if config.fqe_steps > 0:
+            with _snapshot(out_dir, cfg, "fqe"), clock.phase("fqe"):
+                state.critic_params, pretrain["fqe_loss"] = agent_mod.pretrain_fqe(
+                    dataset, state.policy, state.critic_spec, state.critic_params, config.fqe_steps,
+                    config.gamma, cfg.seed, config.lr_pretrain, helper_s=helper_s,
+                )
+            state.critic_ema = state.critic_params.copy()
         state.buffer.insert(dataset.flat_arrays()[0])
         with clock.phase("checkpoint"):
-            agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
-    return ensemble, state, pretrain_info
+            agent_mod.save_agent(ckpt_path, state)
+    return ensemble, state
 
 
 def _peak_rss_mb() -> dict:
@@ -254,46 +269,15 @@ def _write_divergence(out_dir: str, cfg: RunConfig, err, stage: str, step) -> No
         json.dump(snapshot, fh, indent=2, sort_keys=True, default=repr)
 
 
-def _pretrain_stage(
-    stage: str, cfg: RunConfig, state, dataset, clock: _PhaseClock, out_dir: str, helper_s: dict
-) -> dict:
-    """One pretraining stage: "bc", which runs when bc_steps > 0, or "fqe",
-    which runs when fqe_steps > 0; returns its summary scalar, if it ran.
-    The seconds of FQE's helper, if one forks, go into `helper_s`.
-
-    A divergence writes divergence.json, naming the stage and its step,
-    before the DivergenceError goes on.
-    """
-    info: dict = {}
+@contextlib.contextmanager
+def _snapshot(out_dir: str, cfg: RunConfig, stage: str):
+    """A DivergenceError raised inside writes divergence.json, naming
+    `stage` and the step in the error's snapshot, before it goes on."""
     try:
-        if stage == "bc" and state.config.bc_steps > 0:
-            with clock.phase("bc"):
-                state.policy_params, info["bc_mse"] = agent_mod.pretrain_bc(
-                    dataset,
-                    state.policy_spec,
-                    state.policy_params,
-                    state.config.bc_steps,
-                    cfg.seed,
-                    state.config.lr_pretrain,
-                )
-        elif stage == "fqe" and state.config.fqe_steps > 0:
-            with clock.phase("fqe"):
-                state.critic_params, info["fqe_loss"] = agent_mod.pretrain_fqe(
-                    dataset,
-                    state.policy,
-                    state.critic_spec,
-                    state.critic_params,
-                    state.config.fqe_steps,
-                    state.config.gamma,
-                    cfg.seed,
-                    state.config.lr_pretrain,
-                    helper_s=helper_s,
-                )
-            state.critic_ema = state.critic_params.copy()
+        yield
     except agent_mod.DivergenceError as err:
         _write_divergence(out_dir, cfg, err, stage, err.snapshot.get("step"))
         raise
-    return info
 
 
 def _env_batch(arrays, idx) -> dict:
@@ -377,9 +361,9 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     expansion, evaluation and checkpoints run in this process; a
     mobile_lcb run with beta > 0 and a step left forks a helper for the
     loop, which computes part of each step's elites
-    (`agent.elite_helper`). Each helper is killed when its phase ends, the
-    loop's before a divergence snapshot is written, and none outlives
-    this call.
+    (`agent.elite_helper`). Each helper is killed when its phase ends, and
+    none outlives this call; FQE's and the loop's die before a divergence
+    snapshot is written, the world model's just after BC's.
 
     The report's `timing_s` holds the wall seconds of each phase in this
     process (a resumed run counts only its own); its `world_model` phase
@@ -396,8 +380,9 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     bits can depend on the BLAS thread count, so only files of a run that
     saw "1" can match the one-thread digests of the benchmark.
 
-    Raises DivergenceError (after writing a snapshot) when a loss goes
-    non-finite; the caller maps that to exit code 1.
+    Raises DivergenceError when a BC, FQE or main-loop step's loss goes
+    non-finite, once divergence.json names the stage ("bc", "fqe" or
+    "train") and the step; the caller maps that to exit code 1.
     """
     heap.set_heap_policy()
     clock = _PhaseClock()
@@ -406,7 +391,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
     pretrain_helper = {"busy_s": 0.0, "wait_s": 0.0}
-    ensemble, state, pretrain_info = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, pretrain_helper)
+    ensemble, state = _prepare_run(cfg, env_spec, dataset, out_dir, resume, clock, pretrain_helper)
     ckpt_path = os.path.join(out_dir, _CHECKPOINT)
 
     term_fn = functools.partial(envs.terminated_batch, env_spec)
@@ -442,7 +427,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         eval_cols = list(eval_rows[0].keys())
 
     try:
-        with agent_mod.elite_helper(state, ensemble) as helper:
+        with _snapshot(out_dir, cfg, "train"), agent_mod.elite_helper(state, ensemble) as helper:
             while state.step < config.n_iter:
                 i = state.step
                 if (
@@ -479,9 +464,8 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
                     with clock.phase("checkpoint"):
                         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
                         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
-                        agent_mod.save_agent(ckpt_path, state, cfg.seed, {"pretrain": pretrain_info})
-    except agent_mod.DivergenceError as err:
-        _write_divergence(out_dir, cfg, err, "train", state.step)
+                        agent_mod.save_agent(ckpt_path, state)
+    except agent_mod.DivergenceError:
         _write_csv(os.path.join(out_dir, _TRAIN_CSV), metrics_rows, metrics_cols)
         _write_csv(os.path.join(out_dir, _EVAL_CSV), eval_rows, eval_cols)
         raise
@@ -496,7 +480,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "env": cfg.env,
         "seed": cfg.seed,
         "steps": state.step,
-        "pretrain": pretrain_info,
+        "pretrain": state.extra["pretrain"],
         "final_eval": {k: float(v) if k != "step" else int(v) for k, v in final.items()},
         "best_eval": {k: float(v) if k != "step" else int(v) for k, v in best.items()},
         "elapsed_s": round(time.monotonic() - t_start, 3),
@@ -545,10 +529,10 @@ def cmd_pretrain(args) -> int:
     out_dir = _resolve_out_dir(cfg, args)
     os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
-    ensemble, _, info = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock(), {})
+    ensemble, state = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock())
     if ensemble is not None:
         print(f"world model: val nll {[round(float(v), 4) for v in ensemble.val_nll]}")
-    for key, value in info.items():
+    for key, value in state.extra["pretrain"].items():
         print(f"{key}: {value:.6f}")
     print(f"checkpoint: {os.path.join(out_dir, _CHECKPOINT)}")
     return 0
@@ -601,7 +585,7 @@ def cmd_ablate(args) -> int:
             "tau": agent_cfg.tau,
             "n_seeds": len(runs),
             "n_completed": len(successes),
-            "status": "diverged" if failures else "ok",
+            "status": "failed" if failures else "ok",
             "mean_success": float(np.mean(successes)) if successes else "",
             "std_success": float(np.std(successes)) if successes else "",
             "mean_return": float(np.mean(returns)) if returns else "",
@@ -612,7 +596,7 @@ def cmd_ablate(args) -> int:
         shown = (
             f"success {row['mean_success']:.3f}+-{row['std_success']:.3f}"
             if successes
-            else "diverged"
+            else "no seed completed"
         )
         print(f"[{name}] {row['status']}: {shown}")
 

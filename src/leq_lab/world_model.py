@@ -197,7 +197,8 @@ class EnsembleWorldModel:
     # wall seconds the members took to train, in the process that trained
     # them; 0.0 once loaded, and never saved
     train_s: float = field(default=0.0, compare=False, repr=False)
-    # the run seed and dataset sha256 a loaded file's header recorded
+    # the run seed it was trained with, and the sha256 of the dataset file
+    # it was trained on, which `train_ensemble` leaves to its caller
     seed: int | None = field(default=None, compare=False, repr=False)
     dataset_sha256: str | None = field(default=None, compare=False, repr=False)
 
@@ -325,6 +326,7 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
         elite_idx=tuple(elites),
         config=config,
         train_s=float(train_s),
+        seed=seed,
     )
 
 
@@ -549,11 +551,10 @@ _ENSEMBLE_MAGIC = b"LEQE"
 _ENSEMBLE_VERSION = 3
 
 
-def save_ensemble(
-    path, ensemble: EnsembleWorldModel, seed: int | None = None, dataset_sha256: str | None = None
-) -> None:
-    """Write `ensemble`; the header also records the run seed and the sha256
-    of the dataset file it trained on, which a resumed run checks."""
+def save_ensemble(path, ensemble: EnsembleWorldModel) -> None:
+    """Write `ensemble`; the header also records its `seed` and
+    `dataset_sha256`, which a resumed run checks, so a loaded ensemble
+    saves to the same bytes."""
     header = {
         "format": "leq-lab-ensemble",
         "version": _ENSEMBLE_VERSION,
@@ -561,8 +562,8 @@ def save_ensemble(
         "act_dim": ensemble.act_dim,
         "config": asdict(ensemble.config),
         "elite_idx": list(ensemble.elite_idx),
-        "seed": seed,
-        "dataset_sha256": dataset_sha256,
+        "seed": ensemble.seed,
+        "dataset_sha256": ensemble.dataset_sha256,
     }
     arrays = {"member_params": ensemble.member_params, "val_nll": ensemble.val_nll}
     container.write(path, _ENSEMBLE_MAGIC, header, arrays)

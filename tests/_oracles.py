@@ -309,6 +309,7 @@ def loop_train_ensemble(dataset, config, seed: int):
         val_nll=val_nll,
         elite_idx=tuple(elites),
         config=config,
+        seed=seed,
     )
 
 

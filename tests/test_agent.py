@@ -685,7 +685,7 @@ def test_fqe_matches_the_per_batch_loop_bit_for_bit(n, target_every, dtype, monk
         return forward_cached(spec, params, x)
 
     monkeypatch.setattr(nn, "forward_cached", forward_spy)
-    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, target_every, policy_spy), helper_s={})
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, target_every, policy_spy))
 
     _oracles.assert_bits(got[0], want[0])
     _oracles.assert_bits(np.float64(got[1]), np.float64(want[1]))
@@ -709,7 +709,7 @@ def test_fqe_on_a_ragged_batch_matches_the_loop_to_rounding():
     plan = make_plan(11)
     dataset = _FlatDataset(11)
     want = _oracles.loop_pretrain_fqe(*_fqe_args(plan, dataset, 4))
-    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4), helper_s={})
+    got = agent.pretrain_fqe(*_fqe_args(plan, dataset, 4))
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-14)
     assert got[1] == pytest.approx(want[1], rel=1e-10)
 
@@ -730,7 +730,7 @@ def test_fqe_on_an_empty_dataset_raises_before_any_step(monkeypatch):
     plan = make_plan(18)
     monkeypatch.setattr(nn, "adam_step", _no_step)
     with pytest.raises(agent.AgentError, match="FQE pretraining needs transitions") as err:
-        agent.pretrain_fqe(*_fqe_args(plan, _FlatDataset(0), 4), helper_s={})
+        agent.pretrain_fqe(*_fqe_args(plan, _FlatDataset(0), 4))
     assert type(err.value) is agent.AgentError
 
 
@@ -746,11 +746,50 @@ def test_fqe_with_a_nan_reward_diverges_at_the_loops_step(n):
     rewards.flags.writeable = False
     dataset.arrays = (*dataset.arrays[:2], rewards, *dataset.arrays[3:])
     steps = []
-    for fqe in (_oracles.loop_pretrain_fqe, functools.partial(agent.pretrain_fqe, helper_s={})):
+    for fqe in (_oracles.loop_pretrain_fqe, agent.pretrain_fqe):
         with pytest.raises(agent.DivergenceError) as err:
             fqe(*_fqe_args(plan, dataset, 4))
         steps.append(err.value.snapshot["step"])
     assert steps == [1, 1]
+
+
+def test_bc_diverges_at_the_step_whose_batch_draws_a_nan_state():
+    plan = make_plan(13)
+    dataset = _FlatDataset(400)
+    draws = stream(3, "pretrain.bc")
+    first, second = (draws.integers(0, 400, size=256) for _ in range(2))
+    states = dataset.arrays[0].copy()
+    states[np.setdiff1d(second, first)[0]] = np.nan
+    states.flags.writeable = False
+    dataset.arrays = (states, *dataset.arrays[1:])
+    with pytest.raises(agent.DivergenceError, match="^BC loss diverged$") as err:
+        agent.pretrain_bc(dataset, plan.policy_spec, plan.policy_params.copy(), 5, 3, 1e-3)
+    assert err.value.snapshot == {"step": 1}
+
+
+def test_fqe_reaches_the_exact_policy_values_on_the_ring(monkeypatch):
+    """FQE of the zero action on one long rollout of the 3-state ring ends
+    within 1e-3 of V^pi, relative to its largest value. This is a learning
+    test: it moves when FQE's schedule does (its steps, step size or target
+    refresh). 300 rows build the tables and take 256-row steps. The steps
+    run whole here: split ones give the same bits
+    (`test_fqe_split_across_two_processes_keeps_every_bit`), and on 2 CPUs
+    with OpenBLAS's threads left on beside the polling helper, 1,200 split
+    steps took 26 s against 2 s whole."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    states, actions, rewards = _oracles.ring_trajectory_arrays(100)
+    data = _FlatDataset(0)
+    data.arrays = (states[:-1], actions, rewards, states[1:], np.zeros(300, dtype=bool))
+    spec = agent.critic_spec_for(3, 1, (64, 64))
+    params = nn.init_params(spec, np.random.default_rng(0))
+
+    def zero_action(s):
+        return np.zeros((s.shape[0], 1))
+
+    params, _ = agent.pretrain_fqe(data, zero_action, spec, params, 1200, 0.9, 0, 1e-3, target_every=12)
+    v = _oracles.ring_policy_values(0.9)
+    q = nn.forward(spec, params, np.concatenate([np.eye(3), np.zeros((3, 1))], axis=1))[:, 0]
+    assert np.abs(q - v).max() / np.abs(v).max() <= 1e-3
 
 
 @pytest.mark.parametrize("capacity", [16, 200])

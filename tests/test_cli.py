@@ -776,6 +776,34 @@ def test_an_fqe_divergence_after_the_join_stops_fqes_helper_before_its_snapshot(
     assert not (tmp_path / "run" / "checkpoint.leqa").exists()
 
 
+# lr_pretrain 1e300 overflows BC's first update on purpose, and the second
+# step's forward turns the overflow into NaNs
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "env, overrides",
+    [("dense_chain", {"beta": 0.0, "policy_update": "q_value"}), ("point_maze_u", {})],
+    ids=["model-free", "beside-the-world-model"],
+)
+def test_a_bc_divergence_snapshots_bc_and_leaves_no_child(
+    env, overrides, tmp_path, monkeypatch, capsys, forks
+):
+    _two_cpus(monkeypatch)
+    raw = _run_config(
+        tmp_path, env=env,
+        agent_overrides={"bc_steps": 50, "fqe_steps": 20, "lr_pretrain": 1e300, **overrides},
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: BC loss diverged\n"
+    snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
+    assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("BC loss diverged", "bc", 1)
+    # only the world model's helper forked, and FQE never ran
+    assert forks == ([1] if env == "point_maze_u" else []) and multiprocessing.active_children() == []
+    assert not (tmp_path / "run" / "checkpoint.leqa").exists()
+    assert not (tmp_path / "run" / "world_model.leqm").exists()
+
+
 def test_pretrain_writes_the_ensemble_and_a_pretrained_checkpoint(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(_run_config(tmp_path)))
@@ -878,7 +906,8 @@ def test_ablate_records_a_failed_ensemble_and_runs_on(tmp_path, monkeypatch):
     assert cli.main(["ablate", str(config), "--out-dir", str(out)]) == 0
     with open(out / "ablation.csv", encoding="utf-8", newline="") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert (row["status"], row["n_seeds"], row["n_completed"]) == ("diverged", "2", "1")
+    # a failed ensemble is no divergence
+    assert (row["status"], row["n_seeds"], row["n_completed"]) == ("failed", "2", "1")
     assert "seed0:" in row["notes"] and "planted for seed 0" in row["notes"]
     assert math.isfinite(float(row["mean_return"]))
     assert not (out / "tau_low" / "seed0" / "report.json").exists()
@@ -914,3 +943,61 @@ def test_verify_theory_maps_a_theory_error_to_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(theory, "lemma1_check", broken)
     assert cli.main(["verify-theory", "--trials", "1"]) == 1
     assert "error: planted" in capsys.readouterr().err
+
+
+def test_gen_data_writes_the_dataset_collect_dataset_makes(tmp_path, capsys):
+    out = tmp_path / "d.leqd"
+    argv = ["gen-data", "--env", "dense_chain", "--collector", "mixed", "--n", "3", "--seed", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}\n  trajectories:      3\n")
+    got = datasets.load_dataset(out)
+    want = datasets.collect_dataset(envs.make_env_spec("dense_chain"), "mixed", 3, 4)
+    assert got.metadata == want.metadata and len(got.trajectories) == 3
+    for a, b in zip(got.flat_arrays(), want.flat_arrays()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_eval_reports_a_checkpoints_step_and_scores(tmp_path, capsys):
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value", "n_iter": 5}
+    )
+    cli.run_training(parse_run_config(raw), str(tmp_path / "run"))
+    ckpt, out = str(tmp_path / "run" / "checkpoint.leqa"), tmp_path / "eval.json"
+    capsys.readouterr()
+    assert cli.main(["eval", ckpt, "--episodes", "2", "--seed", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == payload
+    assert sorted(payload) == ["checkpoint", "mean_length", "mean_return", "step", "success_rate"]
+    assert (payload["checkpoint"], payload["step"]) == (ckpt, 5)
+    state = agent.load_agent(ckpt)
+    scores = agent.evaluate_policy(state.policy, state.env_spec, 2, 1)
+    assert {k: payload[k] for k in scores} == scores
+
+
+def test_verify_theory_writes_its_scans_and_a_clean_report(tmp_path, capsys):
+    out = tmp_path / "theory"
+    assert cli.main(["verify-theory", "--trials", "2000", "--out-dir", str(out)]) == 0
+    for label in ("normal", "uniform"):
+        with open(out / f"scan_{label}.csv", encoding="utf-8", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 40_000
+    report = json.loads((out / "theory_report.json").read_text())
+    assert report["monte_carlo"]["violations"] == 0 and report["lemma_sweep"]["failed"] == 0
+    assert (report["scan_normal"]["exception_count"], report["scan_uniform"]["exception_count"]) == (0, 39)
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_theory_reports_the_counterexamples_of_a_bad_refinement(tmp_path, monkeypatch, capsys):
+    from leq_lab import theory
+
+    refined = theory._empirical_refined
+    # every refinement lands 10 further from its target than it should
+    monkeypatch.setattr(theory, "_empirical_refined", lambda *args: refined(*args) + 10.0)
+    out = tmp_path / "theory"
+    assert cli.main(["verify-theory", "--trials", "200", "--out-dir", str(out)]) == 1
+    failed, *lines = capsys.readouterr().err.splitlines()
+    assert failed.startswith("monte carlo FAILED: ") and "refinements increased the error" in failed
+    examples = [json.loads(line) for line in lines]
+    assert len(examples) == 5 and all(ex["error_increase"] > 0.0 for ex in examples)
+    report = json.loads((out / "theory_report.json").read_text())
+    assert report["monte_carlo"]["counterexamples"] == examples
+    assert report["monte_carlo"]["error"] == failed.removeprefix("monte carlo FAILED: ")

@@ -1,6 +1,7 @@
 """Every file leq_lab writes: round trips, damage detection and atomic writes."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,13 @@ def _agent():
     state.buffer.insert(np.ones((7, state.env_spec.obs_dim)))
     state.step = 7
     state.extra = {"pretrain": {"bc_mse": 0.5}}
+    state.seed = 3
     state.dataset_sha256 = "cd" * 32
     return state
+
+
+def _ensemble():
+    return replace(tiny_ensemble(), seed=3, dataset_sha256="ab" * 32)
 
 
 # kind -> (object factory, save(path, obj), load(path), the loader's error class)
@@ -34,13 +40,8 @@ KINDS = {
         datasets.load_dataset,
         datasets.DatasetFormatError,
     ),
-    "agent": (
-        _agent,
-        lambda path, state: agent.save_agent(path, state, seed=3, extra=state.extra),
-        agent.load_agent,
-        agent.AgentFormatError,
-    ),
-    "ensemble": (tiny_ensemble, wm.save_ensemble, wm.load_ensemble, wm.WorldModelFormatError),
+    "agent": (_agent, agent.save_agent, agent.load_agent, agent.AgentFormatError),
+    "ensemble": (_ensemble, wm.save_ensemble, wm.load_ensemble, wm.WorldModelFormatError),
 }
 
 
@@ -97,11 +98,32 @@ def test_damaged_file_is_rejected(kind, damage, tmp_path):
 
 def test_an_ensemble_file_records_the_run_seed_and_the_dataset_sha256(tmp_path):
     path = tmp_path / "file.leqm"
-    wm.save_ensemble(path, tiny_ensemble(), seed=3, dataset_sha256="ab" * 32)
+    wm.save_ensemble(path, _ensemble())
     header = _oracles.container_parts(path.read_bytes())[1]
     assert (header["version"], header["seed"], header["dataset_sha256"]) == (3, 3, "ab" * 32)
     loaded = wm.load_ensemble(path)
     assert (loaded.seed, loaded.dataset_sha256) == (3, "ab" * 32)
+
+
+@pytest.mark.parametrize("kind", ["agent", "ensemble"])
+def test_a_loaded_file_saves_again_with_its_seed_sha256_and_summary(kind, tmp_path):
+    make, save, load, _ = KINDS[kind]
+    want = make()
+    # a save takes nothing but the path and the object, and writes all of it
+    save(tmp_path / "again", load(_saved(kind, tmp_path)))
+    loaded = load(tmp_path / "again")
+    assert (loaded.seed, loaded.dataset_sha256) == (want.seed, want.dataset_sha256) != (None, None)
+    if kind == "agent":
+        assert loaded.extra == want.extra == {"pretrain": {"bc_mse": 0.5}}
+
+
+def test_a_built_agent_and_a_trained_ensemble_record_their_seed():
+    spec = envs.make_env_spec("dense_chain")
+    assert agent.build_agent(agent.AgentConfig(), spec, seed=5).seed == 5
+    data = datasets.collect_dataset(spec, "mixed", 3, seed=0)
+    config = wm.WorldModelConfig(n_members=2, n_elites=1, hidden_dims=(4,), train_steps=2)
+    ensemble = wm.train_ensemble(data, config, 5)
+    assert (ensemble.seed, ensemble.dataset_sha256) == (5, None)
 
 
 def _fail_replace(monkeypatch):
