@@ -303,43 +303,31 @@ class _CriticEval:
     boot_q: np.ndarray  # (B, H+1), terminal apex zeroed
 
 
-def _recording_policy(plan, steps: list):
+def _recording_policy(state, steps: list):
     """The rollout policy, appending each call's (acts, cache) to `steps`."""
 
     def policy(states):
-        steps.append(_policy_forward(plan.policy_spec, plan.policy_params, states))
+        steps.append(_policy_forward(state.policy_spec, state.policy_params, states))
         return steps[-1][0]
 
     return policy
 
 
-def _policy_eval(plan, rollouts, steps: list) -> _PolicyEval:
+def _policy_eval(state, rollouts, steps: list) -> _PolicyEval:
     """`_PolicyEval` from a `_recording_policy` rollout's `steps` and its last states."""
-    steps = [*steps, _policy_forward(plan.policy_spec, plan.policy_params, rollouts.states[:, -1])]
+    steps = [*steps, _policy_forward(state.policy_spec, state.policy_params, rollouts.states[:, -1])]
     return _PolicyEval(np.concatenate([acts for acts, _ in steps]), steps)
 
 
-def _critic_eval(plan, rollouts, pol: _PolicyEval) -> _CriticEval:
+def _critic_eval(state, rollouts, pol: _PolicyEval) -> _CriticEval:
     B, Hp1, S = rollouts.states.shape
     flat = rollouts.states.transpose(1, 0, 2).reshape(Hp1 * B, S)
-    q, cache = _critic_forward(plan.critic_spec, plan.critic_params, flat, pol.acts)
+    q, cache = _critic_forward(state.critic_spec, state.critic_params, flat, pol.acts)
     boot_q = np.ascontiguousarray(q.reshape(Hp1, B).T)
     rows = np.arange(B)
     apex = rollouts.t_eff
     boot_q[rows, apex] = np.where(rollouts.terminal, 0.0, boot_q[rows, apex])
     return _CriticEval(q, cache, boot_q)
-
-
-@dataclass
-class _Plan:
-    """Parameter bundle threaded through loss computations, with the env
-    whose termination rule the MOBILE targets apply to predicted states."""
-
-    policy_spec: nn.MlpSpec
-    policy_params: np.ndarray
-    critic_spec: nn.MlpSpec
-    critic_params: np.ndarray
-    env_spec: envs.EnvSpec
 
 
 def _split_elites(elite_idx: tuple) -> tuple[tuple, tuple]:
@@ -370,10 +358,10 @@ def _lcb_rows(rollouts) -> tuple:
     return rollouts.states[:, :-1][valid], rollouts.actions[valid]
 
 
-def _elite_preds(ensemble, plan, gamma: float, members, s, a) -> tuple[list, list]:
+def _elite_preds(ensemble, state, members, s, a) -> tuple[list, list]:
     """r_m + gamma * (1 - done(s')) * Q(s', pi(s')) and Q(s', pi(s')) for
     each member m of `members`, in order, where (s' - s, r_m) is m's
-    predicted mean and done is `plan.env_spec`'s termination rule."""
+    predicted mean and done is `state.env_spec`'s termination rule."""
     preds_r, preds_q = [], []
     x = np.concatenate([s, a], axis=1)
     for m in members:
@@ -381,46 +369,46 @@ def _elite_preds(ensemble, plan, gamma: float, members, s, a) -> tuple[list, lis
         mu = out[:, : ensemble.obs_dim + 1]
         nxt = s + mu[:, : ensemble.obs_dim]
         r = mu[:, ensemble.obs_dim]
-        acts = _policy_forward(plan.policy_spec, plan.policy_params, nxt)[0]
-        q = _critic_forward(plan.critic_spec, plan.critic_params, nxt, acts)[0]
-        done = envs.terminated_batch(plan.env_spec, nxt)
-        preds_r.append(r + gamma * (1.0 - done) * q)
+        acts = _policy_forward(state.policy_spec, state.policy_params, nxt)[0]
+        q = _critic_forward(state.critic_spec, state.critic_params, nxt, acts)[0]
+        done = envs.terminated_batch(state.env_spec, nxt)
+        preds_r.append(r + state.config.gamma * (1.0 - done) * q)
         preds_q.append(q)
     return preds_r, preds_q
 
 
 @dataclass
 class _MappedElites:
-    """The elite helper's function. `s`, `a`, `plan`'s parameters and
+    """The elite helper's function. `state` is a `dataclasses.replace`
+    copy of the run's state, whose specs, env spec and config
+    `_elite_preds` reads. Its policy and critic parameters, `s`, `a` and
     `preds` are float64 views of one anonymous shared mapping made before
     the fork, so a call carries only its row count n; the helper writes
-    `_elite_preds` of the first n rows into `preds[:, :, :n]`, then replies."""
+    `_elite_preds` of the first n rows into `preds[:, :, :n]`, then
+    replies."""
 
     ensemble: object
-    plan: _Plan  # the specs and env spec, with the mapping's parameters
-    gamma: float
+    state: AgentState  # the run's state, with the mapping's parameters
     members: tuple  # the helper's `_split_elites` share
     s: np.ndarray  # (batch_model * horizon, S): room for every (b, t) of a rollout
     a: np.ndarray  # (batch_model * horizon, A)
     preds: np.ndarray  # (2, len(members), batch_model * horizon): the targets, then Q
 
     @classmethod
-    def create(cls, nets: "_Plan | AgentState", config: AgentConfig, ensemble) -> "_MappedElites":
+    def create(cls, state: AgentState, ensemble) -> "_MappedElites":
+        config = state.config
         rows, members = config.batch_model * config.horizon, _split_elites(ensemble.elite_idx)[1]
         s, a, p, c, preds = forked.shared_arrays(
-            (rows, ensemble.obs_dim), (rows, ensemble.act_dim), nets.policy_params.shape,
-            nets.critic_params.shape, (2, len(members), rows),
+            (rows, ensemble.obs_dim), (rows, ensemble.act_dim), state.policy_params.shape,
+            state.critic_params.shape, (2, len(members), rows),
         )
-        plan = _Plan(nets.policy_spec, p, nets.critic_spec, c, nets.env_spec)
-        return cls(ensemble, plan, config.gamma, members, s, a, preds)
+        return cls(ensemble, replace(state, policy_params=p, critic_params=c), members, s, a, preds)
 
     def __call__(self, n: int) -> None:
-        self.preds[:, :, :n] = _elite_preds(
-            self.ensemble, self.plan, self.gamma, self.members, self.s[:n], self.a[:n]
-        )
+        self.preds[:, :, :n] = _elite_preds(self.ensemble, self.state, self.members, self.s[:n], self.a[:n])
 
 
-def _send_elites(helper, plan, rollouts) -> None:
+def _send_elites(helper, state, rollouts) -> None:
     """Hand the helper its `_split_elites` share of a step's LCB predictions:
     write the `_lcb_rows` and parameters into its `_MappedElites` mapping,
     then call with the row count alone. The next write follows `result()`."""
@@ -428,12 +416,12 @@ def _send_elites(helper, plan, rollouts) -> None:
     if n := s.shape[0]:
         mapped = helper.fn
         mapped.s[:n], mapped.a[:n] = s, a
-        mapped.plan.policy_params[:] = plan.policy_params
-        mapped.plan.critic_params[:] = plan.critic_params
+        mapped.state.policy_params[:] = state.policy_params
+        mapped.state.critic_params[:] = state.critic_params
         helper.call(n)
 
 
-def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> np.ndarray:
+def _mobile_targets(state, ensemble, s, a, remote=None) -> np.ndarray:
     """One-step targets r + gamma * (1 - done) * Q(s', pi(s')) at N >= 1
     rows (s, a), averaged over all elites and penalized by c times the
     population std of their Q(s', pi(s')): the MOBILE-style LCB baseline.
@@ -443,7 +431,7 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> n
     predictions, read from its mapping once `result()` returns, join them
     in elite order."""
     here = ensemble.elite_idx if remote is None else _split_elites(ensemble.elite_idx)[0]
-    preds_r, preds_q = _elite_preds(ensemble, plan, config.gamma, here, s, a)
+    preds_r, preds_q = _elite_preds(ensemble, state, here, s, a)
     if remote is not None:
         remote.result()
         theirs = remote.fn.preds[:, :, : s.shape[0]]
@@ -451,22 +439,22 @@ def _mobile_targets(plan, config: AgentConfig, ensemble, s, a, remote=None) -> n
         preds_q += list(theirs[1])
     preds_r = np.stack(preds_r)  # (E, N)
     preds_q = np.stack(preds_q)
-    return preds_r.mean(axis=0) - config.lcb_c * preds_q.std(axis=0)
+    return preds_r.mean(axis=0) - state.config.lcb_c * preds_q.std(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # critic losses
 
 
-def _bellman_target(plan, config: AgentConfig, batch: dict) -> np.ndarray:
+def _bellman_target(state, batch: dict) -> np.ndarray:
     """r + gamma * (1 - done) * Q(s', pi(s')) on real transitions, as a constant."""
     next_s = batch["next_states"]
-    next_acts = _policy_forward(plan.policy_spec, plan.policy_params, next_s)[0]
-    next_q = _critic_forward(plan.critic_spec, plan.critic_params, next_s, next_acts)[0]
-    return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
+    next_acts = _policy_forward(state.policy_spec, state.policy_params, next_s)[0]
+    next_q = _critic_forward(state.critic_spec, state.critic_params, next_s, next_acts)[0]
+    return batch["rewards"] + state.config.gamma * (1.0 - batch["terminals"]) * next_q
 
 
-def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval, remote=None):
+def critic_loss_model(state, ensemble, rollouts, pol: _PolicyEval, remote=None):
     """Asymmetric squared error of Q against rollout targets, with its
     gradient.
 
@@ -476,20 +464,21 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
     onto its LCB targets, built from those actions, symmetrically (tau
     0.5); under awr a_t is the noisy rollout action, not pi(s_t).
     """
+    config = state.config
     if config.conservatism == "mobile_lcb":
         s, a = _lcb_rows(rollouts)
         if not s.shape[0]:
-            return 0.0, np.zeros_like(plan.critic_params)
-        q, cache = _critic_forward(plan.critic_spec, plan.critic_params, s, a)
-        y = _mobile_targets(plan, config, ensemble, s, a, remote)
+            return 0.0, np.zeros_like(state.critic_params)
+        q, cache = _critic_forward(state.critic_spec, state.critic_params, s, a)
+        y = _mobile_targets(state, ensemble, s, a, remote)
         rows = slice(None)
         tau = 0.5
     else:
-        ce = _critic_eval(plan, rollouts, pol)
+        ce = _critic_eval(state, rollouts, pol)
         targets, valid = _model_targets(config, rollouts, ce.boot_q)
         flat_idx = np.argwhere(valid)
         if flat_idx.size == 0:
-            return 0.0, np.zeros_like(plan.critic_params)
+            return 0.0, np.zeros_like(state.critic_params)
         y = targets[flat_idx[:, 0], flat_idx[:, 1]]
         q, cache = ce.q, ce.cache
         rows = flat_idx[:, 1] * valid.shape[0] + flat_idx[:, 0]  # k-major row of (b, t)
@@ -501,70 +490,70 @@ def critic_loss_model(plan, config: AgentConfig, ensemble, rollouts, pol: _Polic
     cot = np.zeros((q.size, 1))
     cot[rows, 0] = 2.0 * w * diff / n_valid
     grad, _ = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+        state.critic_spec, state.critic_params, cache, cot, params_only=True
     )
     return loss, grad
 
 
-def critic_loss_env(plan, config: AgentConfig, batch: dict, fwd: tuple):
+def critic_loss_env(state, batch: dict, fwd: tuple):
     """One-step Bellman regression on real transitions, target frozen.
 
     `fwd` is the critic's `_critic_forward` (q, cache) over batch's (s, a),
     which `critic_loss_ema` shares. Returns the loss and the residual
     q - target; `_real_batch_grad` turns the residuals of both terms into
     one gradient."""
-    target = _bellman_target(plan, config, batch)
+    target = _bellman_target(state, batch)
     diff = fwd[0] - target
     return float(0.5 * (diff * diff).mean()), diff
 
 
-def critic_loss_ema(plan, shadow_params, batch: dict, fwd: tuple):
-    """Squared drift of the critic from its EMA shadow on real (s, a), at
-    `critic_loss_env`'s `fwd`. Returns the loss and the residual
-    q - q_shadow."""
+def critic_loss_ema(state, batch: dict, fwd: tuple):
+    """Squared drift of the critic from its EMA shadow, `state.critic_ema`,
+    on real (s, a), at `critic_loss_env`'s `fwd`. Returns the loss and the
+    residual q - q_shadow."""
     q_shadow = _critic_forward(
-        plan.critic_spec, shadow_params, batch["states"], batch["actions"]
+        state.critic_spec, state.critic_ema, batch["states"], batch["actions"]
     )[0]
     diff = fwd[0] - q_shadow
     return float((diff * diff).mean()), diff
 
 
-def _real_batch_grad(plan, config: AgentConfig, cache, d_env, d_ema) -> np.ndarray:
+def _real_batch_grad(state, cache, d_env, d_ema) -> np.ndarray:
     """Gradient of (1 - beta) * L_env + omega * L_ema from their residuals
     at one critic forward's `cache`: the cotangents are mixed first, so one
     backward covers both terms."""
+    config = state.config
     cot = (((1.0 - config.beta) * d_env + 2.0 * config.omega_ema * d_ema) / d_env.size)[:, None]
     grad, _ = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, cache, cot, params_only=True
+        state.critic_spec, state.critic_params, cache, cot, params_only=True
     )
     return grad
 
 
-def critic_loss_total(
-    plan, config: AgentConfig, ensemble, rollouts, env_batch, shadow_params, pol: _PolicyEval,
-    remote=None,
-):
+def critic_loss_total(state, ensemble, rollouts, env_batch, pol: _PolicyEval, remote=None):
     """beta * L_model + (1 - beta) * L_env + omega * L_ema, with gradient.
 
-    The env and EMA terms share one critic forward over the real (s, a)
-    batch and one backward, `_real_batch_grad`.
+    L_ema anchors to the EMA shadow, `state.critic_ema`. The env and EMA
+    terms share one critic forward over the real (s, a) batch and one
+    backward, `_real_batch_grad`.
     Given the helper `_send_elites` called, `_mobile_targets` shares its
     elites with it, which computes them while the env and EMA terms and the
     LCB-row critic forward run here.
     """
-    target = _bellman_target(plan, config, env_batch)
+    config = state.config
+    target = _bellman_target(state, env_batch)
     q_shadow = _critic_forward(
-        plan.critic_spec, shadow_params, env_batch["states"], env_batch["actions"]
+        state.critic_spec, state.critic_ema, env_batch["states"], env_batch["actions"]
     )[0]
     q, cache = _critic_forward(
-        plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
+        state.critic_spec, state.critic_params, env_batch["states"], env_batch["actions"]
     )
     d_env = q - target
     d_ema = q - q_shadow
     l_env = float(0.5 * (d_env * d_env).mean())
     l_ema = float((d_ema * d_ema).mean())
-    g_env_ema = _real_batch_grad(plan, config, cache, d_env, d_ema)
-    l_model, g_model = critic_loss_model(plan, config, ensemble, rollouts, pol, remote)
+    g_env_ema = _real_batch_grad(state, cache, d_env, d_ema)
+    l_model, g_model = critic_loss_model(state, ensemble, rollouts, pol, remote)
     total = config.beta * l_model + (1.0 - config.beta) * l_env + config.omega_ema * l_ema
     grad = config.beta * g_model + g_env_ema
     parts = {"loss_model": l_model, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
@@ -575,10 +564,7 @@ def critic_loss_total(
 # policy losses
 
 
-def _policy_pathwise(
-    plan, config: AgentConfig, ensemble, rollouts, weights, pol: _PolicyEval, ce: _CriticEval,
-    qlam, valid,
-):
+def _policy_pathwise(state, ensemble, rollouts, weights, pol: _PolicyEval, ce: _CriticEval, qlam, valid):
     """Loss -mean(w_t * Qlam_t) and its pathwise gradient w.r.t. policy params.
 
     `weights` (B, H) are constants, and `qlam` and `valid` the lambda-returns
@@ -597,7 +583,7 @@ def _policy_pathwise(
         raise AgentError("policy update needs rollouts recorded with differentiable=True")
     n_valid = int(valid.sum())
     if n_valid == 0:
-        return 0.0, np.zeros_like(plan.policy_params), {"qlam_mean": 0.0}
+        return 0.0, np.zeros_like(state.policy_params), {"qlam_mean": 0.0}
     loss = -float((weights * qlam).sum() / n_valid)
 
     rows = np.arange(B)
@@ -606,23 +592,23 @@ def _policy_pathwise(
     bootstrap_ok[k_idx <= rollouts.t_eff[:, None]] = 1.0
     bootstrap_ok[rows, rollouts.t_eff] = np.where(rollouts.terminal, 0.0, 1.0)
     c_r, c_q = returns.policy_grad_coefficients(
-        -weights / n_valid, rollouts.t_eff, bootstrap_ok, config.lam, config.gamma
+        -weights / n_valid, rollouts.t_eff, bootstrap_ok, state.config.lam, state.config.gamma
     )
 
     S = ensemble.obs_dim
     # all critic input gradients at once: cotangent c_q[b, k] on row k*B + b
     _, g_in = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, ce.cache, c_q.T.reshape(-1, 1), input_only=True
+        state.critic_spec, state.critic_params, ce.cache, c_q.T.reshape(-1, 1), input_only=True
     )
     g_s_crit = g_in[:, :S].reshape(H + 1, B, S)
     g_a_crit = g_in[:, S:].reshape(H + 1, B, -1)
-    theta_grad = np.zeros_like(plan.policy_params)
+    theta_grad = np.zeros_like(state.policy_params)
 
     def policy_backprop(k, g_action):
         # push s_k's action cotangent through tanh(mlp(s_k))
         acts, cache = pol.steps[k]
         g_params, g_states = nn.backward_cached(
-            plan.policy_spec, plan.policy_params, cache, g_action * (1.0 - acts * acts)
+            state.policy_spec, state.policy_params, cache, g_action * (1.0 - acts * acts)
         )
         np.add(theta_grad, g_params, out=theta_grad)
         return g_states
@@ -642,45 +628,44 @@ def _policy_pathwise(
     return loss, theta_grad, info
 
 
-def policy_loss_surrogate(plan, config: AgentConfig, ensemble, rollouts, pol: _PolicyEval):
+def policy_loss_surrogate(state, ensemble, rollouts, pol: _PolicyEval):
     """Expectile-weighted lambda-return ascent with frozen weights.
 
     w_t = |tau - 1(Q(s_t, a_t) > Qlam_t)| uses the rollout actions a_t; the
     indicator and weight are constants for the gradient. The rollout ran
     noise-free, so a_t = pi(s_t) and Q(s_t, a_t) is the bootstrap at t.
     """
-    ce = _critic_eval(plan, rollouts, pol)
+    config = state.config
+    ce = _critic_eval(state, rollouts, pol)
     qlam, valid = returns.lambda_return_batch(
         rollouts.rewards, ce.boot_q, rollouts.t_eff, config.lam, config.gamma
     )
     q_taken = np.where(valid, ce.boot_q[:, :-1], 0.0)
     weights = np.where(valid, expectile_weight(q_taken - qlam, config.tau), 0.0)
-    loss, grad, info = _policy_pathwise(
-        plan, config, ensemble, rollouts, weights, pol, ce, qlam, valid
-    )
+    loss, grad, info = _policy_pathwise(state, ensemble, rollouts, weights, pol, ce, qlam, valid)
     info["weight_mean"] = float(weights[valid].mean()) if valid.any() else 0.0
     info["weights"] = weights
     return loss, grad, info
 
 
-def _policy_q_value(plan, states):
+def _policy_q_value(state, states):
     """DDPG-style loss -mean Q(s, pi(s)) on a batch of states."""
-    acts, p_cache = _policy_forward(plan.policy_spec, plan.policy_params, states)
-    q, c_cache = _critic_forward(plan.critic_spec, plan.critic_params, states, acts)
+    acts, p_cache = _policy_forward(state.policy_spec, state.policy_params, states)
+    q, c_cache = _critic_forward(state.critic_spec, state.critic_params, states, acts)
     loss = -float(q.mean())
     cot = np.full((q.size, 1), -1.0 / q.size)
     _, g_in = nn.backward_cached(
-        plan.critic_spec, plan.critic_params, c_cache, cot, input_only=True
+        state.critic_spec, state.critic_params, c_cache, cot, input_only=True
     )
     g_action = g_in[:, states.shape[1] :]
     g_pre = g_action * (1.0 - acts * acts)
     grad, _ = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, p_cache, g_pre, params_only=True
+        state.policy_spec, state.policy_params, p_cache, g_pre, params_only=True
     )
     return loss, grad, {}
 
 
-def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
+def awr_policy_loss(state, rollouts, pol: _PolicyEval):
     """Advantage-weighted regression toward rollout actions.
 
     Weights min(exp(A_t / alpha), 20) are constants; the loss pulls
@@ -689,8 +674,9 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     cotangents on the rows of invalid (b, t).
     """
     if not rollouts.t_eff.any():
-        return 0.0, np.zeros_like(plan.policy_params), {}
-    boot_q = _critic_eval(plan, rollouts, pol).boot_q
+        return 0.0, np.zeros_like(state.policy_params), {}
+    config = state.config
+    boot_q = _critic_eval(state, rollouts, pol).boot_q
     qlam, valid = returns.lambda_return_batch(
         rollouts.rewards, boot_q, rollouts.t_eff, config.lam, config.gamma
     )
@@ -707,7 +693,7 @@ def awr_policy_loss(plan, config: AgentConfig, rollouts, pol: _PolicyEval):
     g_pre = np.zeros_like(pol.acts)
     g_pre[rows] = 2.0 * w[:, None] * res / w.size * (1.0 - acts * acts)
     grad, _ = nn.backward_cached(
-        plan.policy_spec, plan.policy_params, pol.cache, g_pre, params_only=True
+        state.policy_spec, state.policy_params, pol.cache, g_pre, params_only=True
     )
     return loss, grad, {"awr_weight_mean": float(w.mean())}
 
@@ -1057,10 +1043,11 @@ def elite_helper(state: AgentState, ensemble):
     """A context that yields the `forked.Helper` for `state`'s main-loop
     steps, bound to `ensemble`'s elite predictions, or None.
 
-    Its function, a `_MappedElites`, shares one mapping with the helper:
-    `_send_elites` writes a step's LCB rows and parameters there and
-    calls with the row count alone, and the helper writes its predictions
-    there, so a call pickles nothing either way.
+    Its function, a `_MappedElites`, holds a copy of `state` whose policy
+    and critic parameters live in the one mapping it shares with the
+    helper: `_send_elites` writes a step's LCB rows and parameters there
+    and calls with the row count alone, and the helper writes its
+    predictions there, so a call pickles nothing either way.
 
     Only a mobile_lcb step with beta > 0 gives a helper work, and only
     with a model and a step left to run is one forked (where
@@ -1074,7 +1061,7 @@ def elite_helper(state: AgentState, ensemble):
     uses = config.beta > 0.0 and config.conservatism == "mobile_lcb"
     if not uses or ensemble is None or state.step >= config.n_iter:
         return contextlib.nullcontext()
-    return forked.serving(_MappedElites.create(state, config, ensemble))
+    return forked.serving(_MappedElites.create(state, ensemble))
 
 
 def train_step(
@@ -1087,6 +1074,11 @@ def train_step(
     helper=None,
 ) -> dict:
     """One critic step, one EMA update, one actor step; returns metrics.
+
+    Every loss reads the networks, the config and the EMA shadow from
+    `state` itself, so the step builds no bundle of them. The critic's Adam
+    step updates `state.critic_params` in place, so the actor's loss sees
+    the new critic.
 
     At beta > 0 the critic step is `critic_loss_total`. At beta 0 it is
     `critic_loss_env` and `critic_loss_ema` on one shared critic forward
@@ -1102,9 +1094,6 @@ def train_step(
     here.
     """
     config = state.config
-    plan = _Plan(
-        state.policy_spec, state.policy_params, state.critic_spec, state.critic_params, state.env_spec
-    )
     term_fn = functools.partial(envs.terminated_batch, state.env_spec)
     # the rollout's policy forwards serve both loss phases, as the policy is fixed until its Adam
     # step; the lambda_expectile and awr actors and the lower_expectile model term read them
@@ -1114,7 +1103,7 @@ def train_step(
         noise = config.sigma_exp if config.policy_update == "awr" else 0.0
         rollouts = world_model.imagine_rollout(
             ensemble,
-            _recording_policy(plan, steps) if reads_pol else state.policy,
+            _recording_policy(state, steps) if reads_pol else state.policy,
             start_states,
             config.horizon,
             term_fn,
@@ -1123,24 +1112,22 @@ def train_step(
             differentiable=config.policy_update == "lambda_expectile",
         )
     if helper is not None:
-        _send_elites(helper, plan, rollouts)
+        _send_elites(helper, state, rollouts)
 
-    pol = _policy_eval(plan, rollouts, steps) if reads_pol and rollouts is not None else None
+    pol = _policy_eval(state, rollouts, steps) if reads_pol and rollouts is not None else None
     if config.policy_update == "awr":  # joined while the helper computes its elites
         pol.cache, pol.steps = nn._concat_caches([cache for _, cache in pol.steps]), []
     del steps  # so a joined `pol` holds the rollout's policy caches once
     if config.beta > 0.0:
-        total, c_grad, parts = critic_loss_total(
-            plan, config, ensemble, rollouts, env_batch, state.critic_ema, pol, helper
-        )
+        total, c_grad, parts = critic_loss_total(state, ensemble, rollouts, env_batch, pol, helper)
     else:
         fwd = _critic_forward(
-            plan.critic_spec, plan.critic_params, env_batch["states"], env_batch["actions"]
+            state.critic_spec, state.critic_params, env_batch["states"], env_batch["actions"]
         )
-        l_env, d_env = critic_loss_env(plan, config, env_batch, fwd)
-        l_ema, d_ema = critic_loss_ema(plan, state.critic_ema, env_batch, fwd)
+        l_env, d_env = critic_loss_env(state, env_batch, fwd)
+        l_ema, d_ema = critic_loss_ema(state, env_batch, fwd)
         total = l_env + config.omega_ema * l_ema
-        c_grad = _real_batch_grad(plan, config, fwd[1], d_env, d_ema)
+        c_grad = _real_batch_grad(state, fwd[1], d_env, d_ema)
         parts = {"loss_model": 0.0, "loss_env": l_env, "loss_ema": l_ema, "loss_critic": total}
     if not (np.isfinite(total) and np.isfinite(c_grad).all()):
         raise DivergenceError("critic loss diverged", {"step": state.step, **parts})
@@ -1149,13 +1136,12 @@ def train_step(
     )
     nn.ema_update(state.critic_ema, state.critic_params, config.ema_decay)
 
-    # adam_step updated critic_params in place, so the actor sees the new values
     if config.policy_update == "lambda_expectile":
-        p_loss, p_grad, p_info = policy_loss_surrogate(plan, config, ensemble, rollouts, pol)
+        p_loss, p_grad, p_info = policy_loss_surrogate(state, ensemble, rollouts, pol)
     elif config.policy_update == "awr":
-        p_loss, p_grad, p_info = awr_policy_loss(plan, config, rollouts, pol)
+        p_loss, p_grad, p_info = awr_policy_loss(state, rollouts, pol)
     else:
-        p_loss, p_grad, p_info = _policy_q_value(plan, env_batch["states"])
+        p_loss, p_grad, p_info = _policy_q_value(state, env_batch["states"])
     if not (np.isfinite(p_loss) and np.isfinite(p_grad).all()):
         raise DivergenceError("policy loss diverged", {"step": state.step, "loss": p_loss})
     state.adam_actor, state.policy_params = nn.adam_step(

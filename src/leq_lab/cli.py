@@ -80,6 +80,12 @@ def _write_csv(path, rows: list[dict], columns: list[str]) -> None:
             writer.writerow([_fmt(row.get(col, "")) for col in columns])
 
 
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _read_csv(path) -> tuple[list[dict], list[str]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -143,8 +149,9 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
     run of another seed, or on a dataset file of another sha256, is not
     the model this run would train. Each refusal raises ConfigError before
     anything is written here. Only once the ensemble and the checkpoint
-    pass their checks does `effective_config.json` record the run's
-    config, so a refused run leaves the directory's record as it was.
+    pass their checks is `out_dir` made, if missing, and does
+    `effective_config.json` record the run's config, so a refused run
+    leaves the directory and its record as they were.
     Otherwise the ensemble trains (when the agent `agent.needs_model`) and
     the agent is built, pretrained and checkpointed, the ensemble saved
     first, so a checkpoint never lacks its ensemble. Pretraining writes
@@ -203,9 +210,8 @@ def _prepare_run(cfg: RunConfig, env_spec, dataset, out_dir: str, resume: bool, 
             f" {ensemble.dataset_sha256}, not of seed {cfg.seed} on {cfg.dataset} ({data_sha256})"
         )
     # every check has passed: the directory's record becomes this run's config
-    with open(os.path.join(out_dir, "effective_config.json"), "w", encoding="utf-8") as fh:
-        json.dump(_effective(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(os.path.join(out_dir, "effective_config.json"), _effective(cfg))
 
     pretrain = state.extra.setdefault("pretrain", {})
     config = state.config
@@ -386,7 +392,6 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     """
     heap.set_heap_policy()
     clock = _PhaseClock()
-    os.makedirs(out_dir, exist_ok=True)
     t_start = time.monotonic()
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
@@ -498,9 +503,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         report["elites"] = [int(v) for v in ensemble.elite_idx]
         report["ensemble_train_s"] = round(ensemble.train_s, 3)
     report["peak_rss_mb"] = peak_rss_mb
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "report.json"), report)
     return report
 
 
@@ -527,7 +530,6 @@ def cmd_train(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = _resolve_out_dir(cfg, args)
-    os.makedirs(out_dir, exist_ok=True)
     env_spec, dataset = _load_inputs(cfg)
     ensemble, state = _prepare_run(cfg, env_spec, dataset, out_dir, False, _PhaseClock())
     if ensemble is not None:
@@ -546,9 +548,7 @@ def cmd_eval(args) -> int:
     payload = {"checkpoint": args.checkpoint, "step": state.step, **scores}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, payload)
     return 0
 
 
@@ -698,11 +698,7 @@ def _verify_theory(theory, args) -> int:
                 rows,
                 list(rows[0].keys()),
             )
-        with open(
-            os.path.join(args.out_dir, "theory_report.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out_dir, "theory_report.json"), report)
         print(f"report: {os.path.join(args.out_dir, 'theory_report.json')}")
     return status
 
@@ -783,10 +779,17 @@ _USAGE_ERRORS = (
 
 
 def main(argv=None) -> int:
+    """Run one command and map its errors to exit codes.
+
+    The command runs without NumPy's overflow and invalid-value warnings,
+    and so does every helper it forks: a diverging run reports itself
+    through its loss checks, its `error:` line and divergence.json.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

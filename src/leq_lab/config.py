@@ -148,7 +148,7 @@ def _read_json(path, what: str):
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON text is UTF-8
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
 
 

@@ -371,36 +371,25 @@ class ScanResult:
     def exception_count(self) -> int:
         return int(self.exception_mask.sum())
 
+    def _cell(self, i: int, j: int) -> dict:
+        return {
+            "tau": float(self.taus[i]),
+            "tau_hat": float(self.tau_hats[j]),
+            "target": float(self.targets[i]),
+            "start": float(self.starts[j]),
+            "refined": float(self.refined[i, j]),
+            "error_diff": float(self.error_diff[i, j]),
+        }
+
     def exception_cells(self) -> list[dict]:
-        mask = self.exception_mask
-        cells = []
-        for i, j in zip(*np.nonzero(mask)):
-            cells.append(
-                {
-                    "tau": float(self.taus[i]),
-                    "tau_hat": float(self.tau_hats[j]),
-                    "target": float(self.targets[i]),
-                    "start": float(self.starts[j]),
-                    "refined": float(self.refined[i, j]),
-                    "error_diff": float(self.error_diff[i, j]),
-                }
-            )
-        return cells
+        return [self._cell(i, j) for i, j in zip(*np.nonzero(self.exception_mask))]
 
     def rows(self):
         """Per-cell dict rows in row-major order, ready for a CSV writer."""
         mask = self.exception_mask
-        for i, tau in enumerate(self.taus):
-            for j, tau_hat in enumerate(self.tau_hats):
-                yield {
-                    "tau": float(tau),
-                    "tau_hat": float(tau_hat),
-                    "target": float(self.targets[i]),
-                    "start": float(self.starts[j]),
-                    "refined": float(self.refined[i, j]),
-                    "error_diff": float(self.error_diff[i, j]),
-                    "exception": int(mask[i, j]),
-                }
+        for i in range(self.taus.size):
+            for j in range(self.tau_hats.size):
+                yield {**self._cell(i, j), "exception": int(mask[i, j])}
 
     def summary(self) -> dict:
         dist = self.distribution

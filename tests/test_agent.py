@@ -29,16 +29,16 @@ BATCH, HORIZON = 12, 5
 CHAIN = replace(envs.make_env_spec("dense_chain"), obs_dim=OBS, act_dim=ACT, chain_length=3.0)
 
 
-def make_plan(seed: int = 0) -> agent._Plan:
-    p_spec = agent.policy_spec_for(OBS, ACT, (16, 16))
-    c_spec = agent.critic_spec_for(OBS, ACT, (16, 16))
-    return agent._Plan(
-        p_spec,
-        nn.init_params(p_spec, np.random.default_rng(seed)),
-        c_spec,
-        nn.init_params(c_spec, np.random.default_rng(seed + 1)),
-        CHAIN,
-    )
+def make_plan(seed: int = 0, **config) -> agent.AgentState:
+    """A state built on `CHAIN` with (16, 16) networks drawn from `seed` and
+    `seed + 1`, the critic as its own EMA shadow, under a config of horizon
+    HORIZON with the fields `config` names."""
+    base = agent.AgentConfig(horizon=HORIZON, n_expand=1, hidden_actor=(16, 16), hidden_critic=(16, 16))
+    state = agent.build_agent(replace(base, **config), CHAIN, seed)
+    state.policy_params = nn.init_params(state.policy_spec, np.random.default_rng(seed))
+    state.critic_params = nn.init_params(state.critic_spec, np.random.default_rng(seed + 1))
+    state.critic_ema = state.critic_params.copy()
+    return state
 
 
 def never_terminal(states):
@@ -49,15 +49,15 @@ def far_is_terminal(states):
     return np.abs(states[:, 0]) > 3.0
 
 
-def loop_mobile(plan, config, ensemble, ro, termination=far_is_terminal):
-    """`_oracles.loop_mobile_targets` at `plan`'s networks: (B, H) targets."""
+def loop_mobile(plan, ensemble, ro, termination=far_is_terminal):
+    """`_oracles.loop_mobile_targets` at `plan`'s networks and config: (B, H) targets."""
     return _oracles.loop_mobile_targets(
         ensemble,
         agent.MlpPolicy(plan.policy_spec, plan.policy_params),
         lambda s, a: agent._critic_forward(plan.critic_spec, plan.critic_params, s, a)[0],
         ro,
-        config.gamma,
-        config.lcb_c,
+        plan.config.gamma,
+        plan.config.lcb_c,
         termination,
     )
 
@@ -101,20 +101,20 @@ def env_batch(seed: int, n: int = 10, obs: int = OBS, act: int = ACT) -> dict:
     }
 
 
-def bellman_target(plan, config, batch):
+def bellman_target(plan, batch):
     """r + gamma * (1 - done) * Q(s', pi(s')), one network call at a time."""
     policy = agent.MlpPolicy(plan.policy_spec, plan.policy_params)
     next_s = batch["next_states"]
     next_q = agent._critic_forward(plan.critic_spec, plan.critic_params, next_s, policy(next_s))[0]
-    return batch["rewards"] + config.gamma * (1.0 - batch["terminals"]) * next_q
+    return batch["rewards"] + plan.config.gamma * (1.0 - batch["terminals"]) * next_q
 
 
 def test_surrogate_gradient_matches_central_differences():
     plan = make_plan()
-    config = agent.AgentConfig(horizon=HORIZON)
+    config = plan.config
     ensemble = tiny_ensemble()
     starts, ro, pol = rollout(plan, never_terminal)
-    _, grad, info = agent.policy_loss_surrogate(plan, config, ensemble, ro, pol)
+    _, grad, info = agent.policy_loss_surrogate(plan, ensemble, ro, pol)
     weights = info["weights"]
     n_valid = int((ro.t_eff[:, None] > np.arange(HORIZON)[None, :]).sum())
 
@@ -141,10 +141,10 @@ def test_surrogate_gradient_matches_central_differences():
 
 def test_surrogate_weights_come_from_the_rollout_actions():
     plan = make_plan(2)
-    config = agent.AgentConfig(horizon=HORIZON)
+    config = plan.config
     _, ro, pol = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1  # the terminal path runs
-    _, _, info = agent.policy_loss_surrogate(plan, config, tiny_ensemble(), ro, pol)
+    _, _, info = agent.policy_loss_surrogate(plan, tiny_ensemble(), ro, pol)
 
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
     q_explicit = agent._critic_forward(
@@ -167,7 +167,7 @@ def test_surrogate_weights_come_from_the_rollout_actions():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_merged_policy_backward_matches_the_two_pass_gradient(seed):
     plan = make_plan(seed)
-    config = agent.AgentConfig(horizon=HORIZON)
+    config = plan.config
     ensemble = tiny_ensemble()
     rng = np.random.default_rng(60 + seed)
     starts = 2.0 * rng.normal(size=(BATCH, OBS))
@@ -183,14 +183,14 @@ def test_merged_policy_backward_matches_the_two_pass_gradient(seed):
     assert ro.t_eff[0] == 0 and ro.nonfinite[1] and ro.t_eff[1] == 1
     assert (ro.terminal & (ro.t_eff > 0)).any()
     pol = agent._policy_eval(plan, ro, steps)
-    _, grad, info = agent.policy_loss_surrogate(plan, config, ensemble, ro, pol)
+    _, grad, info = agent.policy_loss_surrogate(plan, ensemble, ro, pol)
 
     ce = agent._critic_eval(plan, ro, pol)
     qlam, valid = returns.lambda_return_batch(
         ro.rewards, ce.boot_q, ro.t_eff, config.lam, config.gamma
     )
     _, want = _oracles.two_pass_policy_pathwise(
-        plan, config, ensemble, ro, info["weights"], pol, ce, qlam, valid
+        plan, plan.config, ensemble, ro, info["weights"], pol, ce, qlam, valid
     )
     assert np.isfinite(grad).all() and np.abs(want).max() > 0.0
     # the per-state sums round apart, and near-zero entries carry the rounding of large ones
@@ -198,8 +198,8 @@ def test_merged_policy_backward_matches_the_two_pass_gradient(seed):
 
 
 def test_awr_gradient_matches_central_differences(monkeypatch):
-    plan = make_plan(4)
-    config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
+    plan = make_plan(4, policy_update="awr")
+    config = plan.config
     _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
     assert ro.terminal.any()
     forward, forwarded = nn.forward_cached, []
@@ -210,7 +210,7 @@ def test_awr_gradient_matches_central_differences(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(nn, "forward_cached", recording)
-        loss, grad, info = agent.awr_policy_loss(plan, config, ro, pol)
+        loss, grad, info = agent.awr_policy_loss(plan, ro, pol)
     # pi(s_t) comes from `pol`'s per-step forwards, not from another one
     assert plan.policy_spec not in forwarded
 
@@ -232,10 +232,10 @@ def test_awr_gradient_matches_central_differences(monkeypatch):
 
 
 def test_awr_gradient_from_the_per_step_caches_has_the_stacked_forwards_bits():
-    plan = make_plan(4)
-    config = agent.AgentConfig(horizon=HORIZON, policy_update="awr")
+    plan = make_plan(4, policy_update="awr")
+    config = plan.config
     _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
-    _, grad, _ = agent.awr_policy_loss(plan, config, ro, pol)
+    _, grad, _ = agent.awr_policy_loss(plan, ro, pol)
     # one policy forward over every rollout state, the way awr_policy_loss
     # read it before; a forward's bits can depend on its row
     # count, and at BATCH rows each per-step forward has the stacked rows' bits
@@ -243,13 +243,13 @@ def test_awr_gradient_from_the_per_step_caches_has_the_stacked_forwards_bits():
     acts, cache = agent._policy_forward(plan.policy_spec, plan.policy_params, flat)
     assert acts.tobytes() == pol.acts.tobytes()
     stacked = replace(pol, acts=acts, cache=cache)
-    _, want, _ = agent.awr_policy_loss(plan, config, ro, stacked)
+    _, want, _ = agent.awr_policy_loss(plan, ro, stacked)
     assert grad.tobytes() == want.tobytes()
 
 
 def test_awr_weight_of_an_overflowing_advantage_is_the_cap_without_a_warning():
-    plan = make_plan(4)
-    config = agent.AgentConfig(horizon=HORIZON, policy_update="awr", awr_alpha=1e-3)
+    plan = make_plan(4, policy_update="awr", awr_alpha=1e-3)
+    config = plan.config
     _, ro, pol = rollout(plan, far_is_terminal, noise=config.sigma_exp, seed=11, joined=True)
     # a reward of 1e3 at every valid step takes each A_t / alpha far past
     # 709, where exp overflows
@@ -257,29 +257,29 @@ def test_awr_weight_of_an_overflowing_advantage_is_the_cap_without_a_warning():
     planted = replace(ro, rewards=np.where(valid, 1e3, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        loss, grad, info = agent.awr_policy_loss(plan, config, planted, pol)
+        loss, grad, info = agent.awr_policy_loss(plan, planted, pol)
     assert info["awr_weight_mean"] == 20.0
     assert np.isfinite(loss) and np.isfinite(grad).all()
 
 
 @pytest.mark.parametrize("conservatism", ["lower_expectile", "mobile_lcb"])
 def test_critic_loss_total_gradient_matches_central_differences(conservatism):
-    plan = make_plan(6)
-    config = agent.AgentConfig(horizon=HORIZON, conservatism=conservatism, lcb_c=0.7)
+    plan = make_plan(6, conservatism=conservatism, lcb_c=0.7)
+    config = plan.config
     ensemble = tiny_ensemble()
     # mobile_lcb's awr rollouts take noisy actions, which pi(s_t) is not
     noise = config.sigma_exp if conservatism == "mobile_lcb" else 0.0
     _, ro, pol = rollout(plan, far_is_terminal, noise=noise, seed=13)
     batch = env_batch(14)
-    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(15))
-    total, grad, parts = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
+    plan.critic_ema = shadow = nn.init_params(plan.critic_spec, np.random.default_rng(15))
+    total, grad, parts = agent.critic_loss_total(plan, ensemble, ro, batch, pol)
 
     # every regression target frozen at the current params; mobile_lcb
     # regresses Q at the rollout's own actions
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
     model_states = ro.states[:, :HORIZON][valid]
     if conservatism == "mobile_lcb":
-        y_model = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
+        y_model = agent._mobile_targets(plan, ensemble, *agent._lcb_rows(ro))
         model_acts = ro.actions[valid]
         tau = 0.5
     else:
@@ -287,7 +287,7 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
         y_model = agent._model_targets(config, ro, boot_q)[0][valid]
         model_acts = agent.MlpPolicy(plan.policy_spec, plan.policy_params)(model_states)
         tau = config.tau
-    y_env = bellman_target(plan, config, batch)
+    y_env = bellman_target(plan, batch)
     y_ema = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
 
     def loss_at(theta):
@@ -307,11 +307,11 @@ def test_critic_loss_total_gradient_matches_central_differences(conservatism):
 
 
 def test_mixed_beta_zero_critic_gradient_matches_central_differences():
-    plan = make_plan(7)
-    config = agent.AgentConfig(beta=0.0, omega_ema=0.7)
+    plan = make_plan(7, beta=0.0, omega_ema=0.7)
+    config = plan.config
     batch = env_batch(17)
-    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(18))
-    y_env = bellman_target(plan, config, batch)
+    plan.critic_ema = shadow = nn.init_params(plan.critic_spec, np.random.default_rng(18))
+    y_env = bellman_target(plan, batch)
     y_ema = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
 
     def env_at(theta):
@@ -324,13 +324,13 @@ def test_mixed_beta_zero_critic_gradient_matches_central_differences():
 
     theta = plan.critic_params
     fwd = agent._critic_forward(plan.critic_spec, theta, batch["states"], batch["actions"])
-    l_env, d_env = agent.critic_loss_env(plan, config, batch, fwd)
-    l_ema, d_ema = agent.critic_loss_ema(plan, shadow, batch, fwd)
+    l_env, d_env = agent.critic_loss_env(plan, batch, fwd)
+    l_ema, d_ema = agent.critic_loss_ema(plan, batch, fwd)
     assert env_at(theta) == pytest.approx(l_env, rel=1e-12)
     assert ema_at(theta) == pytest.approx(l_ema, rel=1e-12)
     np.testing.assert_array_equal(d_env, fwd[0] - y_env)
     np.testing.assert_array_equal(d_ema, fwd[0] - y_ema)
-    grad = agent._real_batch_grad(plan, config, fwd[1], d_env, d_ema)
+    grad = agent._real_batch_grad(plan, fwd[1], d_env, d_ema)
 
     def loss_at(theta):
         return env_at(theta) + config.omega_ema * ema_at(theta)
@@ -343,15 +343,15 @@ def test_mixed_beta_zero_critic_gradient_matches_central_differences():
 def test_critic_loss_total_gradient_keeps_the_bits_of_its_inline_backward(beta):
     # the real-batch terms' backward, written out as critic_loss_total had it
     # before `_real_batch_grad` served the beta 0 step as well
-    plan = make_plan(24)
-    config = agent.AgentConfig(horizon=HORIZON, beta=beta, omega_ema=0.7)
+    plan = make_plan(24, beta=beta, omega_ema=0.7)
+    config = plan.config
     ensemble = tiny_ensemble()
     _, ro, pol = rollout(plan, far_is_terminal, seed=25)
     batch = env_batch(26)
-    shadow = nn.init_params(plan.critic_spec, np.random.default_rng(27))
-    _, grad, _ = agent.critic_loss_total(plan, config, ensemble, ro, batch, shadow, pol)
+    plan.critic_ema = shadow = nn.init_params(plan.critic_spec, np.random.default_rng(27))
+    _, grad, _ = agent.critic_loss_total(plan, ensemble, ro, batch, pol)
 
-    target = agent._bellman_target(plan, config, batch)
+    target = agent._bellman_target(plan, batch)
     q_shadow = agent._critic_forward(plan.critic_spec, shadow, batch["states"], batch["actions"])[0]
     q, cache = agent._critic_forward(
         plan.critic_spec, plan.critic_params, batch["states"], batch["actions"]
@@ -361,7 +361,7 @@ def test_critic_loss_total_gradient_keeps_the_bits_of_its_inline_backward(beta):
     g_env_ema, _ = nn.backward_cached(
         plan.critic_spec, plan.critic_params, cache, cot, params_only=True
     )
-    _, g_model = agent.critic_loss_model(plan, config, ensemble, ro, pol)
+    _, g_model = agent.critic_loss_model(plan, ensemble, ro, pol)
     np.testing.assert_array_equal(grad, config.beta * g_model + g_env_ema)
 
 
@@ -381,8 +381,7 @@ def test_q_value_actor_gradient_matches_central_differences():
 
 
 def test_mobile_targets_match_a_per_elite_loop():
-    plan = make_plan(9)
-    config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)
+    plan = make_plan(9, conservatism="mobile_lcb", lcb_c=0.7)
     ensemble = tiny_ensemble()
     _, ro, _ = rollout(plan, far_is_terminal, seed=8)
     assert ro.terminal.any() and ro.t_eff.max() > 1
@@ -391,19 +390,18 @@ def test_mobile_targets_match_a_per_elite_loop():
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
     np.testing.assert_array_equal(s, ro.states[:, :HORIZON][valid])
     np.testing.assert_array_equal(a, ro.actions[valid])
-    targets = agent._mobile_targets(plan, config, ensemble, s, a)
-    want = loop_mobile(plan, config, ensemble, ro)
+    targets = agent._mobile_targets(plan, ensemble, s, a)
+    want = loop_mobile(plan, ensemble, ro)
     # the library's stacked forwards may differ from one-row ones in the last bits
     np.testing.assert_allclose(targets, want[valid], rtol=1e-12, atol=1e-12)
     # a terminal prediction bootstraps nothing
-    unended = loop_mobile(plan, config, ensemble, ro, never_terminal)[valid]
+    unended = loop_mobile(plan, ensemble, ro, never_terminal)[valid]
     assert not np.allclose(targets, unended, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("elite_idx", [(1, 0), (1,), (2, 0, 1)], ids=["2-elites", "1-elite", "3-elites"])
 def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_idx, forks):
-    plan = make_plan(9)
-    config = agent.AgentConfig(horizon=HORIZON, conservatism="mobile_lcb", lcb_c=0.7)
+    plan = make_plan(9, conservatism="mobile_lcb", lcb_c=0.7)
     ensemble = tiny_ensemble()
     ensemble = replace(
         ensemble, elite_idx=elite_idx, config=replace(ensemble.config, n_elites=len(elite_idx))
@@ -411,25 +409,24 @@ def test_mobile_targets_through_the_helper_have_the_bits_of_this_process(elite_i
     _, ro, _ = rollout(plan, far_is_terminal, seed=8)
     # the helper's elites predict terminal states too
     assert all(terminal_predictions(ensemble, ro, m) for m in elite_idx)
-    here = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro))
-    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
+    here = agent._mobile_targets(plan, ensemble, *agent._lcb_rows(ro))
+    helper = forked.Helper(agent._MappedElites.create(plan, ensemble))
     try:
         agent._send_elites(helper, plan, ro)
-        there = agent._mobile_targets(plan, config, ensemble, *agent._lcb_rows(ro), helper)
+        there = agent._mobile_targets(plan, ensemble, *agent._lcb_rows(ro), helper)
     finally:
         helper.close()
     assert forks == [1] and helper.busy_s > 0.0
     assert here.tobytes() == there.tobytes()
     valid = np.arange(HORIZON)[None, :] < ro.t_eff[:, None]
-    want = loop_mobile(plan, config, ensemble, ro)[valid]
+    want = loop_mobile(plan, ensemble, ro)[valid]
     np.testing.assert_allclose(there, want, rtol=1e-12, atol=1e-12)
 
 
 def _lcb_step_640(seed: int = 8):
-    """(plan, config, ensemble, rollouts) of a mobile_lcb step with 640 LCB
-    rows: 64 rollouts of 10 steps, none of them ending."""
-    plan = make_plan(9)
-    config = agent.AgentConfig(horizon=10, batch_model=64, conservatism="mobile_lcb", lcb_c=0.7)
+    """(plan, ensemble, rollouts) of a mobile_lcb step with 640 LCB rows:
+    64 rollouts of 10 steps, none of them ending."""
+    plan = make_plan(9, horizon=10, batch_model=64, conservatism="mobile_lcb", lcb_c=0.7)
     ensemble = tiny_ensemble()
     starts = np.random.default_rng(seed).normal(size=(64, OBS))
     ro = wm.imagine_rollout(
@@ -437,7 +434,7 @@ def _lcb_step_640(seed: int = 8):
         never_terminal, 0.1, np.random.default_rng(seed + 1),
     )
     assert agent._lcb_rows(ro)[0].shape[0] == 640
-    return plan, config, ensemble, ro
+    return plan, ensemble, ro
 
 
 def test_no_helper_call_moves_a_byte_through_the_pipe(forks, monkeypatch):
@@ -488,12 +485,12 @@ def test_no_helper_call_moves_a_byte_through_the_pipe(forks, monkeypatch):
     _, helper_s = _pretrain_both(data, state, monkeypatch, {0, 1})
     assert helper_s["busy_s"] > 0.0
     # the MOBILE elites
-    plan, lcb_config, lcb_ensemble, ro = _lcb_step_640()
-    here = agent._mobile_targets(plan, lcb_config, lcb_ensemble, *agent._lcb_rows(ro))
-    helper = forked.Helper(agent._MappedElites.create(plan, lcb_config, lcb_ensemble))
+    plan, lcb_ensemble, ro = _lcb_step_640()
+    here = agent._mobile_targets(plan, lcb_ensemble, *agent._lcb_rows(ro))
+    helper = forked.Helper(agent._MappedElites.create(plan, lcb_ensemble))
     try:
         agent._send_elites(helper, plan, ro)
-        there = agent._mobile_targets(plan, lcb_config, lcb_ensemble, *agent._lcb_rows(ro), helper)
+        there = agent._mobile_targets(plan, lcb_ensemble, *agent._lcb_rows(ro), helper)
     finally:
         helper.close()
     assert here.tobytes() == there.tobytes() and helper.busy_s > 0.0
@@ -501,8 +498,8 @@ def test_no_helper_call_moves_a_byte_through_the_pipe(forks, monkeypatch):
 
 
 def test_the_lcb_row_critic_forward_runs_while_the_helper_computes(monkeypatch):
-    plan, config, ensemble, ro = _lcb_step_640()
-    helper = forked.Helper(agent._MappedElites.create(plan, config, ensemble))
+    plan, ensemble, ro = _lcb_step_640()
+    helper = forked.Helper(agent._MappedElites.create(plan, ensemble))
     events, forward, result = [], agent._critic_forward, forked.Helper.result
     lcb_s, lcb_a = agent._lcb_rows(ro)
 
@@ -519,7 +516,7 @@ def test_the_lcb_row_critic_forward_runs_while_the_helper_computes(monkeypatch):
     monkeypatch.setattr(forked.Helper, "result", resulting)
     try:
         agent._send_elites(helper, plan, ro)
-        agent.critic_loss_model(plan, config, ensemble, ro, None, helper)
+        agent.critic_loss_model(plan, ensemble, ro, None, helper)
     finally:
         helper.close()
     assert events.count("lcb rows") == events.count("result") == 1
@@ -857,19 +854,14 @@ def test_a_q_value_actor_under_mobile_lcb_runs_no_rollout_policy_forward(monkeyp
             patch.setattr(agent, "_recording_policy", counting_recording)
             agent.train_step(stepped, ensemble, batch, starts, stream(0, "t", step))
         # the same step from its parts, with the rollout policy forward
-        plan = agent._Plan(
-            want.policy_spec, want.policy_params, want.critic_spec, want.critic_params, spec
-        )
         ro = wm.imagine_rollout(
             ensemble, want.policy, starts, config.horizon,
             functools.partial(envs.terminated_batch, spec), 0.0, stream(0, "t", step),
         )
-        _, c_grad, _ = agent.critic_loss_total(
-            plan, config, ensemble, ro, batch, want.critic_ema, None
-        )
+        _, c_grad, _ = agent.critic_loss_total(want, ensemble, ro, batch, None)
         nn.adam_step(want.adam_critic, want.critic_params, c_grad)
         nn.ema_update(want.critic_ema, want.critic_params, config.ema_decay)
-        _, p_grad, _ = agent._policy_q_value(plan, batch["states"])
+        _, p_grad, _ = agent._policy_q_value(want, batch["states"])
         nn.adam_step(want.adam_actor, want.policy_params, p_grad)
         assert _state_bytes(stepped) == _state_bytes(want), step
     assert calls == []
@@ -916,9 +908,9 @@ def test_actor_sees_the_updated_critic(monkeypatch):
     seen = {}
     q_value = agent._policy_q_value
 
-    def spy(plan, states):
-        seen["critic"] = plan.critic_params.copy()
-        return q_value(plan, states)
+    def spy(stepped, states):
+        seen["critic"] = stepped.critic_params.copy()
+        return q_value(stepped, states)
 
     monkeypatch.setattr(agent, "_policy_q_value", spy)
     agent.train_step(state, None, batch, None, np.random.default_rng(23))
@@ -966,16 +958,16 @@ def test_a_beta_zero_step_makes_one_real_batch_critic_forward_and_backward(monke
         assert sorted(called) == ["critic_loss_ema", "critic_loss_env"], step
 
         # the same step with each real-batch term on its own critic forward
-        def fresh(plan, batch):
+        def fresh(state, batch):
             return agent._critic_forward(
-                plan.critic_spec, plan.critic_params, batch["states"], batch["actions"]
+                state.critic_spec, state.critic_params, batch["states"], batch["actions"]
             )
 
-        def env_alone(plan, config, batch, fwd):
-            return critic_loss_env(plan, config, batch, fresh(plan, batch))
+        def env_alone(state, batch, fwd):
+            return critic_loss_env(state, batch, fresh(state, batch))
 
-        def ema_alone(plan, shadow, batch, fwd):
-            return critic_loss_ema(plan, shadow, batch, fresh(plan, batch))
+        def ema_alone(state, batch, fwd):
+            return critic_loss_ema(state, batch, fresh(state, batch))
 
         with monkeypatch.context() as patch:
             patch.setattr(agent, "critic_loss_env", env_alone)

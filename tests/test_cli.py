@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from leq_lab import agent, cli, datasets, envs, forked, heap, returns, world_model
+from leq_lab import agent, cli, container, datasets, envs, forked, heap, returns, world_model
 from leq_lab.config import ConfigError, load_run_config, parse_run_config
 
 from . import _oracles
@@ -177,7 +177,15 @@ def test_a_pretrained_step_0_checkpoint_resumes_into_the_files_of_a_fresh_run(tm
         assert (pre / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
-def test_a_resume_with_another_seed_exits_2_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "seed, agent_change, message",
+    [
+        (7, {}, "checkpoint was written by a run with seed 0, not 7"),
+        (0, {"tau": 0.3}, "checkpoint was written by a different agent config"),
+    ],
+    ids=["seed", "agent-config"],
+)
+def test_a_resume_with_another_seed_exits_2_and_writes_nothing(seed, agent_change, message, tmp_path, capsys):
     raw = _run_config(tmp_path, env="dense_chain", agent_overrides={"n_iter": 5})
     config = tmp_path / "run.json"
     run = tmp_path / "run"
@@ -185,9 +193,10 @@ def test_a_resume_with_another_seed_exits_2_and_writes_nothing(tmp_path, capsys)
     assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
     kept = sorted(p.name for p in run.iterdir())
     before = {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept}
-    config.write_text(json.dumps({**raw, "seed": 7, "agent": {**raw["agent"], "n_iter": 10}}))
+    # n_iter alone may change between sessions
+    config.write_text(json.dumps({**raw, "seed": seed, "agent": {**raw["agent"], "n_iter": 10, **agent_change}}))
     assert cli.main(["train", str(config), "--out-dir", str(run), "--resume"]) == 2
-    assert capsys.readouterr().err == "error: checkpoint was written by a run with seed 0, not 7\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in run.iterdir()) == kept
     assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
 
@@ -217,6 +226,92 @@ def test_a_resume_on_another_dataset_file_exits_2_and_writes_nothing(overrides, 
     )
     assert sorted(p.name for p in run.iterdir()) == kept
     assert {name: ((run / name).read_bytes(), (run / name).stat().st_mtime_ns) for name in kept} == before
+
+
+def _tree(path) -> list:
+    """Every file and directory under `path`, sorted."""
+    return sorted(path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("train", "set out_dir in the config or pass --out-dir"),
+        ("ablate", "set base.out_dir or pass --out-dir"),
+    ],
+)
+def test_a_run_without_an_output_directory_exits_2_and_writes_nothing(
+    command, message, tmp_path, monkeypatch, capsys
+):
+    raw = _run_config(tmp_path, env="dense_chain")
+    if command == "ablate":
+        raw = {"base": raw, "seeds": [0], "cells": [{"name": "tau", "agent": {"tau": 0.3}}]}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert cli.main([command, str(config)]) == 2
+    assert capsys.readouterr().err == f"error: no output directory: {message}\n"
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [
+        (None, "cannot read config {}: "),
+        (b'{"seed": 0,', "{} is not valid JSON: "),
+        (b'\xff{"seed": 0}', "{} is not valid JSON: "),
+    ],
+    ids=["unreadable", "invalid-json", "not-utf-8"],
+)
+def test_a_config_file_that_cannot_be_read_exits_2_and_writes_nothing(
+    contents, message, tmp_path, monkeypatch, capsys
+):
+    config = tmp_path / "run.json"
+    if contents is None:
+        config.mkdir()  # open() fails on a directory, even as root
+    else:
+        config.write_bytes(contents)
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(config)) and len(err.splitlines()) == 1
+    assert _tree(tmp_path) == before
+
+
+def test_a_dataset_without_trajectories_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    spec = envs.make_env_spec("dense_chain")
+    dataset = tmp_path / "empty.leqd"
+    datasets.save_dataset(datasets.OfflineDataset((), spec.obs_dim, spec.act_dim, metadata={"env": spec.name}), dataset)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**_run_config(tmp_path, env="dense_chain"), "dataset": str(dataset)}))
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: dataset holds no transitions\n"
+    assert _tree(tmp_path) == before
+
+
+def test_minmax_return_normalization_trains_as_on_the_file_it_normalizes(tmp_path):
+    raw = _run_config(
+        tmp_path, env="dense_chain", agent_overrides={"beta": 0.0, "policy_update": "q_value", "n_iter": 10}
+    )
+    data = datasets.load_dataset(raw["dataset"])
+    normalized = datasets.normalize_rewards(data, "minmax_return")
+    assert not np.array_equal(normalized.flat_arrays()[2], data.flat_arrays()[2])
+    datasets.save_dataset(normalized, tmp_path / "normalized.leqd")
+    cli.run_training(parse_run_config({**raw, "reward_normalization": "minmax_return"}), str(tmp_path / "run"))
+    cli.run_training(parse_run_config({**raw, "dataset": str(tmp_path / "normalized.leqd")}), str(tmp_path / "file"))
+    for name in ("metrics.csv", "eval.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+    # the checkpoints' headers differ only in the dataset file's sha256
+    (run_header, run), (file_header, file) = (
+        container.read(tmp_path / d / "checkpoint.leqa", agent._AGENT_MAGIC, "leq-lab-agent", agent._AGENT_VERSION)
+        for d in ("run", "file")
+    )
+    assert {**run_header, "dataset_sha256": None} == {**file_header, "dataset_sha256": None}
+    assert {k: v.tobytes() for k, v in run.items()} == {k: v.tobytes() for k, v in file.items()}
 
 
 def test_effective_config_reparses_to_the_run_config(tmp_path):
@@ -777,15 +872,15 @@ def test_an_fqe_divergence_after_the_join_stops_fqes_helper_before_its_snapshot(
 
 
 # lr_pretrain 1e300 overflows BC's first update on purpose, and the second
-# step's forward turns the overflow into NaNs
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# step's forward turns the overflow into NaNs; the command's only output is
+# its error line, with no NumPy warning, which pytest would raise
 @pytest.mark.parametrize(
     "env, overrides",
     [("dense_chain", {"beta": 0.0, "policy_update": "q_value"}), ("point_maze_u", {})],
     ids=["model-free", "beside-the-world-model"],
 )
 def test_a_bc_divergence_snapshots_bc_and_leaves_no_child(
-    env, overrides, tmp_path, monkeypatch, capsys, forks
+    env, overrides, tmp_path, monkeypatch, capfd, forks
 ):
     _two_cpus(monkeypatch)
     raw = _run_config(
@@ -795,13 +890,29 @@ def test_a_bc_divergence_snapshots_bc_and_leaves_no_child(
     config = tmp_path / "run.json"
     config.write_text(json.dumps(raw))
     assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
-    assert capsys.readouterr().err == "error: BC loss diverged\n"
+    assert capfd.readouterr().err == "error: BC loss diverged\n"
     snapshot = json.loads((tmp_path / "run" / "divergence.json").read_text())
     assert (snapshot["error"], snapshot["stage"], snapshot["step"]) == ("BC loss diverged", "bc", 1)
     # only the world model's helper forked, and FQE never ran
     assert forks == ([1] if env == "point_maze_u" else []) and multiprocessing.active_children() == []
     assert not (tmp_path / "run" / "checkpoint.leqa").exists()
     assert not (tmp_path / "run" / "world_model.leqm").exists()
+
+
+def test_a_world_model_that_overflows_in_its_helper_prints_only_its_error(
+    tmp_path, monkeypatch, capfd, forks
+):
+    # a step size of 1e300 overflows every member's second forward in the
+    # helper, which inherits the command's NumPy error state: no warning
+    # there, which pytest would raise, and every member is dropped
+    _two_cpus(monkeypatch)
+    raw = _run_config(tmp_path)
+    raw["world_model"]["lr"] = 1e300
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+    assert capfd.readouterr().err == "error: only 0 members trained to a finite validation NLL; need 2\n"
+    assert forks == [1] and multiprocessing.active_children() == []
 
 
 def test_pretrain_writes_the_ensemble_and_a_pretrained_checkpoint(tmp_path, capsys):
