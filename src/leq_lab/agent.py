@@ -844,10 +844,10 @@ def _halves(helper, fqe: _Fqe, task: int, n: int) -> None:
 
 @contextlib.contextmanager
 def _fqe_helper(fqe: _Fqe, helper_s: dict | None):
-    """`forked.serving(fqe)` where its steps split, or None, also once its
-    rounding check has failed; a helper's busy_s and wait_s go into
-    `helper_s`, if given."""
-    with forked.serving(fqe) if fqe.alike is not None else contextlib.nullcontext() as helper:
+    """`forked.serving(fqe, "fqe")` where its steps split, or None, also
+    once its rounding check has failed; a helper's busy_s and wait_s go
+    into `helper_s`, if given."""
+    with forked.serving(fqe, "fqe") if fqe.alike is not None else contextlib.nullcontext() as helper:
         try:
             if helper is not None:
                 helper.call(_CHECK, 0, 0)
@@ -1061,7 +1061,7 @@ def elite_helper(state: AgentState, ensemble):
     uses = config.beta > 0.0 and config.conservatism == "mobile_lcb"
     if not uses or ensemble is None or state.step >= config.n_iter:
         return contextlib.nullcontext()
-    return forked.serving(_MappedElites.create(state, ensemble))
+    return forked.serving(_MappedElites.create(state, ensemble), "main_loop")
 
 
 def train_step(

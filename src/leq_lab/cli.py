@@ -102,7 +102,7 @@ def cmd_gen_data(args) -> int:
     datasets.save_dataset(dataset, args.out)
     returns = dataset.returns()
     print(f"wrote {args.out}")
-    print(f"  trajectories:      {len(dataset.trajectories)}")
+    print(f"  trajectories:      {dataset.lengths.size}")
     print(f"  transitions:       {dataset.n_transitions}")
     print(f"  mean return:       {float(returns.mean()):.4f}")
     print(f"  collector success: {dataset.metadata['success_rate']:.3f}")
@@ -385,6 +385,9 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     OPENBLAS_NUM_THREADS this process saw, or "unset": a fixed-seed run's
     bits can depend on the BLAS thread count, so only files of a run that
     saw "1" can match the one-thread digests of the benchmark.
+    `helpers_forked` names the helpers the run forked, in order, among
+    "world_model", "fqe" and "main_loop": none unless OpenBLAS runs one
+    thread (`forked.can_fork`).
 
     Raises DivergenceError when a BC, FQE or main-loop step's loss goes
     non-finite, once divergence.json names the stage ("bc", "fqe" or
@@ -393,6 +396,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
     heap.set_heap_policy()
     clock = _PhaseClock()
     t_start = time.monotonic()
+    n_started = len(forked.started)
     env_spec, dataset = _load_inputs(cfg)
     arrays = dataset.flat_arrays()
     pretrain_helper = {"busy_s": 0.0, "wait_s": 0.0}
@@ -492,6 +496,7 @@ def run_training(cfg: RunConfig, out_dir: str, resume: bool = False) -> dict:
         "timing_s": {phase: round(sec, 3) for phase, sec in clock.seconds.items()},
         "eval_env_steps": eval_env_steps,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "helpers_forked": forked.started[n_started:],
         "helper_busy_s": round(helper.busy_s, 6) if helper else 0.0,
         "helper_wait_s": round(helper.wait_s, 6) if helper else 0.0,
         "pretrain_helper_busy_s": round(pretrain_helper["busy_s"], 6),

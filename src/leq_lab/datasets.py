@@ -1,15 +1,15 @@
 """Offline experience containers, scripted collectors and persistence.
 
-Trajectories store contiguous arrays (states has one extra row so
-next-states need no duplication); `OfflineDataset.flat_arrays` stacks the
-transitions. A trajectory either ends at a terminal state
-(`ends_terminal`) or at the horizon cap, in which case bootstrapping past
-its last state is allowed.
+An `OfflineDataset` holds its transitions as flat arrays, trajectory after
+trajectory: `flat_arrays()` returns them as every stage reads them. A
+trajectory either ends at a terminal state (`ends_terminal`) or at the
+horizon cap, in which case bootstrapping past its last state is allowed.
 
 File format ("LEQD", version 2): the `container` layout. The header holds
 the dims, normalization, metadata, and each trajectory's step count and
-terminal flag; the arrays are every trajectory's states (n + 1 rows each),
-then actions, then rewards, concatenated in trajectory order.
+terminal flag; the arrays are every trajectory's states (n + 1 rows each:
+its transitions' states, then its last next state), then actions, then
+rewards, concatenated in trajectory order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .envs import EnvSpec, env_step, expert_action, is_success, reset_state
 from .rng import stream
 
 __all__ = [
-    "Trajectory",
     "OfflineDataset",
     "DatasetError",
     "DatasetFormatError",
@@ -50,81 +49,86 @@ class DatasetFormatError(DatasetError, container.ContainerError):
     """Corrupt, truncated or incompatible dataset file."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (n + 1, obs_dim)
-    actions: np.ndarray  # (n, act_dim)
-    rewards: np.ndarray  # (n,)
-    ends_terminal: bool
-
-    def __post_init__(self) -> None:
-        n = self.actions.shape[0]
-        if n < 1:
-            raise DatasetError("trajectory needs at least one transition")
-        if self.states.shape[0] != n + 1 or self.rewards.shape != (n,):
-            raise DatasetError("trajectory array lengths disagree")
-        if not (
-            np.all(np.isfinite(self.states))
-            and np.all(np.isfinite(self.actions))
-            and np.all(np.isfinite(self.rewards))
-        ):
-            raise DatasetError("trajectory contains non-finite values")
-        if np.any(np.abs(self.actions) > 1.0 + 1e-9):
-            raise DatasetError("actions must lie in [-1, 1]")
-        for arr in (self.states, self.actions, self.rewards):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def ret(self) -> float:
-        return float(self.rewards.sum())
+def _check_lengths(lengths: np.ndarray, ends_terminal: np.ndarray) -> None:
+    """Refuse per-trajectory arrays that cannot index a dataset's rows."""
+    if lengths.ndim != 1 or ends_terminal.shape != lengths.shape:
+        raise DatasetError("trajectory array lengths disagree")
+    if np.any(lengths < 1):
+        raise DatasetError("trajectory needs at least one transition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OfflineDataset:
-    trajectories: tuple[Trajectory, ...]
-    obs_dim: int
-    act_dim: int
+    """Transitions as read-only flat arrays, trajectory after trajectory.
+
+    Row i is (states[i], actions[i], rewards[i], next_states[i],
+    terminals[i]). Trajectory k holds `lengths[k]` contiguous rows, in
+    which each next state is the following row's state; `terminals` is
+    set on the last row of each trajectory that `ends_terminal`.
+    """
+
+    states: np.ndarray  # (N, obs_dim)
+    actions: np.ndarray  # (N, act_dim)
+    rewards: np.ndarray  # (N,)
+    next_states: np.ndarray  # (N, obs_dim)
+    lengths: np.ndarray  # (n_trajectories,) transitions in each
+    ends_terminal: np.ndarray  # (n_trajectories,) bool
     reward_normalization: str = "none"
     metadata: dict = field(default_factory=dict)
+    terminals: np.ndarray = field(init=False)  # (N,) bool
 
     def __post_init__(self) -> None:
         if self.reward_normalization not in NORMALIZATION_MODES:
             raise DatasetError(f"unknown normalization {self.reward_normalization!r}")
-        for traj in self.trajectories:
-            if traj.states.shape[1] != self.obs_dim or traj.actions.shape[1] != self.act_dim:
-                raise DatasetError("trajectory dims disagree with dataset dims")
+        _check_lengths(self.lengths, self.ends_terminal)
+        states, actions, rewards, next_states = self.states, self.actions, self.rewards, self.next_states
+        if not (
+            states.ndim == actions.ndim == 2
+            and next_states.shape[1:] == states.shape[1:]
+            and min(states.shape[1], actions.shape[1]) >= 1
+        ):
+            raise DatasetError(
+                f"trajectory dims disagree with dataset dims: states {states.shape}, "
+                f"next states {next_states.shape}, actions {actions.shape}"
+            )
+        rows = int(self.lengths.sum())
+        if {states.shape[0], actions.shape[0], next_states.shape[0]} != {rows} or rewards.shape != (rows,):
+            raise DatasetError("trajectory array lengths disagree")
+        if not all(np.all(np.isfinite(a)) for a in (states, actions, rewards, next_states)):
+            raise DatasetError("trajectory contains non-finite values")
+        if np.any(np.abs(actions) > 1.0 + 1e-9):
+            raise DatasetError("actions must lie in [-1, 1]")
+        last = np.zeros(rows, dtype=bool)  # each trajectory's last row
+        last[np.cumsum(self.lengths) - 1] = True
+        if not np.array_equal(next_states[~last], states[1:][~last[:-1]]):
+            raise DatasetError("next states disagree with the states that follow them")
+        terminals = last & np.repeat(self.ends_terminal, self.lengths)
+        object.__setattr__(self, "terminals", terminals)
+        for arr in (states, actions, rewards, next_states, terminals, self.lengths, self.ends_terminal):
+            arr.setflags(write=False)
+
+    @property
+    def obs_dim(self) -> int:
+        return self.states.shape[1]
+
+    @property
+    def act_dim(self) -> int:
+        return self.actions.shape[1]
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(t) for t in self.trajectories)
+        return self.states.shape[0]
 
     def returns(self) -> np.ndarray:
-        return np.array([t.ret for t in self.trajectories], dtype=np.float64)
+        """Each trajectory's summed reward, one sum over its contiguous rows."""
+        ends = np.cumsum(self.lengths)
+        return np.array(
+            [self.rewards[a:b].sum() for a, b in zip(ends - self.lengths, ends)], dtype=np.float64
+        )
 
     def flat_arrays(self):
-        """(states, actions, rewards, next_states, terminals) stacked over all transitions."""
-        if not self.trajectories:
-            return (
-                np.zeros((0, self.obs_dim)),
-                np.zeros((0, self.act_dim)),
-                np.zeros(0),
-                np.zeros((0, self.obs_dim)),
-                np.zeros(0, dtype=bool),
-            )
-        states = np.concatenate([t.states[:-1] for t in self.trajectories], axis=0)
-        actions = np.concatenate([t.actions for t in self.trajectories], axis=0)
-        rewards = np.concatenate([t.rewards for t in self.trajectories], axis=0)
-        next_states = np.concatenate([t.states[1:] for t in self.trajectories], axis=0)
-        terminals = np.concatenate(
-            [
-                np.arange(len(t)) == (len(t) - 1) if t.ends_terminal else np.zeros(len(t), bool)
-                for t in self.trajectories
-            ]
-        )
-        return states, actions, rewards, next_states, terminals
+        """(states, actions, rewards, next_states, terminals), the stored arrays."""
+        return self.states, self.actions, self.rewards, self.next_states, self.terminals
 
 
 def collect_dataset(
@@ -179,20 +183,15 @@ def collect_dataset(
         live = live[~done]
         if not live.size:
             break
-    trajectories = [
-        Trajectory(
-            states=states[i, : m + 1].copy(),
-            actions=actions[i, :m].copy(),
-            rewards=rewards[i, :m].copy(),
-            ends_terminal=bool(ends_terminal[i]),
-        )
-        for i, m in enumerate(lengths)
-    ]
+    steps = np.arange(horizon) < lengths[:, None]  # (n, horizon): the rows each trajectory took
     n_success = int(is_success(spec, states[np.arange(n), lengths], ends_terminal).sum())
     return OfflineDataset(
-        trajectories=tuple(trajectories),
-        obs_dim=spec.obs_dim,
-        act_dim=spec.act_dim,
+        states=states[:, :-1][steps],
+        actions=actions[steps],
+        rewards=rewards[steps],
+        next_states=states[:, 1:][steps],
+        lengths=lengths,
+        ends_terminal=ends_terminal,
         metadata={
             "env": spec.name,
             "collector": collector,
@@ -217,31 +216,24 @@ def normalize_rewards(dataset: OfflineDataset, mode: str) -> OfflineDataset:
         )
     if mode == "minmax_return":
         returns = dataset.returns()
-        spread = float(returns.max() - returns.min())
-        if len(dataset.trajectories) < 2 or spread <= 0.0:
+        spread = float(returns.max() - returns.min()) if returns.size >= 2 else 0.0
+        if spread <= 0.0:
             raise DatasetError("minmax_return needs >= 2 trajectories with distinct returns")
-        transform = lambda r: r / spread
+        rewards = dataset.rewards / spread
     else:  # sparse_shift
-        transform = lambda r: r - 1.0
-    new_trajs = tuple(
-        Trajectory(
-            states=t.states.copy(),
-            actions=t.actions.copy(),
-            rewards=transform(t.rewards.copy()),
-            ends_terminal=t.ends_terminal,
-        )
-        for t in dataset.trajectories
-    )
+        rewards = dataset.rewards - 1.0
     return replace(
         dataset,
-        trajectories=new_trajs,
+        rewards=rewards,
         reward_normalization=mode,
         metadata={**dataset.metadata, "reward_normalization": mode},
     )
 
 
 def save_dataset(dataset: OfflineDataset, path) -> None:
-    trajs = dataset.trajectories
+    ends = np.cumsum(dataset.lengths)
+    # each trajectory's last next state after its transitions' states
+    states = np.insert(dataset.states, ends, dataset.next_states[ends - 1], axis=0)
     header = {
         "format": "leq-lab-dataset",
         "version": _VERSION,
@@ -249,13 +241,10 @@ def save_dataset(dataset: OfflineDataset, path) -> None:
         "act_dim": dataset.act_dim,
         "reward_normalization": dataset.reward_normalization,
         "metadata": dataset.metadata,
-        "lengths": [len(t) for t in trajs],
-        "terminals": [t.ends_terminal for t in trajs],
+        "lengths": dataset.lengths.tolist(),
+        "terminals": dataset.ends_terminal.tolist(),
     }
-    arrays = {
-        name: np.concatenate([np.zeros(0), *(getattr(t, name).ravel() for t in trajs)])
-        for name in ("states", "actions", "rewards")
-    }
+    arrays = {"states": states, "actions": dataset.actions, "rewards": dataset.rewards}
     container.write(path, _MAGIC, header, arrays)
 
 
@@ -264,30 +253,26 @@ def load_dataset(path) -> OfflineDataset:
         header, arrays = container.read(path, _MAGIC, "leq-lab-dataset", _VERSION)
     except container.ContainerError as err:
         raise DatasetFormatError(f"dataset {err}") from err
-    obs_dim, act_dim, lengths = header["obs_dim"], header["act_dim"], header["lengths"]
-    rows = sum(lengths)
-    sizes = {"states": (rows + len(lengths)) * obs_dim, "actions": rows * act_dim, "rewards": rows}
+    obs_dim, act_dim = header["obs_dim"], header["act_dim"]
+    lengths = np.array(header["lengths"], dtype=np.int64)
+    ends_terminal = np.array(header["terminals"], dtype=bool)
+    _check_lengths(lengths, ends_terminal)
+    rows = int(lengths.sum())
+    sizes = {"states": (rows + lengths.size) * obs_dim, "actions": rows * act_dim, "rewards": rows}
     for name, size in sizes.items():
         if arrays[name].size != size:
             problem = "truncated" if arrays[name].size < size else "trailing bytes in"
             raise DatasetFormatError(f"dataset {path}: {problem} {name}")
-    states = arrays["states"].reshape(-1, obs_dim)
-    actions = arrays["actions"].reshape(-1, act_dim)
-    trajectories, s, t = [], 0, 0
-    for n, terminal in zip(lengths, header["terminals"]):
-        trajectories.append(
-            Trajectory(
-                states=states[s : s + n + 1],
-                actions=actions[t : t + n],
-                rewards=arrays["rewards"][t : t + n],
-                ends_terminal=bool(terminal),
-            )
-        )
-        s, t = s + n + 1, t + n
+    states = arrays["states"].reshape(rows + lengths.size, obs_dim)
+    # each transition's state row: shifted by the last next states before it
+    state_rows = np.arange(rows) + np.repeat(np.arange(lengths.size), lengths)
     return OfflineDataset(
-        trajectories=tuple(trajectories),
-        obs_dim=obs_dim,
-        act_dim=act_dim,
+        states=states[state_rows],
+        actions=arrays["actions"].reshape(rows, act_dim),
+        rewards=arrays["rewards"],
+        next_states=states[state_rows + 1],
+        lengths=lengths,
+        ends_terminal=ends_terminal,
         reward_normalization=header["reward_normalization"],
         metadata=header["metadata"],
     )

@@ -1,7 +1,8 @@
 """A helper process: a forked child that runs one function beside this one.
 
-`serving(fn)` forks a `Helper` bound to `fn` where `can_fork()` allows,
-and yields None otherwise. `fn`, and whatever it binds (a
+`serving(fn, name)` forks a `Helper` bound to `fn` where `can_fork()`
+allows, and yields None otherwise; `started` lists the names of the
+helpers this process has forked. `fn`, and whatever it binds (a
 `functools.partial`'s arguments), reach the child in its copy of this
 process's memory, so they are never pickled. Arrays travel through an
 anonymous shared mapping made before the fork (`shared_arrays`;
@@ -28,18 +29,23 @@ The pipe between the two carries only failures. A call that raises, or a
 child that dies, makes `result` raise HelperError: the child reports a
 failure down the pipe, and the waiting end checks the pipe every `_POLLS`
 polls, where EOF means the child died. The child never outlives the
-`serving(fn)` block, and ends by itself if this process dies: it checks
+`serving` block, and ends by itself if this process dies: it checks
 its end of the pipe for EOF every `_POLLS` polls as well.
 
 One helper at a time: `can_fork` is false while a helper of this process
 is alive, so a stage that runs beside a helper (BC beside the world
 model's) forks none of its own; a helper, a daemonic child, never forks
-one.
+one. A child runs off the CPU this process ran on just before the fork,
+on the other CPUs this process may use, where there are any: it pins
+itself as it returns from the fork, and this process pins it as soon as
+it runs again. So the two spinning ends do not share one CPU unless the
+scheduler moves this process onto the child's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import mmap
 import os
 import time
@@ -48,7 +54,7 @@ import numpy as np
 
 from . import nn
 
-__all__ = ["HelperError", "Helper", "can_fork", "serving", "shared_arrays"]
+__all__ = ["HelperError", "Helper", "can_fork", "serving", "shared_arrays", "started"]
 
 
 class HelperError(RuntimeError):
@@ -73,6 +79,9 @@ _NN_CALLS = {
 # this process's helpers whose child has not been closed: one process-wide
 # set, as the rule it serves is one helper per process
 _live: set = set()
+# the names `serving` was given for the helpers this process has forked, in
+# order: a run's record of which of its stages forked one
+started: list[str] = []
 
 # doorbell slots (int64): the ring count and the arguments on the first
 # cache line, written by this process; the done count, the outcome and the
@@ -84,16 +93,24 @@ _POLLS = 1024
 
 
 def can_fork() -> bool:
-    """Whether a run may start a helper: the fork start method exists, this
-    process runs on x86 (the doorbell's store order) and may run on at
-    least 2 CPUs, it is not a daemonic worker, which may not start
-    children, no helper of this process is alive, and no `nn` function has
-    been replaced here (by a tracer, a profiler or a test's spy), since
-    the wrapper would miss the child's calls."""
+    """Whether a run may start a helper: OpenBLAS runs one thread, the fork
+    start method exists, this process runs on x86 (the doorbell's store
+    order) and may run on at least 2 CPUs, it is not a daemonic worker,
+    which may not start children, no helper of this process is alive, and
+    no `nn` function has been replaced here (by a tracer, a profiler or a
+    test's spy), since the wrapper would miss the child's calls.
+
+    OpenBLAS reads OPENBLAS_NUM_THREADS and, where that is unset,
+    OMP_NUM_THREADS; a helper needs the one it reads to be "1". With more
+    BLAS threads the polling helper and those threads contend for the
+    CPUs: on a 2-CPU machine a desk run's BC and FQE took 18-30x as long
+    with the helpers as without them, and a run writes the same bytes
+    either way."""
     import multiprocessing
 
     return (
-        "fork" in multiprocessing.get_all_start_methods()
+        os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
+        and "fork" in multiprocessing.get_all_start_methods()
         and os.uname().machine in ("x86_64", "amd64")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
@@ -133,9 +150,20 @@ class Helper:
 
         ctx = multiprocessing.get_context("fork")
         self._conn, there = ctx.Pipe()
+        global _pin_to
         self._child = ctx.Process(target=self._serve, args=(fn, there), daemon=True)
-        self._child.start()
+        _pin_to = os.sched_getaffinity(0) - {_this_cpu()}
+        try:
+            self._child.start()
+        finally:
+            others, _pin_to = _pin_to, set()
         there.close()
+        # the child pins itself when it first runs and this process pins it
+        # when it runs again: a child that preempted this process on its CPU
+        # pins itself first, and one still waiting for a CPU is pinned here
+        if others:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(self._child.pid, others)
 
     def call(self, *args: int) -> None:
         """Start fn(*args) in the child, for at most `_MAX_ARGS` integers."""
@@ -207,11 +235,42 @@ class Helper:
             bell[_DONE] = seen
 
 
+# the CPUs a child of `Helper._fork` may run on: set only while it forks
+_pin_to: set = set()
+
+
+def _pin_child() -> None:
+    """Run in every child as it returns from a fork: a helper's child pins
+    itself off its parent's CPU before `multiprocessing` starts it, which
+    takes a millisecond or more."""
+    if _pin_to:
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, _pin_to)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_pin_child)
+
+
+def _this_cpu() -> int:
+    """The CPU this process runs on now, by glibc's `sched_getcpu`; -1
+    where that call does not exist or fails."""
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError, TypeError):
+        return -1
+    sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
+    return sched_getcpu()
+
+
 @contextlib.contextmanager
-def serving(fn):
+def serving(fn, name: str):
     """A Helper bound to `fn` where `can_fork()` allows, else None; its
-    child is killed when the block ends."""
+    child is killed when the block ends. A helper that forks appends
+    `name` to `started`."""
     helper = Helper(fn) if can_fork() else None
+    if helper is not None:
+        started.append(name)
     try:
         yield helper
     finally:

@@ -163,26 +163,17 @@ def _nll_grad_on(spec, params, x, t, head_dim):
 
 def _split_rows(dataset, rng, val_fraction: float):
     """Per-trajectory 90/10 row split; falls back to row split for one traj."""
-    lengths = [traj.rewards.shape[0] for traj in dataset.trajectories]
-    n_traj = len(lengths)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    lengths = dataset.lengths
+    n_traj = lengths.size
     if n_traj >= 2:
-        order = rng.permutation(n_traj)
-        n_val = max(1, int(round(val_fraction * n_traj)))
-        if n_val >= n_traj:
-            n_val = n_traj - 1
-        val_traj = set(order[:n_val].tolist())
-        val_rows = np.concatenate(
-            [np.arange(offsets[i], offsets[i + 1]) for i in sorted(val_traj)]
-        )
-        train_rows = np.concatenate(
-            [np.arange(offsets[i], offsets[i + 1]) for i in range(n_traj) if i not in val_traj]
-        )
-    else:
-        rows = rng.permutation(int(offsets[-1]))
-        n_val = max(1, int(round(val_fraction * rows.size)))
-        val_rows, train_rows = rows[:n_val], rows[n_val:]
-    return np.sort(train_rows), np.sort(val_rows)
+        n_val = min(max(1, int(round(val_fraction * n_traj))), n_traj - 1)
+        val_traj = np.zeros(n_traj, dtype=bool)
+        val_traj[rng.permutation(n_traj)[:n_val]] = True
+        val = np.repeat(val_traj, lengths)
+        return np.flatnonzero(~val), np.flatnonzero(val)
+    rows = rng.permutation(int(lengths.sum()))
+    n_val = max(1, int(round(val_fraction * rows.size)))
+    return np.sort(rows[n_val:]), np.sort(rows[:n_val])
 
 
 @dataclass(frozen=True)
@@ -297,7 +288,7 @@ def train_ensemble(dataset, config: WorldModelConfig, seed: int, beside=None) ->
 
     mapped = forked.shared_arrays((config.n_members, nn.n_params(spec)), (config.n_members,), ())
     train = partial(_train_members, spec, data, config, seed, *mapped)
-    with forked.serving(train) if beside is not None else contextlib.nullcontext() as helper:
+    with forked.serving(train, "world_model") if beside is not None else contextlib.nullcontext() as helper:
         if helper is None:
             train()
             if beside is not None:

@@ -734,8 +734,9 @@ def _collector_action(collector, spec, state, wp_idx, traj_rng, noisy):
     return action, wp_idx
 
 
-def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, horizon=None):
-    """`datasets.collect_dataset` one trajectory and one row at a time."""
+def loop_collect_trajectories(spec, collector: str, n_trajectories: int, seed: int, horizon=None) -> list:
+    """The trajectories `datasets.collect_dataset` collects, one trajectory
+    and one row at a time, as `flat_transitions` takes them."""
     horizon = spec.horizon if horizon is None else int(horizon)
     trajectories = []
     for i in range(n_trajectories):
@@ -757,18 +758,19 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
                 ends_terminal = True
                 break
         trajectories.append(
-            datasets.Trajectory(
-                states=np.asarray(states, dtype=np.float64),
-                actions=np.asarray(actions, dtype=np.float64),
-                rewards=np.asarray(rewards, dtype=np.float64),
-                ends_terminal=ends_terminal,
-            )
+            tuple(np.asarray(rows, dtype=np.float64) for rows in (states, actions, rewards)) + (ends_terminal,)
         )
-    n_success = sum(scalar_success(spec, t.states[-1], t.ends_terminal) for t in trajectories)
-    return datasets.OfflineDataset(
-        trajectories=tuple(trajectories),
-        obs_dim=spec.obs_dim,
-        act_dim=spec.act_dim,
+    return trajectories
+
+
+def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, horizon=None):
+    """`datasets.collect_dataset` one trajectory and one row at a time."""
+    trajectories = loop_collect_trajectories(spec, collector, n_trajectories, seed, horizon)
+    n_success = sum(scalar_success(spec, t[0][-1], t[3]) for t in trajectories)
+    return trajectory_dataset(
+        trajectories,
+        spec.obs_dim,
+        spec.act_dim,
         metadata={
             "env": spec.name,
             "collector": collector,
@@ -776,6 +778,39 @@ def loop_collect_dataset(spec, collector: str, n_trajectories: int, seed: int, h
             "n_trajectories": n_trajectories,
             "success_rate": n_success / n_trajectories,
         },
+    )
+
+
+def flat_transitions(trajectories, obs_dim: int, act_dim: int) -> tuple:
+    """(states, actions, rewards, next_states, terminals) of trajectories
+    given as (states (n + 1, S), actions (n, A), rewards (n,), ends_terminal),
+    one concatenation over the trajectories per array, as `flat_arrays`
+    built them when a dataset held per-trajectory arrays: the reference its
+    stored arrays must equal."""
+    if not trajectories:
+        return np.zeros((0, obs_dim)), np.zeros((0, act_dim)), np.zeros(0), np.zeros((0, obs_dim)), np.zeros(0, bool)
+    states = np.concatenate([t[0][:-1] for t in trajectories], axis=0)
+    actions = np.concatenate([t[1] for t in trajectories], axis=0)
+    rewards = np.concatenate([t[2] for t in trajectories], axis=0)
+    next_states = np.concatenate([t[0][1:] for t in trajectories], axis=0)
+    terminals = np.concatenate(
+        [np.arange(len(t[1])) == len(t[1]) - 1 if t[3] else np.zeros(len(t[1]), bool) for t in trajectories]
+    )
+    return states, actions, rewards, next_states, terminals
+
+
+def trajectory_dataset(trajectories, obs_dim: int, act_dim: int, **fields) -> datasets.OfflineDataset:
+    """An `OfflineDataset` of trajectories given as `flat_transitions` takes
+    them; `fields` are the dataset's other fields (metadata, normalization)."""
+    states, actions, rewards, next_states, _ = flat_transitions(trajectories, obs_dim, act_dim)
+    return datasets.OfflineDataset(
+        states=states,
+        actions=actions,
+        rewards=rewards,
+        next_states=next_states,
+        lengths=np.array([len(t[1]) for t in trajectories], dtype=np.int64),
+        ends_terminal=np.array([t[3] for t in trajectories], dtype=bool),
+        **fields,
     )
 
 

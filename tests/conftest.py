@@ -1,14 +1,26 @@
-"""Shared pytest plumbing: a check that no test leaves a child process
-running, a count of helper starts, and a deadline for a test that could hang."""
+"""Shared pytest plumbing: one BLAS thread, a check that no test leaves a
+child process running, a count of helper starts, and a deadline for a test
+that could hang.
+
+Run from the repository root, pytest loads this file before it collects
+any test module, `perfbench/tests`' included, so the BLAS thread count is
+set before NumPy loads."""
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
+import os
 
-import pytest
+# OpenBLAS reads it once, as NumPy loads, and `forked.can_fork` forks no
+# helper unless it is "1": as in CI's steps, the tests that need a helper
+# get one, beside one BLAS thread
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from leq_lab import forked
+import multiprocessing  # noqa: E402
+import signal  # noqa: E402
+
+import pytest  # noqa: E402
+
+from leq_lab import forked  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -283,7 +283,7 @@ def test_a_config_file_that_cannot_be_read_exits_2_and_writes_nothing(
 def test_a_dataset_without_trajectories_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
     spec = envs.make_env_spec("dense_chain")
     dataset = tmp_path / "empty.leqd"
-    datasets.save_dataset(datasets.OfflineDataset((), spec.obs_dim, spec.act_dim, metadata={"env": spec.name}), dataset)
+    datasets.save_dataset(_oracles.trajectory_dataset((), spec.obs_dim, spec.act_dim, metadata={"env": spec.name}), dataset)
     config = tmp_path / "run.json"
     config.write_text(json.dumps({**_run_config(tmp_path, env="dense_chain"), "dataset": str(dataset)}))
     monkeypatch.chdir(tmp_path)
@@ -549,6 +549,25 @@ def test_report_records_peak_rss_and_the_ensemble_training_time(tmp_path, monkey
     assert children == [0] * 5
 
 
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_no_helper_forks_unless_openblas_runs_one_thread(variable, tmp_path, monkeypatch, forks):
+    # this process's OpenBLAS keeps the one thread it loaded with; the
+    # variable decides only whether a run forks its helpers
+    _two_cpus(monkeypatch)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    raw = _run_config(tmp_path, agent_overrides={"n_iter": 10, **_LCB})
+    monkeypatch.setenv(variable, "2")
+    two = cli.run_training(parse_run_config(raw), str(tmp_path / "two"))
+    assert forks == [] and two["helpers_forked"] == []
+    assert two["pretrain_helper_busy_s"] == two["helper_busy_s"] == 0.0
+    monkeypatch.setenv(variable, "1")
+    one = cli.run_training(parse_run_config(raw), str(tmp_path / "one"))
+    assert forks == [1] * 3 and one["helpers_forked"] == ["world_model", "fqe", "main_loop"]
+    for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
 def test_the_main_loop_forks_its_own_helper_once_the_training_one_has_ended(tmp_path, monkeypatch):
     _two_cpus(monkeypatch)
     fork, forked_for = forked.Helper._fork, []
@@ -588,9 +607,11 @@ def test_a_run_with_a_helper_writes_the_files_of_one_without(
     n_forks = 3 if overrides else 2
     assert forks == [1] * n_forks and (helped["helper_busy_s"] > 0.0) == bool(overrides)
     assert helped["pretrain_helper_busy_s"] > 0.0
+    assert helped["helpers_forked"] == ["world_model", "fqe", "main_loop"][:n_forks]
     _one_cpu(monkeypatch)
     alone = cli.run_training(parse_run_config(raw), str(tmp_path / "alone"))
     assert forks == [1] * n_forks and alone["pretrain_helper_busy_s"] == 0.0
+    assert alone["helpers_forked"] == []
     for name in ("metrics.csv", "eval.csv", "checkpoint.leqa", "world_model.leqm"):
         assert (tmp_path / "helped" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
     assert helped["pretrain"] == alone["pretrain"]
@@ -1063,7 +1084,7 @@ def test_gen_data_writes_the_dataset_collect_dataset_makes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"wrote {out}\n  trajectories:      3\n")
     got = datasets.load_dataset(out)
     want = datasets.collect_dataset(envs.make_env_spec("dense_chain"), "mixed", 3, 4)
-    assert got.metadata == want.metadata and len(got.trajectories) == 3
+    assert got.metadata == want.metadata and got.lengths.tolist() == want.lengths.tolist() and got.lengths.size == 3
     for a, b in zip(got.flat_arrays(), want.flat_arrays()):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 

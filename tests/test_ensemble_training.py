@@ -1,6 +1,7 @@
 """Lockstep ensemble training against the per-member loop it replaced, in
 this process and in a run's forked helper."""
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -28,23 +29,9 @@ def _poisoned(dataset, n_rows: int, seed: int, val_fraction: float):
     """`dataset` with a reward of 1e200 on n_rows evenly spread training rows:
     a member whose batch draws one of them meets an infinite loss."""
     train_rows, _ = wm._split_rows(dataset, stream(seed, "wm.split"), val_fraction)
-    bad = train_rows[np.linspace(0, train_rows.size - 1, n_rows).astype(int)]
-    lengths = [len(traj) for traj in dataset.trajectories]
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    trajectories = list(dataset.trajectories)
-    for row in bad:
-        i = int(np.searchsorted(offsets, row, side="right") - 1)
-        traj = trajectories[i]
-        rewards = traj.rewards.copy()
-        rewards[row - offsets[i]] = 1e200
-        trajectories[i] = datasets.Trajectory(
-            states=traj.states, actions=traj.actions, rewards=rewards,
-            ends_terminal=traj.ends_terminal,
-        )
-    return datasets.OfflineDataset(
-        trajectories=tuple(trajectories), obs_dim=dataset.obs_dim, act_dim=dataset.act_dim,
-        metadata=dataset.metadata,
-    )
+    rewards = dataset.rewards.copy()
+    rewards[train_rows[np.linspace(0, train_rows.size - 1, n_rows).astype(int)]] = 1e200
+    return dataclasses.replace(dataset, rewards=rewards)
 
 
 _SMALL = {"hidden_dims": (8, 8), "train_steps": 10, "batch_size": 16}

@@ -13,7 +13,6 @@ from leq_lab.datasets import (
     DatasetError,
     DatasetFormatError,
     OfflineDataset,
-    Trajectory,
     collect_dataset,
     load_dataset,
     normalize_rewards,
@@ -349,7 +348,7 @@ class TestResetState:
 class TestExpert:
     def test_maze_expert_reaches_goal(self):
         ds = collect_dataset(maze(), "expert", 10, seed=0)
-        terminal = sum(t.ends_terminal for t in ds.trajectories)
+        terminal = int(ds.ends_terminal.sum())
         assert terminal >= 9
 
     def test_chain_expert_is_bang_bang(self):
@@ -438,25 +437,24 @@ class TestCollect:
 
     def test_mixed_alternates_collectors(self):
         ds = collect_dataset(maze(), "mixed", 10, seed=3)
-        even = [ds.trajectories[i].ends_terminal for i in range(0, 10, 2)]
-        odd = [ds.trajectories[i].ends_terminal for i in range(1, 10, 2)]
         # noisy-expert trajectories reach the goal; random walks do not
-        assert sum(even) >= 4
-        assert sum(odd) <= 1
+        assert ds.ends_terminal[0::2].sum() >= 4
+        assert ds.ends_terminal[1::2].sum() <= 1
 
     def test_metadata(self):
         ds = collect_dataset(maze(), "mixed", 10, seed=3)
         md = ds.metadata
         assert md["env"] == "point_maze_u" and md["collector"] == "mixed"
         assert md["seed"] == 3 and md["n_trajectories"] == 10
+        last_states = ds.next_states[np.cumsum(ds.lengths) - 1]
         n_success = sum(
-            _oracles.scalar_success(maze(), t.states[-1], t.ends_terminal) for t in ds.trajectories
+            _oracles.scalar_success(maze(), s, bool(done)) for s, done in zip(last_states, ds.ends_terminal)
         )
         assert md["success_rate"] == n_success / 10
 
     def test_horizon_override(self):
         ds = collect_dataset(maze(), "random", 4, seed=0, horizon=5)
-        assert all(len(t) <= 5 for t in ds.trajectories)
+        assert ds.lengths.max() <= 5
 
     @pytest.mark.parametrize("collector", datasets.COLLECTORS)
     @pytest.mark.parametrize("env", envs.ENV_NAMES)
@@ -518,7 +516,7 @@ class TestCollect:
 
             monkeypatch.setattr(datasets, name, spy)
         ds = collect_dataset(maze(), "mixed", 10, seed=3)
-        steps = max(len(t) for t in ds.trajectories)
+        steps = int(ds.lengths.max())
         assert len(calls["env_step"]) == steps
         assert 1 <= len(calls["expert_action"]) <= steps
         assert all(len(shape) == 2 for shape in calls["env_step"] + calls["expert_action"])
@@ -535,82 +533,121 @@ class TestCollect:
 
 
 def make_traj(rewards, terminal=False, obs_dim=2, act_dim=1):
+    """(states, actions, rewards, ends_terminal) of one trajectory, as
+    `_oracles.trajectory_dataset` takes them."""
     rewards = np.asarray(rewards, dtype=np.float64)
     n = rewards.shape[0]
-    return Trajectory(
-        states=np.arange((n + 1) * obs_dim, dtype=np.float64).reshape(n + 1, obs_dim),
-        actions=np.zeros((n, act_dim)),
-        rewards=rewards,
-        ends_terminal=terminal,
-    )
+    states = np.arange((n + 1) * obs_dim, dtype=np.float64).reshape(n + 1, obs_dim)
+    return states, np.zeros((n, act_dim)), rewards, terminal
 
 
-class TestTrajectoryValidation:
-    def test_minimum_length(self):
-        with pytest.raises(DatasetError, match="at least one"):
-            make_traj([])
+def make_dataset(*trajectories, **fields):
+    return _oracles.trajectory_dataset(trajectories, 2, 1, **fields)
 
-    def test_length_mismatch(self):
-        with pytest.raises(DatasetError, match="lengths disagree"):
-            Trajectory(
-                states=np.zeros((2, 2)), actions=np.zeros((3, 1)),
-                rewards=np.zeros(3), ends_terminal=False,
-            )
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DatasetError, match="non-finite"):
-            make_traj([1.0, np.inf])
+# each refusal a dataset makes: (its message, one bad trajectory, and the
+# same fault in a file's header or arrays)
+REFUSALS = {
+    "zero-length": (
+        "at least one",
+        make_traj([]),
+        {"lengths": [0], "terminals": [False], "states": np.zeros(2), "actions": [], "rewards": []},
+    ),
+    "lengths": (
+        "lengths disagree",
+        (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(3), False),
+        {"lengths": [1], "terminals": [False, True]},
+    ),
+    "non-finite": ("non-finite", make_traj([1.0, np.inf]), {"rewards": [np.nan]}),
+    "actions": (r"\[-1, 1\]", (np.zeros((2, 2)), np.array([[1.1]]), np.zeros(1), False), {"actions": [-1.5]}),
+    # a file's dims shape its arrays, so only dims that no array can have disagree there
+    "dims": ("dims disagree", (np.zeros((2, 2)), np.zeros(1), np.zeros(1), False), {"obs_dim": 0, "states": []}),
+}
 
-    def test_action_bounds(self):
-        with pytest.raises(DatasetError, match=r"\[-1, 1\]"):
-            Trajectory(
-                states=np.zeros((2, 2)), actions=np.array([[1.1]]),
-                rewards=np.zeros(1), ends_terminal=False,
-            )
+
+class TestValidation:
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_a_built_dataset_refuses(self, case):
+        message, traj, _ = REFUSALS[case]
+        with pytest.raises(DatasetError, match=message):
+            make_dataset(traj)
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_a_loaded_file_refuses(self, case, tmp_path):
+        message, _, fault = REFUSALS[case]
+        header = {
+            "format": "leq-lab-dataset", "version": 2, "obs_dim": 2, "act_dim": 1,
+            "reward_normalization": "none", "metadata": {}, "lengths": [1], "terminals": [False],
+        }
+        arrays = {"states": np.zeros(4), "actions": [0.5], "rewards": [1.0]}
+        for key, value in fault.items():
+            (header if key in header else arrays)[key] = value
+        path = tmp_path / "bad.leqd"
+        path.write_bytes(_oracles.container_file(b"LEQD", header, arrays))
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path)
+
+    def test_dims_that_disagree_are_refused(self):
+        ds = make_dataset(make_traj([1.0, 2.0]))
+        with pytest.raises(DatasetError, match="dims disagree"):
+            dataclasses.replace(ds, next_states=np.zeros((2, 3)))
+        with pytest.raises(DatasetError, match="dims disagree"):
+            dataclasses.replace(ds, actions=np.zeros(2))
+
+    def test_next_states_that_are_not_the_following_states_are_refused(self):
+        ds = make_dataset(make_traj([1.0, 2.0]), make_traj([3.0]))
+        moved = ds.next_states.copy()
+        moved[0] += 1.0  # inside the first trajectory
+        with pytest.raises(DatasetError, match="next states disagree"):
+            dataclasses.replace(ds, next_states=moved)
+        last = ds.next_states.copy()
+        last[1] += 1.0  # a trajectory's last next state is its own
+        assert dataclasses.replace(ds, next_states=last).n_transitions == 3
 
     def test_arrays_frozen(self):
-        t = make_traj([1.0, 2.0])
-        for arr in (t.states, t.actions, t.rewards):
+        ds = make_dataset(make_traj([1.0, 2.0], terminal=True))
+        for arr in (*ds.flat_arrays(), ds.lengths, ds.ends_terminal):
             with pytest.raises(ValueError):
-                arr[0] = 9.0
+                arr[0] = arr[0]
 
     def test_return_and_transitions(self):
-        t = make_traj([1.0, 2.0, 4.0], terminal=True)
-        assert t.ret == 7.0 and len(t) == 3
-        ds = OfflineDataset(trajectories=(t,), obs_dim=2, act_dim=1)
-        _, _, rewards, next_states, terminals = ds.flat_arrays()
+        traj = make_traj([1.0, 2.0, 4.0], terminal=True)
+        ds = make_dataset(traj)
+        assert ds.returns().tolist() == [7.0] and ds.n_transitions == 3 and ds.lengths.tolist() == [3]
+        states, _, rewards, next_states, terminals = ds.flat_arrays()
         assert terminals.tolist() == [False, False, True]
-        assert np.array_equal(next_states[1], t.states[2])
+        assert np.array_equal(states, traj[0][:-1]) and np.array_equal(next_states, traj[0][1:])
         assert rewards[2] == 4.0
 
 
 class TestOfflineDataset:
-    def test_dim_consistency(self):
-        with pytest.raises(DatasetError, match="dims disagree"):
-            OfflineDataset(trajectories=(make_traj([1.0]),), obs_dim=3, act_dim=1)
-
     def test_unknown_normalization(self):
         with pytest.raises(DatasetError, match="unknown normalization"):
-            OfflineDataset(trajectories=(), obs_dim=2, act_dim=1, reward_normalization="zscore")
+            make_dataset(reward_normalization="zscore")
 
-    def test_flat_arrays_consistency(self):
-        ds = collect_dataset(maze(), "mixed", 4, seed=1)
-        states, actions, rewards, next_states, terminals = ds.flat_arrays()
-        assert states.shape[0] == ds.n_transitions == actions.shape[0]
-        pos = 0
-        for t in ds.trajectories:
-            n = len(t)
-            assert np.array_equal(states[pos : pos + n], t.states[:-1])
-            assert np.array_equal(next_states[pos : pos + n], t.states[1:])
-            flags = terminals[pos : pos + n]
-            assert flags[-1] == t.ends_terminal and not flags[:-1].any()
-            pos += n
-        assert pos == states.shape[0]
+    @pytest.mark.parametrize("collector", datasets.COLLECTORS)
+    @pytest.mark.parametrize("env", envs.ENV_NAMES)
+    def test_flat_arrays_equal_the_concatenated_trajectories(self, env, collector, tmp_path):
+        spec = make_env_spec(env)
+        ds = collect_dataset(spec, collector, 9, seed=4)
+        trajs = _oracles.loop_collect_trajectories(spec, collector, 9, 4)
+        want = _oracles.flat_transitions(trajs, spec.obs_dim, spec.act_dim)
+        save_dataset(ds, tmp_path / "d.leqd")
+        for got in (ds, load_dataset(tmp_path / "d.leqd")):
+            for a, b in zip(got.flat_arrays(), want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_returns_sum_each_trajectory_alone(self):
+        trajs = _oracles.loop_collect_trajectories(chain(), "mixed", 9, 4)
+        ds = collect_dataset(chain(), "mixed", 9, seed=4)
+        assert ds.returns().tobytes() == np.array([t[2].sum() for t in trajs]).tobytes()
+        assert ds.lengths.tolist() == [len(t[2]) for t in trajs]
+        assert ds.ends_terminal.tolist() == [t[3] for t in trajs]
 
     def test_empty_dataset(self):
-        ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
+        ds = make_dataset()
         arrays = ds.flat_arrays()
-        assert ds.n_transitions == 0
+        assert ds.n_transitions == 0 and (ds.obs_dim, ds.act_dim) == (2, 1)
         assert arrays[0].shape == (0, 2) and arrays[1].shape == (0, 1)
         assert ds.returns().shape == (0,)
 
@@ -618,60 +655,58 @@ class TestOfflineDataset:
 class TestNormalize:
     def test_sparse_shift(self):
         # {0, 1} sparse rewards become -1 per step and 0 on the terminal one
-        traj = make_traj([0.0, 0.0, 1.0], terminal=True)
-        ds = OfflineDataset(trajectories=(traj,), obs_dim=2, act_dim=1)
+        ds = make_dataset(make_traj([0.0, 0.0, 1.0], terminal=True))
         out = normalize_rewards(ds, "sparse_shift")
-        np.testing.assert_array_equal(out.trajectories[0].rewards, [-1.0, -1.0, 0.0])
+        np.testing.assert_array_equal(out.rewards, [-1.0, -1.0, 0.0])
         assert out.reward_normalization == "sparse_shift"
 
     def test_minmax_divides_by_spread(self):
-        ds = OfflineDataset(
-            trajectories=(make_traj([0.0, 0.0]), make_traj([60.0, 40.0])),
-            obs_dim=2, act_dim=1,
-        )
+        ds = make_dataset(make_traj([0.0, 0.0]), make_traj([60.0, 40.0]))
         out = normalize_rewards(ds, "minmax_return")
-        np.testing.assert_allclose(out.trajectories[1].rewards, [0.6, 0.4])
+        np.testing.assert_allclose(out.rewards[2:], [0.6, 0.4])
         np.testing.assert_allclose(out.returns(), [0.0, 1.0])
 
+    @pytest.mark.parametrize("mode", ["minmax_return", "sparse_shift"])
+    def test_the_input_is_untouched_and_shares_its_other_arrays(self, mode):
+        ds = collect_dataset(chain(), "mixed", 4, seed=1)
+        before = [a.copy() for a in ds.flat_arrays()]
+        out = normalize_rewards(ds, mode)
+        for a, b in zip(ds.flat_arrays(), before):
+            assert a.tobytes() == b.tobytes()
+        assert ds.reward_normalization == "none" and "reward_normalization" not in ds.metadata
+        assert not out.rewards.flags.writeable and not np.shares_memory(out.rewards, ds.rewards)
+        for name in ("states", "actions", "next_states", "lengths", "ends_terminal"):
+            assert getattr(out, name) is getattr(ds, name), name
+        assert np.array_equal(out.terminals, ds.terminals)
+
     def test_none_is_identity(self):
-        ds = OfflineDataset(trajectories=(make_traj([1.0]),), obs_dim=2, act_dim=1)
+        ds = make_dataset(make_traj([1.0]))
         assert normalize_rewards(ds, "none") is ds
 
     def test_zero_spread_rejected(self):
-        same = (make_traj([1.0, 2.0]), make_traj([3.0]))
-        ds = OfflineDataset(trajectories=same, obs_dim=2, act_dim=1)
+        ds = make_dataset(make_traj([1.0, 2.0]), make_traj([3.0]))
         with pytest.raises(DatasetError, match="distinct returns"):
             normalize_rewards(ds, "minmax_return")
-        single = OfflineDataset(trajectories=(make_traj([1.0]),), obs_dim=2, act_dim=1)
         with pytest.raises(DatasetError, match="2 trajectories"):
-            normalize_rewards(single, "minmax_return")
+            normalize_rewards(make_dataset(make_traj([1.0])), "minmax_return")
 
     def test_double_normalization_rejected(self):
-        ds = OfflineDataset(trajectories=(make_traj([1.0]),), obs_dim=2, act_dim=1)
-        out = normalize_rewards(ds, "sparse_shift")
+        out = normalize_rewards(make_dataset(make_traj([1.0])), "sparse_shift")
         with pytest.raises(DatasetError, match="already normalized"):
             normalize_rewards(out, "minmax_return")
 
     def test_bad_mode(self):
-        ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
         with pytest.raises(DatasetError, match="unknown normalization"):
-            normalize_rewards(ds, "whiten")
+            normalize_rewards(make_dataset(), "whiten")
 
 
 def datasets_equal(a: OfflineDataset, b: OfflineDataset) -> bool:
-    if (a.obs_dim, a.act_dim, a.reward_normalization) != (
-        b.obs_dim, b.act_dim, b.reward_normalization,
+    if (a.obs_dim, a.act_dim, a.reward_normalization, a.metadata) != (
+        b.obs_dim, b.act_dim, b.reward_normalization, b.metadata,
     ):
         return False
-    if a.metadata != b.metadata or len(a.trajectories) != len(b.trajectories):
-        return False
-    return all(
-        np.array_equal(x.states, y.states)
-        and np.array_equal(x.actions, y.actions)
-        and np.array_equal(x.rewards, y.rewards)
-        and x.ends_terminal == y.ends_terminal
-        for x, y in zip(a.trajectories, b.trajectories)
-    )
+    arrays = lambda d: (*d.flat_arrays(), d.lengths, d.ends_terminal)  # noqa: E731
+    return all(x.shape == y.shape and np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
 
 
 class TestPersistence:
@@ -682,11 +717,11 @@ class TestPersistence:
         assert datasets_equal(load_dataset(path), ds)
 
     def test_empty_round_trip(self, tmp_path):
-        ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
+        ds = make_dataset()
         path = tmp_path / "empty.leqd"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert loaded.trajectories == () and loaded.obs_dim == 2
+        assert datasets_equal(loaded, ds) and loaded.lengths.size == 0 and loaded.obs_dim == 2
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.leqd"
@@ -724,7 +759,7 @@ class TestPersistence:
             load_dataset(path)
 
     def test_trailing_bytes(self, tmp_path):
-        ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
+        ds = make_dataset()
         path = tmp_path / "d.leqd"
         save_dataset(ds, path)
         blob = path.read_bytes()
@@ -733,7 +768,7 @@ class TestPersistence:
             load_dataset(path)
 
     def test_unsupported_version(self, tmp_path):
-        ds = OfflineDataset(trajectories=(), obs_dim=2, act_dim=1)
+        ds = make_dataset()
         path = tmp_path / "d.leqd"
         save_dataset(ds, path)
         magic, header, body = _oracles.container_parts(path.read_bytes())
@@ -746,5 +781,6 @@ class TestPersistence:
         path = tmp_path / "d.leqd"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        with pytest.raises(ValueError):
-            loaded.trajectories[0].rewards[0] = 0.0
+        for arr in (*loaded.flat_arrays(), loaded.lengths, loaded.ends_terminal):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]

@@ -246,12 +246,12 @@ def test_a_polling_child_ends_by_itself_once_this_process_dies():
 
 def test_serving_forks_at_entry_and_its_child_never_outlives_the_block(monkeypatch, forks):
     _two_cpus(monkeypatch)
-    with forked.serving(_raise) as helper:
+    with forked.serving(_raise, "raise") as helper:
         assert helper is not None and forks == [1]
         assert len(multiprocessing.active_children()) == 1
     assert multiprocessing.active_children() == []
     with pytest.raises(KeyError):
-        with forked.serving(_raise) as helper:
+        with forked.serving(_raise, "raise") as helper:
             helper.call()
             raise KeyError("the block fails with a call in flight")
     assert forks == [1, 1] and multiprocessing.active_children() == []
@@ -261,6 +261,21 @@ def test_serving_forks_at_entry_and_its_child_never_outlives_the_block(monkeypat
 def test_fork_rule(monkeypatch, forks):
     _two_cpus(monkeypatch)
     assert forked.can_fork()
+    # OpenBLAS reads OMP_NUM_THREADS only where OPENBLAS_NUM_THREADS is unset
+    for openblas, omp, allowed in [
+        ("1", None, True), ("1", "4", True), (None, "1", True),
+        ("2", None, False), ("2", "1", False), (None, "2", False), (None, None, False),
+    ]:
+        with monkeypatch.context() as patch:
+            for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+                if value is None:
+                    patch.delenv(name, raising=False)
+                else:
+                    patch.setenv(name, value)
+            assert forked.can_fork() is allowed, (openblas, omp)
+            if not allowed:
+                with forked.serving(_raise, "raise") as helper:
+                    assert helper is None and forks == []
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {3})
         assert not forked.can_fork()
@@ -275,18 +290,76 @@ def test_fork_rule(monkeypatch, forks):
         forward = nn.forward
         patch.setattr(nn, "forward", lambda *args: forward(*args))
         assert not forked.can_fork()
-        with forked.serving(_raise) as helper:
+        with forked.serving(_raise, "raise") as helper:
             assert helper is None
     with monkeypatch.context() as patch:
         patch.setattr(os, "uname", lambda: os.uname_result(("Linux", "box", "6", "#1", "aarch64")))
         assert not forked.can_fork()  # the doorbell relies on x86's store order
-        with forked.serving(_raise) as helper:
+        with forked.serving(_raise, "raise") as helper:
             assert helper is None and forks == []
     (out,) = forked.shared_arrays((2,))
-    with forked.serving(_note_pid(out)) as helper:
+    started = len(forked.started)
+    with forked.serving(_note_pid(out), "note") as helper:
         assert helper is not None
         assert not forked.can_fork()  # one helper at a time
         helper.call()
         helper.result()
         assert out[0] == helper._child.pid != os.getpid()
-    assert forked.can_fork() and forks == [1]
+    assert forked.can_fork() and forks == [1] and forked.started[started:] == ["note"]
+
+
+def _helper_affinity(**patches) -> tuple[int, set]:
+    """(the CPU this process ran on at the fork, the CPUs a helper forked
+    under `patches` to `os` may run on, once it has served a call)."""
+    at_fork, this_cpu, affinity = [], forked._this_cpu, os.sched_getaffinity
+    (out,) = forked.shared_arrays((2,))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forked, "_this_cpu", lambda: at_fork.append(this_cpu()) or at_fork[-1])
+        for name, value in patches.items():
+            patch.setattr(os, name, value)
+        helper = forked.Helper(_note_pid(out))
+    try:
+        helper.call(4)
+        helper.result()
+        assert out.tolist() == [helper._child.pid, 4.0]
+        return at_fork[0], affinity(helper._child.pid)
+    finally:
+        helper.close()
+
+
+def test_a_helper_is_pinned_by_itself_as_it_returns_from_the_fork_and_by_this_process(monkeypatch):
+    # (the process that pinned, the process it pinned, the CPU): the
+    # child's own pin, then this process's
+    (pins,) = forked.shared_arrays((2, 3))
+
+    def recording(pid, cpus):
+        pins[int(pid != 0)] = os.getpid(), pid, *cpus
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    monkeypatch.setattr(forked, "_this_cpu", lambda: 0)
+    (out,) = forked.shared_arrays((2,))
+    helper = forked.Helper(_note_pid(out))
+    try:
+        helper.call(1)
+        helper.result()
+    finally:
+        helper.close()
+    child = helper._child.pid
+    assert pins.tolist() == [[child, 0, 1], [os.getpid(), child, 1]]
+    assert forked._pin_to == set()  # no other fork pins anything
+
+
+def test_a_helper_runs_off_the_cpu_this_process_ran_on_at_the_fork():
+    allowed = os.sched_getaffinity(0)
+    cpu, pinned = _helper_affinity()
+    assert cpu in allowed  # glibc's sched_getcpu exists here
+    assert pinned == (allowed - {cpu} or allowed)
+    # no CPU left besides the parent's, or a pin the kernel refuses: the
+    # child runs where it may, and serves all the same
+    assert _helper_affinity(sched_getaffinity=lambda pid: {cpu})[1] == allowed
+
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    assert _helper_affinity(sched_setaffinity=refuse)[1] == allowed
